@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..multipoles import multi_index_set
-from ..multipoles.codegen import compiled_dtensor_function
+from ..multipoles.codegen import dtensors_soa
 from ..multipoles.multiindex import n_coeffs
 from ..util import expand_ranges
 
@@ -190,7 +190,6 @@ def accumulate_m2l(
     nhi = n_coeffs(t.P)
     # fold the (-1)^|alpha|/alpha! weights into the moments once
     wm_all = moms.moments[:, :nhi] * t.wsrc
-    dt_fn = compiled_dtensor_function(t.P)
     scatter = m2l_matrix_scatter(p)
     src = inter.m2l_src
     offs = inter.offsets[inter.m2l_off]
@@ -207,8 +206,10 @@ def accumulate_m2l(
     dxu = dx[order[starts]]
     r = np.sqrt(np.einsum("ij,ij->i", dxu, dxu))
     g = kernel.radial_derivs(r, t.P)
-    D = np.empty((len(starts), nhi))
-    dt_fn(dxu[:, 0], dxu[:, 1], dxu[:, 2], g, D)
+    # one row per displacement class (the generated routine is SoA)
+    D = np.ascontiguousarray(
+        dtensors_soa(dxu[:, 0], dxu[:, 1], dxu[:, 2], g, t.P).T
+    )
     # the triangular table splits into two dense BLAS blocks: low local
     # orders (|beta| <= 2) read the full moment width, the rest only the
     # order-<=3 prefix — 3x fewer flops than one dense (nloc, nhi)

@@ -1,11 +1,14 @@
 """Vectorized force evaluation from interaction lists (paper §3.3).
 
-Consumes the flat interaction lists produced by the traversal and
-evaluates them in large blocked batches — the Python/NumPy analogue of
-2HOT's m x n interaction blocking with structure-of-arrays swizzling:
-every chunk is one contiguous fused pass over thousands of
-interactions, so the per-interaction interpreter overhead is amortized
-exactly the way the paper amortizes data-movement cost.
+Consumes the interaction lists produced by the traversal and evaluates
+them in large blocked batches — the Python/NumPy analogue of 2HOT's
+m x n interaction blocking with structure-of-arrays swizzling (§3.2):
+the m particles of a sink leaf meet that leaf's n source cells in one
+block, whatever depends only on the source is gathered once per block,
+every operand is one contiguous row over the block's interactions, and
+a block is thousands of interactions long, so the per-interaction
+interpreter overhead is amortized exactly the way the paper amortizes
+data-movement cost.
 
 Three interaction families:
 
@@ -22,6 +25,7 @@ Three interaction families:
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from ..instrument import get_tracer
 from ..multipoles import multi_index_set
-from ..multipoles.codegen import compiled_dtensor_function
+from ..multipoles.codegen import compiled_dtensor_function, dtensors_soa
 from ..multipoles.multiindex import n_coeffs
 from ..multipoles.prism import prism_acceleration, prism_potential
 from ..multipoles.radial import NewtonianKernel, RadialKernel
@@ -123,86 +127,94 @@ class ForceResult:
     stats: dict = field(default_factory=dict)
 
 
-#: reusable per-process chunk buffers, keyed by (tag, columns, dtype)
+#: reusable per-process scratch, keyed by (tag, dtype)
 _BUF_POOL: dict[tuple, np.ndarray] = {}
 
 
-def _chunk_buffer(tag: str, rows: int, cols: int, dtype) -> np.ndarray:
-    """A preallocated (rows, cols) scratch view, reused across calls."""
-    key = (tag, cols, np.dtype(dtype).str)
+def _scratch(tag: str, shape: tuple, dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` view of pooled scratch, reused across calls."""
+    key = (tag, np.dtype(dtype).str)
+    size = math.prod(shape)
     buf = _BUF_POOL.get(key)
-    if buf is None or buf.shape[0] < rows:
-        buf = np.empty((max(rows, 1), cols), dtype=dtype)
+    if buf is None or buf.size < size:
+        buf = np.empty(max(size, 1), dtype=dtype)
         _BUF_POOL[key] = buf
-    return buf[:rows]
+    return buf[:size].reshape(shape)
 
 
-#: fallback pp/prism chunk when calibration is skipped (compiled backend)
-_DEFAULT_PP_CHUNK = 262144
-
-
-def _time_once(fn) -> float:
-    import time
-
-    fn()  # warm up / JIT numpy internals out of the measurement
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-@functools.lru_cache(maxsize=16)
-def _autotune_cell(p: int, dtype_str: str) -> int:
-    """Calibrate the cell-family chunk (order-dependent recurrence cost)."""
-    dtype = np.dtype(dtype_str)
-    rng = np.random.default_rng(0)
-    nhi = n_coeffs(p + 1)
-    dt_fn = compiled_dtensor_function(p + 1)
-    best_cell, best_cost = 16384, np.inf
-    for c in (8192, 16384, 32768, 65536):
-        dx = rng.standard_normal((c, 3)).astype(dtype) + 2.0
-        g = rng.standard_normal((p + 2, c)).astype(dtype)
-        out = np.empty((c, nhi), dtype=dtype)
-        cost = _time_once(lambda: dt_fn(dx[:, 0], dx[:, 1], dx[:, 2], g, out)) / c
-        if cost < best_cost:
-            best_cell, best_cost = c, cost
-    return best_cell
-
-
-@functools.lru_cache(maxsize=8)
-def _autotune_pp(dtype_str: str) -> int:
-    """Calibrate the pp/prism chunk — order-independent, cached per dtype."""
-    dtype = np.dtype(dtype_str)
-    rng = np.random.default_rng(0)
-    best_pp, best_cost = _DEFAULT_PP_CHUNK, np.inf
-    for c in (65536, 131072, 262144, 524288):
-        dx = rng.standard_normal((c, 3)).astype(dtype) + 1.0
-
-        def pp_kernel(dx=dx):
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            f = 1.0 / (r * r * r)
-            return f[:, None] * dx
-
-        cost = _time_once(pp_kernel) / c
-        if cost < best_cost:
-            best_pp, best_cost = c, cost
-    return best_pp
+#: interaction rows per evaluation block, cell family and pp/prism
+#: families.  Fixed, not calibrated: a one-shot timing per process picked
+#: differently from run to run and moved step time and peak RSS with it
+#: (benchmarks/step/README.md, baseline findings).  Blocks are aligned
+#: to sink leaves / whole particles, so the values change speed only.
+_CELL_CHUNK = 8192
+_PP_CHUNK = 65536
 
 
 def autotune_chunks(p: int, dtype_str: str) -> tuple[int, int]:
-    """One-shot calibration of (cell_chunk, pp_chunk) for this process.
+    """The (cell_chunk, pp_chunk) row budgets used when none are passed.
 
-    Times the dominant inner kernels — the order-(p+1) derivative
-    tensor recurrence for cell interactions and the softened inverse-r
-    pass for particle-particle blocks — over candidate chunk sizes on
-    synthetic data, and returns the fastest per-row choice of each.
-    Chunk size only affects speed, never results (the CSR evaluator
-    aligns chunks to whole sink particles), so a noisy pick is safe.
-    The pp half is order-independent and cached per dtype, so a run
-    mixing expansion orders (e.g. tree + TreePM) calibrates it once;
-    the compiled backend skips calibration entirely (it allocates no
-    contribution buffers).
+    The same constants for every order and dtype; the step benchmark
+    records this pair with every run.
     """
-    return _autotune_cell(p, dtype_str), _autotune_pp(dtype_str)
+    return _CELL_CHUNK, _PP_CHUNK
+
+
+def _leaf_blocks(leaf_np, indptr, budget):
+    """Cut the CSR rows of one family into m x n evaluation blocks.
+
+    Yields ``(a, b, e0, e1, tiles)``: sink particles [a, b) (positions in
+    the row-major particle order) meet CSR entries [e0, e1).  A block is
+    a run of whole rows whose n_L x E interaction rows fit ``budget``; a
+    row that alone exceeds it is split by particles (into equal parts),
+    never by entries.  So a block is a stack of dense tiles, one per
+    row with entries: ``(r0, p0, n_t, c0, n_e)`` says block rows
+    [r0, r0 + n_t * n_e), particle-major, pair block particles
+    [p0, p0 + n_t) with block entries [c0, c0 + n_e).
+    """
+    nent = np.diff(indptr)
+    rows = leaf_np * nent
+    p_start = np.concatenate(([0], np.cumsum(leaf_np)))
+    csum = np.cumsum(rows)
+    la = 0
+    while la < len(leaf_np):
+        base = csum[la - 1] if la else 0
+        lb = int(np.searchsorted(csum, base + budget, side="right"))
+        if lb > la:
+            keep = rows[la:lb] > 0
+            tiles = zip(
+                (csum[la:lb] - rows[la:lb] - base)[keep].tolist(),
+                (p_start[la:lb] - p_start[la])[keep].tolist(),
+                leaf_np[la:lb][keep].tolist(),
+                (indptr[la:lb] - indptr[la])[keep].tolist(),
+                nent[la:lb][keep].tolist(),
+            )
+            yield int(p_start[la]), int(p_start[lb]), indptr[la], indptr[lb], list(tiles)
+            la = lb
+            continue
+        n_l, n_e = int(leaf_np[la]), int(nent[la])
+        parts = -(-n_l // max(1, budget // n_e))
+        step = -(-n_l // parts)
+        for a in range(int(p_start[la]), int(p_start[la + 1]), step):
+            b = min(a + step, int(p_start[la + 1]))
+            yield a, b, indptr[la], indptr[la + 1], [(0, 0, b - a, 0, n_e)]
+        la += 1
+
+
+def _contract_tile(d, wm, out):
+    """``out[p, e] = sum_a d[a, p, e] * wm[a, e]``, summed in order of ``a``.
+
+    einsum runs ``a`` as the outer loop of an elementwise multiply-add
+    whenever the tile has more than one interaction.  A lone
+    interaction is a dot product, which it would sum in SIMD order or
+    sequentially depending on whether the operands happen to be
+    contiguous (i.e. on what else shares the block) — spell that case
+    out so the result never depends on the blocking.
+    """
+    if out.size == 1:
+        out[...] = np.add.accumulate(d.ravel() * wm.ravel())[-1]
+    else:
+        np.einsum("ape,ae->pe", d, wm, out=out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -255,10 +267,10 @@ def evaluate_forces(
         Accumulation precision (float32 reproduces the single-precision
         behaviour of Fig. 6 / Table 3).
     cell_chunk, pp_chunk:
-        Interaction-rows per evaluation chunk for the cell and the
-        pp/prism families.  ``None`` means: CSR lists autotune both
-        from the one-shot :func:`autotune_chunks` calibration, the flat
-        per-leaf lists fall back to the historical fixed defaults.
+        Interaction-rows per evaluation block for the cell and the
+        pp/prism families.  ``None`` means the fixed defaults
+        (:func:`autotune_chunks` for CSR lists).  They pace memory and
+        speed only; CSR results do not depend on them.
     particle_range:
         Half-open (start, end) range of *key-sorted* particle indices
         covering every sink in ``inter`` (a shard of SFC-contiguous
@@ -269,10 +281,11 @@ def evaluate_forces(
 
     CSR lists from :func:`~repro.tree.traversal.traverse_hierarchical`
     take the segment-reduce path: contributions are generated
-    sink-particle-major in chunks aligned to whole particles, summed
-    per particle with one :func:`segment_sum` pass, and added at unique
-    output rows — no giant up-front ``np.repeat`` expansion and no
-    bincount scatter, and results are bit-identical at any chunk size.
+    sink-particle-major in blocks aligned to sink leaves (cell family)
+    or whole particles (pp, prism), summed per particle with one
+    :func:`segment_sum` pass, and added at unique output rows — no
+    giant up-front ``np.repeat`` expansion and no bincount scatter, and
+    results are bit-identical at any block size.
     """
     softening = softening or NoSoftening()
     kernel = kernel or NewtonianKernel()
@@ -282,7 +295,7 @@ def evaluate_forces(
             kernel, cell_chunk, pp_chunk, particle_range, backend,
         )
     if pp_chunk is None:
-        pp_chunk = _DEFAULT_PP_CHUNK
+        pp_chunk = 262144  # historical default of the flat-list path
     p = moms.p
     s0, s1 = particle_range if particle_range is not None else (0, tree.n_particles)
     n = s1 - s0
@@ -308,10 +321,8 @@ def evaluate_forces(
     w = ((-1.0) ** mis.order) / mis.factorial
     cols = _acc_columns(p)
     ncoef = len(mis)
-    nhi = n_coeffs(p + 1)
-    dt_fn = compiled_dtensor_function(p + 1)
     if cell_chunk is None:
-        cell_chunk = max(4096, int(6e6 / max(nhi, 1)))
+        cell_chunk = max(4096, int(6e6 / n_coeffs(p + 1)))
 
     # ----- cell (multipole) interactions --------------------------------------
     if len(inter.cell_sink):
@@ -323,7 +334,6 @@ def evaluate_forces(
         # Single-precision interactions with double-precision accumulation
         # mirror the paper's production kernels (Table 3 is all float32);
         # running the whole recurrence in float32 halves memory traffic.
-        buf = np.empty((min(cell_chunk, len(pidx)), nhi), dtype=dtype)
         for s in range(0, len(pidx), cell_chunk):
             e = min(s + cell_chunk, len(pidx))
             rows = slice(s, e)
@@ -335,18 +345,15 @@ def evaluate_forces(
             if dtype is not np.float64:
                 dx = dx.astype(dtype)
                 g = g.astype(dtype)
-            out = buf[: e - s]
-            dt_fn(dx[:, 0], dx[:, 1], dx[:, 2], g, out)
+            D = dtensors_soa(dx[:, 0], dx[:, 1], dx[:, 2], g, p + 1)
             m = moms.moments[src[rows], :ncoef].astype(dtype, copy=False)
             wm = m * w.astype(dtype)
             a_contrib = np.empty((e - s, 3), dtype=dtype)
             for i in range(3):
-                a_contrib[:, i] = np.einsum(
-                    "ij,ij->i", out[:, cols[i]], wm
-                )
+                a_contrib[:, i] = np.einsum("ji,ij->i", D[cols[i]], wm)
             _scatter_add_vec(acc, loc(pidx[rows]), a_contrib.astype(np.float64))
             if want_potential:
-                p_contrib = np.einsum("ij,ij->i", out[:, :ncoef], wm)
+                p_contrib = np.einsum("ji,ij->i", D[:ncoef], wm)
                 _scatter_add(pot, loc(pidx[rows]), p_contrib.astype(np.float64))
 
     # ----- particle-particle interactions --------------------------------------
@@ -474,8 +481,17 @@ def _evaluate_forces_csr(
     contributions row by row is automatically *sink-particle-major*:
     each sink particle's contributions form one contiguous run, closed
     by a single reduceat over the run boundaries, and each particle
-    lands in exactly one chunk (chunks split only between particles),
-    making the result independent of the chunk sizes.
+    lands in exactly one block (blocks split only between particles),
+    making the result independent of the block sizes.
+
+    The cell family is m x n-blocked (:func:`_leaf_blocks`): per block
+    the entries' cell centres and weighted moments are gathered once
+    and shared by the sink leaf's particles, ``dx`` is a broadcast
+    (particles, 1, 3) - (1, entries, 3), the generated recurrence
+    writes the order-(p+1) tensors structure-of-arrays as
+    ``D[coefficient, row]`` into pooled scratch, and one einsum per
+    output contracts them with the moments.  Interactions run in
+    ``dtype``; each particle's entries are summed in float64.
 
     ``backend="compiled"`` replaces the cell and pp families with the
     m x n-blocked kernel of :mod:`repro.gravity.kernels` (same CSR
@@ -499,16 +515,10 @@ def _evaluate_forces_csr(
     n = s1 - s0
     acc = np.zeros((n, 3), dtype=np.float64)
     pot = np.zeros(n, dtype=np.float64) if want_potential else None
-    if resolved == "compiled":
-        # the blocked kernel allocates no contrib buffers, so chunk
-        # calibration is skipped entirely; pp_chunk only paces the
-        # shared prism pass
-        if pp_chunk is None:
-            pp_chunk = _DEFAULT_PP_CHUNK
-    elif cell_chunk is None or pp_chunk is None:
-        tuned_cell, tuned_pp = autotune_chunks(p, np.dtype(dtype).str)
-        cell_chunk = cell_chunk if cell_chunk is not None else tuned_cell
-        pp_chunk = pp_chunk if pp_chunk is not None else tuned_pp
+    if cell_chunk is None:
+        cell_chunk = _CELL_CHUNK
+    if pp_chunk is None:
+        pp_chunk = _PP_CHUNK
 
     def loc(idx):
         return idx - s0 if s0 else idx
@@ -566,38 +576,64 @@ def _evaluate_forces_csr(
     if len(inter.cell_sink) and resolved == "numpy":
         _tk0 = time.perf_counter()
         mis = multi_index_set(p)
-        w = ((-1.0) ** mis.order) / mis.factorial
         cols = _acc_columns(p)
         ncoef = len(mis)
         nhi = n_coeffs(p + 1)
         dt_fn = compiled_dtensor_function(p + 1)
         m_p = nent[row_of_p]
-        w_t = w.astype(dtype)
-        for a, b in particle_chunks(m_p, cell_chunk):
-            lf = row_of_p[a:b]
-            ent = expand_ranges(inter.cell_indptr[lf], nent[lf])
-            src = inter.cell_src[ent]
-            off = inter.cell_off[ent]
-            pidx = np.repeat(pid[a:b], m_p[a:b])
-            dx = tree.pos[pidx] - (tree.cell_center[src] + inter.offsets[off])
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            g = kernel.radial_derivs(r, p + 1)
-            if dtype is not np.float64:
-                dx = dx.astype(dtype)
-                g = g.astype(dtype)
-            out = _chunk_buffer("dtensor", len(ent), nhi, dtype)
-            dt_fn(dx[:, 0], dx[:, 1], dx[:, 2], g, out)
-            m = moms.moments[src, :ncoef].astype(dtype, copy=False)
-            wm = m * w_t
-            a_contrib = _chunk_buffer("cell_acc", len(ent), 3, dtype)
-            for i in range(3):
-                a_contrib[:, i] = np.einsum("ij,ij->i", out[:, cols[i]], wm)
-            p_contrib = None
-            if want_potential:
-                p_contrib = np.einsum("ij,ij->i", out[:, :ncoef], wm).astype(
-                    np.float64
+        # (-1)^|a|/a!-weighted moments of every cell, one row per
+        # coefficient: a block gathers its entries' columns once and
+        # all particles of the sink leaf share them
+        w_t = (((-1.0) ** mis.order) / mis.factorial).astype(dtype)
+        wm_all = np.ascontiguousarray(
+            (moms.moments[:, :ncoef].astype(dtype, copy=False) * w_t).T
+        )
+        n_out = 4 if want_potential else 3
+        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, inter.cell_indptr, cell_chunk):
+            lens = m_p[a:b]
+            n_rows = int(lens.sum())
+            if not n_rows:
+                continue
+            src = inter.cell_src[e0:e1]
+            ctr = tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]
+            # (mode="clip": the default "raise" copies through a buffer)
+            wm = np.take(
+                wm_all, src, axis=1, mode="clip",
+                out=_scratch("wm", (ncoef, e1 - e0), dtype),
+            )
+            pos = tree.pos[pid[a:b]]
+            dx = _scratch("dx", (n_rows, 3), np.float64)
+            for r0, p0, n_t, c0, n_e in tiles:
+                np.subtract(
+                    pos[p0 : p0 + n_t, None],
+                    ctr[None, c0 : c0 + n_e],
+                    out=dx[r0 : r0 + n_t * n_e].reshape(n_t, n_e, 3),
                 )
-            reduce_into(a_contrib.astype(np.float64), p_contrib, a, b, m_p[a:b])
+            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+            g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
+            x = _scratch("x", (3, n_rows), dtype)
+            x[...] = dx.T
+            D = dt_fn(
+                x[0], x[1], x[2], g,
+                _scratch("D", (nhi, n_rows), dtype),
+                _scratch("W", (dt_fn.n_scratch, n_rows), dtype),
+            )
+            # contrib[i] = sum_a D[a + e_i] wm[a] (i < 3), row 3 the potential
+            contrib = _scratch("contrib", (n_out, n_rows), dtype)
+            gathered = _scratch("D_i", (ncoef, n_rows), dtype)
+            for i in range(n_out):
+                if i < 3:
+                    d_i = np.take(D, cols[i], axis=0, mode="clip", out=gathered)
+                else:
+                    d_i = D[:ncoef]
+                for r0, _p0, n_t, c0, n_e in tiles:
+                    _contract_tile(
+                        d_i[:, r0 : r0 + n_t * n_e].reshape(ncoef, n_t, n_e),
+                        wm[:, c0 : c0 + n_e],
+                        contrib[i, r0 : r0 + n_t * n_e].reshape(n_t, n_e),
+                    )
+            c64 = contrib.astype(np.float64, copy=False)
+            reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
         t_kernel += time.perf_counter() - _tk0
 
     # ----- particle-particle interactions --------------------------------------

@@ -14,6 +14,7 @@ from .bounds import (
 from .codegen import (
     compiled_dtensor_function,
     derivative_tensors_generated,
+    dtensors_soa,
     generate_dtensor_source,
 )
 from .cube import cube_moments, subtract_background
@@ -47,6 +48,7 @@ __all__ = [
     "cube_moments",
     "derivative_tensors",
     "derivative_tensors_generated",
+    "dtensors_soa",
     "eval_coeffs",
     "generate_dtensor_source",
     "l2l",

@@ -6,13 +6,20 @@ translating the intermediate representation of the computer algebra
 system directly into C code."  The same pipeline exists here in pure
 Python: :func:`generate_dtensor_source` walks the derivative-tensor
 recurrence symbolically and emits fully unrolled NumPy source (one
-fused multiply-add statement per surviving coefficient), which
-:func:`compiled_dtensor_function` ``exec``s into a callable.
+multiply, plus a multiply-add where the recurrence has a second term,
+per surviving coefficient), which :func:`compiled_dtensor_function`
+``exec``s into a callable.
+
+The routine is structure-of-arrays (paper §3.3): every operand is one
+contiguous row over the interaction batch and every statement is a
+ufunc call writing through ``out=`` into a row of the caller's output
+or scratch array, so a call allocates nothing.  Intermediate levels of
+the recurrence live in scratch rows that are recycled as soon as their
+last reader has run.
 
 The generated routines are bit-identical to the interpreted recurrence
-in :mod:`repro.multipoles.dtensors` (tested), but avoid the plan
-interpretation overhead in the hot loop, and double as a readable
-artifact of what the paper's code generator produces.
+in :mod:`repro.multipoles.dtensors` (tested): same operands, same
+multiply/add order; only the exact ``1.0 *`` multiplies are elided.
 """
 
 from __future__ import annotations
@@ -24,49 +31,122 @@ import numpy as np
 from .dtensors import recurrence_plan
 from .multiindex import n_coeffs
 
-__all__ = ["generate_dtensor_source", "compiled_dtensor_function"]
+__all__ = [
+    "generate_dtensor_source",
+    "compiled_dtensor_function",
+    "dtensors_soa",
+]
 
 
-def generate_dtensor_source(p: int, func_name: str | None = None) -> str:
+def _dtensor_program(p: int) -> tuple[str, int]:
+    """(source of ``dtensors_p{p}``, scratch rows it needs)."""
+    mis, plan = recurrence_plan(p)
+    orders = mis.order
+    # one step per (target, level m): R^m_tgt = x_i R^{m+1}_a [+ fac R^{m+1}_b]
+    steps = [
+        (m, tgt, i, idx1, idx2 if fac != 0.0 else -1, fac)
+        for tgt, i, idx1, idx2, fac in plan
+        for m in range(p - int(orders[tgt]), -1, -1)
+    ]
+    last_read: dict[tuple[int, int], int] = {}
+    for k, (m, _tgt, _i, idx1, idx2, _fac) in enumerate(steps):
+        last_read[(m + 1, idx1)] = k
+        if idx2 >= 0:
+            last_read[(m + 1, idx2)] = k
+
+    slot: dict[tuple[int, int], int] = {}
+    free: list[int] = []
+    n_scratch = 0
+
+    def take() -> int:
+        nonlocal n_scratch
+        if free:
+            return free.pop()
+        n_scratch += 1
+        return n_scratch - 1
+
+    def name(m: int, idx: int) -> str:
+        if m == 0:
+            return f"d{idx}"
+        return f"g{m}" if idx == 0 else f"w{slot[(m, idx)]}"
+
+    axis_var = "xyz"
+    body = ["    np.copyto(d0, g0)"]  # seed: R^m_(000) = g[m]
+    for k, (m, tgt, i, idx1, idx2, fac) in enumerate(steps):
+        if m:
+            slot[(m, tgt)] = take()
+        dst = name(m, tgt)
+        body.append(f"    mul({axis_var[i]}, {name(m + 1, idx1)}, {dst})")
+        if idx2 >= 0:
+            term = name(m + 1, idx2)
+            if fac != 1.0:
+                tmp = take()
+                body.append(f"    mul({fac!r}, {term}, w{tmp})")
+                term = f"w{tmp}"
+                free.append(tmp)
+            body.append(f"    add({dst}, {term}, {dst})")
+        for read in ((m + 1, idx1), (m + 1, idx2)):
+            if read in slot and last_read[read] == k:
+                free.append(slot.pop(read))
+
+    def unpack(prefix: str, n: int, arr: str) -> str:
+        names = ", ".join(f"{prefix}{j}" for j in range(n))
+        return f"    {names}, = {arr}"
+
+    head = [
+        f"def dtensors_p{p}(x, y, z, g, D, W):",
+        f'    """Unrolled derivative tensors, order <= {p} (generated).',
+        "",
+        f"    x, y, z: (N,) displacements; g: ({p + 1}, N) radial chain;",
+        f"    D: ({len(mis)}, N) output; W: (>={n_scratch}, N) scratch.",
+        '    """',
+        unpack("g", p + 1, "g"),
+        unpack("d", len(mis), "D"),
+    ]
+    if n_scratch:
+        head.append(unpack("w", n_scratch, f"W[:{n_scratch}]"))
+    return "\n".join(head + body + ["    return D"]) + "\n", n_scratch
+
+
+def generate_dtensor_source(p: int) -> str:
     """Emit unrolled source for the derivative tensors up to order ``p``.
 
-    The generated function has signature ``f(x, y, z, g, out)`` where
-    x, y, z are the displacement components, ``g`` is the (p+1, N)
-    radial derivative chain and ``out`` is a preallocated
-    (N, n_coeffs(p)) output array.
+    The generated function has signature ``f(x, y, z, g, D, W)`` where
+    x, y, z are the (N,) displacement components, ``g`` is the (p+1, N)
+    radial derivative chain, ``D`` is a preallocated (n_coeffs(p), N)
+    output array (row j holds D_alpha for the packed multi-index
+    alpha_j) and ``W`` is scratch with at least ``f.n_scratch`` rows of
+    N.  ``D`` and ``W`` must not overlap the inputs.
     """
-    mis, plan = recurrence_plan(p)
-    name = func_name or f"dtensors_p{p}"
-    lines = [
-        f"def {name}(x, y, z, g, out):",
-        f'    """Unrolled derivative tensors, order <= {p} (generated)."""',
-    ]
-    axis_var = {0: "x", 1: "y", 2: "z"}
-    # seed: R^m_(000) = g[m]
-    for m in range(p + 1):
-        lines.append(f"    r{m}_0 = g[{m}]")
-    orders = mis.order
-    for tgt, i, idx1, idx2, fac in plan:
-        o = int(orders[tgt])
-        for m in range(p - o, -1, -1):
-            rhs = f"{axis_var[i]} * r{m + 1}_{idx1}"
-            if idx2 >= 0 and fac != 0.0:
-                rhs += f" + {fac!r} * r{m + 1}_{idx2}"
-            lines.append(f"    r{m}_{tgt} = {rhs}")
-    for j in range(len(mis)):
-        lines.append(f"    out[:, {j}] = r0_{j}")
-    lines.append("    return out")
-    return "\n".join(lines) + "\n"
+    return _dtensor_program(p)[0]
 
 
 @functools.lru_cache(maxsize=16)
 def compiled_dtensor_function(p: int):
-    """Compile (exec) the generated source for order ``p`` and return it."""
-    src = generate_dtensor_source(p)
-    namespace: dict = {}
+    """Compile (exec) the generated source for order ``p`` and return it.
+
+    The scratch-row count the routine needs is its ``n_scratch``
+    attribute.
+    """
+    src, n_scratch = _dtensor_program(p)
+    namespace: dict = {"np": np, "mul": np.multiply, "add": np.add}
     code = compile(src, f"<generated dtensors p={p}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted, self-generated source
-    return namespace[f"dtensors_p{p}"]
+    fn = namespace[f"dtensors_p{p}"]
+    fn.n_scratch = n_scratch
+    return fn
+
+
+def dtensors_soa(x, y, z, g, p: int) -> np.ndarray:
+    """Run the generated order-``p`` routine; returns a new ``D[n_coeffs(p), N]``.
+
+    Output and scratch are allocated here in the dtype of ``g``; a hot
+    loop calls :func:`compiled_dtensor_function` with pooled buffers.
+    """
+    fn = compiled_dtensor_function(p)
+    n = g.shape[1]
+    out = np.empty((n_coeffs(p), n), dtype=g.dtype)
+    return fn(x, y, z, g, out, np.empty((fn.n_scratch, n), dtype=g.dtype))
 
 
 def derivative_tensors_generated(dx, kernel, p: int, dtype=np.float64):
@@ -75,9 +155,7 @@ def derivative_tensors_generated(dx, kernel, p: int, dtype=np.float64):
     dx = np.asarray(dx, dtype=np.float64)
     r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
     g = kernel.radial_derivs(r, p)
-    out = np.empty((dx.shape[0], n_coeffs(p)), dtype=np.float64)
-    fn = compiled_dtensor_function(p)
-    fn(dx[:, 0], dx[:, 1], dx[:, 2], g, out)
+    out = dtensors_soa(dx[:, 0], dx[:, 1], dx[:, 2], g, p).T
     if dtype is not np.float64:
         out = out.astype(dtype)
     return out

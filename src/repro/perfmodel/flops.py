@@ -4,18 +4,17 @@ The paper counts 28 flops per monopole interaction (Table 3) and
 582,000 flops per particle for its production mix of 1.05e15
 hexadecapole + 1.46e15 quadrupole + 4.68e14 monopole interactions on
 68.7e9 particles (Table 2).  Here the per-order interaction costs are
-*measured from the metaprogrammed kernels themselves* — the generated
-source is parsed and its arithmetic operations counted, plus the
-moment-contraction and radial-chain work — keeping the accounting
-honest as the code generator changes.
+*counted from the tables the kernels themselves consume* — the
+derivative-tensor recurrence plan that the code generator unrolls, the
+M2L contraction tables — plus the moment-contraction and radial-chain
+work, keeping the accounting honest as the kernels change.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 
-from ..multipoles.codegen import generate_dtensor_source
+from ..multipoles.dtensors import recurrence_plan
 from ..multipoles.multiindex import n_coeffs
 
 __all__ = [
@@ -36,15 +35,23 @@ FLOPS_PER_MONOPOLE_PP = 28
 def flops_per_cell_interaction(p: int, want_potential: bool = True) -> int:
     """Arithmetic operations of one particle-cell interaction at order p.
 
-    Counts the generated derivative-tensor source (each `*`, `+`
-    between terms), the radial-derivative chain, and the contraction
-    with the moments (a multiply-add per coefficient per output).
+    Counts the order-(p+1) derivative-tensor recurrence from the plan
+    the code generator unrolls (each step fills p + 1 - |target| + 1
+    levels; a level costs the x_i multiply, plus an add when the
+    recurrence has a second term, plus that term's factor multiply
+    unless the factor is 1 — the generated code elides it), the
+    radial-derivative chain, and the contraction with the moments (a
+    multiply-add per coefficient per output).
     """
-    src = generate_dtensor_source(p + 1)
-    body = src.split('"""')[-1]  # skip the docstring
-    mults = body.count("*")
-    adds = body.count("+")
-    dtensor_ops = mults + adds
+    pmax = p + 1
+    mis_hi, plan = recurrence_plan(pmax)
+    dtensor_ops = 0
+    for tgt, _i, _idx1, idx2, fac in plan:
+        if idx2 < 0 or fac == 0.0:
+            per_level = 1
+        else:
+            per_level = 2 if fac == 1.0 else 3
+        dtensor_ops += per_level * (pmax - int(mis_hi.order[tgt]) + 1)
     # radial chain g_0..g_{p+1}: ~4 ops per level, plus r from dx: 8
     radial_ops = 4 * (p + 2) + 8
     ncoef = n_coeffs(p)
@@ -66,7 +73,6 @@ def flops_per_m2l(p: int) -> int:
     entry) — all measured from the same tables the kernels consume.
     """
     from ..gravity.localexp import m2l_tables
-    from ..multipoles.dtensors import recurrence_plan
 
     pmax = p + 2
     mis_hi, plan = recurrence_plan(pmax)

@@ -147,6 +147,37 @@ class TestL2LIdentity:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+class TestM2LGeneratedTensors:
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_locals_bit_identical_to_interpreted_tensors(self, periodic, monkeypatch):
+        """The M2L locals built from the generated SoA routine equal,
+        bit for bit, those built from the interpreted
+        ``derivative_tensors`` recurrence."""
+        from repro.gravity import localexp
+        from repro.multipoles import NewtonianKernel, derivative_tensors
+
+        pos, mass = cloud(600, seed=4)
+        tree = build_tree(pos, mass, nleaf=8, with_ghosts=periodic)
+        moms = compute_moments(
+            tree, p=2, tol=1e-4, background=periodic,
+            mean_density=mass.sum() if periodic else None,
+        )
+        inter = traverse_lists(
+            tree, moms, traversal="fmm-hybrid", periodic=periodic, ws=1
+        )
+        assert len(inter.m2l_src)
+        kernel = NewtonianKernel()
+        generated = localexp.accumulate_m2l(tree, moms, inter, kernel)
+
+        def interpreted(x, y, z, g, p):
+            return derivative_tensors(np.stack([x, y, z], axis=1), kernel, p).T
+
+        monkeypatch.setattr(localexp, "dtensors_soa", interpreted)
+        reference = localexp.accumulate_m2l(tree, moms, inter, kernel)
+        assert np.any(reference != 0.0)
+        assert np.array_equal(generated, reference)
+
+
 class TestShardIdentity:
     def test_shard_segments_match_full_walk(self):
         """A sink-restricted walk reproduces the full walk's m2l

@@ -239,15 +239,13 @@ def test_autotune_skipped_when_compiled(pykernel, monkeypatch):
     assert res.stats["backend"] == "compiled"
 
 
-def test_autotune_cached_per_dtype():
-    treeforce._autotune_pp.cache_clear()
-    treeforce.autotune_chunks(2, "<f8")
-    info_after_first = treeforce._autotune_pp.cache_info()
-    # a different order reuses the dtype-keyed pp calibration
-    treeforce.autotune_chunks(4, "<f8")
-    info_after_second = treeforce._autotune_pp.cache_info()
-    assert info_after_second.hits == info_after_first.hits + 1
-    assert info_after_second.misses == info_after_first.misses
+def test_autotune_chunks_fixed_pair():
+    """The row budgets are constants: same pair for every order and
+    dtype, in every process (no timing-based pick)."""
+    pair = treeforce.autotune_chunks(2, "<f8")
+    assert pair == (treeforce._CELL_CHUNK, treeforce._PP_CHUNK)
+    assert treeforce.autotune_chunks(4, "<f4") == pair
+    assert not hasattr(treeforce, "_autotune_pp")
 
 
 def test_backend_counter_and_stats(pykernel):

@@ -9,10 +9,13 @@ from repro.multipoles import (
     ErfcKernel,
     NewtonianKernel,
     PlummerKernel,
+    compiled_dtensor_function,
     derivative_tensors,
     derivative_tensors_generated,
     generate_dtensor_source,
     multi_index_set,
+    n_coeffs,
+    recurrence_plan,
 )
 
 
@@ -121,10 +124,62 @@ class TestCodegen:
         compile(src, "<test>", "exec")
 
     def test_source_mentions_all_outputs(self):
-        src = generate_dtensor_source(3)
-        from repro.multipoles import n_coeffs
+        """Every output row is written, and only the declared scratch
+        rows are touched (checked on the executed routine, not its text)."""
+        p, n = 3, 7
+        fn = compiled_dtensor_function(p)
+        rng = np.random.default_rng(0)
+        dx = rng.normal(size=(n, 3)) + np.array([3.0, 0, 0])
+        g = NewtonianKernel().radial_derivs(np.linalg.norm(dx, axis=1), p)
+        D = np.full((n_coeffs(p), n), np.nan)
+        W = np.full((fn.n_scratch + 2, n), np.nan)
+        assert fn(dx[:, 0], dx[:, 1], dx[:, 2], g, D, W) is D
+        assert np.all(np.isfinite(D))
+        assert np.all(np.isfinite(W[: fn.n_scratch]))
+        assert np.all(np.isnan(W[fn.n_scratch :]))
 
-        assert src.count("out[:, ") == n_coeffs(3)
+    @pytest.mark.parametrize("sliced", [False, True], ids=["contiguous", "sliced"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "kernel", [NewtonianKernel(), ErfcKernel(0.8)], ids=["newton", "erfc"]
+    )
+    @pytest.mark.parametrize("p", [1, 2, 4, 6, 9])
+    def test_soa_bit_identical_to_interpreted(self, p, kernel, dtype, sliced):
+        """``D[nhi, N]`` equals the interpreted recurrence bit for bit:
+        against ``derivative_tensors`` itself in float64, and against
+        the same plan walked in float32 (the force kernel's precision)."""
+        rng = np.random.default_rng(p)
+        n = 40
+        step = 2 if sliced else 1
+        dx = rng.normal(size=(n * step, 3)) + np.array([3.0, 0, 0])
+        g64 = kernel.radial_derivs(
+            np.sqrt(np.einsum("ij,ij->i", dx, dx)), p
+        )
+        # sliced: strided x/y/z columns, every other column of g, D and W
+        x, y, z = (dx[::step, i].astype(dtype) for i in range(3))
+        if sliced:
+            xyz = np.stack([x, y, z], axis=1)
+            x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+        g = g64.astype(dtype)[:, ::step]
+        fn = compiled_dtensor_function(p)
+        D = np.empty((n_coeffs(p), n * step), dtype=dtype)[:, ::step]
+        W = np.empty((fn.n_scratch, n * step), dtype=dtype)[:, ::step]
+        fn(x, y, z, g, D, W)
+
+        mis, plan = recurrence_plan(p)
+        axes = (x, y, z)
+        work = {(m, 0): g[m] for m in range(p + 1)}
+        for tgt, i, idx1, idx2, fac in plan:
+            for m in range(p - int(mis.order[tgt]), -1, -1):
+                val = axes[i] * work[(m + 1, idx1)]
+                if idx2 >= 0 and fac != 0.0:
+                    val += fac * work[(m + 1, idx2)]
+                work[(m, tgt)] = val
+        ref = np.stack([work[(0, j)] for j in range(len(mis))])
+        assert D.dtype == ref.dtype == dtype
+        assert np.array_equal(D, ref)
+        if dtype is np.float64:
+            assert np.array_equal(D.T, derivative_tensors(dx[::step], kernel, p))
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6, 9])
     def test_generated_matches_interpreted(self, p):
@@ -153,7 +208,10 @@ class TestCodegen:
         mis = multi_index_set(3)
         d1 = derivative_tensors(np.array([[x, y, z]]), NewtonianKernel(), 3)
         d2 = derivative_tensors(np.array([[y, x, z]]), NewtonianKernel(), 3)
+        # components that vanish with x or y (|y| ~ 1e-244 is a legal
+        # draw) carry only rounding residue: compare on the tensor's scale
+        atol = 1e-12 * np.abs(d1).max()
         for (t, u, v) in [(1, 0, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0)]:
             i = mis.index[(t, u, v)]
             j = mis.index[(u, t, v)]
-            np.testing.assert_allclose(d1[0, i], d2[0, j], rtol=1e-12)
+            np.testing.assert_allclose(d1[0, i], d2[0, j], rtol=1e-12, atol=atol)

@@ -27,6 +27,25 @@ class TestFlops:
         vals = [flops_per_cell_interaction(p) for p in (1, 2, 4, 6, 8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_cell_counts_pinned(self):
+        """Counted from the recurrence plan, not from generated text:
+        order-(p+1) recurrence (the ``1.0 *`` multiplies elided) +
+        radial chain + contraction."""
+        assert flops_per_cell_interaction(2) == 46 + 24 + 80
+        assert flops_per_cell_interaction(4) == 216 + 32 + 280
+        assert flops_per_cell_interaction(2, want_potential=False) == 46 + 24 + 60
+        assert flops_per_cell_interaction(4, want_potential=False) == 216 + 32 + 210
+
+    def test_cell_count_matches_generated_routine(self):
+        """One flop per ufunc call the generated routine makes."""
+        from repro.multipoles import generate_dtensor_source, n_coeffs
+
+        for p in (1, 2, 4, 6):
+            src = generate_dtensor_source(p + 1)
+            calls = src.count("mul(") + src.count("add(")
+            rest = 4 * (p + 2) + 8 + 8 * n_coeffs(p)
+            assert flops_per_cell_interaction(p) == calls + rest
+
     def test_hexadecapole_order_of_magnitude(self):
         """§7: ~600,000 flops/particle from ~2000 (mostly hexadecapole)
         interactions implies ~300 flops per p=4 interaction; our counted

@@ -7,11 +7,15 @@ makes sharded execution bit-identical), and chunk-size invariance of
 the segment-reduce evaluator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations
-from repro.gravity.treeforce import evaluate_forces
+from repro.gravity.treeforce import _leaf_blocks, evaluate_forces
 from repro.tree import (
     build_tree,
     compute_moments,
@@ -242,19 +246,78 @@ class TestRestrictedWalkIdentity:
                 assert np.array_equal(ref.pot, res.pot)
 
 
+def same_bits(a, b):
+    return np.array_equal(a.acc, b.acc) and np.array_equal(a.pot, b.pot)
+
+
+def drop_cell_rows(inter, drop):
+    """``inter`` without the cell entries of the CSR rows flagged in ``drop``."""
+    row = np.repeat(np.arange(len(inter.sink_leaves)), np.diff(inter.cell_indptr))
+    keep = ~drop[row]
+    return dataclasses.replace(
+        inter,
+        cell_sink=inter.cell_sink[keep],
+        cell_src=inter.cell_src[keep],
+        cell_off=inter.cell_off[keep],
+        cell_indptr=filter_csr_indptr(inter.cell_indptr, keep),
+    )
+
+
 class TestChunkInvariance:
     def test_csr_evaluator_chunk_sizes(self):
-        """Per-particle segment reduction makes results bit-identical
-        at any chunk size (chunks align to whole sink particles)."""
+        """Blocks hold whole (particles x entry-list) tiles and every
+        particle is reduced over its own entries only, so results are
+        bit-identical at any row budget: one particle per block, an odd
+        size that splits leaves by particles, exactly one leaf per
+        block, and everything in a single block."""
         tree, moms = setup(n=900, background=True)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
-        ref = evaluate_forces(tree, moms, inter)
-        odd = evaluate_forces(
-            tree, moms, inter, cell_chunk=777, pp_chunk=1013
+        rows = tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_indptr)
+        assert rows.max() > 777  # the odd budget really splits a leaf
+        for dtype in (np.float64, np.float32):
+            ref = evaluate_forces(tree, moms, inter, dtype=dtype)
+            assert ref.stats["evaluator"] == "csr"
+            for cell_chunk, pp_chunk in (
+                (1, 1),
+                (777, 1013),
+                (int(rows.max()), None),
+                (int(rows.sum()) + 1, 10**9),
+            ):
+                odd = evaluate_forces(
+                    tree, moms, inter, dtype=dtype,
+                    cell_chunk=cell_chunk, pp_chunk=pp_chunk,
+                )
+                assert same_bits(ref, odd), (dtype, cell_chunk)
+            no_pot = evaluate_forces(
+                tree, moms, inter, dtype=dtype, want_potential=False
+            )
+            assert no_pot.pot is None and np.array_equal(no_pot.acc, ref.acc)
+
+    @given(
+        n=st.integers(min_value=9, max_value=160),
+        nleaf=st.sampled_from([1, 2, 8, 200]),
+        clustered=st.booleans(),
+        periodic=st.booleans(),
+        cell_chunk=st.integers(min_value=1, max_value=6000),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_budget_any_tree(self, n, nleaf, clustered, periodic, cell_chunk, seed):
+        """Property: the row budget never changes a bit — one-particle
+        leaves (nleaf=1), every particle in one leaf (nleaf=200), rows
+        without cell entries and leaves above the budget included."""
+        tree, moms = setup(
+            n=n, seed=seed, background=periodic, clustered=clustered,
+            nleaf=nleaf, tol=1e-3,
         )
-        assert np.array_equal(ref.acc, odd.acc)
-        assert np.array_equal(ref.pot, odd.pot)
-        assert ref.stats["evaluator"] == "csr"
+        inter = traverse_hierarchical(tree, moms, periodic=periodic, ws=1)
+        ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
+        got = evaluate_forces(
+            tree, moms, inter, dtype=np.float32, cell_chunk=cell_chunk
+        )
+        assert same_bits(ref, got)
+        assert np.all(np.isfinite(ref.acc))
+
 
     def test_counters_in_stats(self):
         pos, mass = cloud(800)
@@ -263,3 +326,167 @@ class TestChunkInvariance:
         assert res.stats["traversal"] == "hierarchical"
         assert res.stats["mac_tests"] > 0
         assert res.stats["frontier_peak"] > 0
+
+
+class TestBlockedCellEvaluator:
+    """The numpy sink-leaf x source-cell blocks (m x n blocking)."""
+
+    def lists(self, n=700, **kw):
+        tree, moms = setup(n=n, background=True, **kw)
+        return tree, moms, traverse_hierarchical(tree, moms, periodic=True, ws=1)
+
+    def test_leaf_blocks_cover_each_interaction_once(self):
+        """Whole rows up to the budget, larger rows split by particles
+        and never by entries; tiles pair every particle of a row with
+        every entry of that row exactly once."""
+        leaf_np = np.array([3, 1, 1, 5, 2, 16, 4])
+        nent = np.array([10, 0, 7, 40, 3, 100, 1])
+        indptr = np.concatenate(([0], np.cumsum(nent)))
+        p_start = np.concatenate(([0], np.cumsum(leaf_np)))
+        for budget in (1, 7, 99, 100, 250, 1600, 10**6):
+            pairs = np.zeros((leaf_np.sum(), nent.sum()), dtype=int)
+            particles = []
+            for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, indptr, budget):
+                particles.extend(range(a, b))
+                r_next = 0
+                for r0, p0, n_t, c0, n_e in tiles:
+                    assert r0 == r_next and n_t * n_e > 0
+                    r_next += n_t * n_e
+                    assert 0 <= p0 and p0 + n_t <= b - a
+                    assert 0 <= c0 and c0 + n_e <= e1 - e0
+                    pairs[a + p0 : a + p0 + n_t, e0 + c0 : e0 + c0 + n_e] += 1
+                # over budget only when one particle's own entry list is
+                assert r_next <= budget or b - a == 1
+            assert particles == list(range(leaf_np.sum()))
+            want = np.zeros_like(pairs)
+            for lf in range(len(leaf_np)):
+                want[p_start[lf] : p_start[lf + 1], indptr[lf] : indptr[lf + 1]] = 1
+            assert np.array_equal(pairs, want)
+
+    def test_lone_interaction_is_blocking_independent(self):
+        """A (1 particle x 1 cell) tile alone in its block is a plain
+        dot product; it must sum in the same order as when it shares a
+        block (found by ``test_any_budget_any_tree``)."""
+        tree, moms = setup(n=9, seed=12, nleaf=1, tol=1e-3)
+        inter = traverse_hierarchical(tree, moms)
+        rows = tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_indptr)
+        assert np.any(rows == 1) and rows.sum() > 1
+        ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
+        alone = evaluate_forces(tree, moms, inter, dtype=np.float32, cell_chunk=1)
+        assert same_bits(ref, alone)
+
+    def test_shard_equals_serial_slice(self):
+        """A ``particle_range`` shard (restricted walk + evaluation)
+        reproduces the serial result's slice bit for bit."""
+        tree, moms, full = self.lists(clustered=True)
+        n = tree.n_particles
+        for dtype in (np.float64, np.float32):
+            serial = evaluate_forces(
+                tree, moms, full, dtype=dtype, particle_range=(0, n)
+            )
+            for part in np.array_split(full.sink_leaves, 3):
+                shard = traverse_hierarchical(
+                    tree, moms, periodic=True, ws=1, sink_leaves=part
+                )
+                s0 = int(tree.cell_start[part[0]])
+                s1 = int(tree.cell_start[part[-1]] + tree.cell_count[part[-1]])
+                res = evaluate_forces(
+                    tree, moms, shard, dtype=dtype, particle_range=(s0, s1)
+                )
+                assert np.array_equal(res.acc, serial.acc[s0:s1])
+                assert np.array_equal(res.pot, serial.pot[s0:s1])
+
+    def test_particle_depends_on_its_own_row_only(self):
+        """Removing every *other* row's cell entries (which also moves
+        the block boundaries) leaves a row's particles bit-identical:
+        the per-particle reduction reads that particle's own entry
+        segment and nothing else in the block."""
+        tree, moms, inter = self.lists()
+        n = tree.n_particles
+        full = evaluate_forces(tree, moms, inter, particle_range=(0, n))
+        nent = np.diff(inter.cell_indptr)
+        for k in (0, len(nent) // 2, len(nent) - 1):
+            assert nent[k] > 0
+            drop = np.ones(len(nent), dtype=bool)
+            drop[k] = False
+            only_k = evaluate_forces(
+                tree, moms, drop_cell_rows(inter, drop), particle_range=(0, n)
+            )
+            leaf = inter.sink_leaves[k]
+            own = slice(
+                tree.cell_start[leaf], tree.cell_start[leaf] + tree.cell_count[leaf]
+            )
+            assert np.array_equal(only_k.acc[own], full.acc[own])
+            assert np.array_equal(only_k.pot[own], full.pot[own])
+            others = np.ones(n, dtype=bool)
+            others[own] = False
+            assert np.any(only_k.acc[others] != full.acc[others])
+
+    def test_rows_without_cell_entries(self):
+        """Rows whose cell list is empty contribute pp/prism only and
+        do not disturb their neighbours in a block."""
+        tree, moms, inter = self.lists()
+        n = tree.n_particles
+        drop = np.arange(len(inter.sink_leaves)) % 3 != 1
+        sparse = drop_cell_rows(inter, drop)
+        assert np.any(np.diff(sparse.cell_indptr) == 0)
+        ref = evaluate_forces(tree, moms, sparse, particle_range=(0, n))
+        for cell_chunk in (1, 500, 10**9):
+            got = evaluate_forces(
+                tree, moms, sparse, particle_range=(0, n), cell_chunk=cell_chunk
+            )
+            assert same_bits(ref, got)
+        flat = dataclasses.replace(sparse, cell_indptr=None)
+        legacy = evaluate_forces(tree, moms, flat, particle_range=(0, n))
+        assert np.abs(ref.acc - legacy.acc).max() < 1e-12 * np.abs(legacy.acc).max()
+
+    @pytest.mark.parametrize("nleaf", [1, 8])
+    def test_matches_flat_list_evaluator(self, nleaf):
+        """float64: the blocked evaluator agrees with the legacy
+        flat-list branch on the *same* lists to 1e-12 (they differ only
+        in summation order) — one-particle leaves included."""
+        tree, moms = setup(n=150, background=True, nleaf=nleaf)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        if nleaf == 1:
+            assert tree.cell_count[inter.sink_leaves].max() == 1
+        self.assert_matches_flat(tree, moms, inter)
+
+    def assert_matches_flat(self, tree, moms, inter):
+        csr = evaluate_forces(tree, moms, inter)
+        flat = dataclasses.replace(inter, cell_indptr=None)
+        legacy = evaluate_forces(tree, moms, flat)
+        assert legacy.stats.get("evaluator") != "csr"
+        assert csr.stats["cell_interactions"] == legacy.stats["cell_interactions"] > 0
+        scale = np.abs(legacy.acc).max()
+        assert np.abs(csr.acc - legacy.acc).max() < 1e-12 * scale
+        assert np.abs(csr.pot - legacy.pot).max() < 1e-12 * np.abs(legacy.pot).max()
+        return csr
+
+    def test_every_particle_in_one_leaf(self):
+        """One sink leaf holding all particles, far images taken as
+        cell interactions: a single (n_L x E) tile, above the budget
+        and split by particles when the budget says so."""
+        tree, moms = setup(n=60, background=True, nleaf=10**4)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=2)
+        assert len(inter.sink_leaves) == 1 and len(inter.cell_src) == 0
+        # the walk keeps every image of a lone root leaf direct; hand
+        # the outer shell of images to the multipole family instead
+        far = np.abs(inter.offsets[inter.leaf_off]).max(axis=1) >= 2.0
+        assert 0 < far.sum() < len(far)
+        inter = dataclasses.replace(
+            inter,
+            cell_sink=inter.leaf_sink[far],
+            cell_src=inter.leaf_src[far],
+            cell_off=inter.leaf_off[far],
+            cell_indptr=np.array([0, far.sum()]),
+            leaf_sink=inter.leaf_sink[~far],
+            leaf_src=inter.leaf_src[~far],
+            leaf_off=inter.leaf_off[~far],
+            leaf_indptr=np.array([0, (~far).sum()]),
+        )
+        ref = self.assert_matches_flat(tree, moms, inter)
+        assert ref.stats["cell_interactions"] == 60 * far.sum()
+        for cell_chunk in (1, far.sum(), 7 * far.sum() + 3):
+            assert same_bits(
+                ref, evaluate_forces(tree, moms, inter, cell_chunk=int(cell_chunk))
+            )
