@@ -11,7 +11,10 @@ Cartesian cell-body kernels:
   efficient as a well-coded multipole interaction routine ... at
   least up to order p = 8".
 
-Regenerated here: the scaling exponents of both traversals, the
+Regenerated here through the production walk's two modes
+(``traversal="fmm-hybrid"`` with the MAC radius collapsed, so the
+geometric cell-cell criterion alone decides, against
+``"hierarchical"``): the scaling exponents of both, the
 edge-of-expansion error growth, and the flop comparison of pseudo vs
 Cartesian kernels order by order.
 """
@@ -20,10 +23,14 @@ import numpy as np
 import pytest
 
 from _simlib import once, print_table
-from repro.gravity import direct_accelerations, make_softening
-from repro.gravity.fmm import FMMConfig, FMMGravity, traverse_cell_cell
+from repro.gravity import (
+    TreecodeConfig,
+    TreecodeGravity,
+    direct_accelerations,
+    make_softening,
+)
 from repro.perfmodel import FLOPS_PER_MONOPOLE_PP, flops_per_cell_interaction
-from repro.tree import build_tree, compute_moments, traverse
+from repro.tree import build_tree, compute_moments, traverse_lists
 
 
 def test_scaling_on_vs_onlogn(benchmark):
@@ -38,12 +45,13 @@ def test_scaling_on_vs_onlogn(benchmark):
             pos = rng.random((n, 3))
             mass = np.full(n, 1.0 / n)
             tree = build_tree(pos, mass, nleaf=16)
+            # tol=1e30 collapses r_crit: bmax_a + bmax_b < cc_xmax * dist decides
             moms = compute_moments(tree, p=2, tol=1e30)
-            cc = traverse_cell_cell(tree, moms, theta=0.5)
+            cc = traverse_lists(tree, moms, traversal="fmm-hybrid", cc_xmax=0.5)
             moms2 = compute_moments(tree, p=2, tol=1e-4)
-            cb = traverse(tree, moms2)
+            cb = traverse_lists(tree, moms2, traversal="hierarchical")
             rows.append(
-                (n, cc.n_m2l(), cb.n_cell_interactions(tree))
+                (n, len(cc.m2l_src), cb.n_cell_interactions(tree))
             )
         return rows
 
@@ -71,7 +79,10 @@ def test_local_expansion_edge_errors(benchmark):
         pos = rng.random((4096, 3))
         mass = np.full(4096, 1.0 / 4096)
         ref = direct_accelerations(pos, mass, softening=make_softening("plummer", 1e-3))
-        solver = FMMGravity(FMMConfig(p=3, p_local=3, theta=0.6, eps=1e-3))
+        solver = TreecodeGravity(TreecodeConfig(
+            traversal="fmm-hybrid", errtol=1e30, cc_xmax=0.6, p=3,
+            background=False, softening="plummer", eps=1e-3,
+        ))
         res = solver.compute(pos, mass)
         err = np.linalg.norm(res.acc - ref, axis=1)
         from repro.keys import ancestor_key, cell_geometry, keys_from_positions

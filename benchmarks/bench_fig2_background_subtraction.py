@@ -38,14 +38,14 @@ def _interactions(pos, mass, background, errtol=1e-5):
 
 
 def _cell_counts(pos, mass, background, mac, errtol=1e-5):
-    from repro.tree import build_tree, compute_moments, traverse
+    from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
     tree = build_tree(pos, mass, nleaf=16, with_ghosts=True)
     moms = compute_moments(
         tree, p=4, tol=errtol, background=background,
         mean_density=mass.sum() if background else None, mac=mac,
     )
-    inter = traverse(tree, moms, periodic=True, ws=1)
+    inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
     return (
         inter.n_cell_interactions(tree) / tree.n_particles,
         inter.interactions_per_particle(tree),

@@ -29,7 +29,7 @@ from repro.instrument import Tracer
 from repro.parallel import JAGUAR_LIKE, decompose, parallel_traversal
 from repro.perfmodel import table2_breakdown
 from repro.simulation import ICConfig, generate_ic
-from repro.tree import build_tree, compute_moments, traverse
+from repro.tree import build_tree, compute_moments, traverse_hierarchical
 from repro.gravity.treeforce import evaluate_forces
 from repro.gravity.smoothing import make_softening
 
@@ -58,7 +58,7 @@ def _measure_stages():
             tree, p=4, tol=1e-5, background=True, mean_density=ps.mass.sum()
         )
     with tracer.span("tree_traversal"):
-        inter = traverse(tree, moms, periodic=True, ws=1)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
     with tracer.span("force_evaluation"):
         res = evaluate_forces(
             tree, moms, inter, softening=make_softening("dehnen_k1", 0.05 / n),

@@ -66,38 +66,3 @@ def test_table3_measured_host_kernel(benchmark, dtype):
         f"{n_inter} interactions, {gflops:.2f} Gflop/s at 28 flops/interaction"
     )
     assert gflops > 0.05  # sanity: the kernel actually ran at speed
-
-
-@pytest.mark.parametrize("variant", ["per_axis", "fused"])
-def test_scatter_add_fusion(benchmark, variant):
-    """Per-axis scatter-add (production) vs the fused single-bincount one.
-
-    The evaluator reduces per-interaction 3-vectors onto per-particle
-    accumulators.  Fusing the three bincount passes into one over an
-    interleaved (idx*3 + axis) index looks like it should win, but the
-    3x-longer index array costs more than the saved passes — this bench
-    is the receipt for keeping the per-axis kernel in evaluate_forces.
-    Both variants accumulate per bin in the same order, so results are
-    bit-identical (asserted).
-    """
-    from repro.gravity.treeforce import _scatter_add_vec, _scatter_add_vec_fused
-
-    rng = np.random.default_rng(3)
-    n = 1 << 15
-    m = 1 << 20
-    idx = rng.integers(0, n, m)
-    contrib = rng.random((m, 3))
-    fn = _scatter_add_vec_fused if variant == "fused" else _scatter_add_vec
-
-    ref = np.zeros((n, 3))
-    _scatter_add_vec(ref, idx, contrib)
-    got = np.zeros((n, 3))
-    _scatter_add_vec_fused(got, idx, contrib)
-    assert np.array_equal(ref, got)
-
-    benchmark(lambda: fn(np.zeros((n, 3)), idx, contrib))
-    rate = m / benchmark.stats["mean"] / 1e6
-    print(
-        f"\nscatter-add ({variant}): {m} contributions -> "
-        f"{rate:.1f} M/s"
-    )

@@ -10,12 +10,13 @@ from .smoothing import (
     SplineSoftening,
     make_softening,
 )
-from .solver import TreecodeConfig, TreecodeGravity
+from .solver import ForceSpec, TreecodeConfig, TreecodeGravity
 from .treeforce import ForceResult, evaluate_forces
 
 __all__ = [
     "DehnenK1Softening",
     "ForceResult",
+    "ForceSpec",
     "NUMBA_AVAILABLE",
     "NoSoftening",
     "PlummerSoftening",

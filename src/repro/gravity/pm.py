@@ -33,9 +33,10 @@ from scipy import special
 
 from ..instrument import get_tracer
 from ..multipoles.radial import ErfcKernel
-from ..tree import build_tree, compute_moments, traverse_lists
+from ..tree import build_tree, compute_moments
 from .smoothing import SofteningKernel, make_softening
-from .treeforce import ForceResult, evaluate_forces
+from .solver import ForceSpec, check_choices, raise_if_nonfinite, solve_forces
+from .treeforce import ForceResult
 
 __all__ = ["ParticleMesh", "TreePMConfig", "TreePMGravity", "ShortRangeSoftening"]
 
@@ -175,7 +176,7 @@ class TreePMConfig:
     softening: str = "spline"
     eps: float = 0.01
     #: dual-tree walk flavour for the short-range half ("hierarchical"
-    #: or "leaf"; see :class:`~repro.gravity.solver.TreecodeConfig`)
+    #: or "fmm-hybrid"; see :class:`~repro.gravity.solver.TreecodeConfig`)
     traversal: str = "hierarchical"
     #: force-evaluation backend for the short-range tree half
     #: ("numpy" | "compiled" | "auto"; see TreecodeConfig.backend)
@@ -185,6 +186,9 @@ class TreePMConfig:
     workers: int = 0
     #: fail fast on non-finite accelerations/potentials (health guard)
     check_finite: bool = False
+
+    def __post_init__(self):
+        check_choices(self, "traversal", "backend", "softening")
 
 
 class TreePMGravity:
@@ -225,62 +229,40 @@ class TreePMGravity:
                 tree = build_tree(pos, mass, box=box, nleaf=cfg.nleaf)
             with tr.span("moments") as sp_moments:
                 moms = compute_moments(tree, p=cfg.p, tol=cfg.errtol)
-            base = make_softening(cfg.softening, cfg.eps)
-            sr = ShortRangeSoftening(base, r_split)
+            # the split scale follows the box, so the spec is per call
+            spec = ForceSpec(
+                traversal=cfg.traversal,
+                periodic=True,
+                ws=1,
+                softening=ShortRangeSoftening(
+                    make_softening(cfg.softening, cfg.eps), r_split
+                ),
+                kernel=ErfcKernel(1.0 / (2.0 * r_split)),
+                rcut=cfg.rcut * r_split,
+                G=cfg.G,
+                backend=cfg.backend,
+                check_finite=cfg.check_finite,
+            )
             inter = None
             if cfg.workers:
                 from ..parallel.executor import ensure_executor
 
                 self._executor = ensure_executor(self._executor, cfg.workers)
                 with tr.span("execute") as sp_execute:
-                    res = self._executor.compute(
-                        tree,
-                        moms,
-                        periodic=True,
-                        ws=1,
-                        softening=sr,
-                        G=cfg.G,
-                        kernel=ErfcKernel(1.0 / (2.0 * r_split)),
-                        rcut=cfg.rcut * r_split,
-                        check_finite=cfg.check_finite,
-                        traversal=cfg.traversal,
-                        backend=cfg.backend,
-                        tracer=tr,
-                    )
+                    res = self._executor.compute(tree, moms, spec, tracer=tr)
             else:
-                with tr.span("traverse") as sp_traverse:
-                    inter = traverse_lists(
-                        tree, moms, traversal=cfg.traversal, periodic=True, ws=1
-                    )
-                    inter = _prune_far(tree, moms, inter, cfg.rcut * r_split)
-                with tr.span("evaluate") as sp_evaluate:
-                    res = evaluate_forces(
-                        tree,
-                        moms,
-                        inter,
-                        softening=sr,
-                        G=cfg.G,
-                        kernel=ErfcKernel(1.0 / (2.0 * r_split)),
-                        backend=cfg.backend,
-                    )
+                res, inter, traverse_s, evaluate_s = solve_forces(
+                    tree, moms, spec, tracer=tr
+                )
             res.acc += acc_long
             if res.pot is not None:
                 res.pot += pot_long
         res.stats["r_split"] = r_split
-        if inter is not None:
-            res.stats["interactions_per_particle"] = (
-                inter.interactions_per_particle(tree)
-            )
-        else:
-            # sharded path: workers report the traversal-level count, the
-            # same accounting as inter.interactions_per_particle above
-            res.stats["interactions_per_particle"] = res.stats.get(
-                "traversal_interactions", 0
-            ) / max(tree.n_particles, 1)
+        res.stats["interactions_per_particle"] = res.stats[
+            "traversal_interactions"
+        ] / max(tree.n_particles, 1)
         res.stats["errtol"] = cfg.errtol
         if cfg.check_finite:
-            from .solver import raise_if_nonfinite
-
             raise_if_nonfinite(res, "treepm")
         self.last_tree = tree
         if tr.enabled:
@@ -292,8 +274,8 @@ class TreePMGravity:
                 "moments": sp_moments.seconds,
             }
             if inter is not None:
-                res.stats["stage_seconds"]["traverse"] = sp_traverse.seconds
-                res.stats["stage_seconds"]["evaluate"] = sp_evaluate.seconds
+                res.stats["stage_seconds"]["traverse"] = traverse_s
+                res.stats["stage_seconds"]["evaluate"] = evaluate_s
             else:
                 res.stats["stage_seconds"]["execute"] = sp_execute.seconds
             res.stats["force_seconds"] = sp_force.seconds
@@ -332,10 +314,10 @@ def _prune_far(tree, moms, inter, rcut):
 
     kc = keep(inter.cell_sink, inter.cell_src, inter.cell_off)
     kl = keep(inter.leaf_sink, inter.leaf_src, inter.leaf_off)
-    csr = {}
-    if inter.cell_indptr is not None:
-        csr["cell_indptr"] = filter_csr_indptr(inter.cell_indptr, kc)
-        csr["leaf_indptr"] = filter_csr_indptr(inter.leaf_indptr, kl)
+    csr = {
+        "cell_indptr": filter_csr_indptr(inter.cell_indptr, kc),
+        "leaf_indptr": filter_csr_indptr(inter.leaf_indptr, kl),
+    }
     if inter.m2l_cells is not None and inter.m2l_src is not None:
         m2l_sink = np.repeat(inter.m2l_cells, np.diff(inter.m2l_indptr))
         km = keep(m2l_sink, inter.m2l_src, inter.m2l_off)

@@ -8,11 +8,13 @@ and the benchmarks talk to.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..instrument import get_tracer
+from ..multipoles.radial import RadialKernel
 from ..tree import (
     InteractionLists,
     Tree,
@@ -25,7 +27,41 @@ from .periodic import PeriodicLocalExpansion
 from .smoothing import SofteningKernel, make_softening
 from .treeforce import ForceResult, evaluate_forces
 
-__all__ = ["TreecodeConfig", "TreecodeGravity", "raise_if_nonfinite"]
+__all__ = [
+    "ForceSpec",
+    "TreecodeConfig",
+    "TreecodeGravity",
+    "check_choices",
+    "raise_if_nonfinite",
+    "solve_forces",
+]
+
+#: allowed values of the enum-like string fields of every force config
+_CHOICES = {
+    "engine": ("tree", "treepm"),
+    "traversal": ("hierarchical", "fmm-hybrid"),
+    "backend": ("auto", "numpy", "compiled"),
+    "mac": ("moment", "absolute"),
+    "softening": ("none", "plummer", "spline", "dehnen_k1", "k1"),
+}
+
+
+def check_choices(config, *names: str) -> None:
+    """Reject a config whose string field ``name`` is not an allowed value.
+
+    Called from ``__post_init__``, so a typo fails where the config is
+    written instead of inside a pool worker several stages later.
+    """
+    for name in names:
+        value = getattr(config, name)
+        allowed = _CHOICES[name]
+        # make_softening() is case-insensitive; keep accepting what it accepts
+        known = value.lower() if name == "softening" and isinstance(value, str) else value
+        if known not in allowed:
+            raise ValueError(
+                f"{type(config).__name__}.{name}={value!r}: expected one of "
+                f"{'|'.join(allowed)}"
+            )
 
 
 def raise_if_nonfinite(result: ForceResult, label: str) -> None:
@@ -46,6 +82,106 @@ def raise_if_nonfinite(result: ForceResult, label: str) -> None:
         bad.append(f"worker shards: {shards}")
     if bad:
         raise FloatingPointError(f"{label}: non-finite force output ({'; '.join(bad)})")
+
+
+@dataclass(frozen=True)
+class ForceSpec:
+    """What one traverse + evaluate pass needs besides the tree and moments.
+
+    Built once by a solver from its config and handed unchanged to
+    :func:`solve_forces` — in process, or pickled to every shard of a
+    :class:`~repro.parallel.executor.ForceExecutor` — so adding a force
+    knob touches the config that sets it and the function that expands
+    it, not every call site in between.
+    """
+
+    traversal: str = "hierarchical"
+    periodic: bool = False
+    ws: int = 1
+    #: fmm-hybrid dual-MAC knob (see :class:`TreecodeConfig`)
+    cc_xmax: float = 0.5
+    softening: SofteningKernel | None = None
+    #: radial Green's function of the cell interactions (None = 1/r)
+    kernel: RadialKernel | None = None
+    #: drop interactions entirely beyond this distance (TreePM short range)
+    rcut: float | None = None
+    G: float = 1.0
+    dtype: type = np.float64
+    want_potential: bool = True
+    backend: str = "auto"
+    #: count non-finite outputs per shard, where they are produced
+    check_finite: bool = False
+
+    def __post_init__(self):
+        check_choices(self, "traversal", "backend")
+
+
+def solve_forces(
+    tree: Tree,
+    moms: TreeMoments,
+    spec: ForceSpec,
+    sink_leaves: np.ndarray | None = None,
+    particle_range: tuple[int, int] | None = None,
+    tracer=None,
+) -> tuple[ForceResult, InteractionLists, float, float]:
+    """Traverse, prune and evaluate ``sink_leaves`` (default: all) under ``spec``.
+
+    The one place a :class:`ForceSpec` is expanded into
+    ``traverse_lists`` / ``evaluate_forces`` keywords; the serial
+    solvers and every executor shard run through here.  Returns
+    ``(result, lists, traverse seconds, evaluate seconds)`` with the
+    traversal counters merged into ``result.stats``.
+    ``particle_range`` is :func:`evaluate_forces`'s shard mode.
+    """
+    tr = tracer if tracer is not None else get_tracer()
+    t0 = time.perf_counter()
+    with tr.span("traverse"):
+        inter = traverse_lists(
+            tree,
+            moms,
+            traversal=spec.traversal,
+            periodic=spec.periodic,
+            ws=spec.ws,
+            cc_xmax=spec.cc_xmax,
+            sink_leaves=sink_leaves,
+        )
+        if spec.rcut is not None:
+            from .pm import _prune_far
+
+            inter = _prune_far(tree, moms, inter, spec.rcut)
+    t1 = time.perf_counter()
+    with tr.span("evaluate"):
+        result = evaluate_forces(
+            tree,
+            moms,
+            inter,
+            softening=spec.softening,
+            G=spec.G,
+            dtype=spec.dtype,
+            want_potential=spec.want_potential,
+            kernel=spec.kernel,
+            particle_range=particle_range,
+            backend=spec.backend,
+        )
+    t2 = time.perf_counter()
+    by_family = {
+        "cell": inter.n_cell_interactions(tree),
+        "pp": inter.n_pp_interactions(tree),
+        "ghost": inter.n_prism_interactions(tree),
+        "m2l": inter.n_m2l_interactions(tree),
+    }
+    result.stats.update(
+        traversal_rounds=inter.rounds,
+        mac_tests=inter.mac_tests,
+        frontier_peak=inter.frontier_peak,
+        inherited_accepts=inter.inherited_accepts,
+        leaf_accepts=inter.leaf_accepts,
+        # traversal-level count: excludes the near-field background prism
+        # corrections that the evaluate counters include
+        traversal_interactions=sum(by_family.values()),
+        interactions_by_family=by_family,
+    )
+    return result, inter, t1 - t0, t2 - t1
 
 
 @dataclass
@@ -72,11 +208,10 @@ class TreecodeConfig:
     #: background-subtraction cancellation) or "absolute" (rigorous bound)
     mac: str = "moment"
     #: dual-tree walk flavour: "hierarchical" (sink-cell frontier with
-    #: inherited accepts and CSR segment-reduce evaluation),
+    #: inherited accepts and CSR segment-reduce evaluation) or
     #: "fmm-hybrid" (the same walk with mutual cell-cell accepts into
     #: sink-side local expansions — Dehnen-style O(N) far field with
-    #: exact momentum conservation) or "leaf" (the original
-    #: per-sink-leaf walk, kept for A/B receipts)
+    #: exact momentum conservation)
     traversal: str = "hierarchical"
     #: fmm-hybrid dual-MAC knob: a cell pair is mutually accepted when
     #: b_max(a) + b_max(b) < cc_xmax * dist AND both sides pass the
@@ -102,6 +237,9 @@ class TreecodeConfig:
     #: sharded runs report which worker shard produced them
     check_finite: bool = False
 
+    def __post_init__(self):
+        check_choices(self, "traversal", "backend", "mac", "softening")
+
 
 class TreecodeGravity:
     """One-shot or reusable treecode force evaluations.
@@ -115,7 +253,19 @@ class TreecodeGravity:
     """
 
     def __init__(self, config: TreecodeConfig | None = None):
-        self.config = config or TreecodeConfig()
+        self.config = cfg = config or TreecodeConfig()
+        self.spec = ForceSpec(
+            traversal=cfg.traversal,
+            periodic=cfg.periodic,
+            ws=cfg.ws,
+            cc_xmax=cfg.cc_xmax,
+            softening=make_softening(cfg.softening, cfg.eps),
+            G=cfg.G,
+            dtype=cfg.dtype,
+            want_potential=cfg.want_potential,
+            backend=cfg.backend,
+            check_finite=cfg.check_finite,
+        )
         self.last_tree: Tree | None = None
         self.last_moments: TreeMoments | None = None
         self.last_interactions: InteractionLists | None = None
@@ -123,9 +273,6 @@ class TreecodeGravity:
         #: lattice sums depend only on geometry/order, not on the
         #: particles — cache the expansion across compute() calls
         self._ple_cache: dict[tuple, PeriodicLocalExpansion] = {}
-
-    def _softening(self) -> SofteningKernel:
-        return make_softening(self.config.softening, self.config.eps)
 
     def _lattice_expansion(self, box: float) -> PeriodicLocalExpansion:
         cfg = self.config
@@ -192,42 +339,11 @@ class TreecodeGravity:
 
                 self._executor = ensure_executor(self._executor, cfg.workers)
                 with tr.span("execute") as sp_execute:
-                    result = self._executor.compute(
-                        tree,
-                        moms,
-                        periodic=cfg.periodic,
-                        ws=cfg.ws,
-                        softening=self._softening(),
-                        G=cfg.G,
-                        dtype=cfg.dtype,
-                        want_potential=cfg.want_potential,
-                        check_finite=cfg.check_finite,
-                        traversal=cfg.traversal,
-                        cc_xmax=cfg.cc_xmax,
-                        backend=cfg.backend,
-                        tracer=tr,
-                    )
+                    result = self._executor.compute(tree, moms, self.spec, tracer=tr)
             else:
-                with tr.span("traverse") as sp_traverse:
-                    inter = traverse_lists(
-                        tree,
-                        moms,
-                        traversal=cfg.traversal,
-                        periodic=cfg.periodic,
-                        ws=cfg.ws,
-                        cc_xmax=cfg.cc_xmax,
-                    )
-                with tr.span("evaluate") as sp_evaluate:
-                    result = evaluate_forces(
-                        tree,
-                        moms,
-                        inter,
-                        softening=self._softening(),
-                        G=cfg.G,
-                        dtype=cfg.dtype,
-                        want_potential=cfg.want_potential,
-                        backend=cfg.backend,
-                    )
+                result, inter, traverse_s, evaluate_s = solve_forces(
+                    tree, moms, self.spec, tracer=tr
+                )
             lattice_s = 0.0
             if cfg.periodic and cfg.lattice_correction and cfg.background:
                 with tr.span("lattice") as sp_lattice:
@@ -238,30 +354,16 @@ class TreecodeGravity:
                     if result.pot is not None:
                         result.pot += cfg.G * pot_far.astype(result.pot.dtype)
                 lattice_s = sp_lattice.seconds
-        if inter is not None:
-            result.stats["interactions_per_particle"] = (
-                inter.interactions_per_particle(tree)
-            )
-            result.stats["traversal_rounds"] = inter.rounds
-            result.stats["mac_tests"] = inter.mac_tests
-            result.stats["frontier_peak"] = inter.frontier_peak
-            result.stats["interactions_by_family"] = {
-                "cell": inter.n_cell_interactions(tree),
-                "pp": inter.n_pp_interactions(tree),
-                "ghost": inter.n_prism_interactions(tree),
-                "m2l": inter.n_m2l_interactions(tree),
-            }
-            if tr.enabled:
-                tr.count("traverse.mac_tests", inter.mac_tests)
-                tr.count("traverse.accepts_inherited", inter.inherited_accepts)
-                tr.count("traverse.accepts_leaf", inter.leaf_accepts)
-                tr.count("traverse.frontier_peak", inter.frontier_peak)
-        else:
-            # sharded path: workers report the traversal-level count, the
-            # same accounting as inter.interactions_per_particle above
-            result.stats["interactions_per_particle"] = result.stats.get(
-                "traversal_interactions", 0
-            ) / max(tree.n_particles, 1)
+        # the traversal-level count: solve_forces reports it, in process
+        # or summed over the executor's shards
+        result.stats["interactions_per_particle"] = result.stats[
+            "traversal_interactions"
+        ] / max(tree.n_particles, 1)
+        if inter is not None and tr.enabled:
+            tr.count("traverse.mac_tests", inter.mac_tests)
+            tr.count("traverse.accepts_inherited", inter.inherited_accepts)
+            tr.count("traverse.accepts_leaf", inter.leaf_accepts)
+            tr.count("traverse.frontier_peak", inter.frontier_peak)
         result.stats["n_cells"] = tree.n_cells
         result.stats["errtol"] = cfg.errtol
         result.stats["mac"] = cfg.mac
@@ -277,8 +379,8 @@ class TreecodeGravity:
                 "lattice": lattice_s,
             }
             if inter is not None:
-                stage["traverse"] = sp_traverse.seconds
-                stage["evaluate"] = sp_evaluate.seconds
+                stage["traverse"] = traverse_s
+                stage["evaluate"] = evaluate_s
             else:
                 # sharded path: 'execute' is the pool wall-clock; the
                 # summed per-worker traverse/evaluate seconds live in

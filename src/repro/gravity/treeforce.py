@@ -33,7 +33,7 @@ import numpy as np
 
 from ..instrument import get_tracer
 from ..multipoles import multi_index_set
-from ..multipoles.codegen import compiled_dtensor_function, dtensors_soa
+from ..multipoles.codegen import compiled_dtensor_function
 from ..multipoles.multiindex import n_coeffs
 from ..multipoles.prism import prism_acceleration, prism_potential
 from ..multipoles.radial import NewtonianKernel, RadialKernel
@@ -46,8 +46,6 @@ from .smoothing import NoSoftening, SofteningKernel
 
 __all__ = ["ForceResult", "evaluate_forces", "autotune_chunks", "segment_sum"]
 
-_AXES3 = np.arange(3, dtype=np.int64)
-
 
 def segment_sum(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sum ``contrib`` over the contiguous segments beginning at ``starts``.
@@ -55,67 +53,11 @@ def segment_sum(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ``starts`` must be strictly increasing (zero-length segments
     filtered out by the caller) with an implicit final boundary at
     ``len(contrib)``.  ``np.add.reduceat`` touches each contribution
-    once; the ``bincount`` alternative below has to materialize a
-    per-contribution segment-id array first, which loses at every size
-    the evaluator produces (see BENCH_force.json's ``segment_reduce``
-    receipt) — reduceat is the production kernel.
+    once; a ``bincount`` over expanded segment ids has to materialize a
+    per-contribution id array first, which lost at every size the
+    evaluator produces (BENCH_force.json's ``segment_sum`` receipt).
     """
     return np.add.reduceat(contrib, starts, axis=0)
-
-
-def segment_sum_bincount(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``segment_sum`` via bincount over expanded segment ids.
-
-    Kept as the benchmarked alternative; bit-identical ordering is not
-    guaranteed against reduceat (both sum left-to-right within a
-    segment, so in practice they agree exactly for float64 adds).
-    """
-    n = len(contrib)
-    seg = np.zeros(n, dtype=np.int64)
-    seg[starts[1:]] = 1
-    seg = np.cumsum(seg)
-    if contrib.ndim == 1:
-        return np.bincount(seg, weights=contrib, minlength=len(starts))
-    out = np.empty((len(starts), contrib.shape[1]), dtype=contrib.dtype)
-    for i in range(contrib.shape[1]):
-        out[:, i] = np.bincount(seg, weights=contrib[:, i], minlength=len(starts))
-    return out
-
-
-def _scatter_add_vec(acc, idx, contrib):
-    """acc[idx] += contrib, one bincount pass per axis.
-
-    Measured faster than the fused single-pass variant below at every
-    chunk size the evaluator produces (bench_table3_microkernel.py:
-    the 3x-longer interleaved index array costs more than the two
-    extra passes save).
-    """
-    n = len(acc)
-    for i in range(3):
-        acc[:, i] += np.bincount(idx, weights=contrib[:, i], minlength=n)
-
-
-def _scatter_add_vec_fused(acc, idx, contrib):
-    """acc[idx] += contrib via one fused bincount pass.
-
-    Interleaving the axis into the bin index ((idx, axis) -> idx*3+axis)
-    folds the three per-axis bincount passes into a single traversal of
-    the contribution array; per-bin accumulation order is unchanged, so
-    the sums are bit-identical to the per-axis version.  Kept as the
-    benchmarked alternative — see ``_scatter_add_vec`` for why it is
-    not the production kernel.
-    """
-    n = len(acc)
-    flat = np.bincount(
-        (idx[:, None] * 3 + _AXES3).ravel(),
-        weights=contrib.ravel(),
-        minlength=3 * n,
-    )
-    acc += flat.reshape(n, 3)
-
-
-def _scatter_add(pot, idx, contrib):
-    pot += np.bincount(idx, weights=contrib, minlength=len(pot))
 
 
 @dataclass
@@ -257,20 +199,18 @@ def evaluate_forces(
         ``"numpy"`` (vectorized reference), ``"compiled"`` (the numba
         m x n-blocked CSR kernel of :mod:`repro.gravity.kernels`) or
         ``"auto"``/None (``REPRO_FORCE_BACKEND`` env, defaulting to
-        compiled-when-available).  The compiled backend consumes only
-        CSR lists; flat per-leaf lists and unsupported kernel types
-        fall back to numpy with the reason in
-        ``stats["backend_fallback"]``.  The compiled kernel always
-        accumulates in float64 (it is the *more* accurate path when
-        ``dtype=float32``).
+        compiled-when-available).  Unsupported kernel types fall back
+        to numpy with the reason in ``stats["backend_fallback"]``.
+        The compiled kernel always accumulates in float64 (it is the
+        *more* accurate path when ``dtype=float32``).
     dtype:
         Accumulation precision (float32 reproduces the single-precision
         behaviour of Fig. 6 / Table 3).
     cell_chunk, pp_chunk:
         Interaction-rows per evaluation block for the cell and the
         pp/prism families.  ``None`` means the fixed defaults
-        (:func:`autotune_chunks` for CSR lists).  They pace memory and
-        speed only; CSR results do not depend on them.
+        (:func:`autotune_chunks`).  They pace memory and speed only;
+        results do not depend on them.
     particle_range:
         Half-open (start, end) range of *key-sorted* particle indices
         covering every sink in ``inter`` (a shard of SFC-contiguous
@@ -279,210 +219,12 @@ def evaluate_forces(
         caller (the shared-memory executor) merges disjoint shard
         slices and unsorts once.
 
-    CSR lists from :func:`~repro.tree.traversal.traverse_hierarchical`
-    take the segment-reduce path: contributions are generated
-    sink-particle-major in blocks aligned to sink leaves (cell family)
-    or whole particles (pp, prism), summed per particle with one
-    :func:`segment_sum` pass, and added at unique output rows — no
-    giant up-front ``np.repeat`` expansion and no bincount scatter, and
-    results are bit-identical at any block size.
-    """
-    softening = softening or NoSoftening()
-    kernel = kernel or NewtonianKernel()
-    if inter.cell_indptr is not None:
-        return _evaluate_forces_csr(
-            tree, moms, inter, softening, G, dtype, want_potential,
-            kernel, cell_chunk, pp_chunk, particle_range, backend,
-        )
-    if pp_chunk is None:
-        pp_chunk = 262144  # historical default of the flat-list path
-    p = moms.p
-    s0, s1 = particle_range if particle_range is not None else (0, tree.n_particles)
-    n = s1 - s0
-    acc = np.zeros((n, 3), dtype=np.float64)
-    pot = np.zeros(n, dtype=np.float64) if want_potential else None
-
-    def loc(idx):
-        """Global sorted particle index -> local output row."""
-        return idx - s0 if s0 else idx
-    stats = {
-        "cell_interactions": 0,
-        "pp_interactions": 0,
-        "prism_interactions": 0,
-        "order": p,
-        "backend": "numpy",
-    }
-    if kernels.resolve_backend(backend) == "compiled":
-        stats["backend_fallback"] = (
-            "compiled backend consumes CSR lists only (legacy leaf walk)"
-        )
-
-    mis = multi_index_set(p)
-    w = ((-1.0) ** mis.order) / mis.factorial
-    cols = _acc_columns(p)
-    ncoef = len(mis)
-    if cell_chunk is None:
-        cell_chunk = max(4096, int(6e6 / n_coeffs(p + 1)))
-
-    # ----- cell (multipole) interactions --------------------------------------
-    if len(inter.cell_sink):
-        counts = tree.cell_count[inter.cell_sink]
-        pidx = expand_ranges(tree.cell_start[inter.cell_sink], counts)
-        src = np.repeat(inter.cell_src, counts)
-        off = np.repeat(inter.cell_off, counts)
-        stats["cell_interactions"] = len(pidx)
-        # Single-precision interactions with double-precision accumulation
-        # mirror the paper's production kernels (Table 3 is all float32);
-        # running the whole recurrence in float32 halves memory traffic.
-        for s in range(0, len(pidx), cell_chunk):
-            e = min(s + cell_chunk, len(pidx))
-            rows = slice(s, e)
-            dx = tree.pos[pidx[rows]] - (
-                tree.cell_center[src[rows]] + inter.offsets[off[rows]]
-            )
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            g = kernel.radial_derivs(r, p + 1)
-            if dtype is not np.float64:
-                dx = dx.astype(dtype)
-                g = g.astype(dtype)
-            D = dtensors_soa(dx[:, 0], dx[:, 1], dx[:, 2], g, p + 1)
-            m = moms.moments[src[rows], :ncoef].astype(dtype, copy=False)
-            wm = m * w.astype(dtype)
-            a_contrib = np.empty((e - s, 3), dtype=dtype)
-            for i in range(3):
-                a_contrib[:, i] = np.einsum("ji,ij->i", D[cols[i]], wm)
-            _scatter_add_vec(acc, loc(pidx[rows]), a_contrib.astype(np.float64))
-            if want_potential:
-                p_contrib = np.einsum("ji,ij->i", D[:ncoef], wm)
-                _scatter_add(pot, loc(pidx[rows]), p_contrib.astype(np.float64))
-
-    # ----- particle-particle interactions --------------------------------------
-    if len(inter.leaf_sink):
-        pos_w = tree.pos if dtype is np.float64 else tree.pos.astype(dtype)
-        mass_w = tree.mass if dtype is np.float64 else tree.mass.astype(dtype)
-        offsets_w = inter.offsets.astype(dtype, copy=False)
-        home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
-        cs = tree.cell_count[inter.leaf_sink]
-        ct = tree.cell_count[inter.leaf_src]
-        stats["pp_interactions"] = int((cs * ct).sum())
-        # expand pair -> (sink particle) rows first
-        sp = expand_ranges(tree.cell_start[inter.leaf_sink], cs)
-        pair_of_sp = np.repeat(np.arange(len(cs)), cs)
-        # then each sink-particle row fans out over the source particles
-        ct_of_sp = ct[pair_of_sp]
-        # chunk over sink-particle rows (cumulative expanded size)
-        csum = np.cumsum(ct_of_sp)
-        row_start = 0
-        while row_start < len(sp):
-            base = csum[row_start - 1] if row_start else 0
-            take = int(np.searchsorted(csum, base + pp_chunk) + 1) - row_start
-            row_end = min(row_start + max(take, 1), len(sp))
-            rows = slice(row_start, row_end)
-            reps = ct_of_sp[rows]
-            sink_part = np.repeat(sp[rows], reps)
-            pr = pair_of_sp[rows]
-            src_part = expand_ranges(
-                tree.cell_start[inter.leaf_src][pr], ct[pr]
-            )
-            off_row = np.repeat(inter.leaf_off[pair_of_sp[rows]], reps)
-            dx = pos_w[sink_part] - (pos_w[src_part] + offsets_w[off_row])
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            self_pair = (sink_part == src_part) & (off_row == home_off)
-            f = softening.force_factor(r).astype(dtype, copy=False)
-            f[self_pair] = 0.0
-            fm = mass_w[src_part] * f
-            _scatter_add_vec(
-                acc, loc(sink_part), (-(fm[:, None] * dx)).astype(np.float64)
-            )
-            if want_potential:
-                psi = softening.potential(r).astype(dtype, copy=False)
-                psi[self_pair] = 0.0
-                _scatter_add(
-                    pot,
-                    loc(sink_part),
-                    (mass_w[src_part] * psi).astype(np.float64),
-                )
-            row_start = row_end
-
-    # ----- analytic background cubes -------------------------------------------
-    prism_sink = [inter.ghost_sink]
-    prism_src = [inter.ghost_src]
-    prism_off = [inter.ghost_off]
-    if moms.background and len(inter.leaf_sink):
-        # in background mode every direct leaf pair also needs its source
-        # cube's background removed
-        prism_sink.append(inter.leaf_sink)
-        prism_src.append(inter.leaf_src)
-        prism_off.append(inter.leaf_off)
-    psink = np.concatenate(prism_sink)
-    psrc = np.concatenate(prism_src)
-    poff = np.concatenate(prism_off)
-    if len(psink) and moms.background:
-        counts = tree.cell_count[psink]
-        pidx = expand_ranges(tree.cell_start[psink], counts)
-        src = np.repeat(psrc, counts)
-        off = np.repeat(poff, counts)
-        stats["prism_interactions"] = len(pidx)
-        rho = -moms.mean_density  # subtract the background
-        for s in range(0, len(pidx), pp_chunk):
-            e = min(s + pp_chunk, len(pidx))
-            rows = slice(s, e)
-            pts = tree.pos[pidx[rows]]
-            ctr = tree.cell_center[src[rows]] + inter.offsets[off[rows]]
-            half = 0.5 * tree.cell_side[src[rows]][:, None]
-            a = prism_acceleration(pts, ctr - half, ctr + half, rho)
-            _scatter_add_vec(acc, loc(pidx[rows]), a)
-            if want_potential:
-                u = prism_potential(pts, ctr - half, ctr + half, rho)
-                _scatter_add(pot, loc(pidx[rows]), u)
-
-    if G != 1.0:
-        acc *= G
-        if want_potential:
-            pot *= G
-
-    if particle_range is not None:
-        # shard mode: float64 key-sorted slice; the executor merges,
-        # unsorts and casts once so the result matches the serial path
-        return ForceResult(acc=acc, pot=pot, stats=stats)
-
-    # unsort to original particle order
-    acc_out = np.empty_like(acc)
-    acc_out[tree.order] = acc
-    if want_potential:
-        pot_out = np.empty_like(pot)
-        pot_out[tree.order] = pot
-    else:
-        pot_out = None
-    if dtype is not np.float64:
-        acc_out = acc_out.astype(dtype)
-        if pot_out is not None:
-            pot_out = pot_out.astype(dtype)
-    return ForceResult(acc=acc_out, pot=pot_out, stats=stats)
-
-
-def _evaluate_forces_csr(
-    tree: Tree,
-    moms: TreeMoments,
-    inter: InteractionLists,
-    softening: SofteningKernel,
-    G: float,
-    dtype,
-    want_potential: bool,
-    kernel: RadialKernel,
-    cell_chunk: int | None,
-    pp_chunk: int | None,
-    particle_range: tuple[int, int] | None,
-    backend: str | None = None,
-) -> ForceResult:
-    """Segment-reduce evaluation of CSR-grouped interaction lists.
-
     Rows follow ``inter.sink_leaves`` (SFC order), so generating
     contributions row by row is automatically *sink-particle-major*:
     each sink particle's contributions form one contiguous run, closed
-    by a single reduceat over the run boundaries, and each particle
-    lands in exactly one block (blocks split only between particles),
-    making the result independent of the block sizes.
+    by a single :func:`segment_sum` over the run boundaries, and each
+    particle lands in exactly one block (blocks split only between
+    particles), making the result independent of the block sizes.
 
     The cell family is m x n-blocked (:func:`_leaf_blocks`): per block
     the entries' cell centres and weighted moments are gathered once
@@ -499,6 +241,8 @@ def _evaluate_forces_csr(
     background (prism) family always runs through the shared numpy
     pass below so both backends agree term by term.
     """
+    softening = softening or NoSoftening()
+    kernel = kernel or NewtonianKernel()
     p = moms.p
     resolved, fb_reason = kernels.resolve_backend_ex(backend)
     spec = None
@@ -530,7 +274,6 @@ def _evaluate_forces_csr(
         "m2l_pairs": 0,
         "m2l_interactions": 0,
         "order": p,
-        "evaluator": "csr",
         "backend": resolved,
     }
     if fb_reason:

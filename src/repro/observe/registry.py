@@ -75,7 +75,13 @@ class RunRegistry:
 
     # ----- writing -------------------------------------------------------------
     def record(self, kind: str, payload: dict, key: str | None = None) -> dict:
-        """Append one envelope-stamped record; returns what was written."""
+        """Append one envelope-stamped record; returns what was written.
+
+        One atomic ``O_APPEND`` write.  The torn-tail probe below reads
+        through a second handle and can land inside another process's
+        in-flight write, so under concurrent appends a record may be
+        preceded by one empty line; every reader skips those.
+        """
         now = time.time()
         rec = {
             "obs_schema": OBS_SCHEMA_VERSION,

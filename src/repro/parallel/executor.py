@@ -16,14 +16,14 @@ that on one shared-memory node:
   worker, balanced by particle count) that workers pull from a shared
   task queue — cheap work stealing, since per-leaf traversal cost is
   skewed by clustering;
-* each worker runs :func:`~repro.tree.traversal.traverse` restricted
-  to its shard (the ``sink_leaves`` parameter) followed by
-  :func:`~repro.gravity.treeforce.evaluate_forces` over exactly those
-  sinks, writing its ``acc``/``pot`` slice into a shared output
-  segment.  Every sink particle belongs to exactly one shard, so the
-  slices are disjoint and the merge is deterministic — no reduction
-  race, no scheduling-dependent rounding.  At ``workers=1`` a single
-  shard reproduces the serial interaction stream bit for bit.
+* each worker runs :func:`~repro.gravity.solver.solve_forces`
+  restricted to its shard (the ``sink_leaves`` parameter) under the
+  caller's :class:`~repro.gravity.solver.ForceSpec`, writing its
+  ``acc``/``pot`` slice into a shared output segment.  Every sink
+  particle belongs to exactly one shard, so the slices are disjoint
+  and the merge is deterministic — no reduction race, no
+  scheduling-dependent rounding.  At ``workers=1`` a single shard
+  reproduces the serial interaction stream bit for bit.
 
 Per-shard wall times come back through the result queue and merge into
 the parent :class:`~repro.instrument.metrics.Metrics`, turning the
@@ -129,15 +129,18 @@ def _timer(seconds: float) -> dict:
 class _WorkerState:
     """One epoch's attached arrays + reconstructed tree/moments views."""
 
-    __slots__ = ("epoch", "segments", "tree", "moms", "task", "acc", "pot")
+    __slots__ = (
+        "epoch", "segments", "tree", "moms", "spec", "kernel_threads", "acc", "pot",
+    )
 
     def __init__(self):
         self.epoch = -1
         self.segments = []
-        self.tree = self.moms = self.task = self.acc = self.pot = None
+        self.tree = self.moms = self.spec = self.acc = self.pot = None
+        self.kernel_threads = None
 
     def release(self) -> None:
-        self.tree = self.moms = self.task = self.acc = self.pot = None
+        self.tree = self.moms = self.spec = self.acc = self.pot = None
         for shm in self.segments:
             try:
                 shm.close()
@@ -185,7 +188,8 @@ class _WorkerState:
             mnorm2=empty,
             r_crit=arrays["r_crit"],
         )
-        self.task = meta["task"]
+        self.spec = meta["spec"]
+        self.kernel_threads = meta["kernel_threads"]
         self.acc = arrays["acc_out"]
         self.pot = arrays.get("pot_out")
         self.epoch = epoch
@@ -193,73 +197,25 @@ class _WorkerState:
 
 def _run_shard(state: _WorkerState, sinks, s0: int, s1: int):
     """Traverse + evaluate one shard, writing into the shared output."""
-    from ..gravity.treeforce import evaluate_forces
-    from ..tree.traversal import traverse_lists
-
-    task = state.task
-    t0_mono = time.monotonic()
-    t0 = time.perf_counter()
-    inter = traverse_lists(
-        state.tree,
-        state.moms,
-        traversal=task.get("traversal", "leaf"),
-        periodic=task["periodic"],
-        ws=task["ws"],
-        sink_leaves=sinks,
-        xmax=task["xmax"],
-        cc_xmax=task.get("cc_xmax", 0.5),
-    )
-    if task["rcut"] is not None:
-        from ..gravity.pm import _prune_far
-
-        inter = _prune_far(state.tree, state.moms, inter, task["rcut"])
-    t1 = time.perf_counter()
     from ..gravity import kernels
+    from ..gravity.solver import solve_forces
 
-    kernels.set_kernel_threads(task.get("kernel_threads"))
-    res = evaluate_forces(
-        state.tree,
-        state.moms,
-        inter,
-        softening=task["softening"],
-        G=task["G"],
-        dtype=np.dtype(task["dtype"]).type,
-        want_potential=task["want_potential"],
-        kernel=task["kernel"],
-        particle_range=(s0, s1),
-        backend=task.get("backend"),
+    t0_mono = time.monotonic()
+    kernels.set_kernel_threads(state.kernel_threads)
+    res, inter, traverse_s, evaluate_s = solve_forces(
+        state.tree, state.moms, state.spec,
+        sink_leaves=sinks, particle_range=(s0, s1),
     )
-    t2 = time.perf_counter()
     state.acc[s0:s1] = res.acc
     if state.pot is not None and res.pot is not None:
         state.pot[s0:s1] = res.pot
     stats = dict(res.stats)
-    if task.get("check_finite"):
+    if state.spec.check_finite:
         # per-worker health: count non-finite outputs where they were
         # produced, so the parent can attribute corruption to a shard
         stats["nonfinite_acc"] = int(np.count_nonzero(~np.isfinite(res.acc)))
         if res.pot is not None:
             stats["nonfinite_acc"] += int(np.count_nonzero(~np.isfinite(res.pot)))
-    stats["traversal_rounds"] = inter.rounds
-    stats["mac_tests"] = inter.mac_tests
-    stats["frontier_peak"] = inter.frontier_peak
-    stats["inherited_accepts"] = inter.inherited_accepts
-    stats["leaf_accepts"] = inter.leaf_accepts
-    # the serial solver reports interactions/particle from the traversal
-    # lists (which exclude the near-field background prism corrections
-    # that the evaluate counters include); keep the metric comparable
-    stats["traversal_interactions"] = (
-        inter.n_cell_interactions(state.tree)
-        + inter.n_pp_interactions(state.tree)
-        + inter.n_prism_interactions(state.tree)
-        + inter.n_m2l_interactions(state.tree)
-    )
-    stats["interactions_by_family"] = {
-        "cell": inter.n_cell_interactions(state.tree),
-        "pp": inter.n_pp_interactions(state.tree),
-        "ghost": inter.n_prism_interactions(state.tree),
-        "m2l": inter.n_m2l_interactions(state.tree),
-    }
     n_inter = (
         stats.get("cell_interactions", 0)
         + stats.get("pp_interactions", 0)
@@ -270,11 +226,11 @@ def _run_shard(state: _WorkerState, sinks, s0: int, s1: int):
         # on, so worker-side stamps are comparable across processes —
         # what the observe timeline needs to draw per-worker lanes
         "t0": t0_mono,
-        "t1": t0_mono + (t2 - t0),
+        "t1": t0_mono + traverse_s + evaluate_s,
         "timers": {
-            "executor/traverse": _timer(t1 - t0),
-            "executor/evaluate": _timer(t2 - t1),
-            "executor/shard": _timer(t2 - t0),
+            "executor/traverse": _timer(traverse_s),
+            "executor/evaluate": _timer(evaluate_s),
+            "executor/shard": _timer(traverse_s + evaluate_s),
         },
         "counters": {
             "executor.shards": 1,
@@ -291,7 +247,7 @@ def _worker_main(worker_id: int, tasks, results) -> None:
     """Persistent worker loop: pull shards until the ``None`` sentinel.
 
     An injected :class:`~repro.resilience.faults.FaultPlan` (spec string
-    carried in the task metadata, so it survives spawn) fires before the
+    carried in the epoch metadata, so it survives spawn) fires before the
     shard runs: ``kill`` exits the process, ``raise`` surfaces as an
     ``err`` result, ``delay`` stalls past the parent's timeout.  Faults
     never fire on re-dispatches (``attempt > 0``), so recovery always
@@ -307,12 +263,12 @@ def _worker_main(worker_id: int, tasks, results) -> None:
             return
         epoch, meta, shard_id, sinks, s0, s1, attempt = msg
         try:
-            spec = meta["task"].get("faults")
-            if spec != plan_spec:
+            fault_spec = meta["faults"]
+            if fault_spec != plan_spec:
                 from ..resilience.faults import FaultPlan
 
-                plan = FaultPlan.parse(spec) if spec else None
-                plan_spec = spec
+                plan = FaultPlan.parse(fault_spec) if fault_spec else None
+                plan_spec = fault_spec
             if plan is not None:
                 plan.apply_worker(worker_id, shard_id, epoch, attempt=attempt)
             if epoch != state.epoch:
@@ -436,33 +392,13 @@ class ForceExecutor:
         return shards
 
     # ----- one force call -----------------------------------------------------
-    def compute(
-        self,
-        tree,
-        moms,
-        *,
-        periodic: bool = False,
-        ws: int = 1,
-        softening=None,
-        kernel=None,
-        G: float = 1.0,
-        dtype=np.float64,
-        want_potential: bool = True,
-        rcut: float | None = None,
-        xmax: float = 0.6,
-        cc_xmax: float = 0.5,
-        check_finite: bool = False,
-        traversal: str = "leaf",
-        backend: str | None = None,
-        tracer=None,
-    ):
-        """Traverse + evaluate all sink leaves across the pool.
+    def compute(self, tree, moms, spec, tracer=None):
+        """Traverse + evaluate all sink leaves across the pool under ``spec``.
 
-        ``backend`` selects the per-shard force evaluator (see
-        :func:`~repro.gravity.treeforce.evaluate_forces`); with the
-        compiled backend each worker caps its numba thread pool at
-        ``cpu_count // workers`` so processes x threads never
-        oversubscribes the node.
+        ``spec`` is the solver's :class:`~repro.gravity.solver.ForceSpec`,
+        shipped to the workers as is.  With the compiled backend each
+        worker caps its numba thread pool at ``cpu_count // workers`` so
+        processes x threads never oversubscribes the node.
 
         The tree and moments must already be built (the upward pass is
         cheap and serial); returns a
@@ -483,7 +419,7 @@ class ForceExecutor:
         arrays = {name: getattr(tree, name) for name in _TREE_ARRAYS}
         arrays.update({name: getattr(moms, name) for name in _MOM_ARRAYS})
         arrays["acc_out"] = np.zeros((n, 3), dtype=np.float64)
-        if want_potential:
+        if spec.want_potential:
             arrays["pot_out"] = np.zeros(n, dtype=np.float64)
         meta_segments, segments = _publish(arrays, f"{self._tag}{epoch:x}")
         meta = {
@@ -497,26 +433,12 @@ class ForceExecutor:
                 "mean_density": moms.mean_density,
                 "mac": moms.mac,
             },
-            "task": {
-                "periodic": periodic,
-                "ws": ws,
-                "xmax": xmax,
-                "cc_xmax": cc_xmax,
-                "softening": softening,
-                "kernel": kernel,
-                "G": G,
-                "dtype": np.dtype(dtype).str,
-                "want_potential": want_potential,
-                "rcut": rcut,
-                "check_finite": check_finite,
-                "traversal": traversal,
-                "backend": backend,
-                "kernel_threads": (
-                    max(1, (os.cpu_count() or 1) // self.workers)
-                    if self.workers > 1 else None
-                ),
-                "faults": self._fault_spec,
-            },
+            "spec": spec,
+            "kernel_threads": (
+                max(1, (os.cpu_count() or 1) // self.workers)
+                if self.workers > 1 else None
+            ),
+            "faults": self._fault_spec,
         }
         try:
             shards = self._make_shards(tree)
@@ -527,13 +449,14 @@ class ForceExecutor:
                 buffer=segments_buf(segments, meta_segments, "acc_out"),
             )
             pot_view = None
-            if want_potential:
+            if spec.want_potential:
                 pot_view = np.ndarray(
                     (n,), dtype=np.float64,
                     buffer=segments_buf(segments, meta_segments, "pot_out"),
                 )
             fallback = {
-                "tree": tree, "moms": moms, "task": meta["task"],
+                "tree": tree, "moms": moms, "spec": spec,
+                "kernel_threads": meta["kernel_threads"],
                 "acc": acc_view, "pot": pot_view,
             }
             if not self.degraded:
@@ -549,14 +472,14 @@ class ForceExecutor:
             acc = np.empty_like(acc_sorted)
             acc[tree.order] = acc_sorted
             pot = None
-            if want_potential:
+            if spec.want_potential:
                 pot_sorted = np.array(pot_view)
                 pot = np.empty_like(pot_sorted)
                 pot[tree.order] = pot_sorted
-            if np.dtype(dtype) != np.dtype(np.float64):
-                acc = acc.astype(dtype)
+            if np.dtype(spec.dtype) != np.dtype(np.float64):
+                acc = acc.astype(spec.dtype)
                 if pot is not None:
-                    pot = pot.astype(dtype)
+                    pot = pot.astype(spec.dtype)
         finally:
             # drop our buffer exports before releasing the segments, and
             # unlink before close so /dev/shm is cleaned even if a live
@@ -580,7 +503,8 @@ class ForceExecutor:
         state = _WorkerState()
         state.tree = fallback["tree"]
         state.moms = fallback["moms"]
-        state.task = fallback["task"]
+        state.spec = fallback["spec"]
+        state.kernel_threads = fallback["kernel_threads"]
         state.acc = fallback["acc"]
         state.pot = fallback["pot"]
         return _run_shard(state, sinks, s0, s1)
@@ -772,7 +696,7 @@ class ForceExecutor:
             )
             stats["inherited_accepts"] += s.get("inherited_accepts", 0)
             stats["leaf_accepts"] += s.get("leaf_accepts", 0)
-            for key in ("evaluator", "backend", "backend_fallback"):
+            for key in ("backend", "backend_fallback"):
                 if key in s:
                     stats[key] = s[key]
         kernel_parts = [s["kernel"] for s in shard_stats.values() if s.get("kernel")]

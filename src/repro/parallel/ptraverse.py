@@ -66,16 +66,13 @@ def parallel_traversal(
     periodic: bool = False,
     ws: int = 1,
     batching: bool = True,
-    traversal: str = "leaf",
 ) -> ParallelTraversalStats:
     """Decompose sink leaves over ranks and account the traversal.
 
     Rank boundaries follow the key-sorted particle order (the SFC
     decomposition); ownership of a source cell is the rank owning its
-    first particle.  The default ``traversal="leaf"`` walk partitions
-    interaction work exactly across ranks; the hierarchical walk is
-    also exact (restricted walks replay the unrestricted decisions)
-    but groups accepts by sink leaf through inheritance.
+    first particle.  Interaction work partitions exactly across ranks:
+    restricted walks replay the unrestricted walk's decisions.
     """
     machine = machine or MachineModel()
     n = tree.n_particles
@@ -106,8 +103,7 @@ def parallel_traversal(
         if len(sinks) == 0:
             continue
         inter = traverse_lists(
-            tree, moms, traversal=traversal,
-            periodic=periodic, ws=ws, sink_leaves=sinks,
+            tree, moms, periodic=periodic, ws=ws, sink_leaves=sinks
         )
         w = (
             inter.n_cell_interactions(tree)
@@ -152,14 +148,13 @@ def parallel_forces(
     softening=None,
     periodic: bool = False,
     ws: int = 1,
-    traversal: str = "leaf",
 ):
     """Compute forces rank by rank and assemble the global answer.
 
     Each simulated rank traverses only its own SFC-contiguous block of
     sink leaves and evaluates only those interactions; the assembled
-    result equals the serial one up to floating-point re-association
-    (evaluation chunks differ) — the key correctness property of HOT's
+    result equals the serial one bit for bit (per-leaf CSR segments do
+    not depend on the sharding) — the key correctness property of HOT's
     decomposition: parallelism changes who computes, never what is
     computed.
 
@@ -182,8 +177,7 @@ def parallel_forces(
         if len(sinks) == 0:
             continue
         inter = traverse_lists(
-            tree, moms, traversal=traversal,
-            periodic=periodic, ws=ws, sink_leaves=sinks,
+            tree, moms, periodic=periodic, ws=ws, sink_leaves=sinks
         )
         res = evaluate_forces(
             tree, moms, inter, softening=softening, want_potential=True

@@ -94,7 +94,10 @@ class JobJournal:
 
         One atomic ``O_APPEND`` write; a torn tail left by a crashed
         writer is newline-terminated first so it cannot swallow this
-        record.
+        record.  The tail probe reads through a second handle and can
+        land inside another process's in-flight write, so under
+        concurrent appends a record may be preceded by one empty line;
+        every reader skips those.
         """
         rec = {
             "svc_schema": SERVICE_SCHEMA_VERSION,

@@ -34,6 +34,7 @@ import numpy as np
 from ..cosmology import Background, CosmologyParams, PLANCK2013
 from ..gravity import TreecodeConfig, TreecodeGravity
 from ..gravity.pm import TreePMConfig, TreePMGravity
+from ..gravity.solver import check_choices
 from ..instrument import JsonlSink, get_tracer
 from ..observe import get_observer
 from .ic import ICConfig, generate_ic
@@ -131,8 +132,8 @@ class SimulationConfig:
     p: int = 4
     nleaf: int = 16
     softening: str = "dehnen_k1"
-    #: dual-tree walk flavour ("hierarchical" or the legacy "leaf";
-    #: see :class:`repro.gravity.TreecodeConfig`)
+    #: dual-tree walk flavour ("hierarchical" or "fmm-hybrid"; see
+    #: :class:`repro.gravity.TreecodeConfig`)
     traversal: str = "hierarchical"
     #: force-evaluation backend ("numpy" | "compiled" | "auto"; see
     #: :class:`repro.gravity.TreecodeConfig`)
@@ -170,6 +171,9 @@ class SimulationConfig:
     checkpoint_mtbf_h: float = 0.0
     #: rotation width: keep only the newest N checkpoints
     checkpoint_keep: int = 3
+
+    def __post_init__(self):
+        check_choices(self, "engine", "traversal", "backend", "softening")
 
     @property
     def eps(self) -> float:

@@ -4,7 +4,6 @@ from .moments import TreeMoments, compute_moments, unit_cube_abs_moment
 from .structure import Tree, build_tree
 from .traversal import (
     InteractionLists,
-    traverse,
     traverse_hierarchical,
     traverse_lists,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "TreeMoments",
     "build_tree",
     "compute_moments",
-    "traverse",
     "traverse_hierarchical",
     "traverse_lists",
     "unit_cube_abs_moment",

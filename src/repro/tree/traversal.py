@@ -1,28 +1,20 @@
 """Batched dual-tree traversal with the absolute-error MAC (paper §3.2-3.3).
 
-Two walks produce interaction lists for the same MAC:
-
-* :func:`traverse` — the original *per-sink-leaf* walk: every sink
-  leaf (block of up to ``nleaf`` particles, the m x n blocking of
-  §3.3) runs its own root-to-leaf source descent.  Simple, but MAC
-  tests scale like O(n_leaves · log N) because nearby sink leaves make
-  nearly identical accept/split decisions.
-
-* :func:`traverse_hierarchical` — the sink-hierarchical *dual* walk
-  (Dehnen's O(N) amortization, astro-ph/0202512, applied to the 2HOT
-  MAC): the frontier holds (sink *cell*, source cell, image offset)
-  triples starting from (root, root).  The MAC is tested against the
-  whole sink cell with d_eff = |x_sink - x_src| - b_max(sink cell),
-  which lower-bounds the distance from *every* particle under the sink
-  cell to the source, so an accept at an interior sink cell is
-  conservative for all descendants and the §2.2.2 error bound holds
-  unchanged.  Accepted interactions are recorded at the interior sink
-  cell and pushed down to the sink leaves by a vectorized inheritance
-  pass; undecided pairs refine on the sink or source side (the side
-  with the larger b_max splits).  Distant periodic images resolve in
-  O(1) pairs at the root instead of O(n_leaves) — with background
-  subtraction the root monopole vanishes and all 26 ws=1 images are
-  accepted in the first rounds.
+:func:`traverse_hierarchical` is the sink-hierarchical *dual* walk
+(Dehnen's O(N) amortization, astro-ph/0202512, applied to the 2HOT
+MAC): the frontier holds (sink *cell*, source cell, image offset)
+triples starting from (root, root).  The MAC is tested against the
+whole sink cell with d_eff = |x_sink - x_src| - b_max(sink cell),
+which lower-bounds the distance from *every* particle under the sink
+cell to the source, so an accept at an interior sink cell is
+conservative for all descendants and the §2.2.2 error bound holds
+unchanged.  Accepted interactions are recorded at the interior sink
+cell and pushed down to the sink leaves by a vectorized inheritance
+pass; undecided pairs refine on the sink or source side (the side
+with the larger b_max splits).  Distant periodic images resolve in
+O(1) pairs at the root instead of O(n_leaves) — with background
+subtraction the root monopole vanishes and all 26 ws=1 images are
+accepted in the first rounds.
 
 The frontier is processed breadth-first with vectorized accept /
 direct / split decisions; seeding with the 3^3 or 5^3 periodic image
@@ -42,11 +34,10 @@ Outputs are :class:`InteractionLists` consumed by
   sink cell — interior or leaf — and translated down to particles by
   the L2L/L2P machinery in :mod:`repro.gravity.localexp`.
 
-The hierarchical walk additionally emits the lists in **CSR form**:
-each family is sorted by sink leaf (rows follow ``sink_leaves``, which
-is in SFC/particle order) with ``*_indptr`` arrays delimiting each
-leaf's segment, so the evaluator can replace scatter-adds with
-contiguous per-sink segment reductions.
+The lists come out in **CSR form**: each family is sorted by sink
+leaf (rows follow ``sink_leaves``, which is in SFC/particle order)
+with ``*_indptr`` arrays delimiting each leaf's segment, so the
+evaluator sums contiguous per-sink segments instead of scatter-adding.
 
 Restricted traversals (the ``sink_leaves`` parameter, used by the
 shard executor and the simulated ranks) run the *same* walk from the
@@ -71,7 +62,6 @@ from .structure import Tree
 
 __all__ = [
     "InteractionLists",
-    "traverse",
     "traverse_hierarchical",
     "traverse_lists",
     "filter_csr_indptr",
@@ -80,12 +70,11 @@ __all__ = [
 
 @dataclass
 class InteractionLists:
-    """Flat interaction lists plus bookkeeping counters.
+    """CSR interaction lists plus bookkeeping counters.
 
-    When produced by :func:`traverse_hierarchical` the three families
-    are sorted by sink leaf (row order = ``sink_leaves``) and the
-    ``*_indptr`` arrays hold the CSR row ranges; the per-leaf walk
-    leaves them ``None``.
+    The cell / leaf / ghost families are sorted by sink leaf (row order
+    = ``sink_leaves``) and the ``*_indptr`` arrays hold the CSR row
+    ranges.
     """
 
     sink_leaves: np.ndarray  # all sink leaf cell indices traversed
@@ -99,11 +88,11 @@ class InteractionLists:
     ghost_sink: np.ndarray
     ghost_src: np.ndarray
     ghost_off: np.ndarray
+    # CSR row ranges over sink_leaves
+    cell_indptr: np.ndarray
+    leaf_indptr: np.ndarray
+    ghost_indptr: np.ndarray
     rounds: int = 0
-    # CSR row ranges over sink_leaves (hierarchical walk only)
-    cell_indptr: np.ndarray | None = None
-    leaf_indptr: np.ndarray | None = None
-    ghost_indptr: np.ndarray | None = None
     # mutual cell-cell accepts (fmm-hybrid walk only): CSR keyed by sink
     # *cell* (interior or leaf), rows follow m2l_cells in ascending cell
     # index; each row's segment lists (source cell, image offset) pairs
@@ -175,126 +164,6 @@ def filter_csr_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def traverse(
-    tree: Tree,
-    moms: TreeMoments,
-    periodic: bool = False,
-    ws: int = 1,
-    sink_leaves: np.ndarray | None = None,
-    xmax: float = 0.6,
-) -> InteractionLists:
-    """Compute interaction lists for all (or selected) sink leaves.
-
-    Parameters
-    ----------
-    periodic:
-        Include the (2 ws + 1)^3 periodic images of the source tree.
-    sink_leaves:
-        Restrict to these sink leaf cell indices (default: all real
-        leaves) — used by the parallel traversal to walk one domain.
-    xmax:
-        Cap on the expansion parameter x = b_max/d: a cell is never
-        accepted by the MAC when x would exceed this, whatever the
-        error estimate says.  Moment-norm estimates are blind to
-        pathologically cancelling cells at close range (the §2.2.1
-        near-field breakdown), so interactions with slowly-converging
-        expansions always go to the split/direct path; the series tail
-        is then geometrically controlled by xmax.
-    """
-    if sink_leaves is None:
-        sink_leaves = tree.leaf_indices
-    sinks = np.asarray(sink_leaves, dtype=np.int64)
-    offsets = (
-        _image_offsets(tree.box, ws) if periodic else np.zeros((1, 3), dtype=np.float64)
-    )
-
-    n_off = len(offsets)
-    f_sink = np.repeat(sinks, n_off)
-    f_src = np.zeros(len(f_sink), dtype=np.int64)  # root cell index is 0
-    root = int(np.flatnonzero(tree.cell_level == 0)[0])
-    f_src[:] = root
-    f_off = np.tile(np.arange(n_off, dtype=np.int64), len(sinks))
-
-    acc_sink, acc_src, acc_off = [], [], []
-    leaf_sink, leaf_src, leaf_off = [], [], []
-    ghost_sink, ghost_src, ghost_off = [], [], []
-
-    cell_center = tree.cell_center
-    sink_bmax = moms.bmax
-    is_leaf = tree.is_leaf
-    is_ghost = tree.cell_is_ghost
-    rounds = 0
-    mac_tests = 0
-    frontier_peak = 0
-    while len(f_sink):
-        rounds += 1
-        mac_tests += len(f_sink)
-        frontier_peak = max(frontier_peak, len(f_sink))
-        src_bmax = moms.bmax[f_src]
-        src_rcrit = moms.r_crit[f_src]
-        d = cell_center[f_sink] - (cell_center[f_src] + offsets[f_off])
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        d_eff = dist - sink_bmax[f_sink]
-        accept = (d_eff > src_rcrit) & (src_bmax < xmax * d_eff)
-        # never "accept" a sink's own home-image self cell via MAC with a
-        # degenerate zero distance; d_eff <= 0 there so accept is False.
-        src_leaf = is_leaf[f_src]
-        direct = ~accept & src_leaf
-
-        if np.any(accept):
-            sel = accept
-            acc_sink.append(f_sink[sel])
-            acc_src.append(f_src[sel])
-            acc_off.append(f_off[sel])
-        if np.any(direct):
-            sel = direct
-            ghosts = is_ghost[f_src[sel]]
-            if np.any(ghosts):
-                ghost_sink.append(f_sink[sel][ghosts])
-                ghost_src.append(f_src[sel][ghosts])
-                ghost_off.append(f_off[sel][ghosts])
-            real = ~ghosts
-            if np.any(real):
-                leaf_sink.append(f_sink[sel][real])
-                leaf_src.append(f_src[sel][real])
-                leaf_off.append(f_off[sel][real])
-
-        split = ~accept & ~src_leaf
-        if not np.any(split):
-            break
-        parents_src = f_src[split]
-        nch = tree.cell_nchildren[parents_src]
-        f_sink = np.repeat(f_sink[split], nch)
-        f_off = np.repeat(f_off[split], nch)
-        first = tree.cell_first_child[parents_src]
-        f_src = expand_ranges(first, nch)
-
-    def cat(parts):
-        return (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-
-    n_leaf_accepts = sum(len(a) for a in acc_sink)
-    return InteractionLists(
-        sink_leaves=sinks,
-        offsets=offsets,
-        cell_sink=cat(acc_sink),
-        cell_src=cat(acc_src),
-        cell_off=cat(acc_off),
-        leaf_sink=cat(leaf_sink),
-        leaf_src=cat(leaf_src),
-        leaf_off=cat(leaf_off),
-        ghost_sink=cat(ghost_sink),
-        ghost_src=cat(ghost_src),
-        ghost_off=cat(ghost_off),
-        rounds=rounds,
-        mac_tests=mac_tests,
-        frontier_peak=frontier_peak,
-        inherited_accepts=0,
-        leaf_accepts=n_leaf_accepts,
-    )
-
-
 def _sink_relevance(tree: Tree, sinks: np.ndarray | None) -> np.ndarray:
     """Boolean mask over cells: subtree contains >= 1 selected sink leaf.
 
@@ -330,16 +199,25 @@ def traverse_hierarchical(
 ) -> InteractionLists:
     """Sink-hierarchical mutual dual traversal emitting CSR lists.
 
-    Same MAC, same parameters and same per-sink-particle error budget
-    as :func:`traverse`; see the module docstring for the scheme.  The
-    frontier holds *unordered* cell pairs (a, b, image offset) with a
+    See the module docstring for the scheme.  ``periodic`` includes the
+    (2 ws + 1)^3 periodic images of the source tree; ``sink_leaves``
+    restricts the walk to these sink leaf cell indices (default: all
+    real leaves).  ``xmax`` caps the expansion parameter x = b_max/d: a
+    cell is never accepted by the MAC when x would exceed it, whatever
+    the error estimate says.  Moment-norm estimates are blind to
+    pathologically cancelling cells at close range (the §2.2.1
+    near-field breakdown), so interactions with slowly-converging
+    expansions always go to the split/direct path; the series tail is
+    then geometrically controlled by xmax.
+
+    The frontier holds *unordered* cell pairs (a, b, image offset) with a
     two-bit direction mask — bit 1 for "a sinks b", bit 2 for "b sinks
     a" — so one geometric test (``mac_tests`` counts these) serves both
     directions of a mirrored pair; a direction retires independently
     when it is accepted or recorded as direct.  The effective distance
     for a sink cell is the tighter of two conservative lower bounds on
-    the sink-particle-to-source distance: ``dist - b_max(sink)`` (the
-    leaf walk's bound) and the per-axis gap to the sink cell's cube.
+    the sink-particle-to-source distance: ``dist - b_max(sink)`` and
+    the per-axis gap to the sink cell's cube.
 
     With ``m2l=True`` (the ``traversal="fmm-hybrid"`` mode) one-sided
     cell accepts are replaced by *mutual* cell-cell accepts: a pair is
@@ -701,15 +579,11 @@ def traverse_lists(
 
     ``"hierarchical"`` — sink-hierarchical mutual dual walk (default);
     ``"fmm-hybrid"`` — the same walk with mutual cell-cell accepts into
-    sink-side local expansions (``cc_xmax`` tunes the dual MAC);
-    ``"leaf"`` — the original per-sink-leaf walk.
+    sink-side local expansions (``cc_xmax`` tunes the dual MAC).
     """
     if traversal == "hierarchical":
         kwargs.pop("cc_xmax", None)
         return traverse_hierarchical(tree, moms, **kwargs)
     if traversal == "fmm-hybrid":
         return traverse_hierarchical(tree, moms, m2l=True, **kwargs)
-    if traversal == "leaf":
-        kwargs.pop("cc_xmax", None)
-        return traverse(tree, moms, **kwargs)
     raise ValueError(f"unknown traversal kind {traversal!r}")

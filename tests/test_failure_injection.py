@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.gravity import TreecodeConfig, TreecodeGravity, make_softening
 from repro.io import read_sdf, write_sdf
 from repro.simulation import ParticleSet
-from repro.tree import build_tree, compute_moments, traverse
+from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
 
 class TestAdversarialParticleSets:
@@ -69,7 +69,7 @@ class TestAdversarialParticleSets:
         tree = build_tree(pos, mass, nleaf=8)
         tree.validate()
         moms = compute_moments(tree, p=2, tol=1e-4)
-        inter = traverse(tree, moms)
+        inter = traverse_hierarchical(tree, moms)
         assert inter.rounds > 0
 
 

@@ -1,17 +1,20 @@
-"""Tests for the §2.2.2 alternatives: cell-cell FMM and pseudo-particles."""
+"""Tests for the §2.2.2 alternatives: cell-cell accepts and pseudo-particles."""
 
 import numpy as np
 import pytest
 
-from repro.gravity import direct_accelerations, make_softening
-from repro.gravity.fmm import FMMConfig, FMMGravity, traverse_cell_cell
+from repro.gravity import (
+    TreecodeConfig,
+    TreecodeGravity,
+    direct_accelerations,
+    make_softening,
+)
 from repro.multipoles import m2p, p2m
 from repro.multipoles.pseudoparticle import (
     PseudoParticleCell,
     fit_pseudo_masses,
     sphere_nodes,
 )
-from repro.tree import build_tree, compute_moments
 
 
 def cloud(n=2048, seed=3, clustered=False):
@@ -24,77 +27,17 @@ def cloud(n=2048, seed=3, clustered=False):
     return pos, np.full(n, 1.0 / n)
 
 
-class TestCellCellTraversal:
-    def test_mass_coverage(self):
-        """Every particle's force receives every source exactly once:
-        for each leaf, {M2L sources of its ancestor chain} + {direct
-        leaf partners} partition the box mass."""
-        pos, mass = cloud(600)
-        tree = build_tree(pos, mass, nleaf=8)
-        moms = compute_moments(tree, p=2, tol=1e30)
-        lists = traverse_cell_cell(tree, moms, theta=0.6)
-        # ancestors of each cell
-        total = mass.sum()
-        m2l_by_sink: dict = {}
-        for s, c in zip(lists.m2l_sink, lists.m2l_src):
-            st, ct = tree.cell_start[c], tree.cell_count[c]
-            m2l_by_sink.setdefault(s, 0.0)
-            m2l_by_sink[s] += tree.mass[st : st + ct].sum()
-        direct_by_leaf: dict = {}
-        for a, b in zip(lists.leaf_a, lists.leaf_b):
-            st, ct = tree.cell_start[b], tree.cell_count[b]
-            direct_by_leaf.setdefault(a, 0.0)
-            direct_by_leaf[a] += tree.mass[st : st + ct].sum()
-        for leaf in tree.leaf_indices:
-            acc = direct_by_leaf.get(leaf, 0.0)
-            node = leaf
-            while node >= 0:
-                acc += m2l_by_sink.get(node, 0.0)
-                node = tree.cell_parent[node]
-            assert acc == pytest.approx(total, rel=1e-9)
+def cell_cell_solver(theta, p=4, eps=1e-3):
+    """Open-boundary solver driven by the geometric cell-cell MAC alone.
 
-    def test_ordered_pairs_unique(self):
-        pos, mass = cloud(500, seed=5)
-        tree = build_tree(pos, mass, nleaf=8)
-        moms = compute_moments(tree, p=2, tol=1e30)
-        lists = traverse_cell_cell(tree, moms, theta=0.6)
-        pairs = set(zip(lists.m2l_sink, lists.m2l_src))
-        assert len(pairs) == lists.n_m2l()
-        near = list(zip(lists.leaf_a, lists.leaf_b))
-        assert len(set(near)) == len(near)
-
-    def test_both_directions_covered_possibly_at_different_granularity(self):
-        """The ordered frontier resolves the two directions of a region
-        pair independently (ties split the first element), so a sink may
-        see a coarser cell than its mirror — both directions must still
-        be *covered*: every (sink, src) has the reverse region covered by
-        src-side pairs whose sinks are src or its descendants/ancestors.
-        The mass-coverage test above is the strong form; here we check
-        the pair multiset at least touches each unordered region pair
-        from both sides."""
-        pos, mass = cloud(500, seed=6)
-        tree = build_tree(pos, mass, nleaf=8)
-        moms = compute_moments(tree, p=2, tol=1e30)
-        lists = traverse_cell_cell(tree, moms, theta=0.6)
-        sinks = set(lists.m2l_sink.tolist())
-        srcs = set(lists.m2l_src.tolist())
-        parents = tree.cell_parent
-        # every cell acting as a source also receives field, directly,
-        # through an ancestor, or through its descendants (the mirror may
-        # be resolved at finer granularity)
-        has_sink_below = set(sinks)
-        for c in np.argsort(-tree.cell_level):  # bottom-up
-            p = parents[c]
-            if p >= 0 and int(c) in has_sink_below:
-                has_sink_below.add(int(p))
-        for c in srcs:
-            node = c
-            found = int(c) in has_sink_below
-            while not found and node >= 0:
-                if node in sinks:
-                    found = True
-                node = parents[node]
-            assert found
+    ``errtol=1e30`` collapses ``r_crit``, so mutual accepts are decided
+    by ``bmax_a + bmax_b < theta * dist`` — the classic Dehnen
+    criterion the paper's §2.2.2 discussion is about.
+    """
+    return TreecodeGravity(TreecodeConfig(
+        traversal="fmm-hybrid", errtol=1e30, cc_xmax=theta, p=p,
+        background=False, softening="plummer", eps=eps,
+    ))
 
 
 class TestFMMAccuracy:
@@ -102,9 +45,7 @@ class TestFMMAccuracy:
     def test_matches_direct(self, clustered):
         pos, mass = cloud(1500, seed=1, clustered=clustered)
         eps = 1e-3
-        res = FMMGravity(FMMConfig(p=4, p_local=4, theta=0.45, eps=eps)).compute(
-            pos, mass
-        )
+        res = cell_cell_solver(0.45, eps=eps).compute(pos, mass)
         ref = direct_accelerations(pos, mass, softening=make_softening("plummer", eps))
         rel = np.linalg.norm(res.acc - ref, axis=1) / np.linalg.norm(ref, axis=1).mean()
         assert np.median(rel) < 1e-3
@@ -112,9 +53,7 @@ class TestFMMAccuracy:
 
     def test_potential_matches(self):
         pos, mass = cloud(1000, seed=2)
-        res = FMMGravity(FMMConfig(p=4, p_local=4, theta=0.45, eps=1e-3)).compute(
-            pos, mass
-        )
+        res = cell_cell_solver(0.45).compute(pos, mass)
         _, pref = direct_accelerations(
             pos, mass, softening=make_softening("plummer", 1e-3), want_potential=True
         )
@@ -125,9 +64,7 @@ class TestFMMAccuracy:
         ref = direct_accelerations(pos, mass, softening=make_softening("plummer", 1e-3))
 
         def err(theta):
-            r = FMMGravity(FMMConfig(p=4, p_local=4, theta=theta, eps=1e-3)).compute(
-                pos, mass
-            )
+            r = cell_cell_solver(theta).compute(pos, mass)
             return np.median(
                 np.linalg.norm(r.acc - ref, axis=1) / np.linalg.norm(ref, axis=1).mean()
             )
@@ -143,8 +80,7 @@ class TestFMMAccuracy:
         smaller expansion cells."""
         pos, mass = cloud(2048, seed=4)
         ref = direct_accelerations(pos, mass, softening=make_softening("plummer", 1e-3))
-        solver = FMMGravity(FMMConfig(p=3, p_local=3, theta=0.6, eps=1e-3))
-        res = solver.compute(pos, mass)
+        res = cell_cell_solver(0.6, p=3).compute(pos, mass)
         err = np.linalg.norm(res.acc - ref, axis=1)
 
         from repro.keys import ancestor_key, cell_geometry, keys_from_positions

@@ -16,6 +16,7 @@ import pytest
 
 from repro.gravity import TreecodeConfig, TreecodeGravity
 from repro.gravity.pm import TreePMConfig, TreePMGravity
+from repro.gravity.solver import ForceSpec
 from repro.instrument import Tracer
 from repro.parallel.executor import ForceExecutor, ensure_executor
 from repro.tree import build_tree, compute_moments
@@ -104,12 +105,12 @@ def test_single_leaf_tree_single_shard():
     pos, mass = _particles(10)
     tree, moms = _tree_moms(pos, mass, background=False)
     with ForceExecutor(2) as ex:
-        res = ex.compute(tree, moms, periodic=False)
+        res = ex.compute(tree, moms, ForceSpec())
         assert res.stats["executor"]["n_shards"] == 1
     from repro.gravity.treeforce import evaluate_forces
-    from repro.tree.traversal import traverse
+    from repro.tree.traversal import traverse_lists
 
-    inter = traverse(tree, moms, periodic=False)
+    inter = traverse_lists(tree, moms, periodic=False)
     ref = evaluate_forces(tree, moms, inter)
     assert np.array_equal(res.acc, ref.acc)
 
@@ -119,7 +120,7 @@ def test_tiny_n_more_workers_than_leaves():
     tree, moms = _tree_moms(pos, mass, background=False)
     n_leaves = len(tree.leaf_indices)
     with ForceExecutor(2, shards_per_worker=64) as ex:
-        res = ex.compute(tree, moms, periodic=False)
+        res = ex.compute(tree, moms, ForceSpec())
     # shard count is capped by the number of sink leaves
     assert res.stats["executor"]["n_shards"] <= max(n_leaves, 1)
     assert np.all(np.isfinite(res.acc))
@@ -129,7 +130,7 @@ def test_want_potential_false():
     pos, mass = _particles(300)
     tree, moms = _tree_moms(pos, mass, background=False)
     with ForceExecutor(2) as ex:
-        res = ex.compute(tree, moms, periodic=False, want_potential=False)
+        res = ex.compute(tree, moms, ForceSpec(want_potential=False))
     assert res.pot is None
     assert np.all(np.isfinite(res.acc))
 
@@ -177,7 +178,7 @@ def test_teardown_leaves_no_segments_or_workers():
     pos, mass = _particles(600)
     tree, moms = _tree_moms(pos, mass)
     ex = ForceExecutor(2)
-    ex.compute(tree, moms, periodic=False)
+    ex.compute(tree, moms, ForceSpec())
     procs = list(ex._procs)
     ex.close()
     assert ex.closed
@@ -188,7 +189,7 @@ def test_teardown_leaves_no_segments_or_workers():
     # idempotent close, and computing on a closed pool is an error
     ex.close()
     with pytest.raises(RuntimeError):
-        ex.compute(tree, moms)
+        ex.compute(tree, moms, ForceSpec())
 
 
 def test_ensure_executor_reuse_and_replace():
@@ -212,7 +213,7 @@ def test_worker_error_propagates():
     with ForceExecutor(1) as ex:
         with pytest.raises(RuntimeError, match="shard"):
             # a bogus softening object fails inside the worker
-            ex.compute(tree, moms, softening="not-a-kernel")
+            ex.compute(tree, moms, ForceSpec(softening="not-a-kernel"))
         # the pool survives a failed call and keeps serving
-        res = ex.compute(tree, moms)
+        res = ex.compute(tree, moms, ForceSpec())
         assert np.all(np.isfinite(res.acc))

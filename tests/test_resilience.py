@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.gravity.solver import ForceSpec
 from repro.io import (
     CheckpointConfigMismatch,
     SDFChecksumError,
@@ -380,9 +381,9 @@ def _tree_moms(n=600, seed=11):
 class TestSelfHealingExecutor:
     def _reference(self, tree, moms):
         from repro.gravity.treeforce import evaluate_forces
-        from repro.tree.traversal import traverse
+        from repro.tree.traversal import traverse_lists
 
-        inter = traverse(tree, moms, periodic=False)
+        inter = traverse_lists(tree, moms, periodic=False)
         return evaluate_forces(tree, moms, inter)
 
     def test_worker_death_recovered_bit_identical(self):
@@ -391,7 +392,7 @@ class TestSelfHealingExecutor:
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
         with ForceExecutor(1, faults="kill:shard=0") as ex:
-            res = ex.compute(tree, moms, periodic=False)
+            res = ex.compute(tree, moms, ForceSpec())
         kinds = [r["kind"] for r in ex.recoveries]
         assert "worker_death" in kinds
         assert not ex.degraded
@@ -404,7 +405,7 @@ class TestSelfHealingExecutor:
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
         with ForceExecutor(1, faults="raise:shard=0") as ex:
-            res = ex.compute(tree, moms, periodic=False)
+            res = ex.compute(tree, moms, ForceSpec())
         assert "shard_retry" in [r["kind"] for r in ex.recoveries]
         assert np.array_equal(res.acc, ref.acc)
 
@@ -416,7 +417,7 @@ class TestSelfHealingExecutor:
         with ForceExecutor(
             1, faults="delay:shard=0,seconds=30", shard_timeout=0.5
         ) as ex:
-            res = ex.compute(tree, moms, periodic=False)
+            res = ex.compute(tree, moms, ForceSpec())
         assert "pool_restart" in [r["kind"] for r in ex.recoveries]
         assert np.array_equal(res.acc, ref.acc)
 
@@ -428,12 +429,12 @@ class TestSelfHealingExecutor:
         with ForceExecutor(
             1, faults="kill:worker=0,times=99", max_respawns=0
         ) as ex:
-            res = ex.compute(tree, moms, periodic=False)
+            res = ex.compute(tree, moms, ForceSpec())
             assert ex.degraded
             assert "serial_fallback" in [r["kind"] for r in ex.recoveries]
             assert np.array_equal(res.acc, ref.acc)
             # the degraded pool keeps serving (serially) and stays correct
-            res2 = ex.compute(tree, moms, periodic=False)
+            res2 = ex.compute(tree, moms, ForceSpec())
             assert np.array_equal(res2.acc, ref.acc)
 
     def test_close_after_dead_pool_no_leaks(self):
@@ -441,7 +442,7 @@ class TestSelfHealingExecutor:
 
         tree, moms = _tree_moms(n=200)
         ex = ForceExecutor(1, faults="kill:worker=0,times=99", max_respawns=0)
-        ex.compute(tree, moms, periodic=False)
+        ex.compute(tree, moms, ForceSpec())
         for p in ex._procs:
             if p.is_alive():
                 p.terminate()

@@ -186,6 +186,39 @@ class TestJournal:
             fh.write(b', "svc_schema": 1}\n')
         assert [r["event"] for r in j.read_new()] == ["drain_requested"]
 
+    def test_parallel_writers_never_tear_records(self, tmp_path):
+        """N processes appending to one journal concurrently leave
+        N x M whole, parseable records.  A writer may put an empty line
+        before its record (see ``JobJournal.append``); readers skip it."""
+        n_procs, n_recs = 6, 40
+        path = tmp_path / "journal.jsonl"
+        script = (
+            "import sys\n"
+            "from repro.service import JobJournal\n"
+            "j = JobJournal(sys.argv[1])\n"
+            "w = int(sys.argv[2])\n"
+            "for i in range(int(sys.argv[3])):\n"
+            "    j.append('service_started', writer=w, i=i, pad='x' * 256)\n"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(path), str(w), str(n_recs)],
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            for w in range(n_procs)
+        ]
+        assert all(p.wait(timeout=120) == 0 for p in procs)
+
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        parsed = [json.loads(line) for line in lines]  # none torn or interleaved
+        assert all(rec["pad"] == "x" * 256 for rec in parsed)
+        seen = {(rec["writer"], rec["i"]) for rec in parsed}
+        assert len(parsed) == len(seen) == n_procs * n_recs
+        # the replaying reader agrees, and tails nothing twice
+        j = JobJournal(path)
+        assert j.replay().records == n_procs * n_recs
+        assert j.read_new() == []
+
     def test_record_for_unknown_job_counts_skipped(self, tmp_path):
         j = JobJournal(tmp_path / "journal.jsonl")
         j.append("done", job="never-submitted")

@@ -11,7 +11,7 @@ from repro.gravity import (
     direct_accelerations,
     make_softening,
 )
-from repro.tree import build_tree, compute_moments, traverse
+from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
 
 def cloud(n=2048, seed=0, clustered=False):
@@ -32,7 +32,7 @@ class TestTraversalInvariants:
         pos, mass = cloud(1500, clustered=True)
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-5)
-        inter = traverse(tree, moms)
+        inter = traverse_hierarchical(tree, moms)
         total = np.zeros(len(tree.cell_key))  # per sink leaf accumulated mass
         per_sink = {}
         for s, c in zip(inter.cell_sink, inter.cell_src):
@@ -50,7 +50,7 @@ class TestTraversalInvariants:
         pos, mass = cloud(500)
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-5)
-        inter = traverse(tree, moms)
+        inter = traverse_hierarchical(tree, moms)
         self_pairs = set(zip(inter.leaf_sink, inter.leaf_src))
         for leaf in tree.leaf_indices:
             assert (leaf, leaf) in self_pairs
@@ -59,9 +59,9 @@ class TestTraversalInvariants:
         pos, mass = cloud(300)
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-5)
-        inter1 = traverse(tree, moms, periodic=True, ws=1)
+        inter1 = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         assert len(inter1.offsets) == 27
-        inter2 = traverse(tree, moms, periodic=True, ws=2)
+        inter2 = traverse_hierarchical(tree, moms, periodic=True, ws=2)
         assert len(inter2.offsets) == 125
 
     def test_restricted_sinks(self):
@@ -69,7 +69,7 @@ class TestTraversalInvariants:
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-5)
         some = tree.leaf_indices[:3]
-        inter = traverse(tree, moms, sink_leaves=some)
+        inter = traverse_hierarchical(tree, moms, sink_leaves=some)
         assert set(inter.cell_sink) | set(inter.leaf_sink) <= set(some)
 
 

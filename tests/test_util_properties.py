@@ -42,14 +42,14 @@ class TestTreeTraversalProperty:
     def test_mass_partition_per_sink(self, n, seed):
         """For arbitrary particle sets, every sink leaf's interaction
         lists account for exactly the total mass of the box."""
-        from repro.tree import build_tree, compute_moments, traverse
+        from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
         rng = np.random.default_rng(seed)
         pos = rng.random((n, 3))
         mass = rng.random(n) + 0.1
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-4)
-        inter = traverse(tree, moms)
+        inter = traverse_hierarchical(tree, moms)
         per_sink: dict = {}
         for sink, src in zip(
             np.concatenate([inter.cell_sink, inter.leaf_sink]),
