@@ -1,0 +1,50 @@
+"""Gate on a ``benchmarks/step/run.py --out`` report and on the runs' own records.
+
+    python3 benchmarks/check_step_record.py step_quick.json
+
+Exits non-zero when a workload of the report has a non-empty
+``trace_missing`` (a layer entry point the tracer could not resolve), or
+when one step of a workload, run here at the report's size, leaves no
+per-family split of the force evaluation in ``Simulation.last_stats``
+(``family_seconds``: cell / pp / m2l / prism).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent
+sys.path[:0] = [str(ROOT.parent / "src"), str(ROOT / "step")]
+
+FAMILIES = {"cell", "pp", "m2l", "prism"}
+
+
+def main(report_path: str) -> int:
+    import workloads as W
+    from repro.simulation import Simulation
+
+    report = json.loads(Path(report_path).read_text())
+    quick = report["mode"] == "quick"
+    failures = []
+    for name, doc in report["workloads"].items():
+        if doc["trace_missing"]:
+            failures.append(f"{name}: trace_missing {doc['trace_missing']}")
+        workload = W.WORKLOADS[name]
+        config = W.make_config(workload, quick=quick)
+        particles = W.make_inputs(workload.inputs, config.n_per_dim, report["seed"])
+        with Simulation(config, particles) as sim:
+            sim.run(max_steps=1)
+            family = sim.last_stats.get("family_seconds")
+        if not family or set(family) != FAMILIES or not family["prism"] > 0:
+            failures.append(f"{name}: family_seconds {family}")
+        else:
+            print(name, {k: round(v, 4) for k, v in family.items()})
+    for line in failures:
+        print("FAIL", line, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

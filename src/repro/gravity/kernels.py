@@ -196,6 +196,11 @@ def kernel_counters(
     (m = sink particles per CSR row, n = sources per entry) with its
     register-block occupancy, a static-schedule thread-utilization
     estimate, and the fraction of the machine-model prediction reached.
+
+    ``seconds`` covers the cell, pp and m2l families, so ``interactions``
+    and ``flops`` count those only; the prism pass (timed separately in
+    ``stats["family_seconds"]``) is carried as ``prism_interactions``
+    and stays out of the rates.
     """
     from ..parallel.machine import MachineModel
     from ..perfmodel.flops import FLOPS_PER_MONOPOLE_PP, flops_per_cell_interaction
@@ -225,12 +230,9 @@ def kernel_counters(
 
         m2l_pairs = int(len(inter.m2l_src))
         l2p_inter = int(leaf_np.sum())
-    total = cell_inter + pp_inter + m2l_pairs + l2p_inter + int(prism_interactions)
+    total = cell_inter + pp_inter + m2l_pairs + l2p_inter
     cell_flops = flops_per_cell_interaction(p, want_potential)
-    flops = float(
-        cell_inter * cell_flops
-        + (pp_inter + int(prism_interactions)) * FLOPS_PER_MONOPOLE_PP
-    )
+    flops = float(cell_inter * cell_flops + pp_inter * FLOPS_PER_MONOPOLE_PP)
     if m2l_pairs:
         flops += float(
             m2l_pairs * flops_per_m2l(p)
@@ -279,7 +281,7 @@ def merge_kernel_counters(parts: list[dict]) -> dict | None:
     Additive fields sum; ``seconds`` sums *busy* kernel seconds across
     shards, so the recomputed rates are per-busy-second throughput —
     comparable to a single-thread rate, not to the pool wall-clock.
-    Shape/utilization fields average weighted by interactions.
+    Shape/utilization fields average weighted by interaction rows.
     """
     parts = [k for k in parts if k]
     if not parts:
@@ -293,7 +295,14 @@ def merge_kernel_counters(parts: list[dict]) -> dict | None:
     sec = max(out["seconds"], 1e-12)
     out["interactions_per_s"] = out["interactions"] / sec
     out["gflops"] = out["flops"] / sec / 1e9
-    w = np.array([max(k.get("interactions", 0), 1) for k in parts], dtype=float)
+    # weights: every row a shard ran through its tiles, prism included
+    w = np.array(
+        [
+            max(k.get("interactions", 0) + k.get("prism_interactions", 0), 1)
+            for k in parts
+        ],
+        dtype=float,
+    )
     for key in ("m_mean", "n_pp_mean", "tile_occupancy", "thread_utilization"):
         out[key] = float(np.average([k.get(key, 0.0) for k in parts], weights=w))
     out["m_max"] = int(max(k.get("m_max", 0) for k in parts))

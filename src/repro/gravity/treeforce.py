@@ -3,12 +3,14 @@
 Consumes the interaction lists produced by the traversal and evaluates
 them in large blocked batches — the Python/NumPy analogue of 2HOT's
 m x n interaction blocking with structure-of-arrays swizzling (§3.2):
-the m particles of a sink leaf meet that leaf's n source cells in one
-block, whatever depends only on the source is gathered once per block,
-every operand is one contiguous row over the block's interactions, and
-a block is thousands of interactions long, so the per-interaction
-interpreter overhead is amortized exactly the way the paper amortizes
-data-movement cost.
+the m particles of a sink leaf meet that leaf's n sources (cells,
+source-leaf particles or background cubes) in one dense tile, whatever
+depends only on the source is gathered once per block, every operand
+is one contiguous row over the block's interactions, and a block is
+thousands of interactions long, so the per-interaction interpreter
+overhead is amortized exactly the way the paper amortizes
+data-movement cost.  All three families below run through the same
+blocks (:func:`_leaf_blocks`).
 
 Three interaction families:
 
@@ -25,7 +27,6 @@ Three interaction families:
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,12 +36,13 @@ from ..instrument import get_tracer
 from ..multipoles import multi_index_set
 from ..multipoles.codegen import compiled_dtensor_function
 from ..multipoles.multiindex import n_coeffs
-from ..multipoles.prism import prism_acceleration, prism_potential
+# benchmarks/step/layers.py resolves both prism names in this module
+from ..multipoles.prism import prism_acceleration, prism_potential  # noqa: F401
 from ..multipoles.radial import NewtonianKernel, RadialKernel
 from ..tree.moments import TreeMoments
 from ..tree.structure import Tree
 from ..tree.traversal import InteractionLists
-from ..util import expand_ranges
+from ..util import expand_ranges, release_scratch, scratch
 from . import kernels
 from .smoothing import NoSoftening, SofteningKernel
 
@@ -69,28 +71,18 @@ class ForceResult:
     stats: dict = field(default_factory=dict)
 
 
-#: reusable per-process scratch, keyed by (tag, dtype)
-_BUF_POOL: dict[tuple, np.ndarray] = {}
-
-
-def _scratch(tag: str, shape: tuple, dtype) -> np.ndarray:
-    """A C-contiguous ``shape`` view of pooled scratch, reused across calls."""
-    key = (tag, np.dtype(dtype).str)
-    size = math.prod(shape)
-    buf = _BUF_POOL.get(key)
-    if buf is None or buf.size < size:
-        buf = np.empty(max(size, 1), dtype=dtype)
-        _BUF_POOL[key] = buf
-    return buf[:size].reshape(shape)
-
-
-#: interaction rows per evaluation block, cell family and pp/prism
+#: interaction rows per evaluation block of the cell, pp and prism
 #: families.  Fixed, not calibrated: a one-shot timing per process picked
 #: differently from run to run and moved step time and peak RSS with it
 #: (benchmarks/step/README.md, baseline findings).  Blocks are aligned
 #: to sink leaves / whole particles, so the values change speed only.
+#: The prism kernel keeps ~26 float64 rows live per block and is fastest
+#: while they fit the L2 cache: 8k rows measured 0.182 / 0.141 s against
+#: 0.199 / 0.146 at 4k and 0.183 / 0.165 at 32k (first solve of
+#: early_hybrid / clustered_hier); pp is flat from 32k to 128k.
 _CELL_CHUNK = 8192
 _PP_CHUNK = 65536
+_PRISM_CHUNK = 8192
 
 
 def autotune_chunks(p: int, dtype_str: str) -> tuple[int, int]:
@@ -207,10 +199,11 @@ def evaluate_forces(
         Accumulation precision (float32 reproduces the single-precision
         behaviour of Fig. 6 / Table 3).
     cell_chunk, pp_chunk:
-        Interaction-rows per evaluation block for the cell and the
-        pp/prism families.  ``None`` means the fixed defaults
-        (:func:`autotune_chunks`).  They pace memory and speed only;
-        results do not depend on them.
+        Interaction-rows per evaluation block for the cell family and
+        for the pp and prism families.  ``None`` means the fixed
+        defaults (:func:`autotune_chunks`; the prism family has its own,
+        ``_PRISM_CHUNK``).  They pace memory and speed only; results do
+        not depend on them.
     particle_range:
         Half-open (start, end) range of *key-sorted* particle indices
         covering every sink in ``inter`` (a shard of SFC-contiguous
@@ -226,20 +219,36 @@ def evaluate_forces(
     particle lands in exactly one block (blocks split only between
     particles), making the result independent of the block sizes.
 
-    The cell family is m x n-blocked (:func:`_leaf_blocks`): per block
-    the entries' cell centres and weighted moments are gathered once
-    and shared by the sink leaf's particles, ``dx`` is a broadcast
-    (particles, 1, 3) - (1, entries, 3), the generated recurrence
-    writes the order-(p+1) tensors structure-of-arrays as
-    ``D[coefficient, row]`` into pooled scratch, and one einsum per
-    output contracts them with the moments.  Interactions run in
-    ``dtype``; each particle's entries are summed in float64.
+    Every family is m x n-blocked (:func:`_leaf_blocks`); a block
+    gathers what belongs to its entries once, the sink leaf's particles
+    share it through broadcasts into pooled scratch, and every operand
+    is a contiguous row over the block's interactions.  *cell*: entries
+    are source cells — centres and weighted moments gathered per entry,
+    ``dx`` a broadcast (particles, 1, 3) - (1, entries, 3), the
+    generated recurrence writes the order-(p+1) tensors as
+    ``D[coefficient, row]`` and one einsum per output contracts them
+    with the moments.  *pp*: entries are the source particles of the
+    row's source leaves (a source-particle CSR derived from
+    ``leaf_indptr``) — indices, image-shifted positions and masses
+    gathered once per sink leaf, ``dx`` written per axis, self-pairs
+    masked on the home image only.  *prism*: entries are background
+    cubes — corners gathered per entry, and the block's rows go through
+    one call of the fused 8-corner kernel
+    (:func:`repro.multipoles.prism.prism_acceleration`), which returns
+    acceleration and potential from the same corner terms.  cell and pp
+    interactions run in ``dtype``, the prism terms in float64; each
+    particle's entries are summed in float64.
+
+    ``stats["family_seconds"]`` holds the seconds spent in the cell,
+    pp, m2l and prism families; ``stats["kernel"]`` rates the first
+    three against their own interaction and flop counts.
 
     ``backend="compiled"`` replaces the cell and pp families with the
     m x n-blocked kernel of :mod:`repro.gravity.kernels` (same CSR
-    arrays, no contrib buffers, float64 accumulation); the analytic
-    background (prism) family always runs through the shared numpy
-    pass below so both backends agree term by term.
+    arrays, no contrib buffers, float64 accumulation; its seconds are
+    booked under ``"cell"``); the analytic background (prism) family
+    always runs through the shared numpy pass below so both backends
+    agree term by term.
     """
     softening = softening or NoSoftening()
     kernel = kernel or NewtonianKernel()
@@ -262,7 +271,9 @@ def evaluate_forces(
     if cell_chunk is None:
         cell_chunk = _CELL_CHUNK
     if pp_chunk is None:
-        pp_chunk = _PP_CHUNK
+        pp_chunk, prism_chunk = _PP_CHUNK, _PRISM_CHUNK
+    else:
+        prism_chunk = pp_chunk
 
     def loc(idx):
         return idx - s0 if s0 else idx
@@ -285,17 +296,6 @@ def evaluate_forces(
     pid = expand_ranges(tree.cell_start[sinks], leaf_np)
     row_of_p = np.repeat(np.arange(len(sinks), dtype=np.int64), leaf_np)
 
-    def particle_chunks(m_p, budget):
-        """Yield (a, b) particle ranges of <= budget contributions."""
-        csum = np.cumsum(m_p)
-        a = 0
-        while a < len(m_p):
-            base = csum[a - 1] if a else 0
-            b = int(np.searchsorted(csum, base + budget, side="left") + 1)
-            b = min(max(b, a + 1), len(m_p))
-            yield a, b
-            a = b
-
     def reduce_into(contrib, pcontrib, a, b, lens):
         starts = np.zeros(len(lens), dtype=np.int64)
         np.cumsum(lens[:-1], out=starts[1:])
@@ -307,10 +307,9 @@ def evaluate_forces(
         if want_potential:
             pot[rows] += segment_sum(pcontrib, starts[nz])
 
-    # kernel seconds: the cell + pp family evaluation only (the part
-    # the compiled backend replaces), excluding traversal and the
-    # shared prism pass — the denominator of the roofline counters
-    t_kernel = 0.0
+    # cell + pp + m2l is the denominator of the roofline counters
+    family_s = {"cell": 0.0, "pp": 0.0, "m2l": 0.0, "prism": 0.0}
+    stats["family_seconds"] = family_s
 
     # ----- cell (multipole) interactions --------------------------------------
     if len(inter.cell_sink):
@@ -342,10 +341,10 @@ def evaluate_forces(
             # (mode="clip": the default "raise" copies through a buffer)
             wm = np.take(
                 wm_all, src, axis=1, mode="clip",
-                out=_scratch("wm", (ncoef, e1 - e0), dtype),
+                out=scratch("wm", (ncoef, e1 - e0), dtype),
             )
             pos = tree.pos[pid[a:b]]
-            dx = _scratch("dx", (n_rows, 3), np.float64)
+            dx = scratch("dx", (n_rows, 3), np.float64)
             for r0, p0, n_t, c0, n_e in tiles:
                 np.subtract(
                     pos[p0 : p0 + n_t, None],
@@ -354,16 +353,16 @@ def evaluate_forces(
                 )
             r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
             g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
-            x = _scratch("x", (3, n_rows), dtype)
+            x = scratch("x", (3, n_rows), dtype)
             x[...] = dx.T
             D = dt_fn(
                 x[0], x[1], x[2], g,
-                _scratch("D", (nhi, n_rows), dtype),
-                _scratch("W", (dt_fn.n_scratch, n_rows), dtype),
+                scratch("D", (nhi, n_rows), dtype),
+                scratch("W", (dt_fn.n_scratch, n_rows), dtype),
             )
             # contrib[i] = sum_a D[a + e_i] wm[a] (i < 3), row 3 the potential
-            contrib = _scratch("contrib", (n_out, n_rows), dtype)
-            gathered = _scratch("D_i", (ncoef, n_rows), dtype)
+            contrib = scratch("contrib", (n_out, n_rows), dtype)
+            gathered = scratch("D_i", (ncoef, n_rows), dtype)
             for i in range(n_out):
                 if i < 3:
                     d_i = np.take(D, cols[i], axis=0, mode="clip", out=gathered)
@@ -377,48 +376,79 @@ def evaluate_forces(
                     )
             c64 = contrib.astype(np.float64, copy=False)
             reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
-        t_kernel += time.perf_counter() - _tk0
+        release_scratch()
+        family_s["cell"] += time.perf_counter() - _tk0
 
     # ----- particle-particle interactions --------------------------------------
     if len(inter.leaf_sink):
-        nent = np.diff(inter.leaf_indptr)
+        # source-particle CSR: row -> its entries' particles, flattened
         ct_ent = tree.cell_count[inter.leaf_src]
-        # per-row source-particle total -> per-sink-particle fan-out
-        row_ct = np.zeros(len(sinks), dtype=np.int64)
-        nz_rows = nent > 0
-        if np.any(nz_rows):
-            starts = inter.leaf_indptr[:-1][nz_rows]
-            row_ct[nz_rows] = np.add.reduceat(ct_ent, starts)
-        stats["pp_interactions"] = int((row_ct * leaf_np).sum())
+        sp_cum = np.concatenate(([0], np.cumsum(ct_ent)))
+        src_indptr = sp_cum[inter.leaf_indptr]
+        src_per_row = np.diff(src_indptr)
+        stats["pp_interactions"] = int((src_per_row * leaf_np).sum())
     if len(inter.leaf_sink) and resolved == "numpy":
         _tk0 = time.perf_counter()
         pos_w = tree.pos if dtype is np.float64 else tree.pos.astype(dtype)
         mass_w = tree.mass if dtype is np.float64 else tree.mass.astype(dtype)
         offsets_w = inter.offsets.astype(dtype, copy=False)
         home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
-        m_p = row_ct[row_of_p]
-        for a, b in particle_chunks(m_p, pp_chunk):
-            lf = row_of_p[a:b]
-            ent = expand_ranges(inter.leaf_indptr[lf], nent[lf])
-            reps = ct_ent[ent]
-            src_part = expand_ranges(tree.cell_start[inter.leaf_src[ent]], reps)
-            sink_part = np.repeat(pid[a:b], m_p[a:b])
-            off_row = np.repeat(inter.leaf_off[ent], reps)
-            dx = pos_w[sink_part] - (pos_w[src_part] + offsets_w[off_row])
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            self_pair = (sink_part == src_part) & (off_row == home_off)
+        m_p = src_per_row[row_of_p]
+        n_out = 4 if want_potential else 3
+        for a, b, s_lo, s_hi, tiles in _leaf_blocks(leaf_np, src_indptr, pp_chunk):
+            lens = m_p[a:b]
+            n_rows = int(lens.sum())
+            if not n_rows:
+                continue
+            # once per block: the source particles of its entries
+            # (sp_cum turns the particle range back into the entry
+            # range), their image-shifted positions and masses
+            e0, e1 = np.searchsorted(sp_cum, (s_lo, s_hi))
+            reps = ct_ent[e0:e1]
+            src_part = expand_ranges(tree.cell_start[inter.leaf_src[e0:e1]], reps)
+            off = np.repeat(inter.leaf_off[e0:e1], reps)
+            src_pos = (pos_w[src_part] + offsets_w[off]).T
+            src_mass = mass_w[src_part]
+            # a particle meets itself only through the home image
+            src_home = np.where(off == home_off, src_part, -1)
+            sink_part = pid[a:b]
+            sink_pos = pos_w[sink_part].T
+            dx = scratch("dx", (3, n_rows), dtype)
+            mass_row = scratch("mass", (n_rows,), dtype)
+            self_pair = scratch("self", (n_rows,), bool)
+            for r0, p0, n_t, c0, n_e in tiles:
+                tile = slice(r0, r0 + n_t * n_e)
+                np.subtract(
+                    sink_pos[:, p0 : p0 + n_t, None],
+                    src_pos[:, None, c0 : c0 + n_e],
+                    out=dx[:, tile].reshape(3, n_t, n_e),
+                )
+                mass_row[tile].reshape(n_t, n_e)[...] = src_mass[c0 : c0 + n_e]
+                np.equal(
+                    sink_part[p0 : p0 + n_t, None],
+                    src_home[None, c0 : c0 + n_e],
+                    out=self_pair[tile].reshape(n_t, n_e),
+                )
+            r, t = scratch("r", (2, n_rows), dtype)
+            np.multiply(dx[0], dx[0], out=r)
+            for axis in (1, 2):
+                np.multiply(dx[axis], dx[axis], out=t)
+                r += t
+            np.sqrt(r, out=r)
             f = softening.force_factor(r).astype(dtype, copy=False)
             f[self_pair] = 0.0
-            fm = mass_w[src_part] * f
-            p_contrib = None
+            contrib = scratch("contrib", (n_out, n_rows), dtype)
+            np.multiply(mass_row, f, out=t)
+            np.negative(t, out=t)
+            np.multiply(t, dx, out=contrib[:3])
             if want_potential:
                 psi = softening.potential(r).astype(dtype, copy=False)
                 psi[self_pair] = 0.0
-                p_contrib = (mass_w[src_part] * psi).astype(np.float64)
-            reduce_into(
-                (-(fm[:, None] * dx)).astype(np.float64), p_contrib, a, b, m_p[a:b]
-            )
-        t_kernel += time.perf_counter() - _tk0
+                np.multiply(mass_row, psi, out=contrib[3])
+            c64 = contrib.astype(np.float64, copy=False)
+            reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
+        release_scratch()
+        family_s["pp"] += time.perf_counter() - _tk0
 
     # ----- compiled m x n-blocked kernel (cell + pp families) ------------------
     if resolved == "compiled" and (len(inter.cell_sink) or len(inter.leaf_sink)):
@@ -427,7 +457,7 @@ def evaluate_forces(
             kernels.run_csr_kernel(
                 tree, moms, inter, spec, want_potential, s0, acc, pot
             )
-        t_kernel += time.perf_counter() - _tk0
+        family_s["cell"] += time.perf_counter() - _tk0
 
     # ----- m2l local expansions + L2P (fmm-hybrid far field) -------------------
     if inter.m2l_cells is not None and inter.m2l_src is not None and len(
@@ -449,10 +479,11 @@ def evaluate_forces(
                 acc=acc, pot=pot,
                 backend=resolved,
             )
-        t_kernel += time.perf_counter() - _tk0
+        family_s["m2l"] += time.perf_counter() - _tk0
 
     # ----- analytic background cubes -------------------------------------------
     if moms.background:
+        _tk0 = time.perf_counter()
         rho = -moms.mean_density  # subtract the background
         prism_passes = [(inter.ghost_src, inter.ghost_off, inter.ghost_indptr)]
         if len(inter.leaf_sink):
@@ -464,23 +495,40 @@ def evaluate_forces(
         for fam_src, fam_off, fam_indptr in prism_passes:
             if not len(fam_src):
                 continue
-            nent = np.diff(fam_indptr)
-            m_p = nent[row_of_p]
+            m_p = np.diff(fam_indptr)[row_of_p]
             stats["prism_interactions"] += int(m_p.sum())
-            for a, b in particle_chunks(m_p, pp_chunk):
-                lf = row_of_p[a:b]
-                ent = expand_ranges(fam_indptr[lf], nent[lf])
-                src = fam_src[ent]
-                off = fam_off[ent]
-                pidx = np.repeat(pid[a:b], m_p[a:b])
-                pts = tree.pos[pidx]
-                ctr = tree.cell_center[src] + inter.offsets[off]
+            for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, fam_indptr, prism_chunk):
+                lens = m_p[a:b]
+                n_rows = int(lens.sum())
+                if not n_rows:
+                    continue
+                # once per block: each entry's cube corners
+                src = fam_src[e0:e1]
+                ctr = tree.cell_center[src] + inter.offsets[fam_off[e0:e1]]
                 half = 0.5 * tree.cell_side[src][:, None]
-                a_contrib = prism_acceleration(pts, ctr - half, ctr + half, rho)
-                p_contrib = None
-                if want_potential:
-                    p_contrib = prism_potential(pts, ctr - half, ctr + half, rho)
-                reduce_into(a_contrib, p_contrib, a, b, m_p[a:b])
+                cube_lo, cube_hi = (ctr - half).T, (ctr + half).T
+                sink_pos = tree.pos[pid[a:b]].T
+                pts, lo, hi = scratch("prism", (3, 3, n_rows), np.float64)
+                for r0, p0, n_t, c0, n_e in tiles:
+                    tile = slice(r0, r0 + n_t * n_e)
+                    pts[:, tile].reshape(3, n_t, n_e)[...] = sink_pos[
+                        :, p0 : p0 + n_t, None
+                    ]
+                    lo[:, tile].reshape(3, n_t, n_e)[...] = cube_lo[
+                        :, None, c0 : c0 + n_e
+                    ]
+                    hi[:, tile].reshape(3, n_t, n_e)[...] = cube_hi[
+                        :, None, c0 : c0 + n_e
+                    ]
+                # one call per block: the step benchmark times the
+                # module-global name
+                out = prism_acceleration(
+                    pts.T, lo.T, hi.T, rho, want_potential=want_potential
+                )
+                a_contrib, p_contrib = out if want_potential else (out, None)
+                reduce_into(a_contrib, p_contrib, a, b, lens)
+        release_scratch()
+        family_s["prism"] += time.perf_counter() - _tk0
 
     if G != 1.0:
         acc *= G
@@ -497,7 +545,7 @@ def evaluate_forces(
             inter,
             p=p,
             want_potential=want_potential,
-            seconds=t_kernel,
+            seconds=family_s["cell"] + family_s["pp"] + family_s["m2l"],
             backend=resolved,
             threads=(
                 kernels.active_kernel_threads() if resolved == "compiled" else 1

@@ -22,16 +22,16 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     Uses the honest per-interaction costs measured from the generated
     kernels (:mod:`repro.perfmodel.flops`): cell interactions at the
     recorded expansion order, pp interactions at the paper's 28-flop
-    monopole rate, prism (background cube) interactions approximated at
-    the monopole rate — the analytic cube force is a comparable-length
-    arithmetic chain — and, in fmm-hybrid mode, M2L translations and
-    L2P evaluations at their table-measured rates.
+    monopole rate, prism (background cube) interactions at the count of
+    the fused 8-corner kernel and, in fmm-hybrid mode, M2L translations
+    and L2P evaluations at their table-measured rates.
     """
     from ..perfmodel.flops import (
         FLOPS_PER_MONOPOLE_PP,
         flops_per_cell_interaction,
         flops_per_l2p,
         flops_per_m2l,
+        flops_per_prism_interaction,
     )
 
     p = int(stats.get("order", 4))
@@ -40,7 +40,8 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     prism = float(stats.get("prism_interactions", 0))
     total = (
         cell * flops_per_cell_interaction(p, want_potential)
-        + (pp + prism) * FLOPS_PER_MONOPOLE_PP
+        + pp * FLOPS_PER_MONOPOLE_PP
+        + prism * flops_per_prism_interaction(want_potential)
     )
     m2l_pairs = float(stats.get("m2l_pairs", 0))
     if m2l_pairs:

@@ -75,6 +75,7 @@ def stage_breakdown_table(
     title: str = "Stage breakdown",
     labels: dict[str, str] | None = None,
     extra_rows: list[tuple] | None = None,
+    sub_rows: dict[str, dict[str, float]] | None = None,
 ) -> str:
     """A Table-2-style breakdown: stage, seconds, fraction of total.
 
@@ -83,16 +84,19 @@ def stage_breakdown_table(
     "(unattributed)" row so the fractions always close to 1.
     ``extra_rows`` are informational ``(label, seconds)`` rows — e.g.
     the paper's "Load Imbalance" — appended before the total but *not*
-    added to it (they overlap stages already counted).
+    added to it (they overlap stages already counted).  ``sub_rows``
+    maps a stage to ``{part: seconds}`` printed indented under it, not
+    added to the total either.
     """
     labels = labels or {}
     stage_sum = sum(stage_seconds.values())
     t = total if total is not None else stage_sum
     t = max(t, 1e-300)
-    rows = [
-        (labels.get(name, name), round(sec, 6), round(sec / t, 3))
-        for name, sec in stage_seconds.items()
-    ]
+    rows = []
+    for name, sec in stage_seconds.items():
+        rows.append((labels.get(name, name), round(sec, 6), round(sec / t, 3)))
+        for part, part_sec in ((sub_rows or {}).get(name) or {}).items():
+            rows.append((f"  {part}", round(part_sec, 6), round(part_sec / t, 3)))
     if total is not None and total > stage_sum:
         rows.append(("(unattributed)", round(total - stage_sum, 6),
                      round((total - stage_sum) / t, 3)))
@@ -109,7 +113,10 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
     :meth:`TreecodeGravity.compute` under an enabled tracer.  Sharded
     runs (``stats["executor"]`` present) gain the paper's "Load
     Imbalance" row: wall time the slowest worker spent beyond the mean,
-    i.e. time the pool's tail added to the execute stage.
+    i.e. time the pool's tail added to the execute stage.  The
+    evaluator's ``family_seconds`` (cell / pp / m2l / prism) print under
+    the evaluate row — under execute for sharded runs, where they are
+    busy seconds summed over the workers.
     """
     stage = stats.get("stage_seconds")
     if not stage:
@@ -129,6 +136,11 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
         title=title,
         labels=FORCE_STAGE_LABELS,
         extra_rows=extra,
+        sub_rows={
+            "execute" if "execute" in stage else "evaluate": stats.get(
+                "family_seconds"
+            )
+        },
     )
 
 

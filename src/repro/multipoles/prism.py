@@ -23,7 +23,15 @@ rest of :mod:`repro.multipoles`: potential is positive and the
 acceleration is its gradient, so a point displaced from the cube
 center is pulled back toward it.
 
-Degenerate logs/arctangents on corner axes are guarded; their
+Shared terms.  The three force integrands and the potential integrand
+are built from one r, three logs and three arctangents per corner,
+    Lx = ln(xi + r)             Ax = atan(eta zeta / (xi r))   (cyclic),
+    f_x = eta Lz + zeta Ly - xi Ax                             (cyclic),
+    U   = (xi f_x + eta f_y + zeta f_z) / 2,
+so one pass over the eight corners yields all four outputs.
+
+Degenerate logs/arctangents on corner axes are guarded (log argument
+floored at ``_TINY``, arctangent 0 where its denominator is 0); their
 coefficients vanish in the same limit.
 """
 
@@ -31,92 +39,110 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import scratch
+
 __all__ = ["prism_potential", "prism_acceleration", "cube_interior_acceleration"]
 
 _TINY = 1e-300
 
 
-def _safe_log(x):
-    return np.log(np.maximum(x, _TINY))
+def _corner_terms(x, y, z, r, f, w, nz):
+    """Write the force integrands (f_x, f_y, f_z) of one corner into ``f[:3]``.
+
+    ``x, y, z`` are the corner-relative coordinate rows and ``r`` their
+    norm; ``w`` is eight work rows and ``nz`` a boolean row of the same
+    length.  Nothing is allocated.
+    """
+    lx, ly, lz, ax, ay, az, num, den = w
+    for c, log_c in ((x, lx), (y, ly), (z, lz)):
+        np.add(c, r, out=log_c)
+        np.maximum(log_c, _TINY, out=log_c)
+        np.log(log_c, out=log_c)
+    for a, b, c, atan_a in ((x, y, z, ax), (y, z, x, ay), (z, x, y, az)):
+        # atan(b c / (a r)), 0 where the denominator is (the prefactor
+        # a vanishes there too)
+        np.multiply(b, c, out=num)
+        np.multiply(a, r, out=den)
+        np.not_equal(den, 0.0, out=nz)
+        atan_a.fill(0.0)
+        np.divide(num, den, out=atan_a, where=nz)
+        np.arctan(atan_a, out=atan_a)
+    for a, b, c, log_b, log_c, atan_a, f_a in (
+        (x, y, z, ly, lz, ax, f[0]),
+        (y, z, x, lz, lx, ay, f[1]),
+        (z, x, y, lx, ly, az, f[2]),
+    ):
+        np.multiply(b, log_c, out=f_a)
+        np.multiply(c, log_b, out=num)
+        f_a += num
+        np.multiply(a, atan_a, out=num)
+        f_a -= num
 
 
-def _safe_atan(num, den):
-    # atan(num/den) with 0 where den == 0 (the prefactor vanishes there
-    # too); branchless form keeps this on the fast ufunc path
-    nz = den != 0.0
-    return np.arctan(num / np.where(nz, den, 1.0)) * nz
+def prism_acceleration(
+    points, lo, hi, density: float = 1.0, want_potential: bool = False
+):
+    """Acceleration grad(U) of the homogeneous box [lo, hi] at ``points``.
 
-
-def _corner_sum(points, lo, hi, f):
-    """Apply the alternating eight-corner sum of corner-relative coords.
-
-    ``lo``/``hi`` may be single (3,) corners or per-point (N, 3) arrays
-    (one box per evaluation point — used by the tree near-field where
-    every interaction row has its own background cube).
+    Returns an (N, 3) array; with positive density the field points
+    toward the interior of the box (attractive).  ``lo``/``hi`` may be
+    single (3,) corners or per-point (N, 3) arrays (one box per
+    evaluation point — the tree near field, where every interaction row
+    has its own background cube).  With ``want_potential`` the return
+    is ``(acc, pot)``, the potential accumulated from the same corner
+    terms.  Intermediates live in the process-wide scratch pool
+    (:func:`repro.util.scratch`), so concurrent calls from threads of
+    one process are not supported; the returned arrays are fresh.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    total = np.zeros(points.shape[0])
+    n = points.shape[0]
+    total = np.zeros((4 if want_potential else 3, n))
+    # rows 0-2: lo - P per axis, rows 3-5: hi - P; then their squares
+    c = scratch("prism.c", (6, n))
+    for axis in range(3):
+        np.subtract(lo[..., axis], points[:, axis], out=c[axis])
+        np.subtract(hi[..., axis], points[:, axis], out=c[3 + axis])
+    sq = scratch("prism.sq", (6, n))
+    np.multiply(c, c, out=sq)
+    sxy, r = scratch("prism.r", (2, n))
+    f = scratch("prism.f", (4, n))
+    w = scratch("prism.w", (8, n))
+    nz = scratch("prism.nz", (n,), bool)
     for i in range(2):
-        cx = (lo[..., 0] if i == 0 else hi[..., 0]) - points[:, 0]
+        x = c[3 * i]
         for j in range(2):
-            cy = (lo[..., 1] if j == 0 else hi[..., 1]) - points[:, 1]
+            y = c[3 * j + 1]
+            np.add(sq[3 * i], sq[3 * j + 1], out=sxy)
             for k in range(2):
-                cz = (lo[..., 2] if k == 0 else hi[..., 2]) - points[:, 2]
-                sign = -1.0 if (i + j + k) % 2 == 0 else 1.0
-                total += sign * f(cx, cy, cz)
-    return total
+                z = c[3 * k + 2]
+                np.add(sxy, sq[3 * k + 2], out=r)
+                np.sqrt(r, out=r)
+                _corner_terms(x, y, z, r, f, w, nz)
+                # + when an odd number of upper corners is involved:
+                # the sum is -dU/dP (coordinates are corner - P)
+                accumulate = np.add if (i + j + k) % 2 else np.subtract
+                accumulate(total[:3], f[:3], out=total[:3])
+                if want_potential:
+                    u, t = f[3], w[6]
+                    np.multiply(x, f[0], out=u)
+                    np.multiply(y, f[1], out=t)
+                    u += t
+                    np.multiply(z, f[2], out=t)
+                    u += t
+                    accumulate(total[3], u, out=total[3])
+    # negate to return grad U, which points toward the attracting mass
+    total[:3] *= -density
+    if want_potential:
+        total[3] *= 0.5 * density
+        return total[:3].T, total[3]
+    return total[:3].T
 
 
 def prism_potential(points, lo, hi, density: float = 1.0) -> np.ndarray:
     """Potential U = rho * integral dV/|P-Q| of the box [lo, hi] at ``points``."""
-
-    def f(x, y, z):
-        r = np.sqrt(x * x + y * y + z * z)
-        return (
-            x * y * _safe_log(z + r)
-            + y * z * _safe_log(x + r)
-            + z * x * _safe_log(y + r)
-            - 0.5 * x * x * _safe_atan(y * z, x * r)
-            - 0.5 * y * y * _safe_atan(z * x, y * r)
-            - 0.5 * z * z * _safe_atan(x * y, z * r)
-        )
-
-    return density * _corner_sum(points, lo, hi, f)
-
-
-def prism_acceleration(points, lo, hi, density: float = 1.0) -> np.ndarray:
-    """Acceleration grad(U) of the homogeneous box [lo, hi] at ``points``.
-
-    Returns an (N, 3) array; with positive density the field points
-    toward the interior of the box (attractive).
-    """
-
-    def make_axis(ax):
-        def f(x, y, z):
-            # cyclic permutation so that `x` is the differentiated axis
-            if ax == 1:
-                x, y, z = y, z, x
-            elif ax == 2:
-                x, y, z = z, x, y
-            r = np.sqrt(x * x + y * y + z * z)
-            return (
-                y * _safe_log(z + r)
-                + z * _safe_log(y + r)
-                - x * _safe_atan(y * z, x * r)
-            )
-
-        return f
-
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.empty((points.shape[0], 3), dtype=np.float64)
-    # The corner sum of the Nagy integrand gives -dU/dP (the corner
-    # coordinates are corner - P); negate to return grad U, which points
-    # toward the attracting mass.
-    for ax in range(3):
-        out[:, ax] = -density * _corner_sum(points, lo, hi, make_axis(ax))
-    return out
+    return prism_acceleration(points, lo, hi, density, want_potential=True)[1]
 
 
 def cube_interior_acceleration(points, center, side: float, density: float) -> np.ndarray:

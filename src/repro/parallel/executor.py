@@ -668,6 +668,7 @@ class ForceExecutor:
             "m2l_interactions": 0,
             "traversal_interactions": 0,
             "interactions_by_family": {},
+            "family_seconds": {},
             "order": 0,
             "traversal_rounds": 0,
             "mac_tests": 0,
@@ -685,6 +686,11 @@ class ForceExecutor:
             for fam, count in s.get("interactions_by_family", {}).items():
                 stats["interactions_by_family"][fam] = (
                     stats["interactions_by_family"].get(fam, 0) + count
+                )
+            # busy seconds summed over shards, like ``kernel``
+            for fam, sec in s.get("family_seconds", {}).items():
+                stats["family_seconds"][fam] = (
+                    stats["family_seconds"].get(fam, 0.0) + sec
                 )
             stats["order"] = s.get("order", stats["order"])
             stats["traversal_rounds"] = max(

@@ -22,6 +22,7 @@ __all__ = [
     "flops_per_cell_interaction",
     "flops_per_m2l",
     "flops_per_l2p",
+    "flops_per_prism_interaction",
     "flops_per_particle",
 ]
 
@@ -95,6 +96,23 @@ def flops_per_l2p(p: int, want_potential: bool = True) -> int:
     if want_potential:
         ops += 2 * nloc
     return ops
+
+
+def flops_per_prism_interaction(want_potential: bool = True) -> int:
+    """Arithmetic operations of one particle x analytic-cube interaction.
+
+    Counted from the fused kernel of :mod:`repro.multipoles.prism`, one
+    per elementwise operation (a sqrt, log, arctangent or divide counts
+    once, like an add): 6 corner-relative coordinates and their squares,
+    4 partial norms; per corner 1 add + 1 sqrt for r, 3 x (add, floor,
+    log), 3 x (2 multiplies, zero test, divide, arctangent), 15 for the
+    three force integrands, 3 to accumulate them and 6 more for the
+    potential; the final scaling.  Of these 8 are sqrt, 24 log and 24
+    arctangent — nothing like the 28-flop monopole it used to be
+    counted as.
+    """
+    per_corner = 2 + 3 * 3 + 3 * 5 + 15 + 3 + (6 if want_potential else 0)
+    return 12 + 4 + 8 * per_corner + (4 if want_potential else 3)
 
 
 def flops_per_particle(

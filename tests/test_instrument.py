@@ -370,6 +370,12 @@ class TestReports:
         _, res = traced_compute
         txt = force_stage_table(res.stats)
         assert "Tree Build" in txt and "Force Evaluation" in txt
+        # the evaluator's family seconds print under the evaluate row
+        lines = [ln.split()[0] for ln in txt.splitlines()]
+        at = lines.index("Force")
+        assert lines[at + 1 : at + 5] == ["cell", "pp", "m2l", "prism"]
+        fam = res.stats["family_seconds"]
+        assert 0 < sum(fam.values()) <= res.stats["stage_seconds"]["evaluate"]
 
     def test_step_summary_from_dicts_and_records(self, tmp_path):
         recs = [

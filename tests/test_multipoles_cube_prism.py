@@ -170,3 +170,135 @@ class TestPrism:
         )[0, 0]
         assert a2 == pytest.approx(2 * a1, rel=1e-4)
         assert a1 < 0  # restoring (toward center)
+
+
+def scalar_prism(pt, lo, hi, rho):
+    """Textbook Nagy sums for one point and one box, in scalar math:
+    the reference the fused kernel is compared against."""
+    import math
+
+    def log(v):
+        return math.log(max(v, 1e-300))
+
+    def atan(num, den):
+        return math.atan(num / den) if den != 0.0 else 0.0
+
+    acc, pot = [0.0, 0.0, 0.0], 0.0
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                x = (hi if i else lo)[0] - pt[0]
+                y = (hi if j else lo)[1] - pt[1]
+                z = (hi if k else lo)[2] - pt[2]
+                r = math.sqrt(x * x + y * y + z * z)
+                s = 1.0 if (i + j + k) % 2 else -1.0
+                acc[0] -= s * (y * log(z + r) + z * log(y + r) - x * atan(y * z, x * r))
+                acc[1] -= s * (z * log(x + r) + x * log(z + r) - y * atan(z * x, y * r))
+                acc[2] -= s * (x * log(y + r) + y * log(x + r) - z * atan(x * y, z * r))
+                pot += s * (
+                    x * y * log(z + r) + y * z * log(x + r) + z * x * log(y + r)
+                    - 0.5 * x * x * atan(y * z, x * r)
+                    - 0.5 * y * y * atan(z * x, y * r)
+                    - 0.5 * z * z * atan(x * y, z * r)
+                )
+    return rho * np.array(acc), rho * pot
+
+
+class TestFusedPrismKernel:
+    """One pass over the eight corners yields acceleration and potential."""
+
+    @pytest.mark.parametrize("where", ["interior", "exterior", "mixed"])
+    def test_tiles_match_single_box_calls(self, where):
+        """An (n_t x n_e) tile flattened to per-row boxes — the shape the
+        tree near field hands over, structure-of-arrays — against one
+        public single-box call per entry and the scalar reference."""
+        rng = np.random.default_rng({"interior": 1, "exterior": 2, "mixed": 3}[where])
+        n_t, n_e, rho = 7, 5, -0.7
+        ctr = rng.uniform(-1.0, 1.0, (n_e, 3))
+        half = rng.uniform(0.05, 0.4, (n_e, 1))
+        if where == "interior":
+            pts = ctr[0] + half[0] * rng.uniform(-0.99, 0.99, (n_t, 3))
+            ctr, half = ctr[:1].repeat(n_e, 0), half[0] * rng.uniform(1.0, 2.0, (n_e, 1))
+        elif where == "exterior":
+            pts = rng.uniform(2.0, 3.0, (n_t, 3))
+        else:
+            pts = rng.uniform(-1.0, 1.0, (n_t, 3))
+            pts[:3] = ctr[0] + half[0] * rng.uniform(-0.9, 0.9, (3, 3))
+        lo, hi = ctr - half, ctr + half
+        inside = np.all((pts[:, None] > lo) & (pts[:, None] < hi), axis=2)
+        assert {"interior": inside.all(), "exterior": not inside.any(),
+                "mixed": inside.any() and not inside.all()}[where]
+        rows = np.empty((3, 3, n_t * n_e))
+        rows[0].reshape(3, n_t, n_e)[...] = pts.T[:, :, None]
+        rows[1].reshape(3, n_t, n_e)[...] = lo.T[:, None, :]
+        rows[2].reshape(3, n_t, n_e)[...] = hi.T[:, None, :]
+        acc, pot = prism_acceleration(
+            rows[0].T, rows[1].T, rows[2].T, rho, want_potential=True
+        )
+        acc, pot = acc.reshape(n_t, n_e, 3), pot.reshape(n_t, n_e)
+        for e in range(n_e):
+            a_e = prism_acceleration(pts, lo[e], hi[e], rho)
+            p_e = prism_potential(pts, lo[e], hi[e], rho)
+            assert np.abs(acc[:, e] - a_e).max() <= 1e-11 * np.abs(a_e).max()
+            np.testing.assert_allclose(pot[:, e], p_e, rtol=1e-13)
+            for t in range(n_t):
+                a_ref, p_ref = scalar_prism(pts[t], lo[e], hi[e], rho)
+                assert np.abs(acc[t, e] - a_ref).max() <= 1e-11 * np.abs(a_e).max()
+                assert pot[t, e] == pytest.approx(p_ref, rel=1e-13)
+
+    def test_without_potential_same_acc_bits(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.0, 1.0, (200, 3))
+        lo = rng.uniform(-1.0, 0.0, (200, 3))
+        both, _ = prism_acceleration(pts, lo, lo + 0.8, 1.3, want_potential=True)
+        assert np.array_equal(prism_acceleration(pts, lo, lo + 0.8, 1.3), both)
+
+    def test_corner_identity(self):
+        """Per corner U = (x f_x + y f_y + z f_z) / 2: the potential
+        integrand needs no logs or arctangents of its own."""
+        from repro.multipoles.prism import _corner_terms
+
+        rng = np.random.default_rng(5)
+        n = 64
+        x, y, z = rng.uniform(-1.0, 1.0, (3, n))
+        r = np.sqrt(x * x + y * y + z * z)
+        f = np.empty((3, n))
+        _corner_terms(x, y, z, r, f, np.empty((8, n)), np.empty(n, dtype=bool))
+        u = (
+            x * y * np.log(z + r) + y * z * np.log(x + r) + z * x * np.log(y + r)
+            - 0.5 * x * x * np.arctan(y * z / (x * r))
+            - 0.5 * y * y * np.arctan(z * x / (y * r))
+            - 0.5 * z * z * np.arctan(x * y / (z * r))
+        )
+        np.testing.assert_allclose(0.5 * (x * f[0] + y * f[1] + z * f[2]), u,
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.5, 0.1, -0.2),  # on a face
+            (0.5, -0.5, 0.2),  # on an edge
+            (0.5, 0.5, 0.5),  # on a corner
+            (-0.5, -0.5, -0.5),  # the corner every log guard fires at
+            (0.0, 0.0, 0.0),  # the cube centre
+            (0.5, 0.5, 1.7),  # collinear with an edge, above: z + r == 0 at both ends
+            (-0.5, 0.5, -1.7),  # ... and below
+        ],
+        ids=["face", "edge", "corner", "low-corner", "centre", "edge-line-above", "edge-line-below"],
+    )
+    def test_degenerate_points_equal_their_limit(self, point):
+        """Where a log argument or an arctangent denominator vanishes
+        its coefficient vanishes too: the guarded value is finite and is
+        the limit of the field from a 1e-9 offset."""
+        lo, hi = np.full(3, -0.5), np.full(3, 0.5)
+        pt = np.array([point])
+        with np.errstate(all="raise"):
+            acc, pot = prism_acceleration(pt, lo, hi, 1.0, want_potential=True)
+        assert np.all(np.isfinite(acc)) and np.all(np.isfinite(pot))
+        near = pt + 1e-9 * np.array([[0.6, -0.5, 0.62]])
+        a_near, p_near = prism_acceleration(near, lo, hi, 1.0, want_potential=True)
+        np.testing.assert_allclose(acc, a_near, atol=1e-6)
+        np.testing.assert_allclose(pot, p_near, atol=1e-7)
+        a_ref, p_ref = scalar_prism(pt[0], lo, hi, 1.0)
+        np.testing.assert_allclose(acc[0], a_ref, atol=1e-13)
+        assert pot[0] == pytest.approx(p_ref, abs=1e-13)

@@ -741,14 +741,21 @@ class TestKernelCounters:
         assert k["cell_interactions"] == res.stats["cell_interactions"]
         assert k["pp_interactions"] == res.stats["pp_interactions"]
         assert k["prism_interactions"] == res.stats["prism_interactions"]
-        # flop accounting is the perfmodel count, exactly
+        # flop accounting is the perfmodel count, exactly — of the
+        # families ``seconds`` times: the prism pass is in neither
+        assert k["prism_interactions"] > 0
+        assert k["interactions"] == (
+            res.stats["cell_interactions"] + res.stats["pp_interactions"]
+        )
         expected = (
             res.stats["cell_interactions"]
             * flops_per_cell_interaction(2, want_potential=True)
-            + (res.stats["pp_interactions"] + res.stats["prism_interactions"])
-            * FLOPS_PER_MONOPOLE_PP
+            + res.stats["pp_interactions"] * FLOPS_PER_MONOPOLE_PP
         )
         assert k["flops"] == pytest.approx(expected, rel=1e-9)
+        fam = res.stats["family_seconds"]
+        assert k["seconds"] == pytest.approx(fam["cell"] + fam["pp"] + fam["m2l"])
+        assert fam["prism"] > 0
         assert k["seconds"] > 0
         assert k["interactions_per_s"] > 0 and k["gflops"] > 0
         assert 0 < k["tile_occupancy"] <= 1.0

@@ -271,6 +271,7 @@ class TestChunkInvariance:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         rows = tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_indptr)
         assert rows.max() > 777  # the odd budget really splits a leaf
+        assert len(inter.ghost_src) and len(inter.leaf_src)  # both prism passes run
         for dtype in (np.float64, np.float32):
             ref = evaluate_forces(tree, moms, inter, dtype=dtype)
             for cell_chunk, pp_chunk in (
@@ -295,13 +296,17 @@ class TestChunkInvariance:
         clustered=st.booleans(),
         periodic=st.booleans(),
         cell_chunk=st.integers(min_value=1, max_value=6000),
+        pp_chunk=st.integers(min_value=1, max_value=6000),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_any_budget_any_tree(self, n, nleaf, clustered, periodic, cell_chunk, seed):
-        """Property: the row budget never changes a bit — one-particle
-        leaves (nleaf=1), every particle in one leaf (nleaf=200), rows
-        without cell entries and leaves above the budget included."""
+    def test_any_budget_any_tree(
+        self, n, nleaf, clustered, periodic, cell_chunk, pp_chunk, seed
+    ):
+        """Property: no row budget — cell, pp or prism — ever changes a
+        bit: one-particle leaves (nleaf=1), every particle in one leaf
+        (nleaf=200), rows without cell entries, ghost cubes and leaves
+        above the budget included."""
         tree, moms = setup(
             n=n, seed=seed, background=periodic, clustered=clustered,
             nleaf=nleaf, tol=1e-3,
@@ -309,10 +314,13 @@ class TestChunkInvariance:
         inter = traverse_hierarchical(tree, moms, periodic=periodic, ws=1)
         ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
         got = evaluate_forces(
-            tree, moms, inter, dtype=np.float32, cell_chunk=cell_chunk
+            tree, moms, inter, dtype=np.float32,
+            cell_chunk=cell_chunk, pp_chunk=pp_chunk,
         )
         assert same_bits(ref, got)
         assert np.all(np.isfinite(ref.acc))
+        # background mode: every direct leaf pair has its cube removed
+        assert (ref.stats["prism_interactions"] > 0) == periodic
 
 
     def test_counters_in_stats(self):
@@ -491,3 +499,127 @@ class TestBlockedCellEvaluator:
                     tree, moms, inter, backend="numpy", cell_chunk=int(cell_chunk)
                 ),
             )
+
+
+class TestBlockedPairEvaluator:
+    """The pp and prism families as sink-leaf x source tiles."""
+
+    def two_leaves(self):
+        """Leaves of 2 and 3 particles (two of the three coincide);
+        each row lists itself at home and through the +x image."""
+        pos = np.array([
+            [0.1, 0.1, 0.1], [0.2, 0.3, 0.2],
+            [0.7, 0.7, 0.7], [0.7, 0.7, 0.7], [0.8, 0.6, 0.9],
+        ])
+        mass = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        tree = build_tree(pos, mass, nleaf=3)
+        moms = compute_moments(tree, p=2, tol=1e-3)
+        walk = traverse_hierarchical(tree, moms)
+        sinks = walk.sink_leaves
+        assert tree.cell_count[sinks].tolist() == [2, 3]
+        none = np.zeros(0, dtype=np.int64)
+        inter = dataclasses.replace(
+            walk,
+            offsets=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            cell_sink=none, cell_src=none, cell_off=none,
+            cell_indptr=np.zeros(3, dtype=np.int64),
+            leaf_sink=np.repeat(sinks, 2),
+            leaf_src=np.repeat(sinks, 2),
+            leaf_off=np.array([0, 1, 0, 1]),
+            leaf_indptr=np.array([0, 2, 4]),
+            ghost_sink=none, ghost_src=none, ghost_off=none,
+            ghost_indptr=np.zeros(3, dtype=np.int64),
+        )
+        return tree, moms, inter, pos, mass
+
+    def test_tile_list_by_hand(self):
+        """2 particles x (2 home + 2 image) sources and 3 x (3 + 3)."""
+        leaf_np, src_indptr = np.array([2, 3]), np.array([0, 4, 10])
+        assert list(_leaf_blocks(leaf_np, src_indptr, 26)) == [
+            (0, 5, 0, 10, [(0, 0, 2, 0, 4), (8, 2, 3, 4, 6)])
+        ]
+        # 8 rows hold the first leaf; the second (18 rows) splits by
+        # particles, each part against all six sources
+        assert list(_leaf_blocks(leaf_np, src_indptr, 8)) == [
+            (0, 2, 0, 4, [(0, 0, 2, 0, 4)]),
+            (2, 3, 4, 10, [(0, 0, 1, 0, 6)]),
+            (3, 4, 4, 10, [(0, 0, 1, 0, 6)]),
+            (4, 5, 4, 10, [(0, 0, 1, 0, 6)]),
+        ]
+
+    def test_self_pairs_masked_on_the_home_diagonal_only(self):
+        """A particle skips itself at home, meets its own image, and
+        meets the distinct particle sitting on top of it."""
+        from repro.gravity.smoothing import PlummerSoftening
+
+        tree, moms, inter, pos, mass = self.two_leaves()
+        eps = 0.05
+        res = evaluate_forces(tree, moms, inter, softening=PlummerSoftening(eps))
+        assert res.stats["pp_interactions"] == 2 * 4 + 3 * 6
+        acc, pot = np.zeros((5, 3)), np.zeros(5)
+        for leaf in ([0, 1], [2, 3, 4]):
+            for i in leaf:
+                for j in leaf:
+                    for shift in (0.0, 1.0):
+                        if i == j and shift == 0.0:
+                            continue
+                        dx = pos[i] - (pos[j] + [shift, 0.0, 0.0])
+                        s2 = dx @ dx + eps * eps
+                        acc[i] -= mass[j] * dx * s2**-1.5
+                        pot[i] += mass[j] * s2**-0.5
+        np.testing.assert_allclose(res.acc, acc, rtol=1e-14)
+        np.testing.assert_allclose(res.pot, pot, rtol=1e-14)
+        # the coincident pair: no force on each other, m / eps of potential
+        twin = pot[2] - (pot[3] - mass[2] / eps) - mass[3] / eps
+        assert abs(twin) < 1e-12 * pot[2]
+        for pp_chunk in (1, 8, 26):
+            assert same_bits(
+                res,
+                evaluate_forces(
+                    tree, moms, inter, softening=PlummerSoftening(eps), pp_chunk=pp_chunk
+                ),
+            )
+
+    @pytest.mark.parametrize("case", ["one_leaf", "box_faces"])
+    def test_float32_pp_matches_interpreted_kernel(self, case, monkeypatch):
+        """float32 pairwise arithmetic against the term-by-term
+        interpreted kernel (float64) on the adversarial inputs: every
+        particle in one leaf (all 27 images direct), and every particle
+        on a face of the box (image pairs at exactly one box length)."""
+        n = 48
+        rng = np.random.default_rng(7)
+        pos = rng.random((n, 3))
+        if case == "box_faces":
+            pos[np.arange(n), rng.integers(0, 3, n)] = 0.0
+        mass = np.full(n, 1.0 / n)
+        tree = build_tree(pos, mass, nleaf=10**4 if case == "one_leaf" else 4)
+        moms = compute_moments(tree, p=2, tol=1e-4)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        if case == "one_leaf":
+            assert len(inter.sink_leaves) == 1 and len(inter.leaf_src) == 27
+        assert len(inter.leaf_src)
+        got = evaluate_forces(tree, moms, inter, dtype=np.float32, backend="numpy")
+        with monkeypatch.context() as m:
+            m.setenv("REPRO_FORCE_PYKERNEL", "1")
+            ref = evaluate_forces(tree, moms, inter, backend="compiled")
+        assert ref.stats["backend"] == "compiled"
+        assert got.stats["pp_interactions"] == ref.stats["pp_interactions"] > 0
+        assert np.abs(got.acc - ref.acc).max() < 1e-5 * np.abs(ref.acc).max()
+        assert np.abs(got.pot - ref.pot).max() < 1e-5 * np.abs(ref.pot).max()
+        for pp_chunk in (1, 1013):
+            assert same_bits(
+                got,
+                evaluate_forces(
+                    tree, moms, inter, dtype=np.float32, backend="numpy", pp_chunk=pp_chunk
+                ),
+            )
+
+    def test_workers_same_bits_clustered_periodic(self):
+        pos, mass = cloud(1200, seed=9, clustered=True)
+        results = []
+        for workers in (0, 2):
+            cfg = TreecodeConfig(periodic=True, errtol=1e-3, p=2, workers=workers)
+            with TreecodeGravity(cfg) as solver:
+                results.append(solver.compute(pos, mass))
+        assert results[0].stats["prism_interactions"] > 0
+        assert same_bits(*results)
