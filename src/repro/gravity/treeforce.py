@@ -14,8 +14,10 @@ blocks (:func:`_leaf_blocks`).
 
 Three interaction families:
 
-* **cell**  — particle x multipole, via the (metaprogrammed) derivative
-  tensor kernels at the expansion order of the tree moments;
+* **cell**  — particle x multipole at the expansion order p of the tree
+  moments: acceleration and potential are contractions of the
+  (metaprogrammed) level-0 and level-1 recurrence tensors of order
+  <= p with per-cell weights; no order-(p+1) tensor is formed;
 * **pp**    — particle x particle within directly-interacting leaf
   pairs, with any softening kernel (the 28-flop monopole inner loop of
   Table 3);
@@ -26,7 +28,6 @@ Three interaction families:
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -79,8 +80,13 @@ class ForceResult:
 #: The prism kernel keeps ~26 float64 rows live per block and is fastest
 #: while they fit the L2 cache: 8k rows measured 0.182 / 0.141 s against
 #: 0.199 / 0.146 at 4k and 0.183 / 0.165 at 32k (first solve of
-#: early_hybrid / clustered_hier); pp is flat from 32k to 128k.
-_CELL_CHUNK = 8192
+#: early_hybrid / clustered_hier); pp is flat from 32k to 128k.  The
+#: cell kernel's ~165 row operations per block carry a fixed cost per
+#: call, and a sink leaf here is 6-8k rows (p90 12.5k / 19k on
+#: early_hier / clustered_hier): 16k rows cut 729 / 1,047 blocks to
+#: 350 / 497 and measured 0.91 / 0.93 x the cell seconds of 8k (eight
+#: alternating solves each); 32k measured the same as 16k.
+_CELL_CHUNK = 16384
 _PP_CHUNK = 65536
 _PRISM_CHUNK = 8192
 
@@ -135,34 +141,45 @@ def _leaf_blocks(leaf_np, indptr, budget):
         la += 1
 
 
-def _contract_tile(d, wm, out):
-    """``out[p, e] = sum_a d[a, p, e] * wm[a, e]``, summed in order of ``a``.
+def _contract_tile(subscripts, d, w, out):
+    """``einsum(subscripts, d, w, out=out)`` over one dense tile, summed in
+    order of the coefficient axis ``a``.
 
-    einsum runs ``a`` as the outer loop of an elementwise multiply-add
-    whenever the tile has more than one interaction.  A lone
-    interaction is a dot product, which it would sum in SIMD order or
-    sequentially depending on whether the operands happen to be
-    contiguous (i.e. on what else shares the block) — spell that case
-    out so the result never depends on the blocking.
+    ``d`` ends in (a, p, e), ``w`` in (a, e), ``out`` in (p, e); one of
+    the two carries a leading axis that ``out`` keeps.  einsum runs
+    ``a`` as the outer loop of an elementwise multiply-add whenever the
+    tile has more than one interaction.  A lone interaction is a dot
+    product, which it would sum in SIMD order or sequentially depending
+    on whether the operands happen to be contiguous (i.e. on what else
+    shares the block) — spell that case out so the result never depends
+    on the blocking.
     """
-    if out.size == 1:
-        out[...] = np.add.accumulate(d.ravel() * wm.ravel())[-1]
+    if out.shape[-2:] == (1, 1):
+        na = w.shape[-2]
+        prod = d.reshape(-1, na) * w.reshape(-1, na)
+        out[..., 0, 0] = np.add.accumulate(prod, axis=1)[:, -1]
     else:
-        np.einsum("ape,ae->pe", d, wm, out=out)
+        np.einsum(subscripts, d, w, out=out)
 
 
-@functools.lru_cache(maxsize=32)
-def _acc_columns(p: int):
-    """Packed column indices of D_{alpha+e_i} for each axis i (cached)."""
+def _cell_weights(moments: np.ndarray, p: int, dtype) -> np.ndarray:
+    """The per-cell weight table of the cell family, one row per weight.
+
+    Rows [0, ncoef): ``wm[a] = (-1)^|a|/a! M_a``.  Then, per axis i, the
+    n_coeffs(p-1) shifted weights ``(g_i + 1) wm[g + e_i]``, |g| <= p-1,
+    that contract with the level-1 tensor into ``T_i`` (see
+    :func:`evaluate_forces`).
+    """
     mis = multi_index_set(p)
-    mis_hi = multi_index_set(p + 1)
-    cols = np.empty((3, len(mis)), dtype=np.intp)
+    wm = moments[:, : len(mis)] * (((-1.0) ** mis.order) / mis.factorial)
+    lo = mis.alphas[: n_coeffs(p - 1)]
+    blocks = [wm]
     for i in range(3):
-        e = np.zeros(3, dtype=np.int64)
-        e[i] = 1
-        for j, a in enumerate(mis.alphas):
-            cols[i, j] = mis_hi.index[tuple(int(x) for x in (a + e))]
-    return cols
+        up = lo.copy()
+        up[:, i] += 1
+        cols = [mis.index[tuple(int(k) for k in g)] for g in up]
+        blocks.append(wm[:, cols] * up[:, i])
+    return np.ascontiguousarray(np.concatenate(blocks, axis=1).T, dtype=dtype)
 
 
 def evaluate_forces(
@@ -223,19 +240,30 @@ def evaluate_forces(
     gathers what belongs to its entries once, the sink leaf's particles
     share it through broadcasts into pooled scratch, and every operand
     is a contiguous row over the block's interactions.  *cell*: entries
-    are source cells — centres and weighted moments gathered per entry,
-    ``dx`` a broadcast (particles, 1, 3) - (1, entries, 3), the
-    generated recurrence writes the order-(p+1) tensors as
-    ``D[coefficient, row]`` and one einsum per output contracts them
-    with the moments.  *pp*: entries are the source particles of the
+    are source cells — centres and one column of the weight table
+    (:func:`_cell_weights`) gathered per entry with a single
+    ``np.take``, ``dx`` a float64 broadcast (3, particles, 1) -
+    (3, 1, entries), the generated recurrence writes the level-0 and
+    level-1 tensors of order <= p as ``R[level, coefficient, row]``
+    (level 1 alone without the potential).  With ``wm`` the
+    (-1)^|a|/a!-weighted moments, the recurrence
+    ``R^0_{a+e_i} = x_i R^1_a + a_i R^1_{a-e_i}`` turns the force
+    contraction ``sum_a wm_a D_{a+e_i}`` into ``x_i S + T_i`` with
+    ``S = sum_a wm_a R^1_a`` and ``T_i = sum_g (g_i + 1) wm_{g+e_i}
+    R^1_g`` over |g| <= p - 1, so no order-(p+1) tensor exists and no
+    tensor row is gathered: per tile one einsum contracts the stacked
+    levels with ``wm`` into (potential, S), one contracts the
+    order-(p-1) prefix of level 1 with the three shifted-weight blocks
+    into T.  *pp*: entries are the source particles of the
     row's source leaves (a source-particle CSR derived from
     ``leaf_indptr``) — indices, image-shifted positions and masses
-    gathered once per sink leaf, ``dx`` written per axis, self-pairs
-    masked on the home image only.  *prism*: entries are background
-    cubes — corners gathered per entry, and the block's rows go through
-    one call of the fused 8-corner kernel
+    gathered once per sink leaf, ``dx`` a float64 difference rounded to
+    ``dtype`` on store, self-pairs masked on the home image only.
+    *prism*: entries are background cubes — corners gathered per entry,
+    and the block's rows go through one call of the fused 8-corner kernel
     (:func:`repro.multipoles.prism.prism_acceleration`), which returns
-    acceleration and potential from the same corner terms.  cell and pp
+    acceleration and potential from the same corner terms.  Every
+    family differences positions in float64; from there cell and pp
     interactions run in ``dtype``, the prism terms in float64; each
     particle's entries are summed in float64.
 
@@ -317,64 +345,75 @@ def evaluate_forces(
         stats["cell_interactions"] = int((nent * leaf_np).sum())
     if len(inter.cell_sink) and resolved == "numpy":
         _tk0 = time.perf_counter()
-        mis = multi_index_set(p)
-        cols = _acc_columns(p)
-        ncoef = len(mis)
-        nhi = n_coeffs(p + 1)
-        dt_fn = compiled_dtensor_function(p + 1)
+        ncoef = n_coeffs(p)
+        nlo = n_coeffs(p - 1)
+        levels = (0, 1) if want_potential else (1,)
+        nlev = len(levels)
+        dt_fn = compiled_dtensor_function(p, levels)
         m_p = nent[row_of_p]
-        # (-1)^|a|/a!-weighted moments of every cell, one row per
-        # coefficient: a block gathers its entries' columns once and
-        # all particles of the sink leaf share them
-        w_t = (((-1.0) ** mis.order) / mis.factorial).astype(dtype)
-        wm_all = np.ascontiguousarray(
-            (moms.moments[:, :ncoef].astype(dtype, copy=False) * w_t).T
-        )
-        n_out = 4 if want_potential else 3
+        # every cell's weights, one row per weight: a block gathers its
+        # entries' columns once and all particles of the sink leaf
+        # share them
+        wt_all = _cell_weights(moms.moments, p, dtype)
+        gathered = None
         for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, inter.cell_indptr, cell_chunk):
             lens = m_p[a:b]
             n_rows = int(lens.sum())
             if not n_rows:
                 continue
-            src = inter.cell_src[e0:e1]
-            ctr = tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]
-            # (mode="clip": the default "raise" copies through a buffer)
-            wm = np.take(
-                wm_all, src, axis=1, mode="clip",
-                out=scratch("wm", (ncoef, e1 - e0), dtype),
-            )
-            pos = tree.pos[pid[a:b]]
-            dx = scratch("dx", (n_rows, 3), np.float64)
+            if (e0, e1) != gathered:
+                # (the parts of a leaf split by particles share one gather)
+                gathered = (e0, e1)
+                src = inter.cell_src[e0:e1]
+                ctr = (tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]).T
+                # (mode="clip": the default "raise" copies through a buffer)
+                wt = np.take(
+                    wt_all, src, axis=1, mode="clip",
+                    out=scratch("wt", (len(wt_all), e1 - e0), dtype),
+                )
+                wm, shifted = wt[:ncoef], wt[ncoef:].reshape(3, nlo, e1 - e0)
+            pos = tree.pos[pid[a:b]].T
+            dx = scratch("dx", (3, n_rows), np.float64)
             for r0, p0, n_t, c0, n_e in tiles:
                 np.subtract(
-                    pos[p0 : p0 + n_t, None],
-                    ctr[None, c0 : c0 + n_e],
-                    out=dx[r0 : r0 + n_t * n_e].reshape(n_t, n_e, 3),
+                    pos[:, p0 : p0 + n_t, None],
+                    ctr[:, None, c0 : c0 + n_e],
+                    out=dx[:, r0 : r0 + n_t * n_e].reshape(3, n_t, n_e),
                 )
-            r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+            r = np.sqrt(np.einsum("ij,ij->j", dx, dx))
             g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
             x = scratch("x", (3, n_rows), dtype)
-            x[...] = dx.T
-            D = dt_fn(
+            x[...] = dx
+            R = dt_fn(
                 x[0], x[1], x[2], g,
-                scratch("D", (nhi, n_rows), dtype),
+                scratch("R", (nlev * ncoef, n_rows), dtype),
                 scratch("W", (dt_fn.n_scratch, n_rows), dtype),
-            )
-            # contrib[i] = sum_a D[a + e_i] wm[a] (i < 3), row 3 the potential
-            contrib = scratch("contrib", (n_out, n_rows), dtype)
-            gathered = scratch("D_i", (ncoef, n_rows), dtype)
-            for i in range(n_out):
-                if i < 3:
-                    d_i = np.take(D, cols[i], axis=0, mode="clip", out=gathered)
-                else:
-                    d_i = D[:ncoef]
-                for r0, _p0, n_t, c0, n_e in tiles:
+            ).reshape(nlev, ncoef, n_rows)
+            # rows: T_x, T_y, T_z, [potential,] S
+            sums = scratch("sums", (3 + nlev, n_rows), dtype)
+            T, S = sums[:3], sums[-1]
+            for r0, _p0, n_t, c0, n_e in tiles:
+                tile = slice(r0, r0 + n_t * n_e)
+                _contract_tile(
+                    "lape,ae->lpe",
+                    R[:, :, tile].reshape(nlev, ncoef, n_t, n_e),
+                    wm[:, c0 : c0 + n_e],
+                    sums[3:, tile].reshape(nlev, n_t, n_e),
+                )
+                if nlo:
                     _contract_tile(
-                        d_i[:, r0 : r0 + n_t * n_e].reshape(ncoef, n_t, n_e),
-                        wm[:, c0 : c0 + n_e],
-                        contrib[i, r0 : r0 + n_t * n_e].reshape(n_t, n_e),
+                        "ape,iae->ipe",
+                        R[-1, :nlo, tile].reshape(nlo, n_t, n_e),
+                        shifted[:, :, c0 : c0 + n_e],
+                        T[:, tile].reshape(3, n_t, n_e),
                     )
-            c64 = contrib.astype(np.float64, copy=False)
+            # acceleration_i = x_i S + T_i, written over T
+            np.multiply(x, S, out=x)
+            if nlo:
+                np.add(T, x, out=T)
+            else:
+                T[...] = x
+            c64 = sums[:-1].astype(np.float64, copy=False)
             reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
         release_scratch()
         family_s["cell"] += time.perf_counter() - _tk0
@@ -389,9 +428,7 @@ def evaluate_forces(
         stats["pp_interactions"] = int((src_per_row * leaf_np).sum())
     if len(inter.leaf_sink) and resolved == "numpy":
         _tk0 = time.perf_counter()
-        pos_w = tree.pos if dtype is np.float64 else tree.pos.astype(dtype)
-        mass_w = tree.mass if dtype is np.float64 else tree.mass.astype(dtype)
-        offsets_w = inter.offsets.astype(dtype, copy=False)
+        mass_w = tree.mass.astype(dtype, copy=False)
         home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
         m_p = src_per_row[row_of_p]
         n_out = 4 if want_potential else 3
@@ -402,17 +439,21 @@ def evaluate_forces(
                 continue
             # once per block: the source particles of its entries
             # (sp_cum turns the particle range back into the entry
-            # range), their image-shifted positions and masses
+            # range), their image-shifted positions and masses.
+            # Positions stay float64 until they are differenced: dx is
+            # computed in double and rounded to ``dtype`` on store (a
+            # float32 position is 6e-8 absolute, 1e-3 of a clump-core
+            # separation)
             e0, e1 = np.searchsorted(sp_cum, (s_lo, s_hi))
             reps = ct_ent[e0:e1]
             src_part = expand_ranges(tree.cell_start[inter.leaf_src[e0:e1]], reps)
             off = np.repeat(inter.leaf_off[e0:e1], reps)
-            src_pos = (pos_w[src_part] + offsets_w[off]).T
+            src_pos = (tree.pos[src_part] + inter.offsets[off]).T
             src_mass = mass_w[src_part]
             # a particle meets itself only through the home image
             src_home = np.where(off == home_off, src_part, -1)
             sink_part = pid[a:b]
-            sink_pos = pos_w[sink_part].T
+            sink_pos = tree.pos[sink_part].T
             dx = scratch("dx", (3, n_rows), dtype)
             mass_row = scratch("mass", (n_rows,), dtype)
             self_pair = scratch("self", (n_rows,), bool)

@@ -35,17 +35,24 @@ def recurrence_plan(p: int):
     """Build the evaluation plan for derivative tensors up to order p.
 
     For every packed multi-index alpha with 1 <= |alpha| <= p we choose
-    the first direction i with alpha_i > 0 and record
+    the direction i with the smallest nonzero alpha_i (ties to the
+    lowest axis) and record
 
         (target, i, idx(alpha - e_i), idx(alpha - 2 e_i) or -1, alpha_i - 1)
 
-    so the recurrence can be applied order by order.
+    so the recurrence can be applied order by order.  The recurrence
+    holds along any axis with alpha_i > 0; the smallest one makes most
+    steps a single multiply (alpha_i = 1: no second term) or a multiply
+    and an add (alpha_i = 2: the factor is 1), which is what every
+    consumer of the plan pays per step — the interpreted recurrence
+    below, the code generator, the compiled kernel's plan arrays and
+    the flop model.
     """
     mis = multi_index_set(p)
     plan = []
     for tgt in range(1, len(mis)):
         a = mis.alphas[tgt]
-        i = int(np.argmax(a > 0))
+        i = min((int(a[k]), k) for k in range(3) if a[k] > 0)[1]
         e = [0, 0, 0]
         e[i] = 1
         lower1 = tuple(int(x) for x in (a - e))

@@ -4,17 +4,17 @@ The paper counts 28 flops per monopole interaction (Table 3) and
 582,000 flops per particle for its production mix of 1.05e15
 hexadecapole + 1.46e15 quadrupole + 4.68e14 monopole interactions on
 68.7e9 particles (Table 2).  Here the per-order interaction costs are
-*counted from the tables the kernels themselves consume* — the
-derivative-tensor recurrence plan that the code generator unrolls, the
-M2L contraction tables — plus the moment-contraction and radial-chain
-work, keeping the accounting honest as the kernels change.
+*counted from what the kernels themselves execute* — the statements of
+the generated derivative-tensor routines, the M2L contraction tables —
+plus the moment-contraction and radial-chain work, keeping the
+accounting honest as the kernels change.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..multipoles.dtensors import recurrence_plan
+from ..multipoles.codegen import compiled_dtensor_function
 from ..multipoles.multiindex import n_coeffs
 
 __all__ = [
@@ -36,48 +36,40 @@ FLOPS_PER_MONOPOLE_PP = 28
 def flops_per_cell_interaction(p: int, want_potential: bool = True) -> int:
     """Arithmetic operations of one particle-cell interaction at order p.
 
-    Counts the order-(p+1) derivative-tensor recurrence from the plan
-    the code generator unrolls (each step fills p + 1 - |target| + 1
-    levels; a level costs the x_i multiply, plus an add when the
-    recurrence has a second term, plus that term's factor multiply
-    unless the factor is 1 — the generated code elides it), the
-    radial-derivative chain, and the contraction with the moments (a
-    multiply-add per coefficient per output).
+    Counts what the evaluator of :mod:`repro.gravity.treeforce` executes
+    per interaction row: the generated recurrence for the levels it
+    asks for (the statement count is read from the generated routine
+    itself — a multiply per step, plus an add where the recurrence has
+    a second term, plus that term's factor multiply unless the factor
+    is 1), the radial-derivative chain, the contractions (a
+    multiply-add per weight: the level-1 tensor and, with the
+    potential, the level-0 tensor against the moments, the order-(p-1)
+    prefix of level 1 against the three shifted-weight blocks) and the
+    6 operations of ``x_i S + T_i``.
     """
-    pmax = p + 1
-    mis_hi, plan = recurrence_plan(pmax)
-    dtensor_ops = 0
-    for tgt, _i, _idx1, idx2, fac in plan:
-        if idx2 < 0 or fac == 0.0:
-            per_level = 1
-        else:
-            per_level = 2 if fac == 1.0 else 3
-        dtensor_ops += per_level * (pmax - int(mis_hi.order[tgt]) + 1)
+    levels = (0, 1) if want_potential else (1,)
+    dtensor_ops = compiled_dtensor_function(p, levels).n_ops
     # radial chain g_0..g_{p+1}: ~4 ops per level, plus r from dx: 8
     radial_ops = 4 * (p + 2) + 8
-    ncoef = n_coeffs(p)
-    # acceleration: 3 axes x (mul + add) per coefficient; potential: 2 per
-    contraction = (6 + (2 if want_potential else 0)) * ncoef
+    contraction = 2 * (len(levels) * n_coeffs(p) + 3 * n_coeffs(p - 1))
     # applying the (-1)^n/n! weights is folded into the moments once per
     # cell, not per interaction — excluded
-    return dtensor_ops + radial_ops + contraction
+    return dtensor_ops + radial_ops + contraction + 6
 
 
 @functools.lru_cache(maxsize=16)
 def flops_per_m2l(p: int) -> int:
     """Arithmetic operations of one cell-to-local (M2L) translation.
 
-    Counts the plan-driven derivative-tensor recurrence at the M2L
-    order p+2 (each step fills pmax - |target| + 1 levels with a
-    multiply and a fused multiply-add), the radial chain, and the
-    triangular moment-gather contraction (a multiply-add per flat table
-    entry) — all measured from the same tables the kernels consume.
+    Counts the generated derivative-tensor routine at the M2L order
+    p+2 (its own statement count), the radial chain, and the triangular
+    moment-gather contraction (a multiply-add per flat table entry) —
+    all measured from the same tables the kernels consume.
     """
     from ..gravity.localexp import m2l_tables
 
     pmax = p + 2
-    mis_hi, plan = recurrence_plan(pmax)
-    rec_ops = sum(3 * (pmax - int(mis_hi.order[s[0]]) + 1) for s in plan)
+    rec_ops = compiled_dtensor_function(pmax).n_ops
     radial_ops = 4 * (pmax + 1) + 8
     return rec_ops + radial_ops + 2 * len(m2l_tables(p).acol)
 

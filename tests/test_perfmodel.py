@@ -28,23 +28,35 @@ class TestFlops:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_cell_counts_pinned(self):
-        """Counted from the recurrence plan, not from generated text:
-        order-(p+1) recurrence (the ``1.0 *`` multiplies elided) +
-        radial chain + contraction."""
-        assert flops_per_cell_interaction(2) == 46 + 24 + 80
-        assert flops_per_cell_interaction(4) == 216 + 32 + 280
-        assert flops_per_cell_interaction(2, want_potential=False) == 46 + 24 + 60
-        assert flops_per_cell_interaction(4, want_potential=False) == 216 + 32 + 210
+        """Counted from the generated routine, not from a second formula:
+        level-0/1 recurrence (the ``1.0 *`` multiplies elided) + radial
+        chain + the wm and shifted-weight contractions + x_i S + T_i."""
+        assert flops_per_cell_interaction(2) == 27 + 24 + 2 * (2 * 10 + 3 * 4) + 6
+        assert flops_per_cell_interaction(4) == 140 + 32 + 2 * (2 * 35 + 3 * 20) + 6
+        assert flops_per_cell_interaction(2, want_potential=False) == 15 + 24 + 2 * (10 + 3 * 4) + 6
+        assert flops_per_cell_interaction(4, want_potential=False) == 88 + 32 + 2 * (35 + 3 * 20) + 6
+        # p = 0: one level-1 coefficient, no shifted block
+        assert flops_per_cell_interaction(0) == 0 + 16 + 2 * 2 + 6
 
     def test_cell_count_matches_generated_routine(self):
         """One flop per ufunc call the generated routine makes."""
         from repro.multipoles import generate_dtensor_source, n_coeffs
 
         for p in (1, 2, 4, 6):
-            src = generate_dtensor_source(p + 1)
-            calls = src.count("mul(") + src.count("add(")
-            rest = 4 * (p + 2) + 8 + 8 * n_coeffs(p)
-            assert flops_per_cell_interaction(p) == calls + rest
+            for levels in ((0, 1), (1,)):
+                src = generate_dtensor_source(p, levels)
+                calls = src.count("mul(") + src.count("add(")
+                rest = 4 * (p + 2) + 8 + 6
+                rest += 2 * (len(levels) * n_coeffs(p) + 3 * n_coeffs(p - 1))
+                assert flops_per_cell_interaction(p, len(levels) == 2) == calls + rest
+
+    def test_m2l_counts_the_generated_order_p_plus_2_routine(self):
+        from repro.gravity.localexp import m2l_tables
+        from repro.multipoles import compiled_dtensor_function
+        from repro.perfmodel.flops import flops_per_m2l
+
+        assert compiled_dtensor_function(6).n_ops == 274
+        assert flops_per_m2l(4) == 274 + 36 + 2 * len(m2l_tables(4).acol)
 
     def test_hexadecapole_order_of_magnitude(self):
         """§7: ~600,000 flops/particle from ~2000 (mostly hexadecapole)

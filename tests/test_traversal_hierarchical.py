@@ -468,6 +468,27 @@ class TestBlockedCellEvaluator:
         assert np.abs(csr.pot - flat.pot).max() < 1e-12 * np.abs(flat.pot).max()
         return csr
 
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_every_order_with_and_without_potential(self, p, monkeypatch):
+        """p = 0 has no shifted-weight block at all, p = 1 a single
+        shifted weight per axis; the force-only routine (level 1 alone)
+        returns the bits of the force + potential one."""
+        pos, mass = cloud(300, seed=p)
+        tree = build_tree(pos, mass, nleaf=8, with_ghosts=True)
+        moms = compute_moments(tree, p=p, tol=1e-3, background=True, mean_density=1.0)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        self.assert_matches_flat(monkeypatch, tree, moms, inter)
+        for dtype in (np.float64, np.float32):
+            ref = evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            no_pot = evaluate_forces(
+                tree, moms, inter, dtype=dtype, backend="numpy", want_potential=False
+            )
+            assert no_pot.pot is None and np.array_equal(no_pot.acc, ref.acc)
+            assert same_bits(
+                ref,
+                evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy", cell_chunk=1),
+            )
+
     def test_every_particle_in_one_leaf(self, monkeypatch):
         """One sink leaf holding all particles, far images taken as
         cell interactions: a single (n_L x E) tile, above the budget
@@ -623,3 +644,64 @@ class TestBlockedPairEvaluator:
                 results.append(solver.compute(pos, mass))
         assert results[0].stats["prism_interactions"] > 0
         assert same_bits(*results)
+
+
+class TestFloat32PositionDifferences:
+    """float32 runs difference float64 positions (ROADMAP item 1(a)): a
+    float32 coordinate is 6e-8 absolute in a unit box, 1e-3 of the
+    separations inside a clump core."""
+
+    @staticmethod
+    def clumps(n=729, seed=1, overdensity=200.0):
+        """Three Plummer clumps holding 70 % of the mass over a uniform floor."""
+        rng = np.random.default_rng(seed)
+        m = int(0.7 * n) // 3
+        scale = (3.0 * (m / n) / (4.0 * np.pi * overdensity)) ** (1.0 / 3.0)
+        parts = [rng.uniform(0.0, 1.0, (n - 3 * m, 3))]
+        for centre in rng.uniform(0.2, 0.8, (3, 3)):
+            r = scale / np.sqrt(rng.uniform(0.0, 0.99, m) ** (-2.0 / 3.0) - 1.0)
+            v = rng.standard_normal((m, 3))
+            parts.append(centre + r[:, None] * v / np.linalg.norm(v, axis=1)[:, None])
+        return np.mod(np.concatenate(parts), 1.0), np.full(n, 1.0 / n)
+
+    @pytest.mark.parametrize(
+        "traversal, nleaf", [("hierarchical", 16), ("fmm-hybrid", 8)]
+    )
+    def test_clustered_float32_tracks_float64(self, traversal, nleaf):
+        """The default production settings on a clustered periodic box:
+        rounding positions before subtracting them read 0.8-3.6e-5 here."""
+        pos, mass = self.clumps()
+        acc = {}
+        for dtype in (np.float32, np.float64):
+            cfg = TreecodeConfig(
+                periodic=True, errtol=1e-5, traversal=traversal, nleaf=nleaf,
+                eps=0.05 / 9, dtype=dtype, backend="numpy",
+            )
+            with TreecodeGravity(cfg) as solver:
+                res = solver.compute(pos, mass)
+            assert res.stats["pp_interactions"] > 10**6
+            acc[dtype] = res.acc.astype(np.float64)
+        diff = np.abs(acc[np.float32] - acc[np.float64]).max()
+        assert diff <= 1e-6 * np.abs(acc[np.float64]).max()
+
+    def test_two_particles_1e5_apart(self):
+        """Separation 1e-5 at coordinates ~ 0.7: the float32 pp force
+        matches the float64 one to 1e-6 (float32 positions alone put
+        the difference off by 3.8e-3)."""
+        pos = np.array([[0.7, 0.7, 0.7], [0.7 + 6e-6, 0.7 - 7e-6, 0.7 + 3.7e-6]])
+        assert abs(np.linalg.norm(pos[1] - pos[0]) - 1e-5) < 1e-7
+        rounded = pos.astype(np.float32).astype(np.float64)
+        assert np.abs((rounded[1] - rounded[0]) / (pos[1] - pos[0]) - 1).max() > 3e-3
+        tree = build_tree(pos, np.array([1.0, 2.0]), nleaf=8)
+        moms = compute_moments(tree, p=2, tol=1e-3)
+        inter = traverse_hierarchical(tree, moms)
+        res = {
+            dtype: evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            for dtype in (np.float32, np.float64)
+        }
+        assert res[np.float64].stats["pp_interactions"] == 4
+        assert res[np.float64].stats["cell_interactions"] == 0
+        for field in ("acc", "pot"):
+            a32 = getattr(res[np.float32], field).astype(np.float64)
+            a64 = getattr(res[np.float64], field)
+            assert np.abs(a32 - a64).max() <= 1e-6 * np.abs(a64).max()

@@ -24,6 +24,19 @@ class TestUnitCubeMoment:
         vals = [unit_cube_abs_moment(k) for k in range(6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_product_rule_matches_adaptive_quadrature(self):
+        """The six constants a p = 4 run uses (B_0..B_5), against the
+        nested adaptive quadrature they used to come from."""
+        from scipy import integrate
+
+        for n in range(6):
+            ref, _ = integrate.tplquad(
+                lambda z, y, x: (x * x + y * y + z * z) ** (n / 2.0),
+                -0.5, 0.5, -0.5, 0.5, -0.5, 0.5,
+                epsabs=1e-12, epsrel=1e-10,
+            )
+            assert unit_cube_abs_moment(n) == pytest.approx(ref, rel=2e-12)
+
 
 class TestMomentsPass:
     def test_root_moments_match_direct_p2m(self):
