@@ -6,7 +6,8 @@ Exits non-zero when a workload of the report has a non-empty
 ``trace_missing`` (a layer entry point the tracer could not resolve), or
 when one step of a workload, run here at the report's size, leaves no
 per-family split of the force evaluation in ``Simulation.last_stats``
-(``family_seconds``: cell / pp / m2l / prism).
+(``family_seconds``: cell / pp / m2l / prism, and beside it
+``cell_seconds``: translate / rows, the two parts of the cell family).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent
 sys.path[:0] = [str(ROOT.parent / "src"), str(ROOT / "step")]
 
 FAMILIES = {"cell", "pp", "m2l", "prism"}
+CELL_PARTS = {"translate", "rows"}
 
 
 def main(report_path: str) -> int:
@@ -37,10 +39,13 @@ def main(report_path: str) -> int:
         with Simulation(config, particles) as sim:
             sim.run(max_steps=1)
             family = sim.last_stats.get("family_seconds")
+            parts = sim.last_stats.get("cell_seconds")
         if not family or set(family) != FAMILIES or not family["prism"] > 0:
             failures.append(f"{name}: family_seconds {family}")
+        elif not parts or set(parts) != CELL_PARTS:
+            failures.append(f"{name}: cell_seconds {parts}")
         else:
-            print(name, {k: round(v, 4) for k, v in family.items()})
+            print(name, {k: round(v, 4) for k, v in {**family, **parts}.items()})
     for line in failures:
         print("FAIL", line, file=sys.stderr)
     return 1 if failures else 0

@@ -183,6 +183,9 @@ def kernel_counters(
     want_potential: bool,
     seconds: float,
     backend: str,
+    cell_interactions: int,
+    cell_entries: int,
+    cell_per_row: np.ndarray | None = None,
     threads: int = 1,
     prism_interactions: int = 0,
 ) -> dict:
@@ -200,17 +203,25 @@ def kernel_counters(
     ``seconds`` covers the cell, pp and m2l families, so ``interactions``
     and ``flops`` count those only; the prism pass (timed separately in
     ``stats["family_seconds"]``) is carried as ``prism_interactions``
-    and stays out of the rates.
+    and stays out of the rates.  The cell family is counted by the
+    evaluator — ``cell_interactions`` particle x cell rows from
+    ``cell_entries`` accept-level entries, each with its own flop count;
+    ``cell_per_row`` (entries per sink-leaf row of the fanned-out view)
+    only weights the thread-utilization estimate of the compiled
+    kernel.
     """
     from ..parallel.machine import MachineModel
-    from ..perfmodel.flops import FLOPS_PER_MONOPOLE_PP, flops_per_cell_interaction
+    from ..perfmodel.flops import (
+        FLOPS_PER_MONOPOLE_PP,
+        flops_per_cell_entry,
+        flops_per_cell_interaction,
+    )
 
     sinks = inter.sink_leaves
     rows = int(len(sinks))
     leaf_np = tree.cell_count[sinks] if rows else np.zeros(0, dtype=np.int64)
-    cell_per_row = np.zeros(rows, dtype=np.int64)
-    if len(inter.cell_sink):
-        cell_per_row = np.diff(inter.cell_indptr)
+    if cell_per_row is None:
+        cell_per_row = np.zeros(rows, dtype=np.int64)
     pp_per_row = np.zeros(rows, dtype=np.int64)
     n_pp_mean = 0.0
     if len(inter.leaf_sink):
@@ -221,7 +232,7 @@ def kernel_counters(
             pp_per_row[nz] = np.add.reduceat(ct_ent, inter.leaf_indptr[:-1][nz])
         if len(ct_ent):
             n_pp_mean = float(ct_ent.mean())
-    cell_inter = int((cell_per_row * leaf_np).sum())
+    cell_inter = int(cell_interactions)
     pp_inter = int((pp_per_row * leaf_np).sum())
     m2l_pairs = 0
     l2p_inter = 0
@@ -232,7 +243,11 @@ def kernel_counters(
         l2p_inter = int(leaf_np.sum())
     total = cell_inter + pp_inter + m2l_pairs + l2p_inter
     cell_flops = flops_per_cell_interaction(p, want_potential)
-    flops = float(cell_inter * cell_flops + pp_inter * FLOPS_PER_MONOPOLE_PP)
+    flops = float(
+        cell_inter * cell_flops
+        + int(cell_entries) * flops_per_cell_entry(p)
+        + pp_inter * FLOPS_PER_MONOPOLE_PP
+    )
     if m2l_pairs:
         flops += float(
             m2l_pairs * flops_per_m2l(p)
@@ -256,6 +271,7 @@ def kernel_counters(
         "seconds": float(seconds),
         "interactions": total,
         "cell_interactions": cell_inter,
+        "cell_entries": int(cell_entries),
         "pp_interactions": pp_inter,
         "m2l_pairs": m2l_pairs,
         "l2p_interactions": l2p_inter,
@@ -287,8 +303,8 @@ def merge_kernel_counters(parts: list[dict]) -> dict | None:
     if not parts:
         return None
     out = {"backend": parts[-1].get("backend", "numpy")}
-    for key in ("interactions", "cell_interactions", "pp_interactions",
-                "m2l_pairs", "l2p_interactions", "prism_interactions", "rows"):
+    for key in ("interactions", "cell_interactions", "cell_entries",
+                "pp_interactions", "m2l_pairs", "l2p_interactions", "prism_interactions", "rows"):
         out[key] = int(sum(k.get(key, 0) for k in parts))
     out["flops"] = float(sum(k.get("flops", 0.0) for k in parts))
     out["seconds"] = float(sum(k.get("seconds", 0.0) for k in parts))
@@ -709,6 +725,7 @@ def run_csr_kernel(
     tree,
     moms,
     inter,
+    cell_csr,
     spec,
     want_potential: bool,
     s0: int,
@@ -718,10 +735,12 @@ def run_csr_kernel(
 ) -> None:
     """Evaluate the cell + pp families of CSR lists through the kernel.
 
-    Accumulates into ``acc`` (and ``pot``) in key-sorted order offset
-    by ``s0``; the analytic background (prism) family is evaluated by
-    the shared numpy pass in :mod:`repro.gravity.treeforce`, identically
-    for both backends.
+    ``cell_csr`` is the cell family fanned out to the sink leaves,
+    ``inter.cell_leaf_csr(tree)``: the kernel walks one particle x cell
+    term at a time.  Accumulates into ``acc`` (and ``pot``) in
+    key-sorted order offset by ``s0``; the analytic background (prism)
+    family is evaluated by the shared numpy pass in
+    :mod:`repro.gravity.treeforce`, identically for both backends.
     """
     fn = kernel_fn if kernel_fn is not None else get_force_kernel()
     if fn is None:
@@ -738,11 +757,12 @@ def run_csr_kernel(
     wm = np.ascontiguousarray(moms.moments[:, :ncoef]) * _moment_weights(p)
     home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
     pot_arr = pot if pot is not None else _EMPTY_F8
+    cell_src, cell_off, cell_indptr = cell_csr
     fn(
         _f8(tree.pos), _f8(tree.mass),
         _i8(tree.cell_start), _i8(tree.cell_count), _f8(tree.cell_center),
-        _i8(inter.sink_leaves), _i8(inter.cell_indptr),
-        _i8(inter.cell_src), _i8(inter.cell_off),
+        _i8(inter.sink_leaves), _i8(cell_indptr),
+        _i8(cell_src), _i8(cell_off),
         _i8(inter.leaf_indptr), _i8(inter.leaf_src), _i8(inter.leaf_off),
         _f8(inter.offsets), home_off,
         wm, plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders,

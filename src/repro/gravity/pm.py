@@ -298,8 +298,11 @@ def _prune_far(tree, moms, inter, rcut):
     """Drop interactions entirely beyond the short-range cutoff.
 
     CSR lists keep their grouping: the row pointers are rebuilt from
-    the kept-entry mask, so the segment-reduce evaluator still sees a
-    valid per-sink-leaf layout.
+    the kept-entry mask, so the evaluator still sees valid per-sink
+    segments.  Cell-keyed families (cell accepts, M2L pairs) are tested
+    against the recording sink cell's ``bmax`` — every particle under
+    it is at least that far from the source, so the kept set is a
+    superset of what a per-leaf test would keep.
     """
     import dataclasses
 
@@ -312,23 +315,25 @@ def _prune_far(tree, moms, inter, rcut):
         dist = np.sqrt(np.einsum("ij,ij->i", d, d))
         return dist - moms.bmax[sink] - moms.bmax[src] < rcut
 
-    kc = keep(inter.cell_sink, inter.cell_src, inter.cell_off)
+    def keep_by_cell(cells, indptr, src, off):
+        return keep(np.repeat(cells, np.diff(indptr)), src, off)
+
+    kc = keep_by_cell(inter.cell_cells, inter.cell_indptr, inter.cell_src, inter.cell_off)
     kl = keep(inter.leaf_sink, inter.leaf_src, inter.leaf_off)
     csr = {
         "cell_indptr": filter_csr_indptr(inter.cell_indptr, kc),
         "leaf_indptr": filter_csr_indptr(inter.leaf_indptr, kl),
     }
     if inter.m2l_cells is not None and inter.m2l_src is not None:
-        m2l_sink = np.repeat(inter.m2l_cells, np.diff(inter.m2l_indptr))
-        km = keep(m2l_sink, inter.m2l_src, inter.m2l_off)
+        km = keep_by_cell(inter.m2l_cells, inter.m2l_indptr, inter.m2l_src, inter.m2l_off)
         csr["m2l_src"] = inter.m2l_src[km]
         csr["m2l_off"] = inter.m2l_off[km]
         csr["m2l_indptr"] = filter_csr_indptr(inter.m2l_indptr, km)
     return dataclasses.replace(
         inter,
-        cell_sink=inter.cell_sink[kc],
         cell_src=inter.cell_src[kc],
         cell_off=inter.cell_off[kc],
+        cell_emit=inter.cell_emit[kc],
         leaf_sink=inter.leaf_sink[kl],
         leaf_src=inter.leaf_src[kl],
         leaf_off=inter.leaf_off[kl],

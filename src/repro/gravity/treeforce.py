@@ -3,21 +3,25 @@
 Consumes the interaction lists produced by the traversal and evaluates
 them in large blocked batches — the Python/NumPy analogue of 2HOT's
 m x n interaction blocking with structure-of-arrays swizzling (§3.2):
-the m particles of a sink leaf meet that leaf's n sources (cells,
-source-leaf particles or background cubes) in one dense tile, whatever
-depends only on the source is gathered once per block, every operand
-is one contiguous row over the block's interactions, and a block is
-thousands of interactions long, so the per-interaction interpreter
-overhead is amortized exactly the way the paper amortizes
-data-movement cost.  All three families below run through the same
-blocks (:func:`_leaf_blocks`).
+m sink particles meet their n sources (cells, source-leaf particles or
+background cubes) in one dense tile, whatever depends on one side of
+the tile only is computed once per tile, every operand is one
+contiguous row over the block's interactions, and a block is thousands
+of interactions long, so the per-interaction interpreter overhead is
+amortized exactly the way the paper amortizes data-movement cost.  The
+pp and prism families tile per sink leaf (:func:`_leaf_blocks`); the
+cell family tiles per sink *cell*, where the walk recorded the accept.
 
 Three interaction families:
 
 * **cell**  — particle x multipole at the expansion order p of the tree
-  moments: acceleration and potential are contractions of the
-  (metaprogrammed) level-0 and level-1 recurrence tensors of order
-  <= p with per-cell weights; no order-(p+1) tensor is formed;
+  moments, evaluated at the sink cell that accepted the source: the
+  field is a sum of radial functions times polynomials
+  (:mod:`repro.multipoles.hermite`), the polynomials are re-centred on
+  the sink cell once per accept (an exact identity, generated code) and
+  evaluated for a panel of its particles against all its accepts by
+  one matrix product per order; only the radial chain and ~10 p sums
+  are left per particle x cell row;
 * **pp**    — particle x particle within directly-interacting leaf
   pairs, with any softening kernel (the 28-flop monopole inner loop of
   Table 3);
@@ -28,6 +32,7 @@ Three interaction families:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +40,8 @@ import numpy as np
 
 from ..instrument import get_tracer
 from ..multipoles import multi_index_set
-from ..multipoles.codegen import compiled_dtensor_function
+from ..multipoles.codegen import compiled_shift_function
+from ..multipoles.hermite import field_table
 from ..multipoles.multiindex import n_coeffs
 # benchmarks/step/layers.py resolves both prism names in this module
 from ..multipoles.prism import prism_acceleration, prism_potential  # noqa: F401
@@ -81,14 +87,27 @@ class ForceResult:
 #: while they fit the L2 cache: 8k rows measured 0.182 / 0.141 s against
 #: 0.199 / 0.146 at 4k and 0.183 / 0.165 at 32k (first solve of
 #: early_hybrid / clustered_hier); pp is flat from 32k to 128k.  The
-#: cell kernel's ~165 row operations per block carry a fixed cost per
-#: call, and a sink leaf here is 6-8k rows (p90 12.5k / 19k on
-#: early_hier / clustered_hier): 16k rows cut 729 / 1,047 blocks to
-#: 350 / 497 and measured 0.91 / 0.93 x the cell seconds of 8k (eight
-#: alternating solves each); 32k measured the same as 16k.
+#: cell family's ~80 calls per block carry a fixed cost and its ~60 live
+#: rows leave the 4 MB L2 cache above 16k: 8k / 16k / 32k rows measured
+#: 1.11 / 1 / 1.03 x (early_hier) and 0.99 / 1 / 1.04 x (clustered_hier)
+#: the cell seconds of 16k (seven alternating solves each).
 _CELL_CHUNK = 16384
 _PP_CHUNK = 65536
 _PRISM_CHUNK = 8192
+
+#: sink particles per matrix-product panel of the cell family.  Part of
+#: the arithmetic, not a tuning knob to change lightly: the bits of a
+#: BLAS product depend on its shape, so results are reproducible across
+#: row budgets and shards because every panel is this many particles
+#: from its cell's first one.  16 / 32 / 64 measured 1.02 / 1 / 0.97 x
+#: and 1.09 / 1 / 1.03 x the cell seconds of 32.
+_CELL_PANEL = 32
+#: accept-level entries translated per call of the shift routine, and
+#: sink particles per batch of monomials; both pace memory (280 B per
+#: entry, 560 B per particle at p = 4) and measured flat from half to
+#: twice these values.
+_CELL_SHIFT_CHUNK = 16384
+_CELL_MONO_CHUNK = 8192
 
 
 def autotune_chunks(p: int, dtype_str: str) -> tuple[int, int]:
@@ -141,45 +160,213 @@ def _leaf_blocks(leaf_np, indptr, budget):
         la += 1
 
 
-def _contract_tile(subscripts, d, w, out):
-    """``einsum(subscripts, d, w, out=out)`` over one dense tile, summed in
-    order of the coefficient axis ``a``.
+def _cell_panels(tree, inter, owned, panel):
+    """Matrix-product panels of the cell family, in evaluation order.
 
-    ``d`` ends in (a, p, e), ``w`` in (a, e), ``out`` in (p, e); one of
-    the two carries a leading axis that ``out`` keeps.  einsum runs
-    ``a`` as the outer loop of an elementwise multiply-add whenever the
-    tile has more than one interaction.  A lone interaction is a dot
-    product, which it would sum in SIMD order or sequentially depending
-    on whether the operands happen to be contiguous (i.e. on what else
-    shares the block) — spell that case out so the result never depends
-    on the blocking.
+    A panel is ``panel`` consecutive particles of a sink cell, counted
+    from the cell's first particle (the cell's last panel holds the
+    remainder), against *all* of the cell's entries — a pure function of
+    the sink cell, because the bits of a BLAS product depend on its
+    shape.  Returns ``(row, p0, m)`` per panel — the cell's row in
+    ``inter.cell_cells``, first particle and particle count — for the
+    panels that hold a sink particle (``owned`` flags them in
+    key-sorted order), ordered by cell row.
     """
-    if out.shape[-2:] == (1, 1):
-        na = w.shape[-2]
-        prod = d.reshape(-1, na) * w.reshape(-1, na)
-        out[..., 0, 0] = np.add.accumulate(prod, axis=1)[:, -1]
-    else:
-        np.einsum(subscripts, d, w, out=out)
+    count = tree.cell_count[inter.cell_cells]
+    n_pan = -(-count // panel)
+    n_pan[np.diff(inter.cell_indptr) == 0] = 0
+    row = np.repeat(np.arange(len(count)), n_pan)
+    first = expand_ranges(np.zeros(len(count), dtype=np.int64), n_pan) * panel
+    p0 = tree.cell_start[inter.cell_cells][row] + first
+    m = np.minimum(panel, count[row] - first)
+    cum = np.concatenate(([0], np.cumsum(owned)))
+    keep = cum[p0 + m] > cum[p0]
+    return row[keep], p0[keep], m[keep]
 
 
-def _cell_weights(moments: np.ndarray, p: int, dtype) -> np.ndarray:
-    """The per-cell weight table of the cell family, one row per weight.
+def _runs(weight, breaks, budget):
+    """Cut ``range(len(weight))`` into runs whose weights sum to at most
+    ``budget`` (a single item may exceed it) and that never span one of
+    the positions in ``breaks``; yields ``(a, b)``."""
+    csum = np.cumsum(weight)
+    stops = np.append(breaks, len(weight))
+    a = 0
+    for stop in stops.tolist():
+        while a < stop:
+            base = csum[a - 1] if a else 0
+            b = int(np.searchsorted(csum, base + budget, side="right"))
+            b = min(max(b, a + 1), stop)
+            yield a, b
+            a = b
 
-    Rows [0, ncoef): ``wm[a] = (-1)^|a|/a! M_a``.  Then, per axis i, the
-    n_coeffs(p-1) shifted weights ``(g_i + 1) wm[g + e_i]``, |g| <= p-1,
-    that contract with the level-1 tensor into ``T_i`` (see
-    :func:`evaluate_forces`).
+
+def _scaled_monomials(delta, p, dtype):
+    """``[X; d_x X; d_y X; d_z X]`` for the columns of ``delta`` (3, n).
+
+    ``X[:, c] = delta^gamma_c / gamma_c!`` over the packed multi-indices
+    of order <= p, computed in float64 and rounded once; differentiating
+    a scaled monomial shifts its index, ``d_i X_gamma = X_{gamma - e_i}``
+    (zero where gamma_i = 0), so the three derivative matrices are
+    column gathers of X.  Returns a (4, n, n_coeffs(p)) array.
     """
     mis = multi_index_set(p)
-    wm = moments[:, : len(mis)] * (((-1.0) ** mis.order) / mis.factorial)
-    lo = mis.alphas[: n_coeffs(p - 1)]
-    blocks = [wm]
-    for i in range(3):
-        up = lo.copy()
-        up[:, i] += 1
-        cols = [mis.index[tuple(int(k) for k in g)] for g in up]
-        blocks.append(wm[:, cols] * up[:, i])
-    return np.ascontiguousarray(np.concatenate(blocks, axis=1).T, dtype=dtype)
+    n = delta.shape[1]
+    # (one spare column of zeros for the gathers below)
+    x = np.zeros((n, len(mis) + 1))
+    np.divide(mis.powers(delta.T), mis.factorial, out=x[:, :-1])
+    out = np.empty((4, n, len(mis)), dtype=dtype)
+    out[0] = x[:, :-1]
+    out[1:] = x[:, _lowered_columns(p)].transpose(1, 0, 2)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _lowered_columns(p: int) -> np.ndarray:
+    """(3, n_coeffs(p)) packed index of gamma - e_i, or n_coeffs(p) where
+    gamma_i = 0 (the spare zero column of :func:`_scaled_monomials`)."""
+    mis = multi_index_set(p)
+    cols = np.full((3, len(mis)), len(mis), dtype=np.int64)
+    for c, gamma in enumerate(mis.alphas):
+        for i in range(3):
+            if gamma[i]:
+                low = gamma.copy()
+                low[i] -= 1
+                cols[i, c] = mis.index[tuple(int(k) for k in low)]
+    return cols
+
+
+def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot):
+    """Add the cell family's accelerations (and potentials, unless
+    ``pot`` is None) of the sink particles ``pid`` into ``acc`` /
+    ``pot`` (offset ``s0``); returns the seconds spent translating.
+
+    Three nested runs, each amortizing one thing (see
+    :func:`evaluate_forces`): sink cells whose entries are translated
+    together, panels that share one batch of sink-side monomials, and
+    panels that share a block of elementwise work.  Blocks never span
+    a tree level, so no particle occurs twice in one.
+    """
+    p = moms.p
+    tab = field_table(p)
+    shift = compiled_shift_function(p)
+    orders = [(k, int(tab.offsets[k]), n_coeffs(k)) for k in range(1, p + 1)]
+    cells, indptr = inter.cell_cells, inter.cell_indptr
+    nent = np.diff(indptr)
+    # every cell's b_{k,gamma}, one row per coefficient (float64 product
+    # rounded once)
+    coef = (tab.matrix @ moms.moments[:, : n_coeffs(p)].T).astype(dtype)
+    owned = np.zeros(tree.n_particles, dtype=bool)
+    owned[pid] = True
+    pan_row, pan_p0, pan_m = _cell_panels(tree, inter, owned, _CELL_PANEL)
+    pan_first = np.searchsorted(pan_row, np.arange(len(cells) + 1))
+    level_breaks = np.flatnonzero(np.diff(tree.cell_level[cells])) + 1
+    n_out = 3 if pot is None else 4
+    translate_s = 0.0
+    for ga, gb in _runs(nent, level_breaks, _CELL_SHIFT_CHUNK):
+        pa, pb = pan_first[ga], pan_first[gb]
+        if pa == pb:
+            continue
+        # -- per run of sink cells: their entries' source centres, and
+        # the source coefficients shifted to the sink-cell centres
+        t0 = time.perf_counter()
+        e0, e1 = indptr[ga], indptr[gb]
+        src = inter.cell_src[e0:e1]
+        src_ctr = (tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]).T
+        d = scratch("d", (3, e1 - e0), dtype)
+        d[...] = np.repeat(tree.cell_center[cells[ga:gb]], nent[ga:gb], axis=0).T - src_ctr
+        Q = scratch("Q", (len(coef), e1 - e0), dtype)
+        for a, b in tab.segments:
+            # (mode="clip": the default "raise" copies through a buffer)
+            np.take(coef[a:b], src, axis=1, mode="clip", out=Q[a:b])
+        if shift.n_ops:
+            shift(d, Q, scratch("Wq", (shift.n_scratch, e1 - e0), dtype))
+        translate_s += time.perf_counter() - t0
+        for xa, xb in _runs(pan_m[pa:pb], (), _CELL_MONO_CHUNK):
+            # -- per batch of panels: the particles' scaled monomials
+            # about their sink-cell centre, and where everything sits
+            batch = slice(pa + xa, pa + xb)
+            m_x, row_x = pan_m[batch], pan_row[batch]
+            n_x, c0_x = nent[row_x], indptr[row_x] - e0
+            part = expand_ranges(pan_p0[batch], m_x)
+            pos = tree.pos[part].T
+            XS = _scaled_monomials(
+                pos - np.repeat(tree.cell_center[cells[row_x]], m_x, axis=0).T, p, dtype
+            )
+            own = owned[part]
+            out_rows = part - s0
+            q_end, r_end = np.cumsum(m_x), np.cumsum(m_x * n_x)
+            seg_len = np.repeat(n_x, m_x)
+            seg0 = np.cumsum(seg_len) - seg_len
+            # per panel: its particles [q0, q1) of the batch, entries
+            # [c0, c1) of the run, rows [r0, r1) of the batch
+            panels = list(
+                zip((q_end - m_x).tolist(), q_end.tolist(), c0_x.tolist(),
+                    (c0_x + n_x).tolist(), (r_end - m_x * n_x).tolist(), r_end.tolist())
+            )
+            for ba, bb in _runs(m_x * n_x, (), cell_chunk):
+                # -- per block of whole panels: the per-row work
+                qa, qb = panels[ba][0], panels[bb - 1][1]
+                ra, rb = panels[ba][4], panels[bb - 1][5]
+                n_rows = rb - ra
+                dx = scratch("dx", (3, n_rows), np.float64)
+                P0 = scratch("P0", (n_rows,), dtype)
+                PD = scratch("PD", (p, 4, n_rows), dtype)
+                for q0, q1, c0, c1, r0, r1 in panels[ba:bb]:
+                    tile, shape = slice(r0 - ra, r1 - ra), (q1 - q0, c1 - c0)
+                    np.subtract(
+                        pos[:, q0:q1, None],
+                        src_ctr[:, None, c0:c1],
+                        out=dx[:, tile].reshape(3, *shape),
+                    )
+                    P0[tile].reshape(shape)[...] = Q[0, c0:c1]
+                    for k, row0, width in orders:
+                        np.matmul(
+                            XS[:, q0:q1, :width],
+                            Q[row0 : row0 + width, c0:c1],
+                            out=PD[k - 1, :, tile].reshape(4, *shape),
+                        )
+                # r^2 = (x x + y y) + z z, spelled out: an einsum over a
+                # block of one row sums in another order
+                r, t = scratch("r", (2, n_rows), np.float64)
+                np.multiply(dx[0], dx[0], out=r)
+                for axis in (1, 2):
+                    np.multiply(dx[axis], dx[axis], out=t)
+                    r += t
+                np.sqrt(r, out=r)
+                g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
+                x = scratch("x", (3, n_rows), dtype)
+                x[...] = dx
+                # rows: a_x, a_y, a_z, [potential]; then S and a spare
+                sums = scratch("sums", (8, n_rows), dtype)
+                T, S, tmp = sums[:3], sums[4], sums[5:]
+                np.multiply(g[1], P0, out=S)
+                for k in range(1, p + 1):
+                    np.multiply(g[k + 1], PD[k - 1, 0], out=tmp[0])
+                    np.add(S, tmp[0], out=S)
+                if pot is not None:
+                    np.multiply(g[0], P0, out=sums[3])
+                    for k in range(1, p + 1):
+                        np.multiply(g[k], PD[k - 1, 0], out=tmp[0])
+                        np.add(sums[3], tmp[0], out=sums[3])
+                # acceleration_i = x_i S + T_i, T_i = sum_k g_k d_i P_k
+                np.multiply(x, S, out=x)
+                if p:
+                    np.multiply(g[1], PD[0, 1:], out=T)
+                    for k in range(2, p + 1):
+                        np.multiply(g[k], PD[k - 1, 1:], out=tmp)
+                        np.add(T, tmp, out=T)
+                    np.add(T, x, out=T)
+                else:
+                    T[...] = x
+                # each particle's entries are one run of rows
+                c64 = sums[:n_out].astype(np.float64, copy=False)
+                starts = seg0[qa:qb] - ra
+                keep = own[qa:qb]
+                rows = out_rows[qa:qb][keep]
+                acc[rows] += segment_sum(c64[:3].T, starts)[keep]
+                if pot is not None:
+                    pot[rows] += segment_sum(c64[3], starts)[keep]
+    return translate_s
 
 
 def evaluate_forces(
@@ -220,7 +407,8 @@ def evaluate_forces(
         for the pp and prism families.  ``None`` means the fixed
         defaults (:func:`autotune_chunks`; the prism family has its own,
         ``_PRISM_CHUNK``).  They pace memory and speed only; results do
-        not depend on them.
+        not depend on them.  (A cell-family block is at least one
+        panel, however small the budget.)
     particle_range:
         Half-open (start, end) range of *key-sorted* particle indices
         covering every sink in ``inter`` (a shard of SFC-contiguous
@@ -229,32 +417,44 @@ def evaluate_forces(
         caller (the shared-memory executor) merges disjoint shard
         slices and unsorts once.
 
-    Rows follow ``inter.sink_leaves`` (SFC order), so generating
-    contributions row by row is automatically *sink-particle-major*:
-    each sink particle's contributions form one contiguous run, closed
-    by a single :func:`segment_sum` over the run boundaries, and each
-    particle lands in exactly one block (blocks split only between
-    particles), making the result independent of the block sizes.
+    Rows of the pp and prism families follow ``inter.sink_leaves`` (SFC
+    order), so generating contributions row by row is automatically
+    *sink-particle-major*: each sink particle's contributions form one
+    contiguous run, closed by a single :func:`segment_sum` over the run
+    boundaries, and each particle lands in exactly one block (blocks
+    split only between particles), making the result independent of
+    the block sizes.  Both are m x n-blocked (:func:`_leaf_blocks`); a
+    block gathers what belongs to its entries once, the sink leaf's
+    particles share it through broadcasts into pooled scratch, and
+    every operand is a contiguous row over the block's interactions.
 
-    Every family is m x n-blocked (:func:`_leaf_blocks`); a block
-    gathers what belongs to its entries once, the sink leaf's particles
-    share it through broadcasts into pooled scratch, and every operand
-    is a contiguous row over the block's interactions.  *cell*: entries
-    are source cells — centres and one column of the weight table
-    (:func:`_cell_weights`) gathered per entry with a single
-    ``np.take``, ``dx`` a float64 broadcast (3, particles, 1) -
-    (3, 1, entries), the generated recurrence writes the level-0 and
-    level-1 tensors of order <= p as ``R[level, coefficient, row]``
-    (level 1 alone without the potential).  With ``wm`` the
-    (-1)^|a|/a!-weighted moments, the recurrence
-    ``R^0_{a+e_i} = x_i R^1_a + a_i R^1_{a-e_i}`` turns the force
-    contraction ``sum_a wm_a D_{a+e_i}`` into ``x_i S + T_i`` with
-    ``S = sum_a wm_a R^1_a`` and ``T_i = sum_g (g_i + 1) wm_{g+e_i}
-    R^1_g`` over |g| <= p - 1, so no order-(p+1) tensor exists and no
-    tensor row is gathered: per tile one einsum contracts the stacked
-    levels with ``wm`` into (potential, S), one contracts the
-    order-(p-1) prefix of level 1 with the three shifted-weight blocks
-    into T.  *pp*: entries are the source particles of the
+    *cell*: an accept is evaluated at the sink cell S that recorded it
+    (``inter.cell_cells``), for every sink particle under S.  With
+    x = x_p - z_c, the field of a multipole is phi = sum_k g_k(r) P_k(x)
+    with polynomials P_k of degree <= k (:mod:`repro.multipoles.hermite`),
+    and its gradient ``x_i S + T_i`` with ``S = sum_k g_{k+1} P_k``,
+    ``T_i = sum_k g_k d_i P_k``.  Once per solve one matrix product
+    turns the moments into every cell's polynomial coefficients; once
+    per entry the generated shift routine re-centres them on z_S — an
+    identity, so the one-sided error model of §2.2.2 is untouched — in
+    runs of ``_CELL_SHIFT_CHUNK`` entries; once per sink particle and
+    cell the scaled monomials of delta = x_p - z_S
+    (:func:`_scaled_monomials`); then per *panel* — ``_CELL_PANEL``
+    consecutive particles of S against all of S's entries
+    (:func:`_cell_panels`) — ``np.matmul`` of the stacked monomial
+    matrices ``[X; d_x X; d_y X; d_z X]`` with the order-k block of
+    shifted coefficients yields P_k and d_i P_k for all m x n rows,
+    k = 1..p.  Per row that leaves ``dx`` (a float64 broadcast), r,
+    the radial chain and the sums above: 10 p + 5 row operations.  As
+    many whole panels as fit ``cell_chunk`` rows share one block of
+    that elementwise work; a panel is never cut, so its matrix shapes
+    — and with them its bits — depend on the sink cell alone, whatever
+    the row budget and whichever shard evaluates it (a shard evaluates
+    every panel that holds one of its particles and keeps those rows).
+    Blocks stay within one tree level, so no particle occurs twice in
+    one, and a particle's per-level sums are added in level order.
+
+    *pp*: entries are the source particles of the
     row's source leaves (a source-particle CSR derived from
     ``leaf_indptr``) — indices, image-shifted positions and masses
     gathered once per sink leaf, ``dx`` a float64 difference rounded to
@@ -268,13 +468,20 @@ def evaluate_forces(
     particle's entries are summed in float64.
 
     ``stats["family_seconds"]`` holds the seconds spent in the cell,
-    pp, m2l and prism families; ``stats["kernel"]`` rates the first
-    three against their own interaction and flop counts.
+    pp, m2l and prism families, ``stats["cell_seconds"]`` the cell
+    family's again as ``translate`` (per entry) and ``rows`` (the rest);
+    ``stats["kernel"]`` rates the first three families against their
+    own interaction and flop counts.  ``stats["cell_interactions"]``
+    counts the rows of this call's own sink particles — exact under
+    sharding — and ``stats["cell_entries"]`` the accept-level entries
+    it translated (a sink cell that straddles two shards is translated
+    by both).
 
     ``backend="compiled"`` replaces the cell and pp families with the
-    m x n-blocked kernel of :mod:`repro.gravity.kernels` (same CSR
-    arrays, no contrib buffers, float64 accumulation; its seconds are
-    booked under ``"cell"``); the analytic background (prism) family
+    m x n-blocked kernel of :mod:`repro.gravity.kernels` (per-leaf CSR
+    arrays — the cell family through ``inter.cell_leaf_csr`` — no
+    contrib buffers, float64 accumulation; its seconds are booked
+    under ``"cell"``); the analytic background (prism) family
     always runs through the shared numpy pass below so both backends
     agree term by term.
     """
@@ -308,6 +515,7 @@ def evaluate_forces(
 
     stats = {
         "cell_interactions": 0,
+        "cell_entries": 0,
         "pp_interactions": 0,
         "prism_interactions": 0,
         "m2l_pairs": 0,
@@ -338,85 +546,29 @@ def evaluate_forces(
     # cell + pp + m2l is the denominator of the roofline counters
     family_s = {"cell": 0.0, "pp": 0.0, "m2l": 0.0, "prism": 0.0}
     stats["family_seconds"] = family_s
+    # the cell family's seconds again, split into the per-entry and the
+    # per-row part
+    cell_s = {"translate": 0.0, "rows": 0.0}
+    stats["cell_seconds"] = cell_s
 
     # ----- cell (multipole) interactions --------------------------------------
-    if len(inter.cell_sink):
+    cells = inter.cell_cells
+    if len(inter.cell_src):
         nent = np.diff(inter.cell_indptr)
-        stats["cell_interactions"] = int((nent * leaf_np).sum())
-    if len(inter.cell_sink) and resolved == "numpy":
+        stats["cell_entries"] = len(inter.cell_src)
+        # sink particles only: a cell that straddles two shards is
+        # split between them, not counted twice
+        stats["cell_interactions"] = int(
+            (inter.sink_particles_under(tree, cells) * nent).sum()
+        )
+    if len(inter.cell_src) and resolved == "numpy":
         _tk0 = time.perf_counter()
-        ncoef = n_coeffs(p)
-        nlo = n_coeffs(p - 1)
-        levels = (0, 1) if want_potential else (1,)
-        nlev = len(levels)
-        dt_fn = compiled_dtensor_function(p, levels)
-        m_p = nent[row_of_p]
-        # every cell's weights, one row per weight: a block gathers its
-        # entries' columns once and all particles of the sink leaf
-        # share them
-        wt_all = _cell_weights(moms.moments, p, dtype)
-        gathered = None
-        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, inter.cell_indptr, cell_chunk):
-            lens = m_p[a:b]
-            n_rows = int(lens.sum())
-            if not n_rows:
-                continue
-            if (e0, e1) != gathered:
-                # (the parts of a leaf split by particles share one gather)
-                gathered = (e0, e1)
-                src = inter.cell_src[e0:e1]
-                ctr = (tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]).T
-                # (mode="clip": the default "raise" copies through a buffer)
-                wt = np.take(
-                    wt_all, src, axis=1, mode="clip",
-                    out=scratch("wt", (len(wt_all), e1 - e0), dtype),
-                )
-                wm, shifted = wt[:ncoef], wt[ncoef:].reshape(3, nlo, e1 - e0)
-            pos = tree.pos[pid[a:b]].T
-            dx = scratch("dx", (3, n_rows), np.float64)
-            for r0, p0, n_t, c0, n_e in tiles:
-                np.subtract(
-                    pos[:, p0 : p0 + n_t, None],
-                    ctr[:, None, c0 : c0 + n_e],
-                    out=dx[:, r0 : r0 + n_t * n_e].reshape(3, n_t, n_e),
-                )
-            r = np.sqrt(np.einsum("ij,ij->j", dx, dx))
-            g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
-            x = scratch("x", (3, n_rows), dtype)
-            x[...] = dx
-            R = dt_fn(
-                x[0], x[1], x[2], g,
-                scratch("R", (nlev * ncoef, n_rows), dtype),
-                scratch("W", (dt_fn.n_scratch, n_rows), dtype),
-            ).reshape(nlev, ncoef, n_rows)
-            # rows: T_x, T_y, T_z, [potential,] S
-            sums = scratch("sums", (3 + nlev, n_rows), dtype)
-            T, S = sums[:3], sums[-1]
-            for r0, _p0, n_t, c0, n_e in tiles:
-                tile = slice(r0, r0 + n_t * n_e)
-                _contract_tile(
-                    "lape,ae->lpe",
-                    R[:, :, tile].reshape(nlev, ncoef, n_t, n_e),
-                    wm[:, c0 : c0 + n_e],
-                    sums[3:, tile].reshape(nlev, n_t, n_e),
-                )
-                if nlo:
-                    _contract_tile(
-                        "ape,iae->ipe",
-                        R[-1, :nlo, tile].reshape(nlo, n_t, n_e),
-                        shifted[:, :, c0 : c0 + n_e],
-                        T[:, tile].reshape(3, n_t, n_e),
-                    )
-            # acceleration_i = x_i S + T_i, written over T
-            np.multiply(x, S, out=x)
-            if nlo:
-                np.add(T, x, out=T)
-            else:
-                T[...] = x
-            c64 = sums[:-1].astype(np.float64, copy=False)
-            reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
+        cell_s["translate"] = _evaluate_cells(
+            tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot
+        )
         release_scratch()
         family_s["cell"] += time.perf_counter() - _tk0
+        cell_s["rows"] = family_s["cell"] - cell_s["translate"]
 
     # ----- particle-particle interactions --------------------------------------
     if len(inter.leaf_sink):
@@ -492,11 +644,16 @@ def evaluate_forces(
         family_s["pp"] += time.perf_counter() - _tk0
 
     # ----- compiled m x n-blocked kernel (cell + pp families) ------------------
-    if resolved == "compiled" and (len(inter.cell_sink) or len(inter.leaf_sink)):
+    cell_per_row = None
+    if resolved == "compiled" and (len(inter.cell_src) or len(inter.leaf_sink)):
         _tk0 = time.perf_counter()
         with tr.span("kernel"):
+            # the kernel walks one particle x cell term at a time: hand
+            # it the cell family fanned out to the sink leaves
+            cell_csr = inter.cell_leaf_csr(tree)
+            cell_per_row = np.diff(cell_csr[2])
             kernels.run_csr_kernel(
-                tree, moms, inter, spec, want_potential, s0, acc, pot
+                tree, moms, inter, cell_csr, spec, want_potential, s0, acc, pot
             )
         family_s["cell"] += time.perf_counter() - _tk0
 
@@ -588,6 +745,9 @@ def evaluate_forces(
             want_potential=want_potential,
             seconds=family_s["cell"] + family_s["pp"] + family_s["m2l"],
             backend=resolved,
+            cell_interactions=stats["cell_interactions"],
+            cell_entries=stats["cell_entries"],
+            cell_per_row=cell_per_row,
             threads=(
                 kernels.active_kernel_threads() if resolved == "compiled" else 1
             ),

@@ -21,13 +21,15 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
 
     Uses the honest per-interaction costs measured from the generated
     kernels (:mod:`repro.perfmodel.flops`): cell interactions at the
-    recorded expansion order, pp interactions at the paper's 28-flop
+    recorded expansion order (per particle x cell row, plus the
+    translation of each accept-level entry), pp interactions at the paper's 28-flop
     monopole rate, prism (background cube) interactions at the count of
     the fused 8-corner kernel and, in fmm-hybrid mode, M2L translations
     and L2P evaluations at their table-measured rates.
     """
     from ..perfmodel.flops import (
         FLOPS_PER_MONOPOLE_PP,
+        flops_per_cell_entry,
         flops_per_cell_interaction,
         flops_per_l2p,
         flops_per_m2l,
@@ -40,6 +42,7 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     prism = float(stats.get("prism_interactions", 0))
     total = (
         cell * flops_per_cell_interaction(p, want_potential)
+        + float(stats.get("cell_entries", 0)) * flops_per_cell_entry(p)
         + pp * FLOPS_PER_MONOPOLE_PP
         + prism * flops_per_prism_interaction(want_potential)
     )

@@ -137,9 +137,13 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
         labels=FORCE_STAGE_LABELS,
         extra_rows=extra,
         sub_rows={
-            "execute" if "execute" in stage else "evaluate": stats.get(
-                "family_seconds"
-            )
+            "execute" if "execute" in stage else "evaluate": {
+                **(stats.get("family_seconds") or {}),
+                **{
+                    f"cell: {part}": sec
+                    for part, sec in (stats.get("cell_seconds") or {}).items()
+                },
+            }
         },
     )
 

@@ -11,14 +11,17 @@ constant multiply where that term's factor is not 1, per surviving
 coefficient), which :func:`compiled_dtensor_function` ``exec``s into a
 callable.
 
-One generator serves every caller.  It is demand-driven: the caller
-names the recurrence *levels* L whose tensors R^L_alpha, |alpha| <= p,
-it wants, and only the steps those outputs depend on are emitted.
-``levels=(0,)`` is the plain derivative tensor D_alpha = R^0_alpha
-(M2L), ``levels=(0, 1)`` what the particle-cell interaction contracts
-for potential and acceleration, ``levels=(1,)`` the acceleration alone
-— the order-(p+1) tensor is never formed (see
-:func:`repro.gravity.treeforce.evaluate_forces`).
+One generator serves every caller of the recurrence.  It is
+demand-driven: the caller names the recurrence *levels* L whose
+tensors R^L_alpha, |alpha| <= p, it wants, and only the steps those
+outputs depend on are emitted.  ``levels=(0,)`` is the plain
+derivative tensor D_alpha = R^0_alpha — what M2L asks for, and since
+the particle-cell interaction moved to the polynomial form of
+:mod:`repro.multipoles.hermite` the only request left in the library.
+That form has its own generated routine,
+:func:`compiled_shift_function`: the straight-line re-centring of a
+cell's polynomial coefficients on a sink-cell centre, run once per
+accept-level entry by :func:`repro.gravity.treeforce.evaluate_forces`.
 
 The routine is structure-of-arrays (paper §3.3): every operand is one
 contiguous row over the interaction batch and every statement is a
@@ -40,12 +43,15 @@ import functools
 import numpy as np
 
 from .dtensors import recurrence_plan
+from .hermite import field_table, shift_plan
 from .multiindex import n_coeffs
 
 __all__ = [
     "generate_dtensor_source",
     "compiled_dtensor_function",
     "dtensors_soa",
+    "generate_shift_source",
+    "compiled_shift_function",
 ]
 
 
@@ -192,3 +198,67 @@ def derivative_tensors_generated(dx, kernel, p: int, dtype=np.float64):
     if dtype is not np.float64:
         out = out.astype(dtype)
     return out
+
+
+def _shift_program(p: int) -> tuple[str, int, int]:
+    """(source of ``shift``, scratch rows, multiply/add statements)."""
+    steps = shift_plan(p)
+    n_rows = int(field_table(p).offsets[-1])
+    # d^j / j! along each axis, j >= 2, as far as a step reads it
+    top = [max((j for _, _, ax, j, _ in steps if ax == axis), default=1) for axis in range(3)]
+    power = {(axis, 1): f"d{axis}" for axis in range(3)}
+    body = []
+    for axis in range(3):
+        for j in range(2, top[axis] + 1):
+            power[(axis, j)] = f"w{len(power) - 3}"
+            dst = power[(axis, j)]
+            body.append(f"    mul({power[(axis, j - 1)]}, d{axis}, {dst})")
+            body.append(f"    mul({1.0 / j!r}, {dst}, {dst})")
+    tmp = f"w{len(power) - 3}"
+    n_scratch = len(power) - 2
+    for dst, src, axis, j, fresh in steps:
+        if fresh:
+            body.append(f"    mul({power[(axis, j)]}, q{src}, q{dst})")
+        else:
+            body.append(f"    mul({power[(axis, j)]}, q{src}, {tmp})")
+            body.append(f"    add(q{dst}, {tmp}, q{dst})")
+    head = [
+        "def shift(d, Q, W):",
+        f'    """Q_(k,gamma)(d) from b_(k,gamma), in place; order {p} (generated).',
+        "",
+        f"    d: (3, N) shift vectors; Q: ({n_rows}, N), the rows of",
+        "    ``field_table(p).filled`` hold b on entry, every row Q on return;",
+        f"    W: (>={n_scratch}, N) scratch.",
+        '    """',
+        "    d0, d1, d2 = d",
+        "    " + ", ".join(f"q{j}" for j in range(n_rows)) + ", = Q",
+        "    " + ", ".join(f"w{j}" for j in range(n_scratch)) + f", = W[:{n_scratch}]",
+    ]
+    return "\n".join(head + body + ["    return Q"]) + "\n", n_scratch, len(body)
+
+
+def generate_shift_source(p: int) -> str:
+    """Emit unrolled source for the polynomial shift of order ``p``.
+
+    The generated ``shift(d, Q, W)`` walks
+    :func:`repro.multipoles.hermite.shift_plan` (same steps, same
+    operand order, so it is bit-identical to an interpreted walk of the
+    plan): first the rows d_i^j / j!, then one multiply per step plus an
+    add where the target row already holds a value.
+    """
+    return _shift_program(p)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def compiled_shift_function(p: int):
+    """Compile (exec) the generated shift of order ``p`` and return it.
+
+    ``n_scratch`` and ``n_ops`` as for :func:`compiled_dtensor_function`.
+    """
+    src, n_scratch, n_ops = _shift_program(p)
+    namespace: dict = {"mul": np.multiply, "add": np.add}
+    exec(compile(src, f"<generated shift p={p}>", "exec"), namespace)  # noqa: S102
+    fn = namespace["shift"]
+    fn.n_scratch = n_scratch
+    fn.n_ops = n_ops
+    return fn

@@ -662,6 +662,7 @@ class ForceExecutor:
                      recoveries=None) -> dict:
         stats = {
             "cell_interactions": 0,
+            "cell_entries": 0,
             "pp_interactions": 0,
             "prism_interactions": 0,
             "m2l_pairs": 0,
@@ -669,6 +670,7 @@ class ForceExecutor:
             "traversal_interactions": 0,
             "interactions_by_family": {},
             "family_seconds": {},
+            "cell_seconds": {},
             "order": 0,
             "traversal_rounds": 0,
             "mac_tests": 0,
@@ -678,6 +680,9 @@ class ForceExecutor:
         }
         for s in shard_stats.values():
             stats["cell_interactions"] += s.get("cell_interactions", 0)
+            # translations performed: a sink cell that straddles two
+            # shards is translated by both
+            stats["cell_entries"] += s.get("cell_entries", 0)
             stats["pp_interactions"] += s.get("pp_interactions", 0)
             stats["prism_interactions"] += s.get("prism_interactions", 0)
             stats["m2l_pairs"] += s.get("m2l_pairs", 0)
@@ -688,10 +693,9 @@ class ForceExecutor:
                     stats["interactions_by_family"].get(fam, 0) + count
                 )
             # busy seconds summed over shards, like ``kernel``
-            for fam, sec in s.get("family_seconds", {}).items():
-                stats["family_seconds"][fam] = (
-                    stats["family_seconds"].get(fam, 0.0) + sec
-                )
+            for key in ("family_seconds", "cell_seconds"):
+                for part, sec in s.get(key, {}).items():
+                    stats[key][part] = stats[key].get(part, 0.0) + sec
             stats["order"] = s.get("order", stats["order"])
             stats["traversal_rounds"] = max(
                 stats["traversal_rounds"], s.get("traversal_rounds", 0)

@@ -14,6 +14,7 @@ from .io import (
 )
 from .flops import (
     FLOPS_PER_MONOPOLE_PP,
+    flops_per_cell_entry,
     flops_per_cell_interaction,
     flops_per_particle,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "TABLE1_MACHINES",
     "TABLE3_PROCESSORS",
     "expected_overhead",
+    "flops_per_cell_entry",
     "flops_per_cell_interaction",
     "flops_per_particle",
     "optimal_interval",

@@ -5,21 +5,22 @@ The paper counts 28 flops per monopole interaction (Table 3) and
 hexadecapole + 1.46e15 quadrupole + 4.68e14 monopole interactions on
 68.7e9 particles (Table 2).  Here the per-order interaction costs are
 *counted from what the kernels themselves execute* — the statements of
-the generated derivative-tensor routines, the M2L contraction tables —
-plus the moment-contraction and radial-chain work, keeping the
-accounting honest as the kernels change.
+the generated shift and derivative-tensor routines, the widths of the
+matrix products, the M2L contraction tables — plus the radial-chain
+work, keeping the accounting honest as the kernels change.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..multipoles.codegen import compiled_dtensor_function
+from ..multipoles.codegen import compiled_dtensor_function, compiled_shift_function
 from ..multipoles.multiindex import n_coeffs
 
 __all__ = [
     "FLOPS_PER_MONOPOLE_PP",
     "flops_per_cell_interaction",
+    "flops_per_cell_entry",
     "flops_per_m2l",
     "flops_per_l2p",
     "flops_per_prism_interaction",
@@ -34,27 +35,34 @@ FLOPS_PER_MONOPOLE_PP = 28
 
 @functools.lru_cache(maxsize=16)
 def flops_per_cell_interaction(p: int, want_potential: bool = True) -> int:
-    """Arithmetic operations of one particle-cell interaction at order p.
+    """Arithmetic operations of one particle x cell row at order p.
 
     Counts what the evaluator of :mod:`repro.gravity.treeforce` executes
-    per interaction row: the generated recurrence for the levels it
-    asks for (the statement count is read from the generated routine
-    itself — a multiply per step, plus an add where the recurrence has
-    a second term, plus that term's factor multiply unless the factor
-    is 1), the radial-derivative chain, the contractions (a
-    multiply-add per weight: the level-1 tensor and, with the
-    potential, the level-0 tensor against the moments, the order-(p-1)
-    prefix of level 1 against the three shifted-weight blocks) and the
-    6 operations of ``x_i S + T_i``.
+    per interaction row: its share of the matrix products — P_k and its
+    three derivatives, a multiply-add per column of the order-k block,
+    k = 1..p — the radial-derivative chain, and the combination
+    (phi = sum g_k P_k when the potential is wanted, S = sum g_{k+1}
+    P_k, T_i = sum g_k d_i P_k, a_i = x_i S + T_i: a multiply per term
+    and an add per term after the first).  What is done once per
+    accept-level entry is :func:`flops_per_cell_entry`.
     """
-    levels = (0, 1) if want_potential else (1,)
-    dtensor_ops = compiled_dtensor_function(p, levels).n_ops
+    gemm = 2 * 4 * sum(n_coeffs(k) for k in range(1, p + 1))
     # radial chain g_0..g_{p+1}: ~4 ops per level, plus r from dx: 8
     radial_ops = 4 * (p + 2) + 8
-    contraction = 2 * (len(levels) * n_coeffs(p) + 3 * n_coeffs(p - 1))
-    # applying the (-1)^n/n! weights is folded into the moments once per
-    # cell, not per interaction — excluded
-    return dtensor_ops + radial_ops + contraction + 6
+    sums = (2 if want_potential else 1) * (2 * p + 1)
+    combination = sums + (3 * (2 * p - 1) if p else 0) + (6 if p else 3)
+    return gemm + radial_ops + combination
+
+
+@functools.lru_cache(maxsize=16)
+def flops_per_cell_entry(p: int) -> int:
+    """Arithmetic operations per accept-level entry of the cell family.
+
+    The statements of the generated shift routine (read from the
+    routine itself) plus the 3 subtractions of the shift vector; the
+    entry's rows then share the result.
+    """
+    return compiled_shift_function(p).n_ops + 3
 
 
 @functools.lru_cache(maxsize=16)

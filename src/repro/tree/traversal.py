@@ -8,9 +8,11 @@ whole sink cell with d_eff = |x_sink - x_src| - b_max(sink cell),
 which lower-bounds the distance from *every* particle under the sink
 cell to the source, so an accept at an interior sink cell is
 conservative for all descendants and the §2.2.2 error bound holds
-unchanged.  Accepted interactions are recorded at the interior sink
-cell and pushed down to the sink leaves by a vectorized inheritance
-pass; undecided pairs refine on the sink or source side (the side
+unchanged.  An accepted interaction stays with the sink cell —
+interior or leaf — that recorded it: every particle under that cell
+inherits it, and the evaluator applies it there, once for all of them
+(:mod:`repro.gravity.treeforce`), instead of fanning it out to the
+leaves.  Undecided pairs refine on the sink or source side (the side
 with the larger b_max splits).  Distant periodic images resolve in
 O(1) pairs at the root instead of O(n_leaves) — with background
 subtraction the root monopole vanishes and all 26 ws=1 images are
@@ -24,7 +26,8 @@ handling (§2.4).
 Outputs are :class:`InteractionLists` consumed by
 :mod:`repro.gravity.treeforce`:
 
-* ``cell_pairs``   — (sink leaf, source cell, offset) multipole interactions,
+* ``cell_pairs``   — (sink *cell*, source cell, offset) one-sided multipole
+  accepts, keyed by the sink cell that recorded them,
 * ``leaf_pairs``   — (sink leaf, source leaf, offset) particle-particle blocks,
 * ``ghost_pairs``  — (sink leaf, ghost cell, offset) near-field analytic
   background cubes (only in background-subtraction mode),
@@ -34,20 +37,28 @@ Outputs are :class:`InteractionLists` consumed by
   sink cell — interior or leaf — and translated down to particles by
   the L2L/L2P machinery in :mod:`repro.gravity.localexp`.
 
-The lists come out in **CSR form**: each family is sorted by sink
-leaf (rows follow ``sink_leaves``, which is in SFC/particle order)
-with ``*_indptr`` arrays delimiting each leaf's segment, so the
-evaluator sums contiguous per-sink segments instead of scatter-adding.
+The lists come out in **CSR form**.  The leaf and ghost families are
+sorted by sink leaf (rows follow ``sink_leaves``, which is in
+SFC/particle order) with ``*_indptr`` arrays delimiting each leaf's
+segment, so the evaluator sums contiguous per-sink segments instead of
+scatter-adding.  The cell and m2l families are sorted by sink cell
+(rows follow ``cell_cells`` / ``m2l_cells`` in ascending cell index,
+i.e. level by level and in particle order within a level), each cell's
+segment in the order the walk emitted it.
+:meth:`InteractionLists.cell_leaf_csr` derives the per-leaf form of
+the cell family for the term-by-term kernels and the exactly-once
+tests; nothing on the numpy path builds it.
 
 Restricted traversals (the ``sink_leaves`` parameter, used by the
 shard executor and the simulated ranks) run the *same* walk from the
 global root with sink descent masked to cells containing selected
 leaves.  Decisions are pure functions of (sink cell, source cell,
 offset), so every decision a restricted walk makes is identical to the
-decision the full walk makes for that pair — per-leaf CSR segments
-(contents *and* order) are independent of the sharding, which is what
-keeps the executor's disjoint-slice merge bit-identical at any worker
-count.
+decision the full walk makes for that pair — per-leaf and per-cell CSR
+segments (contents *and* order) are independent of the sharding: a
+sink cell that straddles a shard boundary shows up, with its whole
+segment, in both shards' lists.  That is what keeps the executor's
+disjoint-slice merge bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -72,24 +83,33 @@ __all__ = [
 class InteractionLists:
     """CSR interaction lists plus bookkeeping counters.
 
-    The cell / leaf / ghost families are sorted by sink leaf (row order
-    = ``sink_leaves``) and the ``*_indptr`` arrays hold the CSR row
-    ranges.
+    The leaf / ghost families are sorted by sink leaf (row order =
+    ``sink_leaves``) and their ``*_indptr`` arrays hold the CSR row
+    ranges.  The cell family is keyed by the sink *cell* that recorded
+    each accept (see ``cell_cells``).
     """
 
     sink_leaves: np.ndarray  # all sink leaf cell indices traversed
     offsets: np.ndarray  # (n_off, 3) image offsets used
-    cell_sink: np.ndarray
+    # one-sided cell accepts: CSR keyed by the sink cell (interior or
+    # leaf) that recorded them.  Rows follow cell_cells in ascending
+    # cell index, i.e. level by level and in SFC order within a level;
+    # cell_indptr delimits each cell's (source cell, image offset)
+    # segment, kept in the walk's emission order.  cell_emit is each
+    # entry's position in that emission order across all cells (only
+    # :meth:`cell_leaf_csr` reads it).
+    cell_cells: np.ndarray
     cell_src: np.ndarray
     cell_off: np.ndarray
+    cell_emit: np.ndarray
     leaf_sink: np.ndarray
     leaf_src: np.ndarray
     leaf_off: np.ndarray
     ghost_sink: np.ndarray
     ghost_src: np.ndarray
     ghost_off: np.ndarray
+    cell_indptr: np.ndarray  # CSR row ranges over cell_cells
     # CSR row ranges over sink_leaves
-    cell_indptr: np.ndarray
     leaf_indptr: np.ndarray
     ghost_indptr: np.ndarray
     rounds: int = 0
@@ -108,9 +128,69 @@ class InteractionLists:
     leaf_accepts: int = 0  # accepts recorded at sink leaves
     m2l_accepts: int = 0  # mutual cell-cell accepts (per direction)
 
+    def _leaf_rows_under(self, tree: Tree, cells: np.ndarray):
+        """Rows ``[lo, hi)`` of ``sink_leaves`` inside each of ``cells``.
+
+        A cell's particle range is contiguous and tiles exactly over its
+        descendant leaves, so the selected leaves under it are one
+        slice of the (SFC-ordered) row universe.
+        """
+        starts = tree.cell_start[self.sink_leaves]
+        first = tree.cell_start[cells]
+        lo = np.searchsorted(starts, first, side="left")
+        hi = np.searchsorted(starts, first + tree.cell_count[cells], side="left")
+        return lo, hi
+
+    def sink_particles_under(self, tree: Tree, cells: np.ndarray) -> np.ndarray:
+        """Particles of ``sink_leaves`` inside each of ``cells``.
+
+        ``tree.cell_count[cells]`` for a full walk; for a restricted one
+        only the selected leaves count, so a cell that straddles two
+        shards is split between them instead of counted twice.
+        """
+        lo, hi = self._leaf_rows_under(tree, cells)
+        cum = np.concatenate(([0], np.cumsum(tree.cell_count[self.sink_leaves])))
+        return cum[hi] - cum[lo]
+
     def n_cell_interactions(self, tree: Tree) -> int:
-        """Total (particle, cell-multipole) interaction count."""
-        return int(tree.cell_count[self.cell_sink].sum())
+        """Total (sink particle, cell-multipole) interaction count.
+
+        An accept counts once per particle of ``sink_leaves`` under the
+        cell that recorded it, so the counts of restricted walks over
+        disjoint shards add up to the full walk's exactly.
+        """
+        under = self.sink_particles_under(tree, self.cell_cells)
+        return int((under * np.diff(self.cell_indptr)).sum())
+
+    def cell_leaf_csr(self, tree: Tree):
+        """The cell family fanned out to the sink leaves: ``(src, off, indptr)``.
+
+        Every accept recorded at an interior sink cell is inherited by
+        the selected leaves under it, so each row of ``sink_leaves``
+        lists all the source cells its particles see — the form the
+        term-by-term kernels of :mod:`repro.gravity.kernels` walk.  A
+        row holds the accepts of its ancestors first, then its own, each
+        in emission order.  The numpy evaluator never builds this.
+        """
+        n_rows = len(self.sink_leaves)
+        sink = np.repeat(self.cell_cells, np.diff(self.cell_indptr))
+        emitted = np.argsort(self.cell_emit, kind="stable")
+        # interior accepts first: a fixed rule, so restricted walks
+        # reproduce identical rows
+        emitted = emitted[np.argsort(tree.is_leaf[sink[emitted]], kind="stable")]
+        lo, hi = self._leaf_rows_under(tree, sink[emitted])
+        # (16-bit row keys take numpy's radix path in the stable sort)
+        row = expand_ranges(lo, hi - lo).astype(
+            np.int16 if n_rows < np.iinfo(np.int16).max else np.int64
+        )
+        order = np.argsort(row, kind="stable")
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+        return (
+            np.repeat(self.cell_src[emitted], hi - lo)[order],
+            np.repeat(self.cell_off[emitted], hi - lo)[order],
+            indptr,
+        )
 
     def n_pp_interactions(self, tree: Tree) -> int:
         """Total particle-particle interaction count."""
@@ -235,10 +315,11 @@ def traverse_hierarchical(
     function of (a, b, offset), never of which directions are live, so
     restricted shard walks replay identical accepts.
 
-    The returned lists are sorted by sink leaf (``sink_leaves`` comes
-    back in SFC/particle order) with ``cell_indptr`` / ``leaf_indptr``
-    / ``ghost_indptr`` delimiting each leaf's segment; the m2l family
-    is keyed by sink *cell* (``m2l_cells`` ascending, ``m2l_indptr``
+    The returned leaf and ghost lists are sorted by sink leaf
+    (``sink_leaves`` comes back in SFC/particle order) with
+    ``leaf_indptr`` / ``ghost_indptr`` delimiting each leaf's segment;
+    the cell and m2l families are keyed by sink *cell* (``cell_cells``
+    / ``m2l_cells`` ascending, ``cell_indptr`` / ``m2l_indptr``
     delimiting each cell's (source, offset) segment in a
     shard-independent order).
     """
@@ -275,11 +356,7 @@ def traverse_hierarchical(
     f_off = canon.astype(np.int64)
     f_fl = np.where(mirror[canon] == canon, 1, 3).astype(np.int8)
 
-    # interior-sink accepts (need descendant expansion) and leaf-sink
-    # accepts (already at their row) are kept apart so CSR assembly
-    # only expands the minority interior stream
     acc_sink, acc_src, acc_off = [], [], []
-    lacc_sink, lacc_src, lacc_off = [], [], []
     dir_sink, dir_src, dir_off = [], [], []
     m2l_sink_p, m2l_src_p, m2l_off_p = [], [], []
 
@@ -356,32 +433,22 @@ def traverse_hierarchical(
         dir1 = bit1 & ~ret1 & both_leaf
         dir2 = bit2 & ~ret2 & both_leaf
 
+        # an accept stays with the sink cell that recorded it, interior
+        # or leaf: every particle under that cell inherits it
         if np.any(acc1):
-            int1 = acc1 & ~leaf_a
-            lf1 = acc1 & leaf_a
-            if np.any(int1):
-                acc_sink.append(f_a[int1])
-                acc_src.append(f_b[int1])
-                acc_off.append(f_off[int1])
-            if np.any(lf1):
-                lacc_sink.append(f_a[lf1])
-                lacc_src.append(f_b[lf1])
-                lacc_off.append(f_off[lf1])
-            inherited += int(np.count_nonzero(int1))
-            leaf_accepts += int(np.count_nonzero(lf1))
+            acc_sink.append(f_a[acc1])
+            acc_src.append(f_b[acc1])
+            acc_off.append(f_off[acc1])
+            n_leaf = int(np.count_nonzero(acc1 & leaf_a))
+            leaf_accepts += n_leaf
+            inherited += len(acc_sink[-1]) - n_leaf
         if np.any(acc2):
-            int2 = acc2 & ~leaf_b
-            lf2 = acc2 & leaf_b
-            if np.any(int2):
-                acc_sink.append(f_b[int2])
-                acc_src.append(f_a[int2])
-                acc_off.append(mirror[f_off[int2]])
-            if np.any(lf2):
-                lacc_sink.append(f_b[lf2])
-                lacc_src.append(f_a[lf2])
-                lacc_off.append(mirror[f_off[lf2]])
-            inherited += int(np.count_nonzero(int2))
-            leaf_accepts += int(np.count_nonzero(lf2))
+            acc_sink.append(f_b[acc2])
+            acc_src.append(f_a[acc2])
+            acc_off.append(mirror[f_off[acc2]])
+            n_leaf = int(np.count_nonzero(acc2 & leaf_b))
+            leaf_accepts += n_leaf
+            inherited += len(acc_sink[-1]) - n_leaf
         if np.any(dir1):
             dir_sink.append(f_a[dir1])
             dir_src.append(f_b[dir1])
@@ -469,18 +536,31 @@ def traverse_hierarchical(
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     a_sink, a_src, a_off = cat(acc_sink), cat(acc_src), cat(acc_off)
-    la_sink, la_src, la_off = cat(lacc_sink), cat(lacc_src), cat(lacc_off)
     d_sink, d_src, d_off = cat(dir_sink), cat(dir_src), cat(dir_off)
 
-    # ----- inheritance pass: push interior-sink accepts to sink leaves --------
-    # A cell's particle range is contiguous and tiles exactly over its
-    # descendant leaves, so the selected leaves under an accepted sink
-    # cell are one searchsorted slice of the (SFC-ordered) row universe.
+    def by_sink_cell(sink, src, off):
+        """CSR keyed by sink cell, rows ascending by cell index; the
+        stable sort keeps each cell's segment in the BFS emission order,
+        which a restricted walk reproduces exactly."""
+        # (16-bit keys take numpy's radix path in the stable sort)
+        n_all = len(tree.cell_level)  # worker trees drop cell_key
+        key = sink.astype(np.int16 if n_all < np.iinfo(np.int16).max else np.int64)
+        order = np.argsort(key, kind="stable")
+        cells, counts = np.unique(sink[order], return_counts=True)
+        indptr = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cells.astype(np.int64), src[order], off[order], indptr, order
+
+    # cell family: where it was accepted — no fan-out to the leaves
+    c_cells, cc, co, c_indptr, c_emit = by_sink_cell(
+        a_sink, a_src.astype(np.int32), a_off.astype(np.int16)
+    )
+
+    # leaf and ghost families: one row per sink leaf.  A cell's particle
+    # range is contiguous, so a leaf's row is one searchsorted lookup in
+    # the (SFC-ordered) row universe.
     leaf_starts = tree.cell_start[sinks]
     n_rows = len(sinks)
-
-    # narrow row keys unlock numpy's radix path for the stable sort
-    # (~5x over int64 merge sort); int32 covers any realistic leaf count
     row_dtype = np.int16 if n_rows < np.iinfo(np.int16).max else np.int32
 
     def rows_of_leaves(s):
@@ -495,27 +575,6 @@ def traverse_hierarchical(
         np.cumsum(counts, out=indptr[1:])
         return np.repeat(sinks, counts), src[order], off[order], indptr
 
-    # cell family: expanded interior accepts first, then leaf accepts —
-    # a fixed rule, so restricted walks reproduce identical segments.
-    # Narrow dtypes before the big expansion: the inherited stream
-    # fans out ~10-20x, so src/off bytes dominate the assembly cost.
-    start_a = tree.cell_start[a_sink]
-    lo = np.searchsorted(leaf_starts, start_a, side="left")
-    hi = np.searchsorted(
-        leaf_starts, start_a + tree.cell_count[a_sink], side="left"
-    )
-    nd = hi - lo
-    row = np.concatenate(
-        [expand_ranges(lo, nd).astype(row_dtype), rows_of_leaves(la_sink)]
-    )
-    src = np.concatenate(
-        [np.repeat(a_src.astype(np.int32), nd), la_src.astype(np.int32)]
-    )
-    off = np.concatenate(
-        [np.repeat(a_off.astype(np.int16), nd), la_off.astype(np.int16)]
-    )
-    cs, cc, co, c_indptr = finalize(row, src, off)
-
     ghosts = tree.cell_is_ghost[d_src] if len(d_src) else np.zeros(0, dtype=bool)
     ls, lc, lo_, l_indptr = finalize(
         rows_of_leaves(d_sink[~ghosts]), d_src[~ghosts], d_off[~ghosts]
@@ -524,32 +583,22 @@ def traverse_hierarchical(
         rows_of_leaves(d_sink[ghosts]), d_src[ghosts], d_off[ghosts]
     )
 
-    # m2l family: keyed by sink cell (interior or leaf), rows ascending
-    # by cell index; the stable sort keeps each cell's segment in the
-    # BFS emission order, which a restricted walk reproduces exactly.
     m2l_fields = {}
     if m2l:
-        m_sink = cat(m2l_sink_p)
-        m_src = cat(m2l_src_p)
-        m_off = cat(m2l_off_p)
-        order = np.argsort(m_sink, kind="stable")
-        m_sink = m_sink[order]
-        m2l_cells_u, m2l_counts = np.unique(m_sink, return_counts=True)
-        m2l_indptr = np.zeros(len(m2l_cells_u) + 1, dtype=np.int64)
-        np.cumsum(m2l_counts, out=m2l_indptr[1:])
+        m_cells, m_src, m_off, m_indptr, _ = by_sink_cell(
+            cat(m2l_sink_p), cat(m2l_src_p), cat(m2l_off_p)
+        )
         m2l_fields = dict(
-            m2l_cells=m2l_cells_u.astype(np.int64),
-            m2l_src=m_src[order],
-            m2l_off=m_off[order],
-            m2l_indptr=m2l_indptr,
+            m2l_cells=m_cells, m2l_src=m_src, m2l_off=m_off, m2l_indptr=m_indptr
         )
 
     return InteractionLists(
         sink_leaves=sinks,
         offsets=offsets,
-        cell_sink=cs,
+        cell_cells=c_cells,
         cell_src=cc,
         cell_off=co,
+        cell_emit=c_emit.astype(np.int32),
         leaf_sink=ls,
         leaf_src=lc,
         leaf_off=lo_,

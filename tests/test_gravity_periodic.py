@@ -267,3 +267,57 @@ class TestTreePM:
         e_tree = np.linalg.norm(tree_res.acc - ref, axis=1).max() / scale
         e_tp = np.linalg.norm(tp_res.acc - ref, axis=1).max() / scale
         assert e_tree < 0.01 * e_tp
+
+    def test_pruning_at_the_recording_cell_drops_nothing_that_matters(self, monkeypatch):
+        """Cell accepts are pruned where they were recorded, with the
+        sink *cell's* b_max: whatever goes is beyond the cutoff for
+        every particle under that cell.  With the cutoff at 11 split
+        scales (erfc(5.5) = 7e-15) the pruned short-range force is the
+        unpruned one to 1e-12 — while a third of the entries are gone."""
+        from repro.gravity.pm import _prune_far
+        from repro.gravity.smoothing import make_softening
+        from repro.gravity.treeforce import evaluate_forces
+        from repro.multipoles import ErfcKernel
+        from repro.tree import build_tree, compute_moments, traverse_lists
+
+        rng = np.random.default_rng(11)
+        centres = rng.random((4, 3))
+        pos = (centres[rng.integers(0, 4, 600)] + 0.05 * rng.standard_normal((600, 3))) % 1.0
+        mass = np.full(600, 1.0 / 600)
+        tree = build_tree(pos, mass, nleaf=8)
+        moms = compute_moments(tree, p=2, tol=1e-4)
+        r_split = 0.03
+        how = dict(
+            kernel=ErfcKernel(1.0 / (2.0 * r_split)),
+            softening=ShortRangeSoftening(make_softening("spline", 0.01), r_split),
+        )
+        inter = traverse_lists(tree, moms, periodic=True, ws=1)
+        pruned = _prune_far(tree, moms, inter, 11.0 * r_split)
+        assert len(pruned.cell_src) < 0.7 * len(inter.cell_src)
+        assert np.array_equal(pruned.cell_cells, inter.cell_cells)
+        assert pruned.cell_indptr[-1] == len(pruned.cell_src) == len(pruned.cell_emit)
+        interior = ~tree.is_leaf[inter.cell_cells]
+        gone = np.diff(inter.cell_indptr) - np.diff(pruned.cell_indptr)
+        assert gone[interior].sum() > 0 and gone[~interior].sum() > 0
+        # superset: every dropped entry is out of range of every
+        # particle under its sink cell
+        sink = np.repeat(inter.cell_cells, np.diff(inter.cell_indptr))
+        dropped = np.ones(len(inter.cell_src), dtype=bool)
+        dropped[np.isin(inter.cell_emit, pruned.cell_emit)] = False
+        for e in np.flatnonzero(dropped)[:: max(1, dropped.sum() // 200)]:
+            c, s = sink[e], inter.cell_src[e]
+            own = tree.pos[tree.cell_start[c] : tree.cell_start[c] + tree.cell_count[c]]
+            centre = tree.cell_center[s] + inter.offsets[inter.cell_off[e]]
+            assert np.linalg.norm(own - centre, axis=1).min() - moms.bmax[s] >= 11.0 * r_split
+        full = evaluate_forces(tree, moms, inter, backend="numpy", **how)
+        short = evaluate_forces(tree, moms, pruned, backend="numpy", **how)
+        assert short.stats["cell_interactions"] < full.stats["cell_interactions"]
+        assert np.abs(short.acc - full.acc).max() <= 1e-12 * np.abs(full.acc).max()
+        assert np.abs(short.pot - full.pot).max() <= 1e-12 * np.abs(full.pot).max()
+        # the derived per-leaf view of a pruned list feeds the
+        # term-by-term kernel the same interactions
+        monkeypatch.setenv("REPRO_FORCE_PYKERNEL", "1")
+        flat = evaluate_forces(tree, moms, pruned, backend="compiled", **how)
+        assert flat.stats["backend"] == "compiled"
+        assert flat.stats["cell_interactions"] == short.stats["cell_interactions"]
+        assert np.abs(short.acc - flat.acc).max() <= 1e-12 * np.abs(flat.acc).max()

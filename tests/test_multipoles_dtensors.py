@@ -296,26 +296,42 @@ KERNELS = [NewtonianKernel(), PlummerKernel(0.3), ErfcKernel(0.9)]
 
 class TestLevelContraction:
     """Force and potential of a particle-cell interaction from the
-    level-0 and level-1 tensors of order <= p:
-    sum_a wm_a D_{a+e_i} = x_i S + T_i,  S = sum_a wm_a R^1_a,
-    T_i = sum_g (g_i + 1) wm_{g+e_i} R^1_g  (|g| <= p - 1)."""
+    polynomials P_k of ``repro.multipoles.hermite``, evaluated through
+    the production pieces (moment matrix, generated shift, scaled
+    monomials) about a sink centre that is *not* the source centre:
+    sum_a wm_a D_{a+e_i} = x_i S + T_i,  S = sum_k g_{k+1} P_k (the
+    level-1 chain),  T_i = sum_k g_k d_i P_k,  phi = sum_k g_k P_k."""
 
-    def contract(self, dx, kernel, moments, p):
-        from repro.gravity.treeforce import _cell_weights
+    def contract(self, dx, kernel, moments, p, delta=None):
+        from repro.gravity.treeforce import _scaled_monomials
+        from repro.multipoles.codegen import compiled_shift_function
+        from repro.multipoles.hermite import field_table
 
-        ncoef, nlo = n_coeffs(p), n_coeffs(p - 1)
-        table = _cell_weights(moments, p, np.float64)
-        assert table.shape == (ncoef + 3 * nlo, len(moments))
+        n = len(dx)
+        tab = field_table(p)
+        mis = multi_index_set(p)
+        wm = (moments * ((-1.0) ** mis.order) / mis.factorial).T
+        # x = delta + d: particle about the sink centre, sink centre
+        # about the source centre (an accepted sink cell is small
+        # against its distance: |delta_i| <= |x_i| / 4)
+        if delta is None:
+            delta = 0.25 * dx * np.random.default_rng(p).uniform(-1, 1, dx.shape)
+        d = np.ascontiguousarray((dx - delta).T)
+        Q = tab.matrix @ moments.T
+        Q[~tab.filled] = np.nan  # the shift must write these rows
+        shift = compiled_shift_function(p)
+        shift(d, Q, np.empty((shift.n_scratch, n)))
+        XS = _scaled_monomials(np.ascontiguousarray(delta.T), p, np.float64)
         g = kernel.radial_derivs(np.linalg.norm(dx, axis=1), p + 1)
         x = np.ascontiguousarray(dx.T)
-        fn = compiled_dtensor_function(p, (0, 1))
-        R = fn(
-            x[0], x[1], x[2], g,
-            np.empty((2 * ncoef, len(dx))), np.empty((fn.n_scratch, len(dx))),
-        ).reshape(2, ncoef, -1)
-        pot, S = np.einsum("lan,an->ln", R, table[:ncoef])
-        T = np.einsum("an,ian->in", R[1, :nlo], table[ncoef:].reshape(3, nlo, len(dx)))
-        return x * S + T, pot, table[:ncoef]
+        pot, S, T = g[0] * Q[0], g[1] * Q[0], np.zeros((3, n))
+        for k in range(1, p + 1):
+            rows = slice(tab.offsets[k], tab.offsets[k + 1])
+            P = np.einsum("cnk,kn->cn", XS[:, :, : n_coeffs(k)], Q[rows])
+            pot = pot + g[k] * P[0]
+            S = S + g[k + 1] * P[0]
+            T += g[k] * P[1:]
+        return x * S + T, pot, wm
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=["newton", "plummer", "erfc"])
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 6])
@@ -336,24 +352,32 @@ class TestLevelContraction:
         assert np.abs(pot - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_monopole_has_no_shifted_block(self):
-        """p = 0: acc = x M g_1, pot = M g_0; nothing else is gathered."""
+        """p = 0: acc = x M g_1, pot = M g_0 — one coefficient, nothing
+        to shift, no monomial but the constant."""
+        from repro.multipoles.codegen import compiled_shift_function
+        from repro.multipoles.hermite import field_table
+
         dx = np.array([[1.0, 2.0, -2.0], [0.0, 0.0, 4.0]])
         m = np.array([[2.0], [3.0]])
         acc, pot, wm = self.contract(dx, NewtonianKernel(), m, 0)
         r = np.array([3.0, 4.0])
         assert np.array_equal(wm, m.T)
+        assert field_table(0).matrix.tolist() == [[1.0]]
+        assert compiled_shift_function(0).n_ops == 0
         np.testing.assert_allclose(pot, m[:, 0] / r, rtol=1e-15)
         np.testing.assert_allclose(acc, -dx.T * m[:, 0] / r**3, rtol=1e-15)
 
     def test_dipole_by_hand(self):
-        """p = 1: S = wm_0 g_1 + (wm_1 . x) g_2 and T_i = wm_{e_i} g_1,
-        with wm_0 = M_0, wm_{e_i} = -M_{e_i}."""
+        """p = 1: P_0 = wm_0, P_1 = wm_1 . x, so S = wm_0 g_1 +
+        (wm_1 . x) g_2 and T_i = wm_{e_i} g_1, with wm_0 = M_0,
+        wm_{e_i} = -M_{e_i} — wherever the sink centre is."""
         dx = np.array([[1.0, 2.0, -2.0]])
         mom = np.array([[2.0, 0.3, -0.5, 0.7]])
-        acc, pot, wm = self.contract(dx, NewtonianKernel(), mom, 1)
-        assert np.array_equal(wm[:, 0], [2.0, -0.3, 0.5, -0.7])
         g0, g1, g2 = 1 / 3.0, -1 / 27.0, 3 / 243.0
-        d = wm[1:, 0]
-        S = 2.0 * g1 + (d @ dx[0]) * g2
-        np.testing.assert_allclose(acc[:, 0], dx[0] * S + d * g1, rtol=1e-14)
-        np.testing.assert_allclose(pot[0], 2.0 * g0 + (d @ dx[0]) * g1, rtol=1e-14)
+        for delta in (np.zeros((1, 3)), np.array([[0.25, -0.5, 4.0]])):
+            acc, pot, wm = self.contract(dx, NewtonianKernel(), mom, 1, delta=delta)
+            assert np.array_equal(wm[:, 0], [2.0, -0.3, 0.5, -0.7])
+            d = wm[1:, 0]
+            S = 2.0 * g1 + (d @ dx[0]) * g2
+            np.testing.assert_allclose(acc[:, 0], dx[0] * S + d * g1, rtol=1e-14)
+            np.testing.assert_allclose(pot[0], 2.0 * g0 + (d @ dx[0]) * g1, rtol=1e-14)

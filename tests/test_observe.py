@@ -730,6 +730,7 @@ class TestKernelCounters:
     def test_counters_agree_with_perfmodel(self):
         from repro.perfmodel.flops import (
             FLOPS_PER_MONOPOLE_PP,
+            flops_per_cell_entry,
             flops_per_cell_interaction,
         )
 
@@ -739,6 +740,7 @@ class TestKernelCounters:
         # counter cross-check: the kernel recomputes the interaction
         # split from the CSR lists; it must match the solver's counters
         assert k["cell_interactions"] == res.stats["cell_interactions"]
+        assert k["cell_entries"] == res.stats["cell_entries"] > 0
         assert k["pp_interactions"] == res.stats["pp_interactions"]
         assert k["prism_interactions"] == res.stats["prism_interactions"]
         # flop accounting is the perfmodel count, exactly — of the
@@ -750,6 +752,7 @@ class TestKernelCounters:
         expected = (
             res.stats["cell_interactions"]
             * flops_per_cell_interaction(2, want_potential=True)
+            + res.stats["cell_entries"] * flops_per_cell_entry(2)
             + res.stats["pp_interactions"] * FLOPS_PER_MONOPOLE_PP
         )
         assert k["flops"] == pytest.approx(expected, rel=1e-9)
@@ -778,8 +781,17 @@ class TestKernelCounters:
     def test_sharded_merge_preserves_totals(self):
         serial = self._solve().stats["kernel"]
         sharded = self._solve(workers=2).stats["kernel"]
+        from repro.perfmodel.flops import flops_per_cell_entry
+
         assert sharded["interactions"] == serial["interactions"]
-        assert sharded["flops"] == pytest.approx(serial["flops"])
+        assert sharded["cell_interactions"] == serial["cell_interactions"]
+        # a sink cell that straddles two shards is translated by both:
+        # the rows are the serial ones, the translations a few more
+        again = sharded["cell_entries"] - serial["cell_entries"]
+        assert 0 < again < serial["cell_entries"]
+        assert sharded["flops"] == pytest.approx(
+            serial["flops"] + again * flops_per_cell_entry(2)
+        )
         assert sharded["rows"] == serial["rows"]
         assert 0 < sharded["tile_occupancy"] <= 1.0
         assert sharded["interactions_per_s"] > 0

@@ -11,6 +11,7 @@ from repro.perfmodel import (
     ScalingInputs,
     StrongScalingModel,
     expected_overhead,
+    flops_per_cell_entry,
     flops_per_cell_interaction,
     flops_per_particle,
     optimal_interval,
@@ -28,27 +29,34 @@ class TestFlops:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_cell_counts_pinned(self):
-        """Counted from the generated routine, not from a second formula:
-        level-0/1 recurrence (the ``1.0 *`` multiplies elided) + radial
-        chain + the wm and shifted-weight contractions + x_i S + T_i."""
-        assert flops_per_cell_interaction(2) == 27 + 24 + 2 * (2 * 10 + 3 * 4) + 6
-        assert flops_per_cell_interaction(4) == 140 + 32 + 2 * (2 * 35 + 3 * 20) + 6
-        assert flops_per_cell_interaction(2, want_potential=False) == 15 + 24 + 2 * (10 + 3 * 4) + 6
-        assert flops_per_cell_interaction(4, want_potential=False) == 88 + 32 + 2 * (35 + 3 * 20) + 6
-        # p = 0: one level-1 coefficient, no shifted block
-        assert flops_per_cell_interaction(0) == 0 + 16 + 2 * 2 + 6
+        """Re-derived by hand, not from a second formula.  Per row: the
+        matrix products (P_k and three derivatives: 4 multiply-adds per
+        column of the order-k block, 4 + 10 + 20 + 35 columns at p = 4)
+        + radial chain + S and phi (p + 1 multiplies, p adds each) +
+        T (3 x (p multiplies, p - 1 adds)) + x_i S + T_i."""
+        assert flops_per_cell_interaction(2) == 8 * (4 + 10) + 24 + 2 * 5 + 3 * 3 + 6
+        assert flops_per_cell_interaction(4) == 8 * 69 + 32 + 2 * 9 + 3 * 7 + 6 == 629
+        assert flops_per_cell_interaction(2, want_potential=False) == 8 * 14 + 24 + 5 + 9 + 6
+        assert flops_per_cell_interaction(4, want_potential=False) == 8 * 69 + 32 + 9 + 21 + 6
+        # p = 0: no product, no T: S, phi and x_i S
+        assert flops_per_cell_interaction(0) == 0 + 16 + 2 + 3
+        assert flops_per_cell_interaction(0, want_potential=False) == 0 + 16 + 1 + 3
+        # per accept-level entry: the shift's statements + the shift vector
+        assert [flops_per_cell_entry(p) for p in (0, 1, 2, 4)] == [3, 8, 39, 301]
 
     def test_cell_count_matches_generated_routine(self):
-        """One flop per ufunc call the generated routine makes."""
-        from repro.multipoles import generate_dtensor_source, n_coeffs
+        """Per entry: one flop per ufunc call the generated shift
+        routine makes.  Per row: the matrix products are as wide as the
+        blocks of the table the evaluator multiplies."""
+        from repro.multipoles.codegen import generate_shift_source
+        from repro.multipoles.hermite import field_table
 
         for p in (1, 2, 4, 6):
-            for levels in ((0, 1), (1,)):
-                src = generate_dtensor_source(p, levels)
-                calls = src.count("mul(") + src.count("add(")
-                rest = 4 * (p + 2) + 8 + 6
-                rest += 2 * (len(levels) * n_coeffs(p) + 3 * n_coeffs(p - 1))
-                assert flops_per_cell_interaction(p, len(levels) == 2) == calls + rest
+            src = generate_shift_source(p)
+            assert flops_per_cell_entry(p) == src.count("mul(") + src.count("add(") + 3
+            widths = np.diff(field_table(p).offsets)[1:]
+            rest = 4 * (p + 2) + 8 + 2 * (2 * p + 1) + 3 * (2 * p - 1) + 6
+            assert flops_per_cell_interaction(p) == 2 * 4 * widths.sum() + rest
 
     def test_m2l_counts_the_generated_order_p_plus_2_routine(self):
         from repro.gravity.localexp import m2l_tables

@@ -4,8 +4,12 @@ Covers the completeness invariant (every sink particle sees every
 source mass exactly once per periodic image), agreement with direct
 and Ewald sums, CSR structural validity, restricted-walk identity (the property that
 makes sharded execution bit-identical), and chunk-size invariance of
-the segment-reduce evaluator.
+the evaluator.  The cell family is keyed by the sink cell that recorded
+each accept; the exactly-once references read it through the derived
+per-leaf view (``InteractionLists.cell_leaf_csr``).
 """
+
+import hashlib
 
 import dataclasses
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations
+from repro.gravity import treeforce
 from repro.gravity.treeforce import _leaf_blocks, evaluate_forces
 from repro.tree import (
     build_tree,
@@ -61,8 +66,9 @@ def coverage_counts(tree, inter):
     n_off = len(inter.offsets)
     leaf_pos = {int(s): i for i, s in enumerate(sinks)}
     cov = np.zeros((len(sinks), n_off, n), dtype=np.int64)
+    cell_src, cell_off, cell_indptr = inter.cell_leaf_csr(tree)
     for fam_sink, fam_src, fam_off in (
-        (inter.cell_sink, inter.cell_src, inter.cell_off),
+        (np.repeat(sinks, np.diff(cell_indptr)), cell_src, cell_off),
         (inter.leaf_sink, inter.leaf_src, inter.leaf_off),
     ):
         for s, c, o in zip(fam_sink, fam_src, fam_off):
@@ -98,7 +104,7 @@ class TestCompleteness:
         vol = np.zeros((len(sinks), len(inter.offsets)))
         cell_vol = (0.5 ** tree.cell_level) ** 3
         for fam_src, fam_off, indptr in (
-            (inter.cell_src, inter.cell_off, inter.cell_indptr),
+            inter.cell_leaf_csr(tree),
             (inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
             (inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
         ):
@@ -164,7 +170,6 @@ class TestCSRStructure:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         sinks = inter.sink_leaves
         for name, arr, indptr in (
-            ("cell", inter.cell_sink, inter.cell_indptr),
             ("leaf", inter.leaf_sink, inter.leaf_indptr),
             ("ghost", inter.ghost_sink, inter.ghost_indptr),
         ):
@@ -175,6 +180,77 @@ class TestCSRStructure:
             # rows grouped: entries in segment i all have sink sinks[i]
             seg = np.repeat(np.arange(len(sinks)), np.diff(indptr))
             assert np.array_equal(arr, sinks[seg]), name
+
+    def test_cell_family_keyed_by_recording_cell(self):
+        """Rows are the sink cells with accepts — interior and leaf —
+        in ascending cell index, i.e. level by level and in particle
+        order within a level; no row is empty; ``cell_emit`` is the
+        permutation back to the walk's emission order."""
+        tree, moms = setup(n=800, background=True)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        cells, indptr = inter.cell_cells, inter.cell_indptr
+        assert len(indptr) == len(cells) + 1
+        assert indptr[0] == 0 and indptr[-1] == len(inter.cell_src)
+        assert len(inter.cell_off) == len(inter.cell_emit) == len(inter.cell_src)
+        assert np.all(np.diff(indptr) > 0) and np.all(np.diff(cells) > 0)
+        assert np.all(np.diff(tree.cell_level[cells]) >= 0)
+        same = np.diff(tree.cell_level[cells]) == 0
+        assert np.all(np.diff(tree.cell_start[cells])[same] > 0)
+        assert not np.any(tree.cell_is_ghost[cells])
+        interior = ~tree.is_leaf[cells]
+        assert interior.any() and (~interior).any()
+        nent = np.diff(indptr)
+        assert nent[interior].sum() == inter.inherited_accepts
+        assert nent[~interior].sum() == inter.leaf_accepts
+        assert np.array_equal(np.sort(inter.cell_emit), np.arange(len(inter.cell_src)))
+        # within a cell's segment the emission order is kept
+        seg = np.repeat(np.arange(len(cells)), nent)
+        assert np.all(np.diff(inter.cell_emit)[np.diff(seg) == 0] > 0)
+        assert inter.n_cell_interactions(tree) == (tree.cell_count[cells] * nent).sum()
+
+    def test_leaf_view_is_the_inherited_fan_out(self):
+        """``cell_leaf_csr``: every sink leaf lists the accepts of its
+        ancestors (interior first), then its own, and its content and
+        order are those of the per-leaf lists the traversal emitted
+        before the cell family was keyed by sink cell (sha256 of that
+        commit's ``cell_src`` / ``cell_off`` / ``cell_indptr`` on these
+        seeded inputs, full walk and middle shard)."""
+        pinned = {
+            (False, "full"): "f44efe373e9e5560",
+            (False, "shard"): "c39613bf8fc0ea7f",
+            (True, "full"): "e35a07f9c41ada4f",
+            (True, "shard"): "2101f6e9b0281c43",
+        }
+        for clustered in (False, True):
+            tree, moms = setup(n=1500, clustered=clustered, background=True)
+            leaves = tree.leaf_indices[np.argsort(tree.cell_start[tree.leaf_indices])]
+            for tag, sinks in (("full", None), ("shard", np.array_split(leaves, 3)[1])):
+                inter = traverse_hierarchical(
+                    tree, moms, periodic=True, ws=1, sink_leaves=sinks
+                )
+                src, off, indptr = inter.cell_leaf_csr(tree)
+                h = hashlib.sha256()
+                for a in (src, off, indptr):
+                    h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+                assert h.hexdigest()[:16] == pinned[(clustered, tag)], (clustered, tag)
+                # by hand: the accepts recorded along the leaf's chain of
+                # ancestors, merged in emission order, then the leaf's own
+                row_of = {int(c): i for i, c in enumerate(inter.cell_cells)}
+                for i in (0, len(inter.sink_leaves) // 2, len(inter.sink_leaves) - 1):
+                    leaf = node = int(inter.sink_leaves[i])
+                    inherited, own = [], []
+                    while node >= 0:
+                        if node in row_of:
+                            e = slice(*inter.cell_indptr[row_of[node] : row_of[node] + 2])
+                            (own if node == leaf else inherited).extend(
+                                zip(inter.cell_emit[e], inter.cell_src[e], inter.cell_off[e])
+                            )
+                        node = int(tree.cell_parent[node])
+                    row = slice(indptr[i], indptr[i + 1])
+                    assert list(zip(src[row], off[row])) == [
+                        (c, o) for _, c, o in sorted(inherited) + own
+                    ]
+                    assert inherited and own
 
     def test_filter_csr_indptr(self):
         indptr = np.array([0, 3, 3, 7, 8], dtype=np.int64)
@@ -197,35 +273,48 @@ class TestCSRStructure:
 class TestRestrictedWalkIdentity:
     def test_shard_segments_identical(self):
         """Restricted walks replay the unrestricted walk's decisions:
-        per-sink-leaf CSR segments are identical in content AND order
-        for any SFC-contiguous sharding — the property that makes the
-        multiprocessing executor bit-identical to serial."""
+        CSR segments are identical in content AND order for any
+        SFC-contiguous sharding — per sink leaf for the leaf and ghost
+        families, per recording sink cell for the cell family (a cell
+        that straddles a shard boundary appears, whole, in both shards)
+        — the property that makes the multiprocessing executor
+        bit-identical to serial."""
         tree, moms = setup(n=1500, clustered=True, background=True)
         full = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         sinks = full.sink_leaves
 
         def segments(inter):
             out = {}
-            for fam, (src, off, indptr) in {
-                "cell": (inter.cell_src, inter.cell_off, inter.cell_indptr),
-                "leaf": (inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
-                "ghost": (inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
+            for fam, (rows, src, off, indptr) in {
+                "cell": (inter.cell_cells, inter.cell_src, inter.cell_off, inter.cell_indptr),
+                "leaf": (inter.sink_leaves, inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
+                "ghost": (inter.sink_leaves, inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
             }.items():
-                for i, s in enumerate(inter.sink_leaves):
+                for i, s in enumerate(rows):
                     a, b = indptr[i], indptr[i + 1]
                     out[(fam, int(s))] = (src[a:b].tolist(), off[a:b].tolist())
             return out
 
         ref = segments(full)
-        merged = {}
+        merged, seen = {}, []
         for part in np.array_split(sinks, 3):
-            if len(part) == 0:
-                continue
             shard = traverse_hierarchical(
                 tree, moms, periodic=True, ws=1, sink_leaves=part
             )
-            merged.update(segments(shard))
+            mine = segments(shard)
+            # what two shards both hold, they hold identically
+            assert all(merged[k] == v for k, v in mine.items() if k in merged)
+            merged.update(mine)
+            seen.append(set(shard.cell_cells.tolist()))
+            # counted over the shard's own particles only
+            view = shard.cell_leaf_csr(tree)[2]
+            assert shard.n_cell_interactions(tree) == (
+                tree.cell_count[shard.sink_leaves] * np.diff(view)
+            ).sum()
         assert merged == ref
+        # the root and at least one more interior cell straddle a boundary
+        shared = (seen[0] & seen[1]) | (seen[1] & seen[2])
+        assert len(shared) >= 2 and not np.any(tree.is_leaf[sorted(shared)])
 
     def test_workers_bit_identical(self):
         pos, mass = cloud(2000, seed=5)
@@ -248,29 +337,36 @@ def same_bits(a, b):
 
 
 def drop_cell_rows(inter, drop):
-    """``inter`` without the cell entries of the CSR rows flagged in ``drop``."""
-    row = np.repeat(np.arange(len(inter.sink_leaves)), np.diff(inter.cell_indptr))
-    keep = ~drop[row]
+    """``inter`` without the entries of the sink cells (rows of
+    ``cell_cells``) flagged in ``drop``; the rows stay, empty."""
+    keep = ~np.repeat(drop, np.diff(inter.cell_indptr))
     return dataclasses.replace(
         inter,
-        cell_sink=inter.cell_sink[keep],
         cell_src=inter.cell_src[keep],
         cell_off=inter.cell_off[keep],
+        cell_emit=inter.cell_emit[keep],
         cell_indptr=filter_csr_indptr(inter.cell_indptr, keep),
     )
+
+
+def panel_rows(tree, inter):
+    """Interaction rows per sink cell of the cell family."""
+    return tree.cell_count[inter.cell_cells] * np.diff(inter.cell_indptr)
 
 
 class TestChunkInvariance:
     def test_csr_evaluator_chunk_sizes(self):
         """Blocks hold whole (particles x entry-list) tiles and every
         particle is reduced over its own entries only, so results are
-        bit-identical at any row budget: one particle per block, an odd
-        size that splits leaves by particles, exactly one leaf per
-        block, and everything in a single block."""
+        bit-identical at any row budget: one tile per block, an odd
+        size in between, the largest sink cell's rows, and everything
+        in a single block.  (A cell-family tile is a panel — a fixed
+        number of a sink cell's particles against all its entries — and
+        is never cut: the budget only says how many share a block.)"""
         tree, moms = setup(n=900, background=True)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
-        rows = tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_indptr)
-        assert rows.max() > 777  # the odd budget really splits a leaf
+        rows = panel_rows(tree, inter)
+        assert rows.max() > 777  # the odd budget is below the largest cell
         assert len(inter.ghost_src) and len(inter.leaf_src)  # both prism passes run
         for dtype in (np.float64, np.float32):
             ref = evaluate_forces(tree, moms, inter, dtype=dtype)
@@ -333,7 +429,7 @@ class TestChunkInvariance:
 
 
 class TestBlockedCellEvaluator:
-    """The numpy sink-leaf x source-cell blocks (m x n blocking)."""
+    """The numpy sink-cell x source-cell panels (m x n blocking)."""
 
     def lists(self, n=700, **kw):
         tree, moms = setup(n=n, background=True, **kw)
@@ -373,7 +469,7 @@ class TestBlockedCellEvaluator:
         block (found by ``test_any_budget_any_tree``)."""
         tree, moms = setup(n=9, seed=12, nleaf=1, tol=1e-3)
         inter = traverse_hierarchical(tree, moms)
-        rows = tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_indptr)
+        rows = panel_rows(tree, inter)
         assert np.any(rows == 1) and rows.sum() > 1
         ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
         alone = evaluate_forces(tree, moms, inter, dtype=np.float32, cell_chunk=1)
@@ -401,24 +497,24 @@ class TestBlockedCellEvaluator:
                 assert np.array_equal(res.pot, serial.pot[s0:s1])
 
     def test_particle_depends_on_its_own_row_only(self):
-        """Removing every *other* row's cell entries (which also moves
-        the block boundaries) leaves a row's particles bit-identical:
-        the per-particle reduction reads that particle's own entry
-        segment and nothing else in the block."""
+        """Removing the entries of every sink cell that is *not* on a
+        leaf's chain of ancestors (which also moves the block
+        boundaries) leaves that leaf's particles bit-identical: a
+        particle's sums read the segments of the cells it sits in and
+        nothing else in a block."""
         tree, moms, inter = self.lists()
         n = tree.n_particles
         full = evaluate_forces(tree, moms, inter, particle_range=(0, n))
-        nent = np.diff(inter.cell_indptr)
-        for k in (0, len(nent) // 2, len(nent) - 1):
-            assert nent[k] > 0
-            drop = np.ones(len(nent), dtype=bool)
-            drop[k] = False
-            only_k = evaluate_forces(
-                tree, moms, drop_cell_rows(inter, drop), particle_range=(0, n)
-            )
+        for k in (0, len(inter.sink_leaves) // 2, len(inter.sink_leaves) - 1):
             leaf = inter.sink_leaves[k]
             own = slice(
                 tree.cell_start[leaf], tree.cell_start[leaf] + tree.cell_count[leaf]
+            )
+            start, count = tree.cell_start[inter.cell_cells], tree.cell_count[inter.cell_cells]
+            on_chain = (start <= own.start) & (own.stop <= start + count)
+            assert on_chain.sum() >= 2 and tree.is_leaf[inter.cell_cells[on_chain]].any()
+            only_k = evaluate_forces(
+                tree, moms, drop_cell_rows(inter, ~on_chain), particle_range=(0, n)
             )
             assert np.array_equal(only_k.acc[own], full.acc[own])
             assert np.array_equal(only_k.pot[own], full.pot[own])
@@ -427,11 +523,12 @@ class TestBlockedCellEvaluator:
             assert np.any(only_k.acc[others] != full.acc[others])
 
     def test_rows_without_cell_entries(self, monkeypatch):
-        """Rows whose cell list is empty contribute pp/prism only and
-        do not disturb their neighbours in a block."""
+        """Sink cells whose entry list is empty (a pruned TreePM list has
+        them) contribute nothing and do not disturb their neighbours
+        in a block."""
         tree, moms, inter = self.lists()
         n = tree.n_particles
-        drop = np.arange(len(inter.sink_leaves)) % 3 != 1
+        drop = np.arange(len(inter.cell_cells)) % 3 != 1
         sparse = drop_cell_rows(inter, drop)
         assert np.any(np.diff(sparse.cell_indptr) == 0)
         ref = evaluate_forces(tree, moms, sparse, particle_range=(0, n))
@@ -458,10 +555,8 @@ class TestBlockedCellEvaluator:
         of ``repro.gravity.kernels``: an independent implementation
         that walks the lists one (sink, source) term at a time."""
         csr = evaluate_forces(tree, moms, inter, backend="numpy", **kw)
-        with monkeypatch.context() as m:
-            m.setenv("REPRO_FORCE_PYKERNEL", "1")
-            flat = evaluate_forces(tree, moms, inter, backend="compiled", **kw)
-        assert csr.stats["backend"] == "numpy" and flat.stats["backend"] == "compiled"
+        flat = oracle(monkeypatch, tree, moms, inter, **kw)
+        assert csr.stats["backend"] == "numpy"
         assert csr.stats["cell_interactions"] == flat.stats["cell_interactions"] > 0
         scale = np.abs(flat.acc).max()
         assert np.abs(csr.acc - flat.acc).max() < 1e-12 * scale
@@ -470,9 +565,10 @@ class TestBlockedCellEvaluator:
 
     @pytest.mark.parametrize("p", [0, 1, 4])
     def test_every_order_with_and_without_potential(self, p, monkeypatch):
-        """p = 0 has no shifted-weight block at all, p = 1 a single
-        shifted weight per axis; the force-only routine (level 1 alone)
-        returns the bits of the force + potential one."""
+        """p = 0 has no matrix product and no shift at all (P_0 is the
+        monopole), p = 1 a single 4-column product; leaving the
+        potential out drops its sum and nothing else, so the
+        acceleration keeps its bits."""
         pos, mass = cloud(300, seed=p)
         tree = build_tree(pos, mass, nleaf=8, with_ghosts=True)
         moms = compute_moments(tree, p=p, tol=1e-3, background=True, mean_density=1.0)
@@ -490,9 +586,9 @@ class TestBlockedCellEvaluator:
             )
 
     def test_every_particle_in_one_leaf(self, monkeypatch):
-        """One sink leaf holding all particles, far images taken as
-        cell interactions: a single (n_L x E) tile, above the budget
-        and split by particles when the budget says so."""
+        """One sink leaf holding all 60 particles, far images taken as
+        cell interactions: a full panel of 32 particles and one of 28,
+        each against every entry, whatever the budget."""
         tree, moms = setup(n=60, background=True, nleaf=10**4)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=2)
         assert len(inter.sink_leaves) == 1 and len(inter.cell_src) == 0
@@ -502,9 +598,10 @@ class TestBlockedCellEvaluator:
         assert 0 < far.sum() < len(far)
         inter = dataclasses.replace(
             inter,
-            cell_sink=inter.leaf_sink[far],
+            cell_cells=inter.sink_leaves,
             cell_src=inter.leaf_src[far],
             cell_off=inter.leaf_off[far],
+            cell_emit=np.arange(far.sum()),
             cell_indptr=np.array([0, far.sum()]),
             leaf_sink=inter.leaf_sink[~far],
             leaf_src=inter.leaf_src[~far],
@@ -513,6 +610,7 @@ class TestBlockedCellEvaluator:
         )
         ref = self.assert_matches_flat(monkeypatch, tree, moms, inter)
         assert ref.stats["cell_interactions"] == 60 * far.sum()
+        assert ref.stats["cell_entries"] == far.sum()
         for cell_chunk in (1, far.sum(), 7 * far.sum() + 3):
             assert same_bits(
                 ref,
@@ -520,6 +618,216 @@ class TestBlockedCellEvaluator:
                     tree, moms, inter, backend="numpy", cell_chunk=int(cell_chunk)
                 ),
             )
+
+
+def oracle(monkeypatch, tree, moms, inter, **kw):
+    """The interpreted term-by-term kernel on the derived per-leaf view."""
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_FORCE_PYKERNEL", "1")
+        res = evaluate_forces(tree, moms, inter, backend="compiled", **kw)
+    assert res.stats["backend"] == "compiled"
+    return res
+
+
+def close(a, b, tol=1e-12):
+    return (
+        np.abs(a.acc - b.acc).max() <= tol * np.abs(b.acc).max()
+        and np.abs(a.pot - b.pot).max() <= tol * np.abs(b.pot).max()
+    )
+
+
+class TestCellFamilyByHand:
+    """Inputs small enough to count: two clumps in opposite octants of
+    an open box, each a leaf that accepts the other as one multipole."""
+
+    @staticmethod
+    def two_clumps(n_a, n_b, nleaf, p=2, at_centre=False, seed=0):
+        rng = np.random.default_rng(seed)
+        a = 0.25 + 0.05 * (rng.random((n_a, 3)) - 0.5)
+        b = 0.75 + 0.05 * (rng.random((n_b, 3)) - 0.5)
+        if at_centre:
+            b[:] = 0.75
+        pos = np.concatenate([a, b])
+        mass = rng.random(n_a + n_b) + 0.5
+        tree = build_tree(pos, mass, nleaf=nleaf)
+        moms = compute_moments(tree, p=p, tol=1e-2)
+        inter = traverse_hierarchical(tree, moms)
+        # root split once; each leaf took the other as a cell, itself direct
+        assert tree.cell_count[inter.sink_leaves].tolist() == [n_a, n_b]
+        assert inter.cell_cells.tolist() == inter.sink_leaves.tolist()
+        assert inter.cell_src.tolist() == inter.sink_leaves[::-1].tolist()
+        assert inter.leaf_src.tolist() == inter.leaf_sink.tolist()
+        return tree, moms, inter
+
+    def test_eight_and_eight(self, monkeypatch):
+        """8 + 8 particles: two accept-level entries, 8 x 1 + 8 x 1
+        rows; the far clump's order-2 expansion is its direct sum to
+        (clump size / distance)^3."""
+        tree, moms, inter = self.two_clumps(8, 8, nleaf=8)
+        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        assert res.stats["cell_entries"] == 2
+        assert res.stats["cell_interactions"] == 16 == inter.n_cell_interactions(tree)
+        assert res.stats["pp_interactions"] == 2 * 64
+        assert set(res.stats["cell_seconds"]) == {"translate", "rows"}
+        assert close(res, oracle(monkeypatch, tree, moms, inter))
+        pos, mass = tree.pos[tree.order.argsort()], tree.mass[tree.order.argsort()]
+        direct = direct_accelerations(pos, mass)
+        assert np.abs(res.acc - direct).max() < 2e-3 * np.abs(direct).max()
+        for chunk in (1, 8, 9):
+            assert same_bits(
+                res, evaluate_forces(tree, moms, inter, backend="numpy", cell_chunk=chunk)
+            )
+
+    def test_one_leaf_holds_everything(self, monkeypatch):
+        """No accept anywhere: the cell family is never entered (no
+        table, no translation, no matrix product)."""
+        pos, mass = cloud(12)
+        tree = build_tree(pos, mass, nleaf=16)
+        moms = compute_moments(tree, p=4, tol=1e-3)
+        inter = traverse_hierarchical(tree, moms)
+        assert len(inter.cell_cells) == len(inter.cell_src) == 0
+        assert inter.cell_indptr.tolist() == [0]
+
+        def boom(*args, **kw):
+            raise AssertionError("the cell family must not run")
+
+        monkeypatch.setattr(treeforce, "_evaluate_cells", boom)
+        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        assert res.stats["cell_entries"] == res.stats["cell_interactions"] == 0
+        assert res.stats["cell_seconds"] == {"translate": 0.0, "rows": 0.0}
+        assert res.stats["pp_interactions"] == 144
+
+    def test_coincident_particles_at_the_cell_centre(self, monkeypatch):
+        """Nine particles on top of each other at the sink cell's
+        centre: delta = 0, every monomial but the constant vanishes,
+        and all nine read P_k = Q_{k,0}: the same force, which for a
+        point-like sink cell is the interpreted kernel's to rounding."""
+        tree, moms, inter = self.two_clumps(9, 9, nleaf=16, p=4, at_centre=True)
+        twins = slice(9, 18)
+        leaf = inter.sink_leaves[1]
+        assert np.all(tree.pos[twins] == tree.cell_center[leaf])
+        XS = treeforce._scaled_monomials(np.zeros((3, 9)), 4, np.float64)
+        assert np.all(XS[0, :, 0] == 1.0) and np.count_nonzero(XS[0]) == 9
+        # d_i of the linear monomials is the constant one
+        assert np.count_nonzero(XS[1:]) == 3 * 9
+        # (unsoftened twins have no finite pp force: cell family alone)
+        cell_only = dataclasses.replace(
+            inter,
+            leaf_sink=inter.leaf_sink[:0], leaf_src=inter.leaf_src[:0],
+            leaf_off=inter.leaf_off[:0], leaf_indptr=np.zeros(3, dtype=np.int64),
+        )
+        ref = oracle(monkeypatch, tree, moms, cell_only, particle_range=(0, 18))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            far = evaluate_forces(
+                tree, moms, cell_only, dtype=dtype, backend="numpy", particle_range=(0, 18)
+            )
+            assert np.all(far.acc[twins] == far.acc[9]) and np.all(far.pot[twins] == far.pot[9])
+            assert close(far, ref, tol=tol)
+
+    @pytest.mark.parametrize("n_a, n_b", [(7, 33), (33, 7), (31, 32), (1, 65)])
+    def test_panels_smaller_and_one_larger(self, n_a, n_b, monkeypatch):
+        """A sink cell of 7 particles is one short panel, one of 33 a
+        full panel of 32 and a panel of a single particle (BLAS takes
+        the matrix-vector path there), 65 two full panels and one."""
+        assert treeforce._CELL_PANEL == 32
+        tree, moms, inter = self.two_clumps(n_a, n_b, nleaf=max(n_a, n_b), p=4)
+        owned = np.ones(tree.n_particles, dtype=bool)
+        row, p0, m = treeforce._cell_panels(tree, inter, owned, 32)
+        want = [(r, s) for r, n in enumerate((n_a, n_b)) for s in range(0, n, 32)]
+        assert list(zip(row.tolist(), (p0 - tree.cell_start[inter.cell_cells][row]).tolist())) == want
+        assert m.tolist() == [min(32, (n_a, n_b)[r] - s) for r, s in want]
+        # a shard keeps the panels that hold one of its particles
+        owned[: n_a + 1] = False
+        row_s, p0_s, m_s = treeforce._cell_panels(tree, inter, owned, 32)
+        assert row_s.tolist() == [1] * len(m_s) and m_s.sum() == n_b
+        ref = oracle(monkeypatch, tree, moms, inter)
+        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        assert res.stats["cell_interactions"] == n_a + n_b
+        assert close(res, ref)
+        for dtype in (np.float64, np.float32):
+            res = evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            for chunk in (1, 32, 33, 10**6):
+                assert same_bits(
+                    res,
+                    evaluate_forces(
+                        tree, moms, inter, dtype=dtype, backend="numpy", cell_chunk=chunk
+                    ),
+                )
+            # each leaf as its own shard: same bits as the serial slice
+            order = tree.order.argsort()
+            for k, leaf in enumerate(inter.sink_leaves):
+                shard = traverse_hierarchical(tree, moms, sink_leaves=np.array([leaf]))
+                s0 = int(tree.cell_start[leaf])
+                s1 = s0 + int(tree.cell_count[leaf])
+                part = evaluate_forces(
+                    tree, moms, shard, dtype=dtype, backend="numpy", particle_range=(s0, s1)
+                )
+                assert part.stats["cell_interactions"] == s1 - s0
+                serial = evaluate_forces(
+                    tree, moms, inter, dtype=dtype, backend="numpy",
+                    particle_range=(0, tree.n_particles),
+                )
+                assert np.array_equal(part.acc, serial.acc[s0:s1])
+                assert np.array_equal(part.pot, serial.pot[s0:s1])
+
+    def test_particles_on_box_faces(self, monkeypatch):
+        """Periodic box, every particle on a face (one coordinate
+        exactly 0): image cells at exactly one box length, sink cells
+        whose particles all lie on their own boundary."""
+        n = 96
+        rng = np.random.default_rng(7)
+        pos = rng.random((n, 3))
+        pos[np.arange(n), rng.integers(0, 3, n)] = 0.0
+        mass = np.full(n, 1.0 / n)
+        tree = build_tree(pos, mass, nleaf=4, with_ghosts=True)
+        moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        assert len(inter.cell_src) and not np.all(tree.is_leaf[inter.cell_cells])
+        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        assert close(res, oracle(monkeypatch, tree, moms, inter))
+        f32 = evaluate_forces(tree, moms, inter, dtype=np.float32, backend="numpy")
+        assert np.abs(f32.acc - res.acc).max() < 1e-5 * np.abs(res.acc).max()
+        for chunk in (1, 1013):
+            assert same_bits(
+                f32,
+                evaluate_forces(
+                    tree, moms, inter, dtype=np.float32, backend="numpy", cell_chunk=chunk
+                ),
+            )
+
+
+class TestCellWorkerIdentity:
+    """Accepts recorded at interior sink cells under the shard executor:
+    a cell that straddles a shard boundary is evaluated, in the same
+    panels, by every shard that owns one of its particles."""
+
+    def test_workers_0_1_2_3_same_bits(self):
+        pos, mass = cloud(1200, seed=6, clustered=True)
+        # (at this tolerance the root itself records an accept)
+        cfg = dict(periodic=True, errtol=1e-2, p=2, dtype=np.float32)
+        with TreecodeGravity(TreecodeConfig(**cfg)) as solver:
+            serial = solver.compute(pos, mass)
+            tree, inter = solver.last_tree, solver.last_interactions
+        start, count = tree.cell_start[inter.cell_cells], tree.cell_count[inter.cell_cells]
+        assert serial.stats["cell_entries"] == len(inter.cell_src)
+        for workers in (1, 2, 3):
+            with TreecodeGravity(TreecodeConfig(**cfg, workers=workers)) as solver:
+                res = solver.compute(pos, mass)
+                shards = solver._executor._make_shards(tree)
+            assert np.array_equal(res.acc, serial.acc), workers
+            assert np.array_equal(res.pot, serial.pot), workers
+            # owned rows only: the counts are the serial ones exactly
+            for key in ("cell_interactions", "interactions_by_family", "traversal_interactions"):
+                assert res.stats[key] == serial.stats[key], (workers, key)
+            assert set(res.stats["cell_seconds"]) == {"translate", "rows"}
+            assert (res.stats["cell_entries"] > serial.stats["cell_entries"]) == (workers > 1)
+            # the root and at least one more interior sink cell straddle
+            # every shard boundary
+            for _, _, s0, _ in shards[1:]:
+                across = inter.cell_cells[(start < s0) & (s0 < start + count)]
+                assert len(across) >= 2 and across[0] == 0, (workers, s0)
+                assert not np.any(tree.is_leaf[across])
+            assert len(shards) == (1 if workers == 1 else 4 * workers)
 
 
 class TestBlockedPairEvaluator:
@@ -542,8 +850,8 @@ class TestBlockedPairEvaluator:
         inter = dataclasses.replace(
             walk,
             offsets=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-            cell_sink=none, cell_src=none, cell_off=none,
-            cell_indptr=np.zeros(3, dtype=np.int64),
+            cell_cells=none, cell_src=none, cell_off=none, cell_emit=none,
+            cell_indptr=np.zeros(1, dtype=np.int64),
             leaf_sink=np.repeat(sinks, 2),
             leaf_src=np.repeat(sinks, 2),
             leaf_off=np.array([0, 1, 0, 1]),

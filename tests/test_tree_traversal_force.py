@@ -33,9 +33,11 @@ class TestTraversalInvariants:
         tree = build_tree(pos, mass, nleaf=8)
         moms = compute_moments(tree, p=2, tol=1e-5)
         inter = traverse_hierarchical(tree, moms)
-        total = np.zeros(len(tree.cell_key))  # per sink leaf accumulated mass
         per_sink = {}
-        for s, c in zip(inter.cell_sink, inter.cell_src):
+        # the cell family as each sink leaf sees it (accepts recorded at
+        # its ancestors included)
+        cell_src, _, cell_indptr = inter.cell_leaf_csr(tree)
+        for s, c in zip(np.repeat(inter.sink_leaves, np.diff(cell_indptr)), cell_src):
             per_sink[s] = per_sink.get(s, 0.0) + tree.mass[
                 tree.cell_start[c] : tree.cell_start[c] + tree.cell_count[c]
             ].sum()
@@ -70,7 +72,12 @@ class TestTraversalInvariants:
         moms = compute_moments(tree, p=2, tol=1e-5)
         some = tree.leaf_indices[:3]
         inter = traverse_hierarchical(tree, moms, sink_leaves=some)
-        assert set(inter.cell_sink) | set(inter.leaf_sink) <= set(some)
+        assert set(inter.leaf_sink) <= set(some)
+        # cell accepts are recorded at the selected leaves or above them
+        assert np.all(inter.sink_particles_under(tree, inter.cell_cells) > 0)
+        assert inter.n_cell_interactions(tree) == (
+            tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_leaf_csr(tree)[2])
+        ).sum()
 
 
 class TestForceAccuracy:

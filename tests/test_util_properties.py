@@ -51,9 +51,11 @@ class TestTreeTraversalProperty:
         moms = compute_moments(tree, p=2, tol=1e-4)
         inter = traverse_hierarchical(tree, moms)
         per_sink: dict = {}
+        cell_src, _, cell_indptr = inter.cell_leaf_csr(tree)
+        cell_sink = np.repeat(inter.sink_leaves, np.diff(cell_indptr))
         for sink, src in zip(
-            np.concatenate([inter.cell_sink, inter.leaf_sink]),
-            np.concatenate([inter.cell_src, inter.leaf_src]),
+            np.concatenate([cell_sink, inter.leaf_sink]),
+            np.concatenate([cell_src, inter.leaf_src]),
         ):
             s, c = tree.cell_start[src], tree.cell_count[src]
             per_sink[sink] = per_sink.get(sink, 0.0) + tree.mass[s : s + c].sum()
