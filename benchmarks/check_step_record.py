@@ -7,7 +7,11 @@ Exits non-zero when a workload of the report has a non-empty
 when one step of a workload, run here at the report's size, leaves no
 per-family split of the force evaluation in ``Simulation.last_stats``
 (``family_seconds``: cell / pp / m2l / prism, and beside it
-``cell_seconds``: translate / rows, the two parts of the cell family).
+``cell_seconds``: translate / rows, the two parts of the cell family,
+and ``prism_seconds``: coalesce / rows, the two parts of the prism
+family), or when the prism pass did not evaluate fewer rows
+(``prism_interactions``) than there are particle x cube pairs
+(``prism_cubes``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ sys.path[:0] = [str(ROOT.parent / "src"), str(ROOT / "step")]
 
 FAMILIES = {"cell", "pp", "m2l", "prism"}
 CELL_PARTS = {"translate", "rows"}
+PRISM_PARTS = {"coalesce", "rows"}
 
 
 def main(report_path: str) -> int:
@@ -38,14 +43,23 @@ def main(report_path: str) -> int:
         particles = W.make_inputs(workload.inputs, config.n_per_dim, report["seed"])
         with Simulation(config, particles) as sim:
             sim.run(max_steps=1)
-            family = sim.last_stats.get("family_seconds")
-            parts = sim.last_stats.get("cell_seconds")
+            stats = sim.last_stats
+        family = stats.get("family_seconds")
+        parts = stats.get("cell_seconds")
+        prism = stats.get("prism_seconds")
+        rows, cubes = stats.get("prism_interactions"), stats.get("prism_cubes")
         if not family or set(family) != FAMILIES or not family["prism"] > 0:
             failures.append(f"{name}: family_seconds {family}")
         elif not parts or set(parts) != CELL_PARTS:
             failures.append(f"{name}: cell_seconds {parts}")
+        elif not prism or set(prism) != PRISM_PARTS:
+            failures.append(f"{name}: prism_seconds {prism}")
+        elif rows is None or cubes is None or rows >= cubes:
+            failures.append(f"{name}: prism_interactions {rows} >= prism_cubes {cubes}")
         else:
-            print(name, {k: round(v, 4) for k, v in {**family, **parts}.items()})
+            print(name, {k: round(v, 4) for k, v in {**family, **parts}.items()},
+                  {f"prism {k}": round(v, 4) for k, v in prism.items()},
+                  f"prism rows {rows} of {cubes} cubes")
     for line in failures:
         print("FAIL", line, file=sys.stderr)
     return 1 if failures else 0

@@ -188,6 +188,7 @@ def kernel_counters(
     cell_per_row: np.ndarray | None = None,
     threads: int = 1,
     prism_interactions: int = 0,
+    prism_cubes: int = 0,
 ) -> dict:
     """Roofline counters of one CSR force evaluation (paper §3.2/§3.4).
 
@@ -203,8 +204,10 @@ def kernel_counters(
     ``seconds`` covers the cell, pp and m2l families, so ``interactions``
     and ``flops`` count those only; the prism pass (timed separately in
     ``stats["family_seconds"]``) is carried as ``prism_interactions``
-    and stays out of the rates.  The cell family is counted by the
-    evaluator — ``cell_interactions`` particle x cell rows from
+    (particle x merged box rows evaluated) and ``prism_cubes`` (the
+    particle x cube pairs they stand for) and stays out of the rates.
+    The cell family is counted by the evaluator —
+    ``cell_interactions`` particle x cell rows from
     ``cell_entries`` accept-level entries, each with its own flop count;
     ``cell_per_row`` (entries per sink-leaf row of the fanned-out view)
     only weights the thread-utilization estimate of the compiled
@@ -276,6 +279,7 @@ def kernel_counters(
         "m2l_pairs": m2l_pairs,
         "l2p_interactions": l2p_inter,
         "prism_interactions": int(prism_interactions),
+        "prism_cubes": int(prism_cubes),
         "flops": flops,
         "interactions_per_s": total / sec,
         "gflops": gflops,
@@ -304,7 +308,8 @@ def merge_kernel_counters(parts: list[dict]) -> dict | None:
         return None
     out = {"backend": parts[-1].get("backend", "numpy")}
     for key in ("interactions", "cell_interactions", "cell_entries",
-                "pp_interactions", "m2l_pairs", "l2p_interactions", "prism_interactions", "rows"):
+                "pp_interactions", "m2l_pairs", "l2p_interactions",
+                "prism_interactions", "prism_cubes", "rows"):
         out[key] = int(sum(k.get(key, 0) for k in parts))
     out["flops"] = float(sum(k.get("flops", 0.0) for k in parts))
     out["seconds"] = float(sum(k.get("seconds", 0.0) for k in parts))

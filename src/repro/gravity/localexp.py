@@ -253,7 +253,7 @@ def sweep_l2l(tree, cells, locs, backend: str = "numpy") -> np.ndarray:
     cell on a shard's ancestor chains.
     """
     nloc = locs.shape[1]
-    n_all = len(tree.cell_level)  # worker trees drop cell_key
+    n_all = tree.n_cells
     loc_all = np.zeros((n_all, nloc))
     if len(locs) == 0:
         return loc_all

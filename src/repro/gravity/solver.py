@@ -169,6 +169,8 @@ def solve_forces(
     by_family = {
         "cell": result.stats["cell_interactions"],
         "pp": result.stats["pp_interactions"],
+        # particle x ghost cell pairs only; the evaluator's prism counts
+        # also cover the background cubes of the direct leaf pairs
         "ghost": inter.n_prism_interactions(tree),
         "m2l": result.stats["m2l_interactions"],
     }

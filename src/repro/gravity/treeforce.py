@@ -4,7 +4,7 @@ Consumes the interaction lists produced by the traversal and evaluates
 them in large blocked batches — the Python/NumPy analogue of 2HOT's
 m x n interaction blocking with structure-of-arrays swizzling (§3.2):
 m sink particles meet their n sources (cells, source-leaf particles or
-background cubes) in one dense tile, whatever depends on one side of
+background boxes) in one dense tile, whatever depends on one side of
 the tile only is computed once per tile, every operand is one
 contiguous row over the block's interactions, and a block is thousands
 of interactions long, so the per-interaction interpreter overhead is
@@ -25,9 +25,15 @@ Three interaction families:
 * **pp**    — particle x particle within directly-interacting leaf
   pairs, with any softening kernel (the 28-flop monopole inner loop of
   Table 3);
-* **prism** — particle x analytic uniform cube, the near-field
-  background subtraction of §2.2.1 (ghost cells and, in background
-  mode, the background of every directly-interacting real leaf).
+* **prism** — particle x analytic uniform box, the near-field
+  background subtraction of §2.2.1: the ghost cells and, in background
+  mode, the cube of every directly-interacting real leaf.  The
+  background is one uniform density, so its field adds over disjoint
+  regions and a run of face-adjacent cubes *is* one box: each sink
+  leaf's cubes are merged into a few rectangular boxes first (an
+  identity — the paper's one "larger cube which approximately
+  surrounds the local region" is the special case), and the sink
+  leaf's particles meet those.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..instrument import get_tracer
+from ..keys import cell_coordinates
 from ..multipoles import multi_index_set
 from ..multipoles.codegen import compiled_shift_function
 from ..multipoles.hermite import field_table
@@ -84,9 +91,10 @@ class ForceResult:
 #: (benchmarks/step/README.md, baseline findings).  Blocks are aligned
 #: to sink leaves / whole particles, so the values change speed only.
 #: The prism kernel keeps ~26 float64 rows live per block and is fastest
-#: while they fit the L2 cache: 8k rows measured 0.182 / 0.141 s against
-#: 0.199 / 0.146 at 4k and 0.183 / 0.165 at 32k (first solve of
-#: early_hybrid / clustered_hier); pp is flat from 32k to 128k.  The
+#: while they fit the L2 cache: on the merged boxes 8k rows measured
+#: 0.0176 / 0.0537 s against 0.0193 / 0.0610 at 4k, 0.0168 / 0.0568 at
+#: 16k and 0.0175 / 0.0541 at 32k (early_hybrid / clustered_hier, median
+#: of 8 solves); pp is flat from 32k to 128k.  The
 #: cell family's ~80 calls per block carry a fixed cost and its ~60 live
 #: rows leave the 4 MB L2 cache above 16k: 8k / 16k / 32k rows measured
 #: 1.11 / 1 / 1.03 x (early_hier) and 0.99 / 1 / 1.04 x (clustered_hier)
@@ -158,6 +166,90 @@ def _leaf_blocks(leaf_np, indptr, budget):
             b = min(a + step, int(p_start[la + 1]))
             yield a, b, indptr[la], indptr[la + 1], [(0, 0, b - a, 0, n_e)]
         la += 1
+
+
+def _coalesce_boxes(row, lo, hi, n_rows):
+    """Merge the face-adjacent boxes of each row into larger boxes.
+
+    Box i is ``[lo[:, i], hi[:, i])`` — integer corners, shape (3, n) —
+    and belongs to row ``row[i]`` of ``n_rows``; the boxes of one row
+    are pairwise disjoint.  One sweep per axis, x then y then z: the
+    boxes are sorted by (row, extents across the axis, ``lo`` along
+    it), and a box whose ``lo`` is the previous box's ``hi`` on the same
+    row and cross-section is fused with it.  A run of cubes becomes a
+    bar, a stack of equal bars a slab, a stack of equal slabs a block;
+    the union of a row's boxes does not change.  Returns ``(box_lo,
+    box_hi, box_indptr)``: the merged corners as a CSR over the rows,
+    each row's boxes in an order set by its own boxes alone.
+
+    The sort key is the six fields packed, most significant first, into
+    as few int64 words as hold them — one for a tree a few levels deep,
+    three at the key depth of 21 — ordered by one ``np.lexsort``.
+    """
+    if len(row):
+        base = lo.min()
+        lo, hi = lo - base, hi - base
+        widths = [n_rows.bit_length()] + [int(hi.max()).bit_length()] * 5
+        for axis in range(3):
+            b, c = (axis + 1) % 3, (axis + 2) % 3
+            words, used = [], 63
+            for fld, width in zip((row, lo[b], hi[b], lo[c], hi[c], lo[axis]), widths):
+                if used + width > 63:
+                    words.append(fld)
+                    used = width
+                else:
+                    words[-1] = (words[-1] << width) | fld
+                    used += width
+            order = np.lexsort(words[::-1])
+            # box i continues box i - 1 of the sorted order where its key
+            # is that box's key with hi in place of lo (the last field)
+            words = [w[order] for w in words]
+            end = words[-1] + (hi[axis] - lo[axis])[order]
+            first = np.ones(len(row), dtype=bool)
+            np.not_equal(words[-1][1:], end[:-1], out=first[1:])
+            for w in words[:-1]:
+                first[1:] |= w[1:] != w[:-1]
+            first = np.flatnonzero(first)
+            top = hi[axis][order[np.append(first[1:], len(row)) - 1]]
+            keep = order[first]
+            row, lo, hi = row[keep], lo.take(keep, axis=1), hi.take(keep, axis=1)
+            hi[axis] = top
+        lo += base
+        hi += base
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return lo, hi, indptr
+
+
+def _background_boxes(tree, inter):
+    """The analytic background of every sink leaf's near field, as boxes.
+
+    The ghost cubes and the source cubes of the direct leaf pairs of one
+    row are taken together, placed on the integer grid of the finest
+    level among them (cell coordinates from the Morton keys, image
+    offsets in whole boxes: no rounding) and merged by
+    :func:`_coalesce_boxes`.  Returns float64 ``(box_lo, box_hi)`` of
+    shape (3, n_boxes) and ``box_indptr`` over ``inter.sink_leaves``.
+    """
+    n_rows = len(inter.sink_leaves)
+    rows = np.arange(n_rows)
+    row = np.concatenate(
+        [np.repeat(rows, np.diff(ip)) for ip in (inter.ghost_indptr, inter.leaf_indptr)]
+    )
+    src = np.concatenate((inter.ghost_src, inter.leaf_src))
+    off = np.concatenate((inter.ghost_off, inter.leaf_off))
+    idx, level = cell_coordinates(tree.cell_key)
+    unit = int(level[src].max()) if len(src) else 0
+    # (cells finer than the unit are in no list)
+    shift = np.maximum(unit - level, 0)
+    image = np.rint(inter.offsets / tree.box).astype(np.int64)
+    # (3, n) rows, contiguous per axis
+    lo = np.take(np.ascontiguousarray(idx.T) << shift, src, axis=1)
+    lo += np.take(np.ascontiguousarray(image.T) << unit, off, axis=1)
+    hi = lo + (1 << shift)[src]
+    lo, hi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+    h = tree.box / (1 << unit)
+    return lo * h, hi * h, indptr
 
 
 def _cell_panels(tree, inter, owned, panel):
@@ -459,8 +551,15 @@ def evaluate_forces(
     ``leaf_indptr``) — indices, image-shifted positions and masses
     gathered once per sink leaf, ``dx`` a float64 difference rounded to
     ``dtype`` on store, self-pairs masked on the home image only.
-    *prism*: entries are background cubes — corners gathered per entry,
-    and the block's rows go through one call of the fused 8-corner kernel
+    *prism*: one pass.  The ghost entries and the direct leaf pairs of
+    a row name the cubes whose background has to go; their exact
+    integer corners are run-merged along x, then y, then z into
+    rectangular boxes (:func:`_background_boxes`,
+    :func:`_coalesce_boxes`) — a pure function of the row's own list,
+    so the boxes, their order and the bits of the result are the same
+    for every block size, shard and backend.  Entries of the tiles are
+    the merged boxes, and the block's rows go through one call of the
+    fused 8-corner kernel
     (:func:`repro.multipoles.prism.prism_acceleration`), which returns
     acceleration and potential from the same corner terms.  Every
     family differences positions in float64; from there cell and pp
@@ -475,7 +574,12 @@ def evaluate_forces(
     counts the rows of this call's own sink particles — exact under
     sharding — and ``stats["cell_entries"]`` the accept-level entries
     it translated (a sink cell that straddles two shards is translated
-    by both).
+    by both).  ``stats["prism_interactions"]`` counts the rows that went
+    through the prism kernel (sink particles x merged boxes) and
+    ``stats["prism_cubes"]`` the particle x cube pairs they stand for;
+    both add up exactly over shards.  ``stats["prism_seconds"]`` splits
+    the prism family's seconds into ``coalesce`` (building and merging
+    the boxes) and ``rows``.
 
     ``backend="compiled"`` replaces the cell and pp families with the
     m x n-blocked kernel of :mod:`repro.gravity.kernels` (per-leaf CSR
@@ -518,6 +622,7 @@ def evaluate_forces(
         "cell_entries": 0,
         "pp_interactions": 0,
         "prism_interactions": 0,
+        "prism_cubes": 0,
         "m2l_pairs": 0,
         "m2l_interactions": 0,
         "order": p,
@@ -550,6 +655,9 @@ def evaluate_forces(
     # per-row part
     cell_s = {"translate": 0.0, "rows": 0.0}
     stats["cell_seconds"] = cell_s
+    # and the prism family's: merging the cubes, evaluating the boxes
+    prism_s = {"coalesce": 0.0, "rows": 0.0}
+    stats["prism_seconds"] = prism_s
 
     # ----- cell (multipole) interactions --------------------------------------
     cells = inter.cell_cells
@@ -679,54 +787,47 @@ def evaluate_forces(
             )
         family_s["m2l"] += time.perf_counter() - _tk0
 
-    # ----- analytic background cubes -------------------------------------------
+    # ----- analytic background boxes -------------------------------------------
     if moms.background:
         _tk0 = time.perf_counter()
         rho = -moms.mean_density  # subtract the background
-        prism_passes = [(inter.ghost_src, inter.ghost_off, inter.ghost_indptr)]
-        if len(inter.leaf_sink):
-            # in background mode every direct leaf pair also needs its
-            # source cube's background removed
-            prism_passes.append(
-                (inter.leaf_src, inter.leaf_off, inter.leaf_indptr)
-            )
-        for fam_src, fam_off, fam_indptr in prism_passes:
-            if not len(fam_src):
+        # per row: its ghost cubes and the source cube of every direct
+        # leaf pair
+        n_cubes = np.diff(inter.ghost_indptr) + np.diff(inter.leaf_indptr)
+        stats["prism_cubes"] = int((leaf_np * n_cubes).sum())
+        box_lo, box_hi, box_indptr = _background_boxes(tree, inter)
+        prism_s["coalesce"] = time.perf_counter() - _tk0
+        m_p = np.diff(box_indptr)[row_of_p]
+        stats["prism_interactions"] = int(m_p.sum())
+        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, box_indptr, prism_chunk):
+            lens = m_p[a:b]
+            n_rows = int(lens.sum())
+            if not n_rows:
                 continue
-            m_p = np.diff(fam_indptr)[row_of_p]
-            stats["prism_interactions"] += int(m_p.sum())
-            for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, fam_indptr, prism_chunk):
-                lens = m_p[a:b]
-                n_rows = int(lens.sum())
-                if not n_rows:
-                    continue
-                # once per block: each entry's cube corners
-                src = fam_src[e0:e1]
-                ctr = tree.cell_center[src] + inter.offsets[fam_off[e0:e1]]
-                half = 0.5 * tree.cell_side[src][:, None]
-                cube_lo, cube_hi = (ctr - half).T, (ctr + half).T
-                sink_pos = tree.pos[pid[a:b]].T
-                pts, lo, hi = scratch("prism", (3, 3, n_rows), np.float64)
-                for r0, p0, n_t, c0, n_e in tiles:
-                    tile = slice(r0, r0 + n_t * n_e)
-                    pts[:, tile].reshape(3, n_t, n_e)[...] = sink_pos[
-                        :, p0 : p0 + n_t, None
-                    ]
-                    lo[:, tile].reshape(3, n_t, n_e)[...] = cube_lo[
-                        :, None, c0 : c0 + n_e
-                    ]
-                    hi[:, tile].reshape(3, n_t, n_e)[...] = cube_hi[
-                        :, None, c0 : c0 + n_e
-                    ]
-                # one call per block: the step benchmark times the
-                # module-global name
-                out = prism_acceleration(
-                    pts.T, lo.T, hi.T, rho, want_potential=want_potential
-                )
-                a_contrib, p_contrib = out if want_potential else (out, None)
-                reduce_into(a_contrib, p_contrib, a, b, lens)
+            blk_lo, blk_hi = box_lo[:, e0:e1], box_hi[:, e0:e1]
+            sink_pos = tree.pos[pid[a:b]].T
+            pts, lo, hi = scratch("prism", (3, 3, n_rows), np.float64)
+            for r0, p0, n_t, c0, n_e in tiles:
+                tile = slice(r0, r0 + n_t * n_e)
+                pts[:, tile].reshape(3, n_t, n_e)[...] = sink_pos[
+                    :, p0 : p0 + n_t, None
+                ]
+                lo[:, tile].reshape(3, n_t, n_e)[...] = blk_lo[
+                    :, None, c0 : c0 + n_e
+                ]
+                hi[:, tile].reshape(3, n_t, n_e)[...] = blk_hi[
+                    :, None, c0 : c0 + n_e
+                ]
+            # one call per block: the step benchmark times the
+            # module-global name
+            out = prism_acceleration(
+                pts.T, lo.T, hi.T, rho, want_potential=want_potential
+            )
+            a_contrib, p_contrib = out if want_potential else (out, None)
+            reduce_into(a_contrib, p_contrib, a, b, lens)
         release_scratch()
         family_s["prism"] += time.perf_counter() - _tk0
+        prism_s["rows"] = family_s["prism"] - prism_s["coalesce"]
 
     if G != 1.0:
         acc *= G
@@ -752,6 +853,7 @@ def evaluate_forces(
                 kernels.active_kernel_threads() if resolved == "compiled" else 1
             ),
             prism_interactions=stats["prism_interactions"],
+            prism_cubes=stats["prism_cubes"],
         )
 
     if particle_range is not None:

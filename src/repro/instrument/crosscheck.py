@@ -23,9 +23,11 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     kernels (:mod:`repro.perfmodel.flops`): cell interactions at the
     recorded expansion order (per particle x cell row, plus the
     translation of each accept-level entry), pp interactions at the paper's 28-flop
-    monopole rate, prism (background cube) interactions at the count of
-    the fused 8-corner kernel and, in fmm-hybrid mode, M2L translations
-    and L2P evaluations at their table-measured rates.
+    monopole rate, prism interactions — the particle x merged background
+    box rows that ran, ``prism_interactions``, not the particle x cube
+    pairs they stand for (``prism_cubes``) — at the count of the fused
+    8-corner kernel and, in fmm-hybrid mode, M2L translations and L2P
+    evaluations at their table-measured rates.
     """
     from ..perfmodel.flops import (
         FLOPS_PER_MONOPOLE_PP,

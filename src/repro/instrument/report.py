@@ -116,7 +116,9 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
     i.e. time the pool's tail added to the execute stage.  The
     evaluator's ``family_seconds`` (cell / pp / m2l / prism) print under
     the evaluate row — under execute for sharded runs, where they are
-    busy seconds summed over the workers.
+    busy seconds summed over the workers — followed by the parts of the
+    cell family (``cell_seconds``) and of the prism family
+    (``prism_seconds``: merging the cubes, evaluating the boxes).
     """
     stage = stats.get("stage_seconds")
     if not stage:
@@ -140,8 +142,9 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
             "execute" if "execute" in stage else "evaluate": {
                 **(stats.get("family_seconds") or {}),
                 **{
-                    f"cell: {part}": sec
-                    for part, sec in (stats.get("cell_seconds") or {}).items()
+                    f"{fam}: {part}": sec
+                    for fam in ("cell", "prism")
+                    for part, sec in (stats.get(f"{fam}_seconds") or {}).items()
                 },
             }
         },

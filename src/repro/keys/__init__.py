@@ -6,6 +6,7 @@ from .morton import (
     KEY_BITS,
     ROOT_KEY,
     ancestor_key,
+    cell_coordinates,
     cell_geometry,
     children_keys,
     compact_bits,
@@ -21,6 +22,7 @@ __all__ = [
     "ROOT_KEY",
     "HashTable",
     "ancestor_key",
+    "cell_coordinates",
     "cell_geometry",
     "children_keys",
     "compact_bits",

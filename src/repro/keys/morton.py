@@ -30,6 +30,7 @@ __all__ = [
     "parent_key",
     "ancestor_key",
     "children_keys",
+    "cell_coordinates",
     "cell_geometry",
 ]
 
@@ -137,21 +138,30 @@ def children_keys(key) -> np.ndarray:
     return (key << np.uint64(3)) | np.arange(8, dtype=np.uint64)
 
 
+def cell_coordinates(keys: np.ndarray):
+    """Integer ``(ix, iy, iz)`` and level of the cells addressed by ``keys``.
+
+    The coordinates count cells of the key's own level from the box
+    origin: cell ``(ix, iy, iz)`` at level ``lv`` spans
+    ``[ix, ix + 1) * box / 2**lv`` along x.  Returns an int64 array of
+    shape ``keys.shape + (3,)`` and the levels.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    lv = key_level(keys)
+    body = keys ^ (np.uint64(1) << (np.uint64(3) * lv.astype(np.uint64)))
+    idx = np.empty(keys.shape + (3,), dtype=np.int64)
+    for axis in range(3):
+        idx[..., axis] = compact_bits(body >> np.uint64(axis))
+    return idx, lv
+
+
 def cell_geometry(keys: np.ndarray, box: float = 1.0):
     """Geometric (center, side) of the cells addressed by ``keys``.
 
     Keys may be at any level; the level is inferred from the
     placeholder bit.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    lv = key_level(keys)
+    idx, lv = cell_coordinates(keys)
     side = box / (1 << lv).astype(np.float64)
-    body = keys ^ (np.uint64(1) << (np.uint64(3) * lv.astype(np.uint64)))
-    ix = compact_bits(body)
-    iy = compact_bits(body >> np.uint64(1))
-    iz = compact_bits(body >> np.uint64(2))
-    center = np.empty(keys.shape + (3,), dtype=np.float64)
-    center[..., 0] = (ix.astype(np.float64) + 0.5) * side
-    center[..., 1] = (iy.astype(np.float64) + 0.5) * side
-    center[..., 2] = (iz.astype(np.float64) + 0.5) * side
+    center = (idx.astype(np.float64) + 0.5) * side[..., None]
     return center, side

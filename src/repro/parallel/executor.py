@@ -64,7 +64,7 @@ _SEG_PREFIX = "reprofx"
 
 #: tree / moment arrays each worker needs to traverse and evaluate
 _TREE_ARRAYS = (
-    "pos", "mass", "cell_level", "cell_first_child", "cell_nchildren",
+    "pos", "mass", "cell_key", "cell_level", "cell_first_child", "cell_nchildren",
     "cell_start", "cell_count", "cell_is_ghost", "cell_center", "cell_side",
 )
 _MOM_ARRAYS = ("moments", "bmax", "r_crit")
@@ -162,7 +162,7 @@ class _WorkerState:
             mass=arrays["mass"],
             keys=None,
             order=None,
-            cell_key=None,
+            cell_key=arrays["cell_key"],
             cell_level=arrays["cell_level"],
             cell_parent=None,
             cell_first_child=arrays["cell_first_child"],
@@ -665,12 +665,14 @@ class ForceExecutor:
             "cell_entries": 0,
             "pp_interactions": 0,
             "prism_interactions": 0,
+            "prism_cubes": 0,
             "m2l_pairs": 0,
             "m2l_interactions": 0,
             "traversal_interactions": 0,
             "interactions_by_family": {},
             "family_seconds": {},
             "cell_seconds": {},
+            "prism_seconds": {},
             "order": 0,
             "traversal_rounds": 0,
             "mac_tests": 0,
@@ -685,6 +687,7 @@ class ForceExecutor:
             stats["cell_entries"] += s.get("cell_entries", 0)
             stats["pp_interactions"] += s.get("pp_interactions", 0)
             stats["prism_interactions"] += s.get("prism_interactions", 0)
+            stats["prism_cubes"] += s.get("prism_cubes", 0)
             stats["m2l_pairs"] += s.get("m2l_pairs", 0)
             stats["m2l_interactions"] += s.get("m2l_interactions", 0)
             stats["traversal_interactions"] += s.get("traversal_interactions", 0)
@@ -693,7 +696,7 @@ class ForceExecutor:
                     stats["interactions_by_family"].get(fam, 0) + count
                 )
             # busy seconds summed over shards, like ``kernel``
-            for key in ("family_seconds", "cell_seconds"):
+            for key in ("family_seconds", "cell_seconds", "prism_seconds"):
                 for part, sec in s.get(key, {}).items():
                     stats[key][part] = stats[key].get(part, 0.0) + sec
             stats["order"] = s.get("order", stats["order"])

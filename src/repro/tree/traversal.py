@@ -199,7 +199,15 @@ class InteractionLists:
         )
 
     def n_prism_interactions(self, tree: Tree) -> int:
-        """Total (particle, analytic background cube) interaction count."""
+        """Total (particle, ghost cell) pair count of the walk.
+
+        Ghost entries only — the walk's own fourth family.  The
+        evaluator also removes the background cube of every direct
+        leaf pair (20 times as many pairs on a clustered input) and
+        merges adjacent cubes before it evaluates them; what it ran is
+        ``stats["prism_cubes"]`` (pairs) and
+        ``stats["prism_interactions"]`` (rows after merging).
+        """
         return int(tree.cell_count[self.ghost_sink].sum())
 
     def n_m2l_interactions(self, tree: Tree) -> int:
@@ -252,8 +260,7 @@ def _sink_relevance(tree: Tree, sinks: np.ndarray | None) -> np.ndarray:
     """
     if sinks is None:
         return tree.cell_count > 0
-    # len(cell_level), not tree.n_cells: worker-side trees drop cell_key
-    relevant = np.zeros(len(tree.cell_level), dtype=bool)
+    relevant = np.zeros(tree.n_cells, dtype=bool)
     relevant[sinks] = True
     for level in range(tree.max_level - 1, -1, -1):
         cells = tree.cells_at_level(level)
@@ -543,7 +550,7 @@ def traverse_hierarchical(
         stable sort keeps each cell's segment in the BFS emission order,
         which a restricted walk reproduces exactly."""
         # (16-bit keys take numpy's radix path in the stable sort)
-        n_all = len(tree.cell_level)  # worker trees drop cell_key
+        n_all = tree.n_cells
         key = sink.astype(np.int16 if n_all < np.iinfo(np.int16).max else np.int64)
         order = np.argsort(key, kind="stable")
         cells, counts = np.unique(sink[order], return_counts=True)

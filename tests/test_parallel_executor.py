@@ -75,8 +75,9 @@ def test_workers2_allclose_and_stats():
     # sharded merge is deterministic whatever the worker scheduling
     assert np.array_equal(par.acc, again.acc)
     # interaction totals match the serial accounting exactly
-    for key in ("cell_interactions", "pp_interactions", "prism_interactions"):
+    for key in ("cell_interactions", "pp_interactions", "prism_interactions", "prism_cubes"):
         assert par.stats[key] == serial.stats[key]
+    assert 0 < par.stats["prism_interactions"] < par.stats["prism_cubes"]
     ex = par.stats["executor"]
     assert ex["workers"] == 2
     assert ex["n_shards"] > 1

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations
 from repro.gravity import treeforce
-from repro.gravity.treeforce import _leaf_blocks, evaluate_forces
+from repro.gravity.treeforce import (
+    _background_boxes,
+    _coalesce_boxes,
+    _leaf_blocks,
+    evaluate_forces,
+)
+from repro.multipoles.prism import prism_acceleration
 from repro.tree import (
     build_tree,
     compute_moments,
@@ -367,7 +373,9 @@ class TestChunkInvariance:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         rows = panel_rows(tree, inter)
         assert rows.max() > 777  # the odd budget is below the largest cell
-        assert len(inter.ghost_src) and len(inter.leaf_src)  # both prism passes run
+        # the one prism pass merges ghost and direct-pair cubes of a row
+        both = (np.diff(inter.ghost_indptr) > 0) & (np.diff(inter.leaf_indptr) > 0)
+        assert both.any()
         for dtype in (np.float64, np.float32):
             ref = evaluate_forces(tree, moms, inter, dtype=dtype)
             for cell_chunk, pp_chunk in (
@@ -1013,3 +1021,320 @@ class TestFloat32PositionDifferences:
             a32 = getattr(res[np.float32], field).astype(np.float64)
             a64 = getattr(res[np.float64], field)
             assert np.abs(a32 - a64).max() <= 1e-6 * np.abs(a64).max()
+
+
+# ----- the analytic background: cubes merged into boxes -----------------------
+
+
+def boxes(*corners):
+    """``(lo, hi)`` as (3, n) int64 arrays from ``((x0, y0, z0), (x1, y1, z1))`` pairs."""
+    arr = np.array(corners, dtype=np.int64).reshape(-1, 2, 3)
+    return arr[:, 0].T.copy(), arr[:, 1].T.copy()
+
+
+def cubes(side, *origins):
+    return boxes(*[(o, tuple(c + side for c in o)) for o in origins])
+
+
+def merged(row, lo, hi, n_rows=None):
+    """Run the merge; returns a sorted list of (row, lo, hi) tuples and the indptr."""
+    row = np.asarray(row, dtype=np.int64)
+    n_rows = n_rows if n_rows is not None else int(row.max()) + 1
+    blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+    assert blo.shape == bhi.shape and blo.shape[0] == 3
+    assert len(indptr) == n_rows + 1 and indptr[0] == 0 and indptr[-1] == blo.shape[1]
+    out = []
+    for r in range(n_rows):
+        for e in range(indptr[r], indptr[r + 1]):
+            out.append((r, tuple(blo[:, e].tolist()), tuple(bhi[:, e].tolist())))
+    return sorted(out), indptr
+
+
+class TestCoalesceByHand:
+    """The merge on its own, integer boxes small enough to count."""
+
+    def test_block_of_27_is_one_box(self):
+        lo, hi = cubes(1, *[(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
+        got, _ = merged(np.zeros(27), lo, hi)
+        assert got == [(0, (0, 0, 0), (3, 3, 3))]
+
+    def test_l_shape_is_two(self):
+        lo, hi = cubes(1, (0, 0, 0), (1, 0, 0), (0, 1, 0))
+        got, _ = merged(np.zeros(3), lo, hi)
+        assert got == [(0, (0, 0, 0), (2, 1, 1)), (0, (0, 1, 0), (1, 2, 1))]
+
+    def test_sibling_octet_and_the_parents_neighbour(self):
+        """Eight siblings (side 1) and the same-size neighbour of their
+        parent (side 2): 2 x 1 x 1 parents.  One x-y-z sweep fuses the
+        octet bar by bar, slab by slab, and meets the neighbour in the
+        last (z) sweep; a neighbour along x was passed before the octet
+        had become a cube, and stays a second box."""
+        octet = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
+        lo, hi = (np.concatenate(part, axis=1) for part in zip(cubes(1, *octet), cubes(2, (0, 0, 2))))
+        got, _ = merged(np.zeros(9), lo, hi)
+        assert got == [(0, (0, 0, 0), (2, 2, 4))]
+        lo, hi = (np.concatenate(part, axis=1) for part in zip(cubes(1, *octet), cubes(2, (2, 0, 0))))
+        got, _ = merged(np.zeros(9), lo, hi)
+        assert got == [(0, (0, 0, 0), (2, 2, 2)), (0, (2, 0, 0), (4, 2, 2))]
+
+    def test_adjacent_through_the_periodic_image(self):
+        """x in [7/8, 1) at home and [0, 1/8) of the +x image, in eighths."""
+        lo, hi = cubes(1, (7, 3, 3), (0 + 8, 3, 3))
+        got, _ = merged(np.zeros(2), lo, hi)
+        assert got == [(0, (7, 3, 3), (9, 4, 4))]
+        # ... and through the -x image, where coordinates are negative
+        lo, hi = cubes(1, (0, 3, 3), (7 - 8, 3, 3))
+        got, _ = merged(np.zeros(2), lo, hi)
+        assert got == [(0, (-1, 3, 3), (1, 4, 4))]
+
+    def test_rows_never_merge_with_each_other(self):
+        lo, hi = cubes(1, (0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0))
+        got, indptr = merged([0, 0, 1, 1, 2], lo, hi)
+        assert got == [
+            (0, (0, 0, 0), (2, 1, 1)),
+            (1, (0, 0, 0), (2, 1, 1)),
+            (2, (2, 0, 0), (3, 1, 1)),
+        ]
+        assert indptr.tolist() == [0, 1, 2, 3]
+        # the order the boxes came in does not matter
+        shuffled = np.array([4, 2, 0, 3, 1])
+        again, _ = merged(np.array([0, 0, 1, 1, 2])[shuffled], lo[:, shuffled], hi[:, shuffled])
+        assert again == got
+
+    def test_edges_and_corners_do_not_merge(self):
+        lo, hi = cubes(1, (0, 0, 0), (1, 1, 0), (2, 2, 1))
+        got, _ = merged(np.zeros(3), lo, hi)
+        assert len(got) == 3
+        # equal lo along the axis, cross-sections that only overlap: no merge
+        lo, hi = boxes(((0, 0, 0), (1, 2, 1)), ((1, 0, 0), (2, 1, 1)))
+        got, _ = merged(np.zeros(2), lo, hi)
+        assert len(got) == 2
+
+    def test_empty_rows(self):
+        lo, hi = cubes(1, (0, 0, 0), (1, 0, 0))
+        got, indptr = merged([1, 1], lo, hi, n_rows=4)
+        assert got == [(1, (0, 0, 0), (2, 1, 1))]
+        assert indptr.tolist() == [0, 0, 1, 1, 1]
+        none = np.zeros((3, 0), dtype=np.int64)
+        blo, bhi, indptr = _coalesce_boxes(np.zeros(0, dtype=np.int64), none, none, 3)
+        assert blo.shape == bhi.shape == (3, 0) and indptr.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("scale_bits, n_rows", [(0, 2), (12, 1024), (22, 1024)])
+    def test_key_of_one_two_and_three_words(self, scale_bits, n_rows):
+        """The same boxes on a grid 2^12 and 2^22 times finer, among
+        1024 rows: five fields of 3, 15 and 25 bits plus the row make a
+        sort key of one, two and three int64 words; the merge does not
+        change."""
+        rng = np.random.default_rng(3)
+        origins = [tuple(o) for o in np.argwhere(rng.random((5, 5, 5)) < 0.6) - 2]
+        lo, hi = cubes(1, *origins)
+        row = rng.integers(0, 2, len(origins))
+        want, _ = merged(row, lo, hi, n_rows=2)
+        assert len(want) < len(origins)
+        top = n_rows - 2
+        blo, bhi, indptr = _coalesce_boxes(row + top, lo << scale_bits, hi << scale_bits, n_rows)
+        assert indptr[top] == 0 and indptr[-1] == len(want)
+        got = sorted(
+            (int(e >= indptr[top + 1]), tuple((blo[:, e] >> scale_bits).tolist()),
+             tuple((bhi[:, e] >> scale_bits).tolist()))
+            for e in range(blo.shape[1])
+        )
+        assert got == want
+        assert np.all(blo % (1 << scale_bits) == 0)
+
+
+def integer_cubes(tree, inter):
+    """(row, lo, hi, unit level) of every ghost and direct-pair cube,
+    from the float geometry (box = 1: every quotient is exact)."""
+    n_rows = len(inter.sink_leaves)
+    row = np.concatenate([
+        np.repeat(np.arange(n_rows), np.diff(ip))
+        for ip in (inter.ghost_indptr, inter.leaf_indptr)
+    ])
+    src = np.concatenate((inter.ghost_src, inter.leaf_src))
+    off = np.concatenate((inter.ghost_off, inter.leaf_off))
+    unit = int(tree.cell_level[src].max())
+    ctr = tree.cell_center[src] + inter.offsets[off]
+    half = 0.5 * tree.cell_side[src][:, None]
+    lo, hi = (ctr - half) * 2.0**unit, (ctr + half) * 2.0**unit
+    assert np.array_equal(lo, np.rint(lo)) and np.array_equal(hi, np.rint(hi))
+    return row, lo.T.astype(np.int64), hi.T.astype(np.int64), unit
+
+
+def per_cube_background(tree, moms, inter):
+    """The background removed cube by cube — one prism per (sink leaf,
+    ghost or direct-pair cube), the pass the merged one replaced.
+    Returns (acc, pot, particle x cube pairs) in key-sorted order."""
+    acc, pot = np.zeros((tree.n_particles, 3)), np.zeros(tree.n_particles)
+    pairs = 0
+    for fam_src, fam_off, indptr in (
+        (inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
+        (inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
+    ):
+        for r, leaf in enumerate(inter.sink_leaves):
+            own = slice(tree.cell_start[leaf], tree.cell_start[leaf] + tree.cell_count[leaf])
+            for e in range(indptr[r], indptr[r + 1]):
+                ctr = tree.cell_center[fam_src[e]] + inter.offsets[fam_off[e]]
+                half = 0.5 * tree.cell_side[fam_src[e]]
+                a, u = prism_acceleration(
+                    tree.pos[own], ctr - half, ctr + half, -moms.mean_density,
+                    want_potential=True,
+                )
+                acc[own] += a
+                pot[own] += u
+                pairs += tree.cell_count[leaf]
+    return acc, pot, pairs
+
+
+def assert_merged_matches_per_cube(tree, moms, inter, tol=1e-12, **kw):
+    """float64: evaluator (merged boxes) == evaluator without the
+    background pass + the per-cube reference, to ``tol`` of the field."""
+    full = evaluate_forces(tree, moms, inter, backend="numpy", **kw)
+    bare = evaluate_forces(
+        tree, dataclasses.replace(moms, background=False), inter, backend="numpy", **kw
+    )
+    assert bare.stats["prism_interactions"] == bare.stats["prism_cubes"] == 0
+    acc, pot, pairs = per_cube_background(tree, moms, inter)
+    assert full.stats["prism_cubes"] == pairs
+    assert full.stats["prism_interactions"] <= pairs
+    assert set(full.stats["prism_seconds"]) == {"coalesce", "rows"}
+    for got, base, ref in (
+        (full.acc[tree.order], bare.acc[tree.order], acc),
+        (full.pot[tree.order], bare.pot[tree.order], pot),
+    ):
+        assert np.abs(got - (base + ref)).max() <= tol * np.abs(got).max()
+        # and against the background term alone
+        assert np.abs((got - base) - ref).max() <= 1e3 * tol * np.abs(ref).max()
+    return full
+
+
+class TestCoalesceInvariants:
+    """Merged boxes against the cubes they stand for, on real lists."""
+
+    @staticmethod
+    def assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr):
+        """Per row: equal integer volume, boxes pairwise disjoint and
+        inside the cubes' union (so the two regions are the same)."""
+        brow = np.repeat(np.arange(n_rows), np.diff(indptr))
+        vol = np.zeros(n_rows, dtype=np.int64)
+        np.add.at(vol, row, np.prod(hi - lo, axis=0))
+        bvol = np.zeros(n_rows, dtype=np.int64)
+        np.add.at(bvol, brow, np.prod(bhi - blo, axis=0))
+        assert np.array_equal(vol, bvol)
+        for r in range(n_rows):
+            a, b = blo[:, brow == r], bhi[:, brow == r]
+            overlap = np.all(
+                (a[:, :, None] < b[:, None, :]) & (a[:, None, :] < b[:, :, None]), axis=0
+            )
+            assert np.array_equal(overlap, np.eye(a.shape[1], dtype=bool))
+            # every cube lies in exactly one box of its row
+            c, d = lo[:, row == r], hi[:, row == r]
+            inside = np.all(
+                (a[:, :, None] <= c[:, None, :]) & (d[:, None, :] <= b[:, :, None]), axis=0
+            )
+            assert np.all(inside.sum(axis=0) == 1)
+
+    @given(
+        n=st.integers(min_value=9, max_value=120),
+        nleaf=st.sampled_from([1, 2, 8, 200]),
+        clustered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_same_region_same_field(self, n, nleaf, clustered, seed):
+        tree, moms = setup(
+            n=n, seed=seed, background=True, clustered=clustered, nleaf=nleaf, tol=1e-3
+        )
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        row, lo, hi, unit = integer_cubes(tree, inter)
+        n_rows = len(inter.sink_leaves)
+        blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+        self.assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr)
+        # the evaluator's boxes are these, in box units
+        flo, fhi, findptr = _background_boxes(tree, inter)
+        assert np.array_equal(findptr, indptr)
+        assert np.array_equal(flo, blo * 0.5**unit) and np.array_equal(fhi, bhi * 0.5**unit)
+        full = assert_merged_matches_per_cube(tree, moms, inter)
+        leaf_np = tree.cell_count[inter.sink_leaves]
+        assert full.stats["prism_interactions"] == int((leaf_np * np.diff(indptr)).sum())
+        no_pot = evaluate_forces(tree, moms, inter, backend="numpy", want_potential=False)
+        assert no_pot.pot is None and np.array_equal(no_pot.acc, full.acc)
+
+    def test_periodic_clustered_input(self):
+        """Ghosts, mixed levels and every image: fewer rows, same field;
+        some box reaches across a face of the periodic box."""
+        tree, moms = setup(n=700, seed=4, background=True, clustered=True)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        assert len(inter.ghost_src) and np.ptp(tree.cell_level[inter.leaf_src]) >= 2
+        full = assert_merged_matches_per_cube(tree, moms, inter)
+        assert 2 * full.stats["prism_interactions"] < full.stats["prism_cubes"]
+        flo, fhi, _ = _background_boxes(tree, inter)
+        assert np.any((flo < 0.0) & (fhi > 0.0)) and np.any((flo < 1.0) & (fhi > 1.0))
+
+    def test_open_box_has_no_background(self):
+        tree, moms = setup(n=300)
+        inter = traverse_hierarchical(tree, moms)
+        res = evaluate_forces(tree, moms, inter)
+        assert res.stats["prism_interactions"] == res.stats["prism_cubes"] == 0
+        assert res.stats["prism_seconds"] == {"coalesce": 0.0, "rows": 0.0}
+
+    def test_depth_21_tree(self):
+        """Two particles 1e-6 apart split down to the key depth: cubes
+        from level 1 to level 20 in one row, corners up to 3 x 2^20 on
+        the finest grid, a three-word sort key — nothing overflows."""
+        pos = np.array([[0.3, 0.3, 0.3], [0.3 + 1e-6, 0.3, 0.3], [0.8, 0.1, 0.6]])
+        mass = np.full(3, 1.0 / 3)
+        tree = build_tree(pos, mass, nleaf=1, with_ghosts=True)
+        assert tree.max_level >= 20
+        moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        row, lo, hi, unit = integer_cubes(tree, inter)
+        assert unit == tree.max_level and hi.max() - lo.min() > 2**21
+        n_rows = len(inter.sink_leaves)
+        blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+        self.assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr)
+        assert blo.shape[1] < len(row)
+        flo, fhi, _ = _background_boxes(tree, inter)
+        assert np.array_equal(flo, blo * 0.5**unit) and np.array_equal(fhi, bhi * 0.5**unit)
+        # (softened: the bare pair force at 1e-6 is 3e11 and would hide
+        # the background term)
+        from repro.gravity.smoothing import PlummerSoftening
+
+        assert_merged_matches_per_cube(tree, moms, inter, softening=PlummerSoftening(0.05))
+
+
+class TestPrismWorkerIdentity:
+    """Merging is a pure function of the sink leaf's own list: shards
+    build the same boxes in the same order."""
+
+    def test_workers_0_1_2_3_same_bits_and_counts(self):
+        pos, mass = cloud(1200, seed=9, clustered=True)
+        cfg = dict(periodic=True, errtol=1e-3, p=2)
+        with TreecodeGravity(TreecodeConfig(**cfg)) as solver:
+            serial = solver.compute(pos, mass)
+            inter = solver.last_interactions
+        assert len(inter.ghost_src) and len(inter.leaf_src)
+        assert 0 < serial.stats["prism_interactions"] < serial.stats["prism_cubes"]
+        for workers in (1, 2, 3):
+            with TreecodeGravity(TreecodeConfig(**cfg, workers=workers)) as solver:
+                res = solver.compute(pos, mass)
+            assert same_bits(res, serial), workers
+            for key in ("prism_interactions", "prism_cubes"):
+                assert res.stats[key] == serial.stats[key], (workers, key)
+                assert res.stats["kernel"][key] == serial.stats[key], (workers, key)
+            assert set(res.stats["prism_seconds"]) == {"coalesce", "rows"}
+
+    def test_shard_boxes_are_the_serial_rows(self):
+        """A restricted walk's rows carry the boxes of the same rows of
+        the full walk: corners, order and count."""
+        tree, moms = setup(n=900, seed=2, background=True, clustered=True)
+        full = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        flo, fhi, findptr = _background_boxes(tree, full)
+        rows = np.arange(len(full.sink_leaves))[5::3]
+        part = traverse_hierarchical(
+            tree, moms, periodic=True, ws=1, sink_leaves=full.sink_leaves[rows]
+        )
+        plo, phi, pindptr = _background_boxes(tree, part)
+        assert np.array_equal(np.diff(pindptr), np.diff(findptr)[rows])
+        pick = expand_ranges(findptr[rows], np.diff(findptr)[rows])
+        assert np.array_equal(plo, flo[:, pick]) and np.array_equal(phi, fhi[:, pick])
