@@ -11,7 +11,10 @@ per-family split of the force evaluation in ``Simulation.last_stats``
 and ``prism_seconds``: coalesce / rows, the two parts of the prism
 family), or when the prism pass did not evaluate fewer rows
 (``prism_interactions``) than there are particle x cube pairs
-(``prism_cubes``).
+(``prism_cubes``), or when the default float32 path returns a
+non-finite force on a tree 15 levels deep (a cell accept 1e-4 box
+lengths away: the radial chain leaves float32's range unless the cell
+family measures lengths in units of the sink cell).
 """
 
 from __future__ import annotations
@@ -28,6 +31,27 @@ CELL_PARTS = {"translate", "rows"}
 PRISM_PARTS = {"coalesce", "rows"}
 
 
+def deep_clump_failure() -> str | None:
+    """One float32 solve of 3,000 particles, half of them a Gaussian
+    clump of width 1e-4; the reason it fails, or None."""
+    import numpy as np
+
+    from repro.gravity import TreecodeConfig, TreecodeGravity
+
+    rng = np.random.default_rng(5)
+    n = 3000
+    pos = rng.uniform(0.0, 1.0, (n, 3))
+    pos[: n // 2] = np.mod(0.5 + 1e-4 * rng.standard_normal((n // 2, 3)), 1.0)
+    with TreecodeGravity(TreecodeConfig(periodic=True, dtype=np.float32, eps=2e-6)) as solver:
+        res = solver.compute(pos, np.full(n, 1.0 / n))
+        depth = int(solver.last_tree.max_level)
+    bad = int(np.count_nonzero(~np.isfinite(res.acc)))
+    if depth < 15 or bad:
+        return f"deep clump: tree depth {depth}, {bad} non-finite float32 acceleration components"
+    print(f"deep clump: depth {depth}, float32 forces finite, max |a| {np.abs(res.acc).max():.4g}")
+    return None
+
+
 def main(report_path: str) -> int:
     import workloads as W
     from repro.simulation import Simulation
@@ -35,6 +59,9 @@ def main(report_path: str) -> int:
     report = json.loads(Path(report_path).read_text())
     quick = report["mode"] == "quick"
     failures = []
+    clump = deep_clump_failure()
+    if clump:
+        failures.append(clump)
     for name, doc in report["workloads"].items():
         if doc["trace_missing"]:
             failures.append(f"{name}: trace_missing {doc['trace_missing']}")

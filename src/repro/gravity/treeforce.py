@@ -39,6 +39,7 @@ Three interaction families:
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,16 +65,21 @@ __all__ = ["ForceResult", "evaluate_forces", "autotune_chunks", "segment_sum"]
 
 
 def segment_sum(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum ``contrib`` over the contiguous segments beginning at ``starts``.
+    """Sum each row of ``contrib`` over the contiguous segments beginning
+    at ``starts``, in float64.
 
-    ``starts`` must be strictly increasing (zero-length segments
-    filtered out by the caller) with an implicit final boundary at
-    ``len(contrib)``.  ``np.add.reduceat`` touches each contribution
-    once; a ``bincount`` over expanded segment ids has to materialize a
-    per-contribution id array first, which lost at every size the
-    evaluator produces (BENCH_force.json's ``segment_sum`` receipt).
+    ``contrib`` is (outputs, rows) in the working precision — one
+    contiguous row of interaction terms per output — and the result
+    (outputs, segments) float64: every family's per-particle sums are
+    closed here, the only reduction the evaluator has.  ``starts`` must
+    be strictly increasing (zero-length segments filtered out by the
+    caller) with an implicit final boundary at the last row.
+    ``np.add.reduceat`` touches each contribution once; a ``bincount``
+    over expanded segment ids has to materialize a per-contribution id
+    array first, which lost at every size the evaluator produces
+    (BENCH_force.json's ``segment_sum`` receipt).
     """
-    return np.add.reduceat(contrib, starts, axis=0)
+    return np.add.reduceat(contrib, starts, axis=1, dtype=np.float64)
 
 
 @dataclass
@@ -337,6 +343,18 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
     together, panels that share one batch of sink-side monomials, and
     panels that share a block of elementwise work.  Blocks never span
     a tree level, so no particle occurs twice in one.
+
+    *Length unit.*  A level is evaluated in units of u, the power of
+    two at or below its cells' side: positions and centres are divided
+    by u before they are differenced, row (k, gamma) of the coefficient
+    table is multiplied by u^(|gamma| - 2k - 1) in float64 before it is
+    rounded, the radial chain comes from ``kernel.in_units(u)`` — so
+    that sum_k g'_k(r/u) P'_k(x/u) is the same potential — and the
+    reduced gradient is divided by u.  In box units g_{p+1} ~ r^-(2p+3)
+    leaves float32's range for an accept closer than 6e-4 (p = 4); in
+    units of the sink cell r is of order one at any depth.  A power of
+    two moves exponents only: shards, row budgets and the unit itself
+    change no bit of the result.
     """
     p = moms.p
     tab = field_table(p)
@@ -344,28 +362,41 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
     orders = [(k, int(tab.offsets[k]), n_coeffs(k)) for k in range(1, p + 1)]
     cells, indptr = inter.cell_cells, inter.cell_indptr
     nent = np.diff(indptr)
-    # every cell's b_{k,gamma}, one row per coefficient (float64 product
-    # rounded once)
-    coef = (tab.matrix @ moms.moments[:, : n_coeffs(p)].T).astype(dtype)
+    # every cell's b_{k,gamma}, one row per coefficient; rounded once,
+    # in the length unit of the run that reads it
+    coef64 = tab.matrix @ moms.moments[:, : n_coeffs(p)].T
     owned = np.zeros(tree.n_particles, dtype=bool)
     owned[pid] = True
     pan_row, pan_p0, pan_m = _cell_panels(tree, inter, owned, _CELL_PANEL)
     pan_first = np.searchsorted(pan_row, np.arange(len(cells) + 1))
-    level_breaks = np.flatnonzero(np.diff(tree.cell_level[cells])) + 1
+    level = tree.cell_level[cells]
+    level_breaks = np.flatnonzero(np.diff(level)) + 1
+    box_exp = math.frexp(tree.box)[1] - 1
+    unit_exp = None
     n_out = 3 if pot is None else 4
     translate_s = 0.0
     for ga, gb in _runs(nent, level_breaks, _CELL_SHIFT_CHUNK):
         pa, pb = pan_first[ga], pan_first[gb]
         if pa == pb:
             continue
+        t0 = time.perf_counter()
+        # -- per tree level: the length unit u = 2^unit_exp, its kernel
+        # and the coefficient table in it
+        if unit_exp != box_exp - level[ga]:
+            unit_exp = box_exp - int(level[ga])
+            inv_u = math.ldexp(1.0, -unit_exp)
+            kernel_u = kernel.in_units(math.ldexp(1.0, unit_exp))
+            coef = coef64 * np.ldexp(1.0, unit_exp * tab.unit_power)[:, None]
+            coef = coef.astype(dtype, copy=False)
         # -- per run of sink cells: their entries' source centres, and
         # the source coefficients shifted to the sink-cell centres
-        t0 = time.perf_counter()
         e0, e1 = indptr[ga], indptr[gb]
         src = inter.cell_src[e0:e1]
         src_ctr = (tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]).T
+        src_ctr *= inv_u
+        sink_ctr = tree.cell_center[cells[ga:gb]] * inv_u
         d = scratch("d", (3, e1 - e0), dtype)
-        d[...] = np.repeat(tree.cell_center[cells[ga:gb]], nent[ga:gb], axis=0).T - src_ctr
+        d[...] = np.repeat(sink_ctr, nent[ga:gb], axis=0).T - src_ctr
         Q = scratch("Q", (len(coef), e1 - e0), dtype)
         for a, b in tab.segments:
             # (mode="clip": the default "raise" copies through a buffer)
@@ -380,9 +411,9 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
             m_x, row_x = pan_m[batch], pan_row[batch]
             n_x, c0_x = nent[row_x], indptr[row_x] - e0
             part = expand_ranges(pan_p0[batch], m_x)
-            pos = tree.pos[part].T
+            pos = tree.pos[part].T * inv_u
             XS = _scaled_monomials(
-                pos - np.repeat(tree.cell_center[cells[row_x]], m_x, axis=0).T, p, dtype
+                pos - np.repeat(sink_ctr[row_x - ga], m_x, axis=0).T, p, dtype
             )
             own = owned[part]
             out_rows = part - s0
@@ -400,15 +431,16 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
                 qa, qb = panels[ba][0], panels[bb - 1][1]
                 ra, rb = panels[ba][4], panels[bb - 1][5]
                 n_rows = rb - ra
-                dx = scratch("dx", (3, n_rows), np.float64)
+                x = scratch("x", (3, n_rows), dtype)
                 P0 = scratch("P0", (n_rows,), dtype)
                 PD = scratch("PD", (p, 4, n_rows), dtype)
                 for q0, q1, c0, c1, r0, r1 in panels[ba:bb]:
                     tile, shape = slice(r0 - ra, r1 - ra), (q1 - q0, c1 - c0)
+                    # a float64 difference, rounded to ``dtype`` on store
                     np.subtract(
                         pos[:, q0:q1, None],
                         src_ctr[:, None, c0:c1],
-                        out=dx[:, tile].reshape(3, *shape),
+                        out=x[:, tile].reshape(3, *shape),
                     )
                     P0[tile].reshape(shape)[...] = Q[0, c0:c1]
                     for k, row0, width in orders:
@@ -419,15 +451,13 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
                         )
                 # r^2 = (x x + y y) + z z, spelled out: an einsum over a
                 # block of one row sums in another order
-                r, t = scratch("r", (2, n_rows), np.float64)
-                np.multiply(dx[0], dx[0], out=r)
+                r, t = scratch("r", (2, n_rows), dtype)
+                np.multiply(x[0], x[0], out=r)
                 for axis in (1, 2):
-                    np.multiply(dx[axis], dx[axis], out=t)
+                    np.multiply(x[axis], x[axis], out=t)
                     r += t
                 np.sqrt(r, out=r)
-                g = kernel.radial_derivs(r, p + 1).astype(dtype, copy=False)
-                x = scratch("x", (3, n_rows), dtype)
-                x[...] = dx
+                g = kernel_u.radial_derivs(r, p + 1, out=scratch("g", (p + 2, n_rows), dtype))
                 # rows: a_x, a_y, a_z, [potential]; then S and a spare
                 sums = scratch("sums", (8, n_rows), dtype)
                 T, S, tmp = sums[:3], sums[4], sums[5:]
@@ -450,14 +480,14 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
                     np.add(T, x, out=T)
                 else:
                     T[...] = x
-                # each particle's entries are one run of rows
-                c64 = sums[:n_out].astype(np.float64, copy=False)
-                starts = seg0[qa:qb] - ra
+                # each particle's entries are one run of rows; the
+                # gradient is per unit length
                 keep = own[qa:qb]
                 rows = out_rows[qa:qb][keep]
-                acc[rows] += segment_sum(c64[:3].T, starts)[keep]
+                total = segment_sum(sums[:n_out], seg0[qa:qb] - ra)[:, keep]
+                acc[rows] += total[:3].T * inv_u
                 if pot is not None:
-                    pot[rows] += segment_sum(c64[3], starts)[keep]
+                    pot[rows] += total[3]
     return translate_s
 
 
@@ -536,8 +566,9 @@ def evaluate_forces(
     (:func:`_cell_panels`) — ``np.matmul`` of the stacked monomial
     matrices ``[X; d_x X; d_y X; d_z X]`` with the order-k block of
     shifted coefficients yields P_k and d_i P_k for all m x n rows,
-    k = 1..p.  Per row that leaves ``dx`` (a float64 broadcast), r,
-    the radial chain and the sums above: 10 p + 5 row operations.  As
+    k = 1..p.  Per row that leaves x, r, the radial chain and the sums
+    above: 10 p + 5 row operations.  All of it runs level by level in
+    units of the sink cells' side (:func:`_evaluate_cells`).  As
     many whole panels as fit ``cell_chunk`` rows share one block of
     that elementwise work; a panel is never cut, so its matrix shapes
     — and with them its bits — depend on the sink cell alone, whatever
@@ -549,8 +580,8 @@ def evaluate_forces(
     *pp*: entries are the source particles of the
     row's source leaves (a source-particle CSR derived from
     ``leaf_indptr``) — indices, image-shifted positions and masses
-    gathered once per sink leaf, ``dx`` a float64 difference rounded to
-    ``dtype`` on store, self-pairs masked on the home image only.
+    gathered once per sink leaf, self-pairs masked on the home image
+    only.
     *prism*: one pass.  The ghost entries and the direct leaf pairs of
     a row name the cubes whose background has to go; their exact
     integer corners are run-merged along x, then y, then z into
@@ -561,10 +592,18 @@ def evaluate_forces(
     the merged boxes, and the block's rows go through one call of the
     fused 8-corner kernel
     (:func:`repro.multipoles.prism.prism_acceleration`), which returns
-    acceleration and potential from the same corner terms.  Every
-    family differences positions in float64; from there cell and pp
-    interactions run in ``dtype``, the prism terms in float64; each
-    particle's entries are summed in float64.
+    acceleration and potential from the same corner terms.
+
+    *Precision.*  Every family differences float64 positions in
+    float64 and rounds the difference to ``dtype`` on store; from
+    there every row of the cell and pp families — r, the radial chain
+    (:meth:`RadialKernel.radial_derivs` with ``out=``), the pair force
+    (:meth:`SofteningKernel.force_and_potential`), the sums — is
+    computed in ``dtype``, in place in pooled scratch (the erf-family
+    chain and the pair force inside a softening kernel's support are
+    float64 definitions, rounded on store); the prism terms are
+    float64.  A block's contributions are laid out (outputs, rows), and
+    :func:`segment_sum` adds each particle's run of rows into float64.
 
     ``stats["family_seconds"]`` holds the seconds spent in the cell,
     pp, m2l and prism families, ``stats["cell_seconds"]`` the cell
@@ -637,16 +676,18 @@ def evaluate_forces(
     pid = expand_ranges(tree.cell_start[sinks], leaf_np)
     row_of_p = np.repeat(np.arange(len(sinks), dtype=np.int64), leaf_np)
 
-    def reduce_into(contrib, pcontrib, a, b, lens):
+    def reduce_into(contrib, a, b, lens):
+        # contrib: (3 or 4, rows), particle a + i owns the next lens[i]
         starts = np.zeros(len(lens), dtype=np.int64)
         np.cumsum(lens[:-1], out=starts[1:])
         nz = lens > 0
         if not np.any(nz):
             return
         rows = loc(pid[a:b][nz])
-        acc[rows] += segment_sum(contrib, starts[nz])
+        total = segment_sum(contrib, starts[nz])
+        acc[rows] += total[:3].T
         if want_potential:
-            pot[rows] += segment_sum(pcontrib, starts[nz])
+            pot[rows] += total[3]
 
     # cell + pp + m2l is the denominator of the roofline counters
     family_s = {"cell": 0.0, "pp": 0.0, "m2l": 0.0, "prism": 0.0}
@@ -736,18 +777,18 @@ def evaluate_forces(
                 np.multiply(dx[axis], dx[axis], out=t)
                 r += t
             np.sqrt(r, out=r)
-            f = softening.force_factor(r).astype(dtype, copy=False)
-            f[self_pair] = 0.0
+            f, psi = fpsi = scratch("fpsi", (2, n_rows), dtype)
+            softening.force_and_potential(r, fpsi, want_potential)
+            # a self-pair's row holds F(0) and psi(0), infinite unsoftened
+            np.copyto(f, 0.0, where=self_pair)
+            np.negative(mass_row, out=t)
+            np.multiply(t, f, out=t)
             contrib = scratch("contrib", (n_out, n_rows), dtype)
-            np.multiply(mass_row, f, out=t)
-            np.negative(t, out=t)
             np.multiply(t, dx, out=contrib[:3])
             if want_potential:
-                psi = softening.potential(r).astype(dtype, copy=False)
-                psi[self_pair] = 0.0
+                np.copyto(psi, 0.0, where=self_pair)
                 np.multiply(mass_row, psi, out=contrib[3])
-            c64 = contrib.astype(np.float64, copy=False)
-            reduce_into(c64[:3].T, c64[3] if want_potential else None, a, b, lens)
+            reduce_into(contrib, a, b, lens)
         release_scratch()
         family_s["pp"] += time.perf_counter() - _tk0
 
@@ -823,8 +864,8 @@ def evaluate_forces(
             out = prism_acceleration(
                 pts.T, lo.T, hi.T, rho, want_potential=want_potential
             )
-            a_contrib, p_contrib = out if want_potential else (out, None)
-            reduce_into(a_contrib, p_contrib, a, b, lens)
+            # (rows, 3) [and (rows,)] restacked as (outputs, rows)
+            reduce_into(np.vstack((out[0].T, out[1])) if want_potential else out.T, a, b, lens)
         release_scratch()
         family_s["prism"] += time.perf_counter() - _tk0
         prism_s["rows"] = family_s["prism"] - prism_s["coalesce"]
@@ -859,15 +900,11 @@ def evaluate_forces(
     if particle_range is not None:
         return ForceResult(acc=acc, pot=pot, stats=stats)
 
-    acc_out = np.empty_like(acc)
+    # unsort; the float64 sums are rounded to ``dtype`` on store
+    acc_out = np.empty(acc.shape, dtype=dtype)
     acc_out[tree.order] = acc
+    pot_out = None
     if want_potential:
-        pot_out = np.empty_like(pot)
+        pot_out = np.empty(pot.shape, dtype=dtype)
         pot_out[tree.order] = pot
-    else:
-        pot_out = None
-    if dtype is not np.float64:
-        acc_out = acc_out.astype(dtype)
-        if pot_out is not None:
-            pot_out = pot_out.astype(dtype)
     return ForceResult(acc=acc_out, pot=pot_out, stats=stats)

@@ -107,6 +107,10 @@ class FieldTable:
     filled: np.ndarray
     #: maximal runs [a, b) of filled rows (what a gather has to fetch)
     segments: tuple
+    #: (rows,) |gamma| - 2k - 1: with lengths in units of u the field is
+    #: sum_k g'_k(r/u) P'_k(x/u), g'_k = u^(2k+1) g_k, and row (k, gamma)
+    #: of P'_k is b_{k,gamma} * u**unit_power
+    unit_power: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -124,8 +128,12 @@ def field_table(p: int) -> FieldTable:
     filled = np.any(matrix != 0.0, axis=1)
     edges = np.flatnonzero(np.diff(np.concatenate(([0], filled, [0]))))
     segments = tuple((int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]))
+    unit_power = np.concatenate(
+        [mis.order[: n_coeffs(k)] - (2 * k + 1) for k in range(p + 1)]
+    )
     return FieldTable(
-        p=p, offsets=offsets, matrix=matrix, filled=filled, segments=segments
+        p=p, offsets=offsets, matrix=matrix, filled=filled, segments=segments,
+        unit_power=unit_power,
     )
 
 

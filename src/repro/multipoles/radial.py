@@ -42,24 +42,55 @@ __all__ = [
 class RadialKernel:
     """Interface: scaled radial derivative chain of a radial Green's function."""
 
-    def radial_derivs(self, r: np.ndarray, mmax: int) -> np.ndarray:
-        """Return array of shape (mmax+1,) + r.shape with g_m(r)."""
+    def radial_derivs(self, r: np.ndarray, mmax: int, out=None) -> np.ndarray:
+        """Return array of shape (mmax+1,) + r.shape with g_m(r).
+
+        Without ``out`` the chain is computed and returned in float64.
+        With ``out`` (that shape, float32 or float64, ``r`` of the same
+        dtype) it is written there and ``out`` is returned: the
+        power-law kernels run every operation in ``out``'s precision,
+        the erf family computes in float64 and rounds on store.
+        """
         raise NotImplementedError
+
+    def in_units(self, u: float) -> "RadialKernel":
+        """The kernel G' of the same family that describes this one when
+        lengths are measured in units of ``u``: g(r) = G'(r / u) / u, so
+        g_m(r) = u^-(2m+1) g'_m(r / u).  For ``u`` a power of two both
+        sides agree bit for bit."""
+        raise NotImplementedError
+
+
+def _power_law_chain(inv_s2, mmax, out):
+    """g_m = -(2m-1) g_{m-1} / s^2 from ``out[0]`` = g_0, in place;
+    ``inv_s2`` holds 1 / s^2 in ``out``'s dtype."""
+    for m in range(1, mmax + 1):
+        np.multiply(out[m - 1], -(2 * m - 1), out=out[m])
+        np.multiply(out[m], inv_s2, out=out[m])
+    return out
+
+
+def _chain_output(r, mmax, out):
+    """(r, out) of :meth:`RadialKernel.radial_derivs`: float64 when
+    ``out`` is not given."""
+    if out is None:
+        r = np.asarray(r, dtype=np.float64)
+        out = np.empty((mmax + 1,) + r.shape, dtype=np.float64)
+    return r, out
 
 
 class NewtonianKernel(RadialKernel):
     """g(r) = 1/r.  g_m = (-1)^m (2m-1)!! r^{-(2m+1)}."""
 
-    def radial_derivs(self, r, mmax):
-        r = np.asarray(r, dtype=np.float64)
-        out = np.empty((mmax + 1,) + r.shape, dtype=np.float64)
-        inv_r2 = 1.0 / (r * r)
-        g = 1.0 / r
-        out[0] = g
-        for m in range(1, mmax + 1):
-            g = g * (-(2 * m - 1)) * inv_r2
-            out[m] = g
-        return out
+    def radial_derivs(self, r, mmax, out=None):
+        r, out = _chain_output(r, mmax, out)
+        inv_r2 = np.multiply(r, r, dtype=out.dtype)
+        np.reciprocal(inv_r2, out=inv_r2)
+        np.reciprocal(r, out=out[0])
+        return _power_law_chain(inv_r2, mmax, out)
+
+    def in_units(self, u):
+        return self
 
 
 class PlummerKernel(RadialKernel):
@@ -72,17 +103,16 @@ class PlummerKernel(RadialKernel):
     def __init__(self, eps: float):
         self.eps = float(eps)
 
-    def radial_derivs(self, r, mmax):
-        r = np.asarray(r, dtype=np.float64)
-        s2 = r * r + self.eps * self.eps
-        out = np.empty((mmax + 1,) + r.shape, dtype=np.float64)
-        inv_s2 = 1.0 / s2
-        g = np.sqrt(inv_s2)
-        out[0] = g
-        for m in range(1, mmax + 1):
-            g = g * (-(2 * m - 1)) * inv_s2
-            out[m] = g
-        return out
+    def radial_derivs(self, r, mmax, out=None):
+        r, out = _chain_output(r, mmax, out)
+        inv_s2 = np.multiply(r, r, dtype=out.dtype)
+        inv_s2 += self.eps * self.eps
+        np.reciprocal(inv_s2, out=inv_s2)
+        np.sqrt(inv_s2, out=out[0])
+        return _power_law_chain(inv_s2, mmax, out)
+
+    def in_units(self, u):
+        return PlummerKernel(self.eps / u)
 
 
 class _ErfFamilyKernel(RadialKernel):
@@ -133,8 +163,13 @@ class _ErfFamilyKernel(RadialKernel):
     def _special(self, x):
         raise NotImplementedError
 
-    def radial_derivs(self, r, mmax):
+    def in_units(self, u):
+        return type(self)(self.alpha * u)
+
+    def radial_derivs(self, r, mmax, out=None):
         self._extend(mmax)
+        # float64 whatever ``out`` is: the erfc and Gaussian terms
+        # cancel at small r
         r = np.asarray(r, dtype=np.float64)
         a = self.alpha
         f = self._special(a * r)
@@ -147,7 +182,8 @@ class _ErfFamilyKernel(RadialKernel):
                 powers[k] = r**k
             return powers[k]
 
-        out = np.zeros((mmax + 1,) + r.shape, dtype=np.float64)
+        if out is None:
+            out = np.empty((mmax + 1,) + r.shape, dtype=np.float64)
         for m in range(mmax + 1):
             e, g = self._chains[m]
             acc = np.zeros_like(r)

@@ -47,7 +47,12 @@ def flops_per_cell_interaction(p: int, want_potential: bool = True) -> int:
     accept-level entry is :func:`flops_per_cell_entry`.
     """
     gemm = 2 * 4 * sum(n_coeffs(k) for k in range(1, p + 1))
-    # radial chain g_0..g_{p+1}: ~4 ops per level, plus r from dx: 8
+    # dx and r^2: 8; the radial chain g_0..g_{p+1} at a nominal 4 per
+    # level, whatever the kernel (1/r executes 1 root, 3 for g_0 and
+    # 1/r^2 and 2 a level after that; Plummer 2 more; the erf family
+    # several times that).  Casts and copies are not arithmetic: moving
+    # the chain from float64 temporaries to ``dtype`` rows changed the
+    # time of these operations, not their number
     radial_ops = 4 * (p + 2) + 8
     sums = (2 if want_potential else 1) * (2 * p + 1)
     combination = sums + (3 * (2 * p - 1) if p else 0) + (6 if p else 3)
