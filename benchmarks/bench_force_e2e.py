@@ -17,17 +17,14 @@ went.)
   particle and the per-family breakdown (cell/pp/ghost/m2l) for each
   walk,
 * fmm-hybrid promotion gates: >= 3x fewer interactions per particle
-  and (full mode) >= 2x lower force wall than hierarchical on the same
-  numpy backend, probe error inside the errtol budget, and bitwise
-  serial-vs-sharded agreement,
+  and (full mode) >= 2x lower force wall than hierarchical, probe error
+  inside the errtol budget, and bitwise serial-vs-sharded agreement,
 * a force-error probe against the Ewald direct reference, graded
   against the errtol budget,
-* a backend A/B on the hierarchical walk — numpy vs the compiled
-  m x n-blocked CSR kernel, single-thread and with
-  ``REPRO_BENCH_WORKERS`` (default 2) pool workers — with
-  wall/ipp-normalized throughput columns; the compiled columns only
-  run where numba is installed (``summary.numba_available`` records
-  which), and the embedded gate requires compiled >= numpy,
+* the evaluator's roofline counters (``stats["kernel"]``) for the
+  hierarchical solve, with wall/ipp-normalized throughput columns (the
+  committed receipt also carries the ``backends`` / ``numba_available``
+  fields of the compiled-backend A/B that no host ever ran),
 * embedded ``gates`` so ``repro-diag gate BENCH_force.json`` judges
   the run self-contained (the CI perf-smoke tripwire).
 
@@ -65,17 +62,15 @@ def _particles(n: int, seed: int = 7):
     return rng.random((n, 3)), np.full(n, 1.0 / n)
 
 
-def _solve(traversal: str, pos, mass, backend: str = "numpy",
-           workers: int = 0, nleaf: int = 16) -> dict:
+def _solve(traversal: str, pos, mass, workers: int = 0, nleaf: int = 16) -> dict:
     cfg = TreecodeConfig(
         p=4, errtol=ERRTOL, nleaf=nleaf, periodic=True, background=True,
-        traversal=traversal, want_potential=False,
-        backend=backend, workers=workers,
+        traversal=traversal, want_potential=False, workers=workers,
     )
     tr = Tracer()
     with TreecodeGravity(cfg) as solver:
-        # warm the N-independent caches (lattice expansion, chunk
-        # autotune, kernel JIT) on a small subset so the timed solve is
+        # warm the N-independent caches (lattice expansion, generated
+        # routines) on a small subset so the timed solve is
         # steady-state without paying a second full-size solve
         nw = min(len(pos), 4096)
         solver.compute(pos[:nw], mass[:nw], box=1.0)
@@ -92,16 +87,14 @@ def _solve(traversal: str, pos, mass, backend: str = "numpy",
         "frontier_peak": int(res.stats["frontier_peak"]),
         "interactions_per_particle": ipp,
         # ipp-normalized throughput: traversal-level interactions per
-        # second of force wall, comparable across walks and backends
+        # second of force wall, comparable across walks
         "interactions_per_second": ipp * len(pos) / max(wall, 1e-12),
-        "backend": res.stats.get("backend", "numpy"),
-        "backend_fallback": res.stats.get("backend_fallback"),
         # per-family interaction breakdown (cell/pp/ghost/m2l): the
         # hybrid column's win is the cell family collapsing into m2l
         "interactions_by_family": res.stats.get("interactions_by_family"),
         "nleaf": nleaf,
         # in-kernel roofline counters: interactions/s, effective
-        # GFLOP/s, m x n tile shape, thread utilization (ISSUE 8)
+        # GFLOP/s, m x n tile shape (ISSUE 8)
         "kernel": res.stats.get("kernel"),
         "workers": workers,
         "acc": res.acc,  # stripped before serialization
@@ -128,37 +121,16 @@ def _probe_error(pos, mass, rec, n_samples: int = 8) -> dict:
 
 
 def run() -> dict:
-    from repro.gravity import kernel_available
-
-    compiled_real = kernel_available() and not os.environ.get(
-        "REPRO_FORCE_PYKERNEL"
-    )
     workers_mt = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
     sizes = []
     for n in SIZES:
         pos, mass = _particles(n)
-        hier = _solve("hierarchical", pos, mass)  # numpy single-thread
-        # backend A/B on the hierarchical walk: numpy vs compiled,
-        # single-thread and sharded (the interpreted-kernel testing
-        # hook is far slower than numpy, so the compiled columns only
-        # run where a real kernel exists — the receipt records why)
-        backends = {"numpy_1t": hier}
-        if compiled_real:
-            backends["compiled_1t"] = _solve(
-                "hierarchical", pos, mass, backend="compiled"
-            )
-            backends["numpy_mt"] = _solve(
-                "hierarchical", pos, mass, workers=workers_mt
-            )
-            backends["compiled_mt"] = _solve(
-                "hierarchical", pos, mass, backend="compiled",
-                workers=workers_mt,
-            )
+        hier = _solve("hierarchical", pos, mass)  # serial
         probe = _probe_error(pos, mass, hier)
         # fmm-hybrid column at its production configuration (nleaf=8:
         # smaller leaves push work from the pp floor into m2l pairs);
         # the A/B against `hier` is honest end-to-end — each mode at
-        # its own best operating point, same backend
+        # its own best operating point
         hybrid = _solve("fmm-hybrid", pos, mass, nleaf=8)
         hybrid_mt = _solve("fmm-hybrid", pos, mass, nleaf=8,
                            workers=workers_mt)
@@ -173,15 +145,11 @@ def run() -> dict:
             "fmm_hybrid_mt": {
                 k: v for k, v in hybrid_mt.items() if k != "acc"
             },
-            "backends": {
-                name: {k: v for k, v in rec.items() if k != "acc"}
-                for name, rec in backends.items()
-            },
             "probe": probe,
             "hybrid_probe": hybrid_probe,
             # the fmm-hybrid promotion gates: interaction-count ratio,
-            # end-to-end wall ratio (same numpy backend), serial-vs-
-            # sharded bitwise reproducibility
+            # end-to-end wall ratio, serial-vs-sharded bitwise
+            # reproducibility
             "hybrid_ipp_ratio": (
                 hier["interactions_per_particle"]
                 / max(hybrid["interactions_per_particle"], 1e-12)
@@ -191,15 +159,6 @@ def run() -> dict:
             ),
             "hybrid_workers_bitident": 1.0 if hybrid_bitident else 0.0,
         }
-        if "compiled_1t" in backends:
-            row["backend_speedup_1t"] = (
-                hier["force_wall_s"]
-                / max(backends["compiled_1t"]["force_wall_s"], 1e-12)
-            )
-            row["backend_speedup_mt"] = (
-                backends["numpy_mt"]["force_wall_s"]
-                / max(backends["compiled_mt"]["force_wall_s"], 1e-12)
-            )
         sizes.append(row)
         print(
             f"n={n}: hierarchical: mac {hier['mac_tests']}, traverse "
@@ -218,22 +177,14 @@ def run() -> dict:
             f"cell={fam['cell']} pp={fam['pp']} ghost={fam['ghost']} "
             f"m2l={fam['m2l']}, workers bit-identical: {hybrid_bitident}"
         )
-        if "backend_speedup_1t" in row:
-            print(
-                f"      backend A/B: compiled {row['backend_speedup_1t']:.2f}x "
-                f"(1t), {row['backend_speedup_mt']:.2f}x ({workers_mt} workers)"
-            )
-        for name, rec in backends.items():
-            kern = rec.get("kernel")
-            if kern:
-                print(
-                    f"      kernel[{name}]: "
-                    f"{kern['interactions_per_s']:.3g} inter/s, "
-                    f"{kern['gflops']:.3f} GFLOP/s "
-                    f"({kern['model_fraction']:.1%} of model), "
-                    f"tile m {kern['m_mean']:.1f}/{kern['m_max']}, "
-                    f"occupancy {kern['tile_occupancy']:.2f}"
-                )
+        kern = hier["kernel"]
+        print(
+            f"      kernel: {kern['interactions_per_s']:.3g} inter/s, "
+            f"{kern['gflops']:.3f} GFLOP/s "
+            f"({kern['model_fraction']:.1%} of model), "
+            f"tile m {kern['m_mean']:.1f}/{kern['m_max']}, "
+            f"occupancy {kern['tile_occupancy']:.2f}"
+        )
     last = sizes[-1]
     summary = {
         "n_max": last["n"],
@@ -247,13 +198,10 @@ def run() -> dict:
         "hybrid_interactions_per_particle": last["fmm_hybrid"][
             "interactions_per_particle"
         ],
-        "numba_available": compiled_real,
+        # trend-gateable kernel throughput (the key keeps the column
+        # name of the committed receipt)
+        "kernel_gflops_numpy_1t": last["hierarchical"]["kernel"]["gflops"],
     }
-    # trend-gateable kernel throughput per backend column
-    for name, rec in last["backends"].items():
-        kern = rec.get("kernel")
-        if kern:
-            summary[f"kernel_gflops_{name}"] = kern["gflops"]
     # smoke mode (tiny N) only checks direction + error budget
     gates = {
         "probe_err_over_budget": {"max": 1.0},
@@ -265,20 +213,11 @@ def run() -> dict:
         "hybrid_workers_bitident": {"min": 1.0},
     }
     if MODE == "full":
-        # >= 2x lower end-to-end force wall on the same numpy backend
+        # >= 2x lower end-to-end force wall
         gates["hybrid_force_speedup"] = {"min": 2.0}
         # absolute interaction-count tripwire: measured ~950/particle at
         # 32k (4x under hierarchical's ~3800) + regression headroom
         gates["hybrid_interactions_per_particle"] = {"max": 1300.0}
-    if "backend_speedup_1t" in last:
-        summary["backend_speedup_1t"] = last["backend_speedup_1t"]
-        summary["backend_speedup_mt"] = last["backend_speedup_mt"]
-        # ISSUE 7 acceptance: compiled no slower than numpy everywhere,
-        # and >= 4x single-thread at full size on real hardware
-        gates["backend_speedup_1t"] = {
-            "min": 1.0 if MODE == "smoke" else 4.0
-        }
-        gates["backend_speedup_mt"] = {"min": 1.0}
     return {
         "type": "bench_force_e2e",
         "mode": MODE,

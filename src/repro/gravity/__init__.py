@@ -1,7 +1,6 @@
 """Gravity solvers: treecode, direct, Ewald, periodic, PM/TreePM."""
 
 from .direct import direct_accelerations, direct_potential_energy
-from .kernels import NUMBA_AVAILABLE, kernel_available, resolve_backend
 from .smoothing import (
     DehnenK1Softening,
     NoSoftening,
@@ -12,6 +11,10 @@ from .smoothing import (
 )
 from .solver import ForceSpec, TreecodeConfig, TreecodeGravity
 from .treeforce import ForceResult, evaluate_forces
+
+# read by benchmarks/step/run.py for its env stamp; ROADMAP item 1 (the
+# PR that may edit benchmarks/step/) drops that reader and this line
+NUMBA_AVAILABLE = False  # the numba backend is retired (DESIGN.md, "Answered A/Bs")
 
 __all__ = [
     "DehnenK1Softening",
@@ -27,7 +30,5 @@ __all__ = [
     "direct_accelerations",
     "direct_potential_energy",
     "evaluate_forces",
-    "kernel_available",
     "make_softening",
-    "resolve_backend",
 ]

@@ -159,13 +159,7 @@ def _displacement_keys(dx: np.ndarray, box: float, max_level: int) -> np.ndarray
     return (q[:, 0] * span + q[:, 1]) * span + q[:, 2]
 
 
-def accumulate_m2l(
-    tree,
-    moms,
-    inter,
-    kernel,
-    backend: str = "numpy",
-) -> np.ndarray:
+def accumulate_m2l(tree, moms, inter, kernel) -> np.ndarray:
     """Per-sink-cell local expansions from the accepted M2L pairs.
 
     Returns an ``(len(inter.m2l_cells), nloc)`` array of local
@@ -182,11 +176,6 @@ def accumulate_m2l(
     locs = np.zeros((len(cells), t.nloc))
     if inter.m2l_src is None or len(inter.m2l_src) == 0:
         return locs
-    if backend == "compiled":
-        from . import kernels
-
-        if kernels.run_m2l_kernel(tree, moms, inter, kernel, t, locs):
-            return locs
     nhi = n_coeffs(t.P)
     # fold the (-1)^|alpha|/alpha! weights into the moments once
     wm_all = moms.moments[:, :nhi] * t.wsrc
@@ -242,7 +231,7 @@ def accumulate_m2l(
     return locs
 
 
-def sweep_l2l(tree, cells, locs, backend: str = "numpy") -> np.ndarray:
+def sweep_l2l(tree, cells, locs) -> np.ndarray:
     """Translate locals down the tree (dense over all cells).
 
     Scatters the per-cell M2L sums into a dense ``(n_cells, nloc)``
@@ -268,11 +257,6 @@ def sweep_l2l(tree, cells, locs, backend: str = "numpy") -> np.ndarray:
     mis = multi_index_set(p_loc)
     tgt, srcb, shift, _binom = mis.translation_table
     weights = 1.0 / mis.factorial[shift]
-    run_l2l = None
-    if backend == "compiled":
-        from . import kernels
-
-        run_l2l = kernels.run_l2l_kernel
     for level in range(0, tree.max_level):
         cl = tree.cells_at_level(level)
         act = cl[(tree.cell_first_child[cl] >= 0) & has[cl]]
@@ -288,29 +272,19 @@ def sweep_l2l(tree, cells, locs, backend: str = "numpy") -> np.ndarray:
             continue
         d = tree.cell_center[kids] - tree.cell_center[par]
         parent_local = loc_all[par]
-        out = None
-        if run_l2l is not None:
-            out = run_l2l(parent_local, d, p_loc)
-        if out is None:
-            mono = mis.powers(d)
-            out = np.zeros_like(parent_local)
-            contrib = parent_local[:, tgt] * mono[:, shift] * weights
-            np.add.at(out.T, srcb, contrib.T)
+        mono = mis.powers(d)
+        out = np.zeros_like(parent_local)
+        contrib = parent_local[:, tgt] * mono[:, shift] * weights
+        np.add.at(out.T, srcb, contrib.T)
         loc_all[kids] += out
         has[kids] = True
     return loc_all
 
 
-def local_expansions(
-    tree,
-    moms,
-    inter,
-    kernel,
-    backend: str = "numpy",
-) -> np.ndarray:
+def local_expansions(tree, moms, inter, kernel) -> np.ndarray:
     """M2L accumulation + L2L sweep: dense per-cell local expansions."""
-    locs = accumulate_m2l(tree, moms, inter, kernel, backend=backend)
-    return sweep_l2l(tree, inter.m2l_cells, locs, backend=backend)
+    locs = accumulate_m2l(tree, moms, inter, kernel)
+    return sweep_l2l(tree, inter.m2l_cells, locs)
 
 
 def l2p_accumulate(
@@ -325,7 +299,6 @@ def l2p_accumulate(
     s0: int,
     acc,
     pot,
-    backend: str = "numpy",
     chunk: int = 65536,
 ) -> None:
     """Evaluate the leaf local expansions at the sink particles.
@@ -340,13 +313,6 @@ def l2p_accumulate(
     P = p + 2
     mis_hi = multi_index_set(P)
     row_local = loc_all[sinks]
-    if backend == "compiled":
-        from . import kernels
-
-        if kernels.run_l2p_kernel(
-            tree, inter, row_local, p, want_potential, s0, acc, pot
-        ):
-            return
     cols = l2p_gradient_columns(p)
     wf = 1.0 / mis_hi.factorial
     ncoef = n_coeffs(P - 1)

@@ -178,9 +178,6 @@ class TreePMConfig:
     #: dual-tree walk flavour for the short-range half ("hierarchical"
     #: or "fmm-hybrid"; see :class:`~repro.gravity.solver.TreecodeConfig`)
     traversal: str = "hierarchical"
-    #: force-evaluation backend for the short-range tree half
-    #: ("numpy" | "compiled" | "auto"; see TreecodeConfig.backend)
-    backend: str = "auto"
     G: float = 1.0
     #: worker processes for the short-range tree half (0 = serial)
     workers: int = 0
@@ -188,7 +185,7 @@ class TreePMConfig:
     check_finite: bool = False
 
     def __post_init__(self):
-        check_choices(self, "traversal", "backend", "softening")
+        check_choices(self, "traversal", "softening")
 
 
 class TreePMGravity:
@@ -240,7 +237,6 @@ class TreePMGravity:
                 kernel=ErfcKernel(1.0 / (2.0 * r_split)),
                 rcut=cfg.rcut * r_split,
                 G=cfg.G,
-                backend=cfg.backend,
                 check_finite=cfg.check_finite,
             )
             inter = None
@@ -281,9 +277,6 @@ class TreePMGravity:
             res.stats["force_seconds"] = sp_force.seconds
             res.stats["flops"] = flops_from_stats(res.stats)
             tr.count("force.calls")
-            tr.count(
-                f"evaluate.backend.{res.stats.get('backend', 'numpy')}"
-            )
             tr.count(
                 "force.interactions",
                 res.stats.get("cell_interactions", 0)
@@ -333,7 +326,6 @@ def _prune_far(tree, moms, inter, rcut):
         inter,
         cell_src=inter.cell_src[kc],
         cell_off=inter.cell_off[kc],
-        cell_emit=inter.cell_emit[kc],
         leaf_sink=inter.leaf_sink[kl],
         leaf_src=inter.leaf_src[kl],
         leaf_off=inter.leaf_off[kl],

@@ -40,7 +40,6 @@ __all__ = [
 _CHOICES = {
     "engine": ("tree", "treepm"),
     "traversal": ("hierarchical", "fmm-hybrid"),
-    "backend": ("auto", "numpy", "compiled"),
     "mac": ("moment", "absolute"),
     "softening": ("none", "plummer", "spline", "dehnen_k1", "k1"),
 }
@@ -108,12 +107,11 @@ class ForceSpec:
     G: float = 1.0
     dtype: type = np.float64
     want_potential: bool = True
-    backend: str = "auto"
     #: count non-finite outputs per shard, where they are produced
     check_finite: bool = False
 
     def __post_init__(self):
-        check_choices(self, "traversal", "backend")
+        check_choices(self, "traversal")
 
 
 def solve_forces(
@@ -161,7 +159,6 @@ def solve_forces(
             want_potential=spec.want_potential,
             kernel=spec.kernel,
             particle_range=particle_range,
-            backend=spec.backend,
         )
     t2 = time.perf_counter()
     # the evaluator has counted three of the four from the CSR rows;
@@ -223,10 +220,6 @@ class TreecodeConfig:
     #: error-correlation tradeoff is measurable: smaller = tighter
     #: local expansions (less correlated error, more pp work)
     cc_xmax: float = 0.5
-    #: force-evaluation backend: "numpy" (vectorized reference),
-    #: "compiled" (numba m x n-blocked CSR kernel) or "auto"
-    #: (``REPRO_FORCE_BACKEND`` env, else compiled-when-available)
-    backend: str = "auto"
     softening: str = "dehnen_k1"
     eps: float = 0.01
     G: float = 1.0
@@ -242,7 +235,7 @@ class TreecodeConfig:
     check_finite: bool = False
 
     def __post_init__(self):
-        check_choices(self, "traversal", "backend", "mac", "softening")
+        check_choices(self, "traversal", "mac", "softening")
 
 
 class TreecodeGravity:
@@ -267,7 +260,6 @@ class TreecodeGravity:
             G=cfg.G,
             dtype=cfg.dtype,
             want_potential=cfg.want_potential,
-            backend=cfg.backend,
             check_finite=cfg.check_finite,
         )
         self.last_tree: Tree | None = None
@@ -400,9 +392,6 @@ class TreecodeGravity:
                 + result.stats.get("prism_interactions", 0)
             )
             tr.count("force.calls")
-            tr.count(
-                f"evaluate.backend.{result.stats.get('backend', 'numpy')}"
-            )
             tr.count("force.interactions", n_inter)
             tr.count("force.cells", tree.n_cells)
             tr.count("force.flops", flops)

@@ -58,7 +58,6 @@ from ..tree.moments import TreeMoments
 from ..tree.structure import Tree
 from ..tree.traversal import InteractionLists
 from ..util import expand_ranges, release_scratch, scratch
-from . import kernels
 from .smoothing import NoSoftening, SofteningKernel
 
 __all__ = ["ForceResult", "evaluate_forces", "autotune_chunks", "segment_sum"]
@@ -503,7 +502,6 @@ def evaluate_forces(
     cell_chunk: int | None = None,
     pp_chunk: int | None = None,
     particle_range: tuple[int, int] | None = None,
-    backend: str | None = None,
 ) -> ForceResult:
     """Evaluate all interactions; returns fields in original particle order.
 
@@ -513,14 +511,6 @@ def evaluate_forces(
         Radial Green's function for the *cell* interactions (default
         Newtonian 1/r; a short-range ErfcKernel turns this into the
         tree half of a TreePM split).
-    backend:
-        ``"numpy"`` (vectorized reference), ``"compiled"`` (the numba
-        m x n-blocked CSR kernel of :mod:`repro.gravity.kernels`) or
-        ``"auto"``/None (``REPRO_FORCE_BACKEND`` env, defaulting to
-        compiled-when-available).  Unsupported kernel types fall back
-        to numpy with the reason in ``stats["backend_fallback"]``.
-        The compiled kernel always accumulates in float64 (it is the
-        *more* accurate path when ``dtype=float32``).
     dtype:
         Accumulation precision (float32 reproduces the single-precision
         behaviour of Fig. 6 / Table 3).
@@ -588,7 +578,7 @@ def evaluate_forces(
     rectangular boxes (:func:`_background_boxes`,
     :func:`_coalesce_boxes`) — a pure function of the row's own list,
     so the boxes, their order and the bits of the result are the same
-    for every block size, shard and backend.  Entries of the tiles are
+    for every block size and shard.  Entries of the tiles are
     the merged boxes, and the block's rows go through one call of the
     fused 8-corner kernel
     (:func:`repro.multipoles.prism.prism_acceleration`), which returns
@@ -619,28 +609,10 @@ def evaluate_forces(
     both add up exactly over shards.  ``stats["prism_seconds"]`` splits
     the prism family's seconds into ``coalesce`` (building and merging
     the boxes) and ``rows``.
-
-    ``backend="compiled"`` replaces the cell and pp families with the
-    m x n-blocked kernel of :mod:`repro.gravity.kernels` (per-leaf CSR
-    arrays — the cell family through ``inter.cell_leaf_csr`` — no
-    contrib buffers, float64 accumulation; its seconds are booked
-    under ``"cell"``); the analytic background (prism) family
-    always runs through the shared numpy pass below so both backends
-    agree term by term.
     """
     softening = softening or NoSoftening()
     kernel = kernel or NewtonianKernel()
     p = moms.p
-    resolved, fb_reason = kernels.resolve_backend_ex(backend)
-    spec = None
-    if resolved == "compiled":
-        spec = kernels.kernel_specs(kernel, softening, p)
-        if spec is None:
-            resolved = "numpy"
-            fb_reason = (
-                "compiled kernel does not implement "
-                f"{type(kernel).__name__}/{type(softening).__name__}"
-            )
     tr = get_tracer()
     s0, s1 = particle_range if particle_range is not None else (0, tree.n_particles)
     n = s1 - s0
@@ -665,10 +637,7 @@ def evaluate_forces(
         "m2l_pairs": 0,
         "m2l_interactions": 0,
         "order": p,
-        "backend": resolved,
     }
-    if fb_reason:
-        stats["backend_fallback"] = fb_reason
 
     sinks = inter.sink_leaves
     # per sink particle: global key-sorted index and owning CSR row
@@ -710,7 +679,6 @@ def evaluate_forces(
         stats["cell_interactions"] = int(
             (inter.sink_particles_under(tree, cells) * nent).sum()
         )
-    if len(inter.cell_src) and resolved == "numpy":
         _tk0 = time.perf_counter()
         cell_s["translate"] = _evaluate_cells(
             tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot
@@ -727,7 +695,6 @@ def evaluate_forces(
         src_indptr = sp_cum[inter.leaf_indptr]
         src_per_row = np.diff(src_indptr)
         stats["pp_interactions"] = int((src_per_row * leaf_np).sum())
-    if len(inter.leaf_sink) and resolved == "numpy":
         _tk0 = time.perf_counter()
         mass_w = tree.mass.astype(dtype, copy=False)
         home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
@@ -792,20 +759,6 @@ def evaluate_forces(
         release_scratch()
         family_s["pp"] += time.perf_counter() - _tk0
 
-    # ----- compiled m x n-blocked kernel (cell + pp families) ------------------
-    cell_per_row = None
-    if resolved == "compiled" and (len(inter.cell_src) or len(inter.leaf_sink)):
-        _tk0 = time.perf_counter()
-        with tr.span("kernel"):
-            # the kernel walks one particle x cell term at a time: hand
-            # it the cell family fanned out to the sink leaves
-            cell_csr = inter.cell_leaf_csr(tree)
-            cell_per_row = np.diff(cell_csr[2])
-            kernels.run_csr_kernel(
-                tree, moms, inter, cell_csr, spec, want_potential, s0, acc, pot
-            )
-        family_s["cell"] += time.perf_counter() - _tk0
-
     # ----- m2l local expansions + L2P (fmm-hybrid far field) -------------------
     if inter.m2l_cells is not None and inter.m2l_src is not None and len(
         inter.m2l_src
@@ -816,15 +769,12 @@ def evaluate_forces(
         stats["m2l_pairs"] = int(len(inter.m2l_src))
         stats["m2l_interactions"] = stats["m2l_pairs"] + int(leaf_np.sum())
         with tr.span("m2l"):
-            loc_all = localexp.local_expansions(
-                tree, moms, inter, kernel, backend=resolved
-            )
+            loc_all = localexp.local_expansions(tree, moms, inter, kernel)
             localexp.l2p_accumulate(
                 tree, inter, loc_all, p,
                 want_potential=want_potential,
                 pid=pid, row_of_p=row_of_p, s0=s0,
                 acc=acc, pot=pot,
-                backend=resolved,
             )
         family_s["m2l"] += time.perf_counter() - _tk0
 
@@ -880,19 +830,17 @@ def evaluate_forces(
         or stats["pp_interactions"]
         or stats["m2l_pairs"]
     ):
-        stats["kernel"] = kernels.kernel_counters(
+        # (imported here: the perfmodel package pulls in repro.parallel)
+        from ..perfmodel.flops import kernel_counters
+
+        stats["kernel"] = kernel_counters(
             tree,
             inter,
             p=p,
             want_potential=want_potential,
             seconds=family_s["cell"] + family_s["pp"] + family_s["m2l"],
-            backend=resolved,
             cell_interactions=stats["cell_interactions"],
             cell_entries=stats["cell_entries"],
-            cell_per_row=cell_per_row,
-            threads=(
-                kernels.active_kernel_threads() if resolved == "compiled" else 1
-            ),
             prism_interactions=stats["prism_interactions"],
             prism_cubes=stats["prism_cubes"],
         )

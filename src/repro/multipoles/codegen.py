@@ -11,24 +11,21 @@ constant multiply where that term's factor is not 1, per surviving
 coefficient), which :func:`compiled_dtensor_function` ``exec``s into a
 callable.
 
-One generator serves every caller of the recurrence.  It is
-demand-driven: the caller names the recurrence *levels* L whose
-tensors R^L_alpha, |alpha| <= p, it wants, and only the steps those
-outputs depend on are emitted.  ``levels=(0,)`` is the plain
-derivative tensor D_alpha = R^0_alpha — what M2L asks for, and since
-the particle-cell interaction moved to the polynomial form of
-:mod:`repro.multipoles.hermite` the only request left in the library.
-That form has its own generated routine,
-:func:`compiled_shift_function`: the straight-line re-centring of a
-cell's polynomial coefficients on a sink-cell centre, run once per
-accept-level entry by :func:`repro.gravity.treeforce.evaluate_forces`.
+The recurrence runs over levels R^m_alpha; its output is level 0, the
+plain derivative tensor D_alpha = R^0_alpha — what M2L asks for — and
+only the steps that output depends on are emitted.  The particle-cell
+interaction uses the polynomial form of :mod:`repro.multipoles.hermite`,
+which has its own generated routine, :func:`compiled_shift_function`:
+the straight-line re-centring of a cell's polynomial coefficients on a
+sink-cell centre, run once per accept-level entry by
+:func:`repro.gravity.treeforce.evaluate_forces`.
 
 The routine is structure-of-arrays (paper §3.3): every operand is one
 contiguous row over the interaction batch and every statement is a
 ufunc call writing through ``out=`` into a row of the caller's output
-or scratch array, so a call allocates nothing.  Levels nobody asked
-for live in scratch rows that are recycled as soon as their last
-reader has run.
+or scratch array, so a call allocates nothing.  The levels above 0
+live in scratch rows that are recycled as soon as their last reader
+has run.
 
 The generated routines are bit-identical to the interpreted recurrence
 in :mod:`repro.multipoles.dtensors` (tested): same plan, same operands,
@@ -55,26 +52,20 @@ __all__ = [
 ]
 
 
-def _dtensor_program(p: int, levels: tuple[int, ...]) -> tuple[str, int, int]:
+def _dtensor_program(p: int) -> tuple[str, int, int]:
     """(source of ``dtensors``, scratch rows, multiply/add statements)."""
     mis, plan = recurrence_plan(p)
     orders = mis.order
     ncoef = len(mis)
-    top = max(levels)
-    out_row = {
-        (lv, idx): k * ncoef + idx
-        for k, lv in enumerate(levels)
-        for idx in range(ncoef)
-    }
     # one step per (target, level m): R^m_tgt = x_i R^{m+1}_a [+ fac R^{m+1}_b],
-    # kept only where a requested output depends on it (operands have a
+    # kept only where the output depends on it (operands have a
     # lower packed index than their target: one backward sweep settles it)
     steps = [
         (m, tgt, i, idx1, idx2 if fac != 0.0 else -1, fac)
         for tgt, i, idx1, idx2, fac in plan
-        for m in range(top + p - int(orders[tgt]), -1, -1)
+        for m in range(p - int(orders[tgt]), -1, -1)
     ]
-    needed = set(out_row)
+    needed = {(0, idx) for idx in range(ncoef)}
     for m, tgt, _i, idx1, idx2, _fac in reversed(steps):
         if (m, tgt) in needed:
             needed.update({(m + 1, idx1), (m + 1, idx2)})
@@ -97,16 +88,14 @@ def _dtensor_program(p: int, levels: tuple[int, ...]) -> tuple[str, int, int]:
         return n_scratch - 1
 
     def name(m: int, idx: int) -> str:
-        if (m, idx) in out_row:
-            return f"d{out_row[(m, idx)]}"
+        if m == 0:
+            return f"d{idx}"
         return f"g{m}" if idx == 0 else f"w{slot[(m, idx)]}"
 
     axis_var = "xyz"
-    # seeds: R^m_(000) = g[m]
-    seeds = [f"    np.copyto({name(lv, 0)}, g{lv})" for lv in levels]
     body = []
     for k, (m, tgt, i, idx1, idx2, fac) in enumerate(steps):
-        if (m, tgt) not in out_row:
+        if m:
             slot[(m, tgt)] = take()
         dst = name(m, tgt)
         body.append(f"    mul({axis_var[i]}, {name(m + 1, idx1)}, {dst})")
@@ -128,47 +117,47 @@ def _dtensor_program(p: int, levels: tuple[int, ...]) -> tuple[str, int, int]:
 
     head = [
         "def dtensors(x, y, z, g, D, W):",
-        f'    """Unrolled R^L_alpha, |alpha| <= {p}, L in {levels} (generated).',
+        f'    """Unrolled D_alpha, |alpha| <= {p} (generated).',
         "",
-        f"    x, y, z: (N,) displacements; g: ({top + p + 1}, N) radial chain;",
-        f"    D: ({len(out_row)}, N) output, {ncoef} rows per level;",
+        f"    x, y, z: (N,) displacements; g: ({p + 1}, N) radial chain;",
+        f"    D: ({ncoef}, N) output;",
         f"    W: (>={n_scratch}, N) scratch.",
         '    """',
-        unpack("g", top + p + 1, "g"),
-        unpack("d", len(out_row), "D"),
+        unpack("g", p + 1, "g"),
+        unpack("d", ncoef, "D"),
     ]
     if n_scratch:
         head.append(unpack("w", n_scratch, f"W[:{n_scratch}]"))
-    src = "\n".join(head + seeds + body + ["    return D"]) + "\n"
+    # seed: R^0_(000) = g[0]
+    src = "\n".join(head + ["    np.copyto(d0, g0)"] + body + ["    return D"]) + "\n"
     return src, n_scratch, len(body)
 
 
-def generate_dtensor_source(p: int, levels: tuple[int, ...] = (0,)) -> str:
-    """Emit unrolled source for the recurrence tensors up to order ``p``.
+def generate_dtensor_source(p: int) -> str:
+    """Emit unrolled source for the derivative tensors up to order ``p``.
 
     The generated function has signature ``f(x, y, z, g, D, W)`` where
     x, y, z are the (N,) displacement components, ``g`` is the
-    (max(levels) + p + 1, N) radial derivative chain, ``D`` is a
-    preallocated (len(levels) * n_coeffs(p), N) output array (row
-    k * n_coeffs(p) + j holds R^{levels[k]}_alpha for the packed
-    multi-index alpha_j; level 0 is the derivative tensor D_alpha) and
-    ``W`` is scratch with at least ``f.n_scratch`` rows of N.  ``D``
-    and ``W`` must not overlap the inputs.
+    (p + 1, N) radial derivative chain, ``D`` is a preallocated
+    (n_coeffs(p), N) output array (row j holds D_alpha for the packed
+    multi-index alpha_j) and ``W`` is scratch with at least
+    ``f.n_scratch`` rows of N.  ``D`` and ``W`` must not overlap the
+    inputs.
     """
-    return _dtensor_program(p, tuple(levels))[0]
+    return _dtensor_program(p)[0]
 
 
 @functools.lru_cache(maxsize=32)
-def compiled_dtensor_function(p: int, levels: tuple[int, ...] = (0,)):
+def compiled_dtensor_function(p: int):
     """Compile (exec) the generated source for order ``p`` and return it.
 
     The scratch-row count the routine needs is its ``n_scratch``
     attribute, the multiply/add statements it executes its ``n_ops``
     (what :mod:`repro.perfmodel.flops` counts for the recurrence).
     """
-    src, n_scratch, n_ops = _dtensor_program(p, levels)
+    src, n_scratch, n_ops = _dtensor_program(p)
     namespace: dict = {"np": np, "mul": np.multiply, "add": np.add}
-    code = compile(src, f"<generated dtensors p={p} levels={levels}>", "exec")
+    code = compile(src, f"<generated dtensors p={p}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted, self-generated source
     fn = namespace["dtensors"]
     fn.n_scratch = n_scratch

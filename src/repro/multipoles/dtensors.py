@@ -45,8 +45,7 @@ def recurrence_plan(p: int):
     steps a single multiply (alpha_i = 1: no second term) or a multiply
     and an add (alpha_i = 2: the factor is 1), which is what every
     consumer of the plan pays per step — the interpreted recurrence
-    below, the code generator, the compiled kernel's plan arrays and
-    the flop model.
+    below, the code generator and the flop model.
     """
     mis = multi_index_set(p)
     plan = []

@@ -10,14 +10,13 @@ ranks the movers so the headline names the culprit:
     wall_per_step_s              1.02 -> 2.31   (+2.3x)
     stage_seconds.evaluate       0.48 -> 1.61   (+3.4x)
     kernel.gflops                1.92 -> 0.41   (-4.7x)
-    backend fell back to numpy: compiled backend requested but numba
-    is not installed
+    engine changed: 'tree' -> 'treepm'
 
 Ranking: time-like metrics (``*_s``, ``wall*``, ``*seconds*``) score
 by seconds moved — a 0.5 s swing outranks a 10x blowup of a 2 µs
 span — and pure counters score by log-ratio; time movers are listed
-first.  Backend identity is not numeric, so backend / fallback-reason
-changes are reported as explicit notes, not buried.
+first.  The force engine is not numeric, so a change of it is reported
+as an explicit note, not buried.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ __all__ = ["attribute", "format_attribution"]
 DEFAULT_MIN_RATIO = 1.05
 
 #: string-valued payload fields worth calling out when they change
-_STRING_FIELDS = ("backend", "backend_fallback", "engine", "kernel.backend")
+_STRING_FIELDS = ("engine",)
 
 
 def _is_time(name: str) -> bool:
@@ -58,7 +57,7 @@ def attribute(rec_a: dict, rec_b: dict, top: int = 8,
     Returns ``{"a", "b", "movers", "notes"}`` where each mover is
     ``{"metric", "a", "b", "ratio", "delta", "kind"}`` (ratio is b/a,
     None when a is 0) sorted worst-first, and ``notes`` are string
-    observations (backend changes, appeared/vanished metrics).
+    observations (engine changes, appeared/vanished metrics).
     """
     da = rec_a.get("data") or {}
     db = rec_b.get("data") or {}
@@ -86,15 +85,7 @@ def attribute(rec_a: dict, rec_b: dict, top: int = 8,
     notes = []
     for field in _STRING_FIELDS:
         sa, sb = _string_leaf(da, field), _string_leaf(db, field)
-        if sa == sb:
-            continue
-        if field == "backend_fallback" and sb:
-            notes.append(
-                f"backend fell back to {db.get('backend', '?')}: {sb}"
-            )
-        elif field == "backend_fallback":
-            notes.append(f"backend fallback cleared (was: {sa})")
-        else:
+        if sa != sb:
             notes.append(f"{field} changed: {sa!r} -> {sb!r}")
     only_a = sorted(set(fa) - set(fb))
     only_b = sorted(set(fb) - set(fa))

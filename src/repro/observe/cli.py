@@ -16,7 +16,7 @@
   and a speedscope flamegraph from a recorded run, or a span-stream
   trace via ``--spans trace.jsonl``;
 * ``repro-obs diff <ref> <ref>`` — ranked regression attribution: the
-  top moved spans/counters plus backend-change notes;
+  top moved spans/counters plus engine-change notes;
 * ``repro-obs watch <path>`` — tail a running job's JSONL event stream.
 """
 
@@ -77,9 +77,6 @@ def _cmd_list(args) -> int:
     for r in recs:
         d = r.get("data") or {}
         state = "partial" if d.get("partial") else "ok"
-        if d.get("backend_fallback"):
-            # a silently degraded backend is a state worth a glance
-            state += "+fb"
         rows.append((
             all_ids.get(r.get("id"), "-"),
             str(r.get("id", ""))[:20],
@@ -96,12 +93,6 @@ def _cmd_list(args) -> int:
         ["#", "id", "kind", "t", "key", "commit", "wall_s", "steps", "state"],
         rows,
     ))
-    fallbacks = [r for r in recs
-                 if (r.get("data") or {}).get("backend_fallback")]
-    if fallbacks:
-        last = fallbacks[-1]
-        print(f"\n{len(fallbacks)} record(s) ran on a fallback backend; "
-              f"latest reason: {(last['data'] or {}).get('backend_fallback')}")
     return 0
 
 

@@ -295,9 +295,6 @@ def render_event(rec: dict) -> str | None:
                 f"{rec.get('monitor', '?')}: {rec.get('message', '')}")
     if t == "health_fatal":
         return f"health FATAL: {rec.get('message', '')}"
-    if t == "backend_fallback":
-        return (f"backend fallback -> {rec.get('backend', '?')}: "
-                f"{rec.get('reason', '')}")
     if t == "executor_recovery":
         return (f"recovery {rec.get('kind', '?')} "
                 f"shard={rec.get('shard', '?')} worker={rec.get('worker', '?')}")

@@ -129,15 +129,12 @@ def _timer(seconds: float) -> dict:
 class _WorkerState:
     """One epoch's attached arrays + reconstructed tree/moments views."""
 
-    __slots__ = (
-        "epoch", "segments", "tree", "moms", "spec", "kernel_threads", "acc", "pot",
-    )
+    __slots__ = ("epoch", "segments", "tree", "moms", "spec", "acc", "pot")
 
     def __init__(self):
         self.epoch = -1
         self.segments = []
         self.tree = self.moms = self.spec = self.acc = self.pot = None
-        self.kernel_threads = None
 
     def release(self) -> None:
         self.tree = self.moms = self.spec = self.acc = self.pot = None
@@ -189,7 +186,6 @@ class _WorkerState:
             r_crit=arrays["r_crit"],
         )
         self.spec = meta["spec"]
-        self.kernel_threads = meta["kernel_threads"]
         self.acc = arrays["acc_out"]
         self.pot = arrays.get("pot_out")
         self.epoch = epoch
@@ -197,11 +193,9 @@ class _WorkerState:
 
 def _run_shard(state: _WorkerState, sinks, s0: int, s1: int):
     """Traverse + evaluate one shard, writing into the shared output."""
-    from ..gravity import kernels
     from ..gravity.solver import solve_forces
 
     t0_mono = time.monotonic()
-    kernels.set_kernel_threads(state.kernel_threads)
     res, inter, traverse_s, evaluate_s = solve_forces(
         state.tree, state.moms, state.spec,
         sink_leaves=sinks, particle_range=(s0, s1),
@@ -396,9 +390,7 @@ class ForceExecutor:
         """Traverse + evaluate all sink leaves across the pool under ``spec``.
 
         ``spec`` is the solver's :class:`~repro.gravity.solver.ForceSpec`,
-        shipped to the workers as is.  With the compiled backend each
-        worker caps its numba thread pool at ``cpu_count // workers`` so
-        processes x threads never oversubscribes the node.
+        shipped to the workers as is.
 
         The tree and moments must already be built (the upward pass is
         cheap and serial); returns a
@@ -434,10 +426,6 @@ class ForceExecutor:
                 "mac": moms.mac,
             },
             "spec": spec,
-            "kernel_threads": (
-                max(1, (os.cpu_count() or 1) // self.workers)
-                if self.workers > 1 else None
-            ),
             "faults": self._fault_spec,
         }
         try:
@@ -456,7 +444,6 @@ class ForceExecutor:
                 )
             fallback = {
                 "tree": tree, "moms": moms, "spec": spec,
-                "kernel_threads": meta["kernel_threads"],
                 "acc": acc_view, "pot": pot_view,
             }
             if not self.degraded:
@@ -504,7 +491,6 @@ class ForceExecutor:
         state.tree = fallback["tree"]
         state.moms = fallback["moms"]
         state.spec = fallback["spec"]
-        state.kernel_threads = fallback["kernel_threads"]
         state.acc = fallback["acc"]
         state.pot = fallback["pot"]
         return _run_shard(state, sinks, s0, s1)
@@ -709,12 +695,9 @@ class ForceExecutor:
             )
             stats["inherited_accepts"] += s.get("inherited_accepts", 0)
             stats["leaf_accepts"] += s.get("leaf_accepts", 0)
-            for key in ("backend", "backend_fallback"):
-                if key in s:
-                    stats[key] = s[key]
         kernel_parts = [s["kernel"] for s in shard_stats.values() if s.get("kernel")]
         if kernel_parts:
-            from ..gravity.kernels import merge_kernel_counters
+            from ..perfmodel.flops import merge_kernel_counters
 
             stats["kernel"] = merge_kernel_counters(kernel_parts)
         if any("nonfinite_acc" in s for s in shard_stats.values()):

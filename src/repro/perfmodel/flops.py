@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from ..multipoles.codegen import compiled_dtensor_function, compiled_shift_function
 from ..multipoles.multiindex import n_coeffs
 
@@ -25,6 +27,8 @@ __all__ = [
     "flops_per_l2p",
     "flops_per_prism_interaction",
     "flops_per_particle",
+    "kernel_counters",
+    "merge_kernel_counters",
 ]
 
 #: the paper's number for the pairwise monopole inner loop (Table 3):
@@ -136,3 +140,127 @@ def flops_per_particle(
         else:
             total += flops_per_cell_interaction(int(key), want_potential) * count
     return total
+
+
+def kernel_counters(
+    tree,
+    inter,
+    *,
+    p: int,
+    want_potential: bool,
+    seconds: float,
+    cell_interactions: int,
+    cell_entries: int,
+    prism_interactions: int = 0,
+    prism_cubes: int = 0,
+) -> dict:
+    """Roofline counters of one CSR force evaluation (paper §3.2/§3.4).
+
+    Everything is derived from the CSR interaction lists plus the
+    measured kernel seconds: interactions by family, an honest flop
+    count from the functions above, achieved interactions/s and
+    effective GFLOP/s, the m x n tile shape the blocked evaluator sees
+    (m = sink particles per CSR row, n = sources per entry) with its
+    register-block occupancy, and the fraction of the machine-model
+    prediction reached.
+
+    ``seconds`` covers the cell, pp and m2l families, so ``interactions``
+    and ``flops`` count those only; the prism pass (timed separately in
+    ``stats["family_seconds"]``) is carried as ``prism_interactions``
+    (particle x merged box rows evaluated) and ``prism_cubes`` (the
+    particle x cube pairs they stand for) and stays out of the rates.
+    The cell family is counted by the evaluator —
+    ``cell_interactions`` particle x cell rows from
+    ``cell_entries`` accept-level entries, each with its own flop count.
+    """
+    from ..parallel.machine import MachineModel
+
+    sinks = inter.sink_leaves
+    rows = int(len(sinks))
+    leaf_np = tree.cell_count[sinks] if rows else np.zeros(0, dtype=np.int64)
+    n_pp_mean = (
+        float(tree.cell_count[inter.leaf_src].mean()) if len(inter.leaf_src) else 0.0
+    )
+    cell_inter = int(cell_interactions)
+    pp_inter = inter.n_pp_interactions(tree)
+    m2l_pairs = 0
+    l2p_inter = 0
+    if getattr(inter, "m2l_src", None) is not None and len(inter.m2l_src):
+        m2l_pairs = int(len(inter.m2l_src))
+        l2p_inter = int(leaf_np.sum())
+    total = cell_inter + pp_inter + m2l_pairs + l2p_inter
+    flops = float(
+        cell_inter * flops_per_cell_interaction(p, want_potential)
+        + int(cell_entries) * flops_per_cell_entry(p)
+        + pp_inter * FLOPS_PER_MONOPOLE_PP
+    )
+    if m2l_pairs:
+        flops += float(
+            m2l_pairs * flops_per_m2l(p)
+            + l2p_inter * flops_per_l2p(p, want_potential)
+        )
+    m_mean = float(leaf_np.mean()) if rows else 0.0
+    m_max = int(leaf_np.max()) if rows else 0
+    sec = max(float(seconds), 1e-12)
+    gflops = flops / sec / 1e9
+    model_gflops = MachineModel().flops_per_core / 1e9
+    return {
+        "seconds": float(seconds),
+        "interactions": total,
+        "cell_interactions": cell_inter,
+        "cell_entries": int(cell_entries),
+        "pp_interactions": pp_inter,
+        "m2l_pairs": m2l_pairs,
+        "l2p_interactions": l2p_inter,
+        "prism_interactions": int(prism_interactions),
+        "prism_cubes": int(prism_cubes),
+        "flops": flops,
+        "interactions_per_s": total / sec,
+        "gflops": gflops,
+        "rows": rows,
+        "m_mean": m_mean,
+        "m_max": m_max,
+        "n_pp_mean": n_pp_mean,
+        "tile_occupancy": (m_mean / m_max) if m_max else 0.0,
+        "model_gflops": model_gflops,
+        "model_fraction": gflops / model_gflops if model_gflops else 0.0,
+    }
+
+
+def merge_kernel_counters(parts: list[dict]) -> dict | None:
+    """Combine per-shard kernel counters into one record.
+
+    Additive fields sum; ``seconds`` sums *busy* kernel seconds across
+    shards, so the recomputed rates are per-busy-second throughput —
+    comparable to a single-thread rate, not to the pool wall-clock.
+    Shape fields average weighted by interaction rows.
+    """
+    parts = [k for k in parts if k]
+    if not parts:
+        return None
+    out = {}
+    for key in ("interactions", "cell_interactions", "cell_entries",
+                "pp_interactions", "m2l_pairs", "l2p_interactions",
+                "prism_interactions", "prism_cubes", "rows"):
+        out[key] = int(sum(k.get(key, 0) for k in parts))
+    out["flops"] = float(sum(k.get("flops", 0.0) for k in parts))
+    out["seconds"] = float(sum(k.get("seconds", 0.0) for k in parts))
+    sec = max(out["seconds"], 1e-12)
+    out["interactions_per_s"] = out["interactions"] / sec
+    out["gflops"] = out["flops"] / sec / 1e9
+    # weights: every row a shard ran through its tiles, prism included
+    w = np.array(
+        [
+            max(k.get("interactions", 0) + k.get("prism_interactions", 0), 1)
+            for k in parts
+        ],
+        dtype=float,
+    )
+    for key in ("m_mean", "n_pp_mean", "tile_occupancy"):
+        out[key] = float(np.average([k.get(key, 0.0) for k in parts], weights=w))
+    out["m_max"] = int(max(k.get("m_max", 0) for k in parts))
+    out["model_gflops"] = float(max(k.get("model_gflops", 0.0) for k in parts))
+    out["model_fraction"] = (
+        out["gflops"] / out["model_gflops"] if out["model_gflops"] else 0.0
+    )
+    return out

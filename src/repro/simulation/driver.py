@@ -135,9 +135,6 @@ class SimulationConfig:
     #: dual-tree walk flavour ("hierarchical" or "fmm-hybrid"; see
     #: :class:`repro.gravity.TreecodeConfig`)
     traversal: str = "hierarchical"
-    #: force-evaluation backend ("numpy" | "compiled" | "auto"; see
-    #: :class:`repro.gravity.TreecodeConfig`)
-    backend: str = "auto"
     #: softening length as a fraction of the mean interparticle spacing
     eps_frac: float = 0.05
     ws: int = 1
@@ -173,7 +170,7 @@ class SimulationConfig:
     checkpoint_keep: int = 3
 
     def __post_init__(self):
-        check_choices(self, "engine", "traversal", "backend", "softening")
+        check_choices(self, "engine", "traversal", "softening")
 
     @property
     def eps(self) -> float:
@@ -285,7 +282,6 @@ class Simulation:
                     ws=c.ws,
                     softening=c.softening,
                     traversal=c.traversal,
-                    backend=c.backend,
                     eps=c.eps,
                     want_potential=c.track_energy,
                     dtype=np.float32,
@@ -302,7 +298,6 @@ class Simulation:
                     nleaf=c.nleaf,
                     softening=c.softening if c.softening != "dehnen_k1" else "spline",
                     traversal=c.traversal,
-                    backend=c.backend,
                     eps=c.eps,
                     workers=c.workers,
                     check_finite=check_finite,
@@ -502,7 +497,6 @@ class Simulation:
                 "engine": c.engine,
                 "n_particles": c.n_particles,
                 "workers": c.workers,
-                "backend": self.last_stats.get("backend", c.backend),
                 "errtol": c.errtol,
                 "a_final": float(self.particles.a),
                 "steps": steps,
@@ -519,11 +513,6 @@ class Simulation:
                 payload["wall_per_step_s"] = (
                     float(totals.get("step_wall_s", 0.0)) / steps
                 )
-            fb = self.last_stats.get("backend_fallback")
-            if fb:
-                # silent numpy fallbacks become registry-visible (and a
-                # flag in `repro-obs list`), not only per-call stats
-                payload["backend_fallback"] = fb
             kern = self.last_stats.get("kernel")
             if kern:
                 payload["kernel"] = kern
@@ -661,16 +650,6 @@ class Simulation:
                     "stage_seconds": self.last_stats.get("stage_seconds", {}),
                 }
             )
-            fb = self.last_stats.get("backend_fallback")
-            if fb:
-                # one structured event per run: the fallback reason on
-                # the trace stream, so a silently degraded backend is
-                # visible without digging into per-call stats
-                emit({
-                    "type": "backend_fallback",
-                    "backend": self.last_stats.get("backend"),
-                    "reason": fb,
-                })
             if self.health.enabled:
                 health_check(self.health.on_init(self, acc))
             if ckpt_sched is not None:

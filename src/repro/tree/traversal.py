@@ -45,9 +45,6 @@ scatter-adding.  The cell and m2l families are sorted by sink cell
 (rows follow ``cell_cells`` / ``m2l_cells`` in ascending cell index,
 i.e. level by level and in particle order within a level), each cell's
 segment in the order the walk emitted it.
-:meth:`InteractionLists.cell_leaf_csr` derives the per-leaf form of
-the cell family for the term-by-term kernels and the exactly-once
-tests; nothing on the numpy path builds it.
 
 Restricted traversals (the ``sink_leaves`` parameter, used by the
 shard executor and the simulated ranks) run the *same* walk from the
@@ -95,13 +92,10 @@ class InteractionLists:
     # leaf) that recorded them.  Rows follow cell_cells in ascending
     # cell index, i.e. level by level and in SFC order within a level;
     # cell_indptr delimits each cell's (source cell, image offset)
-    # segment, kept in the walk's emission order.  cell_emit is each
-    # entry's position in that emission order across all cells (only
-    # :meth:`cell_leaf_csr` reads it).
+    # segment, kept in the walk's emission order.
     cell_cells: np.ndarray
     cell_src: np.ndarray
     cell_off: np.ndarray
-    cell_emit: np.ndarray
     leaf_sink: np.ndarray
     leaf_src: np.ndarray
     leaf_off: np.ndarray
@@ -161,36 +155,6 @@ class InteractionLists:
         """
         under = self.sink_particles_under(tree, self.cell_cells)
         return int((under * np.diff(self.cell_indptr)).sum())
-
-    def cell_leaf_csr(self, tree: Tree):
-        """The cell family fanned out to the sink leaves: ``(src, off, indptr)``.
-
-        Every accept recorded at an interior sink cell is inherited by
-        the selected leaves under it, so each row of ``sink_leaves``
-        lists all the source cells its particles see — the form the
-        term-by-term kernels of :mod:`repro.gravity.kernels` walk.  A
-        row holds the accepts of its ancestors first, then its own, each
-        in emission order.  The numpy evaluator never builds this.
-        """
-        n_rows = len(self.sink_leaves)
-        sink = np.repeat(self.cell_cells, np.diff(self.cell_indptr))
-        emitted = np.argsort(self.cell_emit, kind="stable")
-        # interior accepts first: a fixed rule, so restricted walks
-        # reproduce identical rows
-        emitted = emitted[np.argsort(tree.is_leaf[sink[emitted]], kind="stable")]
-        lo, hi = self._leaf_rows_under(tree, sink[emitted])
-        # (16-bit row keys take numpy's radix path in the stable sort)
-        row = expand_ranges(lo, hi - lo).astype(
-            np.int16 if n_rows < np.iinfo(np.int16).max else np.int64
-        )
-        order = np.argsort(row, kind="stable")
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-        return (
-            np.repeat(self.cell_src[emitted], hi - lo)[order],
-            np.repeat(self.cell_off[emitted], hi - lo)[order],
-            indptr,
-        )
 
     def n_pp_interactions(self, tree: Tree) -> int:
         """Total particle-particle interaction count."""
@@ -556,10 +520,10 @@ def traverse_hierarchical(
         cells, counts = np.unique(sink[order], return_counts=True)
         indptr = np.zeros(len(cells) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cells.astype(np.int64), src[order], off[order], indptr, order
+        return cells.astype(np.int64), src[order], off[order], indptr
 
     # cell family: where it was accepted — no fan-out to the leaves
-    c_cells, cc, co, c_indptr, c_emit = by_sink_cell(
+    c_cells, cc, co, c_indptr = by_sink_cell(
         a_sink, a_src.astype(np.int32), a_off.astype(np.int16)
     )
 
@@ -592,7 +556,7 @@ def traverse_hierarchical(
 
     m2l_fields = {}
     if m2l:
-        m_cells, m_src, m_off, m_indptr, _ = by_sink_cell(
+        m_cells, m_src, m_off, m_indptr = by_sink_cell(
             cat(m2l_sink_p), cat(m2l_src_p), cat(m2l_off_p)
         )
         m2l_fields = dict(
@@ -605,7 +569,6 @@ def traverse_hierarchical(
         cell_cells=c_cells,
         cell_src=cc,
         cell_off=co,
-        cell_emit=c_emit.astype(np.int32),
         leaf_sink=ls,
         leaf_src=lc,
         leaf_off=lo_,

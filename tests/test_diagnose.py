@@ -174,7 +174,7 @@ class TestMomentumBalance:
         mass = np.full(n, 1.0 / n)
         cfg = TreecodeConfig(
             errtol=1e-4, periodic=False, background=False,
-            traversal=traversal, nleaf=8, backend="numpy",
+            traversal=traversal, nleaf=8,
         )
         res = TreecodeGravity(cfg).compute(pos, mass)
         return mass, res

@@ -214,7 +214,7 @@ class TestShardIdentity:
         def run(workers):
             cfg = TreecodeConfig(
                 errtol=1e-4, periodic=True, background=True,
-                traversal="fmm-hybrid", nleaf=8, backend="numpy",
+                traversal="fmm-hybrid", nleaf=8,
                 workers=workers,
             )
             with TreecodeGravity(cfg) as s:
@@ -226,43 +226,13 @@ class TestShardIdentity:
         np.testing.assert_array_equal(r0.pot, r2.pot)
 
 
-class TestBackendAgreement:
-    def test_numpy_vs_kernel(self, monkeypatch):
-        """The kernel M2L/L2L/L2P path agrees with the numpy reference
-        far below errtol (not bitwise: different but self-consistent
-        accumulation orders)."""
-        from repro.gravity import kernels
-
-        if not kernels.NUMBA_AVAILABLE:
-            # interpreted kernel bodies: same code path, small problem
-            monkeypatch.setenv("REPRO_FORCE_PYKERNEL", "1")
-            n = 300
-        else:
-            n = 4096
-        pos, mass = cloud(n, seed=1)
-
-        def run(backend):
-            cfg = TreecodeConfig(
-                errtol=1e-4, periodic=False, background=False,
-                traversal="fmm-hybrid", nleaf=8, backend=backend,
-            )
-            r = TreecodeGravity(cfg).compute(pos, mass)
-            return r
-
-        rn = run("numpy")
-        rc = run("compiled")
-        assert rc.stats["backend"] == "compiled"
-        assert np.abs(rn.acc - rc.acc).max() < 1e-12
-        assert np.abs(rn.pot - rc.pot).max() < 1e-12
-
-
 class TestAccuracy:
     def test_matches_direct_within_budget(self):
         pos, mass = cloud(1500, seed=6)
         errtol = 1e-4
         cfg = TreecodeConfig(
             errtol=errtol, periodic=False, background=False,
-            traversal="fmm-hybrid", nleaf=8, backend="numpy",
+            traversal="fmm-hybrid", nleaf=8,
         )
         res = TreecodeGravity(cfg).compute(pos, mass)
         ref = direct_accelerations(
@@ -274,7 +244,7 @@ class TestAccuracy:
     def test_family_breakdown_in_stats(self):
         pos, mass = cloud(800, seed=8)
         cfg = TreecodeConfig(
-            errtol=1e-4, traversal="fmm-hybrid", nleaf=8, backend="numpy",
+            errtol=1e-4, traversal="fmm-hybrid", nleaf=8,
         )
         res = TreecodeGravity(cfg).compute(pos, mass)
         fam = res.stats["interactions_by_family"]

@@ -19,10 +19,10 @@ from repro.simulation import SimulationConfig
 from repro.tree import build_tree, compute_moments
 
 VALIDATED = {
-    ForceSpec: ("traversal", "backend"),
-    TreecodeConfig: ("traversal", "backend", "mac", "softening"),
-    TreePMConfig: ("traversal", "backend", "softening"),
-    SimulationConfig: ("engine", "traversal", "backend", "softening"),
+    ForceSpec: ("traversal",),
+    TreecodeConfig: ("traversal", "mac", "softening"),
+    TreePMConfig: ("traversal", "softening"),
+    SimulationConfig: ("engine", "traversal", "softening"),
 }
 CASES = [(cls, name) for cls, names in VALIDATED.items() for name in names]
 
@@ -40,6 +40,14 @@ def test_unknown_choice_fails_at_construction(cls, name):
 def test_every_allowed_choice_constructs(cls, name):
     for value in _CHOICES[name]:
         assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls", VALIDATED, ids=lambda c: c.__name__)
+def test_retired_backend_option_is_not_a_field(cls):
+    """One evaluator: the option that selected the other one is gone,
+    not ignored — a config written for it fails where it is written."""
+    with pytest.raises(TypeError, match="backend"):
+        cls(backend="numpy")
 
 
 @pytest.mark.parametrize("kind", _CHOICES["softening"])
@@ -61,7 +69,7 @@ def test_replace_revalidates_and_keeps_working():
     serial = dataclasses.replace(cfg, workers=0)
     assert serial.workers == 0 and serial.traversal == "fmm-hybrid"
     with pytest.raises(ValueError):
-        dataclasses.replace(cfg, backend="cuda")
+        dataclasses.replace(cfg, engine="cuda")
 
 
 def test_spec_is_frozen_and_survives_pickling():

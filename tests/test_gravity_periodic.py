@@ -268,7 +268,7 @@ class TestTreePM:
         e_tp = np.linalg.norm(tp_res.acc - ref, axis=1).max() / scale
         assert e_tree < 0.01 * e_tp
 
-    def test_pruning_at_the_recording_cell_drops_nothing_that_matters(self, monkeypatch):
+    def test_pruning_at_the_recording_cell_drops_nothing_that_matters(self):
         """Cell accepts are pruned where they were recorded, with the
         sink *cell's* b_max: whatever goes is beyond the cutoff for
         every particle under that cell.  With the cutoff at 11 split
@@ -279,6 +279,8 @@ class TestTreePM:
         from repro.gravity.treeforce import evaluate_forces
         from repro.multipoles import ErfcKernel
         from repro.tree import build_tree, compute_moments, traverse_lists
+
+        from .oracle import oracle_forces
 
         rng = np.random.default_rng(11)
         centres = rng.random((4, 3))
@@ -295,29 +297,33 @@ class TestTreePM:
         pruned = _prune_far(tree, moms, inter, 11.0 * r_split)
         assert len(pruned.cell_src) < 0.7 * len(inter.cell_src)
         assert np.array_equal(pruned.cell_cells, inter.cell_cells)
-        assert pruned.cell_indptr[-1] == len(pruned.cell_src) == len(pruned.cell_emit)
+        assert pruned.cell_indptr[-1] == len(pruned.cell_src) == len(pruned.cell_off)
         interior = ~tree.is_leaf[inter.cell_cells]
         gone = np.diff(inter.cell_indptr) - np.diff(pruned.cell_indptr)
         assert gone[interior].sum() > 0 and gone[~interior].sum() > 0
         # superset: every dropped entry is out of range of every
         # particle under its sink cell
         sink = np.repeat(inter.cell_cells, np.diff(inter.cell_indptr))
-        dropped = np.ones(len(inter.cell_src), dtype=bool)
-        dropped[np.isin(inter.cell_emit, pruned.cell_emit)] = False
+        kept = set(zip(
+            np.repeat(pruned.cell_cells, np.diff(pruned.cell_indptr)).tolist(),
+            pruned.cell_src.tolist(), pruned.cell_off.tolist(),
+        ))
+        dropped = np.array([
+            t not in kept for t in zip(sink.tolist(), inter.cell_src.tolist(), inter.cell_off.tolist())
+        ])
+        assert dropped.sum() == len(inter.cell_src) - len(pruned.cell_src)
         for e in np.flatnonzero(dropped)[:: max(1, dropped.sum() // 200)]:
             c, s = sink[e], inter.cell_src[e]
             own = tree.pos[tree.cell_start[c] : tree.cell_start[c] + tree.cell_count[c]]
             centre = tree.cell_center[s] + inter.offsets[inter.cell_off[e]]
             assert np.linalg.norm(own - centre, axis=1).min() - moms.bmax[s] >= 11.0 * r_split
-        full = evaluate_forces(tree, moms, inter, backend="numpy", **how)
-        short = evaluate_forces(tree, moms, pruned, backend="numpy", **how)
+        full = evaluate_forces(tree, moms, inter, **how)
+        short = evaluate_forces(tree, moms, pruned, **how)
         assert short.stats["cell_interactions"] < full.stats["cell_interactions"]
         assert np.abs(short.acc - full.acc).max() <= 1e-12 * np.abs(full.acc).max()
         assert np.abs(short.pot - full.pot).max() <= 1e-12 * np.abs(full.pot).max()
         # the derived per-leaf view of a pruned list feeds the
         # term-by-term kernel the same interactions
-        monkeypatch.setenv("REPRO_FORCE_PYKERNEL", "1")
-        flat = evaluate_forces(tree, moms, pruned, backend="compiled", **how)
-        assert flat.stats["backend"] == "compiled"
+        flat = oracle_forces(tree, moms, pruned, **how)
         assert flat.stats["cell_interactions"] == short.stats["cell_interactions"]
         assert np.abs(short.acc - flat.acc).max() <= 1e-12 * np.abs(flat.acc).max()

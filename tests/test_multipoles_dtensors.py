@@ -245,21 +245,22 @@ class TestRecurrencePlan:
 
 
 class TestCodegenLevels:
-    """The demand-driven generator: any set of recurrence levels."""
+    """The demand-driven generator, every order.  (One level: 0 is the
+    only one the generator has emitted since its ``levels`` parameter
+    went; the interpreted reference still walks any.)"""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("levels", [(0,), (0, 1), (1,), (2, 0)])
+    @pytest.mark.parametrize("levels", [(0,)])
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 6])
     def test_every_level_bit_identical_to_interpreted(self, p, levels, dtype):
         rng = np.random.default_rng(10 * p + len(levels))
         n = 33
         dx = rng.normal(size=(n, 3)) + np.array([0.0, -3.0, 0.0])
-        top = max(levels)
-        g = ErfcKernel(0.6).radial_derivs(np.linalg.norm(dx, axis=1), p + top)
+        g = ErfcKernel(0.6).radial_derivs(np.linalg.norm(dx, axis=1), p)
         g = g.astype(dtype)
         x, y, z = (np.ascontiguousarray(dx[:, i]).astype(dtype) for i in range(3))
-        fn = compiled_dtensor_function(p, levels)
-        D = np.full((len(levels) * n_coeffs(p), n), np.nan, dtype=dtype)
+        fn = compiled_dtensor_function(p)
+        D = np.full((n_coeffs(p), n), np.nan, dtype=dtype)
         W = np.full((fn.n_scratch + 1, n), np.nan, dtype=dtype)
         assert fn(x, y, z, g, D, W) is D
         assert np.array_equal(D, interpreted_levels(x, y, z, g, p, levels))
@@ -267,28 +268,18 @@ class TestCodegenLevels:
 
     def test_statement_counts_pinned(self):
         """Hand-checkable: a generator regression is a failed equality,
-        not a slower benchmark.  p = 1, levels (0, 1): three x_i g_2 and
-        three x_i g_1.  p = 2, level 1 alone: 3 + 3 first-order rows at
-        levels 2 and 1, three mixed second-order rows (one multiply),
-        three pure ones (multiply + add)."""
-        def ops(p, levels):
-            return compiled_dtensor_function(p, levels).n_ops
+        not a slower benchmark.  p = 1: three x_i g_1.  p = 2: 3 + 3
+        first-order rows at levels 1 and 0, three mixed second-order
+        rows (one multiply), three pure ones (multiply + add)."""
+        def ops(p):
+            return compiled_dtensor_function(p).n_ops
 
-        assert [ops(0, lv) for lv in ((0,), (0, 1), (1,))] == [0, 0, 0]
-        assert (ops(1, (0, 1)), ops(1, (1,))) == (6, 3)
-        assert (ops(2, (0, 1)), ops(2, (1,))) == (27, 15)
-        assert (ops(4, (0, 1)), ops(4, (1,))) == (140, 88)
-        # the level-0 routine of order p is the level-1 routine's twin
-        assert ops(4, (0,)) == 88
-        assert (ops(5, (0,)), ops(6, (0,))) == (163, 274)
-        src = generate_dtensor_source(4, (0, 1))
+        assert [ops(p) for p in (0, 1, 2)] == [0, 3, 15]
+        assert (ops(4), ops(5), ops(6)) == (88, 163, 274)
+        src = generate_dtensor_source(4)
         by_axis = sum(src.count(f"mul({ax}, ") for ax in "xyz")
-        assert (by_axis, src.count("mul(") - by_axis, src.count("add(")) == (92, 15, 33)
-        assert compiled_dtensor_function(4, (0, 1)).n_scratch == 15
-
-    def test_levels_share_one_emit_loop(self):
-        """``levels=(0,)`` is the default routine — same source."""
-        assert generate_dtensor_source(5) == generate_dtensor_source(5, (0,))
+        assert (by_axis, src.count("mul(") - by_axis, src.count("add(")) == (58, 9, 21)
+        assert compiled_dtensor_function(4).n_scratch == 15
 
 
 KERNELS = [NewtonianKernel(), PlummerKernel(0.3), ErfcKernel(0.9)]

@@ -522,8 +522,7 @@ class TestDiagGateTrend:
                        key="k")
         reg.record("simulation_run",
                    {"wall_per_step_s": 2.3,
-                    "stage_seconds": {"evaluate": 1.7},
-                    "backend_fallback": "numba not installed"},
+                    "stage_seconds": {"evaluate": 1.7}},
                    key="k")
         rc = diag_main(["gate", "--trend", "wall_per_step_s",
                         "--obs-dir", str(reg.root)])
@@ -533,7 +532,6 @@ class TestDiagGateTrend:
         assert "attribution" in err
         assert "top movers" in err
         assert "wall_per_step_s" in err and "stage_seconds.evaluate" in err
-        assert "backend fell back" in err
 
 
 # ----- trace export ------------------------------------------------------------
@@ -713,7 +711,7 @@ class TestSpeedscope:
 
 
 class TestKernelCounters:
-    def _solve(self, backend="numpy", workers=0):
+    def _solve(self, workers=0):
         import numpy as np
 
         from repro.gravity import TreecodeConfig, TreecodeGravity
@@ -723,7 +721,7 @@ class TestKernelCounters:
         mass = np.full(512, 1.0 / 512)
         cfg = TreecodeConfig(p=2, errtol=1e-3, nleaf=16, periodic=True,
                              background=True, traversal="hierarchical",
-                             backend=backend, workers=workers)
+                             workers=workers)
         with TreecodeGravity(cfg) as solver:
             return solver.compute(pos, mass, box=1.0)
 
@@ -736,7 +734,6 @@ class TestKernelCounters:
 
         res = self._solve()
         k = res.stats["kernel"]
-        assert k["backend"] == "numpy"
         # counter cross-check: the kernel recomputes the interaction
         # split from the CSR lists; it must match the solver's counters
         assert k["cell_interactions"] == res.stats["cell_interactions"]
@@ -764,19 +761,6 @@ class TestKernelCounters:
         assert 0 < k["tile_occupancy"] <= 1.0
         assert k["m_max"] >= k["m_mean"] > 0
         assert 0 < k["model_fraction"] < 1.0  # numpy is below the roofline
-        assert k["threads"] == 1 and k["thread_utilization"] == 1.0
-
-    def test_interpreted_compiled_backend_counts_match(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PYKERNEL", "1")
-        compiled = self._solve(backend="compiled")
-        monkeypatch.delenv("REPRO_FORCE_PYKERNEL")
-        numpy_k = self._solve().stats["kernel"]
-        k = compiled.stats["kernel"]
-        assert k["backend"] == "compiled"
-        # identical accounting across backends: same interaction split,
-        # same flop count, only the measured seconds differ
-        assert k["interactions"] == numpy_k["interactions"]
-        assert k["flops"] == numpy_k["flops"]
 
     def test_sharded_merge_preserves_totals(self):
         serial = self._solve().stats["kernel"]
@@ -807,14 +791,13 @@ class TestAttribution:
                       "stage_seconds": {"evaluate": 0.5, "traverse": 0.2},
                       "tiny_span_s": 2e-6,
                       "kernel": {"interactions_per_s": 2.9e6},
-                      "backend": "compiled"}}
+                      "engine": "tree"}}
         b = {"id": "bbb", "t": "2026-01-02T00:00:00", "git_commit": "c2" * 6,
              "data": {"wall_per_step_s": 2.3,
                       "stage_seconds": {"evaluate": 1.7, "traverse": 0.21},
                       "tiny_span_s": 2e-5,
                       "kernel": {"interactions_per_s": 2.2e6},
-                      "backend": "numpy",
-                      "backend_fallback": "numba not installed"}}
+                      "engine": "treepm"}}
         return a, b
 
     def test_ranks_seconds_moved_over_ratio(self):
@@ -840,15 +823,13 @@ class TestAttribution:
         assert movers.index("kernel.interactions_per_s") \
             > movers.index("tiny_span_s")
 
-    def test_backend_fallback_note(self):
+    def test_engine_change_note(self):
         a, b = self._recs()
-        notes = attribute(a, b)["notes"]
-        assert any("backend fell back to numpy: numba not installed" in n
-                   for n in notes)
-        assert any("backend changed" in n for n in notes)
-        # reverse direction: fallback cleared
-        back = attribute(b, a)["notes"]
-        assert any("fallback cleared" in n for n in back)
+        assert "engine changed: 'tree' -> 'treepm'" in attribute(a, b)["notes"]
+        assert "engine changed: 'treepm' -> 'tree'" in attribute(b, a)["notes"]
+        # a record written before the backend option was retired still diffs
+        old = {"id": "old", "data": dict(a["data"], backend="numpy", backend_fallback="x")}
+        assert attribute(old, a)["notes"] == []
 
     def test_appeared_and_vanished_metrics_noted(self):
         a = {"id": "a", "data": {"old_s": 1.0, "shared": 1.0}}
@@ -861,13 +842,13 @@ class TestAttribution:
         reg = _seed_registry(tmp_path)
         reg.record("simulation_run",
                    {"wall_per_step_s": 2.3, "wall_s": 23.0, "steps": 10,
-                    "backend_fallback": "numba not installed"},
+                    "restarts": 1},
                    key="k")
         assert obs_main(["--dir", str(reg.root), "diff", "1", "-1"]) == 0
         out = capsys.readouterr().out
         assert "top movers (B vs A):" in out
         assert "wall_per_step_s" in out and "+2.30x" in out
-        assert "note: backend fell back" in out
+        assert "note: metrics new in B: restarts" in out
 
     def test_quiet_when_nothing_moved(self):
         a = {"id": "a", "data": {"wall_s": 1.0}}
@@ -889,8 +870,6 @@ class TestWatch:
                 {"type": "init_force", "a": 0.1, "wall": 1.5},
                 {"type": "step", "step": 3, "a": 0.11, "dlna": 0.01,
                  "wall": 0.8, "interactions_per_particle": 950.0},
-                {"type": "backend_fallback", "backend": "numpy",
-                 "reason": "numba not installed"},
                 {"type": "span", "path": "x", "seconds": 1.0},  # skipped
                 {"type": "run_totals", "steps": 3, "wall_s": 4.1,
                  "partial": True},
@@ -899,10 +878,9 @@ class TestWatch:
         buf = io.StringIO()
         n = watch(stream, buf, follow=False)
         out = buf.getvalue()
-        assert n == 4  # the span record renders to nothing
+        assert n == 3  # the span record renders to nothing
         assert "init force" in out
         assert "step    3" in out
-        assert "backend fallback -> numpy: numba not installed" in out
         assert "[PARTIAL]" in out
         assert render_event({"type": "metrics"}) is None
 
@@ -915,23 +893,6 @@ class TestWatch:
         assert obs_main(["watch", str(tmp_path / "empty.jsonl"),
                          "--once"]) == 0
         assert "no renderable events" in capsys.readouterr().out
-
-
-# ----- backend-fallback surfacing ----------------------------------------------
-
-
-class TestFallbackSurfacing:
-    def test_list_flags_fallback_records(self, tmp_path, capsys):
-        reg = _seed_registry(tmp_path)
-        reg.record("simulation_run",
-                   {"wall_per_step_s": 1.0, "wall_s": 10.0, "steps": 10,
-                    "backend_fallback": "numba not installed"},
-                   key="k")
-        assert obs_main(["--dir", str(reg.root), "list"]) == 0
-        out = capsys.readouterr().out
-        assert "ok+fb" in out
-        assert "1 record(s) ran on a fallback backend" in out
-        assert "numba not installed" in out
 
 
 # ----- concurrent multi-process appends (ISSUE 9 satellite) ---------------------

@@ -1,0 +1,25 @@
+"""The dead-name guard of ``tools/check_retired_names.py`` as a tier-1 test."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_retired_names.py"
+spec = importlib.util.spec_from_file_location("check_retired_names", TOOL)
+guard = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(guard)
+
+
+def test_no_retired_name_is_back():
+    assert guard.find_retired() == []
+
+
+def test_guard_reports_a_hit_and_spares_the_one_allowed_line(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "NUMBA_AVAILABLE = False  # the numba backend is retired\n"
+        "from .kernels import resolve_backend\n"
+    )
+    hits = guard.find_retired(tmp_path)
+    assert len(hits) == 1 and hits[0].startswith("src/repro/__init__.py:2: ")
+    assert "PR 23" in hits[0]

@@ -6,7 +6,7 @@ and Ewald sums, CSR structural validity, restricted-walk identity (the property 
 makes sharded execution bit-identical), and chunk-size invariance of
 the evaluator.  The cell family is keyed by the sink cell that recorded
 each accept; the exactly-once references read it through the derived
-per-leaf view (``InteractionLists.cell_leaf_csr``).
+per-leaf view (``tests.oracle.cell_leaf_csr``).
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from repro.gravity.treeforce import (
     _leaf_blocks,
     evaluate_forces,
 )
-from repro.multipoles.prism import prism_acceleration
 from repro.tree import (
     build_tree,
     compute_moments,
@@ -36,6 +35,8 @@ from repro.tree import (
 )
 from repro.tree.traversal import filter_csr_indptr
 from repro.util import expand_ranges
+
+from .oracle import cell_leaf_csr, oracle_forces, per_cube_background
 
 
 def cloud(n=1500, seed=0, clustered=False):
@@ -73,7 +74,7 @@ def coverage_counts(tree, inter):
     n_off = len(inter.offsets)
     leaf_pos = {int(s): i for i, s in enumerate(sinks)}
     cov = np.zeros((len(sinks), n_off, n), dtype=np.int64)
-    cell_src, cell_off, cell_indptr = inter.cell_leaf_csr(tree)
+    cell_src, cell_off, cell_indptr = cell_leaf_csr(tree, inter)
     for fam_sink, fam_src, fam_off in (
         (np.repeat(sinks, np.diff(cell_indptr)), cell_src, cell_off),
         (inter.leaf_sink, inter.leaf_src, inter.leaf_off),
@@ -111,7 +112,7 @@ class TestCompleteness:
         vol = np.zeros((len(sinks), len(inter.offsets)))
         cell_vol = (0.5 ** tree.cell_level) ** 3
         for fam_src, fam_off, indptr in (
-            inter.cell_leaf_csr(tree),
+            cell_leaf_csr(tree, inter),
             (inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
             (inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
         ):
@@ -191,14 +192,13 @@ class TestCSRStructure:
     def test_cell_family_keyed_by_recording_cell(self):
         """Rows are the sink cells with accepts — interior and leaf —
         in ascending cell index, i.e. level by level and in particle
-        order within a level; no row is empty; ``cell_emit`` is the
-        permutation back to the walk's emission order."""
+        order within a level; no row is empty."""
         tree, moms = setup(n=800, background=True)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         cells, indptr = inter.cell_cells, inter.cell_indptr
         assert len(indptr) == len(cells) + 1
         assert indptr[0] == 0 and indptr[-1] == len(inter.cell_src)
-        assert len(inter.cell_off) == len(inter.cell_emit) == len(inter.cell_src)
+        assert len(inter.cell_off) == len(inter.cell_src)
         assert np.all(np.diff(indptr) > 0) and np.all(np.diff(cells) > 0)
         assert np.all(np.diff(tree.cell_level[cells]) >= 0)
         same = np.diff(tree.cell_level[cells]) == 0
@@ -209,24 +209,20 @@ class TestCSRStructure:
         nent = np.diff(indptr)
         assert nent[interior].sum() == inter.inherited_accepts
         assert nent[~interior].sum() == inter.leaf_accepts
-        assert np.array_equal(np.sort(inter.cell_emit), np.arange(len(inter.cell_src)))
-        # within a cell's segment the emission order is kept
-        seg = np.repeat(np.arange(len(cells)), nent)
-        assert np.all(np.diff(inter.cell_emit)[np.diff(seg) == 0] > 0)
         assert inter.n_cell_interactions(tree) == (tree.cell_count[cells] * nent).sum()
 
     def test_leaf_view_is_the_inherited_fan_out(self):
-        """``cell_leaf_csr``: every sink leaf lists the accepts of its
-        ancestors (interior first), then its own, and its content and
-        order are those of the per-leaf lists the traversal emitted
-        before the cell family was keyed by sink cell (sha256 of that
-        commit's ``cell_src`` / ``cell_off`` / ``cell_indptr`` on these
+        """``cell_leaf_csr``: every sink leaf lists the segments of its
+        ancestors by ascending cell index, then its own, each in list
+        order; the content of every row is that of the per-leaf lists
+        the traversal emitted before the cell family was keyed by sink
+        cell (sha256 of that commit's rows, each sorted, on these
         seeded inputs, full walk and middle shard)."""
         pinned = {
-            (False, "full"): "f44efe373e9e5560",
-            (False, "shard"): "c39613bf8fc0ea7f",
-            (True, "full"): "e35a07f9c41ada4f",
-            (True, "shard"): "2101f6e9b0281c43",
+            (False, "full"): "e30209aeee2b66e8",
+            (False, "shard"): "855fd21449c26bdb",
+            (True, "full"): "c6b089d3b693c46b",
+            (True, "shard"): "a59c05a62d194a21",
         }
         for clustered in (False, True):
             tree, moms = setup(n=1500, clustered=clustered, background=True)
@@ -235,29 +231,28 @@ class TestCSRStructure:
                 inter = traverse_hierarchical(
                     tree, moms, periodic=True, ws=1, sink_leaves=sinks
                 )
-                src, off, indptr = inter.cell_leaf_csr(tree)
+                src, off, indptr = cell_leaf_csr(tree, inter)
                 h = hashlib.sha256()
-                for a in (src, off, indptr):
-                    h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+                for a, b in zip(indptr[:-1], indptr[1:]):
+                    row = sorted(zip(src[a:b].tolist(), off[a:b].tolist()))
+                    h.update(np.array(row, dtype=np.int64).tobytes() + b"|")
                 assert h.hexdigest()[:16] == pinned[(clustered, tag)], (clustered, tag)
-                # by hand: the accepts recorded along the leaf's chain of
-                # ancestors, merged in emission order, then the leaf's own
+                # by hand: the segments recorded along the leaf's chain
+                # of ancestors, root first, then the leaf's own
                 row_of = {int(c): i for i, c in enumerate(inter.cell_cells)}
                 for i in (0, len(inter.sink_leaves) // 2, len(inter.sink_leaves) - 1):
-                    leaf = node = int(inter.sink_leaves[i])
-                    inherited, own = [], []
+                    node = int(inter.sink_leaves[i])
+                    chain = []
                     while node >= 0:
                         if node in row_of:
                             e = slice(*inter.cell_indptr[row_of[node] : row_of[node] + 2])
-                            (own if node == leaf else inherited).extend(
-                                zip(inter.cell_emit[e], inter.cell_src[e], inter.cell_off[e])
-                            )
+                            chain.append((node, list(zip(inter.cell_src[e], inter.cell_off[e]))))
                         node = int(tree.cell_parent[node])
+                    assert len(chain) >= 2 and chain[0][0] == inter.sink_leaves[i]
                     row = slice(indptr[i], indptr[i + 1])
                     assert list(zip(src[row], off[row])) == [
-                        (c, o) for _, c, o in sorted(inherited) + own
+                        pair for _, segment in sorted(chain) for pair in segment
                     ]
-                    assert inherited and own
 
     def test_filter_csr_indptr(self):
         indptr = np.array([0, 3, 3, 7, 8], dtype=np.int64)
@@ -314,7 +309,7 @@ class TestRestrictedWalkIdentity:
             merged.update(mine)
             seen.append(set(shard.cell_cells.tolist()))
             # counted over the shard's own particles only
-            view = shard.cell_leaf_csr(tree)[2]
+            view = cell_leaf_csr(tree, shard)[2]
             assert shard.n_cell_interactions(tree) == (
                 tree.cell_count[shard.sink_leaves] * np.diff(view)
             ).sum()
@@ -351,7 +346,6 @@ def drop_cell_rows(inter, drop):
         inter,
         cell_src=inter.cell_src[keep],
         cell_off=inter.cell_off[keep],
-        cell_emit=inter.cell_emit[keep],
         cell_indptr=filter_csr_indptr(inter.cell_indptr, keep),
     )
 
@@ -427,6 +421,14 @@ class TestChunkInvariance:
         # background mode: every direct leaf pair has its cube removed
         assert (ref.stats["prism_interactions"] > 0) == periodic
 
+
+    def test_autotune_chunks_fixed_pair(self):
+        """The row budgets are constants: same pair for every order and
+        dtype, in every process (no timing-based pick)."""
+        pair = treeforce.autotune_chunks(2, "<f8")
+        assert pair == (treeforce._CELL_CHUNK, treeforce._PP_CHUNK)
+        assert treeforce.autotune_chunks(4, "<f4") == pair
+        assert not hasattr(treeforce, "_autotune_pp")
 
     def test_counters_in_stats(self):
         pos, mass = cloud(800)
@@ -531,7 +533,7 @@ class TestBlockedCellEvaluator:
             others[own] = False
             assert np.any(only_k.acc[others] != full.acc[others])
 
-    def test_rows_without_cell_entries(self, monkeypatch):
+    def test_rows_without_cell_entries(self):
         """Sink cells whose entry list is empty (a pruned TreePM list has
         them) contribute nothing and do not disturb their neighbours
         in a block."""
@@ -546,10 +548,10 @@ class TestBlockedCellEvaluator:
                 tree, moms, sparse, particle_range=(0, n), cell_chunk=cell_chunk
             )
             assert same_bits(ref, got)
-        self.assert_matches_flat(monkeypatch, tree, moms, sparse, particle_range=(0, n))
+        self.assert_matches_flat(tree, moms, sparse, particle_range=(0, n))
 
     @pytest.mark.parametrize("nleaf", [1, 8])
-    def test_matches_flat_list_evaluator(self, nleaf, monkeypatch):
+    def test_matches_flat_list_evaluator(self, nleaf):
         """float64: the blocked evaluator agrees with a term-by-term
         loop over the *same* lists to 1e-12 (they differ only in
         summation order) — one-particle leaves included."""
@@ -557,15 +559,14 @@ class TestBlockedCellEvaluator:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         if nleaf == 1:
             assert tree.cell_count[inter.sink_leaves].max() == 1
-        self.assert_matches_flat(monkeypatch, tree, moms, inter)
+        self.assert_matches_flat(tree, moms, inter)
 
-    def assert_matches_flat(self, monkeypatch, tree, moms, inter, **kw):
-        """The blocked numpy result against the interpreted m x n kernel
-        of ``repro.gravity.kernels``: an independent implementation
-        that walks the lists one (sink, source) term at a time."""
-        csr = evaluate_forces(tree, moms, inter, backend="numpy", **kw)
-        flat = oracle(monkeypatch, tree, moms, inter, **kw)
-        assert csr.stats["backend"] == "numpy"
+    def assert_matches_flat(self, tree, moms, inter, **kw):
+        """The blocked result against the loop of ``tests/oracle.py``:
+        an independent implementation that walks the lists one (sink,
+        source) term at a time."""
+        csr = evaluate_forces(tree, moms, inter, **kw)
+        flat = oracle_forces(tree, moms, inter, **kw)
         assert csr.stats["cell_interactions"] == flat.stats["cell_interactions"] > 0
         scale = np.abs(flat.acc).max()
         assert np.abs(csr.acc - flat.acc).max() < 1e-12 * scale
@@ -573,7 +574,7 @@ class TestBlockedCellEvaluator:
         return csr
 
     @pytest.mark.parametrize("p", [0, 1, 4])
-    def test_every_order_with_and_without_potential(self, p, monkeypatch):
+    def test_every_order_with_and_without_potential(self, p):
         """p = 0 has no matrix product and no shift at all (P_0 is the
         monopole), p = 1 a single 4-column product; leaving the
         potential out drops its sum and nothing else, so the
@@ -582,19 +583,19 @@ class TestBlockedCellEvaluator:
         tree = build_tree(pos, mass, nleaf=8, with_ghosts=True)
         moms = compute_moments(tree, p=p, tol=1e-3, background=True, mean_density=1.0)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
-        self.assert_matches_flat(monkeypatch, tree, moms, inter)
+        self.assert_matches_flat(tree, moms, inter)
         for dtype in (np.float64, np.float32):
-            ref = evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            ref = evaluate_forces(tree, moms, inter, dtype=dtype)
             no_pot = evaluate_forces(
-                tree, moms, inter, dtype=dtype, backend="numpy", want_potential=False
+                tree, moms, inter, dtype=dtype, want_potential=False
             )
             assert no_pot.pot is None and np.array_equal(no_pot.acc, ref.acc)
             assert same_bits(
                 ref,
-                evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy", cell_chunk=1),
+                evaluate_forces(tree, moms, inter, dtype=dtype, cell_chunk=1),
             )
 
-    def test_every_particle_in_one_leaf(self, monkeypatch):
+    def test_every_particle_in_one_leaf(self):
         """One sink leaf holding all 60 particles, far images taken as
         cell interactions: a full panel of 32 particles and one of 28,
         each against every entry, whatever the budget."""
@@ -610,32 +611,22 @@ class TestBlockedCellEvaluator:
             cell_cells=inter.sink_leaves,
             cell_src=inter.leaf_src[far],
             cell_off=inter.leaf_off[far],
-            cell_emit=np.arange(far.sum()),
             cell_indptr=np.array([0, far.sum()]),
             leaf_sink=inter.leaf_sink[~far],
             leaf_src=inter.leaf_src[~far],
             leaf_off=inter.leaf_off[~far],
             leaf_indptr=np.array([0, (~far).sum()]),
         )
-        ref = self.assert_matches_flat(monkeypatch, tree, moms, inter)
+        ref = self.assert_matches_flat(tree, moms, inter)
         assert ref.stats["cell_interactions"] == 60 * far.sum()
         assert ref.stats["cell_entries"] == far.sum()
         for cell_chunk in (1, far.sum(), 7 * far.sum() + 3):
             assert same_bits(
                 ref,
                 evaluate_forces(
-                    tree, moms, inter, backend="numpy", cell_chunk=int(cell_chunk)
+                    tree, moms, inter, cell_chunk=int(cell_chunk)
                 ),
             )
-
-
-def oracle(monkeypatch, tree, moms, inter, **kw):
-    """The interpreted term-by-term kernel on the derived per-leaf view."""
-    with monkeypatch.context() as m:
-        m.setenv("REPRO_FORCE_PYKERNEL", "1")
-        res = evaluate_forces(tree, moms, inter, backend="compiled", **kw)
-    assert res.stats["backend"] == "compiled"
-    return res
 
 
 def close(a, b, tol=1e-12):
@@ -668,24 +659,46 @@ class TestCellFamilyByHand:
         assert inter.leaf_src.tolist() == inter.leaf_sink.tolist()
         return tree, moms, inter
 
-    def test_eight_and_eight(self, monkeypatch):
+    def test_eight_and_eight(self):
         """8 + 8 particles: two accept-level entries, 8 x 1 + 8 x 1
         rows; the far clump's order-2 expansion is its direct sum to
         (clump size / distance)^3."""
         tree, moms, inter = self.two_clumps(8, 8, nleaf=8)
-        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        res = evaluate_forces(tree, moms, inter)
         assert res.stats["cell_entries"] == 2
         assert res.stats["cell_interactions"] == 16 == inter.n_cell_interactions(tree)
         assert res.stats["pp_interactions"] == 2 * 64
         assert set(res.stats["cell_seconds"]) == {"translate", "rows"}
-        assert close(res, oracle(monkeypatch, tree, moms, inter))
+        assert close(res, oracle_forces(tree, moms, inter))
         pos, mass = tree.pos[tree.order.argsort()], tree.mass[tree.order.argsort()]
         direct = direct_accelerations(pos, mass)
         assert np.abs(res.acc - direct).max() < 2e-3 * np.abs(direct).max()
         for chunk in (1, 8, 9):
             assert same_bits(
-                res, evaluate_forces(tree, moms, inter, backend="numpy", cell_chunk=chunk)
+                res, evaluate_forces(tree, moms, inter, cell_chunk=chunk)
             )
+
+    def test_oracle_eight_and_eight(self):
+        """The reference loop itself on the same countable input (nothing
+        else checks it): per row one inherited-or-own cell entry and
+        one leaf entry, 8 x 1 + 8 x 1 cell terms, 8 x 8 + 8 x 8 pair
+        terms; the direct sum to (clump size / distance)^3, and with
+        the cell family emptied each clump's own direct sum exactly."""
+        tree, moms, inter = self.two_clumps(8, 8, nleaf=8)
+        src, off, indptr = cell_leaf_csr(tree, inter)
+        assert indptr.tolist() == [0, 1, 2] and off.tolist() == [0, 0]
+        assert src.tolist() == inter.sink_leaves[::-1].tolist()
+        ora = oracle_forces(tree, moms, inter)
+        assert ora.stats == {"cell_interactions": 16, "pp_interactions": 2 * 64}
+        unsort = tree.order.argsort()
+        pos, mass = tree.pos[unsort], tree.mass[unsort]
+        direct = direct_accelerations(pos, mass)
+        assert np.abs(ora.acc - direct).max() < 2e-3 * np.abs(direct).max()
+        pairs = oracle_forces(tree, moms, drop_cell_rows(inter, np.ones(2, dtype=bool)))
+        assert pairs.stats == {"cell_interactions": 0, "pp_interactions": 2 * 64}
+        for clump in (slice(0, 8), slice(8, 16)):
+            own = direct_accelerations(pos[clump], mass[clump])
+            assert np.abs(pairs.acc[clump] - own).max() < 1e-13 * np.abs(own).max()
 
     def test_one_leaf_holds_everything(self, monkeypatch):
         """No accept anywhere: the cell family is never entered (no
@@ -701,12 +714,12 @@ class TestCellFamilyByHand:
             raise AssertionError("the cell family must not run")
 
         monkeypatch.setattr(treeforce, "_evaluate_cells", boom)
-        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        res = evaluate_forces(tree, moms, inter)
         assert res.stats["cell_entries"] == res.stats["cell_interactions"] == 0
         assert res.stats["cell_seconds"] == {"translate": 0.0, "rows": 0.0}
         assert res.stats["pp_interactions"] == 144
 
-    def test_coincident_particles_at_the_cell_centre(self, monkeypatch):
+    def test_coincident_particles_at_the_cell_centre(self):
         """Nine particles on top of each other at the sink cell's
         centre: delta = 0, every monomial but the constant vanishes,
         and all nine read P_k = Q_{k,0}: the same force, which for a
@@ -725,16 +738,16 @@ class TestCellFamilyByHand:
             leaf_sink=inter.leaf_sink[:0], leaf_src=inter.leaf_src[:0],
             leaf_off=inter.leaf_off[:0], leaf_indptr=np.zeros(3, dtype=np.int64),
         )
-        ref = oracle(monkeypatch, tree, moms, cell_only, particle_range=(0, 18))
+        ref = oracle_forces(tree, moms, cell_only, particle_range=(0, 18))
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
             far = evaluate_forces(
-                tree, moms, cell_only, dtype=dtype, backend="numpy", particle_range=(0, 18)
+                tree, moms, cell_only, dtype=dtype, particle_range=(0, 18)
             )
             assert np.all(far.acc[twins] == far.acc[9]) and np.all(far.pot[twins] == far.pot[9])
             assert close(far, ref, tol=tol)
 
     @pytest.mark.parametrize("n_a, n_b", [(7, 33), (33, 7), (31, 32), (1, 65)])
-    def test_panels_smaller_and_one_larger(self, n_a, n_b, monkeypatch):
+    def test_panels_smaller_and_one_larger(self, n_a, n_b):
         """A sink cell of 7 particles is one short panel, one of 33 a
         full panel of 32 and a panel of a single particle (BLAS takes
         the matrix-vector path there), 65 two full panels and one."""
@@ -749,17 +762,17 @@ class TestCellFamilyByHand:
         owned[: n_a + 1] = False
         row_s, p0_s, m_s = treeforce._cell_panels(tree, inter, owned, 32)
         assert row_s.tolist() == [1] * len(m_s) and m_s.sum() == n_b
-        ref = oracle(monkeypatch, tree, moms, inter)
-        res = evaluate_forces(tree, moms, inter, backend="numpy")
+        ref = oracle_forces(tree, moms, inter)
+        res = evaluate_forces(tree, moms, inter)
         assert res.stats["cell_interactions"] == n_a + n_b
         assert close(res, ref)
         for dtype in (np.float64, np.float32):
-            res = evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            res = evaluate_forces(tree, moms, inter, dtype=dtype)
             for chunk in (1, 32, 33, 10**6):
                 assert same_bits(
                     res,
                     evaluate_forces(
-                        tree, moms, inter, dtype=dtype, backend="numpy", cell_chunk=chunk
+                        tree, moms, inter, dtype=dtype, cell_chunk=chunk
                     ),
                 )
             # each leaf as its own shard: same bits as the serial slice
@@ -769,17 +782,17 @@ class TestCellFamilyByHand:
                 s0 = int(tree.cell_start[leaf])
                 s1 = s0 + int(tree.cell_count[leaf])
                 part = evaluate_forces(
-                    tree, moms, shard, dtype=dtype, backend="numpy", particle_range=(s0, s1)
+                    tree, moms, shard, dtype=dtype, particle_range=(s0, s1)
                 )
                 assert part.stats["cell_interactions"] == s1 - s0
                 serial = evaluate_forces(
-                    tree, moms, inter, dtype=dtype, backend="numpy",
+                    tree, moms, inter, dtype=dtype,
                     particle_range=(0, tree.n_particles),
                 )
                 assert np.array_equal(part.acc, serial.acc[s0:s1])
                 assert np.array_equal(part.pot, serial.pot[s0:s1])
 
-    def test_particles_on_box_faces(self, monkeypatch):
+    def test_particles_on_box_faces(self):
         """Periodic box, every particle on a face (one coordinate
         exactly 0): image cells at exactly one box length, sink cells
         whose particles all lie on their own boundary."""
@@ -792,15 +805,15 @@ class TestCellFamilyByHand:
         moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         assert len(inter.cell_src) and not np.all(tree.is_leaf[inter.cell_cells])
-        res = evaluate_forces(tree, moms, inter, backend="numpy")
-        assert close(res, oracle(monkeypatch, tree, moms, inter))
-        f32 = evaluate_forces(tree, moms, inter, dtype=np.float32, backend="numpy")
+        res = evaluate_forces(tree, moms, inter)
+        assert close(res, oracle_forces(tree, moms, inter))
+        f32 = evaluate_forces(tree, moms, inter, dtype=np.float32)
         assert np.abs(f32.acc - res.acc).max() < 1e-5 * np.abs(res.acc).max()
         for chunk in (1, 1013):
             assert same_bits(
                 f32,
                 evaluate_forces(
-                    tree, moms, inter, dtype=np.float32, backend="numpy", cell_chunk=chunk
+                    tree, moms, inter, dtype=np.float32, cell_chunk=chunk
                 ),
             )
 
@@ -859,7 +872,7 @@ class TestBlockedPairEvaluator:
         inter = dataclasses.replace(
             walk,
             offsets=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-            cell_cells=none, cell_src=none, cell_off=none, cell_emit=none,
+            cell_cells=none, cell_src=none, cell_off=none,
             cell_indptr=np.zeros(1, dtype=np.int64),
             leaf_sink=np.repeat(sinks, 2),
             leaf_src=np.repeat(sinks, 2),
@@ -919,7 +932,7 @@ class TestBlockedPairEvaluator:
             )
 
     @pytest.mark.parametrize("case", ["one_leaf", "box_faces"])
-    def test_float32_pp_matches_interpreted_kernel(self, case, monkeypatch):
+    def test_float32_pp_matches_interpreted_kernel(self, case):
         """float32 pairwise arithmetic against the term-by-term
         interpreted kernel (float64) on the adversarial inputs: every
         particle in one leaf (all 27 images direct), and every particle
@@ -936,11 +949,8 @@ class TestBlockedPairEvaluator:
         if case == "one_leaf":
             assert len(inter.sink_leaves) == 1 and len(inter.leaf_src) == 27
         assert len(inter.leaf_src)
-        got = evaluate_forces(tree, moms, inter, dtype=np.float32, backend="numpy")
-        with monkeypatch.context() as m:
-            m.setenv("REPRO_FORCE_PYKERNEL", "1")
-            ref = evaluate_forces(tree, moms, inter, backend="compiled")
-        assert ref.stats["backend"] == "compiled"
+        got = evaluate_forces(tree, moms, inter, dtype=np.float32)
+        ref = oracle_forces(tree, moms, inter)
         assert got.stats["pp_interactions"] == ref.stats["pp_interactions"] > 0
         assert np.abs(got.acc - ref.acc).max() < 1e-5 * np.abs(ref.acc).max()
         assert np.abs(got.pot - ref.pot).max() < 1e-5 * np.abs(ref.pot).max()
@@ -948,7 +958,7 @@ class TestBlockedPairEvaluator:
             assert same_bits(
                 got,
                 evaluate_forces(
-                    tree, moms, inter, dtype=np.float32, backend="numpy", pp_chunk=pp_chunk
+                    tree, moms, inter, dtype=np.float32, pp_chunk=pp_chunk
                 ),
             )
 
@@ -999,7 +1009,7 @@ class TestFloat32PositionDifferences:
         for dtype in (np.float32, np.float64):
             cfg = TreecodeConfig(
                 periodic=True, errtol=1e-5, traversal=traversal, nleaf=nleaf,
-                eps=0.05 / 9, dtype=dtype, backend="numpy",
+                eps=0.05 / 9, dtype=dtype,
             )
             with TreecodeGravity(cfg) as solver:
                 res = solver.compute(pos, mass)
@@ -1020,7 +1030,7 @@ class TestFloat32PositionDifferences:
         moms = compute_moments(tree, p=2, tol=1e-3)
         inter = traverse_hierarchical(tree, moms)
         res = {
-            dtype: evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+            dtype: evaluate_forces(tree, moms, inter, dtype=dtype)
             for dtype in (np.float32, np.float64)
         }
         assert res[np.float64].stats["pp_interactions"] == 4
@@ -1054,7 +1064,7 @@ class TestWorkingPrecision:
         acc = {}
         for dtype in (np.float64, np.float32):
             cfg = TreecodeConfig(
-                periodic=True, dtype=dtype, eps=2e-6, traversal=traversal, backend="numpy"
+                periodic=True, dtype=dtype, eps=2e-6, traversal=traversal
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -1070,7 +1080,7 @@ class TestWorkingPrecision:
         """The unit is a function of the sink cell's level alone: shards
         agree on it 15 levels down as they do at the root."""
         pos, mass = self.deep_clump()
-        cfg = dict(periodic=True, dtype=np.float32, eps=2e-6, backend="numpy")
+        cfg = dict(periodic=True, dtype=np.float32, eps=2e-6)
         with TreecodeGravity(TreecodeConfig(**cfg)) as solver:
             serial = solver.compute(pos, mass)
         with TreecodeGravity(TreecodeConfig(**cfg, workers=2)) as solver:
@@ -1086,11 +1096,11 @@ class TestWorkingPrecision:
         two and the outputs not at all."""
         tree, moms = setup(n=1200, clustered=clustered, tol=1e-5)
         inter = traverse_hierarchical(tree, moms)
-        ref = evaluate_forces(tree, moms, inter, dtype=dtype, backend="numpy")
+        ref = evaluate_forces(tree, moms, inter, dtype=dtype)
         assert ref.stats["cell_interactions"] > 10**5
         for factor in (0.125, 8.0):
             other = dataclasses.replace(tree, box=tree.box * factor)
-            got = evaluate_forces(other, moms, inter, dtype=dtype, backend="numpy")
+            got = evaluate_forces(other, moms, inter, dtype=dtype)
             assert same_bits(ref, got), factor
 
     def test_segment_sum_is_float64_over_contiguous_rows(self):
@@ -1251,37 +1261,12 @@ def integer_cubes(tree, inter):
     return row, lo.T.astype(np.int64), hi.T.astype(np.int64), unit
 
 
-def per_cube_background(tree, moms, inter):
-    """The background removed cube by cube — one prism per (sink leaf,
-    ghost or direct-pair cube), the pass the merged one replaced.
-    Returns (acc, pot, particle x cube pairs) in key-sorted order."""
-    acc, pot = np.zeros((tree.n_particles, 3)), np.zeros(tree.n_particles)
-    pairs = 0
-    for fam_src, fam_off, indptr in (
-        (inter.ghost_src, inter.ghost_off, inter.ghost_indptr),
-        (inter.leaf_src, inter.leaf_off, inter.leaf_indptr),
-    ):
-        for r, leaf in enumerate(inter.sink_leaves):
-            own = slice(tree.cell_start[leaf], tree.cell_start[leaf] + tree.cell_count[leaf])
-            for e in range(indptr[r], indptr[r + 1]):
-                ctr = tree.cell_center[fam_src[e]] + inter.offsets[fam_off[e]]
-                half = 0.5 * tree.cell_side[fam_src[e]]
-                a, u = prism_acceleration(
-                    tree.pos[own], ctr - half, ctr + half, -moms.mean_density,
-                    want_potential=True,
-                )
-                acc[own] += a
-                pot[own] += u
-                pairs += tree.cell_count[leaf]
-    return acc, pot, pairs
-
-
 def assert_merged_matches_per_cube(tree, moms, inter, tol=1e-12, **kw):
     """float64: evaluator (merged boxes) == evaluator without the
     background pass + the per-cube reference, to ``tol`` of the field."""
-    full = evaluate_forces(tree, moms, inter, backend="numpy", **kw)
+    full = evaluate_forces(tree, moms, inter, **kw)
     bare = evaluate_forces(
-        tree, dataclasses.replace(moms, background=False), inter, backend="numpy", **kw
+        tree, dataclasses.replace(moms, background=False), inter, **kw
     )
     assert bare.stats["prism_interactions"] == bare.stats["prism_cubes"] == 0
     acc, pot, pairs = per_cube_background(tree, moms, inter)
@@ -1347,7 +1332,7 @@ class TestCoalesceInvariants:
         full = assert_merged_matches_per_cube(tree, moms, inter)
         leaf_np = tree.cell_count[inter.sink_leaves]
         assert full.stats["prism_interactions"] == int((leaf_np * np.diff(indptr)).sum())
-        no_pot = evaluate_forces(tree, moms, inter, backend="numpy", want_potential=False)
+        no_pot = evaluate_forces(tree, moms, inter, want_potential=False)
         assert no_pot.pot is None and np.array_equal(no_pot.acc, full.acc)
 
     def test_periodic_clustered_input(self):

@@ -13,6 +13,8 @@ from repro.gravity import (
 )
 from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
+from .oracle import cell_leaf_csr
+
 
 def cloud(n=2048, seed=0, clustered=False):
     rng = np.random.default_rng(seed)
@@ -36,7 +38,7 @@ class TestTraversalInvariants:
         per_sink = {}
         # the cell family as each sink leaf sees it (accepts recorded at
         # its ancestors included)
-        cell_src, _, cell_indptr = inter.cell_leaf_csr(tree)
+        cell_src, _, cell_indptr = cell_leaf_csr(tree, inter)
         for s, c in zip(np.repeat(inter.sink_leaves, np.diff(cell_indptr)), cell_src):
             per_sink[s] = per_sink.get(s, 0.0) + tree.mass[
                 tree.cell_start[c] : tree.cell_start[c] + tree.cell_count[c]
@@ -76,7 +78,7 @@ class TestTraversalInvariants:
         # cell accepts are recorded at the selected leaves or above them
         assert np.all(inter.sink_particles_under(tree, inter.cell_cells) > 0)
         assert inter.n_cell_interactions(tree) == (
-            tree.cell_count[inter.sink_leaves] * np.diff(inter.cell_leaf_csr(tree)[2])
+            tree.cell_count[inter.sink_leaves] * np.diff(cell_leaf_csr(tree, inter)[2])
         ).sum()
 
 

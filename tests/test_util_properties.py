@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.util import expand_ranges
 
+from .oracle import cell_leaf_csr
+
 
 class TestExpandRanges:
     @given(
@@ -51,7 +53,7 @@ class TestTreeTraversalProperty:
         moms = compute_moments(tree, p=2, tol=1e-4)
         inter = traverse_hierarchical(tree, moms)
         per_sink: dict = {}
-        cell_src, _, cell_indptr = inter.cell_leaf_csr(tree)
+        cell_src, _, cell_indptr = cell_leaf_csr(tree, inter)
         cell_sink = np.repeat(inter.sink_leaves, np.diff(cell_indptr))
         for sink, src in zip(
             np.concatenate([cell_sink, inter.leaf_sink]),

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Keep retired names retired.
+
+Every answered A/B (DESIGN.md) deleted code; this guard fails when a
+name from one of them comes back.  One table: a regular expression, the
+files or directories (relative to the repository root) it must not
+occur in, and which removal it protects.  Run by the CI lint job and by
+``tests/test_retired_names.py``::
+
+    python tools/check_retired_names.py
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+EVERYWHERE = ("src", "tests", "benchmarks", "examples")
+TREEFORCE = ("src/repro/gravity/treeforce.py",)
+
+#: (pattern, roots, what was retired)
+RETIRED = [
+    (
+        r"traverse_cell_cell|FMMGravity|FMMConfig|CellCellLists|segment_sum_bincount"
+        r'|_scatter_add_vec|traversal="leaf"|repro\.gravity\.fmm',
+        EVERYWHERE,
+        "PR 15: the leaf walk, the flat-list evaluator, gravity/fmm.py, the scatter kernels",
+    ),
+    (
+        r"particle_chunks|_corner_sum|make_axis",
+        ("src",),
+        "PR 16: the per-row pp/prism expansion and the four prism closures",
+    ),
+    (
+        r"_acc_columns|compiled_dtensor_function\(p \+ 1\)|_contract_tile|_cell_weights"
+        r"|compiled_dtensor_function\(p, levels\)",
+        TREEFORCE,
+        "PRs 18, 20: no order-(p+1) tensor, no per-row recurrence, no weight table",
+    ),
+    (
+        r"lacc_|np\.repeat\(a_(src|off)",
+        ("src/repro/tree/traversal.py",),
+        "PR 20: an accept stays at its sink cell; no per-leaf repeat of the entries",
+    ),
+    (
+        r"prism_passes",
+        ("src",),
+        "PR 21: one prism pass over the merged boxes (the per-cube pass is a test reference)",
+    ),
+    (
+        r"astype\(np\.float64",
+        TREEFORCE,
+        "PR 22: no float64 copy of a block; segment_sum alone widens",
+    ),
+    (
+        r"numba|REPRO_FORCE_BACKEND|REPRO_FORCE_PYKERNEL|resolve_backend|run_csr_kernel"
+        r"|kernel_threads|cell_emit|cell_leaf_csr",
+        ("src", "examples"),
+        "PR 23: the compiled force backend, its options and the per-leaf view it walked",
+    ),
+]
+
+#: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
+ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
+
+
+def find_retired(repo: Path = REPO) -> list[str]:
+    """``path:line: text  [what]`` for every retired name found under ``repo``."""
+    hits = []
+    for pattern, roots, what in RETIRED:
+        rx = re.compile(pattern)
+        for root in roots:
+            top = repo / root
+            files = [top] if top.is_file() else sorted(top.rglob("*")) if top.is_dir() else []
+            for path in files:
+                if not path.is_file() or "__pycache__" in path.parts:
+                    continue
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    continue  # binary: grep -I
+                for n, line in enumerate(text.splitlines(), 1):
+                    if rx.search(line) and not ALLOWED.match(line):
+                        hits.append(f"{path.relative_to(repo)}:{n}: {line.strip()}  [{what}]")
+    return hits
+
+
+def main() -> int:
+    hits = find_retired()
+    for hit in hits:
+        print(hit)
+    if hits:
+        print(f"{len(hits)} retired name(s) are back", file=sys.stderr)
+    return 1 if hits else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
