@@ -19,6 +19,8 @@ second-order (2LPT) growth factor used by the IC generator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import integrate
 
@@ -28,6 +30,57 @@ from .params import CosmologyParams
 __all__ = ["GrowthCalculator"]
 
 
+def _rhs(lna, y, bg: Background):
+    """Growth ODE in x = ln a for y = (D, dD/dlna).
+
+    D'' + [2 + dlnH/dlnA] D' = (3/2) Omega_m(a) D, with radiation
+    (and dark energy) entering only through the background.
+    """
+    a = np.exp(lna)
+    e2 = float(bg.e2(a))
+    # dln(H)/dln(a) = (1/2) dln(E^2)/dln(a)
+    p = bg.params
+    de = p.omega_de * float(bg._de_ratio(a))
+    dlne2 = (
+        -4.0 * p.omega_r / a**4
+        - 3.0 * p.omega_m / a**3
+        - 2.0 * p.omega_k / a**2
+        - 3.0 * (1.0 + p.w0 + p.wa * (1.0 - a)) * de
+    ) / e2
+    dlnh = 0.5 * dlne2
+    om_a = p.omega_m / a**3 / e2
+    d, dp = y
+    return [dp, -(2.0 + dlnh) * dp + 1.5 * om_a * d]
+
+
+@functools.lru_cache(maxsize=16)
+def _solution(params: CosmologyParams, a_init: float, lna_end: float):
+    """The growth ODE integrated once from ``a_init`` to exp(``lna_end``).
+
+    Returns scipy's dense output, (D, dD/dlna) as a function of ln a —
+    the interpolant ``solve_ivp`` itself evaluates for a ``t_eval``, so
+    reading it gives the numbers a solve per call would.  Shared by
+    every :class:`GrowthCalculator` of the same cosmology in the process.
+    """
+    # During matter domination D ~ a; during radiation domination the
+    # growing mode is the Meszaros solution D ~ 1 + 3a/(2a_eq); starting
+    # deep in the radiation era with D ∝ a and letting the ODE relax
+    # through equality captures the suppression automatically.
+    sol = integrate.solve_ivp(
+        _rhs,
+        (np.log(a_init), lna_end),
+        [a_init, a_init],
+        args=(Background(params),),
+        rtol=1e-9,
+        atol=1e-12,
+        dense_output=True,
+        method="RK45",
+    )
+    if not sol.success:  # pragma: no cover - defensive
+        raise RuntimeError(f"growth ODE failed: {sol.message}")
+    return sol.sol
+
+
 class GrowthCalculator:
     """Computes D(a), f(a) and the 2LPT growth factor for a cosmology."""
 
@@ -35,53 +88,13 @@ class GrowthCalculator:
         self.params = params
         self.bg = Background(params)
         self.a_init = a_init
-        self._spline = None
 
     # ----- ODE growth ----------------------------------------------------------
-    def _rhs(self, lna, y):
-        """Growth ODE in x = ln a for y = (D, dD/dlna).
-
-        D'' + [2 + dlnH/dlnA] D' = (3/2) Omega_m(a) D, with radiation
-        (and dark energy) entering only through the background.
-        """
-        a = np.exp(lna)
-        e2 = float(self.bg.e2(a))
-        # dln(H)/dln(a) = (1/2) dln(E^2)/dln(a)
-        p = self.params
-        de = p.omega_de * float(self.bg._de_ratio(a))
-        dlne2 = (
-            -4.0 * p.omega_r / a**4
-            - 3.0 * p.omega_m / a**3
-            - 2.0 * p.omega_k / a**2
-            - 3.0 * (1.0 + p.w0 + p.wa * (1.0 - a)) * de
-        ) / e2
-        dlnh = 0.5 * dlne2
-        om_a = p.omega_m / a**3 / e2
-        d, dp = y
-        return [dp, -(2.0 + dlnh) * dp + 1.5 * om_a * d]
-
-    def _solve(self, a_eval):
-        a_eval = np.atleast_1d(np.asarray(a_eval, dtype=float))
-        a0 = self.a_init
-        # During matter domination D ~ a; during radiation domination the
-        # growing mode is the Meszaros solution D ~ 1 + 3a/(2a_eq); starting
-        # deep in the radiation era with D ∝ a and letting the ODE relax
-        # through equality captures the suppression automatically.
-        lna0 = np.log(a0)
-        lna_end = np.log(max(a_eval.max(), 1.0))
-        sol = integrate.solve_ivp(
-            self._rhs,
-            (lna0, lna_end),
-            [a0, a0],
-            t_eval=np.log(np.clip(a_eval, a0, None)),
-            rtol=1e-9,
-            atol=1e-12,
-            dense_output=True,
-            method="RK45",
-        )
-        if not sol.success:  # pragma: no cover - defensive
-            raise RuntimeError(f"growth ODE failed: {sol.message}")
-        return sol
+    def _solve(self, a_eval: np.ndarray) -> np.ndarray:
+        """(D, dD/dlna) at the 1-d array ``a_eval``, clipped below at ``a_init``."""
+        lna_end = float(np.log(max(a_eval.max(), 1.0)))
+        sol = _solution(self.params, self.a_init, lna_end)
+        return sol(np.log(np.clip(a_eval, self.a_init, None)))
 
     def growth_ode(self, a, normalize: bool = True):
         """Linear growth factor D(a) from the ODE.
@@ -91,19 +104,17 @@ class GrowthCalculator:
         """
         a = np.asarray(a, dtype=float)
         scalar = a.ndim == 0
-        sol = self._solve(np.atleast_1d(a))
-        d = sol.y[0]
+        d = self._solve(np.atleast_1d(a))[0]
         if normalize:
-            sol1 = self._solve(np.array([1.0]))
-            d = d / sol1.y[0][-1]
+            d = d / self._solve(np.array([1.0]))[0][-1]
         return float(d[0]) if scalar else d
 
     def growth_rate(self, a):
         """f(a) = dlnD/dlna from the ODE solution."""
         a = np.asarray(a, dtype=float)
         scalar = a.ndim == 0
-        sol = self._solve(np.atleast_1d(a))
-        f = sol.y[1] / sol.y[0]
+        d, dp = self._solve(np.atleast_1d(a))
+        f = dp / d
         return float(f[0]) if scalar else f
 
     # ----- analytic (Heath) growth ----------------------------------------------

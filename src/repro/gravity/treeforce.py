@@ -322,14 +322,8 @@ def _lowered_columns(p: int) -> np.ndarray:
     """(3, n_coeffs(p)) packed index of gamma - e_i, or n_coeffs(p) where
     gamma_i = 0 (the spare zero column of :func:`_scaled_monomials`)."""
     mis = multi_index_set(p)
-    cols = np.full((3, len(mis)), len(mis), dtype=np.int64)
-    for c, gamma in enumerate(mis.alphas):
-        for i in range(3):
-            if gamma[i]:
-                low = gamma.copy()
-                low[i] -= 1
-                cols[i, c] = mis.index[tuple(int(k) for k in low)]
-    return cols
+    low = mis.alphas - np.eye(3, dtype=np.int64)[:, None, :]
+    return np.where(mis.alphas.T > 0, mis.packed_index(np.maximum(low, 0)), len(mis))
 
 
 def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot):

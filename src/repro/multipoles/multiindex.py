@@ -77,6 +77,25 @@ class MultiIndexSet:
         start = n_coeffs(n - 1) if n > 0 else 0
         return slice(start, n_coeffs(n))
 
+    def packed_index(self, alphas) -> np.ndarray:
+        """Packed positions of multi-indices: any (..., 3) int array -> (...).
+
+        The closed form of the enumeration order — all lower orders,
+        then the rows of this order with a larger t, then those with a
+        larger u — so that index tables need no loop of :attr:`index`
+        look-ups.  A negative component or |alpha| > p raises: the
+        formula would otherwise name some other coefficient's slot.
+        """
+        a = np.asarray(alphas)
+        if a.shape[-1:] != (3,) or a.dtype.kind not in "iu":
+            raise ValueError("alphas must be an integer array of shape (..., 3)")
+        a = a.astype(np.int64, copy=False)
+        n = a.sum(axis=-1)
+        if a.size and (a.min() < 0 or n.max() > self.p):
+            raise ValueError(f"multi-index outside the set |alpha| <= {self.p}")
+        w = n - a[..., 0]  # u + v
+        return n * (n + 1) * (n + 2) // 6 + w * (w + 1) // 2 + w - a[..., 1]
+
     @functools.cached_property
     def translation_table(self):
         """Index triples for the M2M / L2L translation.

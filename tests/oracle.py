@@ -13,6 +13,11 @@ body of the compiled backend until that was retired (DESIGN.md,
 
 Orders of magnitude slower than the evaluator: keep inputs at a few
 hundred particles.
+
+At the end of the file, :func:`oracle_lattice_pieces` keeps the three
+full-cube sums of the periodic lattice coefficients as
+``repro.gravity.periodic`` computed them before it summed over the
+cubic group's fundamental wedge.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import math
 
 import numpy as np
 
+from repro.gravity.periodic import _self_term
 from repro.gravity.pm import ShortRangeSoftening
 from repro.gravity.smoothing import (
     DehnenK1Softening,
@@ -31,7 +37,7 @@ from repro.gravity.smoothing import (
 )
 from repro.gravity.treeforce import ForceResult
 from repro.multipoles import multi_index_set
-from repro.multipoles.dtensors import recurrence_plan
+from repro.multipoles.dtensors import derivative_tensors, recurrence_plan
 from repro.multipoles.multiindex import n_coeffs
 from repro.multipoles.prism import prism_acceleration
 from repro.multipoles.radial import (
@@ -555,3 +561,74 @@ def oracle_forces(
         pot_out = np.empty_like(pot)
         pot_out[tree.order] = pot
     return ForceResult(acc=acc_out, pot=pot_out, stats=stats)
+
+
+# ---------------------------------------------------------------------------
+# lattice sums over the full cube
+# ---------------------------------------------------------------------------
+
+
+def oracle_lattice_pieces(order: int, ws: int, box: float, alpha: float, rmax: int, kmax: int):
+    """The three sums behind ``lattice_sums``, one lattice vector per row.
+
+    Returns ``{"real" | "wave" | "near": (sum, added)}``: the erfc
+    real-space sum over 0 < |n|_inf <= rmax, the k-space sum over
+    0 < |k|_inf <= kmax and the bare sum over 0 < |n|_inf <= ws, each
+    packed to ``order``, with ``added`` = sum of |term| per coefficient
+    — the size of what was added up, which is the only scale left where
+    the exact sum is zero and ``sum`` holds round-off.
+    """
+    mis = multi_index_set(order)
+    ncoef = len(mis)
+
+    # --- real-space erfc sum over all n != 0 --------------------------------
+    r = np.arange(-rmax, rmax + 1)
+    gx, gy, gz = np.meshgrid(r, r, r, indexing="ij")
+    nvec = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1).astype(np.float64)
+    nvec = nvec[np.any(nvec != 0, axis=1)] * box
+    real_terms = derivative_tensors(nvec, ErfcKernel(alpha), order)
+    real = real_terms.sum(axis=0)
+
+    # --- k-space sum ----------------------------------------------------------
+    k = np.arange(-kmax, kmax + 1)
+    gx, gy, gz = np.meshgrid(k, k, k, indexing="ij")
+    kvec = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1).astype(np.float64)
+    kvec = kvec[np.any(kvec != 0, axis=1)] * (2.0 * np.pi / box)
+    k2 = np.einsum("ij,ij->i", kvec, kvec)
+    kcoef = 4.0 * np.pi / box**3 * np.exp(-k2 / (4.0 * alpha * alpha)) / k2
+    kpart = np.zeros(ncoef)
+    # d^gamma cos(k.x)|_0 = Re[(ik)^gamma]: nonzero for even |gamma| with
+    # sign (-1)^{|gamma|/2}
+    mono = mis.powers(kvec)  # k^gamma
+    for i, g in enumerate(mis.alphas):
+        n = int(g.sum())
+        if n % 2:
+            continue
+        sign = (-1.0) ** (n // 2)
+        kpart[i] = sign * float((kcoef * mono[:, i]).sum())
+
+    # --- the explicitly-traversed near images (bare kernel) -------------------
+    r = np.arange(-ws, ws + 1)
+    gx, gy, gz = np.meshgrid(r, r, r, indexing="ij")
+    near = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1).astype(np.float64)
+    near = near[np.any(near != 0, axis=1)] * box
+    near_terms = derivative_tensors(near, NewtonianKernel(), order)
+
+    return {
+        "real": (real, np.abs(real_terms).sum(axis=0)),
+        "wave": (kpart, np.abs(kcoef[:, None] * mono).sum(axis=0)),
+        "near": (near_terms.sum(axis=0), np.abs(near_terms).sum(axis=0)),
+    }
+
+
+def oracle_lattice_sums(order: int, ws: int = 2, box: float = 1.0,
+                        alpha: float | None = None, rmax: int = 6, kmax: int = 8) -> np.ndarray:
+    """``lattice_sums`` from the full-cube pieces; the two closed-form terms are the library's."""
+    alpha = 2.0 / box if alpha is None else float(alpha)
+    pieces = oracle_lattice_pieces(order, ws, box, alpha, rmax, kmax)
+
+    total = pieces["real"][0] + pieces["wave"][0] - _self_term(order, alpha)
+    # gamma = 0 background term of the Ewald potential
+    total[0] -= math.pi / (alpha * alpha * box**3)
+    total -= pieces["near"][0]
+    return total

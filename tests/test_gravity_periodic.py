@@ -1,11 +1,20 @@
 """Tests for Ewald summation, lattice local expansions, and TreePM."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from repro.gravity import TreecodeConfig, TreecodeGravity
+from repro.gravity import TreecodeConfig, TreecodeGravity, periodic
 from repro.gravity.ewald import EwaldSummation
-from repro.gravity.periodic import PeriodicLocalExpansion, lattice_sums
+from repro.gravity.periodic import (
+    PeriodicLocalExpansion,
+    _image_sum,
+    _wave_sum,
+    _wedge,
+    lattice_sums,
+)
 from repro.gravity.pm import (
     ParticleMesh,
     ShortRangeSoftening,
@@ -14,6 +23,10 @@ from repro.gravity.pm import (
 )
 from repro.gravity.smoothing import NoSoftening
 from repro.multipoles import multi_index_set, p2m, subtract_background
+from repro.multipoles.multiindex import MultiIndexSet
+from repro.multipoles.radial import ErfcKernel, NewtonianKernel
+
+from .oracle import oracle_lattice_pieces, oracle_lattice_sums
 
 
 @pytest.fixture(scope="module")
@@ -76,30 +89,133 @@ class TestEwald:
 
 class TestLatticeSums:
     def test_odd_orders_vanish(self):
-        t = lattice_sums(6, ws=2)
-        mis = multi_index_set(6)
-        odd = mis.order % 2 == 1
-        assert np.all(np.abs(t[odd]) < 1e-10)
+        """A sign flip of axis i maps the lattice onto itself and
+        multiplies d^gamma by (-1)^gamma_i: every gamma with an odd
+        component sums to zero, and summed over orbits it is zero
+        exactly, not to round-off."""
+        t = lattice_sums(15, ws=2)
+        odd = np.any(multi_index_set(15).alphas % 2, axis=1)
+        assert odd.sum() == 696 and np.all(t[odd] == 0.0)
+        assert np.all(t[~odd] != 0.0)
 
     def test_cubic_symmetry(self):
-        t = lattice_sums(4, ws=1)
-        mis = multi_index_set(4)
-        assert t[mis.index[(2, 0, 0)]] == pytest.approx(t[mis.index[(0, 2, 0)]], rel=1e-10)
-        assert t[mis.index[(4, 0, 0)]] == pytest.approx(t[mis.index[(0, 0, 4)]], rel=1e-10)
+        """T_gamma is the same number — every bit — for all axis
+        permutations of gamma."""
+        t = lattice_sums(8, ws=1)
+        mis = multi_index_set(8)
+        for g in mis.alphas[mis.slice_of_order(8)]:
+            same = {t[mis.index[tuple(int(g[i]) for i in s)]] for s in itertools.permutations(range(3))}
+            assert len(same) == 1, g
 
     def test_traceless_quadrupole_block(self):
-        """sum_i T_(2 e_i) = laplacian of the far-field potential at the
-        center = -4 pi rho_images = 0 for the *neutralized* sum."""
-        t = lattice_sums(2, ws=1)
+        """sum_i T_(2 e_i) is the Laplacian at the center of the far
+        potential.  The bare images are harmonic there, so what is left
+        is the uniform neutralizing background of the Ewald sum, charge
+        density -1/L^3, whose Laplacian is +4 pi / L^3 whatever ``ws``
+        is.  (It multiplies the box monopole, which the
+        background-subtracted moments do not have.)"""
         mis = multi_index_set(2)
-        tr = (
-            t[mis.index[(2, 0, 0)]]
-            + t[mis.index[(0, 2, 0)]]
-            + t[mis.index[(0, 0, 2)]]
-        )
-        # the Ewald background leaves a +4pi/3 V contribution per image;
-        # neutralized lattice: trace = 4*pi/(3) * ... cancel to near zero
-        assert abs(tr) < 1e-6 or abs(tr - 4 * np.pi) < 1e-6
+        for ws in (1, 2):
+            t = lattice_sums(2, ws=ws)
+            tr = (
+                t[mis.index[(2, 0, 0)]]
+                + t[mis.index[(0, 2, 0)]]
+                + t[mis.index[(0, 0, 2)]]
+            )
+            assert tr == pytest.approx(4 * np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("nmax,n_orbits,n_vectors", [(6, 83, 2196), (2, 9, 124), (8, 164, 4912)])
+    def test_wedge_by_hand(self, nmax, n_orbits, n_vectors):
+        """One representative n_x >= n_y >= n_z >= 0 per orbit of the
+        cubic group — C(nmax + 3, 3) - 1 of them — and orbit sizes that
+        add up to the (2 nmax + 1)^3 - 1 vectors of the cube."""
+        reps, size = _wedge(nmax)
+        assert len(reps) == n_orbits == math.comb(nmax + 3, 3) - 1
+        assert size.sum() == n_vectors == (2 * nmax + 1) ** 3 - 1
+        assert np.all(np.diff(reps, axis=1) <= 0) and reps.min() == 0 and reps[:, 0].min() == 1
+        by_rep = {tuple(r): s for r, s in zip(reps.tolist(), size.tolist())}
+        # (1,0,0): 3 axes x 2 signs; (1,1,0): 3 planes x 4; (1,1,1): 8
+        # corners; (2,1,0): 6 orders x 4; (2,1,1): 3 x 8
+        by_hand = {(1, 0, 0): 6, (1, 1, 0): 12, (1, 1, 1): 8, (2, 1, 0): 24, (2, 1, 1): 24}
+        assert {r: by_rep[r] for r in by_hand} == by_hand
+        if nmax >= 3:
+            assert by_rep[(3, 2, 1)] == 48
+        # every orbit, spelled out: signed permutations of the representative
+        for r, s in by_rep.items():
+            orbit = {
+                tuple(sg * r[i] for sg, i in zip(signs, perm))
+                for perm in itertools.permutations(range(3))
+                for signs in itertools.product((1, -1), repeat=3)
+            }
+            assert len(orbit) == s
+
+    @pytest.mark.parametrize("box", [1.0, 2.5])
+    @pytest.mark.parametrize("ws", [1, 2])
+    @pytest.mark.parametrize("order", [4, 8, 15])
+    def test_each_sum_matches_the_full_cube(self, order, ws, box):
+        """The erfc, k-space and bare sums, each against the sum over
+        every vector of its cube (tests/oracle.py), order by order, to
+        1e-13 of the largest coefficient of that order.  Where the exact
+        sum vanishes — odd orders, and order 2 of the bare kernel, which
+        is harmonic — the oracle holds its own round-off, and the scale
+        is the size of what it added up."""
+        alpha = 2.0 / box
+        mis = multi_index_set(order)
+        got = {
+            "real": _image_sum(order, 6, box, ErfcKernel(alpha)),
+            "wave": _wave_sum(order, 8, box, alpha),
+            "near": _image_sum(order, ws, box, NewtonianKernel()),
+        }
+        for name, (ref, added) in oracle_lattice_pieces(order, ws, box, alpha, 6, 8).items():
+            for n in range(order + 1):
+                sl = mis.slice_of_order(n)
+                scale = np.abs(ref[sl]).max()
+                if scale <= 1e-12 * added[sl].max():
+                    assert n % 2 or (name, n) == ("near", 2)
+                    scale = added[sl].max()
+                assert np.abs(got[name][sl] - ref[sl]).max() <= 1e-13 * scale, (name, n)
+
+    def test_default_geometry_evaluates_92_image_and_164_wave_vectors(self, monkeypatch):
+        """``PeriodicLocalExpansion(6, 8, 2)``: 83 + 9 lattice vectors
+        through ``derivative_tensors`` (2,196 + 124 over the full
+        cubes) and 164 wave vectors through ``powers`` (4,912)."""
+        rows = {"images": [], "waves": []}
+        real_dt, real_powers = periodic.derivative_tensors, MultiIndexSet.powers
+
+        def spy_dt(dx, kernel, p, **kw):
+            rows["images"].append(len(dx))
+            return real_dt(dx, kernel, p, **kw)
+
+        def spy_powers(self, d):
+            rows["waves"].append(len(d))
+            return real_powers(self, d)
+
+        monkeypatch.setattr(periodic, "derivative_tensors", spy_dt)
+        monkeypatch.setattr(MultiIndexSet, "powers", spy_powers)
+        periodic._lattice_sums_cached.cache_clear()
+        PeriodicLocalExpansion(6, 8, 2)
+        assert rows == {"images": [83, 9], "waves": [164]}
+
+    def test_alpha_independence(self):
+        """The Ewald split is exact, the floating-point sum is not: T
+        at alpha = 1.5 and 2.5 against alpha = 2 (rmax / kmax wide
+        enough for each), relative to the largest coefficient of the
+        order.  The tolerances are 3-5x the measured differences where
+        those are above round-off
+        (ws = 2: 0, 4e-16, 1e-13, 4e-11, 2e-9, 5e-6, 2e-6, 4e-3 at
+        orders 0, 2, ..., 14): the erfc and k-space sums are 1e3-1e10
+        times larger than their difference at the high orders, which
+        is also why the full-cube comparison above is made piece by
+        piece and not on the total."""
+        order = 15
+        mis = multi_index_set(order)
+        ref = lattice_sums(order, ws=2, alpha=2.0, rmax=6, kmax=8)
+        tol = {0: 1e-14, 2: 1e-14, 4: 5e-13, 6: 2e-10, 8: 1e-8, 10: 2e-5, 12: 1e-5, 14: 2e-2}
+        for alpha, rmax, kmax in ((1.5, 8, 8), (2.5, 6, 10)):
+            t = lattice_sums(order, ws=2, alpha=alpha, rmax=rmax, kmax=kmax)
+            for n, rel in tol.items():
+                sl = mis.slice_of_order(n)
+                assert np.abs(t[sl] - ref[sl]).max() <= rel * np.abs(ref[sl]).max(), (alpha, n)
 
     def test_ws_consistency(self):
         """T(ws=1) - T(ws=2) equals the bare sums over the shell
@@ -145,6 +261,19 @@ class TestPeriodicLocalExpansion:
         scale = np.linalg.norm(ref, axis=1).mean()
         # the paper's §2.4 claim: ~1e-7 of the force for p=8, ws=2
         assert err.max() / scale < 5e-7
+
+    def test_field_matches_the_full_cube_expansion(self, small_system):
+        """The default geometry's far field with the coefficients
+        summed over the wedge, against the same expansion fed the
+        full-cube coefficients: 1e-12 of the largest acceleration."""
+        pos, mass, ew, ref = small_system
+        m = subtract_background(p2m(pos, mass, np.full(3, 0.5), 6), 1.0, mass.sum(), 6)
+        ple = PeriodicLocalExpansion(p_source=6, p_local=8, ws=2)
+        pot, acc = ple.field(m, pos)
+        ple._tsum = oracle_lattice_sums(15, ws=2)
+        pot_ref, acc_ref = ple.field(m, pos)
+        assert np.abs(acc - acc_ref).max() <= 1e-12 * np.abs(acc_ref).max()
+        assert np.abs(pot - pot_ref).max() <= 1e-12 * np.abs(pot_ref).max()
 
     def test_far_field_magnitude(self, small_system):
         """The |n| > 2 tail is a genuine ~10% of the force (it matters)."""

@@ -44,6 +44,50 @@ class TestMultiIndexSet:
         for i, a in enumerate(mis.alphas):
             assert mis.index[tuple(int(x) for x in a)] == i
 
+    def test_packed_index_is_the_enumeration(self):
+        """The closed form against the table, for every alpha of the
+        largest set the library builds (p_source + p_local + 1 = 15)
+        and in any leading shape."""
+        mis = multi_index_set(15)
+        table = np.array([mis.index[tuple(a)] for a in mis.alphas.tolist()])
+        assert np.array_equal(mis.packed_index(mis.alphas), table)
+        assert np.array_equal(table, np.arange(len(mis)))
+        grid = mis.alphas[:680].reshape(8, 85, 3)
+        assert np.array_equal(mis.packed_index(grid), np.arange(680).reshape(8, 85))
+        assert mis.packed_index((2, 1, 1)) == mis.index[(2, 1, 1)]
+        # the sums and differences the index tables are made of
+        lo = multi_index_set(6)
+        pair = lo.alphas[:, None, :] + lo.alphas[None, :, :]
+        want = [[multi_index_set(12).index[tuple(c)] for c in row] for row in pair.tolist()]
+        assert np.array_equal(multi_index_set(12).packed_index(pair), want)
+
+    def test_packed_index_outside_the_set_raises(self):
+        """|alpha| > p or a negative component would name another
+        coefficient's slot (or one past the end): an error, not an alias."""
+        mis = multi_index_set(4)
+        for bad in [(5, 0, 0), (2, 2, 1), (-1, 2, 0), (3, -1, 1), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                mis.packed_index(np.array([[1, 1, 1], bad]))
+        with pytest.raises(ValueError):
+            mis.packed_index(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            mis.packed_index(np.array([[1, 0], [0, 1]]))
+        assert mis.packed_index(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+    def test_lowered_columns(self):
+        """``treeforce._lowered_columns``: the slot of gamma - e_i, or the
+        spare zero column where gamma_i = 0."""
+        from repro.gravity.treeforce import _lowered_columns
+
+        mis = multi_index_set(5)
+        cols = _lowered_columns(5)
+        assert cols.shape == (3, len(mis))
+        for c, gamma in enumerate(mis.alphas.tolist()):
+            for i in range(3):
+                low = list(gamma)
+                low[i] -= 1
+                assert cols[i, c] == (mis.index[tuple(low)] if gamma[i] else len(mis))
+
     def test_factorials(self):
         mis = multi_index_set(4)
         i = mis.index[(2, 1, 1)]
