@@ -10,7 +10,6 @@ be tied back to *what ran*.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,35 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
+from ..instrument.events import jsonable
+
 __all__ = ["config_hash", "build_manifest", "write_manifest", "load_manifest"]
 
 MANIFEST_VERSION = 1
 
 
-def _jsonable(obj):
-    """Canonical JSON-ready form of configs (dataclasses, numpy, paths)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    if isinstance(obj, type):
-        return obj.__name__
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
 def config_hash(config) -> str:
     """SHA-256 of the canonical (sorted-key) JSON form of a config."""
-    payload = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(jsonable(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -76,9 +56,9 @@ def build_manifest(config=None, seeds=None, extra=None) -> dict:
         "manifest_version": MANIFEST_VERSION,
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": _jsonable(config) if config is not None else None,
+        "config": jsonable(config) if config is not None else None,
         "config_sha256": config_hash(config) if config is not None else None,
-        "seeds": _jsonable(seeds) if seeds is not None else None,
+        "seeds": jsonable(seeds) if seeds is not None else None,
         "python": sys.version,
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -90,7 +70,7 @@ def build_manifest(config=None, seeds=None, extra=None) -> dict:
         "argv": list(sys.argv),
     }
     if extra:
-        manifest.update(_jsonable(extra))
+        manifest.update(jsonable(extra))
     return manifest
 
 

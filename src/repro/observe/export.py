@@ -25,10 +25,9 @@ this module runs during a simulation.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from ..instrument.events import read_records
 from .timeline import lane_label
 
 __all__ = [
@@ -318,30 +317,16 @@ def watch(path, out, follow: bool = True, poll_s: float = 0.5) -> int:
     lines — a writer mid-record — are left pending, never mangled).
     Returns the number of lines rendered.
     """
-    path = Path(path)
     rendered = 0
-    buf = b""
     pos = 0
     try:
         while True:
-            if path.exists():
-                with open(path, "rb") as fh:
-                    fh.seek(pos)
-                    chunk = fh.read()
-                    pos = fh.tell()
-                buf += chunk
-                while b"\n" in buf:
-                    raw, buf = buf.split(b"\n", 1)
-                    if not raw.strip():
-                        continue
-                    try:
-                        rec = json.loads(raw)
-                    except ValueError:
-                        continue
-                    line = render_event(rec)
-                    if line is not None:
-                        print(line, file=out, flush=True)
-                        rendered += 1
+            recs, pos = read_records(path, pos)
+            for rec in recs:
+                line = render_event(rec)
+                if line is not None:
+                    print(line, file=out, flush=True)
+                    rendered += 1
             if not follow:
                 return rendered
             time.sleep(poll_s)

@@ -9,18 +9,19 @@ cpu_count) wrapping the caller's payload.  Records are keyed by the
 PR 3 provenance-manifest hash (``config_sha256``) so runs of the same
 configuration form a comparable series across commits.
 
-Appends are single ``write()`` calls on an ``O_APPEND`` handle, so
-concurrent stages interleave whole lines; a truncated final line (a
-crashed writer) is skipped on read rather than poisoning the store.
+Appends and reads follow :mod:`repro.instrument.events`, the repo's
+one JSONL contract: concurrent stages interleave whole lines and a
+crashed writer's torn line is skipped rather than poisoning the store.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import time
 from pathlib import Path
+
+from ..instrument.events import append_record, read_records
 
 __all__ = ["OBS_SCHEMA_VERSION", "RunRegistry", "metric_value"]
 
@@ -30,19 +31,6 @@ OBS_SCHEMA_VERSION = 1
 KIND_RUN = "simulation_run"
 KIND_STAGE = "pipeline_stage"
 KIND_BENCH = "bench"
-
-
-def _jsonable(obj):
-    """json.dumps default hook: numpy scalars/arrays, paths, repr-fallback."""
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return repr(obj)
 
 
 def metric_value(record: dict, metric: str):
@@ -75,13 +63,7 @@ class RunRegistry:
 
     # ----- writing -------------------------------------------------------------
     def record(self, kind: str, payload: dict, key: str | None = None) -> dict:
-        """Append one envelope-stamped record; returns what was written.
-
-        One atomic ``O_APPEND`` write.  The torn-tail probe below reads
-        through a second handle and can land inside another process's
-        in-flight write, so under concurrent appends a record may be
-        preceded by one empty line; every reader skips those.
-        """
+        """Append one envelope-stamped record; returns what was written."""
         now = time.time()
         rec = {
             "obs_schema": OBS_SCHEMA_VERSION,
@@ -96,21 +78,7 @@ class RunRegistry:
             "pid": os.getpid(),
             "data": payload,
         }
-        line = json.dumps(rec, default=_jsonable) + "\n"
-        with open(self.path, "ab") as fh:
-            # a crashed writer can leave a torn tail with no newline;
-            # terminating it here keeps that failure from also
-            # swallowing this record (still one atomic O_APPEND write)
-            prefix = b""
-            if fh.tell() > 0:
-                try:
-                    with open(self.path, "rb") as rd:
-                        rd.seek(-1, os.SEEK_END)
-                        if rd.read(1) != b"\n":
-                            prefix = b"\n"
-                except OSError:
-                    pass
-            fh.write(prefix + line.encode("utf-8"))
+        append_record(self.path, rec)
         return rec
 
     # ----- reading -------------------------------------------------------------
@@ -118,22 +86,11 @@ class RunRegistry:
                 limit: int | None = None) -> list[dict]:
         """All records oldest-first, optionally filtered; ``limit`` keeps
         only the newest N *after* filtering."""
-        out = []
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail line from a crashed writer
-                    if kind is not None and rec.get("kind") != kind:
-                        continue
-                    if key is not None and rec.get("key") != key:
-                        continue
-                    out.append(rec)
+        out = [
+            rec for rec in read_records(self.path)[0]
+            if (kind is None or rec.get("kind") == kind)
+            and (key is None or rec.get("key") == key)
+        ]
         if limit is not None and limit >= 0:
             out = out[len(out) - min(limit, len(out)):]
         return out

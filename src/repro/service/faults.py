@@ -7,10 +7,12 @@ hang, corrupt a specific job's checkpoints — each exactly once, so a
 test (or the CI ``service-smoke`` job) can assert the recovery path
 converges to bit-identical results.
 
-``REPRO_SERVICE_FAULTS`` is a semicolon-separated clause list,
-``action:key=value,...``, matched against a job's *name* and only on
-its first attempt — a recovery relaunch is never re-faulted, mirroring
-the attempt-0 rule of the worker-level plan.
+``REPRO_SERVICE_FAULTS`` is the same ``action:key=value,...;...``
+grammar, read by the same parser
+(:func:`repro.resilience.faults.parse_fault_spec`); its clauses match
+a job's *name* and only on its first attempt — a recovery relaunch is
+never re-faulted, mirroring the attempt-0 rule of the worker-level
+plan.
 
 Supported actions
 -----------------
@@ -33,17 +35,13 @@ Example::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from ..resilience.faults import ClausePlan
 
 __all__ = ["ServiceFaultClause", "ServiceFaultPlan", "SERVICE_FAULTS_ENV"]
 
 SERVICE_FAULTS_ENV = "REPRO_SERVICE_FAULTS"
-
-_ACTIONS = {"kill", "hang", "corrupt"}
-_INT_KEYS = {"events", "index", "byte", "xor", "times"}
-_FLOAT_KEYS = {"after_s"}
-_STR_KEYS = {"job"}
 
 
 @dataclass
@@ -66,48 +64,12 @@ class ServiceFaultClause:
         return self.job is None or self.job == name
 
 
-class ServiceFaultPlan:
+class ServiceFaultPlan(ClausePlan):
     """A deterministic set of job-level faults (possibly empty)."""
 
-    def __init__(self, clauses: list[ServiceFaultClause] | None = None,
-                 spec: str = ""):
-        self.clauses = clauses or []
-        self.spec = spec
-
-    def __bool__(self) -> bool:
-        return bool(self.clauses)
-
-    @classmethod
-    def parse(cls, spec: str | None) -> "ServiceFaultPlan":
-        spec = (spec or "").strip()
-        clauses = []
-        for chunk in filter(None, (c.strip() for c in spec.split(";"))):
-            action, _, rest = chunk.partition(":")
-            action = action.strip()
-            if action not in _ACTIONS:
-                raise ValueError(
-                    f"unknown service fault action {action!r} in {chunk!r}"
-                )
-            kw = {}
-            for pair in filter(None, (p.strip() for p in rest.split(","))):
-                key, _, val = pair.partition("=")
-                key = key.strip()
-                if key in _INT_KEYS:
-                    kw[key] = int(val, 0)
-                elif key in _FLOAT_KEYS:
-                    kw[key] = float(val)
-                elif key in _STR_KEYS:
-                    kw[key] = val.strip()
-                else:
-                    raise ValueError(
-                        f"unknown service fault key {key!r} in {chunk!r}"
-                    )
-            clauses.append(ServiceFaultClause(action=action, **kw))
-        return cls(clauses, spec=spec)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "ServiceFaultPlan":
-        return cls.parse((environ or os.environ).get(SERVICE_FAULTS_ENV))
+    env = SERVICE_FAULTS_ENV
+    clause_cls = ServiceFaultClause
+    actions = frozenset({"kill", "hang", "corrupt"})
 
     # ----- scheduler-side hooks -------------------------------------------------
     def hang_clause(self, name: str, attempt: int) -> ServiceFaultClause | None:

@@ -2,12 +2,10 @@
 
 The single source of truth for the job service.  Every submission,
 admission, launch, retry, completion and control request is one
-envelope-stamped line appended with a single ``write()`` on an
-``O_APPEND`` handle (whole lines interleave across concurrent
-processes — the same contract as :mod:`repro.observe.registry`, whose
-pattern this inherits).  A writer that died mid-line leaves a torn
-tail; the next append terminates it and reads skip it, so one crash
-can never poison the store.
+envelope-stamped line, appended and read through
+:mod:`repro.instrument.events` — the repo's one JSONL contract, shared
+with the run registry and the traces: whole lines interleave across
+concurrent processes and a torn tail can never poison the store.
 
 Restart safety is pure replay: :meth:`JobJournal.replay` folds the
 event stream through the :class:`~repro.service.jobs.Job` state
@@ -18,12 +16,12 @@ scheduler must requeue with checkpoint resume.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..instrument.events import append_record, read_records
 from .jobs import Job, JobSpec, new_job_id
 
 __all__ = ["SERVICE_SCHEMA_VERSION", "JobJournal", "ReplayState"]
@@ -44,18 +42,6 @@ CONTROL_EVENTS = frozenset(
 
 #: supervisor kill reasons -> the counter they durably increment
 _KILL_COUNTERS = {"fault_kill": "kills", "timeout": "timeouts", "hung": "hangs"}
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return repr(obj)
 
 
 @dataclass
@@ -90,15 +76,7 @@ class JobJournal:
 
     # ----- writing -------------------------------------------------------------
     def append(self, event: str, job: str | None = None, **fields) -> dict:
-        """Append one stamped record; returns what was written.
-
-        One atomic ``O_APPEND`` write; a torn tail left by a crashed
-        writer is newline-terminated first so it cannot swallow this
-        record.  The tail probe reads through a second handle and can
-        land inside another process's in-flight write, so under
-        concurrent appends a record may be preceded by one empty line;
-        every reader skips those.
-        """
+        """Append one stamped record; returns what was written."""
         rec = {
             "svc_schema": SERVICE_SCHEMA_VERSION,
             "t": time.time(),
@@ -108,49 +86,13 @@ class JobJournal:
         if job is not None:
             rec["job"] = job
         rec.update(fields)
-        line = json.dumps(rec, default=_jsonable) + "\n"
-        with open(self.path, "ab") as fh:
-            prefix = b""
-            if fh.tell() > 0:
-                try:
-                    with open(self.path, "rb") as rd:
-                        rd.seek(-1, os.SEEK_END)
-                        if rd.read(1) != b"\n":
-                            prefix = b"\n"
-                except OSError:
-                    pass
-            fh.write(prefix + line.encode("utf-8"))
+        append_record(self.path, rec)
         return rec
 
     # ----- reading -------------------------------------------------------------
     def records(self) -> list[dict]:
         """All parseable records, oldest first (torn lines skipped)."""
-        recs, _ = self._read_from(0)
-        return recs
-
-    def _read_from(self, offset: int) -> tuple[list[dict], int]:
-        if not self.path.exists():
-            return [], 0
-        out = []
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-            end = offset + len(data)
-        # a trailing fragment with no newline may still be mid-write:
-        # leave it for the next read instead of consuming it torn
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            end = offset + cut
-            data = data[:cut]
-        for raw in data.split(b"\n"):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                out.append(json.loads(raw.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn line terminated by a later append
-        return out, end
+        return read_records(self.path)[0]
 
     def read_new(self) -> list[dict]:
         """Records appended since the last replay/read_new call.
@@ -159,7 +101,7 @@ class JobJournal:
         ``submitted`` / ``cancel_requested`` / ``drain_requested``
         records written by other processes while it runs.
         """
-        recs, self._offset = self._read_from(self._offset)
+        recs, self._offset = read_records(self.path, self._offset)
         return recs
 
     # ----- reconstruction -------------------------------------------------------
@@ -173,7 +115,7 @@ class JobJournal:
         to the journal tail.
         """
         state = ReplayState()
-        recs, self._offset = self._read_from(0)
+        recs, self._offset = read_records(self.path)
         for rec in recs:
             state.records += 1
             if not self.apply_record(state, rec):

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..instrument.events import read_records
 from .faults import ServiceFaultPlan
 from .jobs import (
     Job,
@@ -105,20 +106,9 @@ class _Attempt:
         self.term_sent_t: float | None = None
 
     def poll_events(self) -> int:
-        """Count newly appended event lines (the heartbeat signal)."""
-        try:
-            size = self.events_path.stat().st_size
-        except OSError:
-            return 0
-        if size <= self._events_offset:
-            return 0
-        with open(self.events_path, "rb") as fh:
-            fh.seek(self._events_offset)
-            data = fh.read(size - self._events_offset)
-        # only count whole lines; a line mid-write stays for next poll
-        cut = data.rfind(b"\n") + 1
-        fresh = data[:cut].count(b"\n")
-        self._events_offset += cut
+        """Count newly appended event records (the heartbeat signal)."""
+        recs, self._events_offset = read_records(self.events_path, self._events_offset)
+        fresh = len(recs)
         if fresh:
             self.events_seen += fresh
             self.last_heartbeat = time.monotonic()

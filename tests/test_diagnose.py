@@ -326,6 +326,17 @@ class TestBaselineCli:
         assert diag_main(["gate", str(trace)]) == 1
         assert diag_main(["gate", str(trace), "--severity", "warn"]) == 1
 
+    def test_report_survives_torn_trace_tail(self, tmp_path, capsys):
+        """A killed job's trace ends mid-record; the report renders the
+        whole records and skips the torn one."""
+        trace = tmp_path / "killed.jsonl"
+        trace.write_text('{"type": "step", "step": 1, "a": 0.1, "wall": 0.5}\n'
+                         '{"type": "step", "st')
+        assert diag_main(["report", str(trace)]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+        assert ["steps", "1"] in rows
+        assert ["wall_per_step_s", "0.5"] in rows
+
     def test_compare_rows_shape(self, monitored_run):
         summary = summary_from_trace(
             [json.loads(l) for l in monitored_run["trace"].open()]

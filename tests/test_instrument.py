@@ -25,6 +25,7 @@ from repro.instrument import (
     use_tracer,
 )
 from repro.instrument.crosscheck import flops_from_stats
+from repro.instrument.events import append_record, jsonable, read_records
 
 
 class TestSpans:
@@ -150,6 +151,71 @@ class TestJsonl:
         sink.emit({"k": 1})
         sink.close()  # must not close a caller-owned stream
         assert json.loads(buf.getvalue()) == {"k": 1}
+
+
+class TestJsonlLog:
+    """The one JSONL contract: append, read, resume offsets, jsonable."""
+
+    def test_append_onto_torn_tail(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        append_record(path, {"i": 1})
+        with open(path, "ab") as fh:
+            fh.write(b'{"i": 2, "to')  # a writer killed mid-record
+        append_record(path, {"i": 3})
+        assert path.read_bytes() == b'{"i": 1}\n{"i": 2, "to\n{"i": 3}\n'
+        assert read_jsonl(path) == [{"i": 1}, {"i": 3}]
+
+    def test_fragment_held_back_until_completed(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"i": 1}\n{"i": ')
+        recs, end = read_records(path)
+        assert recs == [{"i": 1}] and end == len(b'{"i": 1}\n')
+        with open(path, "ab") as fh:
+            fh.write(b"2}\n")
+        assert read_records(path, end) == ([{"i": 2}], path.stat().st_size)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'\n{"i": 1}\n  \n\n{"i": 2}\n')
+        assert read_jsonl(path) == [{"i": 1}, {"i": 2}]
+
+    def test_end_offsets_never_reread(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        seen, end = [], 0
+        for i in range(5):
+            append_record(path, {"i": i})
+            recs, end = read_records(path, end)
+            seen += recs
+        assert [r["i"] for r in seen] == list(range(5))
+        assert read_records(path, end) == ([], end) and end == path.stat().st_size
+
+    def test_missing_file(self, tmp_path):
+        assert read_records(tmp_path / "none.jsonl", 7) == ([], 7)
+        with pytest.raises(FileNotFoundError):
+            read_jsonl(tmp_path / "none.jsonl")
+
+    def test_jsonable(self):
+        from dataclasses import dataclass
+        from pathlib import Path
+
+        @dataclass
+        class Cfg:
+            out: Path
+            n: int
+
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        scalar = jsonable(np.float32(0.5))
+        assert scalar == 0.5 and type(scalar) is float
+        assert jsonable(np.arange(3)) == [0, 1, 2]
+        assert jsonable(Path("a/b")) == "a/b"
+        assert jsonable(Cfg(Path("x"), np.int64(3))) == {"out": "x", "n": 3}
+        assert jsonable(Opaque()) == "<opaque>"
+        # the same function is the json.dumps hook
+        line = json.dumps({"cfg": Cfg(Path("x"), 1), "o": Opaque()}, default=jsonable)
+        assert json.loads(line) == {"cfg": {"out": "x", "n": 1}, "o": "<opaque>"}
 
 
 class TestNullTracer:

@@ -61,6 +61,11 @@ RETIRED = [
         ("src", "examples"),
         "PR 23: the compiled force backend, its options and the per-leaf view it walked",
     ),
+    (
+        r"def _jsonable|_INT_KEYS|_FLOAT_KEYS|_STR_KEYS|gridmcmc",
+        ("src",),
+        "one JSONL module, one fault grammar",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
