@@ -11,7 +11,10 @@ per-family split of the force evaluation in ``Simulation.last_stats``
 and ``prism_seconds``: coalesce / rows, the two parts of the prism
 family), or when the prism pass did not evaluate fewer rows
 (``prism_interactions``) than there are particle x cube pairs
-(``prism_cubes``), or when the default float32 path returns a
+(``prism_cubes``), or when a fmm-hybrid step does not count its M2L
+tensors (``m2l_classes``) and padded product rows (``m2l_tile_rows``,
+which cannot be fewer than the ``m2l_pairs`` they hold), or when the
+default float32 path returns a
 non-finite force on a tree 15 levels deep (a cell accept 1e-4 box
 lengths away: the radial chain leaves float32's range unless the cell
 family measures lengths in units of the sink cell).
@@ -75,6 +78,8 @@ def main(report_path: str) -> int:
         parts = stats.get("cell_seconds")
         prism = stats.get("prism_seconds")
         rows, cubes = stats.get("prism_interactions"), stats.get("prism_cubes")
+        m2l = {k: stats.get(k) for k in ("m2l_pairs", "m2l_classes", "m2l_tile_rows")}
+        hybrid = config.traversal == "fmm-hybrid"
         if not family or set(family) != FAMILIES or not family["prism"] > 0:
             failures.append(f"{name}: family_seconds {family}")
         elif not parts or set(parts) != CELL_PARTS:
@@ -83,10 +88,16 @@ def main(report_path: str) -> int:
             failures.append(f"{name}: prism_seconds {prism}")
         elif rows is None or cubes is None or rows >= cubes:
             failures.append(f"{name}: prism_interactions {rows} >= prism_cubes {cubes}")
+        elif hybrid and not (
+            m2l["m2l_pairs"] and m2l["m2l_classes"]
+            and (m2l["m2l_tile_rows"] or 0) >= m2l["m2l_pairs"]
+        ):
+            failures.append(f"{name}: m2l counts {m2l}")
         else:
             print(name, {k: round(v, 4) for k, v in {**family, **parts}.items()},
                   {f"prism {k}": round(v, 4) for k, v in prism.items()},
-                  f"prism rows {rows} of {cubes} cubes")
+                  f"prism rows {rows} of {cubes} cubes",
+                  *([m2l] if hybrid else []))
     for line in failures:
         print("FAIL", line, file=sys.stderr)
     return 1 if failures else 0

@@ -31,18 +31,23 @@ deterministic stages:
 * **L2P** — at each sink leaf the local polynomial and its gradient
   are evaluated at the particle positions.
 
-The numpy M2L batches pairs by *displacement class*: tree cubes are
-dyadic subdivisions of the box, so sink-center - source-center - image
-offsets repeat massively (hundreds of pairs share one exact vector),
-and each class needs one derivative tensor and one dense
-(n_local x n_source) translation matrix driven through BLAS.
+The numpy M2L batches pairs by *reflection class*: tree cubes are
+dyadic subdivisions of the box, so every sink-center - source-center -
+image-offset displacement is an exact integer vector ``q`` in units of
+the finest half-cell, and a few hundred distinct ``|q|`` cover hundreds
+of thousands of pairs.  The derivative tensor of a reflected vector is
+the reflected tensor, ``D_gamma(s * d) = s^gamma D_gamma(d)`` bit for
+bit (the generated routine only multiplies and adds the components), so
+one tensor at ``|d|`` serves all eight sign patterns ``s``: the
+reflection moves onto the weighted source moments (``s^alpha``) and back
+off the local (``s^beta``), both exact.
 
 All three stages are bit-deterministic: each sink cell's local sums
 accumulate in an order intrinsic to its own interaction segment
-(ascending displacement-class key — never batch or shard layout), and
-a shard-restricted walk reproduces exactly the per-cell M2L segments
-and ancestor chains of the full walk, so workers > 1 stays
-bit-identical to serial.
+(ascending class key, then reflection — never batch or shard layout),
+and a shard-restricted walk reproduces exactly the per-cell M2L segments
+and ancestor chains of the full walk, so workers > 1 stays bit-identical
+to serial.
 """
 
 from __future__ import annotations
@@ -60,14 +65,19 @@ from ..util import expand_ranges
 __all__ = [
     "accumulate_m2l",
     "sweep_l2l",
-    "local_expansions",
     "l2p_accumulate",
 ]
+
+#: rows of every M2L matrix product: BLAS row bits depend on the shape
+#: of the product, so each class's entries are zero-padded to whole tiles
+_TILE = 256
+#: rows one gather / product / scatter round of a class handles
+_CHUNK = 2 * _TILE
 
 
 @dataclass(frozen=True)
 class M2LTables:
-    """Flat triangular M2L gather tables at force order ``p``.
+    """Triangular M2L tables at force order ``p``.
 
     Local coefficients live on the order-``P = p + 2`` multi-index set
     (``nloc`` of them) — the full stored moment order.  For local index
@@ -77,6 +87,15 @@ class M2LTables:
     segments: entry ``t`` multiplies weighted source moment ``acol[t]``
     with derivative tensor coefficient ``ccol[t] = index(alpha +
     beta)``, and ``biptr`` delimits each ``bi``'s segment.
+
+    The evaluator multiplies the same table as dense blocks of two local
+    orders (a lone last order joins the block before it): block ``(lo,
+    hi, ns)`` holds local columns ``lo:hi`` against the first ``ns``
+    source moments, as many as its lowest order reads, and ``bcols`` has
+    its ``(ns, hi - lo)`` tensor columns — ``nloc``, an appended zero,
+    where an entry lies outside the triangle.  ``sign[r]`` is
+    ``s^alpha`` of reflection ``r``, whose bits (4, 2, 1) mark the
+    negated axes (x, y, z).
     """
 
     p: int
@@ -86,7 +105,9 @@ class M2LTables:
     ccol: np.ndarray  # (T,) derivative tensor column (order <= P)
     biptr: np.ndarray  # (nloc + 1,)
     wsrc: np.ndarray  # (n_coeffs(P),) (-1)^|alpha| / alpha!
-    wloc: np.ndarray  # (nloc,) 1 / beta!
+    blocks: tuple  # ((lo, hi, ns), ...)
+    bcols: tuple  # per block, (ns, hi - lo) columns of the tensor
+    sign: np.ndarray  # (8, nloc) s^alpha per reflection
 
 
 @functools.lru_cache(maxsize=8)
@@ -102,26 +123,30 @@ def m2l_tables(p: int) -> M2LTables:
             s = mis.alphas[ai] + beta
             ccol.append(mis.index[tuple(int(x) for x in s)])
         biptr.append(len(acol))
+    acol, ccol, biptr = (np.array(a, dtype=np.int64) for a in (acol, ccol, biptr))
+    edges = list(range(0, P, 2)) + [P + 1]
+    blocks, bcols = [], []
+    for k0, k1 in zip(edges[:-1], edges[1:]):
+        lo, hi, ns = n_coeffs(k0 - 1), n_coeffs(k1 - 1), n_coeffs(P - k0)
+        cols = np.full((ns, hi - lo), nloc, dtype=np.int64)
+        for bi in range(lo, hi):
+            seg = slice(biptr[bi], biptr[bi + 1])
+            cols[acol[seg], bi - lo] = ccol[seg]
+        blocks.append((lo, hi, ns))
+        bcols.append(cols)
+    flips = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
     return M2LTables(
         p=p,
         P=P,
         nloc=nloc,
-        acol=np.array(acol, dtype=np.int64),
-        ccol=np.array(ccol, dtype=np.int64),
-        biptr=np.array(biptr, dtype=np.int64),
+        acol=acol,
+        ccol=ccol,
+        biptr=biptr,
         wsrc=((-1.0) ** mis.order) / mis.factorial,
-        wloc=1.0 / mis.factorial,
+        blocks=tuple(blocks),
+        bcols=tuple(bcols),
+        sign=1.0 - 2.0 * ((flips @ mis.alphas.T) & 1),
     )
-
-
-@functools.lru_cache(maxsize=8)
-def m2l_matrix_scatter(p: int) -> np.ndarray:
-    """Flat indices placing table entries into the dense (nloc, nhi)
-    per-class translation matrix ``T[bi, acol] = D[ccol]``."""
-    t = m2l_tables(p)
-    nhi = n_coeffs(t.P)
-    bi_of_t = np.repeat(np.arange(t.nloc), np.diff(t.biptr))
-    return bi_of_t * nhi + t.acol
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,92 +167,113 @@ def l2p_gradient_columns(p: int) -> np.ndarray:
     return cols
 
 
-def _displacement_keys(dx: np.ndarray, box: float, max_level: int) -> np.ndarray:
-    """Pack displacement vectors into exact integer class keys.
+def _reflection_keys(tree, inter):
+    """Class key and reflection of every M2L entry.
 
     Cell centers are odd multiples of ``box * 2^-(level+1)`` and image
-    offsets are integer multiples of ``box``, so every sink-source
-    displacement is an exact integer multiple of the finest half-cell
-    ``box * 2^-(max_level+1)``.  Rounding to that grid and packing the
-    three signed integers into one int64 gives a key whose ascending
-    order is the lexicographic order of the displacement — the
-    canonical class order the deterministic accumulation relies on.
+    offsets integer multiples of ``box``, so each displacement
+    ``sink center - source center - offset`` is an exact integer vector
+    ``q`` in units of the finest half-cell ``h = box * 2^-(max_level+1)``.
+    The key packs ``(|q_x|, |q_y|, |q_z|)`` into one int64, most
+    significant first, in fields as wide as the largest component needs,
+    so ascending keys are the lexicographic order of ``|q|``; bits
+    (4, 2, 1) of the reflection mark the negative components of ``q``.
+    Returns ``(key, reflection, field width, h)``.
     """
-    scale = np.exp2(max_level + 1) / box
-    q = np.round(dx * scale).astype(np.int64)
-    span = np.int64(2) << np.int64(max_level + 3)  # |q| < span/2 with ws images
-    return (q[:, 0] * span + q[:, 1]) * span + q[:, 2]
+    h = np.ldexp(tree.box, -(tree.max_level + 1))
+    # |q| < (ws + 1) 2^(max_level + 1): int32 to the key depth of 21
+    cell_q = np.rint(np.ascontiguousarray(tree.cell_center.T) / h).astype(np.int32)
+    off_q = np.rint(np.ascontiguousarray(inter.offsets.T) / h).astype(np.int32)
+    counts = np.diff(inter.m2l_indptr)
+    refl = np.zeros(len(inter.m2l_src), dtype=np.int32)
+    absq = []
+    for axis in range(3):
+        q = np.repeat(cell_q[axis].take(inter.m2l_cells), counts)
+        q -= cell_q[axis].take(inter.m2l_src)
+        q -= off_q[axis].take(inter.m2l_off)
+        refl |= (q >> 31) & (4 >> axis)
+        absq.append(np.abs(q, out=q).astype(np.int64))
+    width = int(max(a.max() for a in absq)).bit_length()
+    if 3 * width > 63:
+        raise OverflowError(f"M2L class key needs 3 x {width} bits, more than an int64 holds")
+    key = (absq[0] << 2 * width) | (absq[1] << width) | absq[2]
+    return key, refl, width, h
 
 
-def accumulate_m2l(tree, moms, inter, kernel) -> np.ndarray:
+def accumulate_m2l(tree, moms, inter, kernel, *, stats=None) -> np.ndarray:
     """Per-sink-cell local expansions from the accepted M2L pairs.
 
     Returns an ``(len(inter.m2l_cells), nloc)`` array of local
-    coefficients.  Two entries of one sink segment can never share a
-    displacement class (same sink + same displacement would be the
-    same source cell), so the per-class BLAS products scatter-add into
-    distinct rows and each row accumulates exactly once per class, in
-    ascending class-key order — a property of the segment's content
-    alone, so shard restriction cannot change a single bit.
+    coefficients.  Entries are sorted by reflection class; each class
+    evaluates one derivative tensor at ``|d|`` and runs its entries —
+    gathered from the reflection's copy of the source moments,
+    zero-padded to whole ``_TILE``-row tiles — through the blocks of
+    :func:`m2l_tables`.  Products go into a ``(sink row, reflection)``
+    accumulator, and since one sink row with one reflection and one
+    ``|q|`` names one source (cell and image), each accumulator row
+    receives at most one entry per class, in ascending class-key order;
+    the reflections are then undone per row, ``L = sum_r s^beta
+    acc[r]`` in ``r`` order.  Both orders are properties of the sink
+    segment's content alone and a tile's rows do not depend on each
+    other, so shard restriction cannot change a single bit.
+
+    ``stats``, when given, receives ``m2l_classes`` (tensors evaluated)
+    and ``m2l_tile_rows`` (padded rows through the products).
     """
-    p = moms.p
-    t = m2l_tables(p)
+    t = m2l_tables(moms.p)
+    nloc = t.nloc
     cells = inter.m2l_cells
-    locs = np.zeros((len(cells), t.nloc))
+    locs = np.zeros((len(cells), nloc))
     if inter.m2l_src is None or len(inter.m2l_src) == 0:
         return locs
-    nhi = n_coeffs(t.P)
-    # fold the (-1)^|alpha|/alpha! weights into the moments once
-    wm_all = moms.moments[:, :nhi] * t.wsrc
-    scatter = m2l_matrix_scatter(p)
     src = inter.m2l_src
-    offs = inter.offsets[inter.m2l_off]
-    centers = tree.cell_center
-    rows = np.repeat(
-        np.arange(len(cells)), np.diff(inter.m2l_indptr)
-    )
-    dx = centers[cells][rows] - (centers[src] + offs)
-    keys = _displacement_keys(dx, tree.box, tree.max_level)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    bounds = np.append(starts, len(ks))
-    dxu = dx[order[starts]]
-    r = np.sqrt(np.einsum("ij,ij->i", dxu, dxu))
-    g = kernel.radial_derivs(r, t.P)
-    # one row per displacement class (the generated routine is SoA)
-    D = np.ascontiguousarray(
-        dtensors_soa(dxu[:, 0], dxu[:, 1], dxu[:, 2], g, t.P).T
-    )
-    # the triangular table splits into two dense BLAS blocks: low local
-    # orders (|beta| <= 2) read the full moment width, the rest only the
-    # order-<=3 prefix — 3x fewer flops than one dense (nloc, nhi)
-    # product.  Every product runs through a fixed-shape zero-padded
-    # (TILE, nhi) buffer: BLAS accumulation order depends on the matrix
-    # shape, so fixed tiles make each entry's contribution bitwise a
-    # function of its own moment row and the class matrix alone —
-    # independent of how many other entries share the class (the
-    # serial-vs-sharded bit-identity contract).
-    n_low = n_coeffs(2)
-    n_cut = n_coeffs(t.P - 3)
-    tmat = np.zeros((t.nloc, nhi))
-    tflat = tmat.reshape(-1)
-    TILE = 256
-    buf = np.zeros((TILE, nhi))
-    for c in range(len(starts)):
-        sl = order[starts[c]: bounds[c + 1]]
-        tflat[scatter] = D[c, t.ccol]
-        for s in range(0, len(sl), TILE):
-            se = sl[s: s + TILE]
-            m = len(se)
-            buf[:m] = wm_all[src[se]]
-            buf[m:] = 0.0
-            rc = rows[se]
-            locs[rc, :n_low] += (buf @ tmat[:n_low].T)[:m]
-            locs[rc, n_low:] += (
-                buf[:, :n_cut] @ tmat[n_low:, :n_cut].T
-            )[:m]
-        tflat[scatter] = 0.0
+    key, refl, width, h = _reflection_keys(tree, inter)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.append(starts, len(key)))
+    # one tensor per class at |d| = |q| h (exact), with a zero column
+    # for the blocks' entries outside the triangle
+    kc = key[starts]
+    field = (1 << width) - 1
+    x, y, z = np.stack([kc >> 2 * width, (kc >> width) & field, kc & field]) * h
+    r = np.sqrt((x * x + y * y) + z * z)
+    tens = np.zeros((len(kc), nloc + 1))
+    tens[:, :nloc] = dtensors_soa(x, y, z, kernel.radial_derivs(r, t.P), t.P).T
+    mats = [tens[:, cols] for cols in t.bcols]
+    # eight sign-flipped copies of each source cell's weighted moments,
+    # and a zero row last that pads the tiles
+    used = np.zeros(tree.n_cells, dtype=bool)
+    used[src] = True
+    wm = moms.moments[used, :nloc] * t.wsrc
+    w8 = np.zeros((8 * len(wm) + 1, nloc))
+    np.multiply(wm[:, None], t.sign, out=w8[:-1].reshape(len(wm), 8, nloc))
+    slot = np.cumsum(used) - 1
+    pad_start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(-(-sizes // _TILE) * _TILE, out=pad_start[1:])
+    gather = np.full(pad_start[-1], len(w8) - 1)
+    gather[expand_ranges(pad_start[:-1], sizes)] = (slot[src] * 8 + refl)[order]
+    sink_row = np.repeat(np.arange(len(cells)) * 8, np.diff(inter.m2l_indptr))
+    target = (sink_row + refl)[order]
+    acc = np.zeros((len(cells) * 8, nloc))
+    for c, (e, n, a0, a1) in enumerate(
+        zip(starts.tolist(), sizes.tolist(), pad_start[:-1].tolist(), pad_start[1:].tolist())
+    ):
+        for a in range(a0, a1, _CHUNK):
+            b = min(a + _CHUNK, a1)
+            lo, hi = e + a - a0, e + min(b - a0, n)
+            w = w8.take(gather[a:b], axis=0).reshape(-1, _TILE, nloc)
+            out = np.empty((b - a, nloc))
+            tiles = out.reshape(-1, _TILE, nloc)
+            for (c0, c1, ns), mat in zip(t.blocks, mats):
+                np.matmul(w[:, :, :ns], mat[c], out=tiles[:, :, c0:c1])
+            acc[target[lo:hi]] += out[: hi - lo]
+    acc = acc.reshape(len(cells), 8, nloc)
+    for k in range(8):
+        locs += acc[:, k] * t.sign[k]
+    if stats is not None:
+        stats["m2l_classes"] = len(sizes)
+        stats["m2l_tile_rows"] = int(pad_start[-1])
     return locs
 
 
@@ -249,12 +295,11 @@ def sweep_l2l(tree, cells, locs) -> np.ndarray:
     loc_all[cells] = locs
     has = np.zeros(n_all, dtype=bool)
     has[cells] = True
-    p_loc = None
-    for p_try in range(1, 16):
-        if n_coeffs(p_try) == nloc:
-            p_loc = p_try
-            break
-    mis = multi_index_set(p_loc)
+    # nloc = n_coeffs(p + 2) = (p + 3)(p + 4)(p + 5) / 6
+    t = m2l_tables(round((6 * nloc) ** (1 / 3)) - 4)
+    if t.nloc != nloc:
+        raise ValueError(f"no local order has {nloc} coefficients")
+    mis = multi_index_set(t.P)
     tgt, srcb, shift, _binom = mis.translation_table
     weights = 1.0 / mis.factorial[shift]
     for level in range(0, tree.max_level):
@@ -279,12 +324,6 @@ def sweep_l2l(tree, cells, locs) -> np.ndarray:
         loc_all[kids] += out
         has[kids] = True
     return loc_all
-
-
-def local_expansions(tree, moms, inter, kernel) -> np.ndarray:
-    """M2L accumulation + L2L sweep: dense per-cell local expansions."""
-    locs = accumulate_m2l(tree, moms, inter, kernel)
-    return sweep_l2l(tree, inter.m2l_cells, locs)
 
 
 def l2p_accumulate(

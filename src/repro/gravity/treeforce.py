@@ -54,6 +54,7 @@ from ..multipoles.multiindex import n_coeffs
 # benchmarks/step/layers.py resolves both prism names in this module
 from ..multipoles.prism import prism_acceleration, prism_potential  # noqa: F401
 from ..multipoles.radial import NewtonianKernel, RadialKernel
+from ..perfmodel.flops import kernel_counters
 from ..tree.moments import TreeMoments
 from ..tree.structure import Tree
 from ..tree.traversal import InteractionLists
@@ -629,6 +630,8 @@ def evaluate_forces(
         "prism_interactions": 0,
         "prism_cubes": 0,
         "m2l_pairs": 0,
+        "m2l_classes": 0,
+        "m2l_tile_rows": 0,
         "m2l_interactions": 0,
         "order": p,
     }
@@ -763,7 +766,8 @@ def evaluate_forces(
         stats["m2l_pairs"] = int(len(inter.m2l_src))
         stats["m2l_interactions"] = stats["m2l_pairs"] + int(leaf_np.sum())
         with tr.span("m2l"):
-            loc_all = localexp.local_expansions(tree, moms, inter, kernel)
+            locs = localexp.accumulate_m2l(tree, moms, inter, kernel, stats=stats)
+            loc_all = localexp.sweep_l2l(tree, inter.m2l_cells, locs)
             localexp.l2p_accumulate(
                 tree, inter, loc_all, p,
                 want_potential=want_potential,
@@ -824,9 +828,6 @@ def evaluate_forces(
         or stats["pp_interactions"]
         or stats["m2l_pairs"]
     ):
-        # (imported here: the perfmodel package pulls in repro.parallel)
-        from ..perfmodel.flops import kernel_counters
-
         stats["kernel"] = kernel_counters(
             tree,
             inter,
@@ -837,6 +838,7 @@ def evaluate_forces(
             cell_entries=stats["cell_entries"],
             prism_interactions=stats["prism_interactions"],
             prism_cubes=stats["prism_cubes"],
+            m2l_classes=stats["m2l_classes"],
         )
 
     if particle_range is not None:

@@ -26,7 +26,8 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     monopole rate, prism interactions — the particle x merged background
     box rows that ran, ``prism_interactions``, not the particle x cube
     pairs they stand for (``prism_cubes``) — at the count of the fused
-    8-corner kernel and, in fmm-hybrid mode, M2L translations and L2P
+    8-corner kernel and, in fmm-hybrid mode, M2L translations, their
+    derivative tensors (one per class, ``m2l_classes``) and L2P
     evaluations at their table-measured rates.
     """
     from ..perfmodel.flops import (
@@ -35,6 +36,7 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
         flops_per_cell_interaction,
         flops_per_l2p,
         flops_per_m2l,
+        flops_per_m2l_tensor,
         flops_per_prism_interaction,
     )
 
@@ -51,8 +53,11 @@ def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
     m2l_pairs = float(stats.get("m2l_pairs", 0))
     if m2l_pairs:
         l2p = float(stats.get("m2l_interactions", 0)) - m2l_pairs
-        total += m2l_pairs * flops_per_m2l(p) + l2p * flops_per_l2p(
-            p, want_potential
+        tensor = flops_per_m2l_tensor(p)
+        total += (
+            float(stats.get("m2l_classes", 0)) * tensor
+            + m2l_pairs * (flops_per_m2l(p) - tensor)
+            + l2p * flops_per_l2p(p, want_potential)
         )
     return total
 
@@ -98,12 +103,12 @@ def perfmodel_crosscheck(
 
     ``stats`` is a ``ForceResult.stats`` produced under an enabled
     tracer (so it carries ``stage_seconds``); ``machine`` is a
-    :class:`~repro.parallel.machine.MachineModel` (default: the generic
+    :class:`~repro.perfmodel.machines.MachineModel` (default: the generic
     one).  A NumPy interpreter won't hit modeled hardware rates — the
     point is that the *flop accounting* and the *measured time* are now
     both real numbers that future perf PRs can move toward each other.
     """
-    from ..parallel.machine import MachineModel
+    from ..perfmodel.machines import MachineModel
 
     machine = machine or MachineModel()
     stage = stats.get("stage_seconds") or {}

@@ -653,6 +653,8 @@ class ForceExecutor:
             "prism_interactions": 0,
             "prism_cubes": 0,
             "m2l_pairs": 0,
+            "m2l_classes": 0,
+            "m2l_tile_rows": 0,
             "m2l_interactions": 0,
             "traversal_interactions": 0,
             "interactions_by_family": {},
@@ -675,6 +677,10 @@ class ForceExecutor:
             stats["prism_interactions"] += s.get("prism_interactions", 0)
             stats["prism_cubes"] += s.get("prism_cubes", 0)
             stats["m2l_pairs"] += s.get("m2l_pairs", 0)
+            # tensors and tile rows evaluated: a sink cell that straddles
+            # two shards is translated by both
+            stats["m2l_classes"] += s.get("m2l_classes", 0)
+            stats["m2l_tile_rows"] += s.get("m2l_tile_rows", 0)
             stats["m2l_interactions"] += s.get("m2l_interactions", 0)
             stats["traversal_interactions"] += s.get("traversal_interactions", 0)
             for fam, count in s.get("interactions_by_family", {}).items():

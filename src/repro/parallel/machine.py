@@ -1,52 +1,21 @@
-"""Cost model of a message-passing machine.
+"""Machines the simulated parallel runs are modeled on.
 
 The paper's parallel algorithms are exercised on real data by
 :mod:`repro.parallel.comm`; wall-clock is *modeled* with the standard
 postal (alpha-beta) abstraction plus node structure, which is what the
 paper's own scalability arguments use implicitly ("number of
 communication buffers scaling as the number of processes squared",
-latency hiding, etc.).
+latency hiding, etc.).  The model itself, :class:`MachineModel`, lives
+in :mod:`repro.perfmodel.machines`, beside the hardware catalog, so that
+the flop model and the scaling model can read it without importing this
+package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..perfmodel.machines import MachineModel
 
 __all__ = ["MachineModel", "JAGUAR_LIKE", "CLUSTER_LIKE"]
-
-
-@dataclass(frozen=True)
-class MachineModel:
-    """Alpha-beta communication model with node topology.
-
-    Attributes
-    ----------
-    latency_s:
-        Per-message latency alpha (seconds).
-    bandwidth_Bps:
-        Per-link bandwidth beta (bytes/second).
-    cores_per_node:
-        Ranks sharing one network endpoint.
-    node_bandwidth_Bps:
-        Injection bandwidth of one node (shared by its ranks).
-    flops_per_core:
-        Sustainable flop/s of one core for the gravity kernels (the
-        ~40%-of-peak figure the paper quotes).
-    memory_per_node_bytes:
-        For modelling the OpenMPI buffer blow-up of §3.1.
-    """
-
-    latency_s: float = 2e-6
-    bandwidth_Bps: float = 5e9
-    cores_per_node: int = 16
-    node_bandwidth_Bps: float = 1e10
-    flops_per_core: float = 8e9
-    memory_per_node_bytes: float = 32e9
-    name: str = "generic"
-
-    def ptp_time(self, nbytes: float) -> float:
-        """Point-to-point message time (postal model)."""
-        return self.latency_s + nbytes / self.bandwidth_Bps
 
 
 #: roughly a Cray XT5 node (Jaguar, the paper's Fig. 5 machine)

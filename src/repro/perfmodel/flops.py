@@ -18,12 +18,14 @@ import numpy as np
 
 from ..multipoles.codegen import compiled_dtensor_function, compiled_shift_function
 from ..multipoles.multiindex import n_coeffs
+from .machines import MachineModel
 
 __all__ = [
     "FLOPS_PER_MONOPOLE_PP",
     "flops_per_cell_interaction",
     "flops_per_cell_entry",
     "flops_per_m2l",
+    "flops_per_m2l_tensor",
     "flops_per_l2p",
     "flops_per_prism_interaction",
     "flops_per_particle",
@@ -75,20 +77,32 @@ def flops_per_cell_entry(p: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def flops_per_m2l(p: int) -> int:
-    """Arithmetic operations of one cell-to-local (M2L) translation.
+def flops_per_m2l_tensor(p: int) -> int:
+    """Arithmetic operations of one M2L derivative tensor.
 
-    Counts the generated derivative-tensor routine at the M2L order
-    p+2 (its own statement count), the radial chain, and the triangular
-    moment-gather contraction (a multiply-add per flat table entry) —
-    all measured from the same tables the kernels consume.
+    The generated derivative-tensor routine at the M2L order p+2 (its
+    own statement count) and the radial chain.  The evaluator computes
+    one per reflection class — per distinct |displacement|
+    (:func:`repro.gravity.localexp.accumulate_m2l`) — and every
+    translation of the class shares it.
+    """
+    pmax = p + 2
+    return compiled_dtensor_function(pmax).n_ops + 4 * (pmax + 1) + 8
+
+
+@functools.lru_cache(maxsize=16)
+def flops_per_m2l(p: int) -> int:
+    """Nominal arithmetic operations of one cell-to-local (M2L) translation.
+
+    Its own derivative tensor (:func:`flops_per_m2l_tensor`) plus the
+    triangular moment-gather contraction (a multiply-add per flat table
+    entry), as if the translation were evaluated alone.  What a solve
+    executes shares the tensor: :func:`kernel_counters` charges it once
+    per class and the contraction once per translation.
     """
     from ..gravity.localexp import m2l_tables
 
-    pmax = p + 2
-    rec_ops = compiled_dtensor_function(pmax).n_ops
-    radial_ops = 4 * (pmax + 1) + 8
-    return rec_ops + radial_ops + 2 * len(m2l_tables(p).acol)
+    return flops_per_m2l_tensor(p) + 2 * len(m2l_tables(p).acol)
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,6 +167,7 @@ def kernel_counters(
     cell_entries: int,
     prism_interactions: int = 0,
     prism_cubes: int = 0,
+    m2l_classes: int = 0,
 ) -> dict:
     """Roofline counters of one CSR force evaluation (paper §3.2/§3.4).
 
@@ -171,10 +186,13 @@ def kernel_counters(
     particle x cube pairs they stand for) and stays out of the rates.
     The cell family is counted by the evaluator —
     ``cell_interactions`` particle x cell rows from
-    ``cell_entries`` accept-level entries, each with its own flop count.
+    ``cell_entries`` accept-level entries, each with its own flop count;
+    the m2l family by the evaluator too — ``m2l_classes`` derivative
+    tensors, each shared by the translations of its class, and the
+    contraction of every translation.  The zero rows that pad a class to
+    whole tiles and the zero entries of the blocks outside the triangle
+    are multiplied but not counted.
     """
-    from ..parallel.machine import MachineModel
-
     sinks = inter.sink_leaves
     rows = int(len(sinks))
     leaf_np = tree.cell_count[sinks] if rows else np.zeros(0, dtype=np.int64)
@@ -195,8 +213,10 @@ def kernel_counters(
         + pp_inter * FLOPS_PER_MONOPOLE_PP
     )
     if m2l_pairs:
+        tensor = flops_per_m2l_tensor(p)
         flops += float(
-            m2l_pairs * flops_per_m2l(p)
+            int(m2l_classes) * tensor
+            + m2l_pairs * (flops_per_m2l(p) - tensor)
             + l2p_inter * flops_per_l2p(p, want_potential)
         )
     m_mean = float(leaf_np.mean()) if rows else 0.0

@@ -6,14 +6,51 @@ sustained performance of the HOT gravity kernels, following the
 paper's own accounting in §7: Delta -> Jaguar performance is explained
 by a factor 55 in clock x 4096 in concurrency x ~0.8 efficiency.
 Modeled numbers are compared against the published measurements in the
-Table 1/Table 3 benchmarks.
+Table 1/Table 3 benchmarks.  :class:`MachineModel` is the alpha-beta
+machine (latency, bandwidth, node structure, sustained flop/s per core)
+the simulated parallel runs, the scaling model and the kernel counters'
+roofline are modeled on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Machine", "Processor", "TABLE1_MACHINES", "TABLE3_PROCESSORS"]
+__all__ = ["Machine", "MachineModel", "Processor", "TABLE1_MACHINES", "TABLE3_PROCESSORS"]
+
+
+@dataclass(frozen=True)
+class MachineModel:
+    """Alpha-beta communication model with node topology.
+
+    Attributes
+    ----------
+    latency_s:
+        Per-message latency alpha (seconds).
+    bandwidth_Bps:
+        Per-link bandwidth beta (bytes/second).
+    cores_per_node:
+        Ranks sharing one network endpoint.
+    node_bandwidth_Bps:
+        Injection bandwidth of one node (shared by its ranks).
+    flops_per_core:
+        Sustainable flop/s of one core for the gravity kernels (the
+        ~40%-of-peak figure the paper quotes).
+    memory_per_node_bytes:
+        For modelling the OpenMPI buffer blow-up of §3.1.
+    """
+
+    latency_s: float = 2e-6
+    bandwidth_Bps: float = 5e9
+    cores_per_node: int = 16
+    node_bandwidth_Bps: float = 1e10
+    flops_per_core: float = 8e9
+    memory_per_node_bytes: float = 32e9
+    name: str = "generic"
+
+    def ptp_time(self, nbytes: float) -> float:
+        """Point-to-point message time (postal model)."""
+        return self.latency_s + nbytes / self.bandwidth_Bps
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..parallel.machine import MachineModel
+from .machines import MachineModel
 
 __all__ = ["ScalingInputs", "StrongScalingModel", "StageBreakdown", "table2_breakdown"]
 

@@ -66,6 +66,31 @@ class TestFlops:
         assert compiled_dtensor_function(6).n_ops == 274
         assert flops_per_m2l(4) == 274 + 36 + 2 * len(m2l_tables(4).acol)
 
+    def test_m2l_tensor_charged_once_per_class(self):
+        """10 translations in 3 reflection classes onto 5 + 3 sink
+        particles at p = 4: 3 tensors (274 statements + a radial chain
+        of 36), 10 contractions of the 924-entry table and 8 L2P
+        evaluations of 690 with the potential."""
+        from types import SimpleNamespace
+
+        from repro.instrument.crosscheck import flops_from_stats
+        from repro.perfmodel.flops import kernel_counters
+
+        tree = SimpleNamespace(cell_count=np.array([5, 3]))
+        inter = SimpleNamespace(
+            sink_leaves=np.array([0, 1]),
+            leaf_src=np.zeros(0, dtype=np.int64),
+            m2l_src=np.arange(10),
+            n_pp_interactions=lambda tree: 0,
+        )
+        kern = kernel_counters(
+            tree, inter, p=4, want_potential=True, seconds=1.0,
+            cell_interactions=0, cell_entries=0, m2l_classes=3,
+        )
+        assert kern["flops"] == 3 * (274 + 36) + 10 * 2 * 924 + 8 * 690 == 24930
+        stats = {"order": 4, "m2l_pairs": 10, "m2l_classes": 3, "m2l_interactions": 18}
+        assert flops_from_stats(stats) == 24930
+
     def test_hexadecapole_order_of_magnitude(self):
         """§7: ~600,000 flops/particle from ~2000 (mostly hexadecapole)
         interactions implies ~300 flops per p=4 interaction; our counted

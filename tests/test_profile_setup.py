@@ -61,7 +61,8 @@ def test_the_registered_set_up_of_early_hier_passes_the_gate():
     """One real run, in a fresh process as the benchmark's set-ups are:
     every row printed, at most 5% of the wall outside them, and the
     lattice sums over the wedge (83 + 3 lattice vectors for the default
-    config's ws = 1, 164 wave vectors)."""
+    config's ws = 1, 164 wave vectors); a serial set-up never loads the
+    worker pool's package."""
     done = subprocess.run(
         [sys.executable, str(TOOL), "--workload", "early_hier"],
         capture_output=True, text=True, timeout=120,
@@ -70,3 +71,4 @@ def test_the_registered_set_up_of_early_hier_passes_the_gate():
     for row in tool.ROWS:
         assert f"  {row} " in done.stdout
     assert "lattice vectors 86  wave vectors 164" in done.stdout
+    assert "repro.parallel loaded: no" in done.stdout

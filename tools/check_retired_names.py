@@ -66,6 +66,11 @@ RETIRED = [
         ("src",),
         "one JSONL module, one fault grammar",
     ),
+    (
+        r"m2l_matrix_scatter|_displacement_keys|local_expansions",
+        ("src",),
+        "M2L by reflection class: no per-signed-class dense matrix",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp

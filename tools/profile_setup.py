@@ -22,6 +22,10 @@ stage.  Modules are imported in ``set_up``'s order (``pace``,
 entry points can be wrapped; the process pays for each import once either
 way.  The pace samples are outside ``set_up``'s wall and outside the rows.
 
+A last line says whether the set-up loaded ``repro.parallel``: only a
+workload with a worker pool needs it, and this tool imports the pool's
+module only for such a workload.
+
 Exits non-zero when more than 5% of the wall is in no row, or when the
 lattice expansion evaluated more than 92 lattice vectors
 (``derivative_tensors`` rows) or 164 wave vectors (``powers`` rows): the
@@ -144,7 +148,6 @@ def profile(workload: str, seed: int) -> dict:
         import workloads as W
         from repro.gravity import periodic
         from repro.multipoles.multiindex import MultiIndexSet
-        from repro.parallel.executor import ForceExecutor
         from repro.simulation import Simulation
 
         if workload not in W.WORKLOADS:
@@ -154,8 +157,11 @@ def profile(workload: str, seed: int) -> dict:
         times.wrap(Simulation, "__init__", "Simulation(...)")
         times.wrap(Simulation, "run", "first solve, rest")
         times.wrap(periodic.PeriodicLocalExpansion, "__init__", "lattice expansion")
-        times.wrap(ForceExecutor, "__init__", "worker pool")
-        times.wrap(ForceExecutor, "close", "worker pool")
+        if W.WORKLOADS[workload].overrides.get("workers"):
+            from repro.parallel.executor import ForceExecutor
+
+            times.wrap(ForceExecutor, "__init__", "worker pool")
+            times.wrap(ForceExecutor, "close", "worker pool")
 
         counts = {"lattice_vectors": 0, "wave_vectors": 0}
 
@@ -187,6 +193,7 @@ def profile(workload: str, seed: int) -> dict:
         "wall": setup["wall"],
         "setup_s": run.at_reference_pace(**setup),
         "rows": rows,
+        "parallel_loaded": "repro.parallel" in sys.modules,
         **counts,
     }
 
@@ -205,6 +212,7 @@ def main(argv=None) -> int:
     unattributed = wall - sum(doc["rows"].values())
     print(f"  {'(in no row)':<22} {unattributed:8.3f} s  {unattributed / wall:6.1%}")
     print(f"  lattice vectors {doc['lattice_vectors']}  wave vectors {doc['wave_vectors']}")
+    print(f"  repro.parallel loaded: {'yes' if doc['parallel_loaded'] else 'no'}")
     bad = failures(doc["rows"], wall, doc["lattice_vectors"], doc["wave_vectors"])
     for line in bad:
         print(f"profile_setup.py: {line}", file=sys.stderr)
