@@ -1,7 +1,7 @@
 """Newline-delimited JSON: the repo's one durable-log format.
 
-Traces, the run registry, the job journal and every tailer of them
-share this module.  The contract, stated once:
+Traces, the run registry and every tailer of them share this module.
+The contract, stated once:
 
 * a record is one JSON object on one line, serialised through
   :func:`jsonable` (numpy, paths, dataclasses; ``repr`` for the rest);

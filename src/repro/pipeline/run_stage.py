@@ -100,14 +100,13 @@ def _make_progress(a_final: float) -> _ProgressLine | None:
 
 
 #: exit status of a preempted stage (BSD EX_TEMPFAIL): the run honoured
-#: the §3.4.1 courtesy — final checkpoint written, safe to resume — so
-#: supervisors (the job service) retry with ``--resume`` at no cost to
-#: the retry budget
+#: the §3.4.1 courtesy — final checkpoint written, safe to resume — so a
+#: batch supervisor can tell it from a crash and rerun with ``--resume``
 EXIT_PREEMPTED = 75
 
 
 def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
-              checkpoint_every=None, resume=None, checkpoint_dir=None) -> dict:
+              checkpoint_every=None, resume=None) -> dict:
     """Run the stage described by a generated JSON config.
 
     Returns a small result summary dict (also printed).  Paths inside
@@ -123,12 +122,10 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
     to the tracer's sink, a run-provenance manifest is written next to
     the stage config, and the summary gains the event counts.
     ``checkpoint_every`` makes the evolve stage write a durable
-    checkpoint every N steps under ``<workdir>/checkpoints``
-    (``checkpoint_dir`` overrides the directory — the job service gives
-    every job a private store so sweeps sharing a workdir cannot
-    collide); ``resume`` restarts the evolve stage from the newest
-    valid checkpoint there (corrupted files are skipped, already-written
-    snapshots are not recomputed).
+    checkpoint every N steps under ``<workdir>/checkpoints``; ``resume``
+    restarts the evolve stage from the newest valid checkpoint there
+    (corrupted files are skipped, already-written snapshots are not
+    recomputed).
     """
     config_path = Path(config_path)
     cfg = json.loads(config_path.read_text())
@@ -144,8 +141,6 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
         cfg["checkpoint_every"] = int(checkpoint_every)
     if resume is not None:
         cfg["resume"] = bool(resume)
-    if checkpoint_dir is not None:
-        cfg["checkpoint_dir"] = str(checkpoint_dir)
     stage = cfg.get("stage")
     fn = _STAGES.get(stage)
     if fn is None:
@@ -239,7 +234,7 @@ def _stage_evolve(cfg, workdir):
     if ckpt_every > 0 or want_resume:
         from ..resilience import CheckpointStore
 
-        store = CheckpointStore(cfg.get("checkpoint_dir") or workdir / "checkpoints")
+        store = CheckpointStore(workdir / "checkpoints")
 
     sim = None
     resumed_from = None
@@ -377,11 +372,6 @@ def main(argv=None) -> int:
         help="resolve stage paths against DIR (default: the config's directory)",
     )
     parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="evolve stage: checkpoint store directory "
-             "(default: <workdir>/checkpoints)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="force-solve worker processes (default: config or REPRO_WORKERS)",
     )
@@ -405,7 +395,6 @@ def main(argv=None) -> int:
     kw = dict(
         workdir=args.workdir, workers=args.workers, health=args.health,
         checkpoint_every=args.checkpoint_every, resume=args.resume,
-        checkpoint_dir=args.checkpoint_dir,
     )
     try:
         if args.trace is not None:

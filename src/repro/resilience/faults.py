@@ -32,9 +32,8 @@ Example::
 
     REPRO_FAULTS="kill:worker=0,shard=1;corrupt:index=2,byte=100"
 
-The grammar is shared: :func:`parse_fault_spec` and :class:`ClausePlan`
-also read the job service's ``REPRO_SERVICE_FAULTS``
-(:mod:`repro.service.faults`), whose clauses select jobs, not shards.
+:func:`parse_fault_spec` types each key by its :class:`FaultClause`
+field, so ``byte=0x40`` and ``seconds=0.5`` parse as written.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import time
 import typing
 from dataclasses import dataclass, field, fields
 
-__all__ = ["ClausePlan", "FaultInjected", "FaultClause", "FaultPlan", "parse_fault_spec"]
+__all__ = ["FaultInjected", "FaultClause", "FaultPlan", "parse_fault_spec"]
 
 FAULTS_ENV = "REPRO_FAULTS"
 
@@ -82,22 +81,24 @@ class FaultClause:
         return True
 
 
+#: the clause actions a spec may name
+ACTIONS = frozenset({"kill", "raise", "delay", "corrupt"})
+
 #: how a ``key=value`` string becomes a clause field of each annotated type
-_CONVERT = {int: lambda v: int(v, 0), float: float, str: str.strip}
+_CONVERT = {int: lambda v: int(v, 0), float: float}
 
 
-def parse_fault_spec(spec: str | None, clause_cls, actions) -> list:
-    """Parse ``action:key=value,...;...`` into ``clause_cls`` instances.
+def parse_fault_spec(spec: str | None) -> list[FaultClause]:
+    """Parse ``action:key=value,...;...`` into :class:`FaultClause` instances.
 
-    ``action`` must be one of ``actions``; each key must name a field of
-    the clause dataclass (other than ``action`` and ``fired``) and is
-    converted by that field's type: ``int`` (or ``int | None``) by
-    ``int(v, 0)``, so ``byte=0x40`` works; ``float``; ``str``, stripped.
-    Empty or ``None`` -> no clauses.
+    ``action`` must be one of :data:`ACTIONS`; each key must name a
+    clause field (other than ``action`` and ``fired``) and is converted
+    by that field's type: ``int`` (or ``int | None``) by ``int(v, 0)``,
+    so ``byte=0x40`` works; ``float``.  Empty or ``None`` -> no clauses.
     """
-    types = typing.get_type_hints(clause_cls)
+    types = typing.get_type_hints(FaultClause)
     convert = {}
-    for f in fields(clause_cls):
+    for f in fields(FaultClause):
         if f.name not in ("action", "fired"):
             tp = types[f.name]  # ``int | None`` converts as ``int``
             convert[f.name] = next(_CONVERT[t] for t in (tp, *typing.get_args(tp))
@@ -106,7 +107,7 @@ def parse_fault_spec(spec: str | None, clause_cls, actions) -> list:
     for chunk in filter(None, (c.strip() for c in (spec or "").split(";"))):
         action, _, rest = chunk.partition(":")
         action = action.strip()
-        if action not in actions:
+        if action not in ACTIONS:
             raise ValueError(f"unknown fault action {action!r} in {chunk!r}")
         kw = {}
         for pair in filter(None, (p.strip() for p in rest.split(","))):
@@ -115,51 +116,32 @@ def parse_fault_spec(spec: str | None, clause_cls, actions) -> list:
             if key not in convert:
                 raise ValueError(f"unknown fault key {key!r} in {chunk!r}")
             kw[key] = convert[key](val)
-        clauses.append(clause_cls(action=action, **kw))
+        clauses.append(FaultClause(action=action, **kw))
     return clauses
 
 
-class ClausePlan:
-    """A parsed fault spec: the clauses of one environment variable.
+class FaultPlan:
+    """A deterministic set of injected faults (possibly empty)."""
 
-    Subclasses name the variable (``env``), the clause dataclass
-    (``clause_cls``) and its ``actions``, and add their domain matchers.
-    """
-
-    env: str
-    clause_cls: type
-    actions: frozenset
-
-    def __init__(self, clauses: list | None = None, spec: str = ""):
+    def __init__(self, clauses: list[FaultClause] | None = None, spec: str = ""):
         self.clauses = clauses or []
         self.spec = spec
+        self._checkpoint_writes = 0
 
     def __bool__(self) -> bool:
         return bool(self.clauses)
 
     @classmethod
-    def parse(cls, spec: str | None):
+    def parse(cls, spec: str | None) -> "FaultPlan":
         """Parse a spec string; empty/None -> empty plan."""
         spec = (spec or "").strip()
-        return cls(parse_fault_spec(spec, cls.clause_cls, cls.actions), spec=spec)
+        return cls(parse_fault_spec(spec), spec=spec)
 
     @classmethod
-    def from_env(cls, environ=None):
+    def from_env(cls, environ=None) -> "FaultPlan":
         """The plan in ``environ`` (default: the process environment)."""
         environ = os.environ if environ is None else environ
-        return cls.parse(environ.get(cls.env))
-
-
-class FaultPlan(ClausePlan):
-    """A deterministic set of injected faults (possibly empty)."""
-
-    env = FAULTS_ENV
-    clause_cls = FaultClause
-    actions = frozenset({"kill", "raise", "delay", "corrupt"})
-
-    def __init__(self, clauses: list[FaultClause] | None = None, spec: str = ""):
-        super().__init__(clauses, spec)
-        self._checkpoint_writes = 0
+        return cls.parse(environ.get(FAULTS_ENV))
 
     # ----- worker-side hooks ----------------------------------------------------
     def apply_worker(self, worker: int, shard: int, epoch: int, attempt: int = 0):

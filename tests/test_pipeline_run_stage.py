@@ -2,12 +2,20 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.pipeline import PipelineSpec
-from repro.pipeline.run_stage import run_stage
+from repro.pipeline.run_stage import EXIT_PREEMPTED, run_stage
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +81,61 @@ class TestRunStage:
         s2 = read_sdf(d2 / "tiny_ic.sdf")
         np.testing.assert_array_equal(s1.columns["pos_x"], s2.columns["pos_x"])
         np.testing.assert_array_equal(s1.columns["mom_z"], s2.columns["mom_z"])
+
+
+def _write_restart_configs(d):
+    """A 6^3 box evolved a = 0.02 -> 0.05: eight steps, about a second."""
+    (d / "ic.json").write_text(json.dumps({
+        "stage": "ic", "n_per_dim": 6, "box_mpc_h": 100.0, "a_init": 0.02,
+        "seed": 7, "omega_m": 0.3, "omega_b": 0.05, "h": 0.7,
+        "sigma8": 0.8, "n_s": 0.96, "output": "ic.sdf",
+    }))
+    (d / "evolve.json").write_text(json.dumps({
+        "stage": "evolve", "input": "ic.sdf", "a_final": 0.05,
+        "errtol": 0.1, "snapshot_base": "snap", "snapshots_a": [0.05],
+    }))
+    run_stage(d / "ic.json")
+
+
+class TestPreemptAndResume:
+    def test_sigterm_exits_75_and_resume_ends_bit_identical(self, tmp_path):
+        """The §3.4.1 courtesy through the CLI: SIGTERM after the first
+        checkpoint stops the stage at a step boundary with a final
+        checkpoint and exit status 75; ``resume`` then finishes it, and
+        the snapshot equals an uninterrupted run's bit for bit."""
+        from repro.io import load_checkpoint
+
+        ref, cut = tmp_path / "ref", tmp_path / "cut"
+        for d in (ref, cut):
+            d.mkdir()
+            _write_restart_configs(d)
+        run_stage(ref / "evolve.json", checkpoint_every=1)
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.pipeline.run_stage",
+             str(cut / "evolve.json"), "--checkpoint-every", "1"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not list((cut / "checkpoints").glob("ckpt_*.sdf")):
+                assert proc.poll() is None, "stage ended before its first checkpoint"
+                assert time.monotonic() < deadline, "no checkpoint within 60 s"
+                time.sleep(0.005)
+            os.kill(proc.pid, signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert proc.returncode == EXIT_PREEMPTED == 75, err.decode()
+        assert json.loads(err.decode().splitlines()[-1])["preempted"] is True
+        assert not list(cut.glob("snap_*.sdf"))
+
+        summary = run_stage(cut / "evolve.json", resume=True)
+        assert summary["resumed_from"]
+        got, _ = load_checkpoint(cut / "snap_a0.0500.sdf")
+        want, _ = load_checkpoint(ref / "snap_a0.0500.sdf")
+        np.testing.assert_array_equal(got.pos, want.pos)
+        np.testing.assert_array_equal(got.mom, want.mom)

@@ -344,23 +344,16 @@ class TestFaultPlan:
             FaultPlan.parse("kill:frobnicate=1")
 
     def test_empty_environ_is_not_the_process_environment(self, monkeypatch):
-        from repro.service import ServiceFaultPlan
-
         monkeypatch.setenv("REPRO_FAULTS", "kill:worker=0")
-        monkeypatch.setenv("REPRO_SERVICE_FAULTS", "hang:job=a")
-        for plan_cls in (FaultPlan, ServiceFaultPlan):
-            assert not plan_cls.from_env({})
-            assert plan_cls.from_env()  # None still means os.environ
+        assert not FaultPlan.from_env({})
+        assert FaultPlan.from_env()  # None still means os.environ
 
     def test_one_grammar_types_keys_by_clause_field(self):
-        from repro.service import ServiceFaultPlan
-
-        cl = ServiceFaultPlan.parse("kill:job= a ,events=0x2,after_s=1.5").clauses[0]
-        assert (cl.job, cl.events, cl.after_s) == ("a", 2, 1.5)
+        cl = FaultPlan.parse("delay:shard=0x2,seconds=1.5").clauses[0]
+        assert (cl.shard, cl.seconds) == (2, 1.5)
+        assert type(cl.shard) is int and type(cl.seconds) is float
         with pytest.raises(ValueError, match="key"):
-            FaultPlan.parse("kill:job=a")  # a service key is not a worker key
-        with pytest.raises(ValueError, match="key"):
-            ServiceFaultPlan.parse("kill:fired=1")
+            FaultPlan.parse("kill:fired=1")
 
     def test_raise_fires_once_and_only_on_first_attempt(self):
         plan = FaultPlan.parse("raise:shard=0")

@@ -71,6 +71,11 @@ RETIRED = [
         ("src",),
         "M2L by reflection class: no per-signed-class dense matrix",
     ),
+    (
+        r"repro\.service|repro-serve|REPRO_SERVICE_FAULTS|ServiceFaultPlan|JobService|ClausePlan",
+        (*EVERYWHERE, "pyproject.toml", ".github"),
+        "the job service, its CLI and the fault grammar's second plan",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
