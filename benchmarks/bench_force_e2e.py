@@ -25,7 +25,7 @@ went.)
   hierarchical solve, with wall/ipp-normalized throughput columns (the
   committed receipt also carries the ``backends`` / ``numba_available``
   fields of the compiled-backend A/B that no host ever ran),
-* embedded ``gates`` so ``repro-diag gate BENCH_force.json`` judges
+* embedded ``gates`` so ``repro-obs gate BENCH_force.json`` judges
   the run self-contained (the CI perf-smoke tripwire).
 
 Sizes::

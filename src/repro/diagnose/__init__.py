@@ -1,5 +1,5 @@
 """In-situ health monitoring: physics diagnostics, anomaly detection,
-run provenance and baseline regression gates.
+and run provenance.
 
 The correctness counterpart of :mod:`repro.instrument` (which watches
 *performance*): monitors observe conserved quantities (Layzer-Irvine
@@ -9,9 +9,10 @@ executor balance, interaction drift), guard against non-finite state
 (fail fast with a diagnostic snapshot), and stream classified
 ``health`` events through the same JSONL sinks.  The default is
 :data:`NULL_HEALTH` — disabled monitoring costs nothing, mirroring the
-no-op tracer contract.  ``repro-diag`` (:mod:`repro.diagnose.cli`)
-renders trace timelines and gates runs against stored baselines;
-:mod:`repro.diagnose.manifest` pins run provenance.
+no-op tracer contract.  :mod:`repro.diagnose.manifest` pins run
+provenance; ``repro-obs report`` / ``repro-obs gate``
+(:mod:`repro.observe.cli`) render a trace's health timeline and fail
+CI on a health event at or above a severity.
 """
 
 from .health import NULL_HEALTH, HealthConfig, HealthMonitor, NullHealth, make_health

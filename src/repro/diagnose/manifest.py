@@ -4,7 +4,7 @@
 product's SDF header; a health-monitored run wants the same discipline
 for the whole environment — the exact configuration (hashed, so two
 manifests compare in O(1)), package versions, host, RNG seeds — written
-alongside the trace so a regression found by ``repro-diag`` can always
+alongside the trace so a regression found by ``repro-obs`` can always
 be tied back to *what ran*.
 """
 

@@ -10,11 +10,13 @@ overwritten snapshots.  On top of the registry sit per-stage
 cProfile/memory profiling (:mod:`.profiler`), per-worker span-lane
 reconstruction with compute/idle/recovery attribution
 (:mod:`.timeline`), a robust last-N baseline trend engine
-(:mod:`.trend`) driven by the ``repro-obs`` CLI and wired into
-``repro-diag gate --trend``, standard-format export (Chrome trace
-events, speedscope) plus a live JSONL watch (:mod:`.export`), and
-differential regression attribution that names what moved between two
-records (:mod:`.attribution`).
+(:mod:`.trend`), standard-format export (Chrome trace events,
+speedscope) plus a live JSONL watch (:mod:`.export`), and differential
+regression attribution that names what moved between two records
+(:mod:`.attribution`).  ``repro-obs`` (:mod:`.cli`, never imported
+from here, so no run pays for it) is the one observability CLI: it
+renders and gates one run's trace or benchmark receipt as well as
+querying and judging the registry.
 
 The default observer is :data:`NULL_OBSERVER` — disabled observation
 costs an attribute test per hook, mirroring the no-op tracer/health
@@ -44,7 +46,7 @@ from .export import (
 from .profiler import NULL_PROFILER, NullProfiler, StageProfiler, top_functions
 from .registry import OBS_SCHEMA_VERSION, RunRegistry, metric_value
 from .timeline import analyze_timeline, lane_label, render_timeline
-from .trend import compare_records, detect_regression, robust_baseline, trend_report
+from .trend import detect_regression, robust_baseline, trend_report
 
 __all__ = [
     "NULL_OBSERVER",
@@ -60,7 +62,6 @@ __all__ = [
     "attribute",
     "chrome_trace_from_record",
     "chrome_trace_from_spans",
-    "compare_records",
     "detect_regression",
     "format_attribution",
     "get_observer",

@@ -1,7 +1,7 @@
 """Differential regression attribution between two registry records.
 
-``repro-obs diff A B`` and the ``repro-diag gate --trend`` failure
-path both want the same thing: not *that* run B is slower than run A,
+``repro-obs diff A B`` and the ``repro-obs trend`` regression path
+both want the same thing: not *that* run B is slower than run A,
 but *what moved*.  This module compares two records span-by-span and
 counter-by-counter (every dotted numeric leaf of the payloads — stage
 seconds, top spans, kernel roofline counters, interaction counts) and
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-from .trend import _flatten
-
 __all__ = ["attribute", "format_attribution"]
 
 #: below this ratio a metric is noise, not a mover
@@ -39,6 +37,23 @@ def _is_time(name: str) -> bool:
         return False
     return (name.endswith("_s") or "wall" in name or "seconds" in name
             or name.endswith(".total_s"))
+
+
+def _flatten(node, prefix: str = "", out: dict | None = None, depth: int = 0) -> dict:
+    """A payload's numeric leaves by dotted name (bools and lists skipped)."""
+    if out is None:
+        out = {}
+    if depth > 6 or not isinstance(node, dict):
+        return out
+    for k, v in node.items():
+        name = f"{prefix}.{k}" if prefix else str(k)
+        if isinstance(v, bool):
+            continue
+        if isinstance(v, (int, float)):
+            out[name] = float(v)
+        elif isinstance(v, dict):
+            _flatten(v, name, out, depth + 1)
+    return out
 
 
 def _string_leaf(data: dict, dotted: str):

@@ -1,4 +1,16 @@
-"""``repro-obs``: query and judge the persistent run registry.
+"""``repro-obs``: the one observability CLI over the repo's JSONL files.
+
+One run's trace or benchmark receipt:
+
+* ``repro-obs report trace.jsonl`` — per-step health timeline plus the
+  run summary and stage totals;
+* ``repro-obs gate trace.jsonl`` — exit 1 if the trace holds a health
+  event at (or above) ``--severity``; ``repro-obs gate BENCH_*.json``
+  judges a receipt against its own embedded ``gates`` (exit 1 on a
+  failed bound) — the CI tripwires.
+
+The persistent run registry (``--dir``, else ``REPRO_OBS_DIR``, else
+``.repro_obs``):
 
 * ``repro-obs list`` — the run/bench history, newest last;
 * ``repro-obs show <ref>`` — one record in full (ref = id prefix or
@@ -9,25 +21,29 @@
 * ``repro-obs top <ref>`` — per-stage hot functions from a profiled
   run;
 * ``repro-obs trend <metric>`` — fit the last-N baseline with a noise
-  band and judge the newest record (exit 2 on regression);
-* ``repro-obs compare <ref> <ref>`` — numeric metric diff between two
-  records;
+  band and judge the newest record (exit 2 on regression, printing
+  what moved against the baseline);
 * ``repro-obs export <ref>`` — Chrome trace-event JSON (worker lanes)
   and a speedscope flamegraph from a recorded run, or a span-stream
   trace via ``--spans trace.jsonl``;
 * ``repro-obs diff <ref> <ref>`` — ranked regression attribution: the
   top moved spans/counters plus engine-change notes;
 * ``repro-obs watch <path>`` — tail a running job's JSONL event stream.
+
+Exit codes: 0 pass; 1 a tripped gate, a failed receipt bound or a
+missing record; 2 a trend regression (and bad usage).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from pathlib import Path
 
-from ..instrument.report import _table
+from ..diagnose.monitors import SEVERITIES
+from ..instrument.events import read_jsonl
+from ..instrument.report import _table, stage_breakdown_table
 from .attribution import attribute, format_attribution
 from .export import (
     chrome_trace_from_record,
@@ -35,22 +51,15 @@ from .export import (
     speedscope_from_record,
     watch,
 )
-from .registry import RunRegistry, metric_value
+from .registry import RunRegistry, metric_value, registry_dir
 from .timeline import analyze_timeline, render_timeline
-from .trend import (
-    DEFAULT_MIN_REL,
-    DEFAULT_SIGMAS,
-    DEFAULT_WINDOW,
-    compare_records,
-    trend_report,
-)
+from .trend import DEFAULT_MIN_REL, DEFAULT_SIGMAS, DEFAULT_WINDOW, trend_report
 
 __all__ = ["build_parser", "main"]
 
 
 def _registry(args) -> RunRegistry:
-    root = args.dir or os.environ.get("REPRO_OBS_DIR", "").strip() or ".repro_obs"
-    return RunRegistry(root)
+    return RunRegistry(registry_dir(args.dir))
 
 
 def _fmt_num(v) -> str:
@@ -63,7 +72,163 @@ def _fmt_num(v) -> str:
     return str(v)
 
 
+# ----- one run's trace --------------------------------------------------------
+def summary_from_trace(records: list[dict]) -> dict:
+    """Health/perf summary of one run's JSONL trace."""
+    steps = [r for r in records if r.get("type") == "step"]
+    health = [r for r in records if r.get("type") == "health"]
+    totals = next((r for r in records if r.get("type") == "run_totals"), {})
+    summary: dict = {
+        "steps": len(steps),
+        "wall_s": float(totals.get("wall_s", sum(r.get("wall", 0.0) for r in steps))),
+        "interactions_per_particle": float(totals.get(
+            "interactions_per_particle",
+            sum(r.get("interactions_per_particle", 0.0) for r in steps),
+        )),
+    }
+    if steps:
+        walls = [float(r.get("wall", 0.0)) for r in steps]
+        summary["wall_per_step_s"] = sum(walls) / len(walls)
+        summary["wall_step_max_s"] = max(walls)
+        li = [float(r.get("layzer_irvine", 0.0)) for r in steps]
+        scale = max(
+            max(abs(float(r.get("kinetic", 0.0))) for r in steps),
+            max(abs(float(r.get("potential", 0.0))) for r in steps),
+            1e-30,
+        )
+        summary["li_drift_rel"] = max(abs(x - li[0]) for x in li) / scale
+    for sev in SEVERITIES:
+        summary[f"{sev}_events"] = sum(1 for r in health if r.get("severity") == sev)
+    by_monitor: dict[str, float] = {}
+    for r in health:
+        v = r.get("value")
+        if isinstance(v, (int, float)):
+            name = r.get("monitor", "?")
+            by_monitor[name] = max(by_monitor.get(name, 0.0), float(v))
+    for name, v in sorted(by_monitor.items()):
+        summary[f"health_{name}_max"] = v
+    return summary
+
+
+def stage_totals_from_trace(records: list[dict]) -> dict[str, float]:
+    """Sum per-stage force seconds over every step (and the init force)."""
+    totals: dict[str, float] = {}
+    for r in records:
+        if r.get("type") in ("step", "init_force"):
+            for name, sec in (r.get("stage_seconds") or {}).items():
+                totals[name] = totals.get(name, 0.0) + float(sec)
+    return totals
+
+
+def health_timeline(records: list[dict]) -> str:
+    """One row per streamed health event, in trace order."""
+    rows = []
+    for r in records:
+        if r.get("type") != "health":
+            continue
+        rows.append((
+            r.get("step", "-"),
+            round(float(r.get("a", 0.0)), 4),
+            r.get("monitor", "?"),
+            r.get("severity", "?").upper(),
+            "-" if r.get("value") is None else f"{float(r['value']):.3e}",
+            r.get("message", "")[:72],
+        ))
+    if not rows:
+        return "=== Health timeline ===\n(no health events in trace)"
+    return _table(
+        "Health timeline",
+        ["step", "a", "monitor", "severity", "value", "message"],
+        rows,
+    )
+
+
+def judge_gates(summary: dict, gates: dict[str, dict]):
+    """Judge a receipt's summary against its embedded ``{metric: {"min",
+    "max"}}`` gates.
+
+    Returns ``(failures, rows)`` where rows tabulate every gate and
+    failures lists the metrics past their bound.
+    """
+    rows, failures = [], []
+    for metric, rule in sorted(gates.items()):
+        measured = summary.get(metric)
+        if measured is None:
+            rows.append((metric, "-", _bound_str(rule), "SKIP (not measured)"))
+            continue
+        ok = True
+        if "max" in rule and float(measured) > float(rule["max"]):
+            ok = False
+        if "min" in rule and float(measured) < float(rule["min"]):
+            ok = False
+        rows.append((metric, f"{float(measured):.6g}", _bound_str(rule),
+                     "ok" if ok else "FAIL"))
+        if not ok:
+            failures.append(metric)
+    return failures, rows
+
+
+def _bound_str(rule: dict) -> str:
+    parts = []
+    if "min" in rule:
+        parts.append(f">= {float(rule['min']):.6g}")
+    if "max" in rule:
+        parts.append(f"<= {float(rule['max']):.6g}")
+    return ", ".join(parts) or "(no bound)"
+
+
 # ----- subcommands -------------------------------------------------------------
+def _cmd_report(args) -> int:
+    records = read_jsonl(args.trace)
+    summary = summary_from_trace(records)
+    print(health_timeline(records))
+    print()
+    rows = [(k, f"{v:.6g}" if isinstance(v, float) else v)
+            for k, v in summary.items()]
+    print(_table("Run health/perf summary", ["metric", "value"], rows))
+    stages = stage_totals_from_trace(records)
+    if stages:
+        print()
+        print(stage_breakdown_table(stages, title="Force stage totals"))
+    return 0
+
+
+def _cmd_gate(args) -> int:
+    # benchmark receipts with embedded gates (e.g. BENCH_force.json)
+    # are judged self-contained: summary vs. the receipt's own bounds
+    try:
+        doc = json.loads(Path(args.trace).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        doc = None
+    if isinstance(doc, dict) and "gates" in doc:
+        failures, rows = judge_gates(doc.get("summary", doc), doc["gates"])
+        print(_table(f"Receipt gate {args.trace}",
+                     ["metric", "measured", "bound", "status"], rows))
+        if failures:
+            print(f"\nGATE FAILED: {', '.join(failures)}", file=sys.stderr)
+            return 1
+        print("\ngate passed: all receipt bounds hold")
+        return 0
+    records = read_jsonl(args.trace)
+    threshold = SEVERITIES.index(args.severity)
+    tripped = [
+        r for r in records
+        if r.get("type") == "health"
+        and r.get("severity") in SEVERITIES
+        and SEVERITIES.index(r["severity"]) >= threshold
+    ]
+    print(health_timeline(records))
+    if tripped:
+        print(
+            f"\nGATE FAILED: {len(tripped)} event(s) at severity"
+            f" >= {args.severity}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"\ngate passed: no events at severity >= {args.severity}")
+    return 0
+
+
 def _cmd_list(args) -> int:
     reg = _registry(args)
     recs = reg.records(kind=args.kind, key=args.key)
@@ -204,36 +369,32 @@ def _cmd_trend(args) -> int:
             f"REGRESSION: {args.metric} = {_fmt_num(v['value'])} "
             f"({v['ratio']:.2f}x baseline)", file=sys.stderr,
         )
+        _print_trend_attribution(reg, rep, args.window)
         return 2
     print(f"ok: {args.metric} = {_fmt_num(v['value'])} "
           f"({v['ratio']:.2f}x baseline)")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    reg = _registry(args)
-    a, b = reg.get(args.ref_a), reg.get(args.ref_b)
-    rows = []
-    for name, va, vb, ratio in compare_records(a, b):
-        if args.filter and args.filter not in name:
-            continue
-        rows.append((name, _fmt_num(va), _fmt_num(vb),
-                     "-" if ratio is None else f"{ratio:.3f}x"))
-    if not rows:
-        print("(no shared numeric metrics)")
-        return 0
-    print(_table(
-        f"Compare {a.get('id')} ({(a.get('t') or '')[:19]}) -> "
-        f"{b.get('id')} ({(b.get('t') or '')[:19]})",
-        ["metric", "a", "b", "b/a"], rows,
-    ))
-    return 0
+def _print_trend_attribution(registry, report, window: int) -> None:
+    """Name what moved: diff the regressed record against the window
+    predecessor closest to the baseline center.  A record it cannot
+    resolve is reported, not raised: the trend verdict stands on its own."""
+    points = report["series"]
+    center = report["verdict"]["center"]
+    ref = min(points[:-1][-window:], key=lambda p: abs(p["value"] - center))
+    try:
+        rec_a = registry.get(ref["id"])
+        rec_b = registry.get(points[-1]["id"])
+    except LookupError as exc:
+        print(f"\n(no attribution: {exc})", file=sys.stderr)
+        return
+    print("\nattribution (baseline record -> regressed record):", file=sys.stderr)
+    print(format_attribution(attribute(rec_a, rec_b)), file=sys.stderr)
 
 
 def _cmd_export(args) -> int:
     if args.spans:
-        from ..instrument.events import read_jsonl
-
         trace = chrome_trace_from_spans(read_jsonl(args.spans))
     else:
         reg = _registry(args)
@@ -275,11 +436,25 @@ def _cmd_watch(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro-obs",
-        description="Query and judge the persistent run/bench registry.",
+        description="Render and gate run traces and benchmark receipts; "
+                    "query and judge the persistent run/bench registry.",
     )
     ap.add_argument("--dir", default=None,
                     help="registry root (default: $REPRO_OBS_DIR or .repro_obs)")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("report", help="health timeline + run summary of a trace")
+    p.add_argument("trace", help="JSONL trace from a monitored run")
+    p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser(
+        "gate",
+        help="fail on health events at a severity, or judge a benchmark "
+             "receipt (JSON with embedded 'gates') against its own bounds",
+    )
+    p.add_argument("trace", help="JSONL trace or benchmark receipt")
+    p.add_argument("--severity", choices=SEVERITIES, default="error")
+    p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("list", help="run/bench history, newest last")
     p.add_argument("--kind", default=None,
@@ -317,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("max", "min"), default="max",
                    help="max: larger is worse (wall); min: smaller is worse")
     p.set_defaults(func=_cmd_trend)
-
-    p = sub.add_parser("compare", help="numeric diff between two records")
-    p.add_argument("ref_a")
-    p.add_argument("ref_b")
-    p.add_argument("--filter", default=None, help="substring metric filter")
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
         "export",

@@ -5,8 +5,8 @@ Three consumers, three formats:
 * **Chrome trace events** (``chrome://tracing`` / Perfetto): the
   per-call shard timelines a sharded run records become per-worker
   lanes — one complete ("X") event per shard, named ``compute`` or
-  ``recovery`` with exactly the attribution rule of
-  :mod:`repro.observe.timeline` (``attempt > 0`` or parent-local), and
+  ``recovery`` by the worker-timeline analyzer's own rule
+  (:func:`repro.observe.timeline.recovered`), and
   a flow arrow ("s"/"f") from the call start to every re-dispatched
   shard.  Tracer span streams (``{"type": "span", ...}`` JSONL
   records) export the same way, one lane per emitting thread.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 
 from ..instrument.events import read_records
-from .timeline import lane_label
+from .timeline import call_groups, lane_label, recovered
 
 __all__ = [
     "chrome_trace_from_record",
@@ -43,22 +43,6 @@ SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 #: fixed tid of the per-call summary lane; worker lanes follow
 _CALLS_TID = 0
-
-
-def _recovered(event: dict) -> bool:
-    """The timeline.py attribution rule, verbatim."""
-    return bool(event.get("local")) or int(event.get("attempt", 0) or 0) > 0
-
-
-def _call_groups(timeline) -> list[tuple[int, list]]:
-    """Normalize ``[{"call": n, "events": [...]}, ...]`` or bare lists."""
-    groups = []
-    for i, group in enumerate(timeline or []):
-        if isinstance(group, dict):
-            groups.append((int(group.get("call", i + 1)), group.get("events") or []))
-        else:
-            groups.append((i + 1, list(group)))
-    return groups
 
 
 def chrome_trace_from_record(record: dict) -> dict:
@@ -78,7 +62,7 @@ def chrome_trace_from_record(record: dict) -> dict:
             "record carries no shard timeline (serial run? workers=0)"
         )
     pid = int(record.get("pid") or 1)
-    groups = _call_groups(timeline)
+    groups = call_groups(timeline)
     # stable lane order: parent first, then workers by index
     labels = sorted(
         {lane_label(e) for _, events in groups for e in events},
@@ -107,10 +91,10 @@ def chrome_trace_from_record(record: dict) -> dict:
         for e in shard_events:
             t0 = float(e.get("t0", 0.0))
             t1 = float(e.get("t1", t0))
-            recovered = _recovered(e)
+            recovery = recovered(e)
             ts = (origin + t0) * 1e6
             events.append({
-                "name": "recovery" if recovered else "compute",
+                "name": "recovery" if recovery else "compute",
                 "ph": "X", "cat": "shard",
                 "pid": pid, "tid": tid_of[lane_label(e)],
                 "ts": ts, "dur": (t1 - t0) * 1e6,
@@ -124,7 +108,7 @@ def chrome_trace_from_record(record: dict) -> dict:
                     "evaluate_s": e.get("evaluate_s"),
                 },
             })
-            if recovered:
+            if recovery:
                 flow_id = f"{call}:{int(e.get('shard', -1))}"
                 events.append({
                     "name": "redispatch", "ph": "s", "cat": "recovery",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .profiler import NULL_PROFILER, StageProfiler
-from .registry import KIND_BENCH, KIND_RUN, KIND_STAGE, RunRegistry
+from .registry import DEFAULT_DIR, KIND_BENCH, KIND_RUN, KIND_STAGE, RunRegistry, registry_dir
 
 __all__ = [
     "ObserveConfig",
@@ -45,15 +45,13 @@ class ObserveConfig:
     """Where the registry lives and how deep the hooks go."""
 
     #: registry root directory (created on first record)
-    dir: str | Path = ".repro_obs"
+    dir: str | Path = DEFAULT_DIR
     #: per-stage cProfile capture with hot-function top-N extraction
     profile: bool = False
     #: tracemalloc + RSS high-water memory tracking
     memory: bool = False
     #: hot functions kept per stage
     top_n: int = 15
-    #: per-run cap on stored force-call timeline groups
-    timeline_calls: int = 40
 
 
 class NullObserver:
@@ -85,7 +83,7 @@ class Observer:
 
     def __init__(self, config: ObserveConfig | str | Path | None = None):
         if config is None or isinstance(config, (str, Path)):
-            config = ObserveConfig(dir=config or ".repro_obs")
+            config = ObserveConfig(dir=config or DEFAULT_DIR)
         self.config = config
         self.registry = RunRegistry(config.dir)
 
@@ -124,7 +122,7 @@ def _env_flag(name: str) -> bool:
 
 
 def _from_environment():
-    d = os.environ.get("REPRO_OBS_DIR", "").strip()
+    d = registry_dir(default=None)
     if not d:
         return NULL_OBSERVER
     return Observer(ObserveConfig(

@@ -23,14 +23,23 @@ from pathlib import Path
 
 from ..instrument.events import append_record, read_records
 
-__all__ = ["OBS_SCHEMA_VERSION", "RunRegistry", "metric_value"]
+__all__ = ["OBS_SCHEMA_VERSION", "RunRegistry", "metric_value", "registry_dir"]
 
 OBS_SCHEMA_VERSION = 1
+
+#: registry root when neither a caller nor ``REPRO_OBS_DIR`` names one
+DEFAULT_DIR = ".repro_obs"
 
 #: record kinds the stack emits (callers may add their own)
 KIND_RUN = "simulation_run"
 KIND_STAGE = "pipeline_stage"
 KIND_BENCH = "bench"
+
+
+def registry_dir(explicit=None, default=DEFAULT_DIR):
+    """The registry root: ``explicit`` (``--dir``), else ``REPRO_OBS_DIR``,
+    else ``default``."""
+    return explicit or os.environ.get("REPRO_OBS_DIR", "").strip() or default
 
 
 def metric_value(record: dict, metric: str):

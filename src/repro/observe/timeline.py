@@ -22,7 +22,7 @@ the registry stores per run):
 
 from __future__ import annotations
 
-__all__ = ["lane_label", "analyze_timeline", "render_timeline"]
+__all__ = ["lane_label", "recovered", "call_groups", "analyze_timeline", "render_timeline"]
 
 
 def lane_label(event: dict) -> str:
@@ -33,12 +33,23 @@ def lane_label(event: dict) -> str:
     return f"w{event.get('worker', '?')}"
 
 
-def _call_events(call) -> list[dict]:
-    """Accept either a ``{"call":..., "events": [...]}`` group or a bare
-    event list."""
-    if isinstance(call, dict):
-        return list(call.get("events") or [])
-    return list(call or [])
+def recovered(event: dict) -> bool:
+    """The attribution rule: a shard is recovery work when the parent
+    ran it serially (``local``) or it was re-dispatched (``attempt > 0``)."""
+    return bool(event.get("local")) or int(event.get("attempt", 0) or 0) > 0
+
+
+def call_groups(timeline) -> list[tuple[int, list[dict]]]:
+    """``(call number, shard events)`` per force call, from
+    ``{"call": n, "events": [...]}`` groups or bare event lists
+    (numbered by position)."""
+    groups = []
+    for i, group in enumerate(timeline or []):
+        if isinstance(group, dict):
+            groups.append((int(group.get("call", i + 1)), list(group.get("events") or [])))
+        else:
+            groups.append((i + 1, list(group or [])))
+    return groups
 
 
 def analyze_timeline(calls) -> dict:
@@ -61,8 +72,7 @@ def analyze_timeline(calls) -> dict:
     critical: dict[str, float] = {}
     total_window = 0.0
     n_calls = 0
-    for call in calls or ():
-        events = _call_events(call)
+    for _, events in call_groups(calls):
         if not events:
             continue
         n_calls += 1
@@ -78,8 +88,7 @@ def analyze_timeline(calls) -> dict:
                 "traverse_s": 0.0, "evaluate_s": 0.0, "shards": 0,
             })
             dur = max(float(e.get("t1", 0.0)) - float(e.get("t0", 0.0)), 0.0)
-            recovered = bool(e.get("local")) or int(e.get("attempt", 0)) > 0
-            lane["recovery_s" if recovered else "compute_s"] += dur
+            lane["recovery_s" if recovered(e) else "compute_s"] += dur
             lane["traverse_s"] += float(e.get("traverse_s", 0.0))
             lane["evaluate_s"] += float(e.get("evaluate_s", 0.0))
             lane["shards"] += 1
@@ -113,7 +122,7 @@ def render_timeline(call, width: int = 64) -> str:
     """ASCII lanes for one force call: one row per worker, ``#`` while a
     first-attempt shard runs, ``R`` for recovery work (re-dispatched or
     parent-serial shards), ``.`` idle; shard boundaries show as ``|``."""
-    events = _call_events(call)
+    ((_, events),) = call_groups([call])
     if not events:
         return "(no shard events)"
     window = max(float(e.get("t1", 0.0)) for e in events)
@@ -135,7 +144,7 @@ def render_timeline(call, width: int = 64) -> str:
         for e in sorted(by_lane[lab], key=lambda e: float(e.get("t0", 0.0))):
             c0 = int(float(e.get("t0", 0.0)) * scale)
             c1 = max(int(float(e.get("t1", 0.0)) * scale), c0 + 1)
-            mark = "R" if (e.get("local") or int(e.get("attempt", 0)) > 0) else "#"
+            mark = "R" if recovered(e) else "#"
             for c in range(c0, min(c1, width)):
                 row[c] = mark
             if c0 < width and row[c0] != ".":

@@ -8,9 +8,9 @@ Robust statistics matter here — one flaky CI run must not poison the
 baseline the way it would poison a mean, and the relative floor keeps
 a near-noiseless history (MAD ~ 0) from flagging 2% jitter.
 
-``repro-obs trend`` renders the verdict; ``repro-diag gate --trend``
-wires it into CI so perf gating judges against the *trajectory*
-instead of a single frozen baseline file.
+``repro-obs trend`` renders the verdict and exits 2 on a regression,
+so CI perf gating judges against the *trajectory* instead of a single
+frozen baseline file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "robust_baseline",
     "detect_regression",
     "trend_report",
-    "compare_records",
 ]
 
 #: default baseline window (last N runs before the judged one)
@@ -127,36 +126,3 @@ def trend_report(
         )
     return {"metric": metric, "kind": kind, "key": key,
             "series": points, "verdict": verdict}
-
-
-def compare_records(a: dict, b: dict) -> list[tuple]:
-    """Numeric metric diff between two registry records.
-
-    Flattens each record's payload to dotted numeric leaves and returns
-    ``(metric, value_a, value_b, ratio)`` rows for metrics present in
-    both (ratio is b/a; None when a is 0).  Long list-valued fields
-    (timelines, per-shard arrays) are skipped — this compares scalars.
-    """
-    fa = _flatten(a.get("data") or {})
-    fb = _flatten(b.get("data") or {})
-    rows = []
-    for name in sorted(set(fa) & set(fb)):
-        va, vb = fa[name], fb[name]
-        rows.append((name, va, vb, (vb / va) if va else None))
-    return rows
-
-
-def _flatten(node, prefix: str = "", out: dict | None = None, depth: int = 0) -> dict:
-    if out is None:
-        out = {}
-    if depth > 6 or not isinstance(node, dict):
-        return out
-    for k, v in node.items():
-        name = f"{prefix}.{k}" if prefix else str(k)
-        if isinstance(v, bool):
-            continue
-        if isinstance(v, (int, float)):
-            out[name] = float(v)
-        elif isinstance(v, dict):
-            _flatten(v, name, out, depth + 1)
-    return out

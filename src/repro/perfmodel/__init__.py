@@ -1,11 +1,6 @@
 """Performance models: machine catalog, flop accounting, scaling, checkpoints."""
 
-from .checkpoint import (
-    CheckpointPlan,
-    expected_overhead,
-    optimal_interval,
-    simulate_run,
-)
+from .checkpoint import expected_overhead, optimal_interval, simulate_run
 from .io import (
     FileSystemModel,
     LUSTRE_ORNL,
@@ -27,7 +22,6 @@ from .scaling import (
 )
 
 __all__ = [
-    "CheckpointPlan",
     "FileSystemModel",
     "LUSTRE_ORNL",
     "PANASAS_LANL",

@@ -16,22 +16,10 @@ analytic optimum and regenerate the paper's numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CheckpointPlan", "optimal_interval", "expected_overhead", "simulate_run"]
-
-
-@dataclass
-class CheckpointPlan:
-    interval_h: float
-    write_h: float
-    mtbf_h: float
-
-    @property
-    def overhead_fraction(self) -> float:
-        return expected_overhead(self.interval_h, self.write_h, self.mtbf_h)
+__all__ = ["optimal_interval", "expected_overhead", "simulate_run"]
 
 
 def expected_overhead(interval_h: float, write_h: float, mtbf_h: float) -> float:

@@ -27,19 +27,6 @@ __all__ = ["run_stage", "main"]
 _STAGES = {}
 
 
-def _default_workers() -> int:
-    """Force-solve worker count from the environment (0 = serial)."""
-    try:
-        return int(os.environ.get("REPRO_WORKERS", "0"))
-    except ValueError:
-        return 0
-
-
-def _default_health() -> bool:
-    """Health monitoring from the environment (off unless REPRO_HEALTH)."""
-    return os.environ.get("REPRO_HEALTH", "").strip().lower() in ("1", "true", "on", "yes")
-
-
 class _ProgressLine:
     """Live one-line progress for the evolve stage.
 
@@ -115,12 +102,12 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
     installed process-wide) the stage runs inside a
     ``pipeline.<stage>`` span and the summary gains its wall time.
     ``workers`` overrides the config's force-solve worker count
-    (``--workers`` on the CLI; the ``REPRO_WORKERS`` environment
-    variable is the default for configs that don't set one).
+    (``--workers`` on the CLI; 0, serial, when neither sets one).
     ``health`` turns on in-situ health monitoring for the evolve stage
-    (``--health`` / ``REPRO_HEALTH``): classified health events stream
-    to the tracer's sink, a run-provenance manifest is written next to
-    the stage config, and the summary gains the event counts.
+    (``--health``, or the config's ``health`` key): classified health
+    events stream to the tracer's sink, a run-provenance manifest is
+    written next to the stage config, and the summary gains the event
+    counts.
     ``checkpoint_every`` makes the evolve stage write a durable
     checkpoint every N steps under ``<workdir>/checkpoints``; ``resume``
     restarts the evolve stage from the newest valid checkpoint there
@@ -130,13 +117,8 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
     config_path = Path(config_path)
     cfg = json.loads(config_path.read_text())
     workdir = Path(workdir) if workdir else config_path.parent
-    if workers is not None:
-        cfg["workers"] = int(workers)
-    elif not cfg.get("workers"):
-        cfg["workers"] = _default_workers()
-    if health is None:
-        health = bool(cfg.get("health")) or _default_health()
-    cfg["health"] = bool(health)
+    cfg["workers"] = int((cfg.get("workers") or 0) if workers is None else workers)
+    cfg["health"] = bool(cfg.get("health") if health is None else health)
     if checkpoint_every is not None:
         cfg["checkpoint_every"] = int(checkpoint_every)
     if resume is not None:
@@ -373,11 +355,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="force-solve worker processes (default: config or REPRO_WORKERS)",
+        help="force-solve worker processes (default: the config's, else 0)",
     )
     parser.add_argument(
         "--health", action="store_true", default=None,
-        help="enable in-situ health monitoring (default: REPRO_HEALTH env)",
+        help="enable in-situ health monitoring (default: the config's)",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",

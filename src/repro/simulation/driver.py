@@ -249,8 +249,8 @@ class Simulation:
         )
         self.history: list[StepRecord] = []
         self.run_totals: dict = {}
-        #: per-force-call shard timeline groups from sharded runs
-        #: (capped; feeds the observe worker-timeline analyzer)
+        #: per-force-call shard timeline groups from sharded runs (the
+        #: last ``_TIMELINE_CAP``; feeds the observe worker-timeline analyzer)
         self.shard_timeline: list[dict] = []
         self._force_calls = 0
         #: total completed steps across resumes (checkpoint numbering)
@@ -307,7 +307,8 @@ class Simulation:
             raise ValueError(f"unknown engine {c.engine!r}")
         self.last_stats: dict = {}
 
-    _TIMELINE_CAP = 512
+    #: force calls kept in :attr:`shard_timeline` (and stored per run record)
+    _TIMELINE_CAP = 40
 
     def _force(self, ps: ParticleSet) -> np.ndarray:
         tr = self.tracer if self.tracer is not None else get_tracer()
@@ -527,12 +528,8 @@ class Simulation:
             if self.shard_timeline:
                 from ..observe import analyze_timeline
 
-                cap = getattr(
-                    getattr(obs, "config", None), "timeline_calls", 40
-                )
-                timeline = self.shard_timeline[-cap:]
-                payload["timeline"] = timeline
-                payload["worker_summary"] = analyze_timeline(timeline)
+                payload["timeline"] = list(self.shard_timeline)
+                payload["worker_summary"] = analyze_timeline(self.shard_timeline)
             if prof is not None:
                 profile = prof.results()
                 if profile:

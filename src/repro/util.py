@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expand_ranges", "repeat_blocks", "scratch", "release_scratch"]
+__all__ = ["expand_ranges", "scratch", "release_scratch"]
 
 #: reusable per-process scratch, keyed by (tag, dtype)
 _BUF_POOL: dict[tuple, np.ndarray] = {}
@@ -50,8 +50,3 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     block_first = np.repeat(np.cumsum(counts) - counts, counts)
     within = np.arange(total, dtype=np.int64) - block_first
     return np.repeat(starts, counts) + within
-
-
-def repeat_blocks(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.repeat with int64 counts (alias kept for symmetry/readability)."""
-    return np.repeat(values, counts)

@@ -4,7 +4,7 @@ Covers the acceptance criteria of the observability PR: Layzer-Irvine
 drift within tolerance on a real run, momentum conservation, the
 sampled force-error probe staying within the MAC budget, fail-fast NaN
 detection with a diagnostic snapshot, manifest round-trips, and the
-repro-diag baseline check/gate exit codes.
+``repro-obs report`` / ``gate`` exit codes on traces and receipts.
 """
 
 import json
@@ -27,12 +27,7 @@ from repro.diagnose import (
     reference_accelerations,
     write_manifest,
 )
-from repro.diagnose.cli import (
-    compare_to_baseline,
-    main as diag_main,
-    make_baseline,
-    summary_from_trace,
-)
+from repro.observe.cli import main as obs_main
 from repro.simulation import Simulation, SimulationConfig
 
 
@@ -281,38 +276,10 @@ class TestManifest:
 class TestBaselineCli:
     def test_report_and_gate_pass_on_healthy_trace(self, monitored_run, capsys):
         trace = str(monitored_run["trace"])
-        assert diag_main(["report", trace]) == 0
-        assert diag_main(["gate", trace]) == 0
+        assert obs_main(["report", trace]) == 0
+        assert obs_main(["gate", trace]) == 0
         out = capsys.readouterr().out
         assert "Run health/perf summary" in out
-
-    def test_check_passes_against_own_baseline(self, monitored_run, tmp_path):
-        trace = str(monitored_run["trace"])
-        base = tmp_path / "base.json"
-        assert diag_main(["baseline", trace, "-o", str(base)]) == 0
-        assert diag_main(["check", trace, "--baseline", str(base)]) == 0
-
-    def test_check_fails_on_regression(self, monitored_run, tmp_path):
-        trace = str(monitored_run["trace"])
-        summary = summary_from_trace(
-            [json.loads(l) for l in monitored_run["trace"].open()]
-        )
-        tight = make_baseline(summary, margin=1.5)
-        # regress the baseline: demand a tenth of the measured wall time
-        tight["gates"]["wall_s"]["max"] = summary["wall_s"] / 10.0
-        base = tmp_path / "tight.json"
-        base.write_text(json.dumps(tight))
-        assert diag_main(["check", trace, "--baseline", str(base)]) == 2
-
-    def test_check_reads_raw_benchmark_baseline(self, monitored_run, tmp_path):
-        """Stored benchmark JSONs (serial_wall_s etc.) work via aliases."""
-        base = tmp_path / "bench.json"
-        base.write_text(json.dumps({"serial_wall_s": 1e9}))
-        assert diag_main(["check", str(monitored_run["trace"]),
-                          "--baseline", str(base)]) == 0
-        base.write_text(json.dumps({"serial_wall_s": 1e-9}))
-        assert diag_main(["check", str(monitored_run["trace"]),
-                          "--baseline", str(base)]) == 2
 
     def test_gate_fails_on_error_events(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
@@ -323,8 +290,8 @@ class TestBaselineCli:
                                 "severity": "error", "value": 1.0,
                                 "threshold": 0.05, "step": 1, "a": 0.1,
                                 "message": "momentum drift 1.0"}) + "\n")
-        assert diag_main(["gate", str(trace)]) == 1
-        assert diag_main(["gate", str(trace), "--severity", "warn"]) == 1
+        assert obs_main(["gate", str(trace)]) == 1
+        assert obs_main(["gate", str(trace), "--severity", "warn"]) == 1
 
     def test_report_survives_torn_trace_tail(self, tmp_path, capsys):
         """A killed job's trace ends mid-record; the report renders the
@@ -332,18 +299,25 @@ class TestBaselineCli:
         trace = tmp_path / "killed.jsonl"
         trace.write_text('{"type": "step", "step": 1, "a": 0.1, "wall": 0.5}\n'
                          '{"type": "step", "st')
-        assert diag_main(["report", str(trace)]) == 0
+        assert obs_main(["report", str(trace)]) == 0
         rows = [ln.split() for ln in capsys.readouterr().out.splitlines()]
         assert ["steps", "1"] in rows
         assert ["wall_per_step_s", "0.5"] in rows
 
-    def test_compare_rows_shape(self, monitored_run):
-        summary = summary_from_trace(
-            [json.loads(l) for l in monitored_run["trace"].open()]
-        )
-        failures, rows = compare_to_baseline(summary, make_baseline(summary))
-        assert failures == []
-        assert all(len(r) == 4 for r in rows)
+    def test_gate_judges_receipt_bounds(self, tmp_path, capsys):
+        """A receipt with embedded gates is judged against its own
+        bounds; a gated metric the summary lacks is skipped."""
+        receipt = tmp_path / "BENCH_x.json"
+        doc = {"summary": {"ratio": 0.5, "err": 0.2},
+               "gates": {"ratio": {"max": 1.0}, "err": {"min": 0.1, "max": 1.0},
+                         "absent": {"max": 1.0}}}
+        receipt.write_text(json.dumps(doc))
+        assert obs_main(["gate", str(receipt)]) == 0
+        assert "SKIP (not measured)" in capsys.readouterr().out
+        doc["summary"]["err"] = 0.05
+        receipt.write_text(json.dumps(doc))
+        assert obs_main(["gate", str(receipt)]) == 1
+        assert "GATE FAILED: err" in capsys.readouterr().err
 
 
 class TestPipelineHealth:
@@ -370,7 +344,7 @@ class TestPipelineHealth:
         recs = [json.loads(l) for l in trace.open()]
         assert any(r["type"] == "step" for r in recs)
         # the gate passes on the healthy pipeline trace
-        assert diag_main(["gate", str(trace)]) == 0
+        assert obs_main(["gate", str(trace)]) == 0
 
     def test_run_stage_argparse_cli(self, tmp_path, capsys):
         from repro.pipeline import PipelineSpec

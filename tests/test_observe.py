@@ -457,7 +457,8 @@ class TestObsCli:
         assert obs_main(["--dir", root, "show", "-1"]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown["data"]["steps"] == 10
-        assert obs_main(["--dir", root, "compare", "1", "-1"]) == 0
+        reg.record("simulation_run", {"wall_per_step_s": 2.0}, key="k")
+        assert obs_main(["--dir", root, "diff", "1", "-1"]) == 0
         assert "wall_per_step_s" in capsys.readouterr().out
 
     def test_trend_exit_codes(self, tmp_path, capsys):
@@ -484,36 +485,25 @@ class TestObsCli:
 
 
 class TestDiagGateTrend:
-    def test_gate_trend_regression_fails(self, tmp_path, capsys):
-        from repro.diagnose.cli import main as diag_main
+    """The trend gate is ``repro-obs trend``: exit 2 on a regression,
+    with the attribution of what moved."""
 
+    def test_gate_trend_regression_fails(self, tmp_path, capsys):
         reg = _seed_registry(tmp_path)
         reg.record("simulation_run", {"wall_per_step_s": 2.0}, key="k")
-        rc = diag_main(["gate", "--trend", "wall_per_step_s",
-                        "--obs-dir", str(reg.root)])
-        assert rc == 1
-        assert "GATE FAILED" in capsys.readouterr().err
+        rc = obs_main(["--dir", str(reg.root), "trend", "wall_per_step_s"])
+        assert rc == 2
+        assert "REGRESSION" in capsys.readouterr().err
 
     def test_gate_trend_ok(self, tmp_path, capsys):
-        from repro.diagnose.cli import main as diag_main
-
         reg = _seed_registry(tmp_path)
-        rc = diag_main(["gate", "--trend", "wall_per_step_s",
-                        "--obs-dir", str(reg.root)])
+        rc = obs_main(["--dir", str(reg.root), "trend", "wall_per_step_s"])
         assert rc == 0
-        assert "trend gate passed" in capsys.readouterr().out
-
-    def test_gate_needs_trace_or_trend(self, capsys):
-        from repro.diagnose.cli import main as diag_main
-
-        assert diag_main(["gate"]) == 2
-        assert "need a trace" in capsys.readouterr().err
+        assert "ok: wall_per_step_s" in capsys.readouterr().out
 
     def test_gate_trend_regression_names_top_mover(self, tmp_path, capsys):
         """The failure path attributes the regression: the metric that
-        moved is named span-by-span, not just the gate verdict."""
-        from repro.diagnose.cli import main as diag_main
-
+        moved is named span-by-span, not just the trend verdict."""
         reg = RunRegistry(tmp_path / "obs")
         for w in (1.0, 1.02, 0.98, 1.01, 0.99):
             reg.record("simulation_run",
@@ -524,11 +514,10 @@ class TestDiagGateTrend:
                    {"wall_per_step_s": 2.3,
                     "stage_seconds": {"evaluate": 1.7}},
                    key="k")
-        rc = diag_main(["gate", "--trend", "wall_per_step_s",
-                        "--obs-dir", str(reg.root)])
+        rc = obs_main(["--dir", str(reg.root), "trend", "wall_per_step_s"])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert "GATE FAILED" in err
+        assert rc == 2
+        assert "REGRESSION" in err
         assert "attribution" in err
         assert "top movers" in err
         assert "wall_per_step_s" in err and "stage_seconds.evaluate" in err
@@ -637,6 +626,9 @@ class TestTraceExport:
                 lane["compute_s"] + lane["recovery_s"], rel=1e-6)
         ts = [e["ts"] for e in trace["traceEvents"] if "ts" in e]
         assert ts == sorted(ts)
+        # the kernel roofline counters land in the sharded run's record
+        kern = rec["data"]["kernel"]
+        assert kern["interactions"] > 0 and kern["gflops"] > 0
 
     def test_export_cli(self, tmp_path, capsys):
         reg, _ = _timeline_record(tmp_path)

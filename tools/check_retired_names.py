@@ -76,6 +76,12 @@ RETIRED = [
         (*EVERYWHERE, "pyproject.toml", ".github"),
         "the job service, its CLI and the fault grammar's second plan",
     ),
+    (
+        r"repro-diag|repro\.diagnose\.cli|python -m repro\.diagnose|compare_records|make_baseline"
+        r"|timeline_calls|REPRO_WORKERS|REPRO_HEALTH",
+        (*EVERYWHERE, "pyproject.toml", ".github"),
+        "one observability CLI (repro-obs); the frozen-baseline judge, compare and two env knobs",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
