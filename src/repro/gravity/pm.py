@@ -35,7 +35,7 @@ from ..instrument import get_tracer
 from ..multipoles.radial import ErfcKernel
 from ..tree import build_tree, compute_moments
 from .smoothing import SofteningKernel, make_softening
-from .solver import ForceSpec, check_choices, raise_if_nonfinite, solve_forces
+from .solver import ForceSpec, _ForceSolver, check_choices
 from .treeforce import ForceResult
 
 __all__ = ["ParticleMesh", "TreePMConfig", "TreePMGravity", "ShortRangeSoftening"]
@@ -188,27 +188,14 @@ class TreePMConfig:
         check_choices(self, "traversal", "softening")
 
 
-class TreePMGravity:
+class TreePMGravity(_ForceSolver):
     """Hybrid tree + particle-mesh force, the paper's comparator class."""
+
+    _label = "treepm"
 
     def __init__(self, config: TreePMConfig | None = None):
         self.config = config or TreePMConfig()
         self.last_stats: dict = {}
-        self.last_tree = None
-        self._executor = None
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op for serial configurations)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def compute(
         self, pos: np.ndarray, mass: np.ndarray, box: float = 1.0, tracer=None
@@ -239,52 +226,18 @@ class TreePMGravity:
                 G=cfg.G,
                 check_finite=cfg.check_finite,
             )
-            inter = None
-            if cfg.workers:
-                from ..parallel.executor import ensure_executor
-
-                self._executor = ensure_executor(self._executor, cfg.workers)
-                with tr.span("execute") as sp_execute:
-                    res = self._executor.compute(tree, moms, spec, tracer=tr)
-            else:
-                res, inter, traverse_s, evaluate_s = solve_forces(
-                    tree, moms, spec, tracer=tr
-                )
-            res.acc += acc_long
-            if res.pot is not None:
-                res.pot += pot_long
-        res.stats["r_split"] = r_split
-        res.stats["interactions_per_particle"] = res.stats[
-            "traversal_interactions"
-        ] / max(tree.n_particles, 1)
-        res.stats["errtol"] = cfg.errtol
-        if cfg.check_finite:
-            raise_if_nonfinite(res, "treepm")
-        self.last_tree = tree
-        if tr.enabled:
-            from ..instrument.crosscheck import flops_from_stats
-
-            res.stats["stage_seconds"] = {
+            stage = {
                 "pm": sp_pm.seconds,
                 "build": sp_build.seconds,
                 "moments": sp_moments.seconds,
             }
-            if inter is not None:
-                res.stats["stage_seconds"]["traverse"] = traverse_s
-                res.stats["stage_seconds"]["evaluate"] = evaluate_s
-            else:
-                res.stats["stage_seconds"]["execute"] = sp_execute.seconds
-            res.stats["force_seconds"] = sp_force.seconds
-            res.stats["flops"] = flops_from_stats(res.stats)
-            tr.count("force.calls")
-            tr.count(
-                "force.interactions",
-                res.stats.get("cell_interactions", 0)
-                + res.stats.get("pp_interactions", 0),
-            )
-            tr.count("force.flops", res.stats["flops"])
+            res = self._solve(tree, moms, spec, tr, stage)
+            res.acc += acc_long
+            if res.pot is not None:
+                res.pot += pot_long
+        res.stats["r_split"] = r_split
         self.last_stats = res.stats
-        return res
+        return self._finish(res, tr, stage, sp_force.seconds)
 
 
 def _prune_far(tree, moms, inter, rcut):

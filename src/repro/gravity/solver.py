@@ -15,6 +15,7 @@ import numpy as np
 
 from ..instrument import get_tracer
 from ..multipoles.radial import RadialKernel
+from ..perfmodel.flops import flops_from_stats, kernel_counters
 from ..tree import (
     InteractionLists,
     Tree,
@@ -28,10 +29,12 @@ from .smoothing import SofteningKernel, make_softening
 from .treeforce import ForceResult, evaluate_forces
 
 __all__ = [
+    "MAX_STATS",
     "ForceSpec",
     "TreecodeConfig",
     "TreecodeGravity",
     "check_choices",
+    "merge_stats",
     "raise_if_nonfinite",
     "solve_forces",
 ]
@@ -185,6 +188,47 @@ def solve_forces(
     return result, inter, t1 - t0, t2 - t1
 
 
+#: the stats merged over shards by max, not by sum: the walk's peak
+#: frontier and round count, and the widest sink leaf
+MAX_STATS = frozenset({"frontier_peak", "traversal_rounds", "m_max"})
+
+
+def merge_stats(parts: list[dict], want_potential: bool = True) -> dict:
+    """One solve's stats from the :func:`solve_forces` stats of its shards.
+
+    The one merge rule of the force accounting: every stat is a count
+    or a seconds value (nested dicts of them included) and adds up,
+    except the :data:`MAX_STATS`, which take the max, and ``order``, the
+    same on every shard.  Nothing derived is merged: ``kernel`` is
+    recomputed from the merged counts, so its tile shape is the serial
+    one whatever the worker count.  Particle interaction counts add up
+    to the serial ones exactly; the translations of a sink cell that
+    straddles two shards (``cell_entries``, ``m2l_pairs`` and the sums
+    holding them, ``m2l_classes``, ``m2l_tile_rows``) count once per
+    shard, and ``mac_tests``, ``inherited_accepts`` and ``leaf_accepts``
+    the shards' re-walks of the shared upper tree.
+    """
+    out: dict = {}
+    for part in parts:
+        _add_stats(out, part)
+    out["kernel"] = kernel_counters(out, want_potential)
+    return out
+
+
+def _add_stats(out: dict, part: dict) -> None:
+    for key, value in part.items():
+        if key == "kernel":
+            continue
+        if isinstance(value, dict):
+            _add_stats(out.setdefault(key, {}), value)
+        elif key not in out or key == "order":
+            out[key] = value
+        elif key in MAX_STATS:
+            out[key] = max(out[key], value)
+        else:
+            out[key] += value
+
+
 @dataclass
 class TreecodeConfig:
     """Knobs of the treecode force calculation.
@@ -238,7 +282,91 @@ class TreecodeConfig:
         check_choices(self, "traversal", "mac", "softening")
 
 
-class TreecodeGravity:
+class _ForceSolver:
+    """The force call both solvers share: the worker pool, the traverse +
+    evaluate dispatch and the accounting around it.
+
+    A subclass builds the tree and moments, calls :meth:`_solve`, adds
+    its own far field (lattice, mesh) and returns through :meth:`_finish`;
+    ``config.workers`` and ``config.check_finite`` are read here.
+    """
+
+    _executor = None
+    last_tree: Tree | None = None
+    last_moments: TreeMoments | None = None
+    last_interactions: InteractionLists | None = None
+
+    def close(self) -> None:
+        """Shut down the worker pool (no-op for serial configurations)."""
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def _solve(self, tree, moms, spec: ForceSpec, tr, stage: dict) -> ForceResult:
+        """Traverse + evaluate in process (``workers=0``) or across the pool.
+
+        Adds the stage rows to ``stage`` — ``traverse`` and ``evaluate``
+        in process, ``execute`` (the pool's wall-clock; the summed
+        per-worker seconds live in ``stats["executor"]``) sharded — and
+        the same stats and tracer counters either way.
+        """
+        workers = self.config.workers
+        if workers:
+            from ..parallel.executor import ensure_executor
+
+            self._executor = ensure_executor(self._executor, workers)
+            with tr.span("execute") as sp_execute:
+                result = self._executor.compute(tree, moms, spec, tracer=tr)
+            stage["execute"] = sp_execute.seconds
+            inter = None
+        else:
+            result, inter, stage["traverse"], stage["evaluate"] = solve_forces(
+                tree, moms, spec, tracer=tr
+            )
+        self.last_tree, self.last_moments, self.last_interactions = tree, moms, inter
+        stats = result.stats
+        # the traversal-level count, in process or summed over the shards
+        stats["interactions_per_particle"] = stats["traversal_interactions"] / max(
+            tree.n_particles, 1
+        )
+        stats.update(
+            n_cells=tree.n_cells, errtol=moms.tol, mac=moms.mac, traversal=spec.traversal
+        )
+        if tr.enabled:
+            stats["flops"] = flops_from_stats(stats, spec.want_potential)
+            tr.count("traverse.mac_tests", stats["mac_tests"])
+            tr.count("traverse.accepts_inherited", stats["inherited_accepts"])
+            tr.count("traverse.accepts_leaf", stats["leaf_accepts"])
+            tr.count("traverse.frontier_peak", stats["frontier_peak"])
+            tr.count("force.calls")
+            tr.count(
+                "force.interactions",
+                stats["cell_interactions"]
+                + stats["pp_interactions"]
+                + stats["prism_interactions"],
+            )
+            tr.count("force.cells", tree.n_cells)
+            tr.count("force.flops", stats["flops"])
+        return result
+
+    def _finish(self, result: ForceResult, tr, stage: dict, force_s: float) -> ForceResult:
+        """Check the finished fields and file the call's stage rows."""
+        if self.config.check_finite:
+            raise_if_nonfinite(result, self._label)
+        if tr.enabled:
+            result.stats["stage_seconds"] = stage
+            result.stats["force_seconds"] = force_s
+        return result
+
+
+class TreecodeGravity(_ForceSolver):
     """One-shot or reusable treecode force evaluations.
 
     Example
@@ -248,6 +376,8 @@ class TreecodeGravity:
     >>> result.acc.shape
     (N, 3)
     """
+
+    _label = "treecode"
 
     def __init__(self, config: TreecodeConfig | None = None):
         self.config = cfg = config or TreecodeConfig()
@@ -262,10 +392,6 @@ class TreecodeGravity:
             want_potential=cfg.want_potential,
             check_finite=cfg.check_finite,
         )
-        self.last_tree: Tree | None = None
-        self.last_moments: TreeMoments | None = None
-        self.last_interactions: InteractionLists | None = None
-        self._executor = None
         #: lattice sums depend only on geometry/order, not on the
         #: particles — cache the expansion across compute() calls
         self._ple_cache: dict[tuple, PeriodicLocalExpansion] = {}
@@ -279,19 +405,6 @@ class TreecodeGravity:
                 p_source=key[0], p_local=key[1], ws=key[2], box=key[3]
             )
         return ple
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op for serial configurations)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def compute(
         self,
@@ -329,18 +442,8 @@ class TreecodeGravity:
                     mean_density=mean_density if cfg.background else None,
                     mac=cfg.mac,
                 )
-            inter = None
-            if cfg.workers:
-                from ..parallel.executor import ensure_executor
-
-                self._executor = ensure_executor(self._executor, cfg.workers)
-                with tr.span("execute") as sp_execute:
-                    result = self._executor.compute(tree, moms, self.spec, tracer=tr)
-            else:
-                result, inter, traverse_s, evaluate_s = solve_forces(
-                    tree, moms, self.spec, tracer=tr
-                )
-            lattice_s = 0.0
+            stage = {"build": sp_build.seconds, "moments": sp_moments.seconds, "lattice": 0.0}
+            result = self._solve(tree, moms, self.spec, tr, stage)
             if cfg.periodic and cfg.lattice_correction and cfg.background:
                 with tr.span("lattice") as sp_lattice:
                     root = int(np.flatnonzero(tree.cell_level == 0)[0])
@@ -349,53 +452,5 @@ class TreecodeGravity:
                     result.acc += cfg.G * acc_far.astype(result.acc.dtype)
                     if result.pot is not None:
                         result.pot += cfg.G * pot_far.astype(result.pot.dtype)
-                lattice_s = sp_lattice.seconds
-        # the traversal-level count: solve_forces reports it, in process
-        # or summed over the executor's shards
-        result.stats["interactions_per_particle"] = result.stats[
-            "traversal_interactions"
-        ] / max(tree.n_particles, 1)
-        if inter is not None and tr.enabled:
-            tr.count("traverse.mac_tests", inter.mac_tests)
-            tr.count("traverse.accepts_inherited", inter.inherited_accepts)
-            tr.count("traverse.accepts_leaf", inter.leaf_accepts)
-            tr.count("traverse.frontier_peak", inter.frontier_peak)
-        result.stats["n_cells"] = tree.n_cells
-        result.stats["errtol"] = cfg.errtol
-        result.stats["mac"] = cfg.mac
-        result.stats["traversal"] = cfg.traversal
-        if cfg.check_finite:
-            raise_if_nonfinite(result, "treecode")
-        if tr.enabled:
-            from ..instrument.crosscheck import flops_from_stats
-
-            stage = {
-                "build": sp_build.seconds,
-                "moments": sp_moments.seconds,
-                "lattice": lattice_s,
-            }
-            if inter is not None:
-                stage["traverse"] = traverse_s
-                stage["evaluate"] = evaluate_s
-            else:
-                # sharded path: 'execute' is the pool wall-clock; the
-                # summed per-worker traverse/evaluate seconds live in
-                # stats["executor"] and the merged Metrics registry
-                stage["execute"] = sp_execute.seconds
-            flops = flops_from_stats(result.stats, cfg.want_potential)
-            result.stats["stage_seconds"] = stage
-            result.stats["force_seconds"] = sp_force.seconds
-            result.stats["flops"] = flops
-            n_inter = (
-                result.stats.get("cell_interactions", 0)
-                + result.stats.get("pp_interactions", 0)
-                + result.stats.get("prism_interactions", 0)
-            )
-            tr.count("force.calls")
-            tr.count("force.interactions", n_inter)
-            tr.count("force.cells", tree.n_cells)
-            tr.count("force.flops", flops)
-        self.last_tree = tree
-        self.last_moments = moms
-        self.last_interactions = inter
-        return result
+                stage["lattice"] = sp_lattice.seconds
+        return self._finish(result, tr, stage, sp_force.seconds)

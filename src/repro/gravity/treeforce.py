@@ -594,16 +594,19 @@ def evaluate_forces(
     pp, m2l and prism families, ``stats["cell_seconds"]`` the cell
     family's again as ``translate`` (per entry) and ``rows`` (the rest);
     ``stats["kernel"]`` rates the first three families against their
-    own interaction and flop counts.  ``stats["cell_interactions"]``
-    counts the rows of this call's own sink particles — exact under
-    sharding — and ``stats["cell_entries"]`` the accept-level entries
-    it translated (a sink cell that straddles two shards is translated
-    by both).  ``stats["prism_interactions"]`` counts the rows that went
-    through the prism kernel (sink particles x merged boxes) and
-    ``stats["prism_cubes"]`` the particle x cube pairs they stand for;
-    both add up exactly over shards.  ``stats["prism_seconds"]`` splits
-    the prism family's seconds into ``coalesce`` (building and merging
-    the boxes) and ``rows``.
+    own interaction and flop counts, derived from the counts here by
+    :func:`~repro.perfmodel.flops.kernel_counters`.
+    ``stats["cell_interactions"]`` counts the rows of this call's own
+    sink particles — exact under sharding — and ``stats["cell_entries"]``
+    the accept-level entries it translated (a sink cell that straddles
+    two shards is translated by both).  ``stats["prism_interactions"]``
+    counts the rows that went through the prism kernel (sink particles
+    x merged boxes) and ``stats["prism_cubes"]`` the particle x cube
+    pairs they stand for; both add up exactly over shards.
+    ``stats["prism_seconds"]`` splits the prism family's seconds into
+    ``coalesce`` (building and merging the boxes) and ``rows``.  Every
+    stat is a count or seconds that adds up over shards, except the
+    few :func:`~repro.gravity.solver.merge_stats` names.
     """
     softening = softening or NoSoftening()
     kernel = kernel or NewtonianKernel()
@@ -623,6 +626,8 @@ def evaluate_forces(
     def loc(idx):
         return idx - s0 if s0 else idx
 
+    sinks = inter.sink_leaves
+    leaf_np = tree.cell_count[sinks]
     stats = {
         "cell_interactions": 0,
         "cell_entries": 0,
@@ -633,12 +638,17 @@ def evaluate_forces(
         "m2l_classes": 0,
         "m2l_tile_rows": 0,
         "m2l_interactions": 0,
+        # the tile shape of ``kernel``: sink rows and their particles,
+        # pp entries and their source particles
+        "sink_rows": len(sinks),
+        "sink_particles": int(leaf_np.sum()),
+        "m_max": int(leaf_np.max(initial=0)),
+        "pp_entries": len(inter.leaf_src),
+        "pp_entry_particles": int(tree.cell_count[inter.leaf_src].sum()),
         "order": p,
     }
 
-    sinks = inter.sink_leaves
     # per sink particle: global key-sorted index and owning CSR row
-    leaf_np = tree.cell_count[sinks]
     pid = expand_ranges(tree.cell_start[sinks], leaf_np)
     row_of_p = np.repeat(np.arange(len(sinks), dtype=np.int64), leaf_np)
 
@@ -823,23 +833,7 @@ def evaluate_forces(
         if want_potential:
             pot *= G
 
-    if (
-        stats["cell_interactions"]
-        or stats["pp_interactions"]
-        or stats["m2l_pairs"]
-    ):
-        stats["kernel"] = kernel_counters(
-            tree,
-            inter,
-            p=p,
-            want_potential=want_potential,
-            seconds=family_s["cell"] + family_s["pp"] + family_s["m2l"],
-            cell_interactions=stats["cell_interactions"],
-            cell_entries=stats["cell_entries"],
-            prism_interactions=stats["prism_interactions"],
-            prism_cubes=stats["prism_cubes"],
-            m2l_classes=stats["m2l_classes"],
-        )
+    stats["kernel"] = kernel_counters(stats, want_potential)
 
     if particle_range is not None:
         return ForceResult(acc=acc, pot=pot, stats=stats)

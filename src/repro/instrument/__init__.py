@@ -9,13 +9,18 @@ report rendering, and a measured-vs-modeled cross-check against
 :mod:`repro.perfmodel`.  The default tracer is a no-op
 (:data:`NULL_TRACER`), so uninstrumented runs pay nothing.
 
-Traversal counters: the force path counts ``traverse.mac_tests``
-(geometric MAC evaluations — one per frontier pair in the mutual
-hierarchical walk), ``traverse.frontier_peak`` (peak frontier width),
-and the accept split ``traverse.accepts_inherited`` (recorded at
-interior sink cells, pushed down by the inheritance pass) vs.
-``traverse.accepts_leaf`` (decided at sink leaves).  Sharded runs sum
-the counts (max for the peak) across workers.
+Force counters: every treecode and TreePM force call, serial or
+sharded, counts ``force.calls``, ``force.interactions``,
+``force.cells`` and ``force.flops``, and the walk's
+``traverse.mac_tests`` (geometric MAC evaluations — one per frontier
+pair in the mutual hierarchical walk), ``traverse.frontier_peak``
+(peak frontier width), and the accept split
+``traverse.accepts_inherited`` (recorded at interior sink cells,
+pushed down by the inheritance pass) vs. ``traverse.accepts_leaf``
+(decided at sink leaves).  All are read from the call's stats, which
+sharded runs merge first (:func:`repro.gravity.solver.merge_stats`:
+sums, max for the peak).  The flop count itself is
+:func:`repro.perfmodel.flops.flops_from_stats`.
 """
 
 from .events import JsonlSink, read_jsonl
@@ -27,7 +32,7 @@ from .report import (
     stage_breakdown_table,
     step_summary_table,
 )
-from .crosscheck import CrossCheck, flops_from_stats, perfmodel_crosscheck
+from .crosscheck import CrossCheck, perfmodel_crosscheck
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -48,7 +53,6 @@ __all__ = [
     "Span",
     "TimerStat",
     "Tracer",
-    "flops_from_stats",
     "force_stage_table",
     "force_stage_totals",
     "get_tracer",

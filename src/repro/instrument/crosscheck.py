@@ -13,53 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CrossCheck", "perfmodel_crosscheck", "flops_from_stats"]
-
-
-def flops_from_stats(stats: dict, want_potential: bool = True) -> float:
-    """Flops implied by a ``ForceResult.stats`` interaction mix.
-
-    Uses the honest per-interaction costs measured from the generated
-    kernels (:mod:`repro.perfmodel.flops`): cell interactions at the
-    recorded expansion order (per particle x cell row, plus the
-    translation of each accept-level entry), pp interactions at the paper's 28-flop
-    monopole rate, prism interactions — the particle x merged background
-    box rows that ran, ``prism_interactions``, not the particle x cube
-    pairs they stand for (``prism_cubes``) — at the count of the fused
-    8-corner kernel and, in fmm-hybrid mode, M2L translations, their
-    derivative tensors (one per class, ``m2l_classes``) and L2P
-    evaluations at their table-measured rates.
-    """
-    from ..perfmodel.flops import (
-        FLOPS_PER_MONOPOLE_PP,
-        flops_per_cell_entry,
-        flops_per_cell_interaction,
-        flops_per_l2p,
-        flops_per_m2l,
-        flops_per_m2l_tensor,
-        flops_per_prism_interaction,
-    )
-
-    p = int(stats.get("order", 4))
-    cell = float(stats.get("cell_interactions", 0))
-    pp = float(stats.get("pp_interactions", 0))
-    prism = float(stats.get("prism_interactions", 0))
-    total = (
-        cell * flops_per_cell_interaction(p, want_potential)
-        + float(stats.get("cell_entries", 0)) * flops_per_cell_entry(p)
-        + pp * FLOPS_PER_MONOPOLE_PP
-        + prism * flops_per_prism_interaction(want_potential)
-    )
-    m2l_pairs = float(stats.get("m2l_pairs", 0))
-    if m2l_pairs:
-        l2p = float(stats.get("m2l_interactions", 0)) - m2l_pairs
-        tensor = flops_per_m2l_tensor(p)
-        total += (
-            float(stats.get("m2l_classes", 0)) * tensor
-            + m2l_pairs * (flops_per_m2l(p) - tensor)
-            + l2p * flops_per_l2p(p, want_potential)
-        )
-    return total
+__all__ = ["CrossCheck", "perfmodel_crosscheck"]
 
 
 @dataclass
@@ -108,6 +62,7 @@ def perfmodel_crosscheck(
     point is that the *flop accounting* and the *measured time* are now
     both real numbers that future perf PRs can move toward each other.
     """
+    from ..perfmodel.flops import flops_from_stats
     from ..perfmodel.machines import MachineModel
 
     machine = machine or MachineModel()

@@ -24,7 +24,7 @@ from .comm import CostLedger, SimComm
 from .domain import Decomposition, decompose, domain_surface_stats
 from .executor import ForceExecutor, ensure_executor
 from .machine import CLUSTER_LIKE, JAGUAR_LIKE, MachineModel
-from .ptraverse import ParallelTraversalStats, parallel_forces, parallel_traversal
+from .ptraverse import ParallelTraversalStats, parallel_traversal
 from .sort import american_flag_sort, choose_splitters, sample_sort
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "estimate_buffered_memory_per_node",
     "exchange_global_concat",
     "exchange_hierarchical",
-    "parallel_forces",
     "parallel_traversal",
     "sample_sort",
     "sparse_exchange_pattern",

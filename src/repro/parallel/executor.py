@@ -191,30 +191,23 @@ class _WorkerState:
         self.epoch = epoch
 
 
-def _run_shard(state: _WorkerState, sinks, s0: int, s1: int):
-    """Traverse + evaluate one shard, writing into the shared output."""
+def _run_shard(tree, moms, spec, acc, pot, sinks, s0: int, s1: int):
+    """Traverse + evaluate one shard, writing into ``acc`` / ``pot``.
+
+    Returns the shard's :func:`~repro.gravity.solver.solve_forces` stats
+    and its timing record (with the count of non-finite outputs when
+    ``spec.check_finite``, so the parent can attribute corruption to
+    the shard that produced it).
+    """
     from ..gravity.solver import solve_forces
 
     t0_mono = time.monotonic()
-    res, inter, traverse_s, evaluate_s = solve_forces(
-        state.tree, state.moms, state.spec,
-        sink_leaves=sinks, particle_range=(s0, s1),
+    res, _, traverse_s, evaluate_s = solve_forces(
+        tree, moms, spec, sink_leaves=sinks, particle_range=(s0, s1),
     )
-    state.acc[s0:s1] = res.acc
-    if state.pot is not None and res.pot is not None:
-        state.pot[s0:s1] = res.pot
-    stats = dict(res.stats)
-    if state.spec.check_finite:
-        # per-worker health: count non-finite outputs where they were
-        # produced, so the parent can attribute corruption to a shard
-        stats["nonfinite_acc"] = int(np.count_nonzero(~np.isfinite(res.acc)))
-        if res.pot is not None:
-            stats["nonfinite_acc"] += int(np.count_nonzero(~np.isfinite(res.pot)))
-    n_inter = (
-        stats.get("cell_interactions", 0)
-        + stats.get("pp_interactions", 0)
-        + stats.get("prism_interactions", 0)
-    )
+    acc[s0:s1] = res.acc
+    if pot is not None and res.pot is not None:
+        pot[s0:s1] = res.pot
     spans = {
         # CLOCK_MONOTONIC is system-wide on the platforms the pool runs
         # on, so worker-side stamps are comparable across processes —
@@ -226,15 +219,13 @@ def _run_shard(state: _WorkerState, sinks, s0: int, s1: int):
             "executor/evaluate": _timer(evaluate_s),
             "executor/shard": _timer(traverse_s + evaluate_s),
         },
-        "counters": {
-            "executor.shards": 1,
-            "executor.interactions": n_inter,
-            "traverse.mac_tests": inter.mac_tests,
-            "traverse.accepts_inherited": inter.inherited_accepts,
-            "traverse.accepts_leaf": inter.leaf_accepts,
-        },
+        "counters": {"executor.shards": 1},
     }
-    return stats, spans
+    if spec.check_finite:
+        spans["nonfinite"] = int(np.count_nonzero(~np.isfinite(res.acc)))
+        if res.pot is not None:
+            spans["nonfinite"] += int(np.count_nonzero(~np.isfinite(res.pot)))
+    return res.stats, spans
 
 
 def _worker_main(worker_id: int, tasks, results) -> None:
@@ -267,7 +258,10 @@ def _worker_main(worker_id: int, tasks, results) -> None:
                 plan.apply_worker(worker_id, shard_id, epoch, attempt=attempt)
             if epoch != state.epoch:
                 state.load(epoch, meta)
-            stats, spans = _run_shard(state, sinks, s0, s1)
+            stats, spans = _run_shard(
+                state.tree, state.moms, state.spec, state.acc, state.pot,
+                sinks, s0, s1,
+            )
             results.put(("ok", epoch, shard_id, worker_id, stats, spans))
         except Exception:
             results.put(
@@ -396,8 +390,11 @@ class ForceExecutor:
         cheap and serial); returns a
         :class:`~repro.gravity.treeforce.ForceResult` in original
         particle order, matching what the serial traverse/evaluate pair
-        would produce.
+        would produce, with the shards' stats merged by
+        :func:`~repro.gravity.solver.merge_stats` and the pool's own
+        record under ``stats["executor"]``.
         """
+        from ..gravity.solver import merge_stats
         from ..gravity.treeforce import ForceResult
         from ..instrument import get_tracer
 
@@ -442,15 +439,13 @@ class ForceExecutor:
                     (n,), dtype=np.float64,
                     buffer=segments_buf(segments, meta_segments, "pot_out"),
                 )
-            fallback = {
-                "tree": tree, "moms": moms, "spec": spec,
-                "acc": acc_view, "pot": pot_view,
-            }
+            # the serial fallback's arguments to _run_shard
+            local = (tree, moms, spec, acc_view, pot_view)
             if not self.degraded:
                 for sid, sinks, s0, s1 in shards:
                     self._tasks.put((epoch, meta, sid, sinks, s0, s1, 0))
             shard_stats, shard_spans, recoveries = self._collect(
-                epoch, meta, shards, fallback
+                epoch, meta, shards, local
             )
 
             # deterministic merge: disjoint [s0, s1) slices already sit in
@@ -471,7 +466,7 @@ class ForceExecutor:
             # drop our buffer exports before releasing the segments, and
             # unlink before close so /dev/shm is cleaned even if a live
             # export keeps the local mapping pinned
-            acc_view = pot_view = fallback = None
+            acc_view = pot_view = local = None
             for shm in segments:
                 try:
                     shm.unlink()
@@ -482,20 +477,13 @@ class ForceExecutor:
                 except Exception:
                     pass
 
-        stats = self._merge_stats(shard_stats, shard_spans, n, tr, recoveries)
+        stats = merge_stats(
+            [shard_stats[sid] for sid in sorted(shard_stats)], spec.want_potential
+        )
+        stats.update(self._pool_stats(shard_spans, tr, recoveries))
         return ForceResult(acc=acc, pot=pot, stats=stats)
 
-    def _run_local(self, fallback: dict, sinks, s0: int, s1: int):
-        """Run one shard serially in the parent (graceful degradation)."""
-        state = _WorkerState()
-        state.tree = fallback["tree"]
-        state.moms = fallback["moms"]
-        state.spec = fallback["spec"]
-        state.acc = fallback["acc"]
-        state.pot = fallback["pot"]
-        return _run_shard(state, sinks, s0, s1)
-
-    def _collect(self, epoch: int, meta: dict, shards, fallback: dict):
+    def _collect(self, epoch: int, meta: dict, shards, local: tuple):
         """Wait for all shard results, healing dead/hung workers.
 
         Recovery protocol, in escalating order:
@@ -511,7 +499,7 @@ class ForceExecutor:
           whole pool and re-dispatch;
         * respawn budget exhausted -> the pool is unrecoverable: mark
           the executor degraded and finish every pending shard
-          serially in the parent.
+          serially in the parent (``_run_shard`` on ``local``).
 
         Returns ``(shard_stats, shard_spans, recoveries)``.
         """
@@ -526,7 +514,7 @@ class ForceExecutor:
 
         def finish_local(sid: int) -> None:
             sinks, s0, s1 = pending.pop(sid)
-            st, sp = self._run_local(fallback, sinks, s0, s1)
+            st, sp = _run_shard(*local, sinks, s0, s1)
             sp["local"] = True  # timeline: a parent-lane recovery span
             sp["attempt"] = attempts[sid]
             shard_stats[sid] = st
@@ -644,75 +632,19 @@ class ForceExecutor:
             self._tasks.put((epoch, meta, sid, sinks, s0, s1, attempts[sid]))
         return shard_stats, shard_spans, recoveries
 
-    def _merge_stats(self, shard_stats, shard_spans, n: int, tr,
-                     recoveries=None) -> dict:
-        stats = {
-            "cell_interactions": 0,
-            "cell_entries": 0,
-            "pp_interactions": 0,
-            "prism_interactions": 0,
-            "prism_cubes": 0,
-            "m2l_pairs": 0,
-            "m2l_classes": 0,
-            "m2l_tile_rows": 0,
-            "m2l_interactions": 0,
-            "traversal_interactions": 0,
-            "interactions_by_family": {},
-            "family_seconds": {},
-            "cell_seconds": {},
-            "prism_seconds": {},
-            "order": 0,
-            "traversal_rounds": 0,
-            "mac_tests": 0,
-            "frontier_peak": 0,
-            "inherited_accepts": 0,
-            "leaf_accepts": 0,
-        }
-        for s in shard_stats.values():
-            stats["cell_interactions"] += s.get("cell_interactions", 0)
-            # translations performed: a sink cell that straddles two
-            # shards is translated by both
-            stats["cell_entries"] += s.get("cell_entries", 0)
-            stats["pp_interactions"] += s.get("pp_interactions", 0)
-            stats["prism_interactions"] += s.get("prism_interactions", 0)
-            stats["prism_cubes"] += s.get("prism_cubes", 0)
-            stats["m2l_pairs"] += s.get("m2l_pairs", 0)
-            # tensors and tile rows evaluated: a sink cell that straddles
-            # two shards is translated by both
-            stats["m2l_classes"] += s.get("m2l_classes", 0)
-            stats["m2l_tile_rows"] += s.get("m2l_tile_rows", 0)
-            stats["m2l_interactions"] += s.get("m2l_interactions", 0)
-            stats["traversal_interactions"] += s.get("traversal_interactions", 0)
-            for fam, count in s.get("interactions_by_family", {}).items():
-                stats["interactions_by_family"][fam] = (
-                    stats["interactions_by_family"].get(fam, 0) + count
-                )
-            # busy seconds summed over shards, like ``kernel``
-            for key in ("family_seconds", "cell_seconds", "prism_seconds"):
-                for part, sec in s.get(key, {}).items():
-                    stats[key][part] = stats[key].get(part, 0.0) + sec
-            stats["order"] = s.get("order", stats["order"])
-            stats["traversal_rounds"] = max(
-                stats["traversal_rounds"], s.get("traversal_rounds", 0)
-            )
-            stats["mac_tests"] += s.get("mac_tests", 0)
-            stats["frontier_peak"] = max(
-                stats["frontier_peak"], s.get("frontier_peak", 0)
-            )
-            stats["inherited_accepts"] += s.get("inherited_accepts", 0)
-            stats["leaf_accepts"] += s.get("leaf_accepts", 0)
-        kernel_parts = [s["kernel"] for s in shard_stats.values() if s.get("kernel")]
-        if kernel_parts:
-            from ..perfmodel.flops import merge_kernel_counters
+    def _pool_stats(self, shard_spans, tr, recoveries) -> dict:
+        """The pool's own record of one call: ``executor`` and ``health``.
 
-            stats["kernel"] = merge_kernel_counters(kernel_parts)
-        if any("nonfinite_acc" in s for s in shard_stats.values()):
-            bad = {sid: s["nonfinite_acc"] for sid, s in shard_stats.items()
-                   if s.get("nonfinite_acc")}
-            stats["health"] = {
-                "nonfinite_acc": sum(bad.values()),
-                "bad_shards": bad,
-            }
+        Shard timelines, per-worker busy seconds, load imbalance,
+        recoveries and non-finite attribution; the force stats
+        themselves are :func:`~repro.gravity.solver.merge_stats`'.
+        """
+        out = {}
+        checked = {sid: sp["nonfinite"] for sid, (_, sp, _) in shard_spans.items()
+                   if "nonfinite" in sp}
+        if checked:
+            bad = {sid: n for sid, n in checked.items() if n}
+            out["health"] = {"nonfinite_acc": sum(bad.values()), "bad_shards": bad}
         busy = np.zeros(self.workers)
         shard_seconds = [0.0] * len(shard_spans)
         traverse_s = evaluate_s = 0.0
@@ -746,7 +678,7 @@ class ForceExecutor:
                 metrics.merge_dict(spans)
         events.sort(key=lambda e: (e["t0"], e["shard"]))
         mean_busy = float(busy.mean()) if self.workers else 0.0
-        stats["executor"] = {
+        out["executor"] = {
             "workers": self.workers,
             "n_shards": len(shard_spans),
             "shard_seconds": shard_seconds,
@@ -760,15 +692,15 @@ class ForceExecutor:
         }
         if recoveries:
             self.recoveries.extend(recoveries)
-            stats["executor"]["recoveries"] = recoveries
-            stats["executor"]["degraded"] = self.degraded
+            out["executor"]["recoveries"] = recoveries
+            out["executor"]["degraded"] = self.degraded
             for r in recoveries:
                 tr.emit({"type": "executor_recovery", **r})
             if getattr(tr, "enabled", False):
                 tr.count("executor.recoveries", len(recoveries))
         if getattr(tr, "enabled", False):
             tr.count_vec("executor.worker_busy_s", busy)
-        return stats
+        return out
 
     # ----- lifecycle ----------------------------------------------------------
     def close(self) -> None:

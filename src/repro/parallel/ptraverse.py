@@ -25,7 +25,7 @@ from ..tree import Tree, TreeMoments, traverse_lists
 from .abm import ABMEngine
 from .machine import MachineModel
 
-__all__ = ["ParallelTraversalStats", "parallel_traversal", "parallel_forces"]
+__all__ = ["ParallelTraversalStats", "parallel_traversal"]
 
 _HCELL_BYTES = 128  # key, moments summary, bounds — the paper's hcell record
 _REQUEST_BYTES = 16
@@ -139,52 +139,6 @@ def parallel_traversal(
         abm_posted_messages=engine.messages_posted,
         interactions_total=total_inter,
     )
-
-
-def parallel_forces(
-    tree: Tree,
-    moms: TreeMoments,
-    n_ranks: int,
-    softening=None,
-    periodic: bool = False,
-    ws: int = 1,
-):
-    """Compute forces rank by rank and assemble the global answer.
-
-    Each simulated rank traverses only its own SFC-contiguous block of
-    sink leaves and evaluates only those interactions; the assembled
-    result equals the serial one bit for bit (per-leaf CSR segments do
-    not depend on the sharding) — the key correctness property of HOT's
-    decomposition: parallelism changes who computes, never what is
-    computed.
-
-    Returns (acc, pot) in original particle order.
-    """
-    import numpy as _np
-
-    from ..gravity.treeforce import evaluate_forces
-
-    n = tree.n_particles
-    bounds = (_np.arange(n_ranks + 1) * n) // n_ranks
-    leaf = tree.leaf_indices
-    leaf_sorted = leaf[_np.argsort(tree.cell_start[leaf])]
-    starts = tree.cell_start[leaf_sorted]
-    leaf_rank = _np.searchsorted(bounds, starts, side="right") - 1
-    acc = _np.zeros((n, 3))
-    pot = _np.zeros(n)
-    for r in range(n_ranks):
-        sinks = leaf_sorted[leaf_rank == r]
-        if len(sinks) == 0:
-            continue
-        inter = traverse_lists(
-            tree, moms, periodic=periodic, ws=ws, sink_leaves=sinks
-        )
-        res = evaluate_forces(
-            tree, moms, inter, softening=softening, want_potential=True
-        )
-        acc += res.acc
-        pot += res.pot
-    return acc, pot
 
 
 def _handle_request(engine: ABMEngine, msg):

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 from ..multipoles.codegen import compiled_dtensor_function, compiled_shift_function
 from ..multipoles.multiindex import n_coeffs
 from .machines import MachineModel
@@ -29,8 +27,8 @@ __all__ = [
     "flops_per_l2p",
     "flops_per_prism_interaction",
     "flops_per_particle",
+    "flops_from_stats",
     "kernel_counters",
-    "merge_kernel_counters",
 ]
 
 #: the paper's number for the pairwise monopole inner loop (Table 3):
@@ -97,7 +95,7 @@ def flops_per_m2l(p: int) -> int:
     Its own derivative tensor (:func:`flops_per_m2l_tensor`) plus the
     triangular moment-gather contraction (a multiply-add per flat table
     entry), as if the translation were evaluated alone.  What a solve
-    executes shares the tensor: :func:`kernel_counters` charges it once
+    executes shares the tensor: :func:`flops_from_stats` charges it once
     per class and the contraction once per translation.
     """
     from ..gravity.localexp import m2l_tables
@@ -156,131 +154,106 @@ def flops_per_particle(
     return total
 
 
-def kernel_counters(
-    tree,
-    inter,
-    *,
-    p: int,
-    want_potential: bool,
-    seconds: float,
-    cell_interactions: int,
-    cell_entries: int,
-    prism_interactions: int = 0,
-    prism_cubes: int = 0,
-    m2l_classes: int = 0,
-) -> dict:
-    """Roofline counters of one CSR force evaluation (paper §3.2/§3.4).
+def flops_from_stats(
+    stats: dict, want_potential: bool = True, *, prism: bool = True
+) -> float:
+    """Flops of one force solve, from its counts — the one flop formula.
 
-    Everything is derived from the CSR interaction lists plus the
-    measured kernel seconds: interactions by family, an honest flop
-    count from the functions above, achieved interactions/s and
-    effective GFLOP/s, the m x n tile shape the blocked evaluator sees
-    (m = sink particles per CSR row, n = sources per entry) with its
-    register-block occupancy, and the fraction of the machine-model
-    prediction reached.
-
-    ``seconds`` covers the cell, pp and m2l families, so ``interactions``
-    and ``flops`` count those only; the prism pass (timed separately in
-    ``stats["family_seconds"]``) is carried as ``prism_interactions``
-    (particle x merged box rows evaluated) and ``prism_cubes`` (the
-    particle x cube pairs they stand for) and stays out of the rates.
-    The cell family is counted by the evaluator —
-    ``cell_interactions`` particle x cell rows from
-    ``cell_entries`` accept-level entries, each with its own flop count;
-    the m2l family by the evaluator too — ``m2l_classes`` derivative
-    tensors, each shared by the translations of its class, and the
-    contraction of every translation.  The zero rows that pad a class to
-    whole tiles and the zero entries of the blocks outside the triangle
-    are multiplied but not counted.
+    ``stats`` is a ``ForceResult.stats`` (serial, or summed over shards
+    by :func:`repro.gravity.solver.merge_stats`); missing counts read 0.
+    The cell family costs its particle x cell rows at the recorded
+    ``order`` plus the translation of each accept-level entry
+    (``cell_entries``); pp pairs the paper's 28-flop monopole; the m2l
+    family its derivative tensors (one per reflection class,
+    ``m2l_classes``), the contraction of every translation
+    (``m2l_pairs``) and the L2P evaluations (``m2l_interactions`` minus
+    the pairs).  With ``prism`` the particle x merged box rows that ran
+    (``prism_interactions``, not the ``prism_cubes`` they stand for) add
+    the fused 8-corner kernel's count: ``stats["flops"]`` of the solvers.
+    Without it the sum is ``kernel["flops"]``, the families
+    ``kernel["seconds"]`` times.
     """
-    sinks = inter.sink_leaves
-    rows = int(len(sinks))
-    leaf_np = tree.cell_count[sinks] if rows else np.zeros(0, dtype=np.int64)
-    n_pp_mean = (
-        float(tree.cell_count[inter.leaf_src].mean()) if len(inter.leaf_src) else 0.0
-    )
-    cell_inter = int(cell_interactions)
-    pp_inter = inter.n_pp_interactions(tree)
-    m2l_pairs = 0
-    l2p_inter = 0
-    if getattr(inter, "m2l_src", None) is not None and len(inter.m2l_src):
-        m2l_pairs = int(len(inter.m2l_src))
-        l2p_inter = int(leaf_np.sum())
-    total = cell_inter + pp_inter + m2l_pairs + l2p_inter
-    flops = float(
-        cell_inter * flops_per_cell_interaction(p, want_potential)
-        + int(cell_entries) * flops_per_cell_entry(p)
-        + pp_inter * FLOPS_PER_MONOPOLE_PP
+    p = int(stats.get("order", 4))
+    m2l_pairs = int(stats.get("m2l_pairs", 0))
+    flops = (
+        int(stats.get("cell_interactions", 0)) * flops_per_cell_interaction(p, want_potential)
+        + int(stats.get("cell_entries", 0)) * flops_per_cell_entry(p)
+        + int(stats.get("pp_interactions", 0)) * FLOPS_PER_MONOPOLE_PP
     )
     if m2l_pairs:
         tensor = flops_per_m2l_tensor(p)
-        flops += float(
-            int(m2l_classes) * tensor
+        l2p = int(stats.get("m2l_interactions", 0)) - m2l_pairs
+        flops += (
+            int(stats.get("m2l_classes", 0)) * tensor
             + m2l_pairs * (flops_per_m2l(p) - tensor)
-            + l2p_inter * flops_per_l2p(p, want_potential)
+            + l2p * flops_per_l2p(p, want_potential)
         )
-    m_mean = float(leaf_np.mean()) if rows else 0.0
-    m_max = int(leaf_np.max()) if rows else 0
-    sec = max(float(seconds), 1e-12)
+    if prism:
+        flops += int(stats.get("prism_interactions", 0)) * flops_per_prism_interaction(
+            want_potential
+        )
+    return float(flops)
+
+
+def kernel_counters(stats: dict, want_potential: bool = True) -> dict:
+    """Roofline counters of one force solve (paper §3.2/§3.4), from its counts.
+
+    A pure function of the additive counts :func:`evaluate_forces
+    <repro.gravity.treeforce.evaluate_forces>` records — so a sharded
+    solve, whose counts :func:`repro.gravity.solver.merge_stats` sums,
+    reads like the serial one whatever the worker count: interactions
+    by family, the flop count of :func:`flops_from_stats`, achieved
+    interactions/s and effective GFLOP/s over the kernel seconds, the
+    m x n tile shape the blocked evaluator sees (m = sink particles per
+    CSR row, ``sink_particles / sink_rows``, the widest ``m_max``;
+    n = sources per pp entry, ``pp_entry_particles / pp_entries``) with
+    its register-block occupancy, and the fraction of the machine-model
+    prediction reached.
+
+    ``seconds`` is the cell, pp and m2l families' share of
+    ``stats["family_seconds"]`` (busy seconds summed over shards, so the
+    rates are per busy second — comparable to a single-thread rate, not
+    to the pool wall-clock), and ``interactions`` and ``flops`` count
+    those families only; the prism pass is carried as
+    ``prism_interactions`` (particle x merged box rows evaluated) and
+    ``prism_cubes`` (the particle x cube pairs they stand for) and stays
+    out of the rates.  The zero rows that pad an M2L class to whole
+    tiles and the zero entries of the blocks outside the triangle are
+    multiplied but not counted.
+    """
+    cell = int(stats["cell_interactions"])
+    pp = int(stats["pp_interactions"])
+    m2l_pairs = int(stats["m2l_pairs"])
+    l2p = int(stats["m2l_interactions"]) - m2l_pairs
+    total = cell + pp + m2l_pairs + l2p
+    flops = flops_from_stats(stats, want_potential, prism=False)
+    family = stats["family_seconds"]
+    seconds = float(family["cell"] + family["pp"] + family["m2l"])
+    rows = int(stats["sink_rows"])
+    m_max = int(stats["m_max"])
+    m_mean = int(stats["sink_particles"]) / rows if rows else 0.0
+    pp_entries = int(stats["pp_entries"])
+    sec = max(seconds, 1e-12)
     gflops = flops / sec / 1e9
     model_gflops = MachineModel().flops_per_core / 1e9
     return {
-        "seconds": float(seconds),
+        "seconds": seconds,
         "interactions": total,
-        "cell_interactions": cell_inter,
-        "cell_entries": int(cell_entries),
-        "pp_interactions": pp_inter,
+        "cell_interactions": cell,
+        "cell_entries": int(stats["cell_entries"]),
+        "pp_interactions": pp,
         "m2l_pairs": m2l_pairs,
-        "l2p_interactions": l2p_inter,
-        "prism_interactions": int(prism_interactions),
-        "prism_cubes": int(prism_cubes),
+        "l2p_interactions": l2p,
+        "prism_interactions": int(stats["prism_interactions"]),
+        "prism_cubes": int(stats["prism_cubes"]),
         "flops": flops,
         "interactions_per_s": total / sec,
         "gflops": gflops,
         "rows": rows,
         "m_mean": m_mean,
         "m_max": m_max,
-        "n_pp_mean": n_pp_mean,
+        "n_pp_mean": int(stats["pp_entry_particles"]) / pp_entries if pp_entries else 0.0,
         "tile_occupancy": (m_mean / m_max) if m_max else 0.0,
         "model_gflops": model_gflops,
         "model_fraction": gflops / model_gflops if model_gflops else 0.0,
     }
-
-
-def merge_kernel_counters(parts: list[dict]) -> dict | None:
-    """Combine per-shard kernel counters into one record.
-
-    Additive fields sum; ``seconds`` sums *busy* kernel seconds across
-    shards, so the recomputed rates are per-busy-second throughput —
-    comparable to a single-thread rate, not to the pool wall-clock.
-    Shape fields average weighted by interaction rows.
-    """
-    parts = [k for k in parts if k]
-    if not parts:
-        return None
-    out = {}
-    for key in ("interactions", "cell_interactions", "cell_entries",
-                "pp_interactions", "m2l_pairs", "l2p_interactions",
-                "prism_interactions", "prism_cubes", "rows"):
-        out[key] = int(sum(k.get(key, 0) for k in parts))
-    out["flops"] = float(sum(k.get("flops", 0.0) for k in parts))
-    out["seconds"] = float(sum(k.get("seconds", 0.0) for k in parts))
-    sec = max(out["seconds"], 1e-12)
-    out["interactions_per_s"] = out["interactions"] / sec
-    out["gflops"] = out["flops"] / sec / 1e9
-    # weights: every row a shard ran through its tiles, prism included
-    w = np.array(
-        [
-            max(k.get("interactions", 0) + k.get("prism_interactions", 0), 1)
-            for k in parts
-        ],
-        dtype=float,
-    )
-    for key in ("m_mean", "n_pp_mean", "tile_occupancy"):
-        out[key] = float(np.average([k.get(key, 0.0) for k in parts], weights=w))
-    out["m_max"] = int(max(k.get("m_max", 0) for k in parts))
-    out["model_gflops"] = float(max(k.get("model_gflops", 0.0) for k in parts))
-    out["model_fraction"] = (
-        out["gflops"] / out["model_gflops"] if out["model_gflops"] else 0.0
-    )
-    return out

@@ -24,8 +24,8 @@ from repro.instrument import (
     step_summary_table,
     use_tracer,
 )
-from repro.instrument.crosscheck import flops_from_stats
 from repro.instrument.events import append_record, jsonable, read_records
+from repro.perfmodel.flops import flops_from_stats
 
 
 class TestSpans:
@@ -287,6 +287,29 @@ class TestSolverWiring:
         assert tr.counters["force.interactions"] > 0
         assert res.stats["flops"] == flops_from_stats(res.stats)
         assert res.stats["flops"] > res.stats["cell_interactions"]
+
+    def test_treepm_counts_like_treecode(self):
+        """The two solvers share one force call: a traced serial TreePM
+        solve counts the walk and the cells like the treecode."""
+        from repro.gravity.pm import TreePMConfig, TreePMGravity
+
+        rng = np.random.default_rng(6)
+        pos = rng.random((300, 3))
+        mass = np.full(300, 1.0 / 300)
+        tr = Tracer()
+        res = TreePMGravity(TreePMConfig(ngrid=16, p=2, errtol=1e-2)).compute(
+            pos, mass, tracer=tr
+        )
+        stats = res.stats
+        assert stats["mac_tests"] > 0
+        assert tr.counters["traverse.mac_tests"] == stats["mac_tests"]
+        assert tr.counters["force.cells"] == stats["n_cells"] > 0
+        assert tr.counters["force.interactions"] == (
+            stats["cell_interactions"] + stats["pp_interactions"]
+            + stats["prism_interactions"]
+        )
+        assert stats["mac"] == "moment" and stats["traversal"] == "hierarchical"
+        assert stats["flops"] == flops_from_stats(stats)
 
     def test_no_stats_without_tracing(self):
         from repro.gravity import TreecodeConfig, TreecodeGravity

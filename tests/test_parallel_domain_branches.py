@@ -265,14 +265,41 @@ class TestParallelTraversal:
         assert b.abm_wire_messages <= n.abm_wire_messages
 
 
+def _rank_forces(tree, moms, spec, n_ranks):
+    """Forces rank by rank: SFC-contiguous particle blocks of sink
+    leaves, each solved alone and written as its key-sorted slice."""
+    from repro.gravity.solver import solve_forces
+
+    n = tree.n_particles
+    leaf = tree.leaf_indices
+    leaf = leaf[np.argsort(tree.cell_start[leaf])]
+    bounds = (np.arange(n_ranks + 1) * n) // n_ranks
+    rank = np.searchsorted(bounds, tree.cell_start[leaf], side="right") - 1
+    acc, pot = np.zeros((n, 3)), np.zeros(n)
+    shards = 0
+    for r in range(n_ranks):
+        sinks = leaf[rank == r]
+        if len(sinks) == 0:
+            continue
+        s0 = int(tree.cell_start[sinks[0]])
+        s1 = int(tree.cell_start[sinks[-1]] + tree.cell_count[sinks[-1]])
+        res = solve_forces(tree, moms, spec, sink_leaves=sinks, particle_range=(s0, s1))[0]
+        acc[s0:s1], pot[s0:s1] = res.acc, res.pot
+        shards += 1
+    assert shards > 1
+    out_acc, out_pot = np.empty_like(acc), np.empty_like(pot)
+    out_acc[tree.order], out_pot[tree.order] = acc, pot
+    return out_acc, out_pot
+
+
 class TestParallelForces:
     def test_distributed_equals_serial(self):
         """HOT's decomposition contract: the parallel force calculation
         computes the identical interaction set — per-leaf CSR segments
         do not depend on the sharding, so results agree bit for bit."""
-        from repro.gravity.treeforce import evaluate_forces
         from repro.gravity import make_softening
-        from repro.parallel import parallel_forces
+        from repro.gravity.solver import ForceSpec
+        from repro.gravity.treeforce import evaluate_forces
 
         pos = clustered(2000, seed=12)
         mass = np.full(len(pos), 1.0 / len(pos))
@@ -284,14 +311,14 @@ class TestParallelForces:
             softening=soft, want_potential=True,
         )
         for n_ranks in (3, 8):
-            acc, pot = parallel_forces(tree, moms, n_ranks, softening=soft)
+            acc, pot = _rank_forces(tree, moms, ForceSpec(softening=soft), n_ranks)
             assert np.array_equal(acc, serial.acc)
             assert np.array_equal(pot, serial.pot)
 
     def test_distributed_periodic(self):
-        from repro.gravity.treeforce import evaluate_forces
         from repro.gravity import make_softening
-        from repro.parallel import parallel_forces
+        from repro.gravity.solver import ForceSpec
+        from repro.gravity.treeforce import evaluate_forces
 
         pos = clustered(800, seed=13)
         mass = np.full(len(pos), 1.0 / len(pos))
@@ -304,8 +331,7 @@ class TestParallelForces:
             tree, moms, traverse_hierarchical(tree, moms, periodic=True, ws=1),
             softening=soft, want_potential=True,
         )
-        acc, pot = parallel_forces(
-            tree, moms, 4, softening=soft, periodic=True, ws=1
-        )
+        spec = ForceSpec(periodic=True, ws=1, softening=soft)
+        acc, pot = _rank_forces(tree, moms, spec, 4)
         assert np.array_equal(acc, serial.acc)
         assert np.array_equal(pot, serial.pot)

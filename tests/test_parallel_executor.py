@@ -74,9 +74,6 @@ def test_workers2_allclose_and_stats():
     assert np.allclose(par.pot, serial.pot, rtol=1e-12, atol=1e-10)
     # sharded merge is deterministic whatever the worker scheduling
     assert np.array_equal(par.acc, again.acc)
-    # interaction totals match the serial accounting exactly
-    for key in ("cell_interactions", "pp_interactions", "prism_interactions", "prism_cubes"):
-        assert par.stats[key] == serial.stats[key]
     assert 0 < par.stats["prism_interactions"] < par.stats["prism_cubes"]
     ex = par.stats["executor"]
     assert ex["workers"] == 2
@@ -85,6 +82,50 @@ def test_workers2_allclose_and_stats():
     assert par.stats["interactions_per_particle"] == pytest.approx(
         serial.stats["interactions_per_particle"]
     )
+
+
+#: serial stats a sharded solve counts differently by design
+_SHARD_SURPLUS = (
+    # a sink cell that straddles two shards is translated by both
+    "cell_entries", "m2l_classes", "m2l_tile_rows",
+    # every shard re-walks the shared upper tree
+    "mac_tests", "inherited_accepts", "leaf_accepts", "frontier_peak", "traversal_rounds",
+)
+#: M2L pairs are translations of a sink cell too, and these keys sum them
+_M2L_SUMS = ("m2l_pairs", "m2l_interactions", "traversal_interactions")
+_SECONDS = ("family_seconds", "cell_seconds", "prism_seconds")
+
+
+@pytest.mark.parametrize("traversal", ["hierarchical", "fmm-hybrid"])
+def test_sharded_stats_keep_every_serial_key(traversal):
+    """The merge drops no stat: every count of the serial solve is in
+    the sharded one with the serial value, apart from the named surplus
+    of straddling sink cells and re-walks, and the seconds."""
+    pos, mass = _particles(1500)
+    cfg = dict(p=2, errtol=1e-3, periodic=True, traversal=traversal, nleaf=8)
+    serial = TreecodeGravity(TreecodeConfig(**cfg)).compute(pos, mass, box=1.0)
+    with TreecodeGravity(TreecodeConfig(**cfg, workers=2)) as solver:
+        par = solver.compute(pos, mass, box=1.0)
+    assert par.stats["executor"]["n_shards"] > 1
+    extra = par.stats["m2l_pairs"] - serial.stats["m2l_pairs"]
+    assert extra > 0 if traversal == "fmm-hybrid" else extra == 0
+    for key in _M2L_SUMS:
+        assert par.stats[key] == serial.stats[key] + extra, key
+    fam = dict(serial.stats["interactions_by_family"])
+    fam["m2l"] += extra
+    assert par.stats["interactions_by_family"] == fam
+    checked = 0
+    for key, value in serial.stats.items():
+        if isinstance(value, str) or key == "kernel":
+            continue  # labels; the derived kernel record has its own test
+        assert key in par.stats, key
+        if key in _SECONDS:
+            assert set(par.stats[key]) == set(value), key
+        elif key not in (*_SHARD_SURPLUS, *_M2L_SUMS, "interactions_by_family",
+                         "interactions_per_particle"):
+            assert par.stats[key] == value, key
+            checked += 1
+    assert checked >= 12
 
 
 def test_treepm_workers_allclose():

@@ -71,25 +71,21 @@ class TestFlops:
         particles at p = 4: 3 tensors (274 statements + a radial chain
         of 36), 10 contractions of the 924-entry table and 8 L2P
         evaluations of 690 with the potential."""
-        from types import SimpleNamespace
+        from repro.perfmodel.flops import flops_from_stats, kernel_counters
 
-        from repro.instrument.crosscheck import flops_from_stats
-        from repro.perfmodel.flops import kernel_counters
-
-        tree = SimpleNamespace(cell_count=np.array([5, 3]))
-        inter = SimpleNamespace(
-            sink_leaves=np.array([0, 1]),
-            leaf_src=np.zeros(0, dtype=np.int64),
-            m2l_src=np.arange(10),
-            n_pp_interactions=lambda tree: 0,
-        )
-        kern = kernel_counters(
-            tree, inter, p=4, want_potential=True, seconds=1.0,
-            cell_interactions=0, cell_entries=0, m2l_classes=3,
-        )
-        assert kern["flops"] == 3 * (274 + 36) + 10 * 2 * 924 + 8 * 690 == 24930
-        stats = {"order": 4, "m2l_pairs": 10, "m2l_classes": 3, "m2l_interactions": 18}
-        assert flops_from_stats(stats) == 24930
+        stats = {
+            "order": 4, "cell_interactions": 0, "cell_entries": 0,
+            "pp_interactions": 0, "prism_interactions": 0, "prism_cubes": 0,
+            "m2l_pairs": 10, "m2l_classes": 3, "m2l_interactions": 18,
+            "sink_rows": 2, "sink_particles": 8, "m_max": 5,
+            "pp_entries": 0, "pp_entry_particles": 0,
+            "family_seconds": {"cell": 0.0, "pp": 0.0, "m2l": 1.0},
+        }
+        assert flops_from_stats(stats) == 3 * (274 + 36) + 10 * 2 * 924 + 8 * 690 == 24930
+        kern = kernel_counters(stats)
+        assert kern["flops"] == 24930
+        assert kern["l2p_interactions"] == 8 and kern["interactions"] == 18
+        assert kern["m_mean"] == 4.0 and kern["tile_occupancy"] == 0.8
 
     def test_hexadecapole_order_of_magnitude(self):
         """§7: ~600,000 flops/particle from ~2000 (mostly hexadecapole)

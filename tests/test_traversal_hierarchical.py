@@ -1398,6 +1398,14 @@ class TestPrismWorkerIdentity:
                 assert res.stats[key] == serial.stats[key], (workers, key)
                 assert res.stats["kernel"][key] == serial.stats[key], (workers, key)
             assert set(res.stats["prism_seconds"]) == {"coalesce", "rows"}
+            # the kernel record is derived from the merged counts: its tile
+            # shape does not depend on the worker count.  Times differ, and
+            # the translations of a straddling sink cell count per shard
+            kern, ref = res.stats["kernel"], serial.stats["kernel"]
+            assert set(kern) == set(ref)
+            for key in set(ref) - {"seconds", "interactions_per_s", "gflops",
+                                   "model_fraction", "cell_entries", "flops"}:
+                assert kern[key] == ref[key], (workers, key)
 
     def test_shard_boxes_are_the_serial_rows(self):
         """A restricted walk's rows carry the boxes of the same rows of

@@ -82,6 +82,11 @@ RETIRED = [
         (*EVERYWHERE, "pyproject.toml", ".github"),
         "one observability CLI (repro-obs); the frozen-baseline judge, compare and two env knobs",
     ),
+    (
+        r"merge_kernel_counters|parallel_forces|_run_local|_merge_stats",
+        (*EVERYWHERE, ".github"),
+        "one force-call accounting: one stats merge, kernel counters derived from the counts",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
