@@ -8,6 +8,10 @@ the scale factor.  Everything here is a direct quadrature of
     (H/H0)^2 = Omega_R/a^4 + Omega_M/a^3 + Omega_k/a^2 + Omega_DE f(a)
 
 with f(a) the CPL dark-energy density ratio.
+
+``scipy.integrate`` is imported inside the functions that call it, as in
+the rest of this package: a run that generates no initial conditions
+never reaches them and so never pays for the import.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .params import CosmologyParams
 
@@ -96,6 +99,8 @@ class Background:
         def integrand(x):
             return 1.0 / (x * self.efunc(x))
 
+        from scipy import integrate
+
         val, _ = integrate.quad(integrand, 0.0, a, limit=200)
         return val * _HINV_GYR / (100.0 * self.params.h)
 
@@ -113,6 +118,8 @@ class Background:
         def integrand(x):
             return 1.0 / (x * x * self.efunc(x))
 
+        from scipy import integrate
+
         val, _ = integrate.quad(integrand, a, 1.0, limit=200)
         # c/H0 in Mpc/h = 2997.92458
         return val * 2997.92458
@@ -123,6 +130,8 @@ class Background:
 
         def integrand(x):
             return 1.0 / (x * x * self.efunc(x))
+
+        from scipy import integrate
 
         val, _ = integrate.quad(integrand, 1e-10, a, limit=200)
         return val * 2997.92458

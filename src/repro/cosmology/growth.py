@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import integrate
 
 from .background import Background
 from .params import CosmologyParams
@@ -66,6 +65,8 @@ def _solution(params: CosmologyParams, a_init: float, lna_end: float):
     # growing mode is the Meszaros solution D ~ 1 + 3a/(2a_eq); starting
     # deep in the radiation era with D ∝ a and letting the ODE relax
     # through equality captures the suppression automatically.
+    from scipy import integrate
+
     sol = integrate.solve_ivp(
         _rhs,
         (np.log(a_init), lna_end),
@@ -131,6 +132,8 @@ class GrowthCalculator:
             return np.sqrt(
                 p.omega_m / x**3 + p.omega_k / x**2 + p.omega_de
             )
+
+        from scipy import integrate
 
         def one(av):
             val, _ = integrate.quad(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .growth import GrowthCalculator
 from .params import CosmologyParams
@@ -237,6 +236,8 @@ class LinearPower:
         hi = min(1e3 / r_mpc_h * 50.0, self.kmax)
         if hi <= lo:
             return 0.0
+        from scipy import integrate
+
         val, _ = integrate.quad(
             integrand, math.log(lo), math.log(hi), limit=400
         )

@@ -11,8 +11,10 @@ round-trip helpers to write/read the table as a small text file.
 
 Interpolation is log-log cubic (the background quantities are smooth
 power laws per epoch), and the drift/kick quadratures integrate the
-interpolant so a simulation driven by a table reproduces one driven by
-the analytic Friedmann solution to interpolation accuracy — which is
+interpolant with the analytic path's own rule and tolerance
+(:func:`repro.cosmology.timeintegrals.scale_factor_integral`), so a
+simulation driven by a table reproduces one driven by the analytic
+Friedmann solution to interpolation accuracy — which is
 exactly how the paper cross-checks its CLASS coupling against the
 analytic scale factor.
 """
@@ -20,10 +22,10 @@ analytic scale factor.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .background import Background
 from .params import CosmologyParams
+from .timeintegrals import scale_factor_integral
 
 __all__ = ["TabulatedBackground", "write_background_table", "read_background_table"]
 
@@ -42,6 +44,8 @@ class TabulatedBackground:
             raise ValueError("E(a) must be positive")
         self.a_min = float(a[0])
         self.a_max = float(a[-1])
+        from scipy import interpolate
+
         self._spline = interpolate.CubicSpline(np.log(a), np.log(e))
 
     @classmethod
@@ -71,16 +75,10 @@ class TabulatedBackground:
 
     # ----- drift/kick integrals -------------------------------------------------
     def drift_factor(self, a0: float, a1: float) -> float:
-        val, _ = integrate.quad(
-            lambda a: 1.0 / (a**3 * float(self.efunc(a))), a0, a1, limit=200
-        )
-        return val
+        return scale_factor_integral(self.efunc, 3, a0, a1)
 
     def kick_factor(self, a0: float, a1: float) -> float:
-        val, _ = integrate.quad(
-            lambda a: 1.0 / (a**2 * float(self.efunc(a))), a0, a1, limit=200
-        )
-        return val
+        return scale_factor_integral(self.efunc, 2, a0, a1)
 
 
 def write_background_table(path, params: CosmologyParams, a_min: float = 1e-4,

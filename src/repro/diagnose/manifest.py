@@ -11,6 +11,7 @@ be tied back to *what ran*.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -49,8 +50,6 @@ def _git_commit() -> str | None:
 
 def build_manifest(config=None, seeds=None, extra=None) -> dict:
     """Assemble the provenance record (JSON-serializable)."""
-    import scipy
-
     manifest = {
         "type": "manifest",
         "manifest_version": MANIFEST_VERSION,
@@ -64,7 +63,7 @@ def build_manifest(config=None, seeds=None, extra=None) -> dict:
         "machine": platform.machine(),
         "hostname": socket.gethostname(),
         "cpu_count": os.cpu_count(),
-        "packages": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "packages": {"numpy": np.__version__, "scipy": importlib.metadata.version("scipy")},
         "env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")},
         "git_commit": _git_commit(),
         "argv": list(sys.argv),

@@ -24,6 +24,7 @@ Two of the paper's specific refinements are reproduced:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +34,9 @@ from ..cosmology import CosmologyParams, DriftKickIntegrals
 from .particles import ParticleSet
 
 __all__ = ["StepController", "LeapfrogIntegrator"]
+
+#: one set of drift/kick integrals per cosmology in the process
+_integrals = functools.lru_cache(maxsize=8)(DriftKickIntegrals)
 
 
 @dataclass
@@ -64,14 +68,14 @@ class StepController:
         acc: np.ndarray,
         a: float,
     ) -> float:
-        dk = DriftKickIntegrals(params)
+        dk = _integrals(params)
+        vmax = float(np.sqrt((ps.mom**2).sum(axis=1)).max())
+        amax = float(np.sqrt((acc**2).sum(axis=1)).max())
         for k in range(self.max_refine + 1):
             dlna = self.dlna_max / (1 << k)
             a1 = a * np.exp(dlna)
             drift = dk.drift_factor(a, a1)
             kick = dk.kick_factor(a, a1)
-            vmax = float(np.sqrt((ps.mom**2).sum(axis=1)).max())
-            amax = float(np.sqrt((acc**2).sum(axis=1)).max())
             dx_vel = vmax * drift
             dx_acc = kick * drift * amax
             if dx_vel <= self.eta_vel and dx_acc <= self.eta_acc * self.eps:
@@ -94,7 +98,7 @@ class LeapfrogIntegrator:
     n_force_calls: int = 0
 
     def __post_init__(self):
-        self._dk = DriftKickIntegrals(self.params)
+        self._dk = _integrals(self.params)
 
     def kick(self, ps: ParticleSet, acc: np.ndarray, a0: float, a1: float) -> None:
         ps.mom += acc * self._dk.kick_factor(a0, a1)

@@ -55,16 +55,15 @@ def test_gate_is_on_unattributed_time_and_on_the_two_counts():
     assert "2320 lattice vectors" in tool.failures(rows, 1.0, 2320, 164)[0]
     assert "4912 wave vectors" in tool.failures(rows, 1.0, 92, 4912)[0]
     assert len(tool.failures(rows, 1.2, 93, 165)) == 3
+    assert tool.failures(rows, 1.0, 92, 164, integrate_loaded=True, generated_ic=True) == []
+    stray = tool.failures(rows, 1.0, 92, 164, integrate_loaded=True, generated_ic=False)
+    assert stray == ["scipy.integrate loaded by a set-up that generated no initial conditions"]
 
 
-def test_the_registered_set_up_of_early_hier_passes_the_gate():
-    """One real run, in a fresh process as the benchmark's set-ups are:
-    every row printed, at most 5% of the wall outside them, and the
-    lattice sums over the wedge (83 + 3 lattice vectors for the default
-    config's ws = 1, 164 wave vectors); a serial set-up never loads the
-    worker pool's package."""
+def _passes_the_gate(workload: str) -> str:
+    """Run the tool on one registered set-up; its stdout, once it exits 0."""
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--workload", "early_hier"],
+        [sys.executable, str(TOOL), "--workload", workload],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
@@ -72,3 +71,20 @@ def test_the_registered_set_up_of_early_hier_passes_the_gate():
         assert f"  {row} " in done.stdout
     assert "lattice vectors 86  wave vectors 164" in done.stdout
     assert "repro.parallel loaded: no" in done.stdout
+    return done.stdout
+
+
+def test_the_registered_set_up_of_early_hier_passes_the_gate():
+    """One real run, in a fresh process as the benchmark's set-ups are:
+    every row printed, at most 5% of the wall outside them, and the
+    lattice sums over the wedge (83 + 3 lattice vectors for the default
+    config's ws = 1, 164 wave vectors); a serial set-up never loads the
+    worker pool's package.  The early inputs' 2LPT initial conditions
+    load scipy.integrate."""
+    assert "scipy.integrate loaded: yes" in _passes_the_gate("early_hier")
+
+
+def test_the_registered_set_up_of_clustered_hier_loads_no_scipy_integrate():
+    """Inputs that are not generated leave scipy.integrate unloaded: the
+    drift and kick factors do not need it."""
+    assert "scipy.integrate loaded: no" in _passes_the_gate("clustered_hier")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from repro.cosmology import (
     EDS,
@@ -35,6 +36,18 @@ class TestTabulatedBackground:
             assert tab.kick_factor(a0, a1) == pytest.approx(
                 dk.kick_factor(a0, a1), rel=1e-6
             )
+
+    def test_drift_kick_use_the_analytic_rule_and_tolerance(self):
+        """Both factors integrate the table's own E(a) at the drift/kick
+        tolerance of DriftKickIntegrals, not quad's looser default."""
+        tab = TabulatedBackground.from_params(PLANCK2013, a_min=0.005, n=512)
+        for a0, a1 in ((0.02, 0.05), (0.1, 0.5), (0.5, 1.0)):
+            for power, got in ((3, tab.drift_factor(a0, a1)), (2, tab.kick_factor(a0, a1))):
+                ref, _ = integrate.quad(
+                    lambda a: 1.0 / (a**power * float(tab.efunc(a))), a0, a1,
+                    limit=200, epsabs=1e-14, epsrel=1e-12,
+                )
+                assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_out_of_range_rejected(self):
         tab = TabulatedBackground.from_params(EDS, a_min=0.01)

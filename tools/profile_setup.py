@@ -22,15 +22,18 @@ stage.  Modules are imported in ``set_up``'s order (``pace``,
 entry points can be wrapped; the process pays for each import once either
 way.  The pace samples are outside ``set_up``'s wall and outside the rows.
 
-A last line says whether the set-up loaded ``repro.parallel``: only a
-workload with a worker pool needs it, and this tool imports the pool's
-module only for such a workload.
+The last two lines say whether the set-up loaded ``repro.parallel`` and
+``scipy.integrate``.  Only a workload with a worker pool needs the first,
+and this tool imports the pool's module only for such a workload.  Only
+2LPT initial conditions (``generate_ic``: the growth ODE and the σ8
+normalisation) need the second; the drift and kick factors do not.
 
-Exits non-zero when more than 5% of the wall is in no row, or when the
+Exits non-zero when more than 5% of the wall is in no row, when the
 lattice expansion evaluated more than 92 lattice vectors
 (``derivative_tensors`` rows) or 164 wave vectors (``powers`` rows): the
-cubic group's fundamental wedge for the default geometry.  Counts only;
-there is no gate on the times.
+cubic group's fundamental wedge for the default geometry, or when the
+set-up loaded ``scipy.integrate`` without calling ``generate_ic``.
+Counts and imports only; there is no gate on the times.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def time_imports(times: SelfTimes):
     return lambda: setattr(builtins, "__import__", plain)
 
 
-def failures(rows: dict[str, float], wall: float, lattice_vectors: int, wave_vectors: int) -> list[str]:
+def failures(rows: dict[str, float], wall: float, lattice_vectors: int, wave_vectors: int,
+             integrate_loaded: bool = False, generated_ic: bool = False) -> list[str]:
     """What the gate objects to; empty when the profile passes."""
     out = []
     unattributed = wall - sum(rows.values())
@@ -127,6 +131,8 @@ def failures(rows: dict[str, float], wall: float, lattice_vectors: int, wave_vec
                    f"(limit {MAX_LATTICE_VECTORS})")
     if wave_vectors > MAX_WAVE_VECTORS:
         out.append(f"{wave_vectors} wave vectors through powers (limit {MAX_WAVE_VECTORS})")
+    if integrate_loaded and not generated_ic:
+        out.append("scipy.integrate loaded by a set-up that generated no initial conditions")
     return out
 
 
@@ -146,6 +152,7 @@ def profile(workload: str, seed: int) -> dict:
 
         import pace
         import workloads as W
+        import repro.simulation
         from repro.gravity import periodic
         from repro.multipoles.multiindex import MultiIndexSet
         from repro.simulation import Simulation
@@ -179,6 +186,16 @@ def profile(workload: str, seed: int) -> dict:
         counted(periodic, "derivative_tensors", "lattice_vectors", lambda a: a[0])
         counted(MultiIndexSet, "powers", "wave_vectors", lambda a: a[1])
 
+        generated = []  # workloads.make_inputs reads generate_ic off the package
+        plain_ic = repro.simulation.generate_ic
+
+        @functools.wraps(plain_ic)
+        def generate_ic(*args, **kwargs):
+            generated.append(True)
+            return plain_ic(*args, **kwargs)
+
+        repro.simulation.generate_ic = generate_ic
+
         try:
             sim, setup = run.set_up(W.WORKLOADS[workload], seed, quick=False)
             sim.close()
@@ -194,6 +211,8 @@ def profile(workload: str, seed: int) -> dict:
         "setup_s": run.at_reference_pace(**setup),
         "rows": rows,
         "parallel_loaded": "repro.parallel" in sys.modules,
+        "integrate_loaded": "scipy.integrate" in sys.modules,
+        "generated_ic": bool(generated),
         **counts,
     }
 
@@ -213,7 +232,9 @@ def main(argv=None) -> int:
     print(f"  {'(in no row)':<22} {unattributed:8.3f} s  {unattributed / wall:6.1%}")
     print(f"  lattice vectors {doc['lattice_vectors']}  wave vectors {doc['wave_vectors']}")
     print(f"  repro.parallel loaded: {'yes' if doc['parallel_loaded'] else 'no'}")
-    bad = failures(doc["rows"], wall, doc["lattice_vectors"], doc["wave_vectors"])
+    print(f"  scipy.integrate loaded: {'yes' if doc['integrate_loaded'] else 'no'}")
+    bad = failures(doc["rows"], wall, doc["lattice_vectors"], doc["wave_vectors"],
+                   doc["integrate_loaded"], doc["generated_ic"])
     for line in bad:
         print(f"profile_setup.py: {line}", file=sys.stderr)
     return 1 if bad else 0
