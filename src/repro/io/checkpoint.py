@@ -15,7 +15,13 @@ errtol, expansion order, seed, softening, worker count, stepping knobs
 entries against the resuming configuration, raising
 :class:`CheckpointConfigMismatch` so a restart can never silently
 change the physics.  Durable writes (atomic replace + per-column
-checksums) are the default; see :mod:`repro.io.sdf`.
+checksums) are the only kind; see :mod:`repro.io.sdf`.
+
+This module is the restart record's one codec: :func:`save_checkpoint`
+encodes the cosmology and the ``simcfg_*`` entries, and
+:func:`cosmology_from_metadata` / :func:`restart_config` decode them.
+``simcfg_*`` keys that name no current field (options since retired)
+are skipped, so older files still load.
 """
 
 from __future__ import annotations
@@ -24,29 +30,29 @@ import dataclasses
 
 import numpy as np
 
-from ..cosmology import CosmologyParams
+from ..cosmology import PLANCK2013, CosmologyParams
 from ..simulation.particles import ParticleSet
 from .sdf import read_sdf, write_sdf
 
 __all__ = [
     "CheckpointConfigMismatch",
+    "cosmology_from_metadata",
     "save_checkpoint",
     "load_checkpoint",
+    "restart_config",
     "sim_config_metadata",
     "verify_sim_config",
 ]
 
 #: SimulationConfig fields excluded from ``simcfg_*`` metadata: the
 #: cosmology is stored through ``params=`` (flat, self-describing), and
-#: live objects / operational checkpoint knobs are not restart physics.
+#: a health monitor is a live object, not restart physics.
 _SIMCFG_SKIP = frozenset({"cosmology", "health"})
 
-#: fields whose mismatch is *not* an error on load: they steer when and
-#: where checkpoints are written, never what is computed.
-_SIMCFG_OPERATIONAL = frozenset({
-    "checkpoint_dir", "checkpoint_every_steps", "checkpoint_interval_s",
-    "checkpoint_mtbf_h", "checkpoint_keep",
-})
+
+def _cosmology_key(field_name: str) -> str:
+    """Metadata key of a CosmologyParams field (``name`` is qualified)."""
+    return "cosmology_name" if field_name == "name" else field_name
 
 
 class CheckpointConfigMismatch(ValueError):
@@ -75,21 +81,42 @@ def _coerce(stored, reference):
     return type(reference)(stored)
 
 
-def verify_sim_config(metadata: dict, config, ignore=()) -> None:
+def cosmology_from_metadata(metadata: dict) -> CosmologyParams:
+    """The :class:`CosmologyParams` that ``save_checkpoint(params=)`` recorded."""
+    kw = {}
+    for f in dataclasses.fields(CosmologyParams):
+        key = _cosmology_key(f.name)
+        if key in metadata:
+            # PLANCK2013 supplies each field's type (four have no default)
+            kw[f.name] = _coerce(metadata[key], getattr(PLANCK2013, f.name))
+    return CosmologyParams(**kw)
+
+
+def restart_config(metadata: dict):
+    """The full SimulationConfig that ``save_checkpoint(sim_config=)`` recorded."""
+    from ..simulation.driver import SimulationConfig
+
+    kw = {}
+    for f in dataclasses.fields(SimulationConfig):
+        key = f"simcfg_{f.name}"
+        if f.name not in _SIMCFG_SKIP and key in metadata:
+            kw[f.name] = _coerce(metadata[key], f.default)
+    return SimulationConfig(cosmology=cosmology_from_metadata(metadata), **kw)
+
+
+def verify_sim_config(metadata: dict, config) -> None:
     """Raise :class:`CheckpointConfigMismatch` if ``config`` disagrees
     with the ``simcfg_*`` entries stored in ``metadata``.
 
-    Operational checkpoint-scheduling fields are always exempt; pass
-    ``ignore=("workers", ...)`` to permit further deliberate overrides.
+    A deliberate change goes through ``Simulation.resume(overrides=)``.
     """
-    ignore = set(ignore) | _SIMCFG_OPERATIONAL
-    fields = {f.name: f for f in dataclasses.fields(config)}
+    fields = {f.name for f in dataclasses.fields(config)}
     mismatches = []
     for key, stored in metadata.items():
         if not key.startswith("simcfg_"):
             continue
         name = key[len("simcfg_"):]
-        if name in ignore or name not in fields:
+        if name not in fields:
             continue
         current = getattr(config, name)
         if _coerce(stored, current) != current:
@@ -109,13 +136,12 @@ def save_checkpoint(
     git_tag: str | None = None,
     extra_metadata: dict | None = None,
     sim_config=None,
-    durable: bool = True,
 ) -> None:
     """Write a restartable snapshot, preserving any leapfrog offset.
 
     ``sim_config`` records the full simulation configuration (verified
-    on load); ``durable`` (default) writes atomically with per-column
-    checksums so a torn or bit-flipped file is detected at restart.
+    on load).  The write is atomic with per-column checksums, so a torn
+    or bit-flipped file is detected at restart.
     """
     md = {
         "a": particles.a,
@@ -123,18 +149,7 @@ def save_checkpoint(
     }
     if params is not None:
         md.update(
-            omega_m=params.omega_m,
-            omega_b=params.omega_b,
-            omega_de=params.omega_de,
-            h=params.h,
-            sigma8=params.sigma8,
-            n_s=params.n_s,
-            t_cmb=params.t_cmb,
-            n_eff=params.n_eff,
-            w0=params.w0,
-            wa=params.wa,
-            include_radiation=params.include_radiation,
-            cosmology_name=params.name,
+            (_cosmology_key(k), v) for k, v in dataclasses.asdict(params).items()
         )
     if box_mpc_h is not None:
         md["box_mpc_h"] = box_mpc_h
@@ -151,20 +166,20 @@ def save_checkpoint(
         },
         metadata=md,
         git_tag=git_tag,
-        checksums=durable,
-        atomic=durable,
+        checksums=True,
+        atomic=True,
     )
 
 
-def load_checkpoint(path, expect_config=None, verify: bool = True):
+def load_checkpoint(path, expect_config=None):
     """Read a checkpoint; returns (ParticleSet, metadata dict).
 
-    Column checksums (when recorded) are always re-verified unless
-    ``verify=False``.  With ``expect_config`` the stored ``simcfg_*``
-    entries are checked against it and a physics-relevant disagreement
-    raises :class:`CheckpointConfigMismatch`.
+    Column checksums (when recorded) are always re-verified.  With
+    ``expect_config`` the stored ``simcfg_*`` entries are checked
+    against it and a disagreement raises
+    :class:`CheckpointConfigMismatch`.
     """
-    sdf = read_sdf(path, verify=verify)
+    sdf = read_sdf(path)
     cols = sdf.columns
     pos = np.stack([cols["pos_x"], cols["pos_y"], cols["pos_z"]], axis=1)
     mom = np.stack([cols["mom_x"], cols["mom_y"], cols["mom_z"]], axis=1)

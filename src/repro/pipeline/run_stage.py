@@ -198,8 +198,8 @@ _STAGES["ic"] = _stage_ic
 def _stage_evolve(cfg, workdir):
     import dataclasses
 
-    from ..cosmology import CosmologyParams
     from ..io import load_checkpoint, save_checkpoint
+    from ..io.checkpoint import cosmology_from_metadata
     from ..simulation import Simulation, SimulationConfig
 
     health_cfg = None
@@ -239,10 +239,7 @@ def _stage_evolve(cfg, workdir):
 
     if sim is None:
         ps, md = load_checkpoint(workdir / cfg["input"])
-        probe = CosmologyParams(
-            omega_m=md["omega_m"], omega_b=md["omega_b"], omega_de=md["omega_de"],
-            h=md["h"], sigma8=md["sigma8"], n_s=md["n_s"],
-        )
+        probe = cosmology_from_metadata(md)
         box = md["box_mpc_h"]
         sim_cfg = SimulationConfig(
             cosmology=probe,
@@ -262,7 +259,7 @@ def _stage_evolve(cfg, workdir):
         )
         sim = Simulation(sim_cfg, particles=ps)
 
-    checkpointer = False
+    checkpointer = None
     if ckpt_every > 0:
         from ..resilience import CheckpointScheduler
 

@@ -20,6 +20,8 @@ from .faults import FaultPlan
 
 __all__ = ["CheckpointStore", "NoValidCheckpoint"]
 
+_CKPT_NAME = re.compile(r"^ckpt_(\d+)\.sdf$")
+
 
 class NoValidCheckpoint(RuntimeError):
     """No checkpoint in the store survived validation."""
@@ -31,34 +33,30 @@ class CheckpointStore:
     Parameters
     ----------
     directory:
-        Where checkpoints live; created on first save.
-    keep:
-        Rotation width — after each save, only the newest ``keep``
-        checkpoints remain (the paper checkpoints every ~4 h of an
-        80 h-MTBF run; keeping a short window bounds disk while still
-        surviving a corrupted newest file).
-    prefix:
-        Filename prefix (``<prefix>_<step>.sdf``).
+        Where checkpoints live (``ckpt_<step>.sdf``); created on first
+        save.
     faults:
         Optional :class:`FaultPlan` whose ``corrupt`` clauses are
         applied to matching writes (deterministic test injection);
         defaults to the ``REPRO_FAULTS`` environment.
     """
 
-    def __init__(self, directory, keep: int = 3, prefix: str = "ckpt",
-                 faults: FaultPlan | str | None = None):
+    #: rotation width — after each save only the newest ``KEEP``
+    #: checkpoints remain (the paper checkpoints every ~4 h of an
+    #: 80 h-MTBF run; a short window bounds disk while still surviving
+    #: a corrupted newest file)
+    KEEP = 3
+
+    def __init__(self, directory, faults: FaultPlan | str | None = None):
         self.directory = Path(directory)
-        self.keep = int(keep)
-        self.prefix = prefix
         if faults is None:
             faults = FaultPlan.from_env()
         elif isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         self.faults = faults
-        self._pattern = re.compile(rf"^{re.escape(prefix)}_(\d+)\.sdf$")
 
     def path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}_{int(step):06d}.sdf"
+        return self.directory / f"ckpt_{int(step):06d}.sdf"
 
     def list(self) -> list[Path]:
         """All checkpoints in the store, oldest first (by step number)."""
@@ -66,7 +64,7 @@ class CheckpointStore:
             return []
         found = []
         for name in os.listdir(self.directory):
-            m = self._pattern.match(name)
+            m = _CKPT_NAME.match(name)
             if m:
                 found.append((int(m.group(1)), self.directory / name))
         return [p for _, p in sorted(found)]
@@ -76,24 +74,19 @@ class CheckpointStore:
         """Write checkpoint ``step`` durably, inject faults, rotate."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(step)
-        save_checkpoint(path, particles, durable=True, **save_kw)
+        save_checkpoint(path, particles, **save_kw)
         if self.faults:
             self.faults.corrupt_checkpoint(path)
         self.prune()
         return path
 
-    def prune(self) -> list[Path]:
-        """Drop all but the newest ``keep`` checkpoints; returns removed."""
-        existing = self.list()
-        removed = []
-        if self.keep > 0 and len(existing) > self.keep:
-            for path in existing[:-self.keep]:
-                try:
-                    path.unlink()
-                    removed.append(path)
-                except OSError:
-                    pass
-        return removed
+    def prune(self) -> None:
+        """Drop all but the newest ``KEEP`` checkpoints."""
+        for path in self.list()[:-self.KEEP]:
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
     # ----- restoring --------------------------------------------------------------
     def latest_valid(self, expect_config=None):

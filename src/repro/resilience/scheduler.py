@@ -1,4 +1,4 @@
-"""When to checkpoint: fixed step/wall policies and the Young/Daly optimum.
+"""When to checkpoint: every N steps, or at the Young/Daly optimum.
 
 The paper's §3.4.2 arithmetic — one failure per ~80 wallclock hours,
 ~6 minutes per write, checkpoint every ~4 hours — is the Young/Daly
@@ -6,9 +6,9 @@ first-order optimum implemented analytically in
 :func:`repro.perfmodel.checkpoint.optimal_interval`.  This scheduler
 turns that model into a live policy: configure the MTBF, *measure* the
 write cost from the first checkpoint actually written, and space the
-rest ``sqrt(2 * write * MTBF)`` apart.  Fixed-interval policies
-(every N steps / every S seconds) are available for tests and short
-runs where the optimum degenerates.
+rest ``sqrt(2 * write * MTBF)`` apart.  The fixed every-N-steps policy
+serves tests and short runs where the optimum degenerates; it counts
+completed steps of the whole run, so a resumed run keeps its cadence.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from ..perfmodel.checkpoint import optimal_interval
 
 __all__ = ["CheckpointScheduler"]
 
+#: floor on the Young/Daly spacing [s]: a write measured at ~0 s must
+#: not turn into a checkpoint after every step
+_DALY_FLOOR_S = 1.0
+
 
 class CheckpointScheduler:
     """Decides, step by step, whether a checkpoint is due.
@@ -26,68 +30,44 @@ class CheckpointScheduler:
     Policies compose with OR — a checkpoint is written when *any*
     enabled criterion fires:
 
-    * ``every_steps > 0`` — every N completed steps;
-    * ``interval_s > 0`` — when that much wall clock has elapsed since
-      the last write;
+    * ``every_steps > 0`` — after every completed step that is a
+      multiple of N (steps count across resumes);
     * ``mtbf_h > 0`` — Young/Daly: the first checkpoint is written
       immediately (it doubles as the write-cost measurement), then the
       wall interval is re-derived from the measured cost via
       ``optimal_interval``.
 
-    The driver calls :meth:`start` once, :meth:`due` after each step,
-    and :meth:`wrote` after each write (with the measured seconds).
+    The driver calls :meth:`due` after each step and :meth:`wrote`
+    after each write (with the measured seconds).
     """
 
-    def __init__(
-        self,
-        every_steps: int = 0,
-        interval_s: float = 0.0,
-        mtbf_h: float = 0.0,
-        min_interval_s: float = 1.0,
-    ):
+    def __init__(self, every_steps: int = 0, mtbf_h: float = 0.0):
         self.every_steps = int(every_steps)
-        self.interval_s = float(interval_s)
         self.mtbf_h = float(mtbf_h)
-        self.min_interval_s = float(min_interval_s)
         self.write_s: float | None = None
         self.daly_interval_s: float | None = None
         self.n_written = 0
-        self._t_start: float | None = None
         self._t_last_write: float | None = None
-        self._last_write_step = 0
 
     @property
     def enabled(self) -> bool:
-        return self.every_steps > 0 or self.interval_s > 0 or self.mtbf_h > 0
-
-    def start(self, now: float) -> None:
-        """Anchor the wall clock at the start of the run (or resume)."""
-        self._t_start = now
-        self._t_last_write = now
+        return self.every_steps > 0 or self.mtbf_h > 0
 
     def due(self, step: int, now: float) -> bool:
         """Should a checkpoint be written after completed step ``step``?"""
-        if not self.enabled:
-            return False
-        if self._t_last_write is None:
-            self.start(now)
-        if self.every_steps > 0 and (step - self._last_write_step) >= self.every_steps:
-            return True
-        elapsed = now - self._t_last_write
-        if self.interval_s > 0 and elapsed >= self.interval_s:
+        if self.every_steps > 0 and step % self.every_steps == 0:
             return True
         if self.mtbf_h > 0:
             if self.write_s is None:
                 # bootstrap: first write measures the cost the optimum needs
                 return True
-            if elapsed >= self.daly_interval_s:
+            if now - self._t_last_write >= self.daly_interval_s:
                 return True
         return False
 
-    def wrote(self, step: int, now: float, write_s: float) -> None:
+    def wrote(self, now: float, write_s: float) -> None:
         """Record a completed write; re-derives the Young/Daly spacing."""
         self.n_written += 1
-        self._last_write_step = step
         self._t_last_write = now
         # running average keeps the interval honest as file size grows
         if self.write_s is None:
@@ -96,13 +76,12 @@ class CheckpointScheduler:
             self.write_s += (float(write_s) - self.write_s) / self.n_written
         if self.mtbf_h > 0:
             tau_h = optimal_interval(self.write_s / 3600.0, self.mtbf_h)
-            self.daly_interval_s = max(tau_h * 3600.0, self.min_interval_s)
+            self.daly_interval_s = max(tau_h * 3600.0, _DALY_FLOOR_S)
 
     def describe(self) -> dict:
         """JSON-ready policy summary (lands in checkpoint events)."""
         d = {
             "every_steps": self.every_steps,
-            "interval_s": self.interval_s,
             "mtbf_h": self.mtbf_h,
             "n_written": self.n_written,
         }

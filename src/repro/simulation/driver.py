@@ -153,21 +153,6 @@ class SimulationConfig:
     #: in-situ health monitoring: a :class:`repro.diagnose.HealthConfig`
     #: (or True for defaults); None = disabled, zero per-step cost
     health: object = None
-    # fault tolerance (paper §3.4.2; see :mod:`repro.resilience`)
-    #: directory for scheduled restart checkpoints (None = no checkpointing)
-    checkpoint_dir: str | None = None
-    #: write a checkpoint every N completed steps (0 = off)
-    checkpoint_every_steps: int = 0
-    #: write a checkpoint every S seconds of wall clock (0 = off)
-    checkpoint_interval_s: float = 0.0
-    #: Young/Daly scheduling: the configured MTBF in hours (0 = off);
-    #: the write cost is measured from the first checkpoint actually
-    #: written, then spacing follows sqrt(2 * write * MTBF).  When
-    #: ``checkpoint_dir`` is set with no policy at all, this defaults
-    #: to the paper's 80 h failure interval.
-    checkpoint_mtbf_h: float = 0.0
-    #: rotation width: keep only the newest N checkpoints
-    checkpoint_keep: int = 3
 
     def __post_init__(self):
         check_choices(self, "engine", "traversal", "softening")
@@ -374,37 +359,8 @@ class Simulation:
             return store.save(self.steps_completed, self.particles, **kw)
         if path is None:
             raise ValueError("save_checkpoint needs a path or a store")
-        write_checkpoint(path, self.particles, durable=True, **kw)
+        write_checkpoint(path, self.particles, **kw)
         return path
-
-    @staticmethod
-    def _config_from_metadata(md: dict) -> SimulationConfig:
-        """Rebuild the full SimulationConfig a checkpoint recorded."""
-        import dataclasses
-
-        cosmo = CosmologyParams(
-            omega_m=md["omega_m"], omega_b=md["omega_b"],
-            omega_de=md["omega_de"], h=md["h"],
-            sigma8=md.get("sigma8", 0.8), n_s=md.get("n_s", 0.96),
-            t_cmb=md.get("t_cmb", PLANCK2013.t_cmb),
-            n_eff=md.get("n_eff", PLANCK2013.n_eff),
-            w0=md.get("w0", -1.0), wa=md.get("wa", 0.0),
-            include_radiation=bool(md.get("include_radiation", True)),
-            name=str(md.get("cosmology_name", "checkpoint")),
-        )
-        kw = {}
-        for f in dataclasses.fields(SimulationConfig):
-            key = f"simcfg_{f.name}"
-            if f.name in ("cosmology", "health") or key not in md:
-                continue
-            v = md[key]
-            default = f.default
-            if isinstance(default, bool):
-                v = (v == "True") if isinstance(v, str) else bool(int(v))
-            elif default is not None and default is not dataclasses.MISSING:
-                v = type(default)(v)
-            kw[f.name] = v
-        return SimulationConfig(cosmology=cosmo, **kw)
 
     @classmethod
     def resume(cls, path, overrides: dict | None = None, expect_config=None,
@@ -425,10 +381,10 @@ class Simulation:
         """
         import dataclasses
 
-        from ..io.checkpoint import load_checkpoint
+        from ..io.checkpoint import load_checkpoint, restart_config
 
         ps, md = load_checkpoint(path, expect_config=expect_config)
-        config = cls._config_from_metadata(md)
+        config = restart_config(md)
         if overrides:
             config = dataclasses.replace(config, **overrides)
         sim = cls(config, particles=ps, tracer=tracer, health=health)
@@ -449,29 +405,6 @@ class Simulation:
             sim.integrator.n_force_calls += 1
             sim.integrator.kick(ps, acc, ps.a_mom, ps.a)
         return sim
-
-    def _make_checkpointer(self, checkpointer):
-        """Normalize run()'s checkpoint spec to (scheduler, store)."""
-        if checkpointer is False:
-            return None, None
-        if isinstance(checkpointer, tuple):
-            return checkpointer
-        c = self.config
-        if checkpointer is None and not c.checkpoint_dir:
-            return None, None
-        from ..resilience import CheckpointScheduler, CheckpointStore
-
-        sched = CheckpointScheduler(
-            every_steps=c.checkpoint_every_steps,
-            interval_s=c.checkpoint_interval_s,
-            mtbf_h=c.checkpoint_mtbf_h,
-        )
-        if not sched.enabled:
-            # a checkpoint dir with no policy: Young/Daly at the paper's
-            # observed failure interval (§3.4.2)
-            sched = CheckpointScheduler(mtbf_h=80.0)
-        store = CheckpointStore(c.checkpoint_dir, keep=c.checkpoint_keep)
-        return sched, store
 
     # ----- run observatory ----------------------------------------------------------
     def _record_observation(self, obs, prof=None, tracer=None) -> None:
@@ -582,11 +515,11 @@ class Simulation:
         job — partial ``run_totals`` (steps completed, wall, last a) are
         still populated and emitted, so the JSONL tail stays usable.
 
-        Checkpointing: pass ``checkpointer=(scheduler, store)``
-        (:mod:`repro.resilience`) or set ``config.checkpoint_dir`` (+
-        policy fields) and scheduled durable checkpoints are written
-        after the steps the policy selects; ``checkpointer=False``
-        disables even the config-driven setup.  Restart from one with
+        Checkpointing: ``checkpointer=(scheduler, store)`` — a
+        :class:`~repro.resilience.CheckpointScheduler` and a
+        :class:`~repro.resilience.CheckpointStore` — writes durable
+        checkpoints after the steps the scheduler selects; ``None``
+        (the default) writes none.  Restart from one with
         :meth:`Simulation.resume` — the continuation is bit-identical
         to the uninterrupted run.
         """
@@ -622,7 +555,7 @@ class Simulation:
                       "snapshot": fatal.snapshot})
                 raise fatal
 
-        ckpt_sched, ckpt_store = self._make_checkpointer(checkpointer)
+        ckpt_sched, ckpt_store = checkpointer or (None, None)
         # §3.4.1 preemption courtesy: SIGTERM/SIGINT stop the loop at the
         # next step boundary with a final checkpoint instead of dying
         # mid-kick (main thread only; elsewhere the guard never fires)
@@ -632,6 +565,24 @@ class Simulation:
         init_ipp = 0.0
         first_step = len(self.history)
         t_run0 = time.perf_counter()
+
+        def totals() -> dict:
+            new = self.history[first_step:]
+            rt = {
+                "wall_s": time.perf_counter() - t_run0,
+                "steps": steps,
+                "init_force_wall_s": init_wall,
+                "init_interactions_per_particle": init_ipp,
+                "step_wall_s": float(sum(r.wall for r in new)),
+                "interactions_per_particle": init_ipp
+                + float(sum(r.interactions_per_particle for r in new)),
+            }
+            if ckpt_sched is not None:
+                rt["checkpoints"] = ckpt_sched.describe()
+            if self.health.enabled:
+                rt["health"] = self.health.summary()
+            return rt
+
         try:
             with prof.stage("init_force"), tr.span("init_force"):
                 acc = self._force(ps)
@@ -649,8 +600,6 @@ class Simulation:
             )
             if self.health.enabled:
                 health_check(self.health.on_init(self, acc))
-            if ckpt_sched is not None:
-                ckpt_sched.start(time.perf_counter())
             while ps.a < c.a_final * (1 - 1e-12) and steps < max_steps:
                 t0 = time.perf_counter()
                 with prof.stage("step"), tr.span("step"):
@@ -690,9 +639,7 @@ class Simulation:
                     t_ck = time.perf_counter()
                     path = self.save_checkpoint(store=ckpt_store)
                     write_s = time.perf_counter() - t_ck
-                    ckpt_sched.wrote(
-                        self.steps_completed, time.perf_counter(), write_s
-                    )
+                    ckpt_sched.wrote(time.perf_counter(), write_s)
                     emit({
                         "type": "checkpoint",
                         "path": str(path),
@@ -724,20 +671,7 @@ class Simulation:
                         f"{self.steps_completed} (a={ps.a:.4f})",
                         checkpoint=final_ckpt,
                     )
-            new = self.history[first_step:]
-            self.run_totals = {
-                "wall_s": time.perf_counter() - t_run0,
-                "steps": steps,
-                "init_force_wall_s": init_wall,
-                "init_interactions_per_particle": init_ipp,
-                "step_wall_s": float(sum(r.wall for r in new)),
-                "interactions_per_particle": init_ipp
-                + float(sum(r.interactions_per_particle for r in new)),
-            }
-            if ckpt_sched is not None:
-                self.run_totals["checkpoints"] = ckpt_sched.describe()
-            if self.health.enabled:
-                self.run_totals["health"] = self.health.summary()
+            self.run_totals = totals()
             emit({"type": "run_totals", **self.run_totals})
             prof.stop()
             if obs.enabled:
@@ -745,22 +679,13 @@ class Simulation:
         except BaseException as exc:
             # a crashed run still leaves a usable diagnostics tail:
             # partial totals say how far it got before dying
-            new = self.history[first_step:]
             self.run_totals = {
                 "partial": True,
                 "preempted": isinstance(exc, Preempted),
                 "error": f"{type(exc).__name__}: {exc}",
-                "wall_s": time.perf_counter() - t_run0,
-                "steps": steps,
                 "last_a": float(ps.a),
-                "init_force_wall_s": init_wall,
-                "init_interactions_per_particle": init_ipp,
-                "step_wall_s": float(sum(r.wall for r in new)),
-                "interactions_per_particle": init_ipp
-                + float(sum(r.interactions_per_particle for r in new)),
+                **totals(),
             }
-            if self.health.enabled:
-                self.run_totals["health"] = self.health.summary()
             try:
                 emit({"type": "run_totals", **self.run_totals})
             except Exception:

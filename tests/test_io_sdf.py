@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cosmology import PLANCK2013
+from repro.cosmology import EDS, PLANCK2013, WMAP7
 from repro.io import load_checkpoint, read_sdf, save_checkpoint, write_sdf
+from repro.io.checkpoint import cosmology_from_metadata
 from repro.simulation import ParticleSet
 
 
@@ -84,15 +85,19 @@ class TestCheckpoint:
             a_mom=0.48 if offset else 0.5,
         )
 
-    def test_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("params", [
+        PLANCK2013, WMAP7, EDS,
+        PLANCK2013.with_(include_radiation=False, w0=-0.9, t_cmb=2.5),
+    ], ids=["PLANCK2013", "WMAP7", "EDS", "custom"])
+    def test_roundtrip(self, tmp_path, params):
         ps = self.make_particles()
         path = tmp_path / "chk.sdf"
-        save_checkpoint(path, ps, params=PLANCK2013, box_mpc_h=100.0)
+        save_checkpoint(path, ps, params=params, box_mpc_h=100.0)
         ps2, md = load_checkpoint(path)
         np.testing.assert_array_equal(ps2.pos, ps.pos)
         np.testing.assert_array_equal(ps2.mom, ps.mom)
         np.testing.assert_array_equal(ps2.ids, ps.ids)
-        assert md["omega_m"] == PLANCK2013.omega_m
+        assert cosmology_from_metadata(md) == params
         assert md["box_mpc_h"] == 100.0
 
     def test_leapfrog_offset_preserved(self, tmp_path):

@@ -82,6 +82,34 @@ class TestRunStage:
         np.testing.assert_array_equal(s1.columns["pos_x"], s2.columns["pos_x"])
         np.testing.assert_array_equal(s1.columns["mom_z"], s2.columns["mom_z"])
 
+    def test_cold_start_keeps_the_input_cosmology(self, tmp_path):
+        """The evolve stage takes every cosmology key from its input,
+        not only the six a probe needs."""
+        from repro.cosmology import PLANCK2013
+        from repro.io import read_sdf, save_checkpoint
+        from repro.simulation import ParticleSet
+
+        n = 4
+        grid = (np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), -1)
+                .reshape(-1, 3) + 0.5) / n
+        rng = np.random.default_rng(3)
+        ps = ParticleSet(
+            pos=grid + rng.normal(0.0, 0.01, grid.shape), mom=np.zeros_like(grid),
+            mass=np.full(n**3, 1.0 / n**3), ids=np.arange(n**3), a=0.1, a_mom=0.1,
+        )
+        params = PLANCK2013.with_(include_radiation=False, w0=-0.9, t_cmb=2.5)
+        save_checkpoint(tmp_path / "in.sdf", ps, params=params, box_mpc_h=50.0)
+        (tmp_path / "evolve.json").write_text(json.dumps({
+            "stage": "evolve", "input": "in.sdf", "a_final": 0.11,
+            "errtol": 0.1, "p_order": 2, "snapshot_base": "snap",
+            "snapshots_a": [0.11],
+        }))
+        (out,) = run_stage(tmp_path / "evolve.json")["snapshots"]
+        md = read_sdf(out).metadata
+        assert md["include_radiation"] == 0
+        assert md["w0"] == -0.9
+        assert md["t_cmb"] == 2.5
+
 
 def _write_restart_configs(d):
     """A 6^3 box evolved a = 0.02 -> 0.05: eight steps, about a second."""

@@ -101,19 +101,6 @@ class TestConfigRecord:
         with pytest.raises(CheckpointConfigMismatch, match="errtol"):
             verify_sim_config(md, short_config(errtol=1e-5))
 
-    def test_operational_fields_exempt(self):
-        cfg = short_config(checkpoint_every_steps=1)
-        md = sim_config_metadata(cfg)
-        # checkpoint scheduling never counts as a physics change
-        verify_sim_config(md, short_config(checkpoint_every_steps=7))
-
-    def test_ignore_permits_deliberate_override(self):
-        md = sim_config_metadata(short_config())
-        other = short_config(seed=99)
-        with pytest.raises(CheckpointConfigMismatch):
-            verify_sim_config(md, other)
-        verify_sim_config(md, other, ignore=("seed",))
-
     def test_load_checkpoint_verifies_config(self, tmp_path):
         cfg = short_config()
         sim = Simulation(cfg)
@@ -122,6 +109,33 @@ class TestConfigRecord:
         load_checkpoint(path, expect_config=cfg)  # same config: fine
         with pytest.raises(CheckpointConfigMismatch):
             load_checkpoint(path, expect_config=short_config(p=4))
+
+    def test_retired_config_keys_still_load(self, tmp_path):
+        # files written before the checkpoint_* config fields were
+        # retired carry them as simcfg_* entries: the decoder skips them
+        cfg = short_config()
+        fresh, old = tmp_path / "fresh.sdf", tmp_path / "old.sdf"
+        Simulation(cfg).save_checkpoint(path=fresh)
+        ps, md = load_checkpoint(fresh)
+        retired = {
+            "simcfg_checkpoint_dir": str(tmp_path / "ck"),
+            "simcfg_checkpoint_every_steps": 1,
+            "simcfg_checkpoint_interval_s": 0.0,
+            "simcfg_checkpoint_mtbf_h": 80.0,
+            "simcfg_checkpoint_keep": 3,
+        }
+        extra = {k: v for k, v in md.items() if k.startswith("restart_")}
+        save_checkpoint(
+            old, ps, params=cfg.cosmology, box_mpc_h=cfg.box_mpc_h,
+            sim_config=cfg, extra_metadata={**extra, **retired},
+        )
+        _, md_old = load_checkpoint(old, expect_config=cfg)
+        assert set(retired) <= set(md_old)
+        a, b = Simulation.resume(fresh), Simulation.resume(old)
+        assert b.config == a.config
+        pa, pb = a.run(), b.run()
+        assert np.array_equal(pa.pos, pb.pos)
+        assert np.array_equal(pa.mom, pb.mom)
 
 
 class TestLeapfrogOffset:
@@ -134,7 +148,7 @@ class TestLeapfrogOffset:
         sim.integrator.drift(ps, ps.a, ps.a * 1.05)
         assert ps.a != ps.a_mom  # genuinely offset
         path = tmp_path / "off.sdf"
-        save_checkpoint(path, ps, durable=True)
+        save_checkpoint(path, ps)
         back, md = load_checkpoint(path)
         assert back.a == ps.a
         assert back.a_mom == float(ps.a_mom)
@@ -178,7 +192,7 @@ class TestCheckpointStore:
         )
 
     def test_rotation_keeps_newest_n(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck", keep=3)
+        store = CheckpointStore(tmp_path / "ck")
         for step in range(6):
             store.save(step, self._ps())
         names = [p.name for p in store.list()]
@@ -187,7 +201,7 @@ class TestCheckpointStore:
     def test_latest_valid_skips_corrupted_newest(self, tmp_path):
         # corrupt the 3rd write (the newest) deep in its column data
         store = CheckpointStore(
-            tmp_path / "ck", keep=3, faults="corrupt:index=2,byte=999999"
+            tmp_path / "ck", faults="corrupt:index=2,byte=999999"
         )
         for step in range(3):
             store.save(step, self._ps(seed=step))
@@ -198,7 +212,7 @@ class TestCheckpointStore:
 
     def test_all_corrupt_raises(self, tmp_path):
         store = CheckpointStore(
-            tmp_path / "ck", keep=3,
+            tmp_path / "ck",
             faults="corrupt:index=0,byte=999999,times=99;"
                    "corrupt:index=1,byte=999999,times=99",
         )
@@ -223,26 +237,15 @@ class TestCheckpointScheduler:
 
     def test_every_steps(self):
         s = CheckpointScheduler(every_steps=3)
-        s.start(0.0)
         fired = [step for step in range(1, 10) if s.due(step, 0.0)
-                 and (s.wrote(step, 0.0, 0.1) or True)]
+                 and (s.wrote(0.0, 0.1) or True)]
         assert fired == [3, 6, 9]
-
-    def test_wall_interval(self):
-        s = CheckpointScheduler(interval_s=10.0)
-        s.start(0.0)
-        assert not s.due(1, 5.0)
-        assert s.due(2, 10.5)
-        s.wrote(2, 10.5, 0.2)
-        assert not s.due(3, 15.0)
-        assert s.due(4, 21.0)
 
     def test_young_daly_bootstrap_then_spacing(self):
         s = CheckpointScheduler(mtbf_h=80.0)
-        s.start(0.0)
         # first checkpoint immediately: it measures the write cost
         assert s.due(1, 0.0)
-        s.wrote(1, 0.0, 360.0)  # 6 min/write, 80 h MTBF (paper §3.4.2)
+        s.wrote(0.0, 360.0)  # 6 min/write, 80 h MTBF (paper §3.4.2)
         expected = np.sqrt(2 * 0.1 * 80.0) * 3600.0  # = 4 h
         assert s.daly_interval_s == pytest.approx(expected)
         assert not s.due(2, expected * 0.5)
@@ -260,11 +263,11 @@ class TestBitIdenticalResume:
         assert len(ref.history) >= 4  # the interruption splits >= 3+1 steps
 
         # interrupted: checkpoint every step, die after 2 steps
-        cfg = short_config(
-            checkpoint_dir=str(tmp_path / "ck"), checkpoint_every_steps=1
-        )
+        cfg = short_config()
         broken = Simulation(cfg)
-        broken.run(max_steps=2)
+        broken.run(max_steps=2, checkpointer=(
+            CheckpointScheduler(every_steps=1), CheckpointStore(tmp_path / "ck")
+        ))
         assert broken.steps_completed == 2
 
         store = CheckpointStore(tmp_path / "ck")
@@ -282,11 +285,10 @@ class TestBitIdenticalResume:
 
     def test_checkpoint_events_emitted(self, tmp_path):
         stream = io.StringIO()
-        cfg = short_config(
-            checkpoint_dir=str(tmp_path / "ck"), checkpoint_every_steps=2
-        )
-        sim = Simulation(cfg)
-        sim.run(jsonl=stream)
+        sim = Simulation(short_config())
+        sim.run(jsonl=stream, checkpointer=(
+            CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / "ck")
+        ))
         recs = [json.loads(l) for l in stream.getvalue().splitlines()]
         cks = [r for r in recs if r["type"] == "checkpoint"]
         assert len(cks) == len(CheckpointStore(tmp_path / "ck").list())
@@ -294,6 +296,22 @@ class TestBitIdenticalResume:
         assert cks[0]["policy"]["every_steps"] == 2
         totals = [r for r in recs if r["type"] == "run_totals"]
         assert totals and "checkpoints" in totals[0]
+
+    def test_resumed_run_keeps_the_cadence(self, tmp_path):
+        def checkpoint_steps(sim, store, **run_kw):
+            stream = io.StringIO()
+            sim.run(jsonl=stream, checkpointer=(
+                CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / store)
+            ), **run_kw)
+            recs = [json.loads(l) for l in stream.getvalue().splitlines()]
+            return [r["step"] for r in recs if r["type"] == "checkpoint"]
+
+        cfg = short_config(a_final=0.25)
+        assert checkpoint_steps(Simulation(cfg), "ref") == [2, 4, 6, 8]
+        assert checkpoint_steps(Simulation(cfg), "cut", max_steps=3) == [2]
+        resumed = Simulation.resume(tmp_path / "cut" / "ckpt_000002.sdf")
+        # steps count from the start of the run, not from the resume
+        assert checkpoint_steps(resumed, "cut") == [4, 6, 8]
 
 
 class TestPartialRunTotals:

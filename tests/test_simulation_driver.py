@@ -157,18 +157,22 @@ class TestPreemption:
 
         from repro.simulation import Preempted
 
-        cfg = short_config(
-            a_final=0.2,
-            checkpoint_dir=str(tmp_path / "ck"),
-            checkpoint_every_steps=1,
-        )
+        from repro.resilience import CheckpointScheduler, CheckpointStore
+
+        cfg = short_config(a_final=0.2)
         # uninterrupted reference
-        ref = Simulation(short_config(a_final=0.2))
+        ref = Simulation(cfg)
         ps_ref = ref.run()
 
         sim = Simulation(cfg)
         with pytest.raises(Preempted) as ei:
-            sim.run(callback=self._preempt_after(sim, 2, signal.SIGTERM))
+            sim.run(
+                callback=self._preempt_after(sim, 2, signal.SIGTERM),
+                checkpointer=(
+                    CheckpointScheduler(every_steps=1),
+                    CheckpointStore(tmp_path / "ck"),
+                ),
+            )
         assert sim.steps_completed == 2
         assert ei.value.checkpoint is not None
         # partial totals were written before exiting

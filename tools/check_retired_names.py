@@ -87,6 +87,13 @@ RETIRED = [
         (*EVERYWHERE, ".github"),
         "one force-call accounting: one stats merge, kernel counters derived from the counts",
     ),
+    (
+        r"\b(checkpoint_dir|checkpoint_every_steps|checkpoint_interval_s|checkpoint_mtbf_h"
+        r"|checkpoint_keep|_make_checkpointer|_config_from_metadata|_SIMCFG_OPERATIONAL"
+        r"|min_interval_s)\b",
+        (*EVERYWHERE, ".github"),
+        "one restart path: checkpoints are asked for only through run(checkpointer=)",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
