@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.instrument import Tracer
+from repro.instrument import Tracer, get_tracer
 from repro.instrument.report import force_stage_totals
 from repro.simulation import Simulation, SimulationConfig
 
@@ -41,9 +41,9 @@ def emit_bench(name: str, doc: dict, path) -> dict:
 
     The single exit point for ``BENCH_*.json``: adds the shared
     provenance envelope (schema version, host info, cpu count, git
-    commit, timestamp) to ``doc``, writes it to ``path``, and — when a
-    run observer is active (``REPRO_OBS_DIR``) — appends the emission
-    to the run registry keyed by a hash of the receipt's identifying
+    commit, timestamp) to ``doc``, writes it to ``path``, and — when the
+    process-wide tracer has a run registry (``REPRO_OBS_DIR``) — appends
+    the emission to it keyed by a hash of the receipt's identifying
     fields, so overwritten snapshots still accumulate a trajectory.
     Returns the stamped document.
     """
@@ -52,8 +52,7 @@ def emit_bench(name: str, doc: dict, path) -> dict:
     import time
 
     from repro.diagnose.manifest import config_hash
-    from repro.observe import get_observer
-    from repro.observe.registry import git_commit
+    from repro.observe.registry import KIND_BENCH, git_commit
 
     now = time.time()
     doc = dict(doc)
@@ -72,7 +71,7 @@ def emit_bench(name: str, doc: dict, path) -> dict:
     path = Path(path)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n")
     ident = {k: doc[k] for k in _BENCH_IDENT_FIELDS if k in doc}
-    get_observer().record_bench(doc, key=config_hash(ident))
+    get_tracer().record(KIND_BENCH, doc, key=config_hash(ident))
     return doc
 
 
@@ -88,9 +87,10 @@ def config_key(cfg: SimulationConfig) -> str:
 def run_cached(cfg: SimulationConfig) -> dict:
     """Run (or load) a simulation; returns dict with pos, history summary.
 
-    Fresh runs execute under the shared :class:`repro.instrument.Tracer`,
+    Fresh runs execute under their own :class:`repro.instrument.Tracer`,
     so the cache carries the per-stage force breakdown (``stage_seconds``)
-    and run totals alongside the particle data.
+    and run totals alongside the particle data; the tracer files the run
+    in the registry ``REPRO_OBS_DIR`` names, as the default tracer would.
     """
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / f"sim_{config_key(cfg)}.npz"
@@ -107,7 +107,8 @@ def run_cached(cfg: SimulationConfig) -> dict:
             meta = json.loads(str(data["metrics_json"]))
             out.update(meta)
         return out
-    tracer = Tracer()
+    env = get_tracer()
+    tracer = Tracer(registry=env.registry, profile=env.profile)
     sim = Simulation(cfg, tracer=tracer)
     ps = sim.run()
     ipp = float(

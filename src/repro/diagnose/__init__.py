@@ -7,9 +7,9 @@ energy, total momentum), audit the MAC's absolute-error budget with a
 sampled direct/Ewald force probe, watch the machinery (tree shape,
 executor balance, interaction drift), guard against non-finite state
 (fail fast with a diagnostic snapshot), and stream classified
-``health`` events through the same JSONL sinks.  The default is
-:data:`NULL_HEALTH` — disabled monitoring costs nothing, mirroring the
-no-op tracer contract.  :mod:`repro.diagnose.manifest` pins run
+``health`` events into the run's one trace, the tracer's sink.  The
+default is :data:`NULL_HEALTH` — disabled monitoring costs nothing, as
+:data:`~repro.instrument.NULL_TRACER` does for recording.  :mod:`repro.diagnose.manifest` pins run
 provenance; ``repro-obs report`` / ``repro-obs gate``
 (:mod:`repro.observe.cli`) render a trace's health timeline and fail
 CI on a health event at or above a severity.

@@ -1,13 +1,15 @@
 """Health orchestration: configuration, the monitor set, the no-op default.
 
-Mirrors the tracer contract of :mod:`repro.instrument`: the default is
-:data:`NULL_HEALTH`, whose hooks return an empty tuple — a disabled
-run pays one attribute test per step and nothing else (no monitor
-objects, no array copies).  A :class:`HealthMonitor` built from a
-:class:`HealthConfig` runs every enabled monitor per step, collects
-their events, and arms a fail-fast :class:`~.monitors.HealthError`
-when the state guard trips (the driver raises it *after* streaming the
-event so the trace records the cause of death).
+The default is :data:`NULL_HEALTH`, whose hooks return an empty tuple
+— a disabled run pays one attribute test per step and nothing else (no
+monitor objects, no array copies), as the tracer's
+:data:`~repro.instrument.NULL_TRACER` does for recording.  A
+:class:`HealthMonitor` built from a :class:`HealthConfig` runs every
+enabled monitor per step, collects their events, and arms a fail-fast
+:class:`~.monitors.HealthError` when the state guard trips (the driver
+streams the event to the tracer's sink, raises, and the run's records
+are on disk before the error leaves ``run``, so the trace records the
+cause of death).
 """
 
 from __future__ import annotations

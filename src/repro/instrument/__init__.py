@@ -4,10 +4,13 @@ The measurement layer behind the paper's evaluation — Table 2's stage
 breakdown, §7's interactions-per-particle efficiency metric and the
 Gflops accounting — as a cross-cutting subsystem: a thread-safe
 :class:`Tracer` with nestable spans and monotonic counters, a per-run
-:class:`Metrics` registry, a JSONL structured-event sink, Table-2-style
-report rendering, and a measured-vs-modeled cross-check against
-:mod:`repro.perfmodel`.  The default tracer is a no-op
-(:data:`NULL_TRACER`), so uninstrumented runs pay nothing.
+:class:`Metrics` registry, a JSONL structured-event sink and
+Table-2-style report rendering.  The tracer is the one object a run
+records through: its sink is the run's trace, ``registry=`` files the
+run's record in the :mod:`repro.observe` registry and ``profile=True``
+adds the stages' hot functions to it.  The default tracer is a no-op
+(:data:`NULL_TRACER`), so uninstrumented runs pay nothing;
+``REPRO_OBS_DIR`` makes the default a recording tracer.
 
 Force counters: every treecode and TreePM force call, serial or
 sharded, counts ``force.calls``, ``force.interactions``,
@@ -32,7 +35,6 @@ from .report import (
     stage_breakdown_table,
     step_summary_table,
 )
-from .crosscheck import CrossCheck, perfmodel_crosscheck
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -44,7 +46,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "CrossCheck",
     "FORCE_STAGE_LABELS",
     "JsonlSink",
     "Metrics",
@@ -56,7 +57,6 @@ __all__ = [
     "force_stage_table",
     "force_stage_totals",
     "get_tracer",
-    "perfmodel_crosscheck",
     "read_jsonl",
     "set_tracer",
     "stage_breakdown_table",

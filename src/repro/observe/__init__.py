@@ -6,9 +6,9 @@ run) and :mod:`repro.diagnose` (which judges one run): an append-only
 :class:`RunRegistry` records every ``Simulation.run``, pipeline stage
 and benchmark emission keyed by the provenance-manifest hash, so the
 repo accumulates a perf *trajectory* across commits instead of
-overwritten snapshots.  On top of the registry sit per-stage
-cProfile/memory profiling (:mod:`.profiler`), per-worker span-lane
-reconstruction with compute/idle/recovery attribution
+overwritten snapshots.  On top of the registry sit the hot-function
+extract of a profiled run's stages (:mod:`.profiler`), per-worker
+span-lane reconstruction with compute/idle/recovery attribution
 (:mod:`.timeline`), a robust last-N baseline trend engine
 (:mod:`.trend`), standard-format export (Chrome trace events,
 speedscope) plus a live JSONL watch (:mod:`.export`), and differential
@@ -18,63 +18,40 @@ from here, so no run pays for it) is the one observability CLI: it
 renders and gates one run's trace or benchmark receipt as well as
 querying and judging the registry.
 
-The default observer is :data:`NULL_OBSERVER` — disabled observation
-costs an attribute test per hook, mirroring the no-op tracer/health
-contracts.  Set ``REPRO_OBS_DIR`` (plus ``REPRO_OBS_PROFILE`` /
-``REPRO_OBS_MEMORY``) to opt a whole process in without touching call
-sites.
+Nothing here records: the :class:`~repro.instrument.Tracer` does.
+``Tracer(registry=DIR, profile=True)`` files a run's record (with its
+stages' hot functions), and setting ``REPRO_OBS_DIR`` (plus
+``REPRO_OBS_PROFILE``) makes the process-wide default tracer do so,
+opting a whole process in without touching call sites.
 """
 
-from .observer import (
-    NULL_OBSERVER,
-    NullObserver,
-    ObserveConfig,
-    Observer,
-    get_observer,
-    measure_disabled_overhead,
-    set_observer,
-    use_observer,
-)
 from .attribution import attribute, format_attribution
 from .export import (
     chrome_trace_from_record,
     chrome_trace_from_spans,
-    speedscope_from_profiler,
     speedscope_from_record,
     watch,
 )
-from .profiler import NULL_PROFILER, NullProfiler, StageProfiler, top_functions
+from .profiler import top_functions
 from .registry import OBS_SCHEMA_VERSION, RunRegistry, metric_value
 from .timeline import analyze_timeline, lane_label, render_timeline
 from .trend import detect_regression, robust_baseline, trend_report
 
 __all__ = [
-    "NULL_OBSERVER",
-    "NULL_PROFILER",
     "OBS_SCHEMA_VERSION",
-    "NullObserver",
-    "NullProfiler",
-    "ObserveConfig",
-    "Observer",
     "RunRegistry",
-    "StageProfiler",
     "analyze_timeline",
     "attribute",
     "chrome_trace_from_record",
     "chrome_trace_from_spans",
     "detect_regression",
     "format_attribution",
-    "get_observer",
     "lane_label",
-    "measure_disabled_overhead",
     "metric_value",
     "render_timeline",
     "robust_baseline",
-    "set_observer",
-    "speedscope_from_profiler",
     "speedscope_from_record",
     "top_functions",
     "trend_report",
-    "use_observer",
     "watch",
 ]

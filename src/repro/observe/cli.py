@@ -319,7 +319,7 @@ def _cmd_top(args) -> int:
     stages = profile.get("stages") or {}
     if not stages:
         print("record carries no profile (run with REPRO_OBS_PROFILE=1 or "
-              "ObserveConfig(profile=True))", file=sys.stderr)
+              "Tracer(profile=True))", file=sys.stderr)
         return 1
     for name, st in stages.items():
         rows = [

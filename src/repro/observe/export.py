@@ -10,11 +10,9 @@ Three consumers, three formats:
   a flow arrow ("s"/"f") from the call start to every re-dispatched
   shard.  Tracer span streams (``{"type": "span", ...}`` JSONL
   records) export the same way, one lane per emitting thread.
-* **speedscope** (https://www.speedscope.app): the per-stage cProfile
-  data of :class:`~repro.observe.profiler.StageProfiler` becomes one
-  sampled profile per stage, frames weighted by self time — either
-  from a live profiler (full pstats) or from the hot-function extract
-  a registry record carries.
+* **speedscope** (https://www.speedscope.app): the hot-function
+  extract a profiled run's registry record carries becomes one sampled
+  profile per stage, frames weighted by self time.
 * **watch**: an incremental JSONL tail that renders the run's step /
   health / checkpoint / recovery / stage records as human lines, for
   following a job that is still writing.
@@ -34,7 +32,6 @@ __all__ = [
     "chrome_trace_from_record",
     "chrome_trace_from_spans",
     "speedscope_from_record",
-    "speedscope_from_profiler",
     "render_event",
     "watch",
 ]
@@ -147,7 +144,7 @@ def chrome_trace_from_spans(records) -> dict:
              if r.get("type") == "span" and "t0" in r and "t1" in r]
     if not spans:
         raise LookupError("stream carries no span records "
-                          "(tracer ran without emit_spans?)")
+                          "(a trace written before spans were streamed?)")
     t_origin = min(float(s["t0"]) for s in spans)
     threads = sorted({s.get("tid", 0) for s in spans}, key=str)
     tid_of = {t: i for i, t in enumerate(threads)}
@@ -177,17 +174,23 @@ def chrome_trace_from_spans(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _speedscope(stage_rows: list[tuple[str, list[tuple[str, str, float]]]],
-                name: str) -> dict:
-    """Build a speedscope file from per-stage ``(function, where, self_s)``
-    rows: one sampled profile per stage, one single-frame sample per
-    function weighted by its self time (a self-time flamegraph)."""
+def speedscope_from_record(record: dict) -> dict:
+    """speedscope profile from the hot-function extract of a profiled
+    registry record (``REPRO_OBS_PROFILE=1`` runs): one sampled profile
+    per stage, one single-frame sample per function weighted by its
+    self time (a self-time flamegraph)."""
+    stages = ((record.get("data") or {}).get("profile") or {}).get("stages")
+    if not stages:
+        raise LookupError("record carries no profile data "
+                          "(run with REPRO_OBS_PROFILE=1)")
     frames: list[dict] = []
     index: dict[tuple[str, str], int] = {}
     profiles = []
-    for stage, rows in stage_rows:
+    for stage, info in stages.items():
         samples, weights = [], []
-        for func, where, self_s in rows:
+        for h in info.get("hot") or []:
+            func, where = h.get("function", "?"), h.get("where", "?")
+            self_s = float(h.get("self_s", 0.0))
             if self_s <= 0.0:
                 continue
             key = (func, where)
@@ -200,7 +203,7 @@ def _speedscope(stage_rows: list[tuple[str, list[tuple[str, str, float]]]],
                     "line": int(line) if line.isdigit() else 0,
                 })
             samples.append([index[key]])
-            weights.append(float(self_s))
+            weights.append(self_s)
         profiles.append({
             "type": "sampled",
             "name": stage,
@@ -212,49 +215,11 @@ def _speedscope(stage_rows: list[tuple[str, list[tuple[str, str, float]]]],
         })
     return {
         "$schema": SPEEDSCOPE_SCHEMA,
-        "name": name,
+        "name": f"run {record.get('id', '?')[:20]}",
         "exporter": "repro-obs export",
         "shared": {"frames": frames},
         "profiles": profiles,
     }
-
-
-def speedscope_from_record(record: dict) -> dict:
-    """speedscope profile from the hot-function extract of a profiled
-    registry record (``REPRO_OBS_PROFILE=1`` runs)."""
-    stages = ((record.get("data") or {}).get("profile") or {}).get("stages")
-    if not stages:
-        raise LookupError("record carries no profile data "
-                          "(run with REPRO_OBS_PROFILE=1)")
-    stage_rows = [
-        (stage, [(h.get("function", "?"), h.get("where", "?"),
-                  float(h.get("self_s", 0.0)))
-                 for h in (info.get("hot") or [])])
-        for stage, info in stages.items()
-    ]
-    return _speedscope(stage_rows, f"run {record.get('id', '?')[:20]}")
-
-
-def speedscope_from_profiler(prof) -> dict:
-    """speedscope profile from a live :class:`StageProfiler` — the full
-    pstats tables, not just the recorded top-N."""
-    import pstats
-
-    from .profiler import _trim_path
-
-    raw = getattr(prof, "_profiles", None) or {}
-    if not raw:
-        raise LookupError("profiler holds no per-stage cProfile data")
-    stage_rows = []
-    for stage, profile in raw.items():
-        st = pstats.Stats(profile)
-        rows = [
-            (func, f"{_trim_path(file)}:{line}", float(tt))
-            for (file, line, func), (cc, nc, tt, ct, callers) in st.stats.items()
-        ]
-        rows.sort(key=lambda r: r[2], reverse=True)
-        stage_rows.append((stage, rows))
-    return _speedscope(stage_rows, "stage profiler")
 
 
 # ---------------------------------------------------------------------------

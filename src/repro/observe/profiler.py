@@ -1,195 +1,15 @@
-"""Deep profiling hooks: per-stage cProfile, memory high-water, hot top-N.
+"""Hot-function extraction from a stage's ``cProfile`` data.
 
 The layer below the tracer's stage timings: when the Table-2-style
-breakdown says *evaluation dominates*, this module says *which
-functions* — per-stage ``cProfile`` capture with top-N hot-function
-extraction, plus ``tracemalloc`` and RSS high-water memory tracking.
-
-Follows the instrument/diagnose zero-cost-off contract:
-:data:`NULL_PROFILER` is the default, its :meth:`stage` returns one
-preallocated no-op context manager, and every other method is empty —
-a disabled run pays an attribute call and a context enter per stage,
-nothing else.  The enabled profiler never raises into the simulation:
-every capture step is wrapped so a profiling failure degrades to a
-missing result, not a dead run.
+breakdown says *evaluation dominates*, this says *which functions*.  A
+``profile=True`` :class:`~repro.instrument.Tracer` runs each of its
+stages under ``cProfile``; :func:`top_functions` is the top-N by self
+time that the run's registry record keeps.
 """
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["NullProfiler", "NULL_PROFILER", "StageProfiler", "top_functions"]
-
-
-class _NullStage:
-    """Shared do-nothing stage context."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
-class NullProfiler:
-    """The zero-cost default: every operation is a no-op."""
-
-    enabled = False
-
-    def start(self) -> None:
-        pass
-
-    def stage(self, name: str):
-        return _NULL_STAGE
-
-    def stop(self) -> None:
-        pass
-
-    def results(self) -> dict | None:
-        return None
-
-
-NULL_PROFILER = NullProfiler()
-
-
-class _StageCtx:
-    __slots__ = ("_profiler", "_name", "_t0")
-
-    def __init__(self, profiler: "StageProfiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        self._profiler._enable(self._name)
-        return self
-
-    def __exit__(self, *exc):
-        self._profiler._disable(self._name, time.perf_counter() - self._t0)
-        return False
-
-
-class StageProfiler:
-    """Attribute wall time below the stage level, per stage name.
-
-    One ``cProfile.Profile`` accumulates per stage name across every
-    entry (so all ``"step"`` stages of a run profile into one pot),
-    and :meth:`results` extracts the top-N hot functions by self time.
-    With ``memory=True``, ``tracemalloc`` runs from :meth:`start` to
-    :meth:`stop` and the results carry the traced-python peak plus the
-    process RSS high-water mark.
-    """
-
-    enabled = True
-
-    def __init__(self, cprofile: bool = True, memory: bool = False, top_n: int = 15):
-        self.cprofile = bool(cprofile)
-        self.memory = bool(memory)
-        self.top_n = int(top_n)
-        self._profiles: dict = {}
-        self._stage_seconds: dict[str, float] = {}
-        self._stage_calls: dict[str, int] = {}
-        self._active: str | None = None
-        self._mem: dict | None = None
-        self._started_tracemalloc = False
-
-    # ----- lifecycle -----------------------------------------------------------
-    def start(self) -> None:
-        if not self.memory:
-            return
-        try:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-        except Exception:
-            self._started_tracemalloc = False
-
-    def stop(self) -> None:
-        if not self.memory:
-            return
-        mem: dict = {}
-        try:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                cur, peak = tracemalloc.get_traced_memory()
-                mem["tracemalloc_current_kb"] = round(cur / 1024.0, 1)
-                mem["tracemalloc_peak_kb"] = round(peak / 1024.0, 1)
-                if self._started_tracemalloc:
-                    tracemalloc.stop()
-        except Exception:
-            pass
-        try:
-            import resource
-
-            # ru_maxrss is KiB on Linux, bytes on macOS
-            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            import sys
-
-            if sys.platform == "darwin":
-                rss //= 1024
-            mem["rss_max_kb"] = int(rss)
-        except Exception:
-            pass
-        self._mem = mem or None
-
-    # ----- per-stage capture ----------------------------------------------------
-    def stage(self, name: str):
-        return _StageCtx(self, name)
-
-    def _enable(self, name: str) -> None:
-        if not self.cprofile or self._active is not None:
-            # nested stages: the outer profile already captures the inner
-            return
-        try:
-            import cProfile
-
-            prof = self._profiles.get(name)
-            if prof is None:
-                prof = self._profiles[name] = cProfile.Profile()
-            prof.enable()
-            self._active = name
-        except Exception:
-            self._active = None
-
-    def _disable(self, name: str, seconds: float) -> None:
-        self._stage_seconds[name] = self._stage_seconds.get(name, 0.0) + seconds
-        self._stage_calls[name] = self._stage_calls.get(name, 0) + 1
-        if self._active != name:
-            return
-        try:
-            self._profiles[name].disable()
-        except Exception:
-            pass
-        self._active = None
-
-    # ----- extraction -----------------------------------------------------------
-    def results(self) -> dict | None:
-        """JSON-ready profile payload (None when nothing was captured)."""
-        out: dict = {}
-        if self._profiles:
-            stages = {}
-            for name, prof in self._profiles.items():
-                try:
-                    hot = top_functions(prof, self.top_n)
-                except Exception:
-                    hot = []
-                stages[name] = {
-                    "seconds": round(self._stage_seconds.get(name, 0.0), 6),
-                    "calls": self._stage_calls.get(name, 0),
-                    "hot": hot,
-                }
-            out["stages"] = stages
-        if self._mem:
-            out["memory"] = self._mem
-        return out or None
+__all__ = ["top_functions"]
 
 
 def top_functions(prof, n: int = 15) -> list[dict]:

@@ -14,13 +14,11 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from ..instrument import Tracer, get_tracer, use_tracer
-from ..observe import get_observer
 
 __all__ = ["run_stage", "main"]
 
@@ -100,7 +98,8 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
     the config are resolved relative to ``workdir`` (default: the
     config file's directory).  Under an enabled tracer (passed here or
     installed process-wide) the stage runs inside a
-    ``pipeline.<stage>`` span and the summary gains its wall time.
+    ``pipeline.<stage>`` span and the summary gains its wall time; a
+    tracer with a registry also files a ``pipeline_stage`` record.
     ``workers`` overrides the config's force-solve worker count
     (``--workers`` on the CLI; 0, serial, when neither sets one).
     ``health`` turns on in-situ health monitoring for the evolve stage
@@ -129,7 +128,6 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
         raise ValueError(f"unknown stage {stage!r} in {config_path}")
     tr = tracer if tracer is not None else get_tracer()
     # install for the duration so the driver/solver underneath see it too
-    t_start = time.perf_counter()
     with use_tracer(tr), tr.span(f"pipeline.{stage}") as sp:
         if cfg["health"]:
             from ..diagnose import write_manifest
@@ -143,19 +141,19 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
         summary = fn(cfg, workdir)
         if cfg["health"]:
             summary["manifest"] = str(manifest_path)
-    wall = time.perf_counter() - t_start
     if tr.enabled:
         summary["wall_s"] = round(sp.seconds, 6)
         tr.count(f"pipeline.{stage}.runs")
         tr.emit({"type": "pipeline_stage", **summary})
-    obs = get_observer()
-    if obs.enabled:
+    if tr.registry is not None:
         from ..diagnose.manifest import config_hash
+        from ..observe.registry import KIND_STAGE
 
         key = config_hash(cfg)
-        obs.record_stage(
+        tr.record(
+            KIND_STAGE,
             {"stage": stage, "config": str(config_path),
-             "config_sha256": key, "wall_s": round(wall, 6),
+             "config_sha256": key, "wall_s": summary["wall_s"],
              "workers": int(cfg.get("workers") or 0),
              "summary": summary},
             key=key,
@@ -377,9 +375,10 @@ def main(argv=None) -> int:
     )
     try:
         if args.trace is not None:
-            # emit_spans: per-span t0/t1 records make the trace exportable
-            # as Chrome trace events (`repro-obs export --spans trace.jsonl`)
-            tr = Tracer(sink=args.trace, emit_spans=True)
+            # the trace joins whatever REPRO_OBS_DIR / REPRO_OBS_PROFILE
+            # asked of the default tracer
+            env = get_tracer()
+            tr = Tracer(sink=args.trace, registry=env.registry, profile=env.profile)
             try:
                 run_stage(args.config, tracer=tr, **kw)
             finally:

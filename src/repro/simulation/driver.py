@@ -35,8 +35,7 @@ from ..cosmology import Background, CosmologyParams, PLANCK2013
 from ..gravity import TreecodeConfig, TreecodeGravity
 from ..gravity.pm import TreePMConfig, TreePMGravity
 from ..gravity.solver import check_choices
-from ..instrument import JsonlSink, get_tracer
-from ..observe import get_observer
+from ..instrument import get_tracer
 from .ic import ICConfig, generate_ic
 from .integrator import LeapfrogIntegrator, StepController
 from .particles import ParticleSet
@@ -199,7 +198,9 @@ class Simulation:
 
     Pass ``tracer=`` (or install one with
     :func:`repro.instrument.set_tracer`) to collect per-stage force
-    timings and counters; the default no-op tracer costs nothing.
+    timings and counters, stream the run's records to its sink and
+    file the run in its registry; the default no-op tracer costs
+    nothing.
     """
 
     def __init__(
@@ -407,17 +408,19 @@ class Simulation:
         return sim
 
     # ----- run observatory ----------------------------------------------------------
-    def _record_observation(self, obs, prof=None, tracer=None) -> None:
-        """Append this run to the observatory registry (never raises).
+    def _record_observation(self, tracer) -> None:
+        """File this run in the tracer's run registry (never raises).
 
         One record per :meth:`run`, keyed by the provenance config hash
         (the same sha256 the PR 3 manifests pin), carrying run totals,
         summed per-stage force timings, health event counts, the
         capped per-call shard timeline with its worker attribution,
-        and — when deep profiling is on — the hot-function extract.
+        the tracer's hottest span paths and — when the tracer profiles —
+        the hot functions of this run's stages.
         """
         try:
             from ..diagnose.manifest import config_hash
+            from ..observe.registry import KIND_RUN
 
             c = self.config
             totals = dict(self.run_totals)
@@ -463,18 +466,14 @@ class Simulation:
 
                 payload["timeline"] = list(self.shard_timeline)
                 payload["worker_summary"] = analyze_timeline(self.shard_timeline)
-            if prof is not None:
-                profile = prof.results()
-                if profile:
-                    payload["profile"] = profile
-            if tracer is not None and getattr(tracer, "enabled", False):
-                metrics = getattr(tracer, "metrics", None)
-                if metrics is not None:
-                    payload["top_spans"] = [
-                        {"path": p, "total_s": round(s, 6), "calls": n}
-                        for p, s, n in metrics.top_timers(12)
-                    ]
-            obs.record_run(payload, key=payload["config_sha256"])
+            profile = tracer.take_profile()
+            if profile:
+                payload["profile"] = profile
+            payload["top_spans"] = [
+                {"path": p, "total_s": round(s, 6), "calls": n}
+                for p, s, n in tracer.metrics.top_timers(12)
+            ]
+            tracer.record(KIND_RUN, payload, key=payload["config_sha256"])
         except Exception:
             pass
 
@@ -502,18 +501,21 @@ class Simulation:
         return t + w + self._li_accum
 
     # ----- main loop ----------------------------------------------------------------
-    def run(self, callback=None, max_steps: int = 10000, jsonl=None,
+    def run(self, callback=None, max_steps: int = 10000,
             checkpointer=None) -> ParticleSet:
         """Advance to a_final; ``callback(sim, record)`` fires per step.
 
         One structured record per step (plus one for the pre-loop force
-        evaluation) goes to the tracer's sink and, if ``jsonl`` names a
-        path or stream, to that JSONL file as well.  ``run_totals``
-        afterwards holds run-level wall/interaction totals *including*
-        the initial force call, which per-step history alone misses.
-        If the run dies partway — a crash, a health fail-fast, a killed
-        job — partial ``run_totals`` (steps completed, wall, last a) are
-        still populated and emitted, so the JSONL tail stays usable.
+        evaluation) goes to the tracer's sink — the run's trace, e.g.
+        ``Simulation(cfg, tracer=Tracer(sink="trace.jsonl"))``.
+        ``run_totals`` afterwards holds run-level wall/interaction
+        totals *including* the initial force call, which per-step
+        history alone misses.  If the run dies partway — a crash, a
+        health fail-fast, a killed job — partial ``run_totals`` (steps
+        completed, wall, last a) are still populated and emitted.
+        Either way every record the run emitted is on disk when it
+        returns or raises, and a tracer with a registry has filed the
+        run there.
 
         Checkpointing: ``checkpointer=(scheduler, store)`` — a
         :class:`~repro.resilience.CheckpointScheduler` and a
@@ -526,33 +528,15 @@ class Simulation:
         c = self.config
         ps = self.particles
         tr = self.tracer if self.tracer is not None else get_tracer()
-        # run observatory: NULL_OBSERVER/NULL_PROFILER when off — one
-        # attribute test plus a no-op context per stage, nothing else
-        obs = get_observer()
-        prof = obs.profiler()
-        prof.start()
-        sink = None
-        own_sink = False
-        if jsonl is not None:
-            if isinstance(jsonl, JsonlSink):
-                sink = jsonl
-            else:
-                sink = JsonlSink(jsonl)
-                own_sink = True
-
-        def emit(record: dict) -> None:
-            tr.emit(record)
-            if sink is not None:
-                sink.emit(record)
 
         def health_check(events) -> None:
             """Stream health events, then honor a fail-fast verdict."""
             for ev in events:
-                emit(ev.to_record())
+                tr.emit(ev.to_record())
             fatal = self.health.fatal
             if fatal is not None:
-                emit({"type": "health_fatal", "message": str(fatal),
-                      "snapshot": fatal.snapshot})
+                tr.emit({"type": "health_fatal", "message": str(fatal),
+                         "snapshot": fatal.snapshot})
                 raise fatal
 
         ckpt_sched, ckpt_store = checkpointer or (None, None)
@@ -584,12 +568,12 @@ class Simulation:
             return rt
 
         try:
-            with prof.stage("init_force"), tr.span("init_force"):
+            with tr.stage("init_force"):
                 acc = self._force(ps)
             init_wall = time.perf_counter() - t_run0
             init_ipp = self.last_stats.get("interactions_per_particle", 0.0)
             self.integrator.n_force_calls += 1
-            emit(
+            tr.emit(
                 {
                     "type": "init_force",
                     "a": ps.a,
@@ -602,7 +586,7 @@ class Simulation:
                 health_check(self.health.on_init(self, acc))
             while ps.a < c.a_final * (1 - 1e-12) and steps < max_steps:
                 t0 = time.perf_counter()
-                with prof.stage("step"), tr.span("step"):
+                with tr.stage("step"):
                     if c.adaptive:
                         dlna = self.controller.choose(c.cosmology, ps, acc, ps.a)
                     else:
@@ -626,7 +610,7 @@ class Simulation:
                 self.history.append(rec)
                 steps += 1
                 self.steps_completed += 1
-                emit(rec.to_record(len(self.history)))
+                tr.emit(rec.to_record(len(self.history)))
                 if callback is not None:
                     callback(self, rec)
                 # after the callback: monitors see the state that will
@@ -640,7 +624,7 @@ class Simulation:
                     path = self.save_checkpoint(store=ckpt_store)
                     write_s = time.perf_counter() - t_ck
                     ckpt_sched.wrote(time.perf_counter(), write_s)
-                    emit({
+                    tr.emit({
                         "type": "checkpoint",
                         "path": str(path),
                         "step": self.steps_completed,
@@ -652,14 +636,14 @@ class Simulation:
                     final_ckpt = None
                     if ckpt_store is not None:
                         final_ckpt = self.save_checkpoint(store=ckpt_store)
-                        emit({
+                        tr.emit({
                             "type": "checkpoint",
                             "path": str(final_ckpt),
                             "step": self.steps_completed,
                             "a": float(ps.a),
                             "preempt": True,
                         })
-                    emit({
+                    tr.emit({
                         "type": "preempt",
                         "signal": int(preempt.signum),
                         "step": self.steps_completed,
@@ -672,10 +656,7 @@ class Simulation:
                         checkpoint=final_ckpt,
                     )
             self.run_totals = totals()
-            emit({"type": "run_totals", **self.run_totals})
-            prof.stop()
-            if obs.enabled:
-                self._record_observation(obs, prof, tr)
+            tr.emit({"type": "run_totals", **self.run_totals})
         except BaseException as exc:
             # a crashed run still leaves a usable diagnostics tail:
             # partial totals say how far it got before dying
@@ -687,16 +668,17 @@ class Simulation:
                 **totals(),
             }
             try:
-                emit({"type": "run_totals", **self.run_totals})
+                tr.emit({"type": "run_totals", **self.run_totals})
             except Exception:
                 pass
-            # a crashed run is exactly the one the trajectory must keep
-            prof.stop()
-            if obs.enabled:
-                self._record_observation(obs, prof, tr)
             raise
         finally:
             preempt.restore()
-            if sink is not None:
-                sink.close() if own_sink else sink.flush()
+            # a crashed run is exactly the one the trajectory must keep
+            if tr.registry is not None:
+                self._record_observation(tr)
+            try:
+                tr.flush()
+            except Exception:
+                pass
         return ps

@@ -27,6 +27,7 @@ from repro.diagnose import (
     reference_accelerations,
     write_manifest,
 )
+from repro.instrument import Tracer, read_jsonl
 from repro.observe.cli import main as obs_main
 from repro.simulation import Simulation, SimulationConfig
 
@@ -57,9 +58,11 @@ def monitored_run(tmp_path_factory):
         )
     )
     trace = tmp / "trace.jsonl"
-    with Simulation(cfg) as sim:
-        sim.run(jsonl=str(trace))
+    tr = Tracer(sink=trace)
+    with Simulation(cfg, tracer=tr) as sim:
+        sim.run()
         summary = sim.run_totals["health"]
+    tr.close()
     return {"summary": summary, "trace": trace, "tmp": tmp}
 
 
@@ -218,16 +221,44 @@ class TestFailFast:
         def poison(sim, rec):
             sim.particles.mom[0, 0] = np.nan
 
-        with Simulation(cfg) as sim:
+        tr = Tracer(sink=tmp_path / "t.jsonl")
+        with Simulation(cfg, tracer=tr) as sim:
             with pytest.raises(HealthError, match="non-finite state"):
-                sim.run(callback=poison, jsonl=str(tmp_path / "t.jsonl"))
+                sim.run(callback=poison)
+        tr.close()
         snaps = list(tmp_path.glob("health_snapshot_step*.npz"))
         assert len(snaps) == 1
         data = np.load(snaps[0])
         assert np.isnan(data["mom"][0, 0])
         # the trace keeps the fatal record even though the run raised
-        recs = [json.loads(l) for l in (tmp_path / "t.jsonl").open()]
+        recs = read_jsonl(tmp_path / "t.jsonl")
         assert any(r["type"] == "health_fatal" for r in recs)
+
+    def test_guard_kill_leaves_the_trace_on_disk(self, tmp_path):
+        """The records of a run the state guard killed are on disk when
+        the error leaves ``run``, before anyone closes the tracer."""
+        cfg = short_config(
+            a_final=0.2, track_energy=False,
+            health=HealthConfig(snapshot_dir=str(tmp_path)),
+        )
+
+        def poison(sim, rec):
+            sim.particles.mom[0, 0] = np.nan
+
+        path = tmp_path / "t.jsonl"
+        tr = Tracer(sink=path)
+        try:
+            with Simulation(cfg, tracer=tr) as sim:
+                with pytest.raises(HealthError):
+                    sim.run(callback=poison)
+            recs = read_jsonl(path)
+        finally:
+            tr.close()
+        assert any(r["type"] == "health_fatal" for r in recs)
+        totals = [r for r in recs if r["type"] == "run_totals"]
+        assert len(totals) == 1
+        assert totals[0]["partial"] is True and totals[0]["steps"] == 1
+        assert "HealthError" in totals[0]["error"]
 
     def test_solver_guard_rejects_nonfinite_input(self):
         """check_finite rides with the health guard down to the solver."""

@@ -1,42 +1,37 @@
 """Tests for the run observatory: registry, profiler, timelines, trends.
 
 Covers the ISSUE acceptance points: registry round-trip and query API,
-the zero-cost disabled-observer contract, worker-timeline
+what the tracer costs a step, off and on, worker-timeline
 reconstruction from a real ``workers=2`` run, and the trend engine
 flagging a synthetic 2x slowdown while staying quiet on noise-level
 jitter.
 """
 
+import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from repro.diagnose.manifest import config_hash
+from repro.instrument import Tracer, read_jsonl, use_tracer
 from repro.observe import (
-    NULL_OBSERVER,
-    NULL_PROFILER,
-    ObserveConfig,
-    Observer,
     RunRegistry,
-    StageProfiler,
     analyze_timeline,
     attribute,
     chrome_trace_from_record,
     chrome_trace_from_spans,
     detect_regression,
     format_attribution,
-    get_observer,
-    measure_disabled_overhead,
     metric_value,
     render_timeline,
     robust_baseline,
-    speedscope_from_profiler,
     speedscope_from_record,
     trend_report,
-    use_observer,
 )
 from repro.observe.cli import main as obs_main
 from repro.observe.registry import KIND_RUN
@@ -128,33 +123,6 @@ class TestRegistry:
         assert vals == [1.0, 2.0, 3.0]
 
 
-# ----- zero-cost disabled contract ---------------------------------------------
-
-
-class TestDisabledContract:
-    def test_null_observer_is_inert(self):
-        assert NULL_OBSERVER.enabled is False
-        assert NULL_OBSERVER.record_run({"x": 1}) is None
-        assert NULL_OBSERVER.profiler() is NULL_PROFILER
-        assert NULL_PROFILER.results() is None
-        # the no-op stage context is one shared object
-        assert NULL_PROFILER.stage("a") is NULL_PROFILER.stage("b")
-
-    def test_use_observer_restores_previous(self, tmp_path):
-        before = get_observer()
-        with use_observer(Observer(tmp_path)) as obs:
-            assert get_observer() is obs
-            assert obs.enabled
-        assert get_observer() is before
-
-    def test_disabled_overhead_is_negligible(self):
-        per_iter = measure_disabled_overhead(iters=20_000)
-        # generous absolute bound: even the slowest CI box does the
-        # disabled hooks in well under 20 microseconds; a real step is
-        # tens of milliseconds, so this is far below the 1% budget
-        assert per_iter < 20e-6
-
-
 # ----- profiler ----------------------------------------------------------------
 
 
@@ -162,43 +130,64 @@ def _burn(n: int = 20_000) -> float:
     return sum(i * i for i in range(n)) / n
 
 
-class TestStageProfiler:
+class TestProfiledStages:
     def test_hot_functions_attributed(self):
-        prof = StageProfiler(cprofile=True, top_n=5)
-        prof.start()
-        with prof.stage("step"):
+        tr = Tracer(profile=True)
+        with tr.stage("step"):
             _burn()
-        with prof.stage("step"):
+        with tr.stage("step"):
             _burn()
-        prof.stop()
-        res = prof.results()
+        res = tr.take_profile()
         assert res["stages"]["step"]["calls"] == 2
         assert res["stages"]["step"]["seconds"] > 0
         hot = res["stages"]["step"]["hot"]
-        assert hot and len(hot) <= 5
+        assert hot and len(hot) <= 15
         assert any("_burn" in h["function"] for h in hot)
         assert all({"function", "where", "calls", "self_s", "cum_s"} <= set(h)
                    for h in hot)
+        # the stage is an ordinary span too, and the profile is taken once
+        assert tr.metrics.timers["step"].calls == 2
+        assert tr.take_profile() is None
 
     def test_nested_stages_do_not_double_enable(self):
-        prof = StageProfiler(cprofile=True)
-        with prof.stage("outer"):
-            with prof.stage("inner"):
+        tr = Tracer(profile=True)
+        with tr.stage("outer"):
+            with tr.stage("inner"):
                 _burn(2_000)
-        res = prof.results()
+        res = tr.take_profile()
         assert "outer" in res["stages"]
         # inner ran under the outer profile: timed, but no own profile
-        assert res["stages"].get("inner", {}).get("hot", []) == []
+        assert res["stages"]["inner"]["calls"] == 1
+        assert res["stages"]["inner"]["hot"] == []
 
-    def test_memory_tracking(self):
-        prof = StageProfiler(cprofile=False, memory=True)
-        prof.start()
-        blob = [bytes(1024) for _ in range(512)]
-        prof.stop()
-        res = prof.results()
-        assert res["memory"]["rss_max_kb"] > 0
-        assert res["memory"]["tracemalloc_peak_kb"] > 0
-        del blob
+    def test_stages_are_plain_spans_without_profile(self):
+        tr = Tracer()
+        with tr.stage("step"):
+            _burn(2_000)
+        assert tr.take_profile() is None
+        assert tr.metrics.timers["step"].calls == 1
+
+
+# ----- what recording costs ------------------------------------------------------
+
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_trace_overhead.py"
+_spec = importlib.util.spec_from_file_location("check_trace_overhead", TOOL)
+overhead = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(overhead)
+
+
+class TestDisabledContract:
+    def test_disabled_overhead_is_negligible(self):
+        """``tools/check_trace_overhead.py``'s two gates on a real 8^3
+        run: the off-switch and a sink-streaming tracer each cost under
+        1% of a step."""
+        m = overhead.measure()
+        # build, moments, traverse, evaluate, lattice under force, under step
+        assert m["spans_per_step"] == 7
+        assert m["disabled_frac"] < overhead.BOUND
+        assert m["enabled_frac"] < overhead.BOUND
+        assert m["disabled_op_s"] < m["enabled_op_s"]
 
 
 # ----- timeline ----------------------------------------------------------------
@@ -252,12 +241,11 @@ class TestTimeline:
     def test_real_workers2_run(self, tmp_path):
         """A real sharded run produces a registry record whose timeline
         reconstructs into w0/w1 lanes."""
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs"))
-        with use_observer(obs):
-            with Simulation(short_config(workers=2, a_final=0.12)) as sim:
-                sim.run()
-            assert sim.shard_timeline, "sharded run must emit shard events"
-        rec = obs.registry.last(kind=KIND_RUN)
+        tr = Tracer(registry=tmp_path / "obs")
+        with Simulation(short_config(workers=2, a_final=0.12), tracer=tr) as sim:
+            sim.run()
+        assert sim.shard_timeline, "sharded run must emit shard events"
+        rec = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)
         assert rec is not None
         tl = rec["data"]["timeline"]
         assert tl and all(g["events"] for g in tl)
@@ -318,14 +306,30 @@ class TestTrend:
 # ----- integration: driver / pipeline / bench record into the registry ---------
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _observed(args, obs_dir):
+    """``python *args`` in a fresh process with ``REPRO_OBS_DIR`` set, as
+    CI's observatory job runs it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_OBS")}
+    env.update(PYTHONPATH=str(SRC), REPRO_OBS_DIR=str(obs_dir))
+    done = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 class TestRecordingIntegration:
     def test_simulation_run_recorded_keyed_by_config_hash(self, tmp_path):
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs", profile=True))
         cfg = short_config()
-        with use_observer(obs):
-            with Simulation(cfg) as sim:
-                sim.run()
-        rec = obs.registry.last(kind=KIND_RUN)
+        tr = Tracer(registry=tmp_path / "obs", profile=True)
+        with Simulation(cfg, tracer=tr) as sim:
+            sim.run()
+            rec = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)
+            # a second run (already at a_final: no steps) files only its
+            # own stages, not the first run's again
+            sim.run()
+        again = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)["data"]
         assert rec is not None
         assert rec["key"] == config_hash(cfg) == rec["data"]["config_sha256"]
         d = rec["data"]
@@ -336,18 +340,19 @@ class TestRecordingIntegration:
         # profile=True: per-stage hot functions captured
         assert {"init_force", "step"} <= set(d["profile"]["stages"])
         assert d["profile"]["stages"]["step"]["hot"]
+        assert d["profile"]["stages"]["step"]["calls"] == len(sim.history)
+        assert again["steps"] == 0
+        assert set(again["profile"]["stages"]) == {"init_force"}
+        assert again["profile"]["stages"]["init_force"]["calls"] == 1
 
     def test_failed_run_recorded_as_partial(self, tmp_path):
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs"))
-
         def bomb(sim, rec):
             raise RuntimeError("injected mid-run failure")
 
-        with use_observer(obs):
-            sim = Simulation(short_config())
-            with pytest.raises(RuntimeError), sim:
-                sim.run(callback=bomb)
-        rec = obs.registry.last(kind=KIND_RUN)
+        sim = Simulation(short_config(), tracer=Tracer(registry=tmp_path / "obs"))
+        with pytest.raises(RuntimeError), sim:
+            sim.run(callback=bomb)
+        rec = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)
         assert rec["data"]["partial"] is True
         assert "injected" in rec["data"]["error"]
 
@@ -361,10 +366,8 @@ class TestRecordingIntegration:
         }
         cfg_path = tmp_path / "s00_ic.json"
         cfg_path.write_text(json.dumps(cfg))
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs"))
-        with use_observer(obs):
-            run_stage(cfg_path)
-        rec = obs.registry.last(kind="pipeline_stage")
+        run_stage(cfg_path, tracer=Tracer(registry=tmp_path / "obs"))
+        rec = RunRegistry(tmp_path / "obs").last(kind="pipeline_stage")
         assert rec is not None
         assert rec["data"]["stage"] == "ic"
         assert rec["data"]["wall_s"] > 0
@@ -377,9 +380,8 @@ class TestRecordingIntegration:
             from _simlib import emit_bench
         finally:
             sys.path.pop(0)
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs"))
         out = tmp_path / "BENCH_demo.json"
-        with use_observer(obs):
+        with use_tracer(Tracer(registry=tmp_path / "obs")):
             doc = emit_bench("demo", {"wall_s": 1.25, "n_particles": 64}, out)
         written = json.loads(out.read_text())
         for d in (doc, written):
@@ -388,9 +390,51 @@ class TestRecordingIntegration:
             assert d["cpu_count"] >= 1
             assert d["host"]["hostname"]
             assert d["created"] and d["created_unix"] > 0
-        rec = obs.registry.last(kind="bench")
+        rec = RunRegistry(tmp_path / "obs").last(kind="bench")
         assert rec["data"]["wall_s"] == 1.25
         assert rec["key"]  # keyed by the receipt's identity hash
+
+
+    def test_environment_registry_records_a_traced_run(self, tmp_path):
+        """``REPRO_OBS_DIR`` alone, no tracer passed: the run is recorded
+        with its stage seconds and hottest spans, not an empty breakdown."""
+        code = (
+            "from repro.simulation import Simulation, SimulationConfig\n"
+            "Simulation(SimulationConfig(n_per_dim=8, box_mpc_h=50.0, a_init=0.1,"
+            " a_final=0.12, errtol=1e-3, p=2, max_refine=1, seed=2)).run()\n"
+        )
+        _observed(["-c", code], tmp_path / "obs")
+        d = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)["data"]
+        assert d["stage_seconds"]["evaluate"] > 0
+        assert d["top_spans"] and d["top_spans"][0]["calls"] > 0
+        assert {"init_force", "step"} <= {s["path"] for s in d["top_spans"]}
+        assert "profile" not in d  # REPRO_OBS_PROFILE unset
+
+    def test_run_stage_trace_with_environment_registry(self, tmp_path):
+        """``run_stage --trace`` under ``REPRO_OBS_DIR`` writes the trace
+        and both registry records, and the stage's one wall timer gives
+        the trace and the registry the same wall."""
+        from repro.pipeline import PipelineSpec
+
+        PipelineSpec(
+            name="obs", n_per_dim=8, box_mpc_h=40.0, z_init=9.0, z_final=6.0,
+            errtol=1e-3, p_order=2, snapshots_z=(6.0,), analysis=(),
+        ).write(tmp_path)
+        obs, trace = tmp_path / "obs", tmp_path / "trace.jsonl"
+        _observed(["-m", "repro.pipeline.run_stage", str(tmp_path / "obs_ic.json")], obs)
+        _observed(["-m", "repro.pipeline.run_stage", str(tmp_path / "obs_evolve.json"),
+                   "--trace", str(trace)], obs)
+        recs = read_jsonl(trace)
+        assert {"init_force", "step", "run_totals", "span", "pipeline_stage",
+                "metrics"} <= {r["type"] for r in recs}
+        reg = RunRegistry(obs)
+        run = reg.last(kind=KIND_RUN)["data"]
+        assert run["stage_seconds"]["evaluate"] > 0
+        assert run["steps"] == sum(1 for r in recs if r["type"] == "step")
+        stage = reg.last(kind="pipeline_stage")["data"]
+        assert stage["stage"] == "evolve"
+        (traced,) = [r for r in recs if r["type"] == "pipeline_stage"]
+        assert stage["wall_s"] == traced["wall_s"] > 0
 
 
 # ----- progress line -----------------------------------------------------------
@@ -523,6 +567,110 @@ class TestDiagGateTrend:
         assert "wall_per_step_s" in err and "stage_seconds.evaluate" in err
 
 
+class TestReplay:
+    """Files written before the tracer carried the registry still render:
+    a registry record and a trace in their earlier shapes, as literals."""
+
+    HOT = [{"function": "evaluate_forces", "where": "gravity/treeforce.py:560",
+            "calls": 3, "self_s": 0.12, "cum_s": 0.3},
+           {"function": "segment_sum", "where": "gravity/treeforce.py:120",
+            "calls": 90, "self_s": 0.05, "cum_s": 0.05}]
+
+    def _record(self, n, wall):
+        return {
+            "obs_schema": 1, "id": f"000176000000{n}-a1b2c3", "kind": "simulation_run",
+            "key": "f" * 64, "t_unix": 1760000000.0 + n,
+            "t": "2025-10-09T08:53:20+0000", "git_commit": "c" * 40,
+            "hostname": "node1", "cpu_count": 2, "pid": 4242,
+            "data": {
+                "config_sha256": "f" * 64, "engine": "tree", "n_particles": 512,
+                "workers": 2, "errtol": 0.001, "a_final": 0.14, "steps": 3,
+                "wall_s": 3 * wall + 0.2, "interactions_per_particle": 2400.0,
+                "run_totals": {"wall_s": 3 * wall + 0.2, "steps": 3,
+                               "init_force_wall_s": 0.2,
+                               "init_interactions_per_particle": 600.0,
+                               "step_wall_s": 3 * wall,
+                               "interactions_per_particle": 2400.0},
+                "stage_seconds": {"build": 0.01, "moments": 0.05, "traverse": 0.04,
+                                  "evaluate": 0.9 * wall, "lattice": 0.08},
+                "wall_per_step_s": wall,
+                "kernel": {"interactions": 1.2e6, "gflops": 1.5},
+                "timeline": [
+                    {"call": 1, "events": [
+                        {"shard": 0, "worker": 0, "t0": 0.0, "t1": 0.1,
+                         "traverse_s": 0.04, "evaluate_s": 0.06, "attempt": 0,
+                         "local": False},
+                        {"shard": 1, "worker": 1, "t0": 0.0, "t1": 0.08,
+                         "traverse_s": 0.03, "evaluate_s": 0.05, "attempt": 0,
+                         "local": False}]}],
+                "worker_summary": {"calls": 1, "wall_s": 0.1},
+                "profile": {
+                    "stages": {"init_force": {"seconds": 0.2, "calls": 1, "hot": self.HOT},
+                               "step": {"seconds": 3 * wall, "calls": 3, "hot": self.HOT}},
+                    "memory": {"tracemalloc_current_kb": 812.4,
+                               "tracemalloc_peak_kb": 9120.0, "rss_max_kb": 183204},
+                },
+                "top_spans": [{"path": "step", "total_s": 3 * wall, "calls": 3},
+                              {"path": "step/force/evaluate", "total_s": 0.27, "calls": 3}],
+            },
+        }
+
+    TRACE = [
+        {"type": "init_force", "a": 0.1, "wall": 0.2, "interactions_per_particle": 600.0,
+         "stage_seconds": {"build": 0.003, "evaluate": 0.1}},
+        {"type": "span", "path": "step/force", "seconds": 0.15, "t0": 10.0, "t1": 10.15,
+         "tid": 140001},
+        {"type": "span", "path": "step", "seconds": 0.2, "t0": 10.0, "t1": 10.2,
+         "tid": 140001},
+        {"type": "step", "step": 1, "a": 0.11, "dlna": 0.1, "wall": 0.2,
+         "interactions_per_particle": 600.0, "layzer_irvine": 0.5, "kinetic": 1.0,
+         "potential": -2.0, "stage_seconds": {"build": 0.003, "evaluate": 0.12}},
+        {"type": "health", "monitor": "momentum", "severity": "warn",
+         "message": "momentum drift 0.06", "value": 0.06, "threshold": 0.05,
+         "step": 1, "a": 0.11},
+        {"type": "run_totals", "wall_s": 0.4, "steps": 1, "init_force_wall_s": 0.2,
+         "init_interactions_per_particle": 600.0, "step_wall_s": 0.2,
+         "interactions_per_particle": 1200.0},
+        {"type": "pipeline_stage", "stage": "evolve", "wall_s": 0.5},
+        {"type": "metrics", "timers": {"step": {"total_s": 0.2, "calls": 1,
+                                                "min_s": 0.2, "max_s": 0.2}},
+         "counters": {"force.calls": 2.0}, "vectors": {}},
+    ]
+
+    def test_every_command_renders(self, tmp_path, capsys):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        (obs / "registry.jsonl").write_text(
+            "".join(json.dumps(self._record(n, w)) + "\n"
+                    for n, w in ((1, 0.2), (2, 0.5))))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in self.TRACE))
+        root = ["--dir", str(obs)]
+
+        assert obs_main([*root, "list"]) == 0
+        assert "simulation_run" in capsys.readouterr().out
+        assert obs_main([*root, "show", "-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["steps"] == 3
+        assert obs_main([*root, "timeline", "-1"]) == 0
+        assert "w0" in capsys.readouterr().out
+        assert obs_main([*root, "top", "-1"]) == 0
+        out = capsys.readouterr().out
+        assert "evaluate_forces" in out and "Memory high-water" in out
+        assert obs_main([*root, "export", "-1", "--out", str(tmp_path / "t.json"),
+                         "--speedscope", str(tmp_path / "p.json")]) == 0
+        assert len(json.loads((tmp_path / "p.json").read_text())["profiles"]) == 2
+        assert obs_main(["export", "--spans", str(trace),
+                         "--out", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert obs_main([*root, "diff", "1", "2"]) == 0
+        assert "stage_seconds.evaluate" in capsys.readouterr().out
+        assert obs_main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "momentum drift" in out and "Force stage totals" in out
+        assert obs_main(["gate", str(trace)]) == 0
+        assert obs_main(["gate", str(trace), "--severity", "warn"]) == 1
+
+
 # ----- trace export ------------------------------------------------------------
 
 
@@ -596,7 +744,7 @@ class TestTraceExport:
         from repro.instrument import Tracer, read_jsonl
 
         path = tmp_path / "trace.jsonl"
-        tr = Tracer(sink=path, emit_spans=True)
+        tr = Tracer(sink=path)
         with tr.span("force"):
             with tr.span("build"):
                 pass
@@ -612,11 +760,10 @@ class TestTraceExport:
     def test_real_workers2_export(self, tmp_path):
         """Export of a real sharded run: per-worker lane busy time in
         the trace equals timeline.py's compute+recovery attribution."""
-        obs = Observer(ObserveConfig(dir=tmp_path / "obs"))
-        with use_observer(obs):
-            with Simulation(short_config(workers=2, a_final=0.12)) as sim:
-                sim.run()
-        rec = obs.registry.last(kind=KIND_RUN)
+        tr = Tracer(registry=tmp_path / "obs")
+        with Simulation(short_config(workers=2, a_final=0.12), tracer=tr) as sim:
+            sim.run()
+        rec = RunRegistry(tmp_path / "obs").last(kind=KIND_RUN)
         trace = chrome_trace_from_record(rec)
         busy = _lane_busy_seconds(trace)
         summary = analyze_timeline(rec["data"]["timeline"])
@@ -643,7 +790,7 @@ class TestTraceExport:
         from repro.instrument import Tracer
 
         path = tmp_path / "spans.jsonl"
-        tr = Tracer(sink=path, emit_spans=True)
+        tr = Tracer(sink=path)
         with tr.span("step"):
             pass
         tr.close()
@@ -683,20 +830,6 @@ class TestSpeedscope:
         assert all(0 <= s[0] < len(frames) for s in prof["samples"])
         with pytest.raises(LookupError):
             speedscope_from_record({"data": {}})
-
-    def test_from_live_profiler(self):
-        prof = StageProfiler(cprofile=True, top_n=3)
-        prof.start()
-        with prof.stage("step"):
-            _burn()
-        prof.stop()
-        doc = speedscope_from_profiler(prof)
-        assert doc["$schema"] == SPEEDSCOPE_SCHEMA
-        step = next(p for p in doc["profiles"] if p["name"] == "step")
-        assert step["samples"] and len(step["samples"]) == len(step["weights"])
-        assert all(w > 0 for w in step["weights"])
-        names = {doc["shared"]["frames"][s[0]]["name"] for s in step["samples"]}
-        assert any("_burn" in n for n in names)
 
 
 # ----- in-kernel roofline counters ---------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.gravity.solver import ForceSpec
+from repro.instrument import Tracer
 from repro.io import (
     CheckpointConfigMismatch,
     SDFChecksumError,
@@ -285,8 +286,8 @@ class TestBitIdenticalResume:
 
     def test_checkpoint_events_emitted(self, tmp_path):
         stream = io.StringIO()
-        sim = Simulation(short_config())
-        sim.run(jsonl=stream, checkpointer=(
+        sim = Simulation(short_config(), tracer=Tracer(sink=stream))
+        sim.run(checkpointer=(
             CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / "ck")
         ))
         recs = [json.loads(l) for l in stream.getvalue().splitlines()]
@@ -300,7 +301,8 @@ class TestBitIdenticalResume:
     def test_resumed_run_keeps_the_cadence(self, tmp_path):
         def checkpoint_steps(sim, store, **run_kw):
             stream = io.StringIO()
-            sim.run(jsonl=stream, checkpointer=(
+            sim.tracer = Tracer(sink=stream)
+            sim.run(checkpointer=(
                 CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / store)
             ), **run_kw)
             recs = [json.loads(l) for l in stream.getvalue().splitlines()]
@@ -316,15 +318,15 @@ class TestBitIdenticalResume:
 
 class TestPartialRunTotals:
     def test_crash_leaves_partial_totals(self):
-        sim = Simulation(short_config())
         stream = io.StringIO()
+        sim = Simulation(short_config(), tracer=Tracer(sink=stream))
 
         def die(s, rec):
             if len(s.history) >= 2:
                 raise KeyboardInterrupt("simulated kill")
 
         with pytest.raises(KeyboardInterrupt):
-            sim.run(callback=die, jsonl=stream)
+            sim.run(callback=die)
         rt = sim.run_totals
         assert rt["partial"] is True
         assert rt["steps"] == 2

@@ -94,6 +94,13 @@ RETIRED = [
         (*EVERYWHERE, ".github"),
         "one restart path: checkpoints are asked for only through run(checkpointer=)",
     ),
+    (
+        r"get_observer|set_observer|use_observer|NULL_OBSERVER|NullObserver|ObserveConfig"
+        r"|measure_disabled_overhead|StageProfiler|NULL_PROFILER|NullProfiler|REPRO_OBS_MEMORY"
+        r"|speedscope_from_profiler|perfmodel_crosscheck|emit_spans|\.run\([^)]*jsonl=",
+        (*EVERYWHERE, ".github"),
+        "one recorder: the tracer carries the run registry and the stage profiler",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
