@@ -1,6 +1,6 @@
 """Gravity solvers: treecode, direct, Ewald, periodic, PM/TreePM."""
 
-from .direct import direct_accelerations, direct_potential_energy
+from .direct import direct_accelerations
 from .smoothing import (
     DehnenK1Softening,
     NoSoftening,
@@ -28,7 +28,6 @@ __all__ = [
     "TreecodeConfig",
     "TreecodeGravity",
     "direct_accelerations",
-    "direct_potential_energy",
     "evaluate_forces",
     "make_softening",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .smoothing import NoSoftening, SofteningKernel
 
-__all__ = ["direct_accelerations", "direct_potential_energy"]
+__all__ = ["direct_accelerations"]
 
 
 def direct_accelerations(
@@ -80,17 +80,3 @@ def direct_accelerations(
         if want_potential:
             pot *= dtype(G)
     return (acc, pot) if want_potential else acc
-
-
-def direct_potential_energy(
-    pos: np.ndarray,
-    mass: np.ndarray,
-    softening: SofteningKernel | None = None,
-    G: float = 1.0,
-    box: float | None = None,
-) -> float:
-    """Total gravitational potential energy W = -G/2 sum_ij m_i m_j psi(r_ij)."""
-    _, pot = direct_accelerations(
-        pos, mass, softening=softening, G=G, box=box, want_potential=True
-    )
-    return float(-0.5 * np.dot(pot, mass))

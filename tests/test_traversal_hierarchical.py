@@ -548,7 +548,12 @@ class TestBlockedCellEvaluator:
                 tree, moms, sparse, particle_range=(0, n), cell_chunk=cell_chunk
             )
             assert same_bits(ref, got)
-        self.assert_matches_flat(tree, moms, sparse, particle_range=(0, n))
+        # the oracle on three leaves: one whose own row was emptied
+        # between neighbours whose rows were not
+        own = dict(zip(sparse.cell_cells.tolist(), np.diff(sparse.cell_indptr).tolist()))
+        entries = np.array([own.get(int(leaf), -1) for leaf in sparse.sink_leaves])
+        i = int(np.flatnonzero((entries[1:-1] == 0) & (entries[:-2] > 0) & (entries[2:] > 0))[0])
+        self.assert_matches_flat(tree, moms, sparse, rows=(i, i + 3))
 
     @pytest.mark.parametrize("nleaf", [1, 8])
     def test_matches_flat_list_evaluator(self, nleaf):
@@ -559,12 +564,32 @@ class TestBlockedCellEvaluator:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         if nleaf == 1:
             assert tree.cell_count[inter.sink_leaves].max() == 1
-        self.assert_matches_flat(tree, moms, inter)
+        self.assert_matches_flat(tree, moms, inter, rows=(0, 4))
 
-    def assert_matches_flat(self, tree, moms, inter, **kw):
+    @staticmethod
+    def leaf_rows(tree, inter, lo, hi):
+        """``inter`` cut down to its sink-leaf rows ``[lo, hi)``, and the
+        particle range they own: the lists of a shard over those
+        leaves (their ancestors' cell segments stay; the evaluator
+        and the oracle read only the ones above the range)."""
+        cut = {"sink_leaves": inter.sink_leaves[lo:hi]}
+        for fam in ("leaf", "ghost"):
+            indptr = getattr(inter, f"{fam}_indptr")
+            entries = slice(indptr[lo], indptr[hi])
+            for part in ("sink", "src", "off"):
+                cut[f"{fam}_{part}"] = getattr(inter, f"{fam}_{part}")[entries]
+            cut[f"{fam}_indptr"] = indptr[lo : hi + 1] - indptr[lo]
+        first, last = cut["sink_leaves"][0], cut["sink_leaves"][-1]
+        s1 = tree.cell_start[last] + tree.cell_count[last]
+        return dataclasses.replace(inter, **cut), (int(tree.cell_start[first]), int(s1))
+
+    def assert_matches_flat(self, tree, moms, inter, rows=None, **kw):
         """The blocked result against the loop of ``tests/oracle.py``:
         an independent implementation that walks the lists one (sink,
-        source) term at a time."""
+        source) term at a time — on the sink-leaf ``rows`` (lo, hi)
+        only, if given, as a shard evaluates them (the loop is slow)."""
+        if rows is not None:
+            inter, kw["particle_range"] = self.leaf_rows(tree, inter, *rows)
         csr = evaluate_forces(tree, moms, inter, **kw)
         flat = oracle_forces(tree, moms, inter, **kw)
         assert csr.stats["cell_interactions"] == flat.stats["cell_interactions"] > 0
@@ -583,7 +608,7 @@ class TestBlockedCellEvaluator:
         tree = build_tree(pos, mass, nleaf=8, with_ghosts=True)
         moms = compute_moments(tree, p=p, tol=1e-3, background=True, mean_density=1.0)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
-        self.assert_matches_flat(tree, moms, inter)
+        self.assert_matches_flat(tree, moms, inter, rows=(0, 3))
         for dtype in (np.float64, np.float32):
             ref = evaluate_forces(tree, moms, inter, dtype=dtype)
             no_pot = evaluate_forces(

@@ -101,6 +101,11 @@ RETIRED = [
         (*EVERYWHERE, ".github"),
         "one recorder: the tracer carries the run registry and the stage profiler",
     ),
+    (
+        r"direct_potential_energy",
+        (*EVERYWHERE, ".github"),
+        "a public function earns a caller or goes: the uncalled direct-sum energy",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
