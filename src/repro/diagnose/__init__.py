@@ -7,15 +7,18 @@ energy, total momentum), audit the MAC's absolute-error budget with a
 sampled direct/Ewald force probe, watch the machinery (tree shape,
 executor balance, interaction drift), guard against non-finite state
 (fail fast with a diagnostic snapshot), and stream classified
-``health`` events into the run's one trace, the tracer's sink.  The
-default is :data:`NULL_HEALTH` — disabled monitoring costs nothing, as
-:data:`~repro.instrument.NULL_TRACER` does for recording.  :mod:`repro.diagnose.manifest` pins run
-provenance; ``repro-obs report`` / ``repro-obs gate``
-(:mod:`repro.observe.cli`) render a trace's health timeline and fail
-CI on a health event at or above a severity.
+``health`` events into the run's one trace, the tracer's sink.  A run
+is monitored only when built with ``Simulation(config,
+health=HealthConfig(...))``; the default ``health=None`` builds no
+monitor, and the non-finite force guard runs on every solve either way
+(:func:`repro.gravity.solver.raise_if_nonfinite`).
+:mod:`repro.diagnose.manifest` pins run provenance; ``repro-obs
+report`` / ``repro-obs gate`` (:mod:`repro.observe.cli`) render a
+trace's health timeline and fail CI on a health event at or above a
+severity.
 """
 
-from .health import NULL_HEALTH, HealthConfig, HealthMonitor, NullHealth, make_health
+from .health import HealthConfig, HealthMonitor
 from .manifest import build_manifest, config_hash, load_manifest, write_manifest
 from .monitors import (
     SEVERITIES,
@@ -39,7 +42,6 @@ from .structural import (
 
 __all__ = [
     "SEVERITIES",
-    "NULL_HEALTH",
     "ExecutorBalanceMonitor",
     "ForceErrorProbe",
     "HealthConfig",
@@ -51,7 +53,6 @@ __all__ = [
     "LayzerIrvineMonitor",
     "Monitor",
     "MomentumMonitor",
-    "NullHealth",
     "RecoveryMonitor",
     "StateGuard",
     "TreeShapeMonitor",
@@ -59,7 +60,6 @@ __all__ = [
     "classify",
     "config_hash",
     "load_manifest",
-    "make_health",
     "probe_force_error",
     "reference_accelerations",
     "tree_shape_stats",

@@ -6,7 +6,7 @@ integration (§2.3) conserves the Layzer-Irvine integral, and mutual
 gravity conserves total momentum exactly (Dehnen 2000) — but nothing
 in a running simulation says so unless something watches.  Each
 monitor here observes one conserved quantity (or invariant) per step,
-classifies the drift against configurable warn/error thresholds, and
+classifies the drift against its warn/error class constants, and
 reports structured :class:`HealthEvent` records that stream through
 the same JSONL sink as the per-step records.
 
@@ -135,10 +135,11 @@ class LayzerIrvineMonitor(Monitor):
     """
 
     name = "layzer_irvine"
+    #: drift as a fraction of max(|T|, |W|)
+    WARN = 0.05
+    ERROR = 0.5
 
-    def __init__(self, warn: float = 0.05, error: float = 0.5):
-        self.warn = float(warn)
-        self.error = float(error)
+    def __init__(self):
         self._li0: float | None = None
         self.max_drift = 0.0
 
@@ -153,15 +154,15 @@ class LayzerIrvineMonitor(Monitor):
         scale = max(abs(float(rec.kinetic)), abs(float(rec.potential)), 1e-30)
         drift = abs(li - self._li0) / scale
         self.max_drift = max(self.max_drift, drift)
-        sev = classify(drift, self.warn, self.error)
+        sev = classify(drift, self.WARN, self.ERROR)
         return [self._event(
             ctx, sev,
             f"Layzer-Irvine drift {drift:.3e} of max(|T|,|W|)",
-            value=drift, threshold=self.warn,
+            value=drift, threshold=self.WARN,
         )]
 
     def summary(self) -> dict:
-        return {"max_drift": self.max_drift, "warn": self.warn, "error": self.error}
+        return {"max_drift": self.max_drift, "warn": self.WARN, "error": self.ERROR}
 
 
 class MomentumMonitor(Monitor):
@@ -176,13 +177,14 @@ class MomentumMonitor(Monitor):
     """
 
     name = "momentum"
+    #: relative total-momentum drift
+    WARN = 1e-3
+    ERROR = 5e-2
+    #: center-of-mass drift in box lengths
+    COM_WARN = 1e-3
+    COM_ERROR = 5e-2
 
-    def __init__(self, warn: float = 1e-3, error: float = 5e-2,
-                 com_warn: float = 1e-3, com_error: float = 5e-2):
-        self.warn = float(warn)
-        self.error = float(error)
-        self.com_warn = float(com_warn)
-        self.com_error = float(com_error)
+    def __init__(self):
         self._p0: np.ndarray | None = None
         self._prev_pos: np.ndarray | None = None
         self._com_shift = np.zeros(3)
@@ -204,9 +206,9 @@ class MomentumMonitor(Monitor):
         drift = float(np.abs(p - self._p0).max()) / scale
         self.max_drift = max(self.max_drift, drift)
         events = [self._event(
-            ctx, classify(drift, self.warn, self.error),
+            ctx, classify(drift, self.WARN, self.ERROR),
             f"total momentum drift {drift:.3e} (relative)",
-            value=drift, threshold=self.warn,
+            value=drift, threshold=self.WARN,
         )]
         # center of mass via minimum-image displacements since last step
         d = ps.pos - self._prev_pos
@@ -217,23 +219,27 @@ class MomentumMonitor(Monitor):
         com = float(np.abs(self._com_shift).max())  # box units
         self.max_com_drift = max(self.max_com_drift, com)
         events.append(self._event(
-            ctx, classify(com, self.com_warn, self.com_error),
+            ctx, classify(com, self.COM_WARN, self.COM_ERROR),
             f"center-of-mass drift {com:.3e} box lengths",
-            value=com, threshold=self.com_warn,
+            value=com, threshold=self.COM_WARN,
         ))
         return events
 
     def summary(self) -> dict:
         return {"max_drift": self.max_drift, "max_com_drift": self.max_com_drift,
-                "warn": self.warn, "error": self.error}
+                "warn": self.WARN, "error": self.ERROR}
 
 
 class StateGuard(Monitor):
-    """NaN/overflow guard on positions, momenta and accelerations.
+    """NaN/overflow guard on positions and momenta.
 
     A non-finite value anywhere is unrecoverable — integrating it
     forward corrupts every subsequent state and, worse, the next
-    checkpoint.  The guard writes a diagnostic snapshot (``.npz`` with
+    checkpoint.  Accelerations need no scan here: every solve raises
+    :class:`FloatingPointError` on non-finite output
+    (:func:`repro.gravity.solver.raise_if_nonfinite`), so a non-finite
+    value can only enter the state after the solve, e.g. from a
+    callback.  The guard writes a diagnostic snapshot (``.npz`` with
     the full particle state and acceleration) and arms a
     :class:`HealthError` that the driver raises *after* streaming the
     event, so the trace records why the run died.
@@ -249,9 +255,7 @@ class StateGuard(Monitor):
     def _scan(self, ctx: HealthContext) -> list[str]:
         ps = ctx.sim.particles
         bad = []
-        for label, arr in (("pos", ps.pos), ("mom", ps.mom), ("acc", ctx.acc)):
-            if arr is None:
-                continue
+        for label, arr in (("pos", ps.pos), ("mom", ps.mom)):
             if not np.isfinite(arr).all():
                 n = int(np.count_nonzero(~np.isfinite(arr)))
                 bad.append(f"{label}: {n} non-finite")

@@ -26,7 +26,7 @@ Reference construction
   image/mode counts) — far below any useful errtol.
 
 Cost is O(samples x N) per probe, a vanishing fraction of a force
-solve for the default 8 samples, and zero when the probe is off.
+solve for the probe's 8 samples, and zero when the probe is off.
 """
 
 from __future__ import annotations
@@ -167,16 +167,14 @@ class ForceErrorProbe(Monitor):
     ``errtol``; Ewald state is cached across probes)."""
 
     name = "force_error"
+    N_SAMPLES = 8
+    WARN_FACTOR = 1.0
+    ERROR_FACTOR = 10.0
+    #: the step number is added, so each probe draws a fresh subset
+    SEED = 20131117
 
-    def __init__(self, interval: int = 4, n_samples: int = 8,
-                 warn_factor: float = 1.0, error_factor: float = 10.0,
-                 seed: int = 20131117, budget: float | None = None):
+    def __init__(self, interval: int = 4):
         self.interval = max(int(interval), 1)
-        self.n_samples = int(n_samples)
-        self.warn_factor = float(warn_factor)
-        self.error_factor = float(error_factor)
-        self.seed = int(seed)
-        self.budget = budget
         self._ewald = None
         self.last: dict = {}
         self.max_abs_err = 0.0
@@ -193,8 +191,8 @@ class ForceErrorProbe(Monitor):
 
             self._ewald = EwaldSummation(box=1.0, rmax=2, kmax=4)
         res = probe_force_error(
-            ctx.sim, ctx.acc, n_samples=self.n_samples,
-            rng=np.random.default_rng(self.seed + ctx.step), ewald=self._ewald,
+            ctx.sim, ctx.acc, n_samples=self.N_SAMPLES,
+            rng=np.random.default_rng(self.SEED + ctx.step), ewald=self._ewald,
         )
         self.probes += 1
         self.last = res
@@ -202,16 +200,16 @@ class ForceErrorProbe(Monitor):
         self.max_momentum_balance = max(
             self.max_momentum_balance, res["momentum_balance"]
         )
-        budget = self.budget if self.budget is not None else res["mac_budget"]
+        budget = res["mac_budget"]
         ratio = res["max_abs_err"] / max(budget, 1e-300)
-        sev = classify(ratio, self.warn_factor, self.error_factor)
+        sev = classify(ratio, self.WARN_FACTOR, self.ERROR_FACTOR)
         return [self._event(
             ctx, sev,
             f"sampled force error {res['max_abs_err']:.3e} "
             f"({ratio:.2f} x MAC budget {budget:.1e}, "
             f"{res['n_samples']} samples, "
             f"momentum balance {res['momentum_balance']:.1e})",
-            value=res["max_abs_err"], threshold=budget * self.warn_factor,
+            value=res["max_abs_err"], threshold=budget * self.WARN_FACTOR,
         )]
 
     def start(self, ctx: HealthContext) -> list[HealthEvent]:

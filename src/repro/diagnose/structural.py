@@ -49,17 +49,17 @@ def tree_shape_stats(tree) -> dict:
 class TreeShapeMonitor(Monitor):
     """Warn on degenerate trees: overfull leaves or runaway depth.
 
-    A real leaf holding more than ``occupancy_factor * nleaf`` bodies
+    A real leaf holding more than ``OCCUPANCY_FACTOR * nleaf`` bodies
     means the build hit its depth cap on coincident/clustered points
     (the split rule otherwise guarantees <= nleaf), and depth past
-    ``depth_warn`` makes traversals pathological.
+    ``DEPTH_WARN`` makes traversals pathological.
     """
 
     name = "tree_shape"
+    OCCUPANCY_FACTOR = 4.0
+    DEPTH_WARN = 21
 
-    def __init__(self, occupancy_factor: float = 4.0, depth_warn: int = 21):
-        self.occupancy_factor = float(occupancy_factor)
-        self.depth_warn = int(depth_warn)
+    def __init__(self):
         self.last: dict = {}
 
     def check(self, ctx: HealthContext) -> list[HealthEvent]:
@@ -69,19 +69,19 @@ class TreeShapeMonitor(Monitor):
         stats = tree_shape_stats(tree)
         self.last = stats
         events = []
-        cap = self.occupancy_factor * tree.nleaf
+        cap = self.OCCUPANCY_FACTOR * tree.nleaf
         if stats["leaf_occupancy_max"] > cap:
             events.append(self._event(
                 ctx, "warn",
                 f"leaf holds {stats['leaf_occupancy_max']} bodies "
-                f"(> {self.occupancy_factor:g} x nleaf={tree.nleaf}: depth-capped split)",
+                f"(> {self.OCCUPANCY_FACTOR:g} x nleaf={tree.nleaf}: depth-capped split)",
                 value=stats["leaf_occupancy_max"], threshold=cap,
             ))
-        if stats["max_level"] > self.depth_warn:
+        if stats["max_level"] > self.DEPTH_WARN:
             events.append(self._event(
                 ctx, "warn",
-                f"tree depth {stats['max_level']} exceeds {self.depth_warn}",
-                value=stats["max_level"], threshold=self.depth_warn,
+                f"tree depth {stats['max_level']} exceeds {self.DEPTH_WARN}",
+                value=stats["max_level"], threshold=self.DEPTH_WARN,
             ))
         return events
 
@@ -99,10 +99,10 @@ class ExecutorBalanceMonitor(Monitor):
     """
 
     name = "executor_balance"
+    WARN = 0.5
+    ERROR = 2.0
 
-    def __init__(self, warn: float = 0.5, error: float = 2.0):
-        self.warn = float(warn)
-        self.error = float(error)
+    def __init__(self):
         self.max_imbalance = 0.0
 
     def check(self, ctx: HealthContext) -> list[HealthEvent]:
@@ -111,21 +111,21 @@ class ExecutorBalanceMonitor(Monitor):
             return []
         imb = float(ex.get("load_imbalance", 0.0))
         self.max_imbalance = max(self.max_imbalance, imb)
-        sev = classify(imb, self.warn, self.error)
+        sev = classify(imb, self.WARN, self.ERROR)
         if sev == "info":
             return [self._event(
                 ctx, "info", f"executor load imbalance {imb:.3f}",
-                value=imb, threshold=self.warn,
+                value=imb, threshold=self.WARN,
             )]
         return [self._event(
             ctx, sev,
             f"executor load imbalance {imb:.3f} across "
             f"{ex.get('workers', '?')} workers",
-            value=imb, threshold=self.warn,
+            value=imb, threshold=self.WARN,
         )]
 
     def summary(self) -> dict:
-        return {"max_imbalance": self.max_imbalance, "warn": self.warn}
+        return {"max_imbalance": self.max_imbalance, "warn": self.WARN}
 
 
 class RecoveryMonitor(Monitor):
@@ -195,9 +195,9 @@ class InteractionDriftMonitor(Monitor):
     """
 
     name = "interaction_drift"
+    JUMP_FACTOR = 3.0
 
-    def __init__(self, jump_factor: float = 3.0):
-        self.jump_factor = float(jump_factor)
+    def __init__(self):
         self._prev: float | None = None
         self.max_ratio = 1.0
 
@@ -210,15 +210,15 @@ class InteractionDriftMonitor(Monitor):
         if self._prev is not None and self._prev > 0:
             ratio = max(ipp / self._prev, self._prev / ipp)
             self.max_ratio = max(self.max_ratio, ratio)
-            if ratio > self.jump_factor:
+            if ratio > self.JUMP_FACTOR:
                 events.append(self._event(
                     ctx, "warn",
                     f"interactions/particle jumped x{ratio:.2f} "
                     f"({self._prev:.0f} -> {ipp:.0f})",
-                    value=ratio, threshold=self.jump_factor,
+                    value=ratio, threshold=self.JUMP_FACTOR,
                 ))
         self._prev = ipp
         return events
 
     def summary(self) -> dict:
-        return {"max_ratio": self.max_ratio, "jump_factor": self.jump_factor}
+        return {"max_ratio": self.max_ratio, "jump_factor": self.JUMP_FACTOR}

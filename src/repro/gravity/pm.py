@@ -16,7 +16,7 @@ comparison this module implements the same force split:
   machinery using the :class:`~repro.multipoles.radial.ErfcKernel` for
   cell interactions and an erfc-filtered pairwise force (GADGET-2's
   shortrange_table) for particle-particle interactions, truncated at
-  ``rcut`` times the split scale.
+  :data:`RCUT` times the split scale.
 
 The transition-region force error — the artifact Fig. 7 shows — comes
 out of this construction for free; tests measure it against the pure
@@ -161,15 +161,18 @@ class ShortRangeSoftening(SofteningKernel):
         return self.base.potential(r) * special.erfc(u)
 
 
+#: split scale in units of the mesh cell (GADGET-2's ASMTH)
+ASMTH = 1.25
+#: short-range cutoff in units of r_split (GADGET-2's RCUT)
+RCUT = 4.5
+
+
 @dataclass
 class TreePMConfig:
-    """Knobs of the TreePM force split (GADGET-2-flavoured defaults)."""
+    """Knobs of the TreePM force split (GADGET-2-flavoured defaults;
+    the split scale and cutoff are :data:`ASMTH` and :data:`RCUT`)."""
 
     ngrid: int = 64
-    #: split scale in units of the mesh cell (GADGET-2 ASMTH = 1.25)
-    asmth: float = 1.25
-    #: short-range cutoff in units of r_split (GADGET-2 RCUT = 4.5)
-    rcut: float = 4.5
     p: int = 4
     errtol: float = 1e-5
     nleaf: int = 16
@@ -181,8 +184,6 @@ class TreePMConfig:
     G: float = 1.0
     #: worker processes for the short-range tree half (0 = serial)
     workers: int = 0
-    #: fail fast on non-finite accelerations/potentials (health guard)
-    check_finite: bool = False
 
     def __post_init__(self):
         check_choices(self, "traversal", "softening")
@@ -202,7 +203,7 @@ class TreePMGravity(_ForceSolver):
     ) -> ForceResult:
         cfg = self.config
         tr = tracer if tracer is not None else get_tracer()
-        r_split = cfg.asmth * box / cfg.ngrid
+        r_split = ASMTH * box / cfg.ngrid
         with tr.span("force") as sp_force:
             with tr.span("pm") as sp_pm:
                 pm = ParticleMesh(cfg.ngrid, box, r_split=r_split)
@@ -222,9 +223,8 @@ class TreePMGravity(_ForceSolver):
                     make_softening(cfg.softening, cfg.eps), r_split
                 ),
                 kernel=ErfcKernel(1.0 / (2.0 * r_split)),
-                rcut=cfg.rcut * r_split,
+                rcut=RCUT * r_split,
                 G=cfg.G,
-                check_finite=cfg.check_finite,
             )
             stage = {
                 "pm": sp_pm.seconds,

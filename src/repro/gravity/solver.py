@@ -67,19 +67,21 @@ def check_choices(config, *names: str) -> None:
 
 
 def raise_if_nonfinite(result: ForceResult, label: str) -> None:
-    """Fail fast on non-finite solver output (the solver-level guard).
+    """Fail fast on non-finite solver output: the one non-finite force guard.
 
+    Every solve ends here (:meth:`_ForceSolver._finish`), so a NaN or
+    Inf force never reaches the integrator, the state or a checkpoint.
     Raises :class:`FloatingPointError` naming the arrays (and, for
-    sharded runs, the worker shards via ``stats["health"]``) so the
-    corruption is attributed at the source instead of surfacing steps
-    later as an exploded integration.
+    sharded runs, the worker shards the executor found them in,
+    ``stats["bad_shards"]``) so the corruption is attributed at the
+    source instead of surfacing steps later as an exploded integration.
     """
     bad = []
     if not np.isfinite(result.acc).all():
         bad.append(f"acc: {int(np.count_nonzero(~np.isfinite(result.acc)))} non-finite")
     if result.pot is not None and not np.isfinite(result.pot).all():
         bad.append(f"pot: {int(np.count_nonzero(~np.isfinite(result.pot)))} non-finite")
-    shards = result.stats.get("health", {}).get("bad_shards")
+    shards = result.stats.get("bad_shards")
     if shards:
         bad.append(f"worker shards: {shards}")
     if bad:
@@ -110,8 +112,6 @@ class ForceSpec:
     G: float = 1.0
     dtype: type = np.float64
     want_potential: bool = True
-    #: count non-finite outputs per shard, where they are produced
-    check_finite: bool = False
 
     def __post_init__(self):
         check_choices(self, "traversal")
@@ -234,6 +234,10 @@ def _add_stats(out: dict, part: dict) -> None:
             out[key] += value
 
 
+#: order of the lattice local expansion (§2.4)
+P_LATTICE = 8
+
+
 @dataclass
 class TreecodeConfig:
     """Knobs of the treecode force calculation.
@@ -253,7 +257,6 @@ class TreecodeConfig:
     #: requires background subtraction (the lattice sums assume the
     #: neutralized delta-rho problem, i.e. Ewald boundary conditions)
     lattice_correction: bool = True
-    p_lattice: int = 8
     #: multipole acceptance criterion: "moment" (estimate; sees the
     #: background-subtraction cancellation) or "absolute" (rigorous bound)
     mac: str = "moment"
@@ -279,9 +282,6 @@ class TreecodeConfig:
     #: and is bit-identical to serial; ``workers>1`` shards the sink
     #: leaves (see :class:`repro.parallel.executor.ForceExecutor`).
     workers: int = 0
-    #: fail fast on non-finite accelerations/potentials (health guard);
-    #: sharded runs report which worker shard produced them
-    check_finite: bool = False
 
     def __post_init__(self):
         check_choices(self, "traversal", "mac", "softening")
@@ -292,8 +292,8 @@ class _ForceSolver:
     evaluate dispatch and the accounting around it.
 
     A subclass builds the tree and moments, calls :meth:`_solve`, adds
-    its own far field (lattice, mesh) and returns through :meth:`_finish`;
-    ``config.workers`` and ``config.check_finite`` are read here.
+    its own far field (lattice, mesh) and returns through :meth:`_finish`,
+    which runs the non-finite guard; ``config.workers`` is read here.
     """
 
     _executor = None
@@ -365,8 +365,7 @@ class _ForceSolver:
 
     def _finish(self, result: ForceResult, tr, stage: dict, force_s: float) -> ForceResult:
         """Check the finished fields and file the call's stage rows."""
-        if self.config.check_finite:
-            raise_if_nonfinite(result, self._label)
+        raise_if_nonfinite(result, self._label)
         if tr.enabled:
             result.stats["stage_seconds"] = stage
             result.stats["force_seconds"] = force_s
@@ -397,7 +396,6 @@ class TreecodeGravity(_ForceSolver):
             G=cfg.G,
             dtype=cfg.dtype,
             want_potential=cfg.want_potential,
-            check_finite=cfg.check_finite,
         )
         #: lattice sums depend only on geometry/order, not on the
         #: particles — cache the expansion across compute() calls
@@ -405,11 +403,11 @@ class TreecodeGravity(_ForceSolver):
 
     def _lattice_expansion(self, box: float) -> PeriodicLocalExpansion:
         cfg = self.config
-        key = (cfg.p + 2, cfg.p_lattice, cfg.ws, box)
+        key = (cfg.p + 2, cfg.ws, box)
         ple = self._ple_cache.get(key)
         if ple is None:
             ple = self._ple_cache[key] = PeriodicLocalExpansion(
-                p_source=key[0], p_local=key[1], ws=key[2], box=key[3]
+                p_source=key[0], p_local=P_LATTICE, ws=key[1], box=key[2]
             )
         return ple
 

@@ -45,9 +45,8 @@ __all__ = [
 ]
 
 #: SimulationConfig fields excluded from ``simcfg_*`` metadata: the
-#: cosmology is stored through ``params=`` (flat, self-describing), and
-#: a health monitor is a live object, not restart physics.
-_SIMCFG_SKIP = frozenset({"cosmology", "health"})
+#: cosmology is stored through ``params=`` (flat, self-describing).
+_SIMCFG_SKIP = frozenset({"cosmology"})
 
 
 def _cosmology_key(field_name: str) -> str:

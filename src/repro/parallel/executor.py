@@ -195,9 +195,7 @@ def _run_shard(tree, moms, spec, acc, pot, sinks, s0: int, s1: int):
     """Traverse + evaluate one shard, writing into ``acc`` / ``pot``.
 
     Returns the shard's :func:`~repro.gravity.solver.solve_forces` stats
-    and its timing record (with the count of non-finite outputs when
-    ``spec.check_finite``, so the parent can attribute corruption to
-    the shard that produced it).
+    and its timing record.
     """
     from ..gravity.solver import solve_forces
 
@@ -221,11 +219,24 @@ def _run_shard(tree, moms, spec, acc, pot, sinks, s0: int, s1: int):
         },
         "counters": {"executor.shards": 1},
     }
-    if spec.check_finite:
-        spans["nonfinite"] = int(np.count_nonzero(~np.isfinite(res.acc)))
-        if res.pot is not None:
-            spans["nonfinite"] += int(np.count_nonzero(~np.isfinite(res.pot)))
     return res.stats, spans
+
+
+def _bad_shards(shards, *outputs) -> dict[int, int]:
+    """Non-finite values per shard of the key-sorted ``outputs``.
+
+    One ``isfinite`` pass when the outputs are finite; only then are the
+    shards' ``[s0, s1)`` slices counted one by one.
+    """
+    outputs = [o for o in outputs if o is not None]
+    if all(np.isfinite(o).all() for o in outputs):
+        return {}
+    bad = {}
+    for sid, _, s0, s1 in shards:
+        n = sum(int(np.count_nonzero(~np.isfinite(o[s0:s1]))) for o in outputs)
+        if n:
+            bad[sid] = n
+    return bad
 
 
 def _worker_main(worker_id: int, tasks, results) -> None:
@@ -392,7 +403,9 @@ class ForceExecutor:
         particle order, matching what the serial traverse/evaluate pair
         would produce, with the shards' stats merged by
         :func:`~repro.gravity.solver.merge_stats` and the pool's own
-        record under ``stats["executor"]``.
+        record under ``stats["executor"]``.  A non-finite output value
+        adds ``stats["bad_shards"]`` (shard id -> count), which the
+        solver's guard names when it raises.
         """
         from ..gravity.solver import merge_stats
         from ..gravity.treeforce import ForceResult
@@ -451,11 +464,13 @@ class ForceExecutor:
             # deterministic merge: disjoint [s0, s1) slices already sit in
             # the shared output; unsort + cast once, exactly like serial
             acc_sorted = np.array(acc_view)
+            pot_sorted = None if pot_view is None else np.array(pot_view)
+            # while the output is still key-sorted, each shard owns one slice
+            bad_shards = _bad_shards(shards, acc_sorted, pot_sorted)
             acc = np.empty_like(acc_sorted)
             acc[tree.order] = acc_sorted
             pot = None
-            if spec.want_potential:
-                pot_sorted = np.array(pot_view)
+            if pot_sorted is not None:
                 pot = np.empty_like(pot_sorted)
                 pot[tree.order] = pot_sorted
             if np.dtype(spec.dtype) != np.dtype(np.float64):
@@ -481,6 +496,8 @@ class ForceExecutor:
             [shard_stats[sid] for sid in sorted(shard_stats)], spec.want_potential
         )
         stats.update(self._pool_stats(shard_spans, tr, recoveries))
+        if bad_shards:
+            stats["bad_shards"] = bad_shards
         return ForceResult(acc=acc, pot=pot, stats=stats)
 
     def _collect(self, epoch: int, meta: dict, shards, local: tuple):
@@ -633,18 +650,13 @@ class ForceExecutor:
         return shard_stats, shard_spans, recoveries
 
     def _pool_stats(self, shard_spans, tr, recoveries) -> dict:
-        """The pool's own record of one call: ``executor`` and ``health``.
+        """The pool's own record of one call, ``stats["executor"]``.
 
-        Shard timelines, per-worker busy seconds, load imbalance,
-        recoveries and non-finite attribution; the force stats
-        themselves are :func:`~repro.gravity.solver.merge_stats`'.
+        Shard timelines, per-worker busy seconds, load imbalance and
+        recoveries; the force stats themselves are
+        :func:`~repro.gravity.solver.merge_stats`'.
         """
         out = {}
-        checked = {sid: sp["nonfinite"] for sid, (_, sp, _) in shard_spans.items()
-                   if "nonfinite" in sp}
-        if checked:
-            bad = {sid: n for sid, n in checked.items() if n}
-            out["health"] = {"nonfinite_acc": sum(bad.values()), "bad_shards": bad}
         busy = np.zeros(self.workers)
         shard_seconds = [0.0] * len(shard_spans)
         traverse_s = evaluate_s = 0.0

@@ -53,8 +53,8 @@ class _ProgressLine:
         if rec.dlna > 0 and rec.a < self.a_final:
             steps_left = math.log(self.a_final / rec.a) / rec.dlna
         severity = "-"
-        if getattr(sim.health, "enabled", False):
-            seen = getattr(sim.health, "events_seen", {})
+        if sim.health is not None:
+            seen = sim.health.events_seen
             severity = ("error" if seen.get("error") else
                         "warn" if seen.get("warn") else "ok")
         self.stream.write(
@@ -249,13 +249,11 @@ def _stage_evolve(cfg, workdir):
             p=cfg.get("p_order", 4),
             softening=cfg.get("softening", "dehnen_k1"),
             max_refine=2,
-            # the Layzer-Irvine monitor needs potentials; only pay for them
-            # when health monitoring is on
-            track_energy=bool(cfg.get("health")),
             workers=int(cfg.get("workers") or 0),
-            health=health_cfg,
         )
-        sim = Simulation(sim_cfg, particles=ps)
+        # the monitor stays out of the config, so a monitored and an
+        # unmonitored run, cold or resumed, file under one config hash
+        sim = Simulation(sim_cfg, particles=ps, health=health_cfg)
 
     checkpointer = None
     if ckpt_every > 0:

@@ -15,11 +15,12 @@ Diagnostics recorded every step:
 * wall-clock per stage (domain/tree/traversal/force split as Table 2).
 
 On top of those records sits optional in-situ health monitoring
-(:mod:`repro.diagnose`): pass ``health=`` (a
-:class:`~repro.diagnose.HealthConfig` or monitor) or set
-``SimulationConfig.health`` to watch energy/momentum budgets, probe
-the realized force error, and fail fast on non-finite state.  The
-default is a no-op that costs one attribute test per step.
+(:mod:`repro.diagnose`): ``Simulation(config,
+health=HealthConfig(...))`` watches energy/momentum budgets, probes
+the realized force error, and fails fast on non-finite state.  The
+monitor is not part of :class:`SimulationConfig`, so it never moves the
+config hash.  The default ``health=None`` costs one ``is None`` test
+per step; every force solve still raises on non-finite output.
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class SimulationConfig:
     max_refine: int = 4
     #: compute potentials / Layzer-Irvine energies (adds ~20% force cost)
     track_energy: bool = True
-    #: in-situ health monitoring: a :class:`repro.diagnose.HealthConfig`
-    #: (or True for defaults); None = disabled, zero per-step cost
-    health: object = None
 
     def __post_init__(self):
         check_choices(self, "engine", "traversal", "softening")
@@ -200,7 +198,9 @@ class Simulation:
     :func:`repro.instrument.set_tracer`) to collect per-stage force
     timings and counters, stream the run's records to its sink and
     file the run in its registry; the default no-op tracer costs
-    nothing.
+    nothing.  Pass ``health=`` a :class:`~repro.diagnose.HealthConfig`
+    to monitor the run; :attr:`health` is then its
+    :class:`~repro.diagnose.HealthMonitor`, and ``None`` otherwise.
     """
 
     def __init__(
@@ -210,11 +210,13 @@ class Simulation:
         tracer=None,
         health=None,
     ):
-        from ..diagnose import make_health
-
         self.config = config
         self.tracer = tracer
-        self.health = make_health(health if health is not None else config.health)
+        self.health = None
+        if health is not None:
+            from ..diagnose import HealthMonitor
+
+            self.health = HealthMonitor(health)
         c = config
         if particles is None:
             ic = ICConfig(
@@ -251,12 +253,6 @@ class Simulation:
     # ----- forces ---------------------------------------------------------------
     def _setup_engine(self) -> None:
         c = self.config
-        # solver-level fail-fast guard rides with the health guard, so
-        # sharded runs attribute non-finite output to the worker shard
-        check_finite = bool(
-            self.health.enabled
-            and getattr(getattr(self.health, "config", None), "guard", False)
-        )
         if c.engine == "tree":
             self._solver = TreecodeGravity(
                 TreecodeConfig(
@@ -272,7 +268,6 @@ class Simulation:
                     want_potential=c.track_energy,
                     dtype=np.float32,
                     workers=c.workers,
-                    check_finite=check_finite,
                 )
             )
         elif c.engine == "treepm":
@@ -286,7 +281,6 @@ class Simulation:
                     traversal=c.traversal,
                     eps=c.eps,
                     workers=c.workers,
-                    check_finite=check_finite,
                 )
             )
         else:
@@ -378,7 +372,9 @@ class Simulation:
         mid-step (offset) checkpoint gets its closing half-kick from the
         force at the stored positions — the same kick the uninterrupted
         run applied.  ``overrides`` applies *deliberate* config changes
-        (e.g. ``{"workers": 4}``) after verification.
+        (e.g. ``{"workers": 4}``) after verification; ``health`` is
+        :class:`Simulation`'s, so a resumed leg is monitored the way
+        its caller asks and keeps the checkpoint's config hash.
         """
         import dataclasses
 
@@ -563,7 +559,7 @@ class Simulation:
             }
             if ckpt_sched is not None:
                 rt["checkpoints"] = ckpt_sched.describe()
-            if self.health.enabled:
+            if self.health is not None:
                 rt["health"] = self.health.summary()
             return rt
 
@@ -582,7 +578,7 @@ class Simulation:
                     "stage_seconds": self.last_stats.get("stage_seconds", {}),
                 }
             )
-            if self.health.enabled:
+            if self.health is not None:
                 health_check(self.health.on_init(self, acc))
             while ps.a < c.a_final * (1 - 1e-12) and steps < max_steps:
                 t0 = time.perf_counter()
@@ -615,7 +611,7 @@ class Simulation:
                     callback(self, rec)
                 # after the callback: monitors see the state that will
                 # enter the next step, callback mutations included
-                if self.health.enabled:
+                if self.health is not None:
                     health_check(self.health.on_step(self, rec, acc))
                 if ckpt_sched is not None and ckpt_sched.due(
                     self.steps_completed, time.perf_counter()

@@ -17,12 +17,10 @@ from repro.diagnose import (
     HealthError,
     HealthEvent,
     HealthMonitor,
-    NULL_HEALTH,
     build_manifest,
     classify,
     config_hash,
     load_manifest,
-    make_health,
     probe_force_error,
     reference_accelerations,
     write_manifest,
@@ -52,14 +50,10 @@ def short_config(**kw):
 def monitored_run(tmp_path_factory):
     """One short monitored periodic run, shared by the physics tests."""
     tmp = tmp_path_factory.mktemp("health")
-    cfg = short_config(
-        health=HealthConfig(
-            probe_interval=2, probe_samples=4, snapshot_dir=str(tmp)
-        )
-    )
+    health = HealthConfig(probe_interval=2, snapshot_dir=str(tmp))
     trace = tmp / "trace.jsonl"
     tr = Tracer(sink=trace)
-    with Simulation(cfg, tracer=tr) as sim:
+    with Simulation(short_config(), tracer=tr, health=health) as sim:
         sim.run()
         summary = sim.run_totals["health"]
     tr.close()
@@ -67,28 +61,28 @@ def monitored_run(tmp_path_factory):
 
 
 class TestNullContract:
+    """The off-contract is ``health=None``: no monitor object at all."""
+
     def test_disabled_by_default(self):
-        sim = Simulation(short_config())
-        assert sim.health is NULL_HEALTH
-        assert not sim.health.enabled
-        sim.close()
+        with Simulation(short_config()) as sim:
+            assert sim.health is None
 
-    def test_make_health_dispatch(self):
-        assert make_health(None) is NULL_HEALTH
-        assert make_health(False) is NULL_HEALTH
-        assert isinstance(make_health(True), HealthMonitor)
-        assert isinstance(make_health(HealthConfig()), HealthMonitor)
-        assert make_health(HealthConfig(enabled=False)) is NULL_HEALTH
-        hm = HealthMonitor(HealthConfig())
-        assert make_health(hm) is hm
-        with pytest.raises(TypeError):
-            make_health(42)
+    def test_health_config_builds_the_monitor(self):
+        with Simulation(short_config(), health=HealthConfig()) as sim:
+            assert isinstance(sim.health, HealthMonitor)
+        names = [m.name for m in HealthMonitor(HealthConfig()).monitors]
+        assert "force_error" not in names  # the probe is off by default
+        assert "force_error" in [
+            m.name for m in HealthMonitor(HealthConfig(probe_interval=3)).monitors
+        ]
 
-    def test_null_health_is_inert(self):
-        assert NULL_HEALTH.on_init(None, None) == ()
-        assert NULL_HEALTH.on_step(None, None, None) == ()
-        assert NULL_HEALTH.fatal is None
-        assert NULL_HEALTH.summary() == {}
+    def test_health_config_has_two_settings(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(HealthConfig)] == [
+            "snapshot_dir", "probe_interval"
+        ]
+        assert "health" not in {f.name for f in dataclasses.fields(SimulationConfig)}
 
     def test_disabled_run_has_no_health_totals(self):
         with Simulation(short_config(a_final=0.12)) as sim:
@@ -122,7 +116,7 @@ class TestPhysicsMonitors:
 
         cfg = short_config()
         with Simulation(cfg) as sim:
-            mon = MomentumMonitor(warn=1e-6, error=1e-3)
+            mon = MomentumMonitor()
             ctx = HealthContext(sim=sim, step=0)
             assert list(mon.start(ctx)) == []
             sim.particles.mom[:, 0] += 0.1  # uniform kick: pure momentum error
@@ -213,16 +207,14 @@ class TestMomentumBalance:
 
 class TestFailFast:
     def test_nan_momentum_raises_with_snapshot(self, tmp_path):
-        cfg = short_config(
-            a_final=0.2, track_energy=False,
-            health=HealthConfig(snapshot_dir=str(tmp_path)),
-        )
+        cfg = short_config(a_final=0.2, track_energy=False)
+        health = HealthConfig(snapshot_dir=str(tmp_path))
 
         def poison(sim, rec):
             sim.particles.mom[0, 0] = np.nan
 
         tr = Tracer(sink=tmp_path / "t.jsonl")
-        with Simulation(cfg, tracer=tr) as sim:
+        with Simulation(cfg, tracer=tr, health=health) as sim:
             with pytest.raises(HealthError, match="non-finite state"):
                 sim.run(callback=poison)
         tr.close()
@@ -237,10 +229,8 @@ class TestFailFast:
     def test_guard_kill_leaves_the_trace_on_disk(self, tmp_path):
         """The records of a run the state guard killed are on disk when
         the error leaves ``run``, before anyone closes the tracer."""
-        cfg = short_config(
-            a_final=0.2, track_energy=False,
-            health=HealthConfig(snapshot_dir=str(tmp_path)),
-        )
+        cfg = short_config(a_final=0.2, track_energy=False)
+        health = HealthConfig(snapshot_dir=str(tmp_path))
 
         def poison(sim, rec):
             sim.particles.mom[0, 0] = np.nan
@@ -248,7 +238,7 @@ class TestFailFast:
         path = tmp_path / "t.jsonl"
         tr = Tracer(sink=path)
         try:
-            with Simulation(cfg, tracer=tr) as sim:
+            with Simulation(cfg, tracer=tr, health=health) as sim:
                 with pytest.raises(HealthError):
                     sim.run(callback=poison)
             recs = read_jsonl(path)
@@ -261,7 +251,7 @@ class TestFailFast:
         assert "HealthError" in totals[0]["error"]
 
     def test_solver_guard_rejects_nonfinite_input(self):
-        """check_finite rides with the health guard down to the solver."""
+        """The solver's guard names the non-finite arrays."""
         from repro.gravity.solver import raise_if_nonfinite
         from repro.gravity.treeforce import ForceResult
 
@@ -271,6 +261,51 @@ class TestFailFast:
         with pytest.raises(FloatingPointError, match="non-finite force output"):
             raise_if_nonfinite(res, "treecode")
         raise_if_nonfinite(ForceResult(acc=np.zeros((4, 3)), pot=None, stats={}), "ok")
+
+    @staticmethod
+    def _coincident_pair():
+        """64 bodies, 3 and 7 at one point: unsoftened, their mutual
+        force is 0/0 — 3 acc components and 1 potential each."""
+        rng = np.random.default_rng(0)
+        pos = rng.random((64, 3))
+        pos[7] = pos[3]
+        return pos, np.full(64, 1.0 / 64)
+
+    @staticmethod
+    def _solver(workers):
+        from repro.gravity.solver import TreecodeConfig, TreecodeGravity
+
+        return TreecodeGravity(TreecodeConfig(
+            softening="none", periodic=False, background=False, nleaf=4,
+            workers=workers,
+        ))
+
+    def test_unmonitored_solve_raises_on_nonfinite_force(self):
+        """No health monitor anywhere: the solve itself refuses NaN."""
+        pos, mass = self._coincident_pair()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(FloatingPointError, match=r"acc: 6 non-finite; pot: 2"):
+                self._solver(0).compute(pos, mass)
+
+    def test_sharded_guard_names_the_pair_s_shard(self):
+        """At workers=2 the error names exactly the shard whose key-sorted
+        [s0, s1) holds the pair, with its 6 + 2 non-finite values."""
+        import re
+
+        pos, mass = self._coincident_pair()
+        with self._solver(2) as solver:
+            with pytest.raises(FloatingPointError) as err:
+                solver.compute(pos, mass)
+            tree = solver.last_tree
+            shards = solver._executor._make_shards(tree)
+        assert len(shards) > 2
+        # acc_sorted[j] is particle tree.order[j]
+        (j3,) = np.flatnonzero(tree.order == 3)
+        (j7,) = np.flatnonzero(tree.order == 7)
+        (sid,) = [sid for sid, _, s0, s1 in shards if s0 <= j3 < s1]
+        assert [s for s, _, s0, s1 in shards if s0 <= j7 < s1] == [sid]
+        named = re.search(r"worker shards: (\{.*\})", str(err.value)).group(1)
+        assert named == f"{{{sid}: 8}}"
 
     def test_classify(self):
         assert classify(0.1, warn=1.0, error=10.0) == "info"

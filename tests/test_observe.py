@@ -449,7 +449,6 @@ class TestProgressLine:
                 self.a, self.dlna, self.wall = a, 0.1, wall
 
         class Health:
-            enabled = True
             events_seen = {"info": 0, "warn": 1, "error": 0}
 
         class Sim:

@@ -167,3 +167,39 @@ class TestPreemptAndResume:
         want, _ = load_checkpoint(ref / "snap_a0.0500.sdf")
         np.testing.assert_array_equal(got.pos, want.pos)
         np.testing.assert_array_equal(got.mom, want.mom)
+
+
+class TestProvenanceKey:
+    def test_monitored_resumed_and_plain_runs_share_one_key(self, tmp_path):
+        """Health monitoring is not physics: a monitored cold start, its
+        resumed leg and an unmonitored run of the same stage file one
+        ``simulation_run`` key, the ``config_sha256`` of the checkpoint."""
+        from repro.instrument import Tracer
+        from repro.io import load_checkpoint
+        from repro.observe import RunRegistry
+
+        _write_restart_configs(tmp_path)
+        obs = tmp_path / "obs"
+        stage = tmp_path / "evolve.json"
+
+        def run(**kw):
+            tr = Tracer(registry=obs)
+            try:
+                return run_stage(stage, tracer=tr, **kw)
+            finally:
+                tr.close()
+
+        run(health=True, checkpoint_every=1)
+        # drop the final checkpoint so the resumed leg has a step to run
+        *_, resume_from, final = sorted((tmp_path / "checkpoints").glob("ckpt_*.sdf"))
+        final.unlink()
+        resumed = run(health=True, resume=True)
+        assert resumed["resumed_from"] == str(resume_from)
+        assert resumed["steps"] == 1
+        run()
+
+        runs = RunRegistry(obs).records(kind="simulation_run")
+        assert len(runs) == 3
+        _, md = load_checkpoint(resume_from)
+        assert {r["key"] for r in runs} == {md["config_sha256"]}
+        assert [bool(r["data"].get("health_events")) for r in runs] == [True, True, False]

@@ -490,14 +490,13 @@ class TestSelfHealingExecutor:
         # the executor picks the plan up from the environment
         monkeypatch.setenv("REPRO_FAULTS", "kill:shard=0")
         stream = io.StringIO()
-        cfg = short_config(
-            workers=1, health=HealthConfig(snapshot_dir=str(tmp_path))
-        )
+        cfg = short_config(workers=1)
+        health = HealthConfig(snapshot_dir=str(tmp_path))
         from repro.instrument import Tracer
 
         # recovery events come from the executor through the tracer, so
         # the sink must hang off the tracer, not run()'s jsonl tee
-        with Simulation(cfg, tracer=Tracer(sink=stream)) as sim:
+        with Simulation(cfg, tracer=Tracer(sink=stream), health=health) as sim:
             sim.run(max_steps=1)
         recs = [json.loads(l) for l in stream.getvalue().splitlines()]
         assert any(r["type"] == "executor_recovery" for r in recs)

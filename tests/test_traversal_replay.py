@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.gravity.pm import _prune_far
+from repro.gravity.pm import ASMTH, RCUT, _prune_far
 from repro.gravity.solver import solve_forces
 from repro.resilience import CheckpointScheduler, CheckpointStore
 from repro.simulation import Simulation, SimulationConfig
@@ -207,7 +207,7 @@ class TestReplayEvolvedRun:
             cfg = solver.config
             tree, moms, got = solver.last_tree, solver.last_moments, solver.last_interactions
             # the simulation's box is the unit box
-            rcut = cfg.rcut * cfg.asmth / cfg.ngrid
+            rcut = RCUT * ASMTH / cfg.ngrid
             fresh = traverse_lists(tree, moms, traversal=cfg.traversal, periodic=True, ws=1)
             assert_same_lists(got, _prune_far(tree, moms, fresh, rcut))
             replayed.append(got.walk.redecided)

@@ -106,6 +106,12 @@ RETIRED = [
         (*EVERYWHERE, ".github"),
         "a public function earns a caller or goes: the uncalled direct-sum energy",
     ),
+    (
+        r"\b(NullHealth|NULL_HEALTH|make_health|check_finite|emit_info|probe_samples|p_lattice)\b"
+        r"|SimulationConfig\([^)]*\bhealth=",
+        (*EVERYWHERE, ".github", "README.md"),
+        "one health switch, Simulation(health=), and one non-finite guard on every solve",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
