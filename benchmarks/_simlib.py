@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.instrument import Tracer, get_tracer
-from repro.instrument.report import force_stage_totals
+from repro.observe import Tracer, get_tracer
+from repro.observe.report import force_stage_totals
 from repro.simulation import Simulation, SimulationConfig
 
 CACHE_DIR = Path(__file__).parent / "_cache"
@@ -39,35 +39,30 @@ _BENCH_IDENT_FIELDS = ("bench", "type", "mode", "n_particles", "n_max", "errtol"
 def emit_bench(name: str, doc: dict, path) -> dict:
     """Stamp and write one benchmark receipt; register the emission.
 
-    The single exit point for ``BENCH_*.json``: adds the shared
-    provenance envelope (schema version, host info, cpu count, git
-    commit, timestamp) to ``doc``, writes it to ``path``, and — when the
-    process-wide tracer has a run registry (``REPRO_OBS_DIR``) — appends
-    the emission to it keyed by a hash of the receipt's identifying
-    fields, so overwritten snapshots still accumulate a trajectory.
+    The single exit point for ``BENCH_*.json``: adds the schema version
+    and the one provenance stamp (:func:`repro.observe.manifest.provenance`:
+    host info, cpu count, git commit, timestamp) to ``doc``, writes it to
+    ``path``, and — when the process-wide tracer has a run registry
+    (``REPRO_OBS_DIR``) — appends the emission to it keyed by a hash of
+    the receipt's identifying fields, so overwritten snapshots still
+    accumulate a trajectory.
     Returns the stamped document.
     """
-    import platform
-    import socket
-    import time
+    from repro.observe.manifest import config_hash, provenance
+    from repro.observe.registry import KIND_BENCH
 
-    from repro.diagnose.manifest import config_hash
-    from repro.observe.registry import KIND_BENCH, git_commit
-
-    now = time.time()
+    stamp = provenance()
     doc = dict(doc)
     doc.setdefault("bench", name)
     doc["bench_schema"] = BENCH_SCHEMA_VERSION
     doc["host"] = {
-        "hostname": socket.gethostname(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
+        "hostname": stamp["hostname"],
+        "platform": stamp["platform"],
+        "machine": stamp["machine"],
+        "python": stamp["python"].split()[0],
     }
-    doc["cpu_count"] = os.cpu_count()
-    doc["git_commit"] = git_commit()
-    doc["created_unix"] = now
-    doc["created"] = time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(now))
+    for field in ("cpu_count", "git_commit", "created_unix", "created"):
+        doc[field] = stamp[field]
     path = Path(path)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n")
     ident = {k: doc[k] for k in _BENCH_IDENT_FIELDS if k in doc}
@@ -87,7 +82,7 @@ def config_key(cfg: SimulationConfig) -> str:
 def run_cached(cfg: SimulationConfig) -> dict:
     """Run (or load) a simulation; returns dict with pos, history summary.
 
-    Fresh runs execute under their own :class:`repro.instrument.Tracer`,
+    Fresh runs execute under their own :class:`repro.observe.Tracer`,
     so the cache carries the per-stage force breakdown (``stage_seconds``)
     and run totals alongside the particle data; the tracer files the run
     in the registry ``REPRO_OBS_DIR`` names, as the default tracer would.

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.diagnose.probe import reference_accelerations
 from repro.gravity import TreecodeConfig, TreecodeGravity, make_softening
-from repro.instrument import Tracer
+from repro.observe import Tracer
 
 OUT_PATH = Path(__file__).parent / "BENCH_force.json"
 

@@ -25,7 +25,7 @@ import pytest
 from _simlib import BENCH_N, emit_bench, once, print_table
 from repro.cosmology import PLANCK2013, code_particle_mass
 from repro.gravity import TreecodeConfig, TreecodeGravity
-from repro.instrument import Tracer
+from repro.observe import Tracer
 from repro.parallel import JAGUAR_LIKE, decompose, parallel_traversal
 from repro.perfmodel import table2_breakdown
 from repro.simulation import ICConfig, generate_ic

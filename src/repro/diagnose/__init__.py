@@ -1,7 +1,6 @@
-"""In-situ health monitoring: physics diagnostics, anomaly detection,
-and run provenance.
+"""In-situ health monitoring: physics diagnostics and anomaly detection.
 
-The correctness counterpart of :mod:`repro.instrument` (which watches
+The correctness counterpart of :mod:`repro.observe` (which watches
 *performance*): monitors observe conserved quantities (Layzer-Irvine
 energy, total momentum), audit the MAC's absolute-error budget with a
 sampled direct/Ewald force probe, watch the machinery (tree shape,
@@ -12,14 +11,13 @@ is monitored only when built with ``Simulation(config,
 health=HealthConfig(...))``; the default ``health=None`` builds no
 monitor, and the non-finite force guard runs on every solve either way
 (:func:`repro.gravity.solver.raise_if_nonfinite`).
-:mod:`repro.diagnose.manifest` pins run provenance; ``repro-obs
+Run provenance is :mod:`repro.observe.manifest`'s; ``repro-obs
 report`` / ``repro-obs gate`` (:mod:`repro.observe.cli`) render a
 trace's health timeline and fail CI on a health event at or above a
 severity.
 """
 
 from .health import HealthConfig, HealthMonitor
-from .manifest import build_manifest, config_hash, load_manifest, write_manifest
 from .monitors import (
     SEVERITIES,
     HealthContext,
@@ -56,12 +54,8 @@ __all__ = [
     "RecoveryMonitor",
     "StateGuard",
     "TreeShapeMonitor",
-    "build_manifest",
     "classify",
-    "config_hash",
-    "load_manifest",
     "probe_force_error",
     "reference_accelerations",
     "tree_shape_stats",
-    "write_manifest",
 ]

@@ -4,7 +4,7 @@ A run is monitored when it is built with
 ``Simulation(config, health=HealthConfig(...))`` (or resumed with
 ``Simulation.resume(path, health=...)``); the default ``health=None``
 builds nothing, and the driver pays one ``is None`` test per step, as
-the tracer's :data:`~repro.instrument.NULL_TRACER` does for recording.
+the tracer's :data:`~repro.observe.NULL_TRACER` does for recording.
 The monitor is never part of :class:`~repro.simulation.SimulationConfig`,
 so a monitored and an unmonitored run of the same physics share one
 config hash.

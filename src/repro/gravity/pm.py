@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from ..multipoles.radial import ErfcKernel
 from ..tree import build_tree, compute_moments
 from .smoothing import SofteningKernel, make_softening

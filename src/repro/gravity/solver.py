@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from ..multipoles.radial import RadialKernel
 from ..perfmodel.flops import flops_from_stats, kernel_counters
 from ..tree import (

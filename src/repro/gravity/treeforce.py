@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from ..keys import cell_coordinates
 from ..multipoles import multi_index_set
 from ..multipoles.codegen import compiled_shift_function

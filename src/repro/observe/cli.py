@@ -42,8 +42,8 @@ import sys
 from pathlib import Path
 
 from ..diagnose.monitors import SEVERITIES
-from ..instrument.events import read_jsonl
-from ..instrument.report import _table, stage_breakdown_table
+from .jsonl import read_jsonl
+from .report import _fmt, _table, stage_breakdown_table
 from .attribution import attribute, format_attribution
 from .export import (
     chrome_trace_from_record,
@@ -62,14 +62,12 @@ def _registry(args) -> RunRegistry:
     return RunRegistry(registry_dir(args.dir))
 
 
-def _fmt_num(v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        if v != 0 and (abs(v) < 1e-3 or abs(v) >= 1e5):
-            return f"{v:.3e}"
-        return f"{v:.4g}"
-    return str(v)
+def _count(text: str) -> int:
+    """A count argument: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 # ----- one run's trace --------------------------------------------------------
@@ -249,8 +247,8 @@ def _cmd_list(args) -> int:
             (r.get("t") or "")[:19],
             (r.get("key") or "")[:10],
             (r.get("git_commit") or "")[:8],
-            _fmt_num(metric_value(r, "wall_s")),
-            _fmt_num(d.get("steps")),
+            _fmt(metric_value(r, "wall_s")),
+            _fmt(d.get("steps")),
             state,
         ))
     print(_table(
@@ -324,7 +322,7 @@ def _cmd_top(args) -> int:
     for name, st in stages.items():
         rows = [
             (h["function"], h["where"], h["calls"],
-             _fmt_num(h["self_s"]), _fmt_num(h["cum_s"]))
+             _fmt(h["self_s"]), _fmt(h["cum_s"]))
             for h in (st.get("hot") or [])[:args.n]
         ]
         print(_table(
@@ -350,7 +348,7 @@ def _cmd_trend(args) -> int:
     )
     rows = [
         (p["id"][:20] if p["id"] else "-", (p["t"] or "")[:19],
-         p["git_commit"] or "-", _fmt_num(p["value"]))
+         p["git_commit"] or "-", _fmt(p["value"]))
         for p in rep["series"][-(args.window + 1):]
     ]
     print(_table(f"Trend: {args.metric}" + (f" [{args.kind}]" if args.kind else ""),
@@ -361,17 +359,17 @@ def _cmd_trend(args) -> int:
               "nothing to judge")
         return 0
     print(
-        f"\nbaseline (last {v['n_history']}): center {_fmt_num(v['center'])}, "
-        f"noise band ±{_fmt_num(v['band'])} -> threshold {_fmt_num(v['threshold'])}"
+        f"\nbaseline (last {v['n_history']}): center {_fmt(v['center'])}, "
+        f"noise band ±{_fmt(v['band'])} -> threshold {_fmt(v['threshold'])}"
     )
     if v["regression"]:
         print(
-            f"REGRESSION: {args.metric} = {_fmt_num(v['value'])} "
+            f"REGRESSION: {args.metric} = {_fmt(v['value'])} "
             f"({v['ratio']:.2f}x baseline)", file=sys.stderr,
         )
         _print_trend_attribution(reg, rep, args.window)
         return 2
-    print(f"ok: {args.metric} = {_fmt_num(v['value'])} "
+    print(f"ok: {args.metric} = {_fmt(v['value'])} "
           f"({v['ratio']:.2f}x baseline)")
     return 0
 
@@ -460,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None,
                    help="filter: simulation_run / pipeline_stage / bench")
     p.add_argument("--key", default=None, help="filter by config hash")
-    p.add_argument("-n", type=int, default=None, help="newest N only")
+    p.add_argument("-n", type=_count, default=None, help="newest N only")
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("show", help="one record in full")
@@ -478,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("top", help="hot functions from a profiled run")
     p.add_argument("ref")
-    p.add_argument("-n", type=int, default=15)
+    p.add_argument("-n", type=_count, default=15)
     p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser("trend", help="fit last-N baseline, judge newest record")
@@ -486,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "run_totals.interactions_per_particle")
     p.add_argument("--kind", default=None)
     p.add_argument("--key", default=None)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--window", type=_count, default=DEFAULT_WINDOW)
     p.add_argument("--sigmas", type=float, default=DEFAULT_SIGMAS)
     p.add_argument("--min-rel", type=float, default=DEFAULT_MIN_REL)
     p.add_argument("--direction", choices=("max", "min"), default="max",

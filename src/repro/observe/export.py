@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from ..instrument.events import read_records
+from .jsonl import read_records
 from .timeline import call_groups, lane_label, recovered
 
 __all__ = [
@@ -136,7 +136,7 @@ def chrome_trace_from_spans(records) -> dict:
     """Chrome trace-event JSON from a tracer span stream.
 
     ``records`` is an iterable of JSONL records (see
-    :func:`repro.instrument.events.read_jsonl`); ``span`` records carry
+    :func:`repro.observe.jsonl.read_jsonl`); ``span`` records carry
     ``t0/t1`` perf-counter stamps and an optional emitting-thread
     ``tid``.  One lane per thread; nesting renders from ts/dur overlap.
     """

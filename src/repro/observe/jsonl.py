@@ -5,31 +5,31 @@ The contract, stated once:
 
 * a record is one JSON object on one line, serialised through
   :func:`jsonable` (numpy, paths, dataclasses; ``repr`` for the rest);
-* :func:`append_record` writes a line with one ``write()`` on an
-  ``O_APPEND`` descriptor, so concurrent processes interleave whole
-  lines, and first newline-terminates a torn tail a crashed writer
-  left, so one crash cannot swallow the next record;
+* :class:`JsonlAppender` is the one writer: it opens the file with
+  ``O_APPEND``, first newline-terminates a torn tail a crashed writer
+  left (so one crash cannot swallow the next record), and writes each
+  record with one ``os.write``, so concurrent processes interleave
+  whole lines and a record is on disk as soon as it is written;
 * :func:`read_records` skips blank and unparseable lines and leaves a
   trailing fragment with no newline (a writer mid-record) for the next
   read, returning the offset to resume from — so a tailer never reads
   a record twice and never consumes one torn.
 
-:class:`JsonlSink` is the tracer's writer: one long-lived buffered
-handle, not a reopen per record.  :func:`read_jsonl` loads a whole file.
+The tracer's sink is one appender held for the whole run; the run
+registry opens one per record.  :func:`read_jsonl` loads a whole file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
-import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["JsonlSink", "append_record", "jsonable", "read_jsonl", "read_records"]
+__all__ = ["JsonlAppender", "jsonable", "read_jsonl", "read_records"]
 
 
 def jsonable(obj):
@@ -56,22 +56,37 @@ def jsonable(obj):
     return repr(obj)
 
 
-def append_record(path, rec: dict) -> None:
-    """Append ``rec`` to the JSONL file at ``path`` as one ``O_APPEND`` write.
+class JsonlAppender:
+    """An ``O_APPEND`` descriptor on a JSONL file; :meth:`append` writes
+    one record as one ``os.write``.
 
-    The torn-tail probe reads the last byte before writing and can land
-    inside another process's in-flight write, so under concurrent
-    appends a record may be preceded by one empty line; readers skip it.
+    Opening probes the last byte and, when a crashed writer left a line
+    without its newline, the first record written starts with one.  The
+    probe can land inside another process's in-flight write, so under
+    concurrent appends a record may be preceded by one empty line;
+    readers skip it.  Usable as a context manager; an appender never
+    closed closes its descriptor when it is collected.
     """
-    line = (json.dumps(rec, default=jsonable) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        self.close = weakref.finalize(self, os.close, self.fd)
+        size = os.fstat(self.fd).st_size
+        self._torn = bool(size) and os.pread(self.fd, 1, size - 1) != b"\n"
+
+    def append(self, rec: dict) -> None:
+        line = (json.dumps(rec, default=jsonable) + "\n").encode("utf-8")
+        if self._torn:
             line = b"\n" + line
-        os.write(fd, line)
-    finally:
-        os.close(fd)
+            self._torn = False
+        os.write(self.fd, line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
 def read_records(path, offset: int = 0) -> tuple[list, int]:
@@ -101,48 +116,3 @@ def read_jsonl(path) -> list:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     return read_records(path)[0]
-
-
-class JsonlSink:
-    """Append structured records to a JSONL file (or any text stream).
-
-    Writes are line-atomic under a lock so multiple threads sharing one
-    tracer produce a valid file.  Usable as a context manager; a sink
-    constructed from a path owns (and closes) its file handle, a sink
-    wrapping a caller's stream leaves closing to the caller.
-    """
-
-    def __init__(self, target):
-        if isinstance(target, (str, Path)):
-            self._fh = open(target, "a", encoding="utf-8")
-            self._owns = True
-        elif isinstance(target, io.IOBase) or hasattr(target, "write"):
-            self._fh = target
-            self._owns = False
-        else:
-            raise TypeError("target must be a path or a writable text stream")
-        self._lock = threading.Lock()
-        self.records_written = 0
-
-    def emit(self, record: dict) -> None:
-        line = json.dumps(record, default=jsonable)
-        with self._lock:
-            self._fh.write(line + "\n")
-            self.records_written += 1
-
-    def flush(self) -> None:
-        with self._lock:
-            self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            self._fh.flush()
-            if self._owns:
-                self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

@@ -1,15 +1,19 @@
-"""Run provenance: a manifest that pins what produced a trace.
+"""Run provenance: one stamp of where and when, and the manifest that
+pins what produced a trace.
 
 §3.4.3 of the paper propagates the code version into every data
 product's SDF header; a health-monitored run wants the same discipline
 for the whole environment — the exact configuration (hashed, so two
 manifests compare in O(1)), package versions, host, RNG seeds — written
 alongside the trace so a regression found by ``repro-obs`` can always
-be tied back to *what ran*.
+be tied back to *what ran*.  :func:`provenance` is the one stamp (time,
+git commit, host, cpu count, platform): the manifest, every run
+registry record and every benchmark receipt take theirs from it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.metadata
 import json
@@ -23,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..instrument.events import jsonable
+from .jsonl import jsonable
 
-__all__ = ["config_hash", "build_manifest", "write_manifest", "load_manifest"]
+__all__ = ["build_manifest", "config_hash", "git_commit", "provenance", "write_manifest"]
 
 MANIFEST_VERSION = 1
 
@@ -36,7 +40,9 @@ def config_hash(config) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _git_commit() -> str | None:
+@functools.cache
+def git_commit() -> str | None:
+    """The repo's HEAD commit (cached; None outside a git checkout)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -48,24 +54,38 @@ def _git_commit() -> str | None:
         return None
 
 
+def provenance() -> dict:
+    """Where and when: ``created_unix`` / ``created`` (local ISO time),
+    ``git_commit``, ``hostname``, ``cpu_count``, ``platform``,
+    ``machine`` and ``python`` (``sys.version``)."""
+    now = time.time()
+    try:
+        hostname = socket.gethostname()
+    except OSError:
+        hostname = "unknown"
+    return {
+        "created_unix": now,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(now)),
+        "git_commit": git_commit(),
+        "hostname": hostname,
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": sys.version,
+    }
+
+
 def build_manifest(config=None, seeds=None, extra=None) -> dict:
     """Assemble the provenance record (JSON-serializable)."""
     manifest = {
         "type": "manifest",
         "manifest_version": MANIFEST_VERSION,
-        "created_unix": time.time(),
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **provenance(),
         "config": jsonable(config) if config is not None else None,
         "config_sha256": config_hash(config) if config is not None else None,
         "seeds": jsonable(seeds) if seeds is not None else None,
-        "python": sys.version,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "hostname": socket.gethostname(),
-        "cpu_count": os.cpu_count(),
         "packages": {"numpy": np.__version__, "scipy": importlib.metadata.version("scipy")},
         "env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")},
-        "git_commit": _git_commit(),
         "argv": list(sys.argv),
     }
     if extra:
@@ -78,7 +98,3 @@ def write_manifest(path, config=None, seeds=None, extra=None) -> dict:
     manifest = build_manifest(config=config, seeds=seeds, extra=extra)
     Path(path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
-
-
-def load_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -2,7 +2,7 @@
 
 The layer below the tracer's stage timings: when the Table-2-style
 breakdown says *evaluation dominates*, this says *which functions*.  A
-``profile=True`` :class:`~repro.instrument.Tracer` runs each of its
+``profile=True`` :class:`~repro.observe.Tracer` runs each of its
 stages under ``cProfile``; :func:`top_functions` is the top-N by self
 time that the run's registry record keeps.
 """

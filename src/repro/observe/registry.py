@@ -9,19 +9,21 @@ cpu_count) wrapping the caller's payload.  Records are keyed by the
 PR 3 provenance-manifest hash (``config_sha256``) so runs of the same
 configuration form a comparable series across commits.
 
-Appends and reads follow :mod:`repro.instrument.events`, the repo's
-one JSONL contract: concurrent stages interleave whole lines and a
-crashed writer's torn line is skipped rather than poisoning the store.
+Appends and reads follow :mod:`repro.observe.jsonl`, the repo's one
+JSONL contract: concurrent stages interleave whole lines and a crashed
+writer's torn line is skipped rather than poisoning the store.  The
+envelope's time, commit, host and cpu count are the one provenance
+stamp (:func:`repro.observe.manifest.provenance`).
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-import time
 from pathlib import Path
 
-from ..instrument.events import append_record, read_records
+from .jsonl import JsonlAppender, read_records
+from .manifest import provenance
 
 __all__ = ["OBS_SCHEMA_VERSION", "RunRegistry", "metric_value", "registry_dir"]
 
@@ -73,21 +75,23 @@ class RunRegistry:
     # ----- writing -------------------------------------------------------------
     def record(self, kind: str, payload: dict, key: str | None = None) -> dict:
         """Append one envelope-stamped record; returns what was written."""
-        now = time.time()
+        stamp = provenance()
+        now = stamp["created_unix"]
         rec = {
             "obs_schema": OBS_SCHEMA_VERSION,
             "id": f"{int(now * 1000):013d}-{secrets.token_hex(3)}",
             "kind": str(kind),
             "key": key,
             "t_unix": now,
-            "t": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(now)),
-            "git_commit": git_commit(),
-            "hostname": _hostname(),
-            "cpu_count": os.cpu_count(),
+            "t": stamp["created"],
+            "git_commit": stamp["git_commit"],
+            "hostname": stamp["hostname"],
+            "cpu_count": stamp["cpu_count"],
             "pid": os.getpid(),
             "data": payload,
         }
-        append_record(self.path, rec)
+        with JsonlAppender(self.path) as log:
+            log.append(rec)
         return rec
 
     # ----- reading -------------------------------------------------------------
@@ -147,24 +151,3 @@ class RunRegistry:
             out = out[len(out) - min(limit, len(out)):]
         return out
 
-
-# ----- environment stamps ------------------------------------------------------
-_GIT_COMMIT_CACHE: list = []
-
-
-def git_commit() -> str | None:
-    """The repo's HEAD commit (cached; None outside a git checkout)."""
-    if not _GIT_COMMIT_CACHE:
-        from ..diagnose.manifest import _git_commit
-
-        _GIT_COMMIT_CACHE.append(_git_commit())
-    return _GIT_COMMIT_CACHE[0]
-
-
-def _hostname() -> str:
-    import socket
-
-    try:
-        return socket.gethostname()
-    except Exception:
-        return "unknown"

@@ -4,9 +4,9 @@ The paper's Table 2 presents one production timestep as a per-stage
 wall-clock breakdown (domain decomposition / tree build / traversal /
 communication / force evaluation / imbalance).  This module renders the
 same shape from *measured* tracer output: :func:`stage_breakdown_table`
-for any dict of stage seconds, :func:`force_stage_table` for the
-solver's canonical stage names, and :func:`step_summary_table` for the
-driver's per-step records.
+for any dict of stage seconds and :func:`force_stage_table` for the
+solver's canonical stage names; ``repro-obs`` prints its tables with
+the same cell format.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "force_stage_totals",
     "stage_breakdown_table",
     "force_stage_table",
-    "step_summary_table",
 ]
 
 #: solver span name -> Table-2-style row label
@@ -50,6 +49,8 @@ def force_stage_totals(stage_times: dict[str, float]) -> dict[str, float]:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return "-"
     if isinstance(v, float):
         if v != 0 and (abs(v) < 1e-3 or abs(v) >= 1e5):
             return f"{v:.3e}"
@@ -148,38 +149,4 @@ def force_stage_table(stats: dict, title: str = "Force stage breakdown (Table 2 
                 },
             }
         },
-    )
-
-
-def step_summary_table(records, title: str = "Per-step summary") -> str:
-    """Tabulate the driver's per-step records.
-
-    Accepts :class:`~repro.simulation.driver.StepRecord` objects or the
-    equivalent dicts read back from a JSONL stream (records whose
-    ``type`` is not ``"step"`` are skipped).
-    """
-    rows = []
-    for i, r in enumerate(records):
-        if isinstance(r, dict):
-            if r.get("type", "step") != "step":
-                continue
-            get = r.get
-            step = get("step", i)
-        else:
-            get = lambda k, d=0.0: getattr(r, k, d)  # noqa: E731
-            step = i + 1
-        rows.append(
-            (
-                step,
-                round(float(get("a", 0.0)), 5),
-                round(float(get("dlna", 0.0)), 5),
-                round(float(get("wall", get("wall_s", 0.0) or 0.0)), 4),
-                round(float(get("interactions_per_particle", 0.0)), 1),
-                round(float(get("layzer_irvine", 0.0)), 6),
-            )
-        )
-    return _table(
-        title,
-        ["step", "a", "dlna", "wall_s", "inter/particle", "layzer_irvine"],
-        rows,
     )

@@ -7,12 +7,13 @@ all attributable to *where in the call tree* they happened.  A
 :class:`Tracer` provides
 
 * ``with tracer.span("tree_build"):`` — nestable, per-thread spans
-  whose closures accumulate into a shared :class:`Metrics` registry
-  under hierarchical paths ("force/tree_build");
-* ``tracer.count("interactions", n)`` / ``count_vec`` — monotonic
-  scalar and per-rank vector counters;
-* ``tracer.emit({...})`` — structured records streamed to a JSONL sink,
-  which also gets one ``span`` record per closed span;
+  whose closures accumulate into ``tracer.timers`` (``{path: [total_s,
+  calls]}``) under hierarchical paths ("force/tree_build");
+* ``tracer.count("interactions", n)`` — monotonic counters in
+  ``tracer.counters``;
+* ``tracer.emit({...})`` — structured records appended to the run's
+  JSONL trace (the sink), which also gets one ``span`` record per
+  closed span.  Every record is on disk when ``emit`` returns;
 * ``tracer.record(kind, payload)`` — one record in the run registry
   under ``registry=`` (:mod:`repro.observe.registry`);
 * ``with tracer.stage("step"):`` — a span that a ``profile=True``
@@ -37,8 +38,7 @@ import threading
 import time
 from contextlib import contextmanager
 
-from .events import JsonlSink
-from .metrics import Metrics
+from .jsonl import JsonlAppender
 
 __all__ = [
     "Span",
@@ -81,9 +81,6 @@ class NullTracer:
     def count(self, name: str, value: float = 1.0) -> None:
         pass
 
-    def count_vec(self, name: str, values) -> None:
-        pass
-
     stage = span
 
     def emit(self, record: dict) -> None:
@@ -98,9 +95,6 @@ class NullTracer:
     @property
     def counters(self) -> dict:
         return {}
-
-    def flush(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()
@@ -148,21 +142,23 @@ class _ProfiledSpan(Span):
 
 
 class Tracer:
-    """Thread-safe hierarchical tracer backed by a :class:`Metrics`
-    registry and (optionally) a JSONL event sink and a run registry.
+    """Thread-safe hierarchical tracer: timers and counters under one
+    lock, and (optionally) a JSONL trace and a run registry.
 
     Each thread keeps its own span stack, so concurrent traversals
-    nest independently while their timings land in one registry.
+    nest independently while their timings land in one ``timers`` dict.
 
     Parameters
     ----------
     sink:
-        A :class:`~repro.instrument.events.JsonlSink`, a path (a sink
-        is opened for it), or None for metrics-only tracing.  Besides
-        the records passed to :meth:`emit`, the sink gets one ``span``
+        Path of the run's JSONL trace (appended to through one
+        :class:`~repro.observe.jsonl.JsonlAppender` held until
+        :meth:`close`), or None for timers and counters only.  Besides
+        the records passed to :meth:`emit`, the trace gets one ``span``
         record per closed span (``t0``/``t1`` perf-counter stamps and
         the thread id, so ``repro-obs export --spans`` can draw lanes)
-        and, on :meth:`close`, a ``metrics`` snapshot.
+        and, on :meth:`close`, a ``metrics`` snapshot of the timers and
+        counters.
     registry:
         Run-registry directory :meth:`record` appends to (None: records
         are dropped).  A :class:`~repro.simulation.Simulation` run, a
@@ -175,12 +171,14 @@ class Tracer:
     enabled = True
 
     def __init__(self, sink=None, registry=None, profile: bool = False):
-        if sink is not None and not isinstance(sink, JsonlSink):
-            sink = JsonlSink(sink)
-        self.sink = sink
+        self.sink = JsonlAppender(sink) if sink is not None else None
         self.registry = registry
         self.profile = bool(profile)
-        self.metrics = Metrics()
+        #: span path -> [total seconds, closures]
+        self.timers: dict[str, list] = {}
+        #: counter name -> accumulated value
+        self.counters: dict[str, float] = {}
+        self._lock = threading.Lock()
         self._tls = threading.local()
         #: stage name -> [cProfile.Profile, seconds, entries] since the
         #: last :meth:`take_profile`
@@ -207,13 +205,13 @@ class Tracer:
             stack.pop()
         elif span.path in stack:  # exception unwound through inner spans
             del stack[stack.index(span.path):]
-        self.metrics.add_time(span.path, span.seconds)
+        self.add_time(span.path, span.seconds)
         if self.sink is not None:
             # t0/t1 are perf_counter stamps (arbitrary origin, shared
             # within the process) so a trace supports lane/timeline
             # reconstruction, not just per-path totals; tid keys the
             # emitting thread to a lane in trace-event exports
-            self.sink.emit(
+            self.emit(
                 {"type": "span", "path": span.path, "seconds": span.seconds,
                  "t0": span._t0, "t1": span._t0 + span.seconds,
                  "tid": threading.get_ident()}
@@ -259,7 +257,7 @@ class Tracer:
         pots, self._profiles = self._profiles, {}
         if not pots:
             return None
-        from ..observe.profiler import top_functions
+        from .profiler import top_functions
 
         stages = {}
         for name, (prof, seconds, calls) in pots.items():
@@ -280,15 +278,24 @@ class Tracer:
         profiled as part of the outer one)."""
         return _ProfiledSpan(self, name) if self.profile else Span(self, name)
 
-    def count(self, name: str, value: float = 1.0) -> None:
-        self.metrics.add_count(name, value)
+    def add_time(self, path: str, seconds: float) -> None:
+        """Add one closure of ``seconds`` to the timer at ``path``."""
+        with self._lock:
+            timer = self.timers.get(path)
+            if timer is None:
+                self.timers[path] = [float(seconds), 1]
+            else:
+                timer[0] += seconds
+                timer[1] += 1
 
-    def count_vec(self, name: str, values) -> None:
-        self.metrics.add_vec(name, values)
+    def count(self, name: str, value: float = 1.0) -> None:
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0.0) + float(value)
 
     def emit(self, record: dict) -> None:
         if self.sink is not None:
-            self.sink.emit(record)
+            with self._lock:
+                self.sink.append(record)
 
     def record(self, kind: str, payload: dict, key: str | None = None):
         """Append one record to the run registry; returns what was written,
@@ -297,29 +304,28 @@ class Tracer:
         if self.registry is None:
             return None
         try:
-            from ..observe.registry import RunRegistry
+            from .registry import RunRegistry
 
             return RunRegistry(self.registry).record(kind, payload, key=key)
         except Exception:
             return None
 
     def stage_times(self) -> dict[str, float]:
-        return self.metrics.stage_times()
-
-    @property
-    def counters(self) -> dict[str, float]:
-        return dict(self.metrics.counters)
-
-    def flush(self) -> None:
-        """Put every record emitted so far on disk."""
-        if self.sink is not None:
-            self.sink.flush()
+        """Total seconds per span path."""
+        with self._lock:
+            return {path: timer[0] for path, timer in self.timers.items()}
 
     def close(self) -> None:
-        """Stream a counter/timer snapshot and close the sink."""
-        if self.sink is not None:
-            self.sink.emit({"type": "metrics", **self.metrics.to_dict()})
-            self.sink.close()
+        """Append a ``metrics`` snapshot of the timers and counters to the
+        trace and close it."""
+        with self._lock:
+            sink, self.sink = self.sink, None
+            if sink is not None:
+                timers = {path: {"total_s": s, "calls": n}
+                          for path, (s, n) in self.timers.items()}
+                sink.append({"type": "metrics", "timers": timers,
+                             "counters": dict(self.counters)})
+                sink.close()
 
 
 _global_lock = threading.Lock()

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from .comm import SimComm
 
 __all__ = [

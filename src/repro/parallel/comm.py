@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from .machine import MachineModel
 
 __all__ = ["CostLedger", "SimComm"]
@@ -69,8 +69,6 @@ class SimComm:
             tr.count("comm.bytes", float(np.sum(per_rank_bytes)))
             tr.count("comm.messages", float(np.sum(per_rank_msgs)))
             tr.count("comm.modeled_time_s", time_s)
-            tr.count_vec("comm.bytes_per_rank", per_rank_bytes)
-            tr.count_vec("comm.messages_per_rank", per_rank_msgs)
 
     @staticmethod
     def _nbytes(a) -> int:

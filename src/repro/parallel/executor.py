@@ -26,9 +26,9 @@ that on one shared-memory node:
   reproduces the serial interaction stream bit for bit.
 
 Per-shard wall times come back through the result queue and merge into
-the parent :class:`~repro.instrument.metrics.Metrics`, turning the
-modeled load imbalance of :mod:`repro.parallel.ptraverse` into a
-measured one.
+the parent tracer's timers (``executor/traverse``, ``executor/evaluate``,
+``executor/shard``), turning the modeled load imbalance of
+:mod:`repro.parallel.ptraverse` into a measured one.
 
 **Self-healing** (paper §3.4.2: production runs lose a node about every
 million CPU hours — the pool must degrade, not die): the collector
@@ -122,10 +122,6 @@ def _attach(meta: dict):
     return arrays, segments
 
 
-def _timer(seconds: float) -> dict:
-    return {"total_s": seconds, "calls": 1, "min_s": seconds, "max_s": seconds}
-
-
 class _WorkerState:
     """One epoch's attached arrays + reconstructed tree/moments views."""
 
@@ -212,12 +208,8 @@ def _run_shard(tree, moms, spec, acc, pot, sinks, s0: int, s1: int):
         # what the observe timeline needs to draw per-worker lanes
         "t0": t0_mono,
         "t1": t0_mono + traverse_s + evaluate_s,
-        "timers": {
-            "executor/traverse": _timer(traverse_s),
-            "executor/evaluate": _timer(evaluate_s),
-            "executor/shard": _timer(traverse_s + evaluate_s),
-        },
-        "counters": {"executor.shards": 1},
+        "traverse_s": traverse_s,
+        "evaluate_s": evaluate_s,
     }
     return res.stats, spans
 
@@ -409,7 +401,7 @@ class ForceExecutor:
         """
         from ..gravity.solver import merge_stats
         from ..gravity.treeforce import ForceResult
-        from ..instrument import get_tracer
+        from ..observe import get_tracer
 
         if self.closed:
             raise RuntimeError("executor is closed")
@@ -524,7 +516,7 @@ class ForceExecutor:
         attempts = dict.fromkeys(pending, 0)
         err_count = dict.fromkeys(pending, 0)
         shard_stats: dict[int, dict] = {}
-        shard_spans: dict[int, tuple[int, dict, float]] = {}
+        shard_spans: dict[int, tuple[int, dict]] = {}
         recoveries: list[dict] = []
         respawns = 0
         last_progress = time.monotonic()
@@ -535,7 +527,7 @@ class ForceExecutor:
             sp["local"] = True  # timeline: a parent-lane recovery span
             sp["attempt"] = attempts[sid]
             shard_stats[sid] = st
-            shard_spans[sid] = (0, sp, sp["timers"]["executor/shard"]["total_s"])
+            shard_spans[sid] = (0, sp)
 
         def redispatch_or_local(sid: int) -> None:
             if attempts[sid] >= self.max_retries:
@@ -627,9 +619,7 @@ class ForceExecutor:
                 pending.pop(sid)
                 spans["attempt"] = attempts[sid]
                 shard_stats[sid] = payload
-                shard_spans[sid] = (
-                    wid, spans, spans["timers"]["executor/shard"]["total_s"]
-                )
+                shard_spans[sid] = (wid, spans)
                 continue
             # worker-side exception: retry only this shard, with backoff
             err_count[sid] += 1
@@ -660,34 +650,31 @@ class ForceExecutor:
         busy = np.zeros(self.workers)
         shard_seconds = [0.0] * len(shard_spans)
         traverse_s = evaluate_s = 0.0
-        metrics = getattr(tr, "metrics", None)
         events = []
-        t_origin = min(
-            (spans["t0"] for _, spans, _ in shard_spans.values() if "t0" in spans),
-            default=0.0,
-        )
-        for sid, (wid, spans, shard_s) in shard_spans.items():
+        t_origin = min((spans["t0"] for _, spans in shard_spans.values()), default=0.0)
+        for sid, (wid, spans) in shard_spans.items():
+            shard_s = spans["traverse_s"] + spans["evaluate_s"]
             busy[wid] += shard_s
             shard_seconds[sid] = shard_s
-            traverse_s += spans["timers"]["executor/traverse"]["total_s"]
-            evaluate_s += spans["timers"]["executor/evaluate"]["total_s"]
-            if "t0" in spans:
-                # one timeline event per shard, offsets relative to the
-                # call's first shard start (repro-obs timeline input)
-                events.append({
-                    "shard": sid,
-                    "worker": wid,
-                    "t0": round(spans["t0"] - t_origin, 6),
-                    "t1": round(spans["t1"] - t_origin, 6),
-                    "traverse_s": round(
-                        spans["timers"]["executor/traverse"]["total_s"], 6),
-                    "evaluate_s": round(
-                        spans["timers"]["executor/evaluate"]["total_s"], 6),
-                    "attempt": int(spans.get("attempt", 0)),
-                    "local": bool(spans.get("local", False)),
-                })
-            if metrics is not None:
-                metrics.merge_dict(spans)
+            traverse_s += spans["traverse_s"]
+            evaluate_s += spans["evaluate_s"]
+            # one timeline event per shard, offsets relative to the
+            # call's first shard start (repro-obs timeline input)
+            events.append({
+                "shard": sid,
+                "worker": wid,
+                "t0": round(spans["t0"] - t_origin, 6),
+                "t1": round(spans["t1"] - t_origin, 6),
+                "traverse_s": round(spans["traverse_s"], 6),
+                "evaluate_s": round(spans["evaluate_s"], 6),
+                "attempt": int(spans.get("attempt", 0)),
+                "local": bool(spans.get("local", False)),
+            })
+            if tr.enabled:
+                # the worker-side spans land in the parent's timers
+                tr.add_time("executor/traverse", spans["traverse_s"])
+                tr.add_time("executor/evaluate", spans["evaluate_s"])
+                tr.add_time("executor/shard", shard_s)
         events.sort(key=lambda e: (e["t0"], e["shard"]))
         mean_busy = float(busy.mean()) if self.workers else 0.0
         out["executor"] = {
@@ -708,10 +695,10 @@ class ForceExecutor:
             out["executor"]["degraded"] = self.degraded
             for r in recoveries:
                 tr.emit({"type": "executor_recovery", **r})
-            if getattr(tr, "enabled", False):
+            if tr.enabled:
                 tr.count("executor.recoveries", len(recoveries))
-        if getattr(tr, "enabled", False):
-            tr.count_vec("executor.worker_busy_s", busy)
+        if tr.enabled:
+            tr.count("executor.shards", len(shard_spans))
         return out
 
     # ----- lifecycle ----------------------------------------------------------

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..instrument import Tracer, get_tracer, use_tracer
+from ..observe import Tracer, get_tracer, use_tracer
+from ..observe.manifest import config_hash, write_manifest
+from ..observe.registry import KIND_STAGE
 
 __all__ = ["run_stage", "main"]
 
@@ -130,8 +132,6 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
     # install for the duration so the driver/solver underneath see it too
     with use_tracer(tr), tr.span(f"pipeline.{stage}") as sp:
         if cfg["health"]:
-            from ..diagnose import write_manifest
-
             manifest_path = workdir / f"{config_path.stem}.manifest.json"
             write_manifest(
                 manifest_path, config=cfg,
@@ -146,9 +146,6 @@ def run_stage(config_path, workdir=None, tracer=None, workers=None, health=None,
         tr.count(f"pipeline.{stage}.runs")
         tr.emit({"type": "pipeline_stage", **summary})
     if tr.registry is not None:
-        from ..diagnose.manifest import config_hash
-        from ..observe.registry import KIND_STAGE
-
         key = config_hash(cfg)
         tr.record(
             KIND_STAGE,

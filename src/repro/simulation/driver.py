@@ -36,7 +36,7 @@ from ..cosmology import Background, CosmologyParams, PLANCK2013
 from ..gravity import TreecodeConfig, TreecodeGravity
 from ..gravity.pm import TreePMConfig, TreePMGravity
 from ..gravity.solver import check_choices
-from ..instrument import get_tracer
+from ..observe import get_tracer
 from .ic import ICConfig, generate_ic
 from .integrator import LeapfrogIntegrator, StepController
 from .particles import ParticleSet
@@ -195,7 +195,7 @@ class Simulation:
     """Run a cosmological box and expose its state for analysis.
 
     Pass ``tracer=`` (or install one with
-    :func:`repro.instrument.set_tracer`) to collect per-stage force
+    :func:`repro.observe.set_tracer`) to collect per-stage force
     timings and counters, stream the run's records to its sink and
     file the run in its registry; the default no-op tracer costs
     nothing.  Pass ``health=`` a :class:`~repro.diagnose.HealthConfig`
@@ -333,7 +333,7 @@ class Simulation:
         silently change physics), the Layzer-Irvine accumulator, the
         completed-step count, and the provenance config hash.
         """
-        from ..diagnose.manifest import config_hash
+        from ..observe.manifest import config_hash
         from ..io.checkpoint import save_checkpoint as write_checkpoint
 
         c = self.config
@@ -415,7 +415,7 @@ class Simulation:
         the hot functions of this run's stages.
         """
         try:
-            from ..diagnose.manifest import config_hash
+            from ..observe.manifest import config_hash
             from ..observe.registry import KIND_RUN
 
             c = self.config
@@ -458,16 +458,17 @@ class Simulation:
                 payload["partial"] = True
                 payload["error"] = totals.get("error")
             if self.shard_timeline:
-                from ..observe import analyze_timeline
+                from ..observe.timeline import analyze_timeline
 
                 payload["timeline"] = list(self.shard_timeline)
                 payload["worker_summary"] = analyze_timeline(self.shard_timeline)
             profile = tracer.take_profile()
             if profile:
                 payload["profile"] = profile
+            hottest = sorted(tracer.timers.items(), key=lambda kv: -kv[1][0])
             payload["top_spans"] = [
                 {"path": p, "total_s": round(s, 6), "calls": n}
-                for p, s, n in tracer.metrics.top_timers(12)
+                for p, (s, n) in hottest[:12]
             ]
             tracer.record(KIND_RUN, payload, key=payload["config_sha256"])
         except Exception:
@@ -509,9 +510,9 @@ class Simulation:
         history alone misses.  If the run dies partway — a crash, a
         health fail-fast, a killed job — partial ``run_totals`` (steps
         completed, wall, last a) are still populated and emitted.
-        Either way every record the run emitted is on disk when it
-        returns or raises, and a tracer with a registry has filed the
-        run there.
+        Every record is on disk as soon as it is emitted, and when the
+        run returns or raises a tracer with a registry has filed it
+        there.
 
         Checkpointing: ``checkpointer=(scheduler, store)`` — a
         :class:`~repro.resilience.CheckpointScheduler` and a
@@ -673,8 +674,4 @@ class Simulation:
             # a crashed run is exactly the one the trajectory must keep
             if tr.registry is not None:
                 self._record_observation(tr)
-            try:
-                tr.flush()
-            except Exception:
-                pass
         return ps

@@ -8,6 +8,7 @@ detection with a diagnostic snapshot, manifest round-trips, and the
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +18,12 @@ from repro.diagnose import (
     HealthError,
     HealthEvent,
     HealthMonitor,
-    build_manifest,
     classify,
-    config_hash,
-    load_manifest,
     probe_force_error,
     reference_accelerations,
-    write_manifest,
 )
-from repro.instrument import Tracer, read_jsonl
+from repro.observe import Tracer, read_jsonl
+from repro.observe.manifest import build_manifest, config_hash, write_manifest
 from repro.observe.cli import main as obs_main
 from repro.simulation import Simulation, SimulationConfig
 
@@ -319,7 +317,7 @@ class TestManifest:
         cfg = short_config()
         path = tmp_path / "m.json"
         written = write_manifest(path, config=cfg, seeds={"ic": cfg.seed})
-        loaded = load_manifest(path)
+        loaded = json.loads(path.read_text())
         assert loaded == written
         assert loaded["type"] == "manifest"
         assert loaded["seeds"] == {"ic": 2}
@@ -388,7 +386,6 @@ class TestBaselineCli:
 
 class TestPipelineHealth:
     def test_run_stage_health_flag(self, tmp_path):
-        from repro.instrument import Tracer
         from repro.pipeline import PipelineSpec
         from repro.pipeline.run_stage import run_stage
 
@@ -405,7 +402,7 @@ class TestPipelineHealth:
         finally:
             tr.close()
         assert ev["health"]["error"] == 0
-        manifest = load_manifest(ev["manifest"])
+        manifest = json.loads(Path(ev["manifest"]).read_text())
         assert manifest["config"]["stage"] == "evolve"
         recs = [json.loads(l) for l in trace.open()]
         assert any(r["type"] == "step" for r in recs)

@@ -1,5 +1,5 @@
-"""Tests for the instrumentation subsystem (tracer, metrics, events,
-reports) and its wiring through the stack."""
+"""Tests for the tracer, its timers and counters, the JSONL log and the
+reports, and their wiring through the stack."""
 
 import json
 import threading
@@ -8,22 +8,21 @@ import time
 import numpy as np
 import pytest
 
-from repro.instrument import (
-    JsonlSink,
-    Metrics,
+from repro.observe import (
     NULL_TRACER,
+    JsonlAppender,
     NullTracer,
     Tracer,
     force_stage_table,
     force_stage_totals,
     get_tracer,
+    jsonable,
     read_jsonl,
+    read_records,
     set_tracer,
     stage_breakdown_table,
-    step_summary_table,
     use_tracer,
 )
-from repro.instrument.events import append_record, jsonable, read_records
 from repro.perfmodel.flops import flops_from_stats
 
 
@@ -54,7 +53,7 @@ class TestSpans:
         for _ in range(3):
             with tr.span("work"):
                 pass
-        assert tr.metrics.timers["work"].calls == 3
+        assert tr.timers["work"][1] == 3
         assert tr.stage_times()["work"] >= 0.0
 
     def test_exception_unwinds_stack(self):
@@ -93,32 +92,18 @@ class TestCounters:
         tr.count("calls")
         assert tr.counters == {"interactions": 42.0, "calls": 1.0}
 
-    def test_vector_aggregation_and_growth(self):
-        m = Metrics()
-        m.add_vec("bytes_per_rank", [1.0, 2.0])
-        m.add_vec("bytes_per_rank", [10.0, 20.0])
-        np.testing.assert_allclose(m.vectors["bytes_per_rank"], [11.0, 22.0])
-        m.add_vec("bytes_per_rank", [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(m.vectors["bytes_per_rank"], [12.0, 23.0, 1.0])
-
-    def test_merge(self):
-        a, b = Metrics(), Metrics()
-        a.add_count("x", 1)
-        a.add_time("s", 0.5)
-        b.add_count("x", 2)
-        b.add_count("y", 3)
-        b.add_time("s", 0.25)
-        a.merge(b)
-        assert a.counters == {"x": 3.0, "y": 3.0}
-        assert a.timers["s"].total_s == pytest.approx(0.75)
-        assert a.timers["s"].calls == 2
-
-    def test_to_dict_is_json_serializable(self):
-        m = Metrics()
-        m.add_count("c", 1)
-        m.add_time("t", 0.1)
-        m.add_vec("v", np.arange(3))
-        json.dumps(m.to_dict())
+    def test_to_dict_is_json_serializable(self, tmp_path):
+        """The close-time ``metrics`` snapshot of the timers and counters."""
+        path = tmp_path / "trace.jsonl"
+        tr = Tracer(sink=path)
+        tr.count("c", np.int64(1))
+        tr.add_time("t", 0.1)
+        tr.add_time("t", 0.25)
+        tr.close()
+        tr.close()  # a second close writes nothing
+        (snapshot,) = [r for r in read_jsonl(path) if r["type"] == "metrics"]
+        assert snapshot["counters"] == {"c": 1.0}
+        assert snapshot["timers"] == {"t": {"total_s": 0.35, "calls": 2}}
 
 
 class TestJsonl:
@@ -142,14 +127,27 @@ class TestJsonl:
         metrics = next(r for r in records if r["type"] == "metrics")
         assert metrics["counters"]["n"] == 7.0
 
-    def test_sink_wraps_stream(self):
-        import io
+    def test_records_are_on_disk_as_emitted(self, tmp_path):
+        """A reader of the trace sees each step's record while the run is
+        still going: nothing waits in a buffer for ``close``."""
+        from repro.simulation import Simulation, SimulationConfig
 
-        buf = io.StringIO()
-        sink = JsonlSink(buf)
-        sink.emit({"k": 1})
-        sink.close()  # must not close a caller-owned stream
-        assert json.loads(buf.getvalue()) == {"k": 1}
+        path = tmp_path / "trace.jsonl"
+        seen = []
+
+        def read_trace(sim, rec):
+            seen.append([r for r in read_jsonl(path) if r["type"] == "step"])
+
+        cfg = SimulationConfig(n_per_dim=8, box_mpc_h=50.0, a_init=0.1, a_final=0.12,
+                               errtol=1e-3, p=2, max_refine=1, seed=2)
+        Simulation(cfg, tracer=Tracer(sink=path)).run(callback=read_trace)
+        assert seen and [r["step"] for r in seen[0]] == [1]
+        assert [len(steps) for steps in seen] == list(range(1, len(seen) + 1))
+
+
+def append_one(path, rec: dict) -> None:
+    with JsonlAppender(path) as log:
+        log.append(rec)
 
 
 class TestJsonlLog:
@@ -157,10 +155,10 @@ class TestJsonlLog:
 
     def test_append_onto_torn_tail(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_record(path, {"i": 1})
+        append_one(path, {"i": 1})
         with open(path, "ab") as fh:
             fh.write(b'{"i": 2, "to')  # a writer killed mid-record
-        append_record(path, {"i": 3})
+        append_one(path, {"i": 3})
         assert path.read_bytes() == b'{"i": 1}\n{"i": 2, "to\n{"i": 3}\n'
         assert read_jsonl(path) == [{"i": 1}, {"i": 3}]
 
@@ -182,7 +180,7 @@ class TestJsonlLog:
         path = tmp_path / "log.jsonl"
         seen, end = [], 0
         for i in range(5):
-            append_record(path, {"i": i})
+            append_one(path, {"i": i})
             recs, end = read_records(path, end)
             seen += recs
         assert [r["i"] for r in seen] == list(range(5))
@@ -226,7 +224,6 @@ class TestNullTracer:
         nt = NullTracer()
         with nt.span("x") as sp:
             nt.count("c", 1)
-            nt.count_vec("v", [1.0])
             nt.emit({"a": 1})
         assert sp.seconds == 0.0
         assert nt.stage_times() == {} and nt.counters == {}
@@ -247,7 +244,7 @@ class TestNullTracer:
         assert per_span < 5e-6
 
     def test_environment_resolves_on_first_call(self, monkeypatch, tmp_path):
-        import repro.instrument.tracer as tracer_mod
+        import repro.observe.tracer as tracer_mod
 
         monkeypatch.setattr(tracer_mod, "_global_tracer", None)
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
@@ -441,8 +438,9 @@ class TestParallelWiring:
         c = tr.counters
         assert c["comm.bytes"] == comm.ledger.total_bytes()
         assert c["comm.messages"] == comm.ledger.total_messages()
-        vec = tr.metrics.vectors["comm.bytes_per_rank"]
-        np.testing.assert_allclose(vec, comm.ledger.bytes_sent)
+        # the per-rank split is the ledger's: 5 bytes to each other rank
+        np.testing.assert_allclose(comm.ledger.bytes_sent, [10.0, 10.0, 10.0])
+        np.testing.assert_array_equal(comm.ledger.messages_sent, [2, 2, 2])
 
     def test_comm_uses_ambient_tracer(self):
         from repro.parallel.comm import SimComm
@@ -494,15 +492,6 @@ class TestReports:
         assert lines[at + 1 : at + 5] == ["cell", "pp", "m2l", "prism"]
         fam = res.stats["family_seconds"]
         assert 0 < sum(fam.values()) <= res.stats["stage_seconds"]["evaluate"]
-
-    def test_step_summary_from_dicts_and_records(self, tmp_path):
-        recs = [
-            {"type": "init_force", "wall": 0.1},
-            {"type": "step", "step": 1, "a": 0.1, "dlna": 0.125, "wall": 0.2,
-             "interactions_per_particle": 900.0, "layzer_irvine": 0.0},
-        ]
-        txt = step_summary_table(recs)
-        assert "900" in txt and txt.count("\n") == 2  # title + header + 1 row
 
 
 class TestCrossCheck:

@@ -17,21 +17,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.diagnose.manifest import config_hash
-from repro.instrument import Tracer, read_jsonl, use_tracer
 from repro.observe import (
     RunRegistry,
+    Tracer,
     analyze_timeline,
     attribute,
     chrome_trace_from_record,
     chrome_trace_from_spans,
+    config_hash,
     detect_regression,
     format_attribution,
     metric_value,
+    read_jsonl,
     render_timeline,
     robust_baseline,
     speedscope_from_record,
     trend_report,
+    use_tracer,
 )
 from repro.observe.cli import main as obs_main
 from repro.observe.registry import KIND_RUN
@@ -146,7 +148,7 @@ class TestProfiledStages:
         assert all({"function", "where", "calls", "self_s", "cum_s"} <= set(h)
                    for h in hot)
         # the stage is an ordinary span too, and the profile is taken once
-        assert tr.metrics.timers["step"].calls == 2
+        assert tr.timers["step"][1] == 2
         assert tr.take_profile() is None
 
     def test_nested_stages_do_not_double_enable(self):
@@ -165,7 +167,7 @@ class TestProfiledStages:
         with tr.stage("step"):
             _burn(2_000)
         assert tr.take_profile() is None
-        assert tr.metrics.timers["step"].calls == 1
+        assert tr.timers["step"][1] == 1
 
 
 # ----- what recording costs ------------------------------------------------------
@@ -188,6 +190,21 @@ class TestDisabledContract:
         assert m["disabled_frac"] < overhead.BOUND
         assert m["enabled_frac"] < overhead.BOUND
         assert m["disabled_op_s"] < m["enabled_op_s"]
+
+    def test_a_simulation_loads_only_the_write_side(self):
+        """``import repro.simulation`` loads the tracer and the JSONL
+        module of the package and none of the readers."""
+        code = ("import json, sys, repro.simulation\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.')"
+                " and m.split('.')[1] in ('observe', 'instrument'))))")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_OBS")}
+        env.update(PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            "repro.observe", "repro.observe.jsonl", "repro.observe.tracer"
+        ]
 
 
 # ----- timeline ----------------------------------------------------------------
@@ -526,6 +543,20 @@ class TestObsCli:
         assert obs_main(["--dir", str(tmp_path / "none"), "list"]) == 0
         assert "empty" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["trend", "wall_per_step_s", "--window", "0"],
+        ["trend", "wall_per_step_s", "--window", "-2"],
+        ["list", "-n", "0"],
+        ["list", "-n", "-1"],
+        ["top", "-1", "-n", "0"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv):
+        root = str(_seed_registry(tmp_path).root)
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["--dir", root, *argv])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestDiagGateTrend:
     """The trend gate is ``repro-obs trend``: exit 2 on a regression,
@@ -740,8 +771,6 @@ class TestTraceExport:
             chrome_trace_from_record(reg.last())
 
     def test_span_stream_export(self, tmp_path):
-        from repro.instrument import Tracer, read_jsonl
-
         path = tmp_path / "trace.jsonl"
         tr = Tracer(sink=path)
         with tr.span("force"):
@@ -786,8 +815,6 @@ class TestTraceExport:
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
     def test_export_cli_spans(self, tmp_path, capsys):
-        from repro.instrument import Tracer
-
         path = tmp_path / "spans.jsonl"
         tr = Tracer(sink=path)
         with tr.span("step"):
@@ -1061,3 +1088,36 @@ class TestConcurrentAppends:
         # ids are unique and the query API agrees
         assert len({rec["id"] for rec in parsed}) == n_procs * n_recs
         assert len(reg.records(kind="stress")) == n_procs * n_recs
+
+    def test_tracer_sinks_in_two_processes_share_one_trace(self, tmp_path):
+        """Two processes tracing into one file: each record is one
+        ``O_APPEND`` write, so no record of one tears a record of the
+        other (a writer may put an empty line before its first record)."""
+        import subprocess
+        import sys
+
+        n_recs = 300
+        path = tmp_path / "trace.jsonl"
+        script = (
+            "import sys\n"
+            "from repro.observe import Tracer\n"
+            "tr = Tracer(sink=sys.argv[1])\n"
+            "for i in range(int(sys.argv[3])):\n"
+            "    with tr.span('work'):\n"
+            "        tr.emit({'type': 'stress', 'writer': int(sys.argv[2]), 'i': i,"
+            " 'pad': 'x' * 512})\n"
+            "tr.close()\n"
+        )
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(path), str(w), str(n_recs)])
+            for w in range(2)
+        ]
+        assert all(p.wait(timeout=120) == 0 for p in procs)
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        parsed = [json.loads(line) for line in lines]
+        assert len(parsed) == 2 * (2 * n_recs + 1)
+        stress = {(r["writer"], r["i"]) for r in parsed if r["type"] == "stress"}
+        assert len(stress) == 2 * n_recs
+        assert all(r["pad"] == "x" * 512 for r in parsed if r["type"] == "stress")
+        assert sum(r["type"] == "span" for r in parsed) == 2 * n_recs
+        assert sum(r["type"] == "metrics" for r in parsed) == 2

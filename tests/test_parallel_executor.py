@@ -17,7 +17,7 @@ import pytest
 from repro.gravity import TreecodeConfig, TreecodeGravity
 from repro.gravity.pm import TreePMConfig, TreePMGravity
 from repro.gravity.solver import ForceSpec
-from repro.instrument import Tracer
+from repro.observe import Tracer
 from repro.parallel.executor import ForceExecutor, ensure_executor
 from repro.tree import build_tree, compute_moments
 
@@ -205,10 +205,14 @@ def test_worker_metrics_merge_into_parent_tracer():
     assert "executor/traverse" in times
     assert "executor/evaluate" in times
     assert times["executor/shard"] > 0
-    # per-worker busy vector: the measured load-imbalance input
-    busy = tracer.metrics.vectors["executor.worker_busy_s"]
+    # per-worker busy seconds: the measured load-imbalance input, the
+    # same shard seconds the parent's timers hold
+    busy = res.stats["executor"]["worker_busy_s"]
     assert len(busy) == 2
-    assert tracer.counters["executor.shards"] == res.stats["executor"]["n_shards"]
+    assert sum(busy) == pytest.approx(times["executor/shard"])
+    n_shards = res.stats["executor"]["n_shards"]
+    assert tracer.counters["executor.shards"] == n_shards
+    assert tracer.timers["executor/shard"][1] == n_shards
     assert res.stats["stage_seconds"]["execute"] > 0
     assert res.stats["executor"]["load_imbalance"] >= 0.0
 

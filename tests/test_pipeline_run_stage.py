@@ -174,7 +174,7 @@ class TestProvenanceKey:
         """Health monitoring is not physics: a monitored cold start, its
         resumed leg and an unmonitored run of the same stage file one
         ``simulation_run`` key, the ``config_sha256`` of the checkpoint."""
-        from repro.instrument import Tracer
+        from repro.observe import Tracer
         from repro.io import load_checkpoint
         from repro.observe import RunRegistry
 

@@ -11,15 +11,13 @@ result.
 """
 
 import glob
-import io
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.gravity.solver import ForceSpec
-from repro.instrument import Tracer
+from repro.observe import Tracer, read_jsonl
 from repro.io import (
     CheckpointConfigMismatch,
     SDFChecksumError,
@@ -285,12 +283,12 @@ class TestBitIdenticalResume:
         assert resumed._li_accum == ref._li_accum
 
     def test_checkpoint_events_emitted(self, tmp_path):
-        stream = io.StringIO()
-        sim = Simulation(short_config(), tracer=Tracer(sink=stream))
+        trace = tmp_path / "trace.jsonl"
+        sim = Simulation(short_config(), tracer=Tracer(sink=trace))
         sim.run(checkpointer=(
             CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / "ck")
         ))
-        recs = [json.loads(l) for l in stream.getvalue().splitlines()]
+        recs = read_jsonl(trace)
         cks = [r for r in recs if r["type"] == "checkpoint"]
         assert len(cks) == len(CheckpointStore(tmp_path / "ck").list())
         assert cks[0]["step"] == 2
@@ -300,12 +298,13 @@ class TestBitIdenticalResume:
 
     def test_resumed_run_keeps_the_cadence(self, tmp_path):
         def checkpoint_steps(sim, store, **run_kw):
-            stream = io.StringIO()
-            sim.tracer = Tracer(sink=stream)
+            trace = tmp_path / f"{store}.jsonl"
+            trace.unlink(missing_ok=True)
+            sim.tracer = Tracer(sink=trace)
             sim.run(checkpointer=(
                 CheckpointScheduler(every_steps=2), CheckpointStore(tmp_path / store)
             ), **run_kw)
-            recs = [json.loads(l) for l in stream.getvalue().splitlines()]
+            recs = read_jsonl(trace)
             return [r["step"] for r in recs if r["type"] == "checkpoint"]
 
         cfg = short_config(a_final=0.25)
@@ -317,9 +316,9 @@ class TestBitIdenticalResume:
 
 
 class TestPartialRunTotals:
-    def test_crash_leaves_partial_totals(self):
-        stream = io.StringIO()
-        sim = Simulation(short_config(), tracer=Tracer(sink=stream))
+    def test_crash_leaves_partial_totals(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        sim = Simulation(short_config(), tracer=Tracer(sink=trace))
 
         def die(s, rec):
             if len(s.history) >= 2:
@@ -333,7 +332,7 @@ class TestPartialRunTotals:
         assert rt["last_a"] == pytest.approx(sim.particles.a)
         assert "KeyboardInterrupt" in rt["error"]
         # the JSONL tail carries the same record
-        tail = [json.loads(l) for l in stream.getvalue().splitlines()]
+        tail = read_jsonl(trace)
         assert tail[-1]["type"] == "run_totals"
         assert tail[-1]["partial"] is True
 
@@ -489,16 +488,15 @@ class TestSelfHealingExecutor:
 
         # the executor picks the plan up from the environment
         monkeypatch.setenv("REPRO_FAULTS", "kill:shard=0")
-        stream = io.StringIO()
+        trace = tmp_path / "trace.jsonl"
         cfg = short_config(workers=1)
         health = HealthConfig(snapshot_dir=str(tmp_path))
-        from repro.instrument import Tracer
 
         # recovery events come from the executor through the tracer, so
         # the sink must hang off the tracer, not run()'s jsonl tee
-        with Simulation(cfg, tracer=Tracer(sink=stream), health=health) as sim:
+        with Simulation(cfg, tracer=Tracer(sink=trace), health=health) as sim:
             sim.run(max_steps=1)
-        recs = [json.loads(l) for l in stream.getvalue().splitlines()]
+        recs = read_jsonl(trace)
         assert any(r["type"] == "executor_recovery" for r in recs)
         health = [r for r in recs if r.get("monitor") == "executor_recovery"]
         assert health and health[0]["severity"] == "warn"

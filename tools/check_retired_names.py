@@ -112,6 +112,12 @@ RETIRED = [
         (*EVERYWHERE, ".github", "README.md"),
         "one health switch, Simulation(health=), and one non-finite guard on every solve",
     ),
+    (
+        r"repro\.instrument|from \.\.instrument|JsonlSink|TimerStat|Metrics\(|count_vec|add_vec"
+        r"|step_summary_table|append_record|load_manifest",
+        (*EVERYWHERE, ".github", "README.md", "DESIGN.md"),
+        "one observability package (repro.observe): one JSONL appender, one timer store",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp

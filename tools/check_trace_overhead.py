@@ -3,9 +3,9 @@
 
 One traced 8^3 run says how many spans a step closes (the tracer's own
 timers) and how long a step takes; a timing loop says what one span
-plus one counter update costs on :data:`~repro.instrument.NULL_TRACER`
+plus one counter update costs on :data:`~repro.observe.NULL_TRACER`
 (the off-switch every untraced run pays) and on a recording
-:class:`~repro.instrument.Tracer` that streams its spans to a sink (a
+:class:`~repro.observe.Tracer` that streams its spans to a sink (a
 ``run_stage --trace`` run, the dearest enabled path).  Each cost times
 the spans per step, over the mean step wall, must stay under 1%.  Run
 by the CI observatory job and by ``tests/test_observe.py``::
@@ -20,7 +20,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.instrument import NULL_TRACER, Tracer
+from repro.observe import NULL_TRACER, Tracer
 from repro.simulation import Simulation, SimulationConfig
 
 #: share of a step the tracer may cost, on either path
@@ -38,7 +38,7 @@ def traced_steps() -> tuple[float, float]:
     with Simulation(cfg, tracer=tr) as sim:
         sim.run()
     steps = len(sim.history)
-    spans = sum(t.calls for path, t in tr.metrics.timers.items()
+    spans = sum(calls for path, (_, calls) in tr.timers.items()
                 if path == "step" or path.startswith("step/"))
     return spans / steps, sim.run_totals["step_wall_s"] / steps
 
