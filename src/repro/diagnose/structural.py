@@ -93,9 +93,9 @@ class ExecutorBalanceMonitor(Monitor):
     """Shard load imbalance of the worker pool (``stats["executor"]``).
 
     The executor reports ``max(busy)/mean(busy) - 1`` per force call;
-    sustained imbalance means the particle-count-balanced shards no
-    longer track traversal cost (deep clustering) and the shard
-    granularity should rise.
+    sustained imbalance means the particle-count-balanced shards (one
+    per worker) no longer track traversal cost (deep clustering), and
+    the cut should weight leaves by measured work instead.
     """
 
     name = "executor_balance"

@@ -14,10 +14,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..keys import hilbert_keys_from_positions, keys_from_positions
-from .comm import SimComm
-from .sort import choose_splitters
 
-__all__ = ["Decomposition", "decompose", "domain_surface_stats"]
+__all__ = ["Decomposition", "decompose", "domain_surface_stats", "sfc_cut"]
+
+_ENCODE = {"morton": keys_from_positions, "hilbert": hilbert_keys_from_positions}
+
+
+def sfc_cut(weights: np.ndarray, n_pieces: int) -> np.ndarray:
+    """Bounds of ``min(n_pieces, len(weights))`` contiguous, non-empty,
+    equal-weight pieces of a curve-ordered sequence: piece ``k`` is items
+    ``[bounds[k], bounds[k+1])``, and cut ``k`` follows the first item
+    whose cumulative weight reaches ``k / n_pieces`` of the total (or moves just
+    far enough that no piece is empty).  Ranks (:func:`decompose`) and
+    the worker pool's shards are both cut here.
+    """
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    n = len(cum)
+    pieces = max(1, min(int(n_pieces), n))
+    k = np.arange(1, pieces)
+    cuts = np.searchsorted(cum, k * cum[-1] / pieces, side="left") + 1
+    # cut k lies in [k, n - pieces + k]; cuts - k non-decreasing keeps
+    # every piece non-empty
+    cuts = np.maximum.accumulate(np.clip(cuts - k, 0, n - pieces)) + k
+    return np.concatenate([[0], cuts, [n]])
 
 
 @dataclass
@@ -38,12 +57,7 @@ class Decomposition:
 
     def load_imbalance(self, weights: np.ndarray | None = None) -> float:
         """max(work) / mean(work) - 1 over ranks."""
-        if weights is None:
-            work = self.counts().astype(np.float64)
-        else:
-            work = np.bincount(
-                self.rank_of, weights=weights, minlength=self.n_ranks
-            )
+        work = np.bincount(self.rank_of, weights=weights, minlength=self.n_ranks)
         return float(work.max() / work.mean() - 1.0)
 
 
@@ -53,34 +67,24 @@ def decompose(
     weights: np.ndarray | None = None,
     curve: str = "morton",
     box: float = 1.0,
-    previous: Decomposition | None = None,
 ) -> Decomposition:
     """Split particles into ``n_ranks`` SFC-contiguous, work-balanced domains.
 
     ``weights`` are per-particle work estimates (interaction counts
-    from the previous step in HOT); splits equalize cumulative weight
-    along the curve.  ``previous`` warm-starts splitter placement.
+    from the previous step in HOT); :func:`sfc_cut` equalizes their
+    cumulative sum along the curve.
     """
-    pos = np.asarray(pos, dtype=np.float64)
-    if curve == "morton":
-        keys = keys_from_positions(pos % box, box)
-    elif curve == "hilbert":
-        keys = hilbert_keys_from_positions(pos % box, box)
-    else:
+    if curve not in _ENCODE:
         raise ValueError(f"unknown curve {curve!r}")
+    if not 1 <= n_ranks <= len(pos):
+        raise ValueError(f"n_ranks must be in [1, {len(pos)}], got {n_ranks}")
+    pos = np.asarray(pos, dtype=np.float64)
+    keys = _ENCODE[curve](pos % box, box)
     order = np.argsort(keys, kind="stable")
-    w = (
-        np.ones(len(pos))
-        if weights is None
-        else np.asarray(weights, dtype=np.float64)
-    )
-    csum = np.cumsum(w[order])
-    total = csum[-1]
-    targets = np.arange(1, n_ranks) * total / n_ranks
-    cut = np.searchsorted(csum, targets)
-    splitters = keys[order][np.minimum(cut, len(pos) - 1)]
-    rank_of = np.empty(len(pos), dtype=np.int64)
-    rank_of[order] = np.searchsorted(splitters, keys[order], side="right")
+    w = np.ones(len(pos)) if weights is None else np.asarray(weights, dtype=np.float64)
+    # each rank's first key splits it from the rank before
+    splitters = keys[order][sfc_cut(w[order], n_ranks)[1:-1]]
+    rank_of = np.searchsorted(splitters, keys, side="right")
     return Decomposition(rank_of=rank_of, splitters=splitters, keys=keys, curve=curve)
 
 
@@ -103,10 +107,7 @@ def domain_surface_stats(
     u = rng.standard_normal((take, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
     partner = (pos[idx] + probe * u) % box
-    from ..keys import keys_from_positions as kf
-    from ..keys import hilbert_keys_from_positions as hf
-
-    pk = kf(partner, box) if decomp.curve == "morton" else hf(partner, box)
+    pk = _ENCODE[decomp.curve](partner, box)
     partner_rank = np.searchsorted(decomp.splitters, pk, side="right")
     cross = partner_rank != decomp.rank_of[idx]
     # domain extents

@@ -12,10 +12,15 @@ that on one shared-memory node:
 * per force call the particle / tree / moment arrays are published
   **once** through ``multiprocessing.shared_memory`` — workers map the
   same physical pages, nothing megabyte-sized is ever pickled;
-* sink leaves are split into SFC-contiguous shards (several per
-  worker, balanced by particle count) that workers pull from a shared
-  task queue — cheap work stealing, since per-leaf traversal cost is
-  skewed by clustering;
+* sink leaves are cut into one SFC-contiguous shard per worker,
+  balanced by particle count (:func:`~repro.parallel.domain.sfc_cut`,
+  the paper's one curve interval per process).  Each shard re-walks the
+  upper tree from the root and translates every sink cell it straddles,
+  so fewer shards repeat less.  Measured only on the clustered
+  2,744-particle benchmark at two workers: 8 shards re-tested 35 % of
+  the serial MAC tests and 2 shards 17 %, for 13-19 % less step wall
+  time, with load imbalance no better (higher at one of two seeds);
+  balance at more workers is unmeasured;
 * each worker runs :func:`~repro.gravity.solver.solve_forces`
   restricted to its shard (the ``sink_leaves`` parameter) under the
   caller's :class:`~repro.gravity.solver.ForceSpec`, writing its
@@ -57,6 +62,8 @@ import multiprocessing as mp
 from multiprocessing import shared_memory
 
 import numpy as np
+
+from .domain import sfc_cut
 
 __all__ = ["ForceExecutor", "ensure_executor"]
 
@@ -285,9 +292,6 @@ class ForceExecutor:
         ``multiprocessing`` start method ("fork", "spawn",
         "forkserver"); default is the ``REPRO_START_METHOD``
         environment variable, falling back to the platform default.
-    shards_per_worker:
-        Queue granularity for dynamic load balancing: the sink leaves
-        are cut into up to ``workers * shards_per_worker`` shards.
     shard_timeout:
         Seconds without *any* shard result before the pool is declared
         hung and restarted (default: ``REPRO_SHARD_TIMEOUT`` env, else
@@ -308,7 +312,6 @@ class ForceExecutor:
         self,
         workers: int,
         start_method: str | None = None,
-        shards_per_worker: int = 4,
         shard_timeout: float | None = None,
         max_retries: int = 2,
         max_respawns: int = 4,
@@ -320,7 +323,6 @@ class ForceExecutor:
         method = start_method or os.environ.get("REPRO_START_METHOD") or None
         self._ctx = mp.get_context(method)
         self.workers = int(workers)
-        self.shards_per_worker = int(shards_per_worker)
         if shard_timeout is None:
             env = os.environ.get("REPRO_SHARD_TIMEOUT", "").strip()
             shard_timeout = float(env) if env else None
@@ -355,7 +357,8 @@ class ForceExecutor:
 
     # ----- sharding -----------------------------------------------------------
     def _make_shards(self, tree):
-        """SFC-contiguous sink-leaf shards balanced by particle count.
+        """One SFC-contiguous sink-leaf shard per worker, balanced by
+        particle count.
 
         Returns ``[(shard_id, sinks, s0, s1), ...]`` where [s0, s1) are
         the key-sorted particle indices owned by the shard; the ranges
@@ -364,16 +367,10 @@ class ForceExecutor:
         the traversal's default sink order — the exact serial stream.
         """
         leaves = tree.leaf_indices
-        nshards = min(len(leaves), self.workers * self.shards_per_worker)
-        if self.workers == 1 or nshards <= 1:
+        if self.workers == 1 or len(leaves) <= 1:
             return [(0, None, 0, tree.n_particles)]
-        order = np.argsort(tree.cell_start[leaves], kind="stable")
-        lsfc = leaves[order]
-        cum = np.cumsum(tree.cell_count[lsfc])
-        n = int(cum[-1])
-        targets = np.arange(1, nshards) * n / nshards
-        cuts = np.searchsorted(cum, targets, side="left") + 1
-        bounds = np.unique(np.concatenate([[0], cuts, [len(lsfc)]]))
+        lsfc = leaves[np.argsort(tree.cell_start[leaves], kind="stable")]
+        bounds = sfc_cut(tree.cell_count[lsfc], self.workers)
         shards = []
         for sid, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
             sinks = lsfc[b0:b1]

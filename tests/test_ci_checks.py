@@ -1,10 +1,13 @@
-"""``tools/check_fault_trace.py`` and ``tools/check_obs_registry.py``: the
-checks the CI fault-injection and observatory jobs run on what their
-pipelines wrote."""
+"""``tools/check_fault_trace.py``, ``check_checkpoint_fallback.py``,
+``check_resume_summary.py`` and ``check_obs_registry.py``: the checks the
+CI fault-injection and observatory jobs run on what their pipelines
+wrote."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.observe import JsonlAppender, RunRegistry
@@ -20,6 +23,8 @@ def _load(name):
 
 
 fault_trace = _load("check_fault_trace")
+checkpoint_fallback = _load("check_checkpoint_fallback")
+resume_summary = _load("check_resume_summary")
 obs_registry = _load("check_obs_registry")
 
 
@@ -50,6 +55,57 @@ class TestFaultTrace:
         records = [r for i, r in enumerate(self.RECOVERED) if i != drop]
         trace = _trace(tmp_path / "trace.jsonl", records)
         assert fault_trace.main([str(trace)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+
+def _store(directory, n_checkpoints):
+    from repro.resilience import CheckpointStore
+    from repro.simulation import ParticleSet
+
+    store = CheckpointStore(directory, faults="")
+    rng = np.random.default_rng(3)
+    for step in range(1, n_checkpoints + 1):
+        store.save(step, ParticleSet(
+            pos=rng.random((16, 3)), mom=np.zeros((16, 3)), mass=np.full(16, 1 / 16),
+            ids=np.arange(16), a=0.1, a_mom=0.1,
+        ))
+    return store
+
+
+class TestCheckpointFallback:
+    def test_corrupted_newest_falls_back(self, tmp_path, capsys):
+        store = _store(tmp_path / "ck", 3)
+        assert checkpoint_fallback.main([str(store.directory)]) == 0
+        assert capsys.readouterr().out == "fell back: ckpt_000003.sdf -> ckpt_000002.sdf\n"
+        # the corruption stays for the resume that follows
+        path, _, _ = store.latest_valid()
+        assert path.name == "ckpt_000002.sdf"
+
+    def test_one_checkpoint_is_not_enough(self, tmp_path, capsys):
+        store = _store(tmp_path / "ck", 1)
+        assert checkpoint_fallback.main([str(store.directory)]) == 1
+        assert capsys.readouterr().err.startswith("need >= 2 checkpoints, have [")
+
+
+class TestResumeSummary:
+    def _output(self, path, summary):
+        path.write_text("progress line\n" + json.dumps(summary) + "\n")
+        return str(path)
+
+    def test_resumed_stage_passes(self, tmp_path, capsys):
+        out = self._output(tmp_path / "resume.json",
+                           {"stage": "evolve", "snapshots": ["a.sdf"], "resumed_from": "ck/c2"})
+        assert resume_summary.main([out]) == 0
+        assert capsys.readouterr().out == "resumed from ck/c2\n"
+
+    @pytest.mark.parametrize("summary, message", [
+        ({"stage": "evolve", "snapshots": ["a.sdf"]},
+         "did not resume: {'stage': 'evolve', 'snapshots': ['a.sdf']}"),
+        ({"stage": "evolve", "snapshots": [], "resumed_from": "ck/c2"},
+         "no snapshot rewritten after resume"),
+    ])
+    def test_missing_resume_fails(self, tmp_path, capsys, summary, message):
+        assert resume_summary.main([self._output(tmp_path / "resume.json", summary)]) == 1
         assert capsys.readouterr().err == message + "\n"
 
 

@@ -296,7 +296,7 @@ class TestFailFast:
                 solver.compute(pos, mass)
             tree = solver.last_tree
             shards = solver._executor._make_shards(tree)
-        assert len(shards) > 2
+        assert len(shards) == 2
         # acc_sorted[j] is particle tree.order[j]
         (j3,) = np.flatnonzero(tree.order == 3)
         (j7,) = np.flatnonzero(tree.order == 7)

@@ -1,23 +1,27 @@
 """Shared-memory force executor: consistency, edge cases, teardown.
 
-The contract under test (ISSUE 2): ``workers=1`` reproduces the serial
-force path bit for bit (single shard, identical interaction stream);
-``workers>1`` agrees to floating-point re-association tolerance;
-degenerate trees (one leaf, tiny N) fall back to single-shard
-execution; and a closed pool leaves behind neither worker processes
-nor shared-memory segments.
+The contract under test: ``workers=1`` reproduces the serial force
+path bit for bit (single shard, identical interaction stream);
+``workers>1`` does too, because every shard writes a disjoint slice and
+a restricted walk replays the full walk's decisions for its sinks;
+the sink leaves are cut into one particle-balanced shard per worker
+(:func:`~repro.parallel.domain.sfc_cut`), one shard when there is one
+leaf; and a closed pool leaves behind neither worker processes nor
+shared-memory segments.
 """
 
 import glob
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.gravity import TreecodeConfig, TreecodeGravity
 from repro.gravity.pm import TreePMConfig, TreePMGravity
-from repro.gravity.solver import ForceSpec
+from repro.gravity.solver import ForceSpec, solve_forces
 from repro.observe import Tracer
+from repro.parallel.domain import sfc_cut
 from repro.parallel.executor import ForceExecutor, ensure_executor
 from repro.tree import build_tree, compute_moments
 
@@ -59,7 +63,9 @@ def test_workers1_bit_identical_float32():
     with TreecodeGravity(TreecodeConfig(**cfg, workers=1)) as solver:
         par = solver.compute(pos, mass, box=1.0)
     assert par.acc.dtype == np.float32
+    assert par.pot.dtype == np.float32
     assert np.array_equal(serial.acc, par.acc)
+    assert np.array_equal(serial.pot, par.pot)
 
 
 def test_workers2_allclose_and_stats():
@@ -69,19 +75,46 @@ def test_workers2_allclose_and_stats():
     with TreecodeGravity(TreecodeConfig(**cfg, workers=2)) as solver:
         par = solver.compute(pos, mass, box=1.0)
         again = solver.compute(pos, mass, box=1.0)  # persistent pool reuse
-    scale = np.abs(serial.acc).max()
-    assert np.allclose(par.acc, serial.acc, rtol=1e-12, atol=1e-12 * scale)
-    assert np.allclose(par.pot, serial.pot, rtol=1e-12, atol=1e-10)
+    assert np.array_equal(par.acc, serial.acc)
+    assert np.array_equal(par.pot, serial.pot)
     # sharded merge is deterministic whatever the worker scheduling
     assert np.array_equal(par.acc, again.acc)
     assert 0 < par.stats["prism_interactions"] < par.stats["prism_cubes"]
     ex = par.stats["executor"]
     assert ex["workers"] == 2
-    assert ex["n_shards"] > 1
+    assert ex["n_shards"] == 2
     assert len(ex["shard_seconds"]) == ex["n_shards"]
     assert par.stats["interactions_per_particle"] == pytest.approx(
         serial.stats["interactions_per_particle"]
     )
+
+
+@pytest.mark.parametrize("n_cuts", [1, 2, 3, 7])
+def test_restricted_solves_at_any_leaf_cut_bit_identical(n_cuts):
+    """The pool cuts one shard per worker, so no pool makes these shard
+    counts: restricted solves between arbitrary SFC leaf cuts, merged as
+    the executor merges them, are the serial solve bit for bit."""
+    pos, mass = _particles(1200, seed=5)
+    tree, moms = _tree_moms(pos, mass)
+    spec = ForceSpec(periodic=True, dtype=np.float32)
+    serial, *_ = solve_forces(tree, moms, spec)
+    leaves = tree.leaf_indices[np.argsort(tree.cell_start[tree.leaf_indices], kind="stable")]
+    rng = np.random.default_rng(n_cuts)
+    cuts = np.sort(rng.choice(np.arange(1, len(leaves)), n_cuts, replace=False))
+    acc = np.zeros((tree.n_particles, 3))
+    pot = np.zeros(tree.n_particles)
+    for sinks in np.split(leaves, cuts):
+        s0 = int(tree.cell_start[sinks[0]])
+        s1 = int(tree.cell_start[sinks[-1]] + tree.cell_count[sinks[-1]])
+        res, *_ = solve_forces(tree, moms, spec, sink_leaves=sinks, particle_range=(s0, s1))
+        acc[s0:s1] = res.acc
+        pot[s0:s1] = res.pot
+    merged_acc = np.empty_like(acc)
+    merged_acc[tree.order] = acc
+    merged_pot = np.empty_like(pot)
+    merged_pot[tree.order] = pot
+    assert np.array_equal(merged_acc.astype(np.float32), serial.acc)
+    assert np.array_equal(merged_pot.astype(np.float32), serial.pot)
 
 
 #: serial stats a sharded solve counts differently by design
@@ -158,13 +191,27 @@ def test_single_leaf_tree_single_shard():
 
 
 def test_tiny_n_more_workers_than_leaves():
+    # the shared SFC cut by hand: pieces end at the first item whose
+    # cumulative weight reaches k * total / n ...
+    assert sfc_cut([3, 1, 1, 1, 2, 4], 3).tolist() == [0, 2, 5, 6]
+    assert sfc_cut(np.ones(10), 2).tolist() == [0, 5, 10]
+    assert sfc_cut(np.ones(10), 3).tolist() == [0, 4, 7, 10]
+    # ... a heavy item moves a cut just far enough to leave no piece empty
+    assert sfc_cut([1, 100, 1], 3).tolist() == [0, 1, 2, 3]
+    assert sfc_cut([1, 1, 1, 1, 100], 3).tolist() == [0, 3, 4, 5]
+    # ... and more pieces than items gives one item a piece
+    assert sfc_cut([5, 1, 1], 5).tolist() == [0, 1, 2, 3]
+    assert sfc_cut([7], 4).tolist() == [0, 1]
+    # a tree with fewer leaves than workers gets one shard a leaf
     pos, mass = _particles(40)
     tree, moms = _tree_moms(pos, mass, background=False)
     n_leaves = len(tree.leaf_indices)
-    with ForceExecutor(2, shards_per_worker=64) as ex:
+    pool = SimpleNamespace(workers=n_leaves + 3)  # no processes needed to cut
+    shards = ForceExecutor._make_shards(pool, tree)
+    assert [len(sinks) for _, sinks, _, _ in shards] == [1] * n_leaves
+    with ForceExecutor(2) as ex:
         res = ex.compute(tree, moms, ForceSpec())
-    # shard count is capped by the number of sink leaves
-    assert res.stats["executor"]["n_shards"] <= max(n_leaves, 1)
+    assert res.stats["executor"]["n_shards"] == min(2, n_leaves)
     assert np.all(np.isfinite(res.acc))
 
 

@@ -874,7 +874,7 @@ class TestCellWorkerIdentity:
                 across = inter.cell_cells[(start < s0) & (s0 < start + count)]
                 assert len(across) >= 2 and across[0] == 0, (workers, s0)
                 assert not np.any(tree.is_leaf[across])
-            assert len(shards) == (1 if workers == 1 else 4 * workers)
+            assert len(shards) == workers
 
 
 class TestBlockedPairEvaluator:

@@ -118,6 +118,11 @@ RETIRED = [
         (*EVERYWHERE, ".github", "README.md", "DESIGN.md"),
         "one observability package (repro.observe): one JSONL appender, one timer store",
     ),
+    (
+        r"\bshards_per_(worker)\b",  # grouped, so a grep for the bare name finds none left
+        (*EVERYWHERE, ".github", "README.md"),
+        "one shard per worker: the pool cuts its sink leaves with parallel.domain.sfc_cut",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
