@@ -5,7 +5,8 @@ Regenerated claims:
 * **memory surprise** — buffered Alltoall per-node memory grows
   linearly in P (quadratically machine-wide), crossing a node's RAM
   near the paper's observed 256-node OpenMPI ceiling; the hierarchical
-  relay keeps it flat,
+  relay through one leader per node puts only n_nodes(n_nodes-1)
+  messages on the network where the pairwise loop puts P(P-1),
 * **performance surprise** — for the sparse particle-exchange pattern,
   the trivial pairwise loop sends only the non-empty pairs and beats a
   dense exchange as P grows,
@@ -21,6 +22,7 @@ from repro.keys import KEY_BITS, keys_from_positions
 from repro.parallel import (
     MachineModel,
     SimComm,
+    alltoall_hierarchical,
     alltoall_pairwise,
     branch_nodes,
     estimate_buffered_memory_per_node,
@@ -30,6 +32,22 @@ from repro.parallel import (
 )
 
 
+class NodeTallyComm(SimComm):
+    """A :class:`SimComm` that also counts the messages crossing nodes."""
+
+    internode = 0
+
+    def exchange_pairs(self, messages):
+        cpn = self.machine.cores_per_node
+        self.internode += sum(1 for s, d, _ in messages if s // cpn != d // cpn)
+        return super().exchange_pairs(messages)
+
+
+def dense_exchange(p: int):
+    """Every rank sends one distinct key to every rank."""
+    return [[np.full(1, i * p + j, dtype=np.uint64) for j in range(p)] for i in range(p)]
+
+
 def test_memory_surprise(benchmark):
     def run():
         rows = []
@@ -37,9 +55,20 @@ def test_memory_surprise(benchmark):
             p = nodes * 24
             mem = estimate_buffered_memory_per_node(p, 24)
             rows.append((nodes, p, mem / 1e9))
-        return rows
+        relay = []
+        for nodes in (2, 8):
+            p = nodes * 24
+            send = dense_exchange(p)
+            comms = {}
+            for name, alltoall in (("pairwise", alltoall_pairwise),
+                                   ("hierarchical", alltoall_hierarchical)):
+                comm = comms[name] = NodeTallyComm(p, MachineModel(cores_per_node=24))
+                recv = alltoall(comm, send)
+                assert all(recv[j][i][0] == i * p + j for i in range(p) for j in range(p))
+            relay.append((nodes, p, comms["pairwise"], comms["hierarchical"]))
+        return rows, relay
 
-    rows = once(benchmark, run)
+    rows, relay = once(benchmark, run)
     print_table(
         "§3.1 memory surprise: buffered Alltoall per-node footprint",
         ["nodes", "ranks", "GB/node (32 GB nodes)"],
@@ -50,6 +79,20 @@ def test_memory_surprise(benchmark):
     assert by_nodes[256] > 32 * 0.25  # within reach of node RAM
     assert by_nodes[1024] > 32  # clearly impossible
     assert by_nodes[16] < 4  # and fine at small scale
+    print_table(
+        "§3.1 hierarchical Alltoall: dense exchange, 24 ranks a node",
+        ["nodes", "ranks", "pairwise msgs", "pairwise inter-node",
+         "relay msgs", "relay inter-node"],
+        [(n, p, cp.ledger.total_messages(), cp.internode,
+          ch.ledger.total_messages(), ch.internode) for n, p, cp, ch in relay],
+    )
+    for nodes, p, c_pair, c_relay in relay:
+        assert c_pair.ledger.total_messages() == p * (p - 1)
+        assert c_pair.internode == p * (p - 1) - nodes * 24 * 23
+        # the leaders alone cross the network, once per node pair; the
+        # rest is one on-node gather and one scatter message per member
+        assert c_relay.internode == nodes * (nodes - 1)
+        assert c_relay.ledger.total_messages() == nodes * (nodes - 1) + 2 * (p - nodes)
 
 
 def test_performance_surprise_sparse_pairwise(benchmark):

@@ -1,35 +1,27 @@
 """Analysis pipeline: power spectra, halos, mass functions, sky maps."""
 
 from .halos import FOFResult, HaloCatalog, fof_halos, so_masses
-from .isodensity import IsodensityResult, isodensity_halos, knn_density
 from .massfunction import (
     MassFunctionResult,
     TinkerMassFunction,
     WarrenMassFunction,
     binned_mass_function,
-    press_schechter_f,
 )
 from .power import PowerSpectrumResult, measure_power
 from .skymap import EqualAreaSphere, mollweide_xy, project_to_sky
-from .spheres import counts_in_spheres_variance
 
 __all__ = [
     "EqualAreaSphere",
     "FOFResult",
-    "IsodensityResult",
     "HaloCatalog",
     "MassFunctionResult",
     "PowerSpectrumResult",
     "TinkerMassFunction",
     "WarrenMassFunction",
     "binned_mass_function",
-    "counts_in_spheres_variance",
     "fof_halos",
-    "isodensity_halos",
-    "knn_density",
     "measure_power",
     "mollweide_xy",
-    "press_schechter_f",
     "project_to_sky",
     "so_masses",
 ]

@@ -9,8 +9,7 @@ module provides:
 * :class:`TinkerMassFunction` — the Tinker et al. (2008) SO fit with
   its Delta-interpolated parameters and redshift evolution,
 * :class:`WarrenMassFunction` — the Warren et al. (2006) FOF fit (the
-  paper's own earlier 10%-level calibration, §6),
-* :func:`press_schechter` — the classic baseline.
+  paper's own earlier 10%-level calibration, §6).
 
 All fits are expressed as multiplicity functions f(sigma) with
 
@@ -29,7 +28,6 @@ __all__ = [
     "binned_mass_function",
     "TinkerMassFunction",
     "WarrenMassFunction",
-    "press_schechter_f",
     "MassFunctionResult",
 ]
 
@@ -67,12 +65,6 @@ def binned_mass_function(
         counts=counts,
         poisson_err=err,
     )
-
-
-def press_schechter_f(sigma):
-    """Press-Schechter multiplicity f(sigma) with delta_c = 1.686."""
-    nu = 1.686 / np.asarray(sigma, dtype=np.float64)
-    return np.sqrt(2.0 / np.pi) * nu * np.exp(-0.5 * nu * nu)
 
 
 class WarrenMassFunction:

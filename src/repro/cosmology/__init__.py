@@ -11,12 +11,7 @@ Public API::
 from .background import Background
 from .growth import GrowthCalculator
 from .params import EDS, PLANCK2013, WMAP1, WMAP5, WMAP7, CosmologyParams
-from .power import LinearPower, tophat_window, tophat_window_deriv
-from .tabulated import (
-    TabulatedBackground,
-    read_background_table,
-    write_background_table,
-)
+from .power import LinearPower, tophat_window
 from .timeintegrals import (
     DriftKickIntegrals,
     code_mean_density,
@@ -31,14 +26,10 @@ __all__ = [
     "GrowthCalculator",
     "LinearPower",
     "PLANCK2013",
-    "TabulatedBackground",
     "WMAP1",
     "WMAP5",
     "WMAP7",
     "code_mean_density",
     "code_particle_mass",
-    "read_background_table",
     "tophat_window",
-    "tophat_window_deriv",
-    "write_background_table",
 ]

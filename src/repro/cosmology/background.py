@@ -61,10 +61,6 @@ class Background:
         """H(a)/H0."""
         return np.sqrt(self.e2(a))
 
-    def hubble(self, a):
-        """H(a) in km/s/Mpc."""
-        return 100.0 * self.params.h * self.efunc(a)
-
     # ----- densities ---------------------------------------------------------
     def omega_m_a(self, a):
         """Matter density parameter at scale factor a."""
@@ -80,13 +76,6 @@ class Background:
         """Radiation density parameter at scale factor a."""
         a = np.asarray(a, dtype=float)
         return self.params.omega_r / a**4 / self.e2(a)
-
-    def rho_crit_a(self, a):
-        """Critical density at a, in h^2 Msun/Mpc^3 (comoving volume uses
-        rho_mean0 = omega_m * rho_crit(a=1) instead)."""
-        from .params import RHO_CRIT0
-
-        return RHO_CRIT0 * self.e2(a)
 
     # ----- times and distances -----------------------------------------------
     def age_gyr(self, a=1.0) -> float:
@@ -122,18 +111,6 @@ class Background:
 
         val, _ = integrate.quad(integrand, a, 1.0, limit=200)
         # c/H0 in Mpc/h = 2997.92458
-        return val * 2997.92458
-
-    def conformal_time(self, a) -> float:
-        """Conformal time eta(a) = int_0^a da'/(a'^2 E(a')) in (c/H0) Mpc/h."""
-        a = float(a)
-
-        def integrand(x):
-            return 1.0 / (x * x * self.efunc(x))
-
-        from scipy import integrate
-
-        val, _ = integrate.quad(integrand, 1e-10, a, limit=200)
         return val * 2997.92458
 
     def a_of_t(self, t_gyr: float, a_bracket=(1e-6, 2.0)) -> float:

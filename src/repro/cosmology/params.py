@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 # Physical constants (CODATA / PDG values, SI unless noted).
-_C_KM_S = 299792.458  # speed of light [km/s]
 # Critical density today in units of h^2 Msun / Mpc^3.
 RHO_CRIT0 = 2.77536627e11
 # Radiation density parameter per unit (T_cmb/2.7255 K)^4 h^-2 from
@@ -123,11 +122,6 @@ class CosmologyParams:
         return abs(self.omega_k) < 1e-8
 
     # ----- scales ------------------------------------------------------------
-    @property
-    def hubble_distance(self) -> float:
-        """c / H0 in Mpc/h? No: in Mpc (proper); divide by h for Mpc/h."""
-        return _C_KM_S / (100.0 * self.h)
-
     @property
     def rho_mean0(self) -> float:
         """Comoving mean matter density today [h^2 Msun / Mpc^3]."""

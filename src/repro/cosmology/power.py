@@ -20,7 +20,7 @@ import numpy as np
 from .growth import GrowthCalculator
 from .params import CosmologyParams
 
-__all__ = ["LinearPower", "tophat_window", "tophat_window_deriv"]
+__all__ = ["LinearPower", "tophat_window"]
 
 
 def tophat_window(x):
@@ -36,18 +36,6 @@ def tophat_window(x):
     out[small] = 1.0 - xs**2 / 10.0 + xs**4 / 280.0
     xl = x[~small]
     out[~small] = 3.0 * (np.sin(xl) - xl * np.cos(xl)) / xl**3
-    return out
-
-
-def tophat_window_deriv(x):
-    """dW/dx for the top-hat window (needed by dln(sigma)/dln(M))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-3
-    xs = x[small]
-    out[small] = -xs / 5.0 + xs**3 / 70.0
-    xl = x[~small]
-    out[~small] = (9.0 * xl * np.cos(xl) + 3.0 * (xl**2 - 3.0) * np.sin(xl)) / xl**4
     return out
 
 

@@ -159,7 +159,7 @@ def scale_factor_integral(efunc, power: int, a0: float, a1: float) -> float:
 
 
 def code_mean_density(params: CosmologyParams) -> float:
-    """Comoving mean matter density in code units (G=1, t=1/H0, L=box)."""
+    """Comoving mean matter density in code units (G = 1, t = 1/H0, L = box)."""
     return 3.0 * params.omega_m / (8.0 * math.pi)
 
 

@@ -82,7 +82,6 @@ def reference_accelerations(
     softening=None,
     periodic: bool = False,
     box: float = 1.0,
-    G: float = 1.0,
     ewald=None,
 ) -> np.ndarray:
     """Exact-reference accelerations at ``pos[indices]`` (see module doc)."""
@@ -113,24 +112,18 @@ def reference_accelerations(
             a_newt = direct_accelerations(src, m, softening=None, box=box, targets=tgt)[0]
             a = a + (a_soft - a_newt)
         out[j] = a
-    if G != 1.0:
-        out *= G
     return out
 
 
 def _solver_force_setup(solver) -> tuple:
-    """(periodic, softening kernel, MAC budget, G) of a force engine."""
-    cfg = solver.config
-    softener = getattr(solver, "_softening", None)
-    if softener is not None:
-        kernel = softener()
-    else:
-        from ..gravity.smoothing import make_softening
+    """(periodic, softening kernel, MAC budget) of a force engine."""
+    from ..gravity.smoothing import make_softening
 
-        kernel = make_softening(cfg.softening, cfg.eps)
+    cfg = solver.config
+    kernel = make_softening(cfg.softening, cfg.eps)
     # TreePM has no `periodic` knob — its PM half is intrinsically periodic
     periodic = bool(getattr(cfg, "periodic", True))
-    return periodic, kernel, float(cfg.errtol), float(getattr(cfg, "G", 1.0))
+    return periodic, kernel, float(cfg.errtol)
 
 
 def probe_force_error(
@@ -142,9 +135,9 @@ def probe_force_error(
     ps = sim.particles
     n = len(ps)
     idx = rng.choice(n, size=min(n_samples, n), replace=False)
-    periodic, kernel, budget, G = _solver_force_setup(sim._solver)
+    periodic, kernel, budget = _solver_force_setup(sim._solver)
     ref = reference_accelerations(
-        ps.pos, ps.mass, idx, softening=kernel, periodic=periodic, G=G, ewald=ewald
+        ps.pos, ps.mass, idx, softening=kernel, periodic=periodic, ewald=ewald
     )
     err = np.linalg.norm(np.asarray(acc, dtype=np.float64)[idx] - ref, axis=1)
     ref_mag = np.linalg.norm(ref, axis=1)

@@ -22,7 +22,6 @@ def direct_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
     softening: SofteningKernel | None = None,
-    G: float = 1.0,
     box: float | None = None,
     dtype=np.float64,
     targets: np.ndarray | None = None,
@@ -75,8 +74,4 @@ def direct_accelerations(
             if self_field:
                 psi[np.arange(e - s), np.arange(s, e)] = 0.0
             pot[s:e] = psi @ mass
-    if G != 1.0:
-        acc *= dtype(G)
-        if want_potential:
-            pot *= dtype(G)
     return (acc, pot) if want_potential else acc

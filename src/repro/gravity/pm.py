@@ -103,8 +103,7 @@ class ParticleMesh:
         return out
 
     def accelerations(
-        self, pos: np.ndarray, mass: np.ndarray, G: float = 1.0,
-        want_potential: bool = False,
+        self, pos: np.ndarray, mass: np.ndarray, want_potential: bool = False
     ):
         """Long-range (or full, if r_split is None) PM accelerations.
 
@@ -118,7 +117,7 @@ class ParticleMesh:
         # real space then needs the (n^3 / V) inverse-transform scale.
         mgrid = self.deposit(pos, mass)
         mk = np.fft.rfftn(mgrid)
-        phik = -4.0 * np.pi * G * mk / self._k2
+        phik = -4.0 * np.pi * mk / self._k2
         if self.r_split is not None:
             phik = phik * np.exp(-self._k2 * self.r_split**2)
         phik = phik / self._cic_w2
@@ -178,15 +177,11 @@ class TreePMConfig:
     nleaf: int = 16
     softening: str = "spline"
     eps: float = 0.01
-    #: dual-tree walk flavour for the short-range half ("hierarchical"
-    #: or "fmm-hybrid"; see :class:`~repro.gravity.solver.TreecodeConfig`)
-    traversal: str = "hierarchical"
-    G: float = 1.0
     #: worker processes for the short-range tree half (0 = serial)
     workers: int = 0
 
     def __post_init__(self):
-        check_choices(self, "traversal", "softening")
+        check_choices(self, "softening")
 
 
 class TreePMGravity(_ForceSolver):
@@ -207,16 +202,13 @@ class TreePMGravity(_ForceSolver):
         with tr.span("force") as sp_force:
             with tr.span("pm") as sp_pm:
                 pm = ParticleMesh(cfg.ngrid, box, r_split=r_split)
-                acc_long, pot_long = pm.accelerations(
-                    pos, mass, G=cfg.G, want_potential=True
-                )
+                acc_long, pot_long = pm.accelerations(pos, mass, want_potential=True)
             with tr.span("build") as sp_build:
                 tree = build_tree(pos, mass, box=box, nleaf=cfg.nleaf)
             with tr.span("moments") as sp_moments:
                 moms = compute_moments(tree, p=cfg.p, tol=cfg.errtol)
             # the split scale follows the box, so the spec is per call
             spec = ForceSpec(
-                traversal=cfg.traversal,
                 periodic=True,
                 ws=1,
                 softening=ShortRangeSoftening(
@@ -224,7 +216,6 @@ class TreePMGravity(_ForceSolver):
                 ),
                 kernel=ErfcKernel(1.0 / (2.0 * r_split)),
                 rcut=RCUT * r_split,
-                G=cfg.G,
             )
             stage = {
                 "pm": sp_pm.seconds,
@@ -245,10 +236,11 @@ def _prune_far(tree, moms, inter, rcut):
 
     CSR lists keep their grouping: the row pointers are rebuilt from
     the kept-entry mask, so the evaluator still sees valid per-sink
-    segments.  Cell-keyed families (cell accepts, M2L pairs) are tested
-    against the recording sink cell's ``bmax`` — every particle under
-    it is at least that far from the source, so the kept set is a
-    superset of what a per-leaf test would keep.
+    segments.  Cell accepts are tested against the recording sink
+    cell's ``bmax`` — every particle under it is at least that far from
+    the source, so the kept set is a superset of what a per-leaf test
+    would keep.  TreePM walks hierarchically, so there is no M2L family
+    to prune.
     """
     import dataclasses
 
@@ -261,26 +253,16 @@ def _prune_far(tree, moms, inter, rcut):
         dist = np.sqrt(np.einsum("ij,ij->i", d, d))
         return dist - moms.bmax[sink] - moms.bmax[src] < rcut
 
-    def keep_by_cell(cells, indptr, src, off):
-        return keep(np.repeat(cells, np.diff(indptr)), src, off)
-
-    kc = keep_by_cell(inter.cell_cells, inter.cell_indptr, inter.cell_src, inter.cell_off)
+    cell_sink = np.repeat(inter.cell_cells, np.diff(inter.cell_indptr))
+    kc = keep(cell_sink, inter.cell_src, inter.cell_off)
     kl = keep(inter.leaf_sink, inter.leaf_src, inter.leaf_off)
-    csr = {
-        "cell_indptr": filter_csr_indptr(inter.cell_indptr, kc),
-        "leaf_indptr": filter_csr_indptr(inter.leaf_indptr, kl),
-    }
-    if inter.m2l_cells is not None and inter.m2l_src is not None:
-        km = keep_by_cell(inter.m2l_cells, inter.m2l_indptr, inter.m2l_src, inter.m2l_off)
-        csr["m2l_src"] = inter.m2l_src[km]
-        csr["m2l_off"] = inter.m2l_off[km]
-        csr["m2l_indptr"] = filter_csr_indptr(inter.m2l_indptr, km)
     return dataclasses.replace(
         inter,
         cell_src=inter.cell_src[kc],
         cell_off=inter.cell_off[kc],
+        cell_indptr=filter_csr_indptr(inter.cell_indptr, kc),
         leaf_sink=inter.leaf_sink[kl],
         leaf_src=inter.leaf_src[kl],
         leaf_off=inter.leaf_off[kl],
-        **csr,
+        leaf_indptr=filter_csr_indptr(inter.leaf_indptr, kl),
     )

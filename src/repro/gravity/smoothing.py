@@ -199,11 +199,6 @@ class DehnenK1Softening(SofteningKernel):
         self.eps = float(eps)
         self.h = float(eps)
 
-    def enclosed_mass(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        m = 17.5 * x**3 - 31.5 * x**5 + 15.0 * x**7
-        return np.where(x >= 1.0, 1.0, m)
-
     def force_factor(self, r):
         r = np.asarray(r, dtype=np.float64)
         h = self.h

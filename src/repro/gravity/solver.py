@@ -109,7 +109,6 @@ class ForceSpec:
     kernel: RadialKernel | None = None
     #: drop interactions entirely beyond this distance (TreePM short range)
     rcut: float | None = None
-    G: float = 1.0
     dtype: type = np.float64
     want_potential: bool = True
 
@@ -162,7 +161,6 @@ def solve_forces(
             moms,
             inter,
             softening=spec.softening,
-            G=spec.G,
             dtype=spec.dtype,
             want_potential=spec.want_potential,
             kernel=spec.kernel,
@@ -274,7 +272,6 @@ class TreecodeConfig:
     cc_xmax: float = 0.5
     softening: str = "dehnen_k1"
     eps: float = 0.01
-    G: float = 1.0
     dtype: type = np.float64
     want_potential: bool = True
     #: worker processes for the traverse+evaluate stages; 0 = in-process
@@ -393,7 +390,6 @@ class TreecodeGravity(_ForceSolver):
             ws=cfg.ws,
             cc_xmax=cfg.cc_xmax,
             softening=make_softening(cfg.softening, cfg.eps),
-            G=cfg.G,
             dtype=cfg.dtype,
             want_potential=cfg.want_potential,
         )
@@ -454,8 +450,8 @@ class TreecodeGravity(_ForceSolver):
                     root = int(np.flatnonzero(tree.cell_level == 0)[0])
                     ple = self._lattice_expansion(box)
                     pot_far, acc_far = ple.field(moms.moments[root], pos)
-                    result.acc += cfg.G * acc_far.astype(result.acc.dtype)
+                    result.acc += acc_far.astype(result.acc.dtype)
                     if result.pot is not None:
-                        result.pot += cfg.G * pot_far.astype(result.pot.dtype)
+                        result.pot += pot_far.astype(result.pot.dtype)
                 stage["lattice"] = sp_lattice.seconds
         return self._finish(result, tr, stage, sp_force.seconds)

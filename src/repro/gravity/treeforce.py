@@ -490,7 +490,6 @@ def evaluate_forces(
     moms: TreeMoments,
     inter: InteractionLists,
     softening: SofteningKernel | None = None,
-    G: float = 1.0,
     dtype=np.float64,
     want_potential: bool = True,
     kernel: RadialKernel | None = None,
@@ -827,11 +826,6 @@ def evaluate_forces(
         release_scratch()
         family_s["prism"] += time.perf_counter() - _tk0
         prism_s["rows"] = family_s["prism"] - prism_s["coalesce"]
-
-    if G != 1.0:
-        acc *= G
-        if want_potential:
-            pot *= G
 
     stats["kernel"] = kernel_counters(stats, want_potential)
 

@@ -8,7 +8,6 @@ from .morton import (
     ancestor_key,
     cell_coordinates,
     cell_geometry,
-    children_keys,
     compact_bits,
     key_level,
     keys_from_positions,
@@ -24,7 +23,6 @@ __all__ = [
     "ancestor_key",
     "cell_coordinates",
     "cell_geometry",
-    "children_keys",
     "compact_bits",
     "hilbert_from_coords",
     "hilbert_keys_from_positions",

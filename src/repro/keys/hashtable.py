@@ -45,10 +45,6 @@ class HashTable:
     def capacity(self) -> int:
         return len(self._keys)
 
-    @property
-    def load_factor(self) -> float:
-        return self._count / self.capacity
-
     def _mask(self) -> np.uint64:
         return np.uint64(self.capacity - 1)
 

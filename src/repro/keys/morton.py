@@ -29,7 +29,6 @@ __all__ = [
     "key_level",
     "parent_key",
     "ancestor_key",
-    "children_keys",
     "cell_coordinates",
     "cell_geometry",
 ]
@@ -130,12 +129,6 @@ def ancestor_key(keys: np.ndarray, level: int) -> np.ndarray:
     lv = key_level(keys)
     shift = (3 * (lv - level)).astype(np.uint64)
     return keys >> shift
-
-
-def children_keys(key) -> np.ndarray:
-    """The 8 child keys of a cell key."""
-    key = np.uint64(key)
-    return (key << np.uint64(3)) | np.arange(8, dtype=np.uint64)
 
 
 def cell_coordinates(keys: np.ndarray):

@@ -9,7 +9,6 @@ Warren absolute error bounds behind 2HOT's MAC.
 from .bounds import (
     acceleration_error_bound,
     critical_radius,
-    potential_error_bound,
 )
 from .codegen import (
     compiled_dtensor_function,
@@ -19,13 +18,9 @@ from .codegen import (
 )
 from .cube import cube_moments, subtract_background
 from .dtensors import derivative_tensors, recurrence_plan
-from .expansion import eval_coeffs, l2l, l2p, m2l, m2m, m2p, p2m
-from .multiindex import MultiIndexSet, multi_index_set, n_coeffs, n_coeffs_order
-from .prism import (
-    cube_interior_acceleration,
-    prism_acceleration,
-    prism_potential,
-)
+from .expansion import eval_coeffs, l2p, m2l, m2m, m2p, p2m
+from .multiindex import MultiIndexSet, multi_index_set, n_coeffs
+from .prism import prism_acceleration, prism_potential
 from .radial import (
     ErfcKernel,
     ErfKernel,
@@ -44,23 +39,19 @@ __all__ = [
     "acceleration_error_bound",
     "compiled_dtensor_function",
     "critical_radius",
-    "cube_interior_acceleration",
     "cube_moments",
     "derivative_tensors",
     "derivative_tensors_generated",
     "dtensors_soa",
     "eval_coeffs",
     "generate_dtensor_source",
-    "l2l",
     "l2p",
     "m2l",
     "m2m",
     "m2p",
     "multi_index_set",
     "n_coeffs",
-    "n_coeffs_order",
     "p2m",
-    "potential_error_bound",
     "prism_acceleration",
     "prism_potential",
     "recurrence_plan",

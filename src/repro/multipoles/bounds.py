@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "acceleration_error_bound",
-    "potential_error_bound",
     "moment_error_estimate",
     "dtensor_frobenius_const",
     "critical_radius",
@@ -68,17 +67,6 @@ def acceleration_error_bound(d, p: int, bmax, b_p1):
             * ((p + 2) - (p + 1) * x)
             / (1.0 - x) ** 2
         )
-    return np.where(d > bmax, bound, np.inf)
-
-
-def potential_error_bound(d, p: int, bmax, b_p1):
-    """Rigorous bound on the potential error at distance d (see module doc)."""
-    d = np.asarray(d, dtype=np.float64)
-    bmax = np.asarray(bmax, dtype=np.float64)
-    b_p1 = np.asarray(b_p1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = bmax / d
-        bound = b_p1 / d ** (p + 2) / (1.0 - x)
     return np.where(d > bmax, bound, np.inf)
 
 

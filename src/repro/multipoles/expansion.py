@@ -31,7 +31,6 @@ __all__ = [
     "m2m",
     "m2p",
     "m2l",
-    "l2l",
     "l2p",
     "eval_coeffs",
 ]
@@ -160,29 +159,6 @@ def m2l(
             dtype=np.intp,
         )
         out[bi] = np.dot(w * m, dtens[cols])
-    return out
-
-
-def l2l(local: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
-    """Translate a local expansion from center c to c' with ``d = c' - c``.
-
-    L'_gamma = sum_{beta >= gamma} L_beta d^{beta-gamma} / (beta-gamma)!
-    (exact for beta within the truncation order).
-    """
-    mis = multi_index_set(p)
-    local = np.asarray(local, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    mono = mis.powers(d)
-    out = np.zeros_like(local)
-    for gi, gam in enumerate(mis.alphas):
-        total = 0.0
-        for bi, bet in enumerate(mis.alphas):
-            diff = bet - gam
-            if np.any(diff < 0):
-                continue
-            k = mis.index[tuple(int(x) for x in diff)]
-            total += local[bi] * mono[k] / mis.factorial[k]
-        out[gi] = total
     return out
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "n_coeffs",
-    "n_coeffs_order",
     "MultiIndexSet",
     "multi_index_set",
 ]
@@ -33,11 +32,6 @@ __all__ = [
 def n_coeffs(p: int) -> int:
     """Number of multi-indices with |alpha| <= p (packed expansion length)."""
     return (p + 1) * (p + 2) * (p + 3) // 6
-
-
-def n_coeffs_order(n: int) -> int:
-    """Number of multi-indices with |alpha| == n (rank-n symmetric tensor)."""
-    return (n + 1) * (n + 2) // 2
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..util import scratch
 
-__all__ = ["prism_potential", "prism_acceleration", "cube_interior_acceleration"]
+__all__ = ["prism_potential", "prism_acceleration"]
 
 _TINY = 1e-300
 
@@ -145,14 +145,3 @@ def prism_potential(points, lo, hi, density: float = 1.0) -> np.ndarray:
     return prism_acceleration(points, lo, hi, density, want_potential=True)[1]
 
 
-def cube_interior_acceleration(points, center, side: float, density: float) -> np.ndarray:
-    """Acceleration of a homogeneous cube — the §2.2.1 near-field term.
-
-    Convenience wrapper used by the background-subtraction near field:
-    the cube of uniform density ``density`` (the mean background) with
-    side ``side`` centered at ``center``, evaluated at ``points`` which
-    are typically interior.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    half = 0.5 * side
-    return prism_acceleration(points, center - half, center + half, density)

@@ -50,13 +50,6 @@ class ParallelTraversalStats:
         w = self.work_per_rank
         return float(w.max() / max(w.mean(), 1e-300) - 1.0)
 
-    @property
-    def remote_fraction(self) -> float:
-        return float(
-            self.remote_cells_requested.sum()
-            / max(self.interactions_total, 1)
-        )
-
 
 def parallel_traversal(
     tree: Tree,

@@ -100,25 +100,20 @@ def sample_sort(
     local_keys: list[np.ndarray],
     previous_splitters: np.ndarray | None = None,
     oversample: int = 8,
-    return_permutation: bool = False,
 ):
     """Distributed sort: returns (per-rank sorted key arrays, splitters).
 
     Every output rank r holds keys in [splitter_{r-1}, splitter_r); the
-    concatenation over ranks is globally sorted.  With
-    ``return_permutation`` each rank also returns the destination rank
-    of each of its input keys (what the particle exchange needs).
+    concatenation over ranks is globally sorted.
     """
     p = comm.n_ranks
     splitters = choose_splitters(
         comm, local_keys, oversample=oversample, previous=previous_splitters
     )
     send = [[None] * p for _ in range(p)]
-    dests = []
     for i, keys in enumerate(local_keys):
         k = np.asarray(keys, dtype=np.uint64)
         dest = np.searchsorted(splitters, k, side="right")
-        dests.append(dest)
         for j in range(p):
             send[i][j] = k[dest == j]
     recv = comm.alltoallv(send)
@@ -128,6 +123,4 @@ def sample_sort(
             np.concatenate(recv[j]) if len(recv[j]) else np.empty(0, dtype=np.uint64)
         )
         out.append(american_flag_sort(merged))
-    if return_permutation:
-        return out, splitters, dests
     return out, splitters

@@ -1,12 +1,7 @@
 """Performance models: machine catalog, flop accounting, scaling, checkpoints."""
 
 from .checkpoint import expected_overhead, optimal_interval, simulate_run
-from .io import (
-    FileSystemModel,
-    LUSTRE_ORNL,
-    PANASAS_LANL,
-    checkpoint_write_time,
-)
+from .io import LUSTRE_ORNL, PANASAS_LANL, FileSystemModel
 from .flops import (
     FLOPS_PER_MONOPOLE_PP,
     flops_per_cell_entry,
@@ -25,7 +20,6 @@ __all__ = [
     "FileSystemModel",
     "LUSTRE_ORNL",
     "PANASAS_LANL",
-    "checkpoint_write_time",
     "FLOPS_PER_MONOPOLE_PP",
     "Machine",
     "Processor",

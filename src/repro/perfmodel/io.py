@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FileSystemModel", "LUSTRE_ORNL", "PANASAS_LANL", "checkpoint_write_time"]
+__all__ = ["FileSystemModel", "LUSTRE_ORNL", "PANASAS_LANL"]
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,3 @@ PANASAS_LANL = FileSystemModel(
 )
 
 
-def checkpoint_write_time(
-    n_particles: float,
-    bytes_per_particle: float = 32.0,
-    fs: FileSystemModel = PANASAS_LANL,
-    n_files: int = 1,
-) -> float:
-    """Seconds to write one checkpoint of the given particle count."""
-    return n_particles * bytes_per_particle / fs.rate(n_files=n_files)

@@ -133,7 +133,7 @@ class SimulationConfig:
     nleaf: int = 16
     softening: str = "dehnen_k1"
     #: dual-tree walk flavour ("hierarchical" or "fmm-hybrid"; see
-    #: :class:`repro.gravity.TreecodeConfig`)
+    #: :class:`repro.gravity.TreecodeConfig`); TreePM walks hierarchically
     traversal: str = "hierarchical"
     #: softening length as a fraction of the mean interparticle spacing
     eps_frac: float = 0.05
@@ -153,6 +153,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_choices(self, "engine", "traversal", "softening")
+        if self.engine == "treepm" and self.traversal != "hierarchical":
+            raise ValueError(
+                f"SimulationConfig(engine='treepm', traversal={self.traversal!r}): "
+                "TreePM's short-range walk is hierarchical only"
+            )
 
     @property
     def eps(self) -> float:
@@ -278,7 +283,6 @@ class Simulation:
                     errtol=c.errtol,
                     nleaf=c.nleaf,
                     softening=c.softening if c.softening != "dehnen_k1" else "spline",
-                    traversal=c.traversal,
                     eps=c.eps,
                     workers=c.workers,
                 )

@@ -129,8 +129,3 @@ class LeapfrogIntegrator:
         self.n_force_calls += 1
         self.kick(ps, acc1, am, a1)
         return acc1
-
-    def half_kick_state(self, ps: ParticleSet, a_half: float, acc: np.ndarray):
-        """Advance only momenta to a_half — produces the offset state a
-        checkpoint must preserve (§2.3)."""
-        self.kick(ps, acc, ps.a_mom, a_half)

@@ -487,7 +487,6 @@ def oracle_forces(
     moms,
     inter,
     softening=None,
-    G: float = 1.0,
     want_potential: bool = True,
     kernel=None,
     particle_range: tuple[int, int] | None = None,
@@ -548,10 +547,6 @@ def oracle_forces(
         acc += bg_acc[s0:s1]
         if want_potential:
             pot += bg_pot[s0:s1]
-    if G != 1.0:
-        acc *= G
-        if want_potential:
-            pot *= G
     if particle_range is not None:
         return ForceResult(acc=acc, pot=pot, stats=stats)
     acc_out = np.empty_like(acc)

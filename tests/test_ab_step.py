@@ -35,7 +35,8 @@ class FakeRunner:
         return {
             "failed": 0,
             "end_to_end": {"step_wall_s": wall, "setup_s": 0.4, "force_ok_frac": 1.0},
-            "per_layer": {"parallel.n_shards": 8 if side == "base" else 2} if trace else None,
+            "per_layer": {"parallel.n_shards": 8 if side == "base" else 2,
+                          "tree.build.n_cells": 73} if trace else None,
             "untraced": None if trace else {"state_hashes": hashes},
         }
 
@@ -107,6 +108,21 @@ def test_report_names_traced_differences(tmp_path):
     assert "wins 2/2" in text
     assert "per-layer medians that differ over 3 traced pair(s)" in text
     assert "parallel.n_shards" in text and "8 -> 2" in text
+
+
+def test_counts_equal_is_reported_and_does_not_gate(tmp_path):
+    counts = ab_step.count_metrics(TOOLS.parent)
+    assert {"parallel.n_shards", "tree.build.n_cells", "tree.traverse.mac_tests"} <= counts
+    assert not counts & {"step_wall_s", "tree.build_s", "tree.traverse.accept_ratio"}
+    same = ab_step.ab(TREES, ["w"], [1], 2, 2, tmp_path, runner=FakeRunner(),
+                      counts={"tree.build.n_cells"})
+    assert same["results"]["1"]["w"]["counts_equal"] is True
+    moved = ab_step.ab(TREES, ["w"], [1], 2, 2, tmp_path, runner=FakeRunner(), counts=counts)
+    assert moved["results"]["1"]["w"]["counts_equal"] is False and moved["ok"]
+    text = ab_step.report({"base": "b", "head": "h", "same_state": {}, **moved})
+    assert "state equal: True  counts equal: False" in text
+    untraced = ab_step.ab(TREES, ["w"], [1], 2, 0, tmp_path, runner=FakeRunner(), counts=counts)
+    assert untraced["results"]["1"]["w"]["counts_equal"] is None
 
 
 def test_layer_medians_skip_equal_and_unmeasured_rows():

@@ -7,9 +7,7 @@ from repro.analysis import (
     TinkerMassFunction,
     WarrenMassFunction,
     binned_mass_function,
-    counts_in_spheres_variance,
     fof_halos,
-    press_schechter_f,
     so_masses,
 )
 from repro.cosmology import PLANCK2013, WMAP1, LinearPower
@@ -111,12 +109,6 @@ class TestSO:
 
 
 class TestMassFunctionFits:
-    def test_press_schechter_normalization_shape(self):
-        s = np.linspace(0.3, 3.0, 50)
-        f = press_schechter_f(s)
-        assert np.all(f > 0)
-        assert f.argmax() > 0  # peaked at nu ~ 1
-
     def test_tinker_delta_interpolation(self):
         t200 = TinkerMassFunction(200.0)
         assert t200.a0 == pytest.approx(0.186)
@@ -174,14 +166,3 @@ class TestMassFunctionFits:
         assert total == pytest.approx(n / v**3, rel=1e-6)
 
 
-class TestSpheresVariance:
-    def test_poisson_field_has_zero_excess(self):
-        rng = np.random.default_rng(2)
-        pos = rng.random((20000, 3))
-        sig, err = counts_in_spheres_variance(pos, 0.1, n_samples=128, rng=rng)
-        assert sig < 0.1
-
-    def test_clustered_field_has_excess(self):
-        pos, mass, _ = make_halo_field(n_halos=20, members=400, n_field=2000)
-        sig, _ = counts_in_spheres_variance(pos, 0.1, n_samples=128)
-        assert sig > 0.1

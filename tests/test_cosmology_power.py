@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cosmology import PLANCK2013, WMAP1, LinearPower, tophat_window
-from repro.cosmology.power import tophat_window_deriv
 
 
 class TestWindow:
@@ -21,12 +20,6 @@ class TestWindow:
         # is exactly why the series branch exists; agreement to 1e-8 shows
         # the branches join smoothly
         assert series == pytest.approx(exact, abs=1e-8)
-
-    def test_deriv_matches_finite_difference(self):
-        x = np.array([0.5, 1.0, 3.0, 7.0])
-        eps = 1e-6
-        fd = (tophat_window(x + eps) - tophat_window(x - eps)) / (2 * eps)
-        assert np.allclose(tophat_window_deriv(x), fd, atol=1e-8)
 
     def test_decay(self):
         assert abs(tophat_window(np.array([50.0]))[0]) < 0.01

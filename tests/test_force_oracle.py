@@ -46,7 +46,7 @@ def _oracle_of(solver):
     spec = solver.spec
     return oracle_forces(
         solver.last_tree, solver.last_moments, solver.last_interactions,
-        softening=spec.softening, G=spec.G, want_potential=spec.want_potential,
+        softening=spec.softening, want_potential=spec.want_potential,
     )
 
 
@@ -97,7 +97,7 @@ def test_oracle_agreement_treepm_erfc(monkeypatch):
     spec = seen["spec"]
     ora = oracle_forces(
         seen["tree"], seen["moms"], seen["inter"],
-        softening=spec.softening, kernel=spec.kernel, G=spec.G,
+        softening=spec.softening, kernel=spec.kernel,
     )
     # the mesh half is common to both: the tree halves, on the scale of
     # the total force

@@ -21,7 +21,7 @@ from repro.tree import build_tree, compute_moments
 VALIDATED = {
     ForceSpec: ("traversal",),
     TreecodeConfig: ("traversal", "mac", "softening"),
-    TreePMConfig: ("traversal", "softening"),
+    TreePMConfig: ("softening",),
     SimulationConfig: ("engine", "traversal", "softening"),
 }
 CASES = [(cls, name) for cls, names in VALIDATED.items() for name in names]
@@ -48,6 +48,25 @@ def test_retired_backend_option_is_not_a_field(cls):
     not ignored — a config written for it fails where it is written."""
     with pytest.raises(TypeError, match="backend"):
         cls(backend="numpy")
+
+
+@pytest.mark.parametrize("cls", [TreecodeConfig, TreePMConfig, ForceSpec], ids=lambda c: c.__name__)
+def test_g_is_not_a_setting(cls):
+    """Code units fix G = 1: a config that sets it fails where it is written."""
+    with pytest.raises(TypeError, match="'G'"):
+        cls(**{"G": 1.0})
+
+
+def test_treepm_has_no_traversal_setting():
+    """TreePM's short-range walk is hierarchical; there is nothing to choose."""
+    with pytest.raises(TypeError, match="traversal"):
+        TreePMConfig(**{"traversal": "hierarchical"})
+
+
+def test_treepm_with_fmm_hybrid_fails_at_construction():
+    with pytest.raises(ValueError, match="treepm"):
+        SimulationConfig(engine="treepm", traversal="fmm-hybrid")
+    assert SimulationConfig(engine="treepm").traversal == "hierarchical"
 
 
 @pytest.mark.parametrize("kind", _CHOICES["softening"])

@@ -1,4 +1,5 @@
-"""Tests for the §2.2.2 alternatives: cell-cell accepts and pseudo-particles."""
+"""Tests for the §2.2.2 alternatives: cell-cell accepts and pseudo-particles'
+flop cost."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,6 @@ from repro.gravity import (
     TreecodeGravity,
     direct_accelerations,
     make_softening,
-)
-from repro.multipoles import m2p, p2m
-from repro.multipoles.pseudoparticle import (
-    PseudoParticleCell,
-    fit_pseudo_masses,
-    sphere_nodes,
 )
 
 
@@ -95,52 +90,6 @@ class TestFMMAccuracy:
 
 
 class TestPseudoParticles:
-    def test_sphere_nodes_unit(self):
-        nodes = sphere_nodes(64)
-        np.testing.assert_allclose(np.linalg.norm(nodes, axis=1), 1.0, atol=1e-12)
-
-    def test_sphere_nodes_spread(self):
-        nodes = sphere_nodes(100)
-        # center of mass near zero for a good spread
-        assert np.abs(nodes.mean(axis=0)).max() < 0.05
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            sphere_nodes(0)
-
-    def test_fit_reproduces_monopole_and_harmonic_content(self):
-        """Total mass (l=0) is matched essentially exactly; trace parts of
-        the Cartesian moments are *not* (monopoles on a sphere cannot
-        carry them) — but those are field-irrelevant for 1/r."""
-        rng = np.random.default_rng(0)
-        pos = rng.random((200, 3)) - 0.5
-        mass = rng.random(200)
-        p = 3
-        m = p2m(pos, mass, np.zeros(3), p)
-        nodes, masses = fit_pseudo_masses(m, p, radius=1.2)
-        m_pseudo = p2m(nodes, masses, np.zeros(3), p)
-        assert m_pseudo[0] == pytest.approx(m[0], rel=1e-4)  # total mass
-        # dipole (pure l=1, trace-free) also matches
-        np.testing.assert_allclose(m_pseudo[1:4], m[1:4], rtol=1e-3,
-                                   atol=1e-4 * abs(m[0]))
-
-    @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_far_field_matches_multipole(self, p):
-        """The pseudo set reproduces the order-p multipole field: both
-        deviate from direct summation only at order p+1."""
-        rng = np.random.default_rng(1)
-        pos = rng.random((256, 3)) - 0.5
-        mass = rng.random(256)
-        m = p2m(pos, mass, np.zeros(3), p)
-        cell = PseudoParticleCell(m, np.zeros(3), p, radius=1.2)
-        t = np.array([[4.0, 1.0, -2.0], [-3.0, 2.5, 1.0]])
-        pot_ps, acc_ps = cell.field(t)
-        pot_mp, acc_mp = m2p(m, np.zeros(3), t, p)
-        # agreement between the two representations is much tighter than
-        # either's truncation error
-        np.testing.assert_allclose(pot_ps, pot_mp, rtol=2e-4)
-        np.testing.assert_allclose(acc_ps, acc_mp, rtol=2e-3, atol=1e-8)
-
     def test_cost_comparison_paper_claim(self):
         """§2.2.2: pseudo-particles are *less efficient* than the coded
         Cartesian kernels — K monopoles cost more flops than one

@@ -10,7 +10,6 @@ from repro.keys import (
     ROOT_KEY,
     ancestor_key,
     cell_geometry,
-    children_keys,
     compact_bits,
     key_level,
     keys_from_positions,
@@ -74,9 +73,14 @@ class TestKeys:
             keys_from_positions(np.zeros(3))
 
 
+def children(key) -> np.ndarray:
+    """The 8 child keys of a cell key: ``key*8 + 0..7``."""
+    return (np.uint64(key) << np.uint64(3)) | np.arange(8, dtype=np.uint64)
+
+
 class TestHierarchy:
     def test_parent_of_children(self):
-        kids = children_keys(np.uint64(9))
+        kids = children(np.uint64(9))
         assert np.all(parent_key(kids) == 9)
 
     def test_root(self):
@@ -105,7 +109,7 @@ class TestCellGeometry:
         np.testing.assert_allclose(c[0], [0.5, 0.5, 0.5])
 
     def test_children_tile_parent(self):
-        kids = children_keys(ROOT_KEY)
+        kids = children(ROOT_KEY)
         c, s = cell_geometry(kids)
         assert np.all(s == 0.5)
         # centers are the 8 quarter-points

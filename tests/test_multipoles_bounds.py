@@ -10,7 +10,6 @@ from repro.multipoles import (
     critical_radius,
     m2p,
     p2m,
-    potential_error_bound,
 )
 
 
@@ -56,24 +55,8 @@ class TestBoundsAreBounds:
             bound = float(acceleration_error_bound(dist, p, bmax, b_p1))
             assert err <= bound
 
-    def test_potential_bound_holds(self):
-        pos, mass = make_cloud(3)
-        center = np.zeros(3)
-        bmax = np.linalg.norm(pos - center, axis=1).max()
-        p = 2
-        b_p1 = abs_moment(pos, mass, center, p + 1)
-        m = p2m(pos, mass, center, p)
-        t = np.array([[2.0, 1.0, 0.5]])
-        pot, _ = m2p(m, center, t, p)
-        pot_true, _ = direct_field(pos, mass, t)
-        d = np.linalg.norm(t[0])
-        assert abs(pot[0] - pot_true[0]) <= float(
-            potential_error_bound(d, p, bmax, b_p1)
-        )
-
     def test_inside_bmax_is_infinite(self):
         assert acceleration_error_bound(0.5, 2, 1.0, 1.0) == np.inf
-        assert potential_error_bound(0.5, 2, 1.0, 1.0) == np.inf
 
     def test_monotone_decreasing(self):
         d = np.linspace(1.5, 20.0, 50)

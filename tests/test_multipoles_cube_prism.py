@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.multipoles import (
-    cube_interior_acceleration,
     cube_moments,
     m2p,
     multi_index_set,
@@ -87,6 +86,10 @@ class TestBackgroundSubtraction:
         assert dm[0] == pytest.approx(-1.0)
 
 
+#: (lo, hi) = c - s/2, c + s/2 of the unit cube centred on the origin
+UNIT_CUBE = (np.zeros(3) - 0.5, np.zeros(3) + 0.5)
+
+
 class TestPrism:
     def test_potential_far_field_is_monopole(self):
         p = prism_potential(np.array([[20.0, 0, 0]]), [-0.5] * 3, [0.5] * 3, 1.0)
@@ -98,7 +101,7 @@ class TestPrism:
         assert a[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_center_force_vanishes(self):
-        a = cube_interior_acceleration(np.zeros((1, 3)), np.zeros(3), 1.0, 1.0)
+        a = prism_acceleration(np.zeros((1, 3)), *UNIT_CUBE, 1.0)
         np.testing.assert_allclose(a, 0.0, atol=1e-12)
 
     def test_interior_poisson_equation(self):
@@ -111,8 +114,8 @@ class TestPrism:
         for ax in range(3):
             e = np.zeros(3)
             e[ax] = h
-            ap = cube_interior_acceleration((pt + e)[None, :], np.zeros(3), 1.0, rho)
-            am = cube_interior_acceleration((pt - e)[None, :], np.zeros(3), 1.0, rho)
+            ap = prism_acceleration((pt + e)[None, :], *UNIT_CUBE, rho)
+            am = prism_acceleration((pt - e)[None, :], *UNIT_CUBE, rho)
             div += (ap[0, ax] - am[0, ax]) / (2 * h)
         assert div == pytest.approx(-4.0 * np.pi * rho, rel=1e-5)
 
@@ -162,12 +165,8 @@ class TestPrism:
         """Near the center the cube force is ~ linear in displacement
         (like a harmonic restoring force)."""
         eps = 1e-3
-        a1 = cube_interior_acceleration(
-            np.array([[eps, 0, 0]]), np.zeros(3), 1.0, 1.0
-        )[0, 0]
-        a2 = cube_interior_acceleration(
-            np.array([[2 * eps, 0, 0]]), np.zeros(3), 1.0, 1.0
-        )[0, 0]
+        a1 = prism_acceleration(np.array([[eps, 0, 0]]), *UNIT_CUBE, 1.0)[0, 0]
+        a2 = prism_acceleration(np.array([[2 * eps, 0, 0]]), *UNIT_CUBE, 1.0)[0, 0]
         assert a2 == pytest.approx(2 * a1, rel=1e-4)
         assert a1 < 0  # restoring (toward center)
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multipoles import multi_index_set, n_coeffs, n_coeffs_order
+from repro.multipoles import multi_index_set, n_coeffs
+
+
+def n_order(n: int) -> int:
+    """Multi-indices with |alpha| == n: the rank-n symmetric tensor's terms."""
+    s = multi_index_set(n).slice_of_order(n)
+    return s.stop - s.start
 
 
 class TestCounting:
@@ -17,14 +23,14 @@ class TestCounting:
 
     @pytest.mark.parametrize("n,expected", [(0, 1), (1, 3), (2, 6), (8, 45)])
     def test_n_coeffs_order(self, n, expected):
-        assert n_coeffs_order(n) == expected
+        assert n_order(n) == expected
 
     def test_paper_p8_force_terms(self):
         """§2.2.2: 'the expression for the force with p = 8 ... begins
         with 3^8 = 6561 terms', which symmetry reduces to 45 independent
         rank-8 components."""
         assert 3**8 == 6561
-        assert n_coeffs_order(8) == 45
+        assert n_order(8) == 45
 
 
 class TestMultiIndexSet:

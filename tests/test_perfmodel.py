@@ -234,9 +234,9 @@ class TestIOModel:
 
     def test_checkpoint_six_minutes(self):
         """A 69e9-particle checkpoint writes in minutes, not hours."""
-        from repro.perfmodel import checkpoint_write_time
+        from repro.perfmodel import PANASAS_LANL
 
-        t = checkpoint_write_time(69e9)
+        t = 69e9 * 32.0 / PANASAS_LANL.rate(n_files=1)  # 32 B a particle
         assert 120 < t < 600  # the paper: ~6 minutes
 
     def test_more_files_never_slower(self):

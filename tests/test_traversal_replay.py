@@ -208,7 +208,7 @@ class TestReplayEvolvedRun:
             tree, moms, got = solver.last_tree, solver.last_moments, solver.last_interactions
             # the simulation's box is the unit box
             rcut = RCUT * ASMTH / cfg.ngrid
-            fresh = traverse_lists(tree, moms, traversal=cfg.traversal, periodic=True, ws=1)
+            fresh = traverse_lists(tree, moms, periodic=True, ws=1)
             assert_same_lists(got, _prune_far(tree, moms, fresh, rcut))
             replayed.append(got.walk.redecided)
 

@@ -20,7 +20,10 @@ whether a gain is claimable: ahead in at least 9 of 10 pairs (the same
 share of any count) with medians apart by more than REV's interquartile
 range.  It compares the state hashes of every common step between the
 sides, and with the workload's ``same_state_as`` workload when that one
-ran too.  Everything goes into one JSON receipt (``--out``).  Exits 1
+ran too.  Over the traced pairs it also says whether the exact counts
+(the per-layer metrics ``BENCHMARK.json`` gives the unit ``count``) are
+equal; that is reported, not gated, since a change may mean to move
+them.  Everything goes into one JSON receipt (``--out``).  Exits 1
 when a run failed a check or a state hash differs.
 """
 
@@ -36,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,6 +117,21 @@ def layer_medians(base: list[dict], head: list[dict]) -> dict:
     return out
 
 
+def count_metrics(tree: Path) -> set[str]:
+    """The per-layer metrics ``tree``'s ``BENCHMARK.json`` counts in unit ``count``."""
+    doc = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"] for m in doc["per_layer"] if m["unit"] == "count"}
+
+
+def counts_equal(base: list[dict], head: list[dict], names) -> bool | None:
+    """Whether both sides' traced runs give the same values of every
+    metric in ``names``; ``None`` without a traced pair."""
+    if not base or not head:
+        return None
+    return all(Counter(r.get(k) for r in base) == Counter(r.get(k) for r in head)
+               for k in names)
+
+
 def same_prefix(a: list[str], b: list[str]) -> bool:
     n = min(len(a), len(b))
     return n > 0 and a[:n] == b[:n]
@@ -131,8 +150,9 @@ def same_state_as(tree: Path) -> dict:
 
 
 def ab(trees: dict, workloads: list[str], seeds: list[int], pairs: int, traced: int,
-       scratch: Path, runner=run_step) -> dict:
-    """Run the pairs; the receipt's ``results`` and whether every run held."""
+       scratch: Path, runner=run_step, counts=()) -> dict:
+    """Run the pairs; the receipt's ``results`` and whether every run held.
+    ``counts`` names the exact per-layer counts :func:`counts_equal` compares."""
     results, ok = {}, True
     out = scratch / "run.json"
     for seed in seeds:
@@ -154,15 +174,16 @@ def ab(trees: dict, workloads: list[str], seeds: list[int], pairs: int, traced: 
                     })
             plain = {side: [r for r in runs[side] if not r["trace"]] for side in SIDES}
             hashes = [r["state_hashes"] for side in SIDES for r in plain[side]]
+            layers = [[r["per_layer"] for r in runs[side] if r["trace"]] for side in SIDES]
             entry = {
                 "summary": {
                     metric: summarize(*([r["end_to_end"][metric] for r in plain[side]]
                                         for side in SIDES), better)
                     for metric, better in METRICS
                 },
-                "layers": layer_medians(*(
-                    [r["per_layer"] for r in runs[side] if r["trace"]] for side in SIDES)),
+                "layers": layer_medians(*layers),
                 "state_equal": all(same_prefix(hashes[0], h) for h in hashes),
+                "counts_equal": counts_equal(*layers, counts),
                 "runs": runs,
             }
             ok &= entry["state_equal"]
@@ -189,7 +210,8 @@ def report(receipt: dict) -> str:
     lines = [f"base {receipt['base']}  head {receipt['head']}"]
     for seed, by_name in receipt["results"].items():
         for name, entry in by_name.items():
-            lines.append(f"== {name}  seed {seed}  state equal: {entry['state_equal']}")
+            lines.append(f"== {name}  seed {seed}  state equal: {entry['state_equal']}  "
+                         f"counts equal: {entry['counts_equal']}")
             for metric, s in entry["summary"].items():
                 b, h = s["base"], s["head"]
                 lines.append(
@@ -223,7 +245,8 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="ab_step-", dir=args.scratch))
     try:
         trees = make_trees(args.rev, scratch)
-        run = ab(trees, workloads, seeds, args.pairs, args.traced, scratch)
+        run = ab(trees, workloads, seeds, args.pairs, args.traced, scratch,
+                 counts=count_metrics(trees["head"]))
         twins = same_state_as(trees["head"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -19,6 +19,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 EVERYWHERE = ("src", "tests", "benchmarks", "examples")
+#: every tree a caller can live in; this file itself is skipped
+CALLERS = (*EVERYWHERE, "tools", ".github")
 TREEFORCE = ("src/repro/gravity/treeforce.py",)
 
 #: (pattern, roots, what was retired)
@@ -123,6 +125,44 @@ RETIRED = [
         (*EVERYWHERE, ".github", "README.md"),
         "one shard per worker: the pool cuts its sink leaves with parallel.domain.sfc_cut",
     ),
+    (
+        r"\b(isodensity_halos|knn_density|IsodensityResult|counts_in_spheres_variance"
+        r"|TabulatedBackground|write_background_table|read_background_table"
+        r"|PseudoParticleCell|fit_pseudo_masses|sphere_nodes)\b"
+        r"|analysis\.(isodensity|spheres)\b|cosmology\.tabulated\b|multipoles\.pseudoparticle\b"
+        r"|from \.(isodensity|spheres|tabulated|pseudoparticle) import",
+        CALLERS,
+        "a public name earns a caller or goes: isodensity, spheres, tabulated, pseudo-particles",
+    ),
+    (
+        r"\b(press_schechter_f|potential_error_bound|n_coeffs_order|tophat_window_deriv"
+        r"|children_keys|cube_interior_acceleration|checkpoint_write_time|return_permutation)\b"
+        r"|\bexpansion\.l2l\b|(?<![\w.\"'])l2l\b",  # not sweep_l2l, not the "gravity.l2l" span
+        CALLERS,
+        "a public name earns a caller or goes: eight functions and sample_sort's option",
+    ),
+    (
+        r"\.(enclosed_mass|remote_fraction|load_factor|half_kick_state|hubble_distance"
+        r"|rho_crit_a|conformal_time)\b|def (enclosed_mass|remote_fraction|load_factor"
+        r"|half_kick_state|hubble_distance|rho_crit_a|conformal_time|hubble)\(|\.hubble\(",
+        CALLERS,
+        "a public name earns a caller or goes: nine methods nothing referenced",
+    ),
+    (
+        r"\bG=|\.G\b|\bG: float",
+        ("src", "tests"),
+        "G is 1 in code units: no config, spec or function takes it",
+    ),
+    (
+        r"TreePMConfig\([^)]*\btraversal=",
+        CALLERS,
+        "TreePM's short-range walk is hierarchical: TreePMConfig has no traversal",
+    ),
+    (
+        r"\btraversal[:=]|\b(cfg|spec)\.traversal\b|\bm2l_",
+        ("src/repro/gravity/pm.py",),
+        "TreePM's short-range walk is hierarchical: no traversal, no M2L pruning",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
@@ -131,20 +171,31 @@ ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
 
 def find_retired(repo: Path = REPO) -> list[str]:
     """``path:line: text  [what]`` for every retired name found under ``repo``."""
+    this = repo / "tools" / Path(__file__).name
+    files_of, lines_of = {}, {}  # each tree listed and each file read once
+
+    def files(root: str) -> list[Path]:
+        if root not in files_of:
+            top = repo / root
+            found = [top] if top.is_file() else sorted(top.rglob("*")) if top.is_dir() else []
+            files_of[root] = [f for f in found if f.is_file() and "__pycache__" not in f.parts
+                              and f != this]
+        return files_of[root]
+
+    def lines(path: Path) -> list[str]:
+        if path not in lines_of:
+            try:
+                lines_of[path] = path.read_text(encoding="utf-8").splitlines()
+            except UnicodeDecodeError:
+                lines_of[path] = []  # binary: grep -I
+        return lines_of[path]
+
     hits = []
     for pattern, roots, what in RETIRED:
         rx = re.compile(pattern)
         for root in roots:
-            top = repo / root
-            files = [top] if top.is_file() else sorted(top.rglob("*")) if top.is_dir() else []
-            for path in files:
-                if not path.is_file() or "__pycache__" in path.parts:
-                    continue
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except UnicodeDecodeError:
-                    continue  # binary: grep -I
-                for n, line in enumerate(text.splitlines(), 1):
+            for path in files(root):
+                for n, line in enumerate(lines(path), 1):
                     if rx.search(line) and not ALLOWED.match(line):
                         hits.append(f"{path.relative_to(repo)}:{n}: {line.strip()}  [{what}]")
     return hits
