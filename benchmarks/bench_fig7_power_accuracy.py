@@ -47,7 +47,7 @@ BASE = SimulationConfig(
 
 VARIANTS = {
     "reference (errtol/4, dt/2)": dataclasses.replace(
-        BASE, errtol=2.5e-5, dt_divider=2
+        BASE, errtol=2.5e-5, dlna_max=BASE.dlna_max / 2
     ),
     "standard (errtol 1e-4)": BASE,
     "relaxed (errtol 1e-3)": dataclasses.replace(BASE, errtol=1e-3),

@@ -118,7 +118,6 @@ def so_masses(
     delta: float = 200.0,
     box: float = 1.0,
     rho_mean: float | None = None,
-    r_max_frac: float = 0.25,
 ) -> HaloCatalog:
     """Spherical-overdensity masses about seed centers.
 
@@ -130,7 +129,8 @@ def so_masses(
     Seeds whose central density never reaches the threshold are
     dropped.  The center is refined once by recentering on the
     center of mass of the inner third of the initial sphere (a cheap
-    stand-in for ROCKSTAR's density maximum).
+    stand-in for ROCKSTAR's density maximum).  The profile is scanned
+    out to a quarter of the box.
     """
     pos = np.asarray(pos, dtype=np.float64) % box
     m = np.asarray(mass, dtype=np.float64)
@@ -140,7 +140,7 @@ def so_masses(
     thresh = delta * rho_mean
 
     centers, m_out, r_out, n_out = [], [], [], []
-    r_max = r_max_frac * box
+    r_max = 0.25 * box
     for seed in np.atleast_2d(seeds):
         center = np.asarray(seed, dtype=np.float64) % box
         for _pass in range(2):

@@ -161,7 +161,3 @@ class GrowthCalculator:
         om_a = self.bg.omega_m_a(a)
         return -3.0 / 7.0 * d1**2 * om_a ** (-1.0 / 143.0)
 
-    def growth_ratio(self, a_from: float, a_to: float = 1.0) -> float:
-        """D(a_to)/D(a_from) — the factor by which linear fluctuations grow."""
-        d = self.growth_ode(np.array([a_from, a_to]), normalize=False)
-        return float(d[1] / d[0])

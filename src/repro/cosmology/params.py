@@ -18,8 +18,6 @@ km/s/Mpc, densities as fractions of the critical density today.
 from __future__ import annotations
 
 import dataclasses
-import math
-
 __all__ = [
     "CosmologyParams",
     "PLANCK2013",
@@ -112,28 +110,11 @@ class CosmologyParams:
         """Curvature density fraction today from the closure relation."""
         return 1.0 - self.omega_m - self.omega_de - self.omega_r
 
-    @property
-    def omega_c(self) -> float:
-        """Cold-dark-matter density fraction today."""
-        return self.omega_m - self.omega_b
-
-    @property
-    def is_flat(self) -> bool:
-        return abs(self.omega_k) < 1e-8
-
     # ----- scales ------------------------------------------------------------
     @property
     def rho_mean0(self) -> float:
         """Comoving mean matter density today [h^2 Msun / Mpc^3]."""
         return RHO_CRIT0 * self.omega_m
-
-    def de_density_ratio(self, a: float) -> float:
-        """rho_DE(a) / rho_DE(a=1) for the CPL equation of state."""
-        if self.w0 == -1.0 and self.wa == 0.0:
-            return 1.0
-        return a ** (-3.0 * (1.0 + self.w0 + self.wa)) * math.exp(
-            -3.0 * self.wa * (1.0 - a)
-        )
 
     def particle_mass(self, box_mpc_h: float, n_particles: int) -> float:
         """Mass of one N-body particle [Msun/h] for a cube of side

@@ -240,14 +240,11 @@ class LinearPower:
         out = np.array([self.sigma_r(float(rv), a) for rv in np.atleast_1d(r)])
         return float(out[0]) if scalar else out
 
-    def dlnsigma_dlnm(self, m_msun_h, rel_step: float = 1e-3):
+    def dlnsigma_dlnm(self, m_msun_h):
         """d ln sigma / d ln M by centred finite difference (mass function)."""
+        h = 1e-3  # relative step in M
         m = np.asarray(m_msun_h, dtype=float)
-        hi = self.sigma_m(m * (1.0 + rel_step))
-        lo = self.sigma_m(m * (1.0 - rel_step))
-        return (np.log(hi) - np.log(lo)) / (2.0 * np.log1p(rel_step))
+        hi = self.sigma_m(m * (1.0 + h))
+        lo = self.sigma_m(m * (1.0 - h))
+        return (np.log(hi) - np.log(lo)) / (2.0 * np.log1p(h))
 
-    def mass_of_radius(self, r_mpc_h):
-        """Mean mass within a sphere of comoving radius r [Mpc/h]."""
-        r = np.asarray(r_mpc_h, dtype=float)
-        return 4.0 * np.pi / 3.0 * self.params.rho_mean0 * r**3

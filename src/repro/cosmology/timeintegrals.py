@@ -188,6 +188,3 @@ class DriftKickIntegrals:
         """∫_{a0}^{a1} da / (a^2 E(a)) — multiplies the acceleration in a kick."""
         return scale_factor_integral(self.bg.efunc, 2, a0, a1)
 
-    def time_interval(self, a0: float, a1: float) -> float:
-        """Cosmic time elapsed between a0 and a1, in 1/H0 units."""
-        return scale_factor_integral(self.bg.efunc, 1, a0, a1)

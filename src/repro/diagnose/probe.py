@@ -63,14 +63,18 @@ def force_balance(mass: np.ndarray, acc: np.ndarray) -> float:
     return float(net / max(scale, 1e-300))
 
 
-def _ewald_acc_at(ew, pos, mass, i, block: int = 2048) -> np.ndarray:
+#: sources per vectorized block of :func:`_ewald_acc_at`
+_EWALD_BLOCK = 2048
+
+
+def _ewald_acc_at(ew, pos, mass, i) -> np.ndarray:
     """Ewald acceleration at particle ``i``, blocked over sources."""
     keep = np.arange(len(pos)) != i
     dx = pos[i] - pos[keep]
     m = mass[keep]
     out = np.zeros(3)
-    for s in range(0, len(dx), block):
-        e = min(s + block, len(dx))
+    for s in range(0, len(dx), _EWALD_BLOCK):
+        e = min(s + _EWALD_BLOCK, len(dx))
         out += (ew.acceleration_pair(dx[s:e]) * m[s:e, None]).sum(axis=0)
     return out
 

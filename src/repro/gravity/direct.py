@@ -18,6 +18,10 @@ from .smoothing import NoSoftening, SofteningKernel
 __all__ = ["direct_accelerations"]
 
 
+#: targets per vectorized block (a (block, N, 3) temporary)
+_BLOCK = 1024
+
+
 def direct_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
@@ -25,7 +29,6 @@ def direct_accelerations(
     box: float | None = None,
     dtype=np.float64,
     targets: np.ndarray | None = None,
-    block: int = 1024,
     want_potential: bool = False,
 ):
     """All-pairs accelerations (and optionally potentials).
@@ -57,8 +60,8 @@ def direct_accelerations(
     n_t = len(tgt)
     acc = np.zeros((n_t, 3), dtype=dtype)
     pot = np.zeros(n_t, dtype=dtype) if want_potential else None
-    for s in range(0, n_t, block):
-        e = min(s + block, n_t)
+    for s in range(0, n_t, _BLOCK):
+        e = min(s + _BLOCK, n_t)
         d = tgt[s:e, None, :] - pos[None, :, :]
         if box is not None:
             d -= (np.round(d / dtype(box)) * dtype(box)).astype(dtype)

@@ -114,8 +114,7 @@ class EwaldSummation:
 
     # ----- N-body fields ------------------------------------------------------------
     def accelerations(
-        self, pos: np.ndarray, mass: np.ndarray, targets: np.ndarray | None = None,
-        block: int = 16,
+        self, pos: np.ndarray, mass: np.ndarray, targets: np.ndarray | None = None
     ) -> np.ndarray:
         """Exact periodic accelerations (O(N^2 * images), use small N)."""
         pos = np.asarray(pos, dtype=np.float64)
@@ -123,30 +122,13 @@ class EwaldSummation:
         self_field = targets is None
         tgt = pos if self_field else np.atleast_2d(np.asarray(targets, dtype=np.float64))
         out = np.zeros((len(tgt), 3), dtype=np.float64)
-        for i0 in range(0, len(tgt), block):
-            i1 = min(i0 + block, len(tgt))
-            for i in range(i0, i1):
-                dx = tgt[i][None, :] - pos
-                keep = np.ones(len(pos), dtype=bool)
-                if self_field:
-                    keep[i] = False  # its own images still counted below
-                acc = self.acceleration_pair(dx[keep]) * mass[keep][:, None]
-                out[i] = acc.sum(axis=0)
-                if self_field:
-                    # own periodic images: antisymmetric -> zero net force
-                    pass
+        for i in range(len(tgt)):
+            dx = tgt[i][None, :] - pos
+            keep = np.ones(len(pos), dtype=bool)
+            if self_field:
+                # its own periodic images are antisymmetric: zero net force
+                keep[i] = False
+            acc = self.acceleration_pair(dx[keep]) * mass[keep][:, None]
+            out[i] = acc.sum(axis=0)
         return out
 
-    def potential_energy(self, pos: np.ndarray, mass: np.ndarray) -> float:
-        """Total periodic potential energy W = -1/2 sum_ij m_i m_j psi_E."""
-        pos = np.asarray(pos, dtype=np.float64)
-        mass = np.asarray(mass, dtype=np.float64)
-        n = len(pos)
-        total = 0.0
-        for i in range(n):
-            dx = pos[i][None, :] - pos
-            keep = np.arange(n) != i
-            psi = self.potential_pair(dx[keep])
-            total += mass[i] * float((mass[keep] * psi).sum())
-        total += self.self_potential() * float((mass * mass).sum())
-        return -0.5 * total

@@ -73,6 +73,8 @@ __all__ = [
 _TILE = 256
 #: rows one gather / product / scatter round of a class handles
 _CHUNK = 2 * _TILE
+#: sink particles per L2P block (pace memory; sums are per particle)
+_L2P_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,6 @@ def l2p_accumulate(
     s0: int,
     acc,
     pot,
-    chunk: int = 65536,
 ) -> None:
     """Evaluate the leaf local expansions at the sink particles.
 
@@ -356,8 +357,8 @@ def l2p_accumulate(
     wf = 1.0 / mis_hi.factorial
     ncoef = n_coeffs(P - 1)
     centers = tree.cell_center[sinks]
-    for a in range(0, len(pid), chunk):
-        b = min(a + chunk, len(pid))
+    for a in range(0, len(pid), _L2P_CHUNK):
+        b = min(a + _L2P_CHUNK, len(pid))
         rw = row_of_p[a:b]
         s = tree.pos[pid[a:b]] - centers[rw]
         mono = mis_hi.powers(s)

@@ -125,7 +125,7 @@ _CELL_MONO_CHUNK = 8192
 
 
 def autotune_chunks(p: int, dtype_str: str) -> tuple[int, int]:
-    """The (cell_chunk, pp_chunk) row budgets used when none are passed.
+    """The (cell, pp) row budgets :func:`evaluate_forces` uses.
 
     The same constants for every order and dtype; the step benchmark
     records this pair with every run.
@@ -327,7 +327,7 @@ def _lowered_columns(p: int) -> np.ndarray:
     return np.where(mis.alphas.T > 0, mis.packed_index(np.maximum(low, 0)), len(mis))
 
 
-def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot):
+def _evaluate_cells(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
     """Add the cell family's accelerations (and potentials, unless
     ``pot`` is None) of the sink particles ``pid`` into ``acc`` /
     ``pot`` (offset ``s0``); returns the seconds spent translating.
@@ -420,7 +420,7 @@ def _evaluate_cells(tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, 
                 zip((q_end - m_x).tolist(), q_end.tolist(), c0_x.tolist(),
                     (c0_x + n_x).tolist(), (r_end - m_x * n_x).tolist(), r_end.tolist())
             )
-            for ba, bb in _runs(m_x * n_x, (), cell_chunk):
+            for ba, bb in _runs(m_x * n_x, (), _CELL_CHUNK):
                 # -- per block of whole panels: the per-row work
                 qa, qb = panels[ba][0], panels[bb - 1][1]
                 ra, rb = panels[ba][4], panels[bb - 1][5]
@@ -493,8 +493,6 @@ def evaluate_forces(
     dtype=np.float64,
     want_potential: bool = True,
     kernel: RadialKernel | None = None,
-    cell_chunk: int | None = None,
-    pp_chunk: int | None = None,
     particle_range: tuple[int, int] | None = None,
 ) -> ForceResult:
     """Evaluate all interactions; returns fields in original particle order.
@@ -508,13 +506,6 @@ def evaluate_forces(
     dtype:
         Accumulation precision (float32 reproduces the single-precision
         behaviour of Fig. 6 / Table 3).
-    cell_chunk, pp_chunk:
-        Interaction-rows per evaluation block for the cell family and
-        for the pp and prism families.  ``None`` means the fixed
-        defaults (:func:`autotune_chunks`; the prism family has its own,
-        ``_PRISM_CHUNK``).  They pace memory and speed only; results do
-        not depend on them.  (A cell-family block is at least one
-        panel, however small the budget.)
     particle_range:
         Half-open (start, end) range of *key-sorted* particle indices
         covering every sink in ``inter`` (a shard of SFC-contiguous
@@ -553,7 +544,7 @@ def evaluate_forces(
     k = 1..p.  Per row that leaves x, r, the radial chain and the sums
     above: 10 p + 5 row operations.  All of it runs level by level in
     units of the sink cells' side (:func:`_evaluate_cells`).  As
-    many whole panels as fit ``cell_chunk`` rows share one block of
+    many whole panels as fit ``_CELL_CHUNK`` rows share one block of
     that elementwise work; a panel is never cut, so its matrix shapes
     — and with them its bits — depend on the sink cell alone, whatever
     the row budget and whichever shard evaluates it (a shard evaluates
@@ -615,12 +606,6 @@ def evaluate_forces(
     n = s1 - s0
     acc = np.zeros((n, 3), dtype=np.float64)
     pot = np.zeros(n, dtype=np.float64) if want_potential else None
-    if cell_chunk is None:
-        cell_chunk = _CELL_CHUNK
-    if pp_chunk is None:
-        pp_chunk, prism_chunk = _PP_CHUNK, _PRISM_CHUNK
-    else:
-        prism_chunk = pp_chunk
 
     def loc(idx):
         return idx - s0 if s0 else idx
@@ -687,7 +672,7 @@ def evaluate_forces(
         )
         _tk0 = time.perf_counter()
         cell_s["translate"] = _evaluate_cells(
-            tree, moms, inter, kernel, dtype, cell_chunk, pid, s0, acc, pot
+            tree, moms, inter, kernel, dtype, pid, s0, acc, pot
         )
         release_scratch()
         family_s["cell"] += time.perf_counter() - _tk0
@@ -706,7 +691,7 @@ def evaluate_forces(
         home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
         m_p = src_per_row[row_of_p]
         n_out = 4 if want_potential else 3
-        for a, b, s_lo, s_hi, tiles in _leaf_blocks(leaf_np, src_indptr, pp_chunk):
+        for a, b, s_lo, s_hi, tiles in _leaf_blocks(leaf_np, src_indptr, _PP_CHUNK):
             lens = m_p[a:b]
             n_rows = int(lens.sum())
             if not n_rows:
@@ -797,7 +782,7 @@ def evaluate_forces(
         prism_s["coalesce"] = time.perf_counter() - _tk0
         m_p = np.diff(box_indptr)[row_of_p]
         stats["prism_interactions"] = int(m_p.sum())
-        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, box_indptr, prism_chunk):
+        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, box_indptr, _PRISM_CHUNK):
             lens = m_p[a:b]
             n_rows = int(lens.sum())
             if not n_rows:

@@ -21,7 +21,10 @@ This module is the restart record's one codec: :func:`save_checkpoint`
 encodes the cosmology and the ``simcfg_*`` entries, and
 :func:`cosmology_from_metadata` / :func:`restart_config` decode them.
 ``simcfg_*`` keys that name no current field (options since retired)
-are skipped, so older files still load.
+are skipped, so older files still load — unless the field is in
+:data:`_RETIRED_SIMCFG` and the file holds a value other than the one
+the code now behaves as: that run cannot be continued, and
+:class:`CheckpointConfigMismatch` names the field.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ __all__ = [
 #: cosmology is stored through ``params=`` (flat, self-describing).
 _SIMCFG_SKIP = frozenset({"cosmology"})
 
+#: retired SimulationConfig fields whose every other value changed the
+#: physics -> the value the code now behaves as
+_RETIRED_SIMCFG = {"adaptive": True, "dt_divider": 1, "pm_grid": 0}
+
 
 def _cosmology_key(field_name: str) -> str:
     """Metadata key of a CosmologyParams field (``name`` is qualified)."""
@@ -56,6 +63,16 @@ def _cosmology_key(field_name: str) -> str:
 
 class CheckpointConfigMismatch(ValueError):
     """The resuming configuration disagrees with the checkpoint's."""
+
+
+def _retired_mismatches(metadata: dict) -> list[str]:
+    """The :data:`_RETIRED_SIMCFG` entries ``metadata`` holds at another value."""
+    out = []
+    for name, value in _RETIRED_SIMCFG.items():
+        stored = metadata.get(f"simcfg_{name}")
+        if stored is not None and _coerce(stored, value) != value:
+            out.append(f"{name}: checkpoint={stored!r}, retired; runs as {value!r}")
+    return out
 
 
 def sim_config_metadata(config) -> dict:
@@ -95,6 +112,11 @@ def restart_config(metadata: dict):
     """The full SimulationConfig that ``save_checkpoint(sim_config=)`` recorded."""
     from ..simulation.driver import SimulationConfig
 
+    retired = _retired_mismatches(metadata)
+    if retired:
+        raise CheckpointConfigMismatch(
+            "checkpoint was written with a retired setting: " + "; ".join(retired)
+        )
     kw = {}
     for f in dataclasses.fields(SimulationConfig):
         key = f"simcfg_{f.name}"
@@ -110,7 +132,7 @@ def verify_sim_config(metadata: dict, config) -> None:
     A deliberate change goes through ``Simulation.resume(overrides=)``.
     """
     fields = {f.name for f in dataclasses.fields(config)}
-    mismatches = []
+    mismatches = _retired_mismatches(metadata)
     for key, stored in metadata.items():
         if not key.startswith("simcfg_"):
             continue

@@ -121,7 +121,11 @@ def moment_error_estimate(d, p: int, bmax, mnorm_p1, mnorm_p2=None):
     return np.where(d > bmax, est, np.inf)
 
 
-def _critical_radius_generic(err_fn, bmax, amplitude, tol: float, iters: int = 64):
+#: bisection steps of the critical-radius solvers (2^-64 of the bracket)
+_BISECT_ITERS = 64
+
+
+def _critical_radius_generic(err_fn, bmax, amplitude, tol: float):
     bmax = np.atleast_1d(np.asarray(bmax, dtype=np.float64))
     amplitude = np.atleast_1d(np.asarray(amplitude, dtype=np.float64))
     if tol <= 0.0:
@@ -133,7 +137,7 @@ def _critical_radius_generic(err_fn, bmax, amplitude, tol: float, iters: int = 6
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         too_big = err_fn(mid) > tol
         lo = np.where(too_big, mid, lo)
@@ -142,7 +146,7 @@ def _critical_radius_generic(err_fn, bmax, amplitude, tol: float, iters: int = 6
 
 
 def critical_radius_moment(
-    p: int, bmax, mnorm_p1, tol: float, mnorm_p2=None, iters: int = 64
+    p: int, bmax, mnorm_p1, tol: float, mnorm_p2=None
 ):
     """Critical MAC radius from the moment-norm error estimate."""
     bmax_a = np.atleast_1d(np.asarray(bmax, dtype=np.float64))
@@ -154,11 +158,11 @@ def critical_radius_moment(
     )
     amp = mn if mn2 is None else mn + mn2
     return _critical_radius_generic(
-        lambda d: moment_error_estimate(d, p, bmax_a, mn, mn2), bmax_a, amp, tol, iters
+        lambda d: moment_error_estimate(d, p, bmax_a, mn, mn2), bmax_a, amp, tol
     )
 
 
-def critical_radius(p: int, bmax, b_p1, tol: float, iters: int = 64):
+def critical_radius(p: int, bmax, b_p1, tol: float):
     """Distance at which the acceleration error bound equals ``tol``.
 
     Vectorized bisection over cells: beyond the returned radius a cell
@@ -180,7 +184,7 @@ def critical_radius(p: int, bmax, b_p1, tol: float, iters: int = 64):
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         vals = acceleration_error_bound(mid, p, bmax, b_p1)
         too_big = vals > tol

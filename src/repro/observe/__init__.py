@@ -66,8 +66,7 @@ _LAZY = {
     "manifest": ("build_manifest", "config_hash", "git_commit", "provenance", "write_manifest"),
     "profiler": ("top_functions",),
     "registry": ("OBS_SCHEMA_VERSION", "RunRegistry", "metric_value"),
-    "report": ("FORCE_STAGE_LABELS", "force_stage_table", "force_stage_totals",
-               "stage_breakdown_table"),
+    "report": ("force_stage_totals", "stage_breakdown_table"),
     "timeline": ("analyze_timeline", "lane_label", "render_timeline"),
     "trend": ("detect_regression", "robust_baseline", "trend_report"),
 }

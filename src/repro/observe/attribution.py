@@ -26,7 +26,7 @@ import math
 __all__ = ["attribute", "format_attribution"]
 
 #: below this ratio a metric is noise, not a mover
-DEFAULT_MIN_RATIO = 1.05
+MIN_RATIO = 1.05
 
 #: string-valued payload fields worth calling out when they change
 _STRING_FIELDS = ("engine",)
@@ -65,8 +65,7 @@ def _string_leaf(data: dict, dotted: str):
     return node if isinstance(node, str) else None
 
 
-def attribute(rec_a: dict, rec_b: dict, top: int = 8,
-              min_ratio: float = DEFAULT_MIN_RATIO) -> dict:
+def attribute(rec_a: dict, rec_b: dict, top: int = 8) -> dict:
     """Compare two registry records and rank what moved.
 
     Returns ``{"a", "b", "movers", "notes"}`` where each mover is
@@ -83,7 +82,7 @@ def attribute(rec_a: dict, rec_b: dict, top: int = 8,
         va, vb = fa[name], fb[name]
         ratio = (vb / va) if va else None
         if ratio is not None and ratio > 0:
-            if max(ratio, 1.0 / ratio) < min_ratio:
+            if max(ratio, 1.0 / ratio) < MIN_RATIO:
                 continue
             log_r = abs(math.log2(ratio))
         else:

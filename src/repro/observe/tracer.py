@@ -217,11 +217,6 @@ class Tracer:
                  "tid": threading.get_ident()}
             )
 
-    @property
-    def current_path(self) -> str:
-        stack = self._stack()
-        return stack[-1] if stack else ""
-
     # ----- stage profiling -------------------------------------------------------
     def _profile_enable(self, name: str):
         """Start the stage's pooled profile; None when another stage's

@@ -104,10 +104,13 @@ class ABMEngine:
         for msg in msgs:
             heapq.heappush(self._queue, _Event(arrive, next(self._seq), msg))
 
-    def run(self, max_events: int = 10_000_000) -> float:
+    #: event cap of :meth:`run` (a guard against a message loop)
+    MAX_EVENTS = 10_000_000
+
+    def run(self) -> float:
         """Drain the event queue; returns the simulated completion time."""
         n = 0
-        while self._queue and n < max_events:
+        while self._queue and n < self.MAX_EVENTS:
             ev = heapq.heappop(self._queue)
             self.now = max(self.now, ev.time)
             msg = ev.message

@@ -135,36 +135,37 @@ def alltoall_hierarchical(comm: SimComm, send: list[list[np.ndarray]]):
     return [[np.array(send[i][j], copy=True) for i in range(p)] for j in range(p)]
 
 
-def estimate_buffered_memory_per_node(
-    n_ranks: int, cores_per_node: int, buffer_bytes: float = 64 * 1024
-) -> float:
+#: bytes of one eager Alltoall buffer
+_EAGER_BUFFER_BYTES = 64 * 1024
+
+
+def estimate_buffered_memory_per_node(n_ranks: int, cores_per_node: int) -> float:
     """The §3.1 memory surprise: an eager-buffered Alltoall keeps one
     internal buffer per (local rank, remote rank) pair, so per-node
     memory grows as cores_per_node * P — quadratic in P at fixed node
     count.  Returns bytes per node."""
-    return cores_per_node * n_ranks * buffer_bytes
+    return cores_per_node * n_ranks * _EAGER_BUFFER_BYTES
 
 
-def sparse_exchange_pattern(
-    n_ranks: int,
-    n_particles_per_rank: int,
-    moved_fraction: float = 0.02,
-    neighbor_spread: int = 2,
-    bytes_per_particle: int = 48,
-    rng: np.random.Generator | None = None,
-):
+#: the sparse exchange: share of a rank's particles that move in a step,
+#: SFC neighbours on each side they move to, and bytes a particle
+_MOVED_FRACTION = 0.02
+_NEIGHBOR_SPREAD = 2
+_BYTES_PER_PARTICLE = 48
+
+
+def sparse_exchange_pattern(n_ranks: int, n_particles_per_rank: int):
     """Generate the sparse send matrix of a post-first-decomposition
     exchange: each rank sends only to a few SFC neighbours (§3.1:
     "particles will only move to a small number of neighboring
     domains during a timestep")."""
-    rng = rng or np.random.default_rng(0)
     send = [
         [np.empty(0, dtype=np.uint8) for _ in range(n_ranks)] for _ in range(n_ranks)
     ]
     for i in range(n_ranks):
-        n_moved = int(moved_fraction * n_particles_per_rank)
-        for d in range(1, neighbor_spread + 1):
+        n_moved = int(_MOVED_FRACTION * n_particles_per_rank)
+        for d in range(1, _NEIGHBOR_SPREAD + 1):
             for j in ((i + d) % n_ranks, (i - d) % n_ranks):
-                share = max(1, n_moved // (2 * neighbor_spread))
-                send[i][j] = np.zeros(share * bytes_per_particle, dtype=np.uint8)
+                share = max(1, n_moved // (2 * _NEIGHBOR_SPREAD))
+                send[i][j] = np.zeros(share * _BYTES_PER_PARTICLE, dtype=np.uint8)
     return send

@@ -73,16 +73,17 @@ def branch_nodes(sorted_keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
+#: levels a far branch node is lifted by before it is sent
+_DETAIL_LEVELS = 3
+
+
 def coarsen_for_receiver(
-    keys: np.ndarray,
-    receiver_lo: np.uint64,
-    receiver_hi: np.uint64,
-    detail_levels: int = 3,
+    keys: np.ndarray, receiver_lo: np.uint64, receiver_hi: np.uint64
 ) -> np.ndarray:
     """Coarsen a branch set for a remote receiver.
 
     Nodes whose key interval is far (in SFC distance) from the
-    receiver's interval are replaced by ancestors ``detail_levels``
+    receiver's interval are replaced by ancestors ``_DETAIL_LEVELS``
     above their natural level; near nodes are kept.  Deduplicated.
     """
     keys = np.asarray(keys, dtype=np.uint64)
@@ -103,7 +104,7 @@ def coarsen_for_receiver(
     span_total = float(np.uint64(1) << np.uint64(3 * KEY_BITS))
     far = dist > span_total / 64.0
     out = keys.copy()
-    lift = np.minimum(lv[far], detail_levels).astype(np.uint64)
+    lift = np.minimum(lv[far], _DETAIL_LEVELS).astype(np.uint64)
     out[far] = keys[far] >> (np.uint64(3) * lift)
     return np.unique(out)
 
@@ -121,7 +122,6 @@ def exchange_hierarchical(
     comm: SimComm,
     branches: list[np.ndarray],
     intervals: list[tuple[int, int]],
-    detail_levels: int = 3,
 ):
     """2HOT: log2(P) pairwise aggregation rounds with coarsening.
 
@@ -138,9 +138,7 @@ def exchange_hierarchical(
             j = i ^ step
             if j >= p or j == i:
                 continue
-            payload = coarsen_for_receiver(
-                known[i], intervals[j][0], intervals[j][1], detail_levels
-            )
+            payload = coarsen_for_receiver(known[i], intervals[j][0], intervals[j][1])
             msgs.append((i, j, payload))
         inbox = comm.exchange_pairs(msgs)
         for dst, items in enumerate(inbox):

@@ -88,21 +88,25 @@ def decompose(
     return Decomposition(rank_of=rank_of, splitters=splitters, keys=keys, curve=curve)
 
 
+_SURFACE_PROBES = 4000
+
+
 def domain_surface_stats(
     pos: np.ndarray, decomp: Decomposition, probe: float = 0.02, box: float = 1.0,
-    rng: np.random.Generator | None = None, n_probe: int = 4000,
+    rng: np.random.Generator | None = None,
 ) -> dict:
     """Compactness diagnostics of a decomposition (Fig. 4's point).
 
     Estimates the fraction of particles within ``probe`` of a domain
     boundary (a proxy for the communication surface) by sampling
     particle pairs at separation ~probe and counting cross-domain
-    pairs, plus the mean spatial extent of each domain.
+    pairs, plus the mean spatial extent of each domain.  At most
+    :data:`_SURFACE_PROBES` particles are sampled.
     """
     rng = rng or np.random.default_rng(0)
     pos = np.asarray(pos, dtype=np.float64)
     n = len(pos)
-    take = min(n_probe, n)
+    take = min(_SURFACE_PROBES, n)
     idx = rng.choice(n, take, replace=False)
     u = rng.standard_normal((take, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]

@@ -41,7 +41,7 @@ detects dead workers (respawned; the missing shards are re-dispatched
 — writes are deterministic and slice-disjoint, so duplicate execution
 is idempotent), worker-side exceptions (the failed shard alone is
 retried with bounded attempts and backoff), and hung workers (no
-progress for ``shard_timeout`` seconds restarts the pool).  When the
+progress for ``REPRO_SHARD_TIMEOUT`` seconds restarts the pool).  When the
 respawn/retry budget is exhausted the remaining shards are computed
 serially in the parent — the force result is always produced, bit for
 bit the same, and every recovery is recorded in
@@ -288,51 +288,34 @@ class ForceExecutor:
         Number of worker processes (>= 1).  ``workers=1`` runs the
         whole sink set as a single shard in one worker and is
         bit-identical to the serial path.
-    start_method:
-        ``multiprocessing`` start method ("fork", "spawn",
-        "forkserver"); default is the ``REPRO_START_METHOD``
-        environment variable, falling back to the platform default.
-    shard_timeout:
-        Seconds without *any* shard result before the pool is declared
-        hung and restarted (default: ``REPRO_SHARD_TIMEOUT`` env, else
-        disabled — dead workers are still detected immediately).
-    max_retries:
-        Bounded re-dispatches per shard: worker-side exceptions beyond
-        this raise; death/hang re-dispatches beyond this fall back to
-        computing the shard serially in the parent.
-    max_respawns:
-        Worker respawn budget per force call; once exhausted the pool
-        is unrecoverable and the call degrades to serial execution.
-    faults:
-        ``REPRO_FAULTS``-style spec string for deterministic fault
-        injection (default: the environment variable).
+
+    The start method (``REPRO_START_METHOD``: "fork", "spawn",
+    "forkserver"; else the platform default), the hang timeout
+    (``REPRO_SHARD_TIMEOUT``: seconds without *any* shard result before
+    the pool is declared hung and restarted; else disabled — dead
+    workers are still detected immediately) and the fault-injection
+    plan (``REPRO_FAULTS``) are deployment settings read from the
+    environment.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        max_respawns: int = 4,
-        retry_backoff_s: float = 0.05,
-        faults: str | None = None,
-    ):
+    #: bounded re-dispatches per shard: worker-side exceptions beyond
+    #: this raise; death/hang re-dispatches beyond this fall back to
+    #: computing the shard serially in the parent
+    MAX_RETRIES = 2
+    #: worker respawn budget per force call; once exhausted the pool is
+    #: unrecoverable and the call degrades to serial execution
+    MAX_RESPAWNS = 4
+    #: linear backoff step between re-dispatches of a failing shard
+    RETRY_BACKOFF_S = 0.05
+
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        method = start_method or os.environ.get("REPRO_START_METHOD") or None
-        self._ctx = mp.get_context(method)
+        self._ctx = mp.get_context(os.environ.get("REPRO_START_METHOD") or None)
         self.workers = int(workers)
-        if shard_timeout is None:
-            env = os.environ.get("REPRO_SHARD_TIMEOUT", "").strip()
-            shard_timeout = float(env) if env else None
-        self.shard_timeout = shard_timeout
-        self.max_retries = int(max_retries)
-        self.max_respawns = int(max_respawns)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self._fault_spec = (
-            faults if faults is not None else os.environ.get("REPRO_FAULTS", "")
-        ) or None
+        env = os.environ.get("REPRO_SHARD_TIMEOUT", "").strip()
+        self.shard_timeout = float(env) if env else None
+        self._fault_spec = os.environ.get("REPRO_FAULTS", "") or None
         self.closed = False
         #: the pool proved unrecoverable; all further work runs serially
         self.degraded = False
@@ -495,13 +478,13 @@ class ForceExecutor:
         Recovery protocol, in escalating order:
 
         * worker-reported exception -> re-dispatch only that shard
-          (bounded by ``max_retries``, linear backoff); beyond the
+          (bounded by ``MAX_RETRIES``, linear backoff); beyond the
           budget the error is deterministic and raises;
         * dead worker -> respawn it and re-dispatch every unfinished
           shard (duplicate completions are deduped; the deterministic,
           slice-disjoint writes make double execution idempotent); a
           shard past its re-dispatch budget is computed serially;
-        * no progress for ``shard_timeout`` seconds -> restart the
+        * no progress for ``REPRO_SHARD_TIMEOUT`` seconds -> restart the
           whole pool and re-dispatch;
         * respawn budget exhausted -> the pool is unrecoverable: mark
           the executor degraded and finish every pending shard
@@ -527,10 +510,10 @@ class ForceExecutor:
             shard_spans[sid] = (0, sp)
 
         def redispatch_or_local(sid: int) -> None:
-            if attempts[sid] >= self.max_retries:
+            if attempts[sid] >= self.MAX_RETRIES:
                 recoveries.append({
                     "kind": "serial_shard", "shard": sid,
-                    "reason": f"re-dispatch budget ({self.max_retries}) exhausted",
+                    "reason": f"re-dispatch budget ({self.MAX_RETRIES}) exhausted",
                 })
                 finish_local(sid)
                 return
@@ -557,7 +540,7 @@ class ForceExecutor:
                 now = time.monotonic()
                 dead = [i for i, p in enumerate(self._procs) if not p.is_alive()]
                 if dead:
-                    if respawns + len(dead) > self.max_respawns:
+                    if respawns + len(dead) > self.MAX_RESPAWNS:
                         for i in dead:
                             recoveries.append({
                                 "kind": "worker_death", "worker": i,
@@ -565,7 +548,7 @@ class ForceExecutor:
                                 "respawned": False,
                             })
                         degrade(
-                            f"respawn budget ({self.max_respawns}) exhausted"
+                            f"respawn budget ({self.MAX_RESPAWNS}) exhausted"
                         )
                         continue
                     for i in dead:
@@ -586,7 +569,7 @@ class ForceExecutor:
                     self.shard_timeout
                     and now - last_progress > self.shard_timeout
                 ):
-                    if respawns + self.workers > self.max_respawns:
+                    if respawns + self.workers > self.MAX_RESPAWNS:
                         degrade(
                             f"pool hung > {self.shard_timeout:g}s with "
                             f"respawn budget exhausted"
@@ -620,7 +603,7 @@ class ForceExecutor:
                 continue
             # worker-side exception: retry only this shard, with backoff
             err_count[sid] += 1
-            if err_count[sid] > self.max_retries:
+            if err_count[sid] > self.MAX_RETRIES:
                 raise RuntimeError(
                     f"shard {sid} failed in worker pool after "
                     f"{err_count[sid]} attempts:\n{payload}"
@@ -630,7 +613,7 @@ class ForceExecutor:
                 "attempt": err_count[sid],
                 "error": payload.strip().splitlines()[-1],
             })
-            time.sleep(self.retry_backoff_s * err_count[sid])
+            time.sleep(self.RETRY_BACKOFF_S * err_count[sid])
             attempts[sid] += 1
             sinks, s0, s1 = pending[sid]
             self._tasks.put((epoch, meta, sid, sinks, s0, s1, attempts[sid]))

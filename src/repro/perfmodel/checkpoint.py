@@ -40,13 +40,16 @@ def optimal_interval(write_h: float, mtbf_h: float) -> float:
     return math.sqrt(2.0 * write_h * mtbf_h)
 
 
+#: wall-hour cap of :func:`simulate_run`, in case failures outpace progress
+_MAX_WALL_H = 1e5
+
+
 def simulate_run(
     work_h: float,
     interval_h: float,
     write_h: float,
     mtbf_h: float,
     rng: np.random.Generator | None = None,
-    max_wall_h: float = 1e5,
 ) -> float:
     """Simulate a run with exponential failures; returns total wall hours.
 
@@ -59,7 +62,7 @@ def simulate_run(
     wall = 0.0
     since_ckpt = 0.0
     next_failure = rng.exponential(mtbf_h)
-    while done < work_h and wall < max_wall_h:
+    while done < work_h and wall < _MAX_WALL_H:
         # next event: finish segment, checkpoint, or failure
         seg_end = min(interval_h - since_ckpt, work_h - done - since_ckpt + 1e-12)
         # time until either the segment ends (then we checkpoint) or failure

@@ -33,14 +33,12 @@ class FileSystemModel:
     total_osts: int
     client_limit_Bps: float = float("inf")
 
-    def rate(self, n_files: int = 1, osts_requested: int | None = None) -> float:
-        """Aggregate write rate in bytes/s for ``n_files`` striped files."""
+    def rate(self, n_files: int = 1) -> float:
+        """Aggregate write rate in bytes/s for ``n_files`` files, each
+        striped across as many OSTs as a file may use."""
         if n_files < 1:
             raise ValueError("need at least one file")
-        per_file_osts = min(
-            osts_requested or self.ost_limit_per_file, self.ost_limit_per_file
-        )
-        used = min(n_files * per_file_osts, self.total_osts)
+        used = min(n_files * self.ost_limit_per_file, self.total_osts)
         return min(used * self.per_ost_Bps, self.client_limit_Bps)
 
 

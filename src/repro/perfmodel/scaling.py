@@ -29,6 +29,10 @@ from .machines import MachineModel
 __all__ = ["ScalingInputs", "StrongScalingModel", "StageBreakdown", "table2_breakdown"]
 
 
+#: bytes of one hashed cell on the wire
+_HCELL_BYTES = 128.0
+
+
 @dataclass
 class ScalingInputs:
     """Calibration constants, typically measured from a small run."""
@@ -40,7 +44,6 @@ class ScalingInputs:
     imbalance_ref_ranks: int
     #: remote hcells per rank at the reference rank count
     remote_cells_ref: float
-    hcell_bytes: float = 128.0
 
 
 @dataclass
@@ -59,12 +62,12 @@ class StrongScalingModel:
         npp = i.n_particles / p
         sort = 8e-9 * npp * math.log2(max(npp, 2)) + m.ptp_time(0.05 * npp * 48) * 2
         # tree build: local (linear) + log P branch aggregation rounds
-        tree = 2e-8 * npp + math.log2(max(p, 2)) * m.ptp_time(4096 * i.hcell_bytes)
+        tree = 2e-8 * npp + math.log2(max(p, 2)) * m.ptp_time(4096 * _HCELL_BYTES)
         # traversal communication: remote cells scale with domain surface,
         # (N/P)^(2/3) per rank, normalized to the measured reference
         ref_surface = (i.n_particles / i.imbalance_ref_ranks) ** (2.0 / 3.0)
         remote = i.remote_cells_ref * (npp ** (2.0 / 3.0)) / ref_surface
-        comm = remote * i.hcell_bytes / m.bandwidth_Bps + 32 * m.latency_s
+        comm = remote * _HCELL_BYTES / m.bandwidth_Bps + 32 * m.latency_s
         # load imbalance: grows slowly with P (domain granularity); the
         # standard (P/P_ref)^(1/3) granularity scaling
         imb = i.imbalance_ref * (p / i.imbalance_ref_ranks) ** (1.0 / 3.0)

@@ -34,9 +34,9 @@ class Task:
     #: least 600 seconds in advance")
     preempt_notice_s: float = 0.0
     # filled by the scheduler
-    start_s: float | None = None
-    end_s: float | None = None
-    preempted: bool = False
+    start_s: float | None = field(init=False, default=None)
+    end_s: float | None = field(init=False, default=None)
+    preempted: bool = field(init=False, default=False)
 
     @property
     def done(self) -> bool:

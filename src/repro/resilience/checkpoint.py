@@ -35,10 +35,9 @@ class CheckpointStore:
     directory:
         Where checkpoints live (``ckpt_<step>.sdf``); created on first
         save.
-    faults:
-        Optional :class:`FaultPlan` whose ``corrupt`` clauses are
-        applied to matching writes (deterministic test injection);
-        defaults to the ``REPRO_FAULTS`` environment.
+
+    The ``corrupt`` clauses of the ``REPRO_FAULTS`` plan are applied to
+    matching writes (deterministic fault injection).
     """
 
     #: rotation width — after each save only the newest ``KEEP``
@@ -47,13 +46,9 @@ class CheckpointStore:
     #: a corrupted newest file)
     KEEP = 3
 
-    def __init__(self, directory, faults: FaultPlan | str | None = None):
+    def __init__(self, directory):
         self.directory = Path(directory)
-        if faults is None:
-            faults = FaultPlan.from_env()
-        elif isinstance(faults, str):
-            faults = FaultPlan.parse(faults)
-        self.faults = faults
+        self.faults = FaultPlan.from_env()
 
     def path_for(self, step: int) -> Path:
         return self.directory / f"ckpt_{int(step):06d}.sdf"

@@ -138,14 +138,11 @@ class SimulationConfig:
     #: softening length as a fraction of the mean interparticle spacing
     eps_frac: float = 0.05
     ws: int = 1
-    pm_grid: int = 0  # 0 -> 2 * n_per_dim for treepm
     #: worker processes for the force traverse+evaluate stages
     #: (0 = serial; see :class:`repro.parallel.executor.ForceExecutor`)
     workers: int = 0
     # stepping
     dlna_max: float = 0.125
-    dt_divider: int = 1  # 4 for the Fig. 7 dt/4 reference run
-    adaptive: bool = True
     #: factor-of-two refinement cap (global steps; see StepController)
     max_refine: int = 4
     #: compute potentials / Layzer-Irvine energies (adds ~20% force cost)
@@ -238,7 +235,7 @@ class Simulation:
         self._setup_engine()
         self.integrator = LeapfrogIntegrator(c.cosmology, self._force)
         self.controller = StepController(
-            dlna_max=c.dlna_max / c.dt_divider, eps=c.eps, max_refine=c.max_refine
+            dlna_max=c.dlna_max, eps=c.eps, max_refine=c.max_refine
         )
         self.history: list[StepRecord] = []
         self.run_totals: dict = {}
@@ -278,7 +275,7 @@ class Simulation:
         elif c.engine == "treepm":
             self._solver = TreePMGravity(
                 TreePMConfig(
-                    ngrid=c.pm_grid or 2 * c.n_per_dim,
+                    ngrid=2 * c.n_per_dim,
                     p=c.p,
                     errtol=c.errtol,
                     nleaf=c.nleaf,
@@ -588,10 +585,7 @@ class Simulation:
             while ps.a < c.a_final * (1 - 1e-12) and steps < max_steps:
                 t0 = time.perf_counter()
                 with tr.stage("step"):
-                    if c.adaptive:
-                        dlna = self.controller.choose(c.cosmology, ps, acc, ps.a)
-                    else:
-                        dlna = self.controller.dlna_max
+                    dlna = self.controller.choose(c.cosmology, ps, acc, ps.a)
                     a_next = min(ps.a * np.exp(dlna), c.a_final)
                     acc = self.integrator.step_kdk(ps, a_next, acc0=acc)
                     t, w = self._energies(ps, ps.a)

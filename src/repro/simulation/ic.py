@@ -54,7 +54,6 @@ class ICConfig:
     use_2lpt: bool = True
     dec: bool = False
     sphere_mode: bool = False
-    transfer: str = "eh"
 
 
 def _kgrids(n: int, box: float):
@@ -113,7 +112,7 @@ def generate_ic(
     """
     n = cfg.n_per_dim
     box = cfg.box_mpc_h
-    power = LinearPower(params, kind=cfg.transfer)
+    power = LinearPower(params)
     growth = GrowthCalculator(params)
     rng = np.random.default_rng(cfg.seed)
     dk = gaussian_field(power, cfg, rng)

@@ -46,14 +46,15 @@ class StepController:
     The base step is ``dlna_max``; it is divided by the smallest power
     of two such that both criteria pass:
 
-    * acceleration criterion: dt^2 * max|dp/dt|/a_typ <= eta_acc * eps
+    * acceleration criterion: dt^2 * max|dp/dt|/a_typ <= ETA_ACC * eps
       (a displacement-per-step limit against the softening length),
-    * velocity criterion:     dt * max|v| <= eta_vel * box fraction.
+    * velocity criterion:     dt * max|v| <= ETA_VEL * box fraction.
     """
 
+    ETA_ACC = 0.5
+    ETA_VEL = 0.05
+
     dlna_max: float = 0.125
-    eta_acc: float = 0.5
-    eta_vel: float = 0.05
     eps: float = 0.01
     #: cap on factor-of-two refinements; with global timesteps an
     #: unbounded criterion would let a single collapsed halo core drive
@@ -78,7 +79,7 @@ class StepController:
             kick = dk.kick_factor(a, a1)
             dx_vel = vmax * drift
             dx_acc = kick * drift * amax
-            if dx_vel <= self.eta_vel and dx_acc <= self.eta_acc * self.eps:
+            if dx_vel <= self.ETA_VEL and dx_acc <= self.ETA_ACC * self.eps:
                 return dlna
         return self.dlna_max / (1 << self.max_refine)
 
@@ -95,7 +96,7 @@ class LeapfrogIntegrator:
 
     params: CosmologyParams
     force: Callable[[ParticleSet], np.ndarray]
-    n_force_calls: int = 0
+    n_force_calls: int = field(init=False, default=0)
 
     def __post_init__(self):
         self._dk = _integrals(self.params)

@@ -47,10 +47,10 @@ class LightConeRecorder:
     observer: np.ndarray = field(default_factory=lambda: np.full(3, 0.5))
     depth_boxes: float = 1.0
     # accumulated cone
-    chunks: list = field(default_factory=list)
-    z_chunks: list = field(default_factory=list)
-    r_chunks: list = field(default_factory=list)
-    _last_a: float | None = None
+    chunks: list = field(init=False, default_factory=list)
+    z_chunks: list = field(init=False, default_factory=list)
+    r_chunks: list = field(init=False, default_factory=list)
+    _last_a: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.bg = Background(self.params)

@@ -58,11 +58,12 @@ class TestFaultTrace:
         assert capsys.readouterr().err == message + "\n"
 
 
-def _store(directory, n_checkpoints):
+def _store(directory, n_checkpoints, monkeypatch):
     from repro.resilience import CheckpointStore
     from repro.simulation import ParticleSet
 
-    store = CheckpointStore(directory, faults="")
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    store = CheckpointStore(directory)
     rng = np.random.default_rng(3)
     for step in range(1, n_checkpoints + 1):
         store.save(step, ParticleSet(
@@ -73,16 +74,16 @@ def _store(directory, n_checkpoints):
 
 
 class TestCheckpointFallback:
-    def test_corrupted_newest_falls_back(self, tmp_path, capsys):
-        store = _store(tmp_path / "ck", 3)
+    def test_corrupted_newest_falls_back(self, tmp_path, capsys, monkeypatch):
+        store = _store(tmp_path / "ck", 3, monkeypatch)
         assert checkpoint_fallback.main([str(store.directory)]) == 0
         assert capsys.readouterr().out == "fell back: ckpt_000003.sdf -> ckpt_000002.sdf\n"
         # the corruption stays for the resume that follows
         path, _, _ = store.latest_valid()
         assert path.name == "ckpt_000002.sdf"
 
-    def test_one_checkpoint_is_not_enough(self, tmp_path, capsys):
-        store = _store(tmp_path / "ck", 1)
+    def test_one_checkpoint_is_not_enough(self, tmp_path, capsys, monkeypatch):
+        store = _store(tmp_path / "ck", 1, monkeypatch)
         assert checkpoint_fallback.main([str(store.directory)]) == 1
         assert capsys.readouterr().err.startswith("need >= 2 checkpoints, have [")
 

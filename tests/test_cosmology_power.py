@@ -86,12 +86,6 @@ class TestLinearPower:
         lp = LinearPower(PLANCK2013)
         assert lp.dlnsigma_dlnm(1e14) < 0
 
-    def test_mass_radius_roundtrip(self):
-        lp = LinearPower(PLANCK2013)
-        m = lp.mass_of_radius(8.0)
-        r = (3 * m / (4 * np.pi * PLANCK2013.rho_mean0)) ** (1 / 3)
-        assert r == pytest.approx(8.0)
-
     def test_wmap1_has_more_power(self):
         """WMAP1 (sigma8=0.9) has more small-scale power than Planck —
         the driver of the Fig. 8 mass-function differences."""

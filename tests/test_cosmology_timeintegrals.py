@@ -57,11 +57,6 @@ class TestDriftKick:
         expected = 2.0 * (math.sqrt(a1) - math.sqrt(a0))
         assert dk.kick_factor(a0, a1) == pytest.approx(expected, rel=1e-10)
 
-    def test_eds_time_interval(self):
-        dk = DriftKickIntegrals(EDS)
-        # t(a) = (2/3) a^{3/2} in 1/H0 units
-        assert dk.time_interval(0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-8)
-
     def test_additivity(self):
         dk = DriftKickIntegrals(PLANCK2013)
         whole = dk.kick_factor(0.1, 0.9)
@@ -80,12 +75,11 @@ class TestDriftKick:
 
 
 def _integrands(params):
-    """The three factors' integrands, as ``DriftKickIntegrals`` writes them."""
+    """The two factors' integrands, as ``DriftKickIntegrals`` writes them."""
     e = Background(params).efunc
     return {
         "drift_factor": lambda a: 1.0 / (a**3 * float(e(a))),
         "kick_factor": lambda a: 1.0 / (a**2 * float(e(a))),
-        "time_interval": lambda a: 1.0 / (a * float(e(a))),
     }
 
 

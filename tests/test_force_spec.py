@@ -2,7 +2,7 @@
 
 A bad enum-like string must fail where the config is written — not
 after the tree is built, shared memory is published and a pool worker
-has been re-dispatched ``max_retries`` times.
+has been re-dispatched ``ForceExecutor.MAX_RETRIES`` times.
 """
 
 import dataclasses

@@ -78,14 +78,6 @@ class TestEwald:
         net = (mass[:, None] * acc).sum(axis=0)
         assert np.all(np.abs(net) < 1e-12 * np.abs(mass[:, None] * acc).sum())
 
-    def test_neutral_pair_energy_scale(self):
-        """Two particles: energy is finite and dominated by the direct term."""
-        pos = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
-        mass = np.array([1.0, 1.0])
-        ew = EwaldSummation()
-        w = ew.potential_energy(pos, mass)
-        assert np.isfinite(w)
-
 
 class TestLatticeSums:
     def test_odd_orders_vanish(self):

@@ -170,10 +170,13 @@ class TestBranchExchange:
                         break
                 assert found
 
-    def test_coarsen_far_regions(self):
+    def test_coarsen_far_regions(self, monkeypatch):
+        from repro.parallel import branches
+
+        monkeypatch.setattr(branches, "_DETAIL_LEVELS", 2)
         keys = np.array([(1 << 18) | 123, (1 << 18) | 124], dtype=np.uint64)
         placeholder = 1 << (3 * KEY_BITS)
-        far = coarsen_for_receiver(keys, placeholder - 10, placeholder - 5, 2)
+        far = coarsen_for_receiver(keys, placeholder - 10, placeholder - 5)
         assert key_level(far).max() < key_level(keys).max()
 
 

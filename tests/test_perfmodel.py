@@ -225,7 +225,7 @@ class TestIOModel:
         """§3.4.2: 4 files across 512 OSTs -> 45 GB/s."""
         from repro.perfmodel import LUSTRE_ORNL
 
-        assert LUSTRE_ORNL.rate(4, 128) / 1e9 == pytest.approx(45.0, abs=2.0)
+        assert LUSTRE_ORNL.rate(4) / 1e9 == pytest.approx(45.0, abs=2.0)
 
     def test_panasas_band(self):
         from repro.perfmodel import PANASAS_LANL

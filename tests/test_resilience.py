@@ -136,6 +136,48 @@ class TestConfigRecord:
         assert np.array_equal(pa.pos, pb.pos)
         assert np.array_equal(pa.mom, pb.mom)
 
+    @staticmethod
+    def _with_retired(tmp_path, retired):
+        """A mid-run checkpoint of ``short_config()`` with ``retired``
+        ``simcfg_*`` entries added, and the run that wrote it."""
+        cfg = short_config()
+        sim = Simulation(cfg)
+        sim.run(max_steps=1)
+        fresh, old = tmp_path / "fresh.sdf", tmp_path / "old.sdf"
+        sim.save_checkpoint(path=fresh)
+        ps, md = load_checkpoint(fresh)
+        extra = {k: v for k, v in md.items() if k.startswith("restart_")}
+        extra.update((f"simcfg_{k}", v) for k, v in retired.items())
+        save_checkpoint(
+            old, ps, params=cfg.cosmology, box_mpc_h=cfg.box_mpc_h,
+            sim_config=cfg, extra_metadata=extra,
+        )
+        return sim, old
+
+    @pytest.mark.parametrize("name, value", [("dt_divider", 2), ("adaptive", False)])
+    def test_retired_setting_at_another_value_refuses_to_resume(
+        self, tmp_path, name, value
+    ):
+        """A file holding a retired setting away from the value the code
+        now runs as would resume different physics: refused, by name."""
+        _, old = self._with_retired(tmp_path, {name: value})
+        with pytest.raises(CheckpointConfigMismatch, match=name):
+            Simulation.resume(old)
+        with pytest.raises(CheckpointConfigMismatch, match=name):
+            load_checkpoint(old, expect_config=short_config())
+
+    def test_retired_settings_at_their_values_resume_bit_identically(self, tmp_path):
+        sim, old = self._with_retired(
+            tmp_path, {"adaptive": True, "dt_divider": 1, "pm_grid": 0}
+        )
+        resumed = Simulation.resume(old)
+        assert resumed.config == sim.config
+        ps_res, ps_ref = resumed.run(), sim.run()
+        assert len(sim.history) >= 2
+        assert np.array_equal(ps_res.pos, ps_ref.pos)
+        assert np.array_equal(ps_res.mom, ps_ref.mom)
+        assert ps_res.a == ps_ref.a and ps_res.a_mom == ps_ref.a_mom
+
 
 class TestLeapfrogOffset:
     def test_offset_epochs_roundtrip_exactly(self, tmp_path):
@@ -197,11 +239,10 @@ class TestCheckpointStore:
         names = [p.name for p in store.list()]
         assert names == ["ckpt_000003.sdf", "ckpt_000004.sdf", "ckpt_000005.sdf"]
 
-    def test_latest_valid_skips_corrupted_newest(self, tmp_path):
+    def test_latest_valid_skips_corrupted_newest(self, tmp_path, monkeypatch):
         # corrupt the 3rd write (the newest) deep in its column data
-        store = CheckpointStore(
-            tmp_path / "ck", faults="corrupt:index=2,byte=999999"
-        )
+        monkeypatch.setenv("REPRO_FAULTS", "corrupt:index=2,byte=999999")
+        store = CheckpointStore(tmp_path / "ck")
         for step in range(3):
             store.save(step, self._ps(seed=step))
         path, ps, md = store.latest_valid()
@@ -209,12 +250,13 @@ class TestCheckpointStore:
         assert len(store.skipped) == 1
         assert "ckpt_000002" in store.skipped[0][0].name
 
-    def test_all_corrupt_raises(self, tmp_path):
-        store = CheckpointStore(
-            tmp_path / "ck",
-            faults="corrupt:index=0,byte=999999,times=99;"
-                   "corrupt:index=1,byte=999999,times=99",
+    def test_all_corrupt_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            "corrupt:index=0,byte=999999,times=99;"
+            "corrupt:index=1,byte=999999,times=99",
         )
+        store = CheckpointStore(tmp_path / "ck")
         for step in range(2):
             store.save(step, self._ps())
         with pytest.raises(NoValidCheckpoint):
@@ -417,12 +459,13 @@ class TestSelfHealingExecutor:
         inter = traverse_lists(tree, moms, periodic=False)
         return evaluate_forces(tree, moms, inter)
 
-    def test_worker_death_recovered_bit_identical(self):
+    def test_worker_death_recovered_bit_identical(self, monkeypatch):
         from repro.parallel.executor import ForceExecutor
 
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
-        with ForceExecutor(1, faults="kill:shard=0") as ex:
+        monkeypatch.setenv("REPRO_FAULTS", "kill:shard=0")
+        with ForceExecutor(1) as ex:
             res = ex.compute(tree, moms, ForceSpec())
         kinds = [r["kind"] for r in ex.recoveries]
         assert "worker_death" in kinds
@@ -430,36 +473,37 @@ class TestSelfHealingExecutor:
         assert np.array_equal(res.acc, ref.acc)
         assert res.stats["executor"]["recoveries"]
 
-    def test_transient_error_retried(self):
+    def test_transient_error_retried(self, monkeypatch):
         from repro.parallel.executor import ForceExecutor
 
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
-        with ForceExecutor(1, faults="raise:shard=0") as ex:
+        monkeypatch.setenv("REPRO_FAULTS", "raise:shard=0")
+        with ForceExecutor(1) as ex:
             res = ex.compute(tree, moms, ForceSpec())
         assert "shard_retry" in [r["kind"] for r in ex.recoveries]
         assert np.array_equal(res.acc, ref.acc)
 
-    def test_hang_triggers_pool_restart(self):
+    def test_hang_triggers_pool_restart(self, monkeypatch):
         from repro.parallel.executor import ForceExecutor
 
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
-        with ForceExecutor(
-            1, faults="delay:shard=0,seconds=30", shard_timeout=0.5
-        ) as ex:
+        monkeypatch.setenv("REPRO_FAULTS", "delay:shard=0,seconds=30")
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "0.5")
+        with ForceExecutor(1) as ex:
             res = ex.compute(tree, moms, ForceSpec())
         assert "pool_restart" in [r["kind"] for r in ex.recoveries]
         assert np.array_equal(res.acc, ref.acc)
 
-    def test_unrecoverable_pool_degrades_to_serial(self):
+    def test_unrecoverable_pool_degrades_to_serial(self, monkeypatch):
         from repro.parallel.executor import ForceExecutor
 
         tree, moms = _tree_moms()
         ref = self._reference(tree, moms)
-        with ForceExecutor(
-            1, faults="kill:worker=0,times=99", max_respawns=0
-        ) as ex:
+        monkeypatch.setenv("REPRO_FAULTS", "kill:worker=0,times=99")
+        monkeypatch.setattr(ForceExecutor, "MAX_RESPAWNS", 0)
+        with ForceExecutor(1) as ex:
             res = ex.compute(tree, moms, ForceSpec())
             assert ex.degraded
             assert "serial_fallback" in [r["kind"] for r in ex.recoveries]
@@ -468,11 +512,13 @@ class TestSelfHealingExecutor:
             res2 = ex.compute(tree, moms, ForceSpec())
             assert np.array_equal(res2.acc, ref.acc)
 
-    def test_close_after_dead_pool_no_leaks(self):
+    def test_close_after_dead_pool_no_leaks(self, monkeypatch):
         from repro.parallel.executor import ForceExecutor
 
         tree, moms = _tree_moms(n=200)
-        ex = ForceExecutor(1, faults="kill:worker=0,times=99", max_respawns=0)
+        monkeypatch.setenv("REPRO_FAULTS", "kill:worker=0,times=99")
+        monkeypatch.setattr(ForceExecutor, "MAX_RESPAWNS", 0)
+        ex = ForceExecutor(1)
         ex.compute(tree, moms, ForceSpec())
         for p in ex._procs:
             if p.is_alive():

@@ -73,7 +73,7 @@ class TestDriver:
             Simulation(short_config(engine="pm3d"))
 
     def test_treepm_engine_runs(self):
-        sim = Simulation(short_config(engine="treepm", pm_grid=16))
+        sim = Simulation(short_config(engine="treepm"))
         ps = sim.run()
         assert ps.a == pytest.approx(0.14)
 
@@ -97,7 +97,7 @@ class TestDriver:
     def test_dt_divider_reduces_steps_size(self):
         s1 = Simulation(short_config())
         s1.run()
-        s2 = Simulation(short_config(dt_divider=2))
+        s2 = Simulation(short_config(dlna_max=s1.config.dlna_max / 2))
         s2.run()
         assert max(r.dlna for r in s2.history) <= max(r.dlna for r in s1.history) / 2 * 1.01
 

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ from repro.tree.traversal import filter_csr_indptr
 from repro.util import expand_ranges
 
 from .oracle import cell_leaf_csr, oracle_forces, per_cube_background
+
+
+def evaluate_with_chunks(tree, moms, inter, cell_chunk=None, pp_chunk=None, **kw):
+    """:func:`evaluate_forces` under patched row budgets: ``cell_chunk``
+    sets ``_CELL_CHUNK``, ``pp_chunk`` both ``_PP_CHUNK`` and
+    ``_PRISM_CHUNK``; ``None`` keeps the module's value."""
+    budgets = {}
+    if cell_chunk is not None:
+        budgets["_CELL_CHUNK"] = cell_chunk
+    if pp_chunk is not None:
+        budgets["_PP_CHUNK"] = budgets["_PRISM_CHUNK"] = pp_chunk
+    with mock.patch.dict(treeforce.__dict__, budgets):
+        return evaluate_forces(tree, moms, inter, **kw)
 
 
 def cloud(n=1500, seed=0, clustered=False):
@@ -379,7 +393,7 @@ class TestChunkInvariance:
                 (int(rows.max()), None),
                 (int(rows.sum()) + 1, 10**9),
             ):
-                odd = evaluate_forces(
+                odd = evaluate_with_chunks(
                     tree, moms, inter, dtype=dtype,
                     cell_chunk=cell_chunk, pp_chunk=pp_chunk,
                 )
@@ -412,7 +426,7 @@ class TestChunkInvariance:
         )
         inter = traverse_hierarchical(tree, moms, periodic=periodic, ws=1)
         ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
-        got = evaluate_forces(
+        got = evaluate_with_chunks(
             tree, moms, inter, dtype=np.float32,
             cell_chunk=cell_chunk, pp_chunk=pp_chunk,
         )
@@ -483,7 +497,9 @@ class TestBlockedCellEvaluator:
         rows = panel_rows(tree, inter)
         assert np.any(rows == 1) and rows.sum() > 1
         ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
-        alone = evaluate_forces(tree, moms, inter, dtype=np.float32, cell_chunk=1)
+        alone = evaluate_with_chunks(
+            tree, moms, inter, dtype=np.float32, cell_chunk=1
+        )
         assert same_bits(ref, alone)
 
     def test_shard_equals_serial_slice(self):
@@ -544,7 +560,7 @@ class TestBlockedCellEvaluator:
         assert np.any(np.diff(sparse.cell_indptr) == 0)
         ref = evaluate_forces(tree, moms, sparse, particle_range=(0, n))
         for cell_chunk in (1, 500, 10**9):
-            got = evaluate_forces(
+            got = evaluate_with_chunks(
                 tree, moms, sparse, particle_range=(0, n), cell_chunk=cell_chunk
             )
             assert same_bits(ref, got)
@@ -617,7 +633,7 @@ class TestBlockedCellEvaluator:
             assert no_pot.pot is None and np.array_equal(no_pot.acc, ref.acc)
             assert same_bits(
                 ref,
-                evaluate_forces(tree, moms, inter, dtype=dtype, cell_chunk=1),
+                evaluate_with_chunks(tree, moms, inter, dtype=dtype, cell_chunk=1),
             )
 
     def test_every_particle_in_one_leaf(self):
@@ -648,7 +664,7 @@ class TestBlockedCellEvaluator:
         for cell_chunk in (1, far.sum(), 7 * far.sum() + 3):
             assert same_bits(
                 ref,
-                evaluate_forces(
+                evaluate_with_chunks(
                     tree, moms, inter, cell_chunk=int(cell_chunk)
                 ),
             )
@@ -700,7 +716,7 @@ class TestCellFamilyByHand:
         assert np.abs(res.acc - direct).max() < 2e-3 * np.abs(direct).max()
         for chunk in (1, 8, 9):
             assert same_bits(
-                res, evaluate_forces(tree, moms, inter, cell_chunk=chunk)
+                res, evaluate_with_chunks(tree, moms, inter, cell_chunk=chunk)
             )
 
     def test_oracle_eight_and_eight(self):
@@ -796,7 +812,7 @@ class TestCellFamilyByHand:
             for chunk in (1, 32, 33, 10**6):
                 assert same_bits(
                     res,
-                    evaluate_forces(
+                    evaluate_with_chunks(
                         tree, moms, inter, dtype=dtype, cell_chunk=chunk
                     ),
                 )
@@ -837,7 +853,7 @@ class TestCellFamilyByHand:
         for chunk in (1, 1013):
             assert same_bits(
                 f32,
-                evaluate_forces(
+                evaluate_with_chunks(
                     tree, moms, inter, dtype=np.float32, cell_chunk=chunk
                 ),
             )
@@ -951,7 +967,7 @@ class TestBlockedPairEvaluator:
         for pp_chunk in (1, 8, 26):
             assert same_bits(
                 res,
-                evaluate_forces(
+                evaluate_with_chunks(
                     tree, moms, inter, softening=PlummerSoftening(eps), pp_chunk=pp_chunk
                 ),
             )
@@ -982,7 +998,7 @@ class TestBlockedPairEvaluator:
         for pp_chunk in (1, 1013):
             assert same_bits(
                 got,
-                evaluate_forces(
+                evaluate_with_chunks(
                     tree, moms, inter, dtype=np.float32, pp_chunk=pp_chunk
                 ),
             )

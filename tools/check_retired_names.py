@@ -163,6 +163,68 @@ RETIRED = [
         ("src/repro/gravity/pm.py",),
         "TreePM's short-range walk is hierarchical: no traversal, no M2L pruning",
     ),
+    (
+        r"\b(max_retries|max_respawns|retry_backoff_s)\b|\bstart_method[:=]|\bfaults="
+        r"|\bfaults: (str|FaultPlan)|ForceExecutor\([^)]*\bshard_timeout=",
+        ("src/repro/parallel/executor.py", "src/repro/resilience/checkpoint.py",
+         "tests", "benchmarks", "examples", "tools"),
+        "a setting earns a caller: the pool's knobs are constants or REPRO_* variables",
+    ),
+    (
+        r"\b(cell_chunk|pp_chunk|prism_chunk)\b",
+        TREEFORCE,
+        "a setting earns a caller: the evaluator's row budgets are module constants",
+    ),
+    (
+        r"evaluate_forces\([^)]*\b(cell|pp)_chunk=",
+        CALLERS,
+        "a setting earns a caller: tests patch the row budgets instead of passing them",
+    ),
+    (
+        r"\b(dt_divider|pm_grid|adaptive|eta_acc|eta_vel)\s*[:=]"
+        r"|\.(dt_divider|pm_grid|adaptive|eta_acc|eta_vel)\b|\bcfg\.transfer\b"
+        r"|\btransfer: str|ICConfig\([^)]*\btransfer=",
+        CALLERS,
+        "a setting earns a caller: SimulationConfig, StepController and ICConfig lose theirs",
+    ),
+    (
+        r"\bblock: int|\bblock=",
+        ("src/repro/gravity/direct.py", "src/repro/gravity/ewald.py",
+         "src/repro/diagnose/probe.py"),
+        "a setting earns a caller: the direct and Ewald block sizes are constants",
+    ),
+    (
+        r"\biters\b",
+        ("src/repro/multipoles/bounds.py",),
+        "a setting earns a caller: the critical-radius bisection has a fixed step count",
+    ),
+    (
+        r"\bchunk: int|\bchunk=",
+        ("src/repro/gravity/localexp.py",),
+        "a setting earns a caller: the L2P block size is a constant",
+    ),
+    (
+        r"\b(r_max_frac|rel_step|min_ratio|DEFAULT_MIN_RATIO|n_probe|max_wall_h|osts_requested"
+        r"|max_events|moved_fraction|neighbor_spread|bytes_per_particle|buffer_bytes"
+        r"|detail_levels|hcell_bytes)\b",
+        CALLERS,
+        "a setting earns a caller: one-value analysis, model and exchange parameters",
+    ),
+    (
+        r"\.(omega_de_a|omega_r_a|lookback_gyr|a_of_t|z_equality|age_gyr|a_equality|omega_c"
+        r"|is_flat|de_density_ratio|growth_ratio|mass_of_radius|time_interval|potential_energy"
+        r"|current_path)\b|def (omega_de_a|omega_r_a|lookback_gyr|a_of_t|z_equality|age_gyr"
+        r"|a_equality|omega_c|is_flat|de_density_ratio|growth_ratio|mass_of_radius"
+        r"|time_interval|potential_energy|current_path)\(",
+        CALLERS,
+        "a public name earns a caller: sixteen methods only tests called, and two they left",
+    ),
+    (
+        r"force_stage_table|FORCE_STAGE_LABELS|\b(extra_rows|sub_rows)\b"
+        r"|stage_breakdown_table\([^)]*\b(total|labels)=",
+        (*CALLERS, "README.md"),
+        "a public name earns a caller: the force-stats table only tests rendered",
+    ),
 ]
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
