@@ -145,11 +145,16 @@ def probe_force_error(
     )
     err = np.linalg.norm(np.asarray(acc, dtype=np.float64)[idx] - ref, axis=1)
     ref_mag = np.linalg.norm(ref, axis=1)
+    p50, p90, p99 = np.percentile(err, (50, 90, 99)) / budget
     return {
         "n_samples": int(len(idx)),
         "max_abs_err": float(err.max()),
         "rms_abs_err": float(np.sqrt((err**2).mean())),
         "max_rel_err": float((err / np.maximum(ref_mag, 1e-300)).max()),
+        # the error distribution in units of the budget
+        "p50_over_budget": float(p50),
+        "p90_over_budget": float(p90),
+        "p99_over_budget": float(p99),
         "mac_budget": budget,
         "periodic": periodic,
         # whole-field momentum-conservation diagnostic (free: no extra
