@@ -28,6 +28,7 @@ from .monitors import (
     LayzerIrvineMonitor,
     MomentumMonitor,
     StateGuard,
+    StepCapMonitor,
 )
 from .probe import ForceErrorProbe
 from .structural import (
@@ -61,6 +62,7 @@ class HealthMonitor:
             StateGuard(snapshot_dir=config.snapshot_dir),
             LayzerIrvineMonitor(),
             MomentumMonitor(),
+            StepCapMonitor(),
         ]
         if config.probe_interval > 0:
             self.monitors.append(ForceErrorProbe(interval=config.probe_interval))

@@ -32,6 +32,7 @@ __all__ = [
     "LayzerIrvineMonitor",
     "MomentumMonitor",
     "StateGuard",
+    "StepCapMonitor",
 ]
 
 #: severity order: events escalate left to right
@@ -163,6 +164,42 @@ class LayzerIrvineMonitor(Monitor):
 
     def summary(self) -> dict:
         return {"max_drift": self.max_drift, "warn": self.WARN, "error": self.ERROR}
+
+
+class StepCapMonitor(Monitor):
+    """Steps the factor-of-two ladder could not make small enough.
+
+    :class:`~repro.simulation.integrator.StepController` takes
+    ``dlna_max / 2^max_refine`` when even that step fails its
+    displacement criteria; such a step integrates with an error the
+    criteria were meant to bound.  Warn on every one.
+    """
+
+    name = "step_cap"
+
+    def __init__(self):
+        self._seen = 0
+        self.capped = 0
+
+    def start(self, ctx: HealthContext) -> list[HealthEvent]:
+        self._seen = ctx.sim.controller.capped_steps
+        return []
+
+    def check(self, ctx: HealthContext) -> list[HealthEvent]:
+        ctl = ctx.sim.controller
+        new, self._seen = ctl.capped_steps - self._seen, ctl.capped_steps
+        if not new:
+            return []
+        self.capped += new
+        return [self._event(
+            ctx, "warn",
+            f"step capped at dlna_max / 2^{ctl.max_refine} and still past its "
+            f"criterion ({self.capped} of {ctx.step} steps so far)",
+            value=self.capped,
+        )]
+
+    def summary(self) -> dict:
+        return {"capped_steps": self.capped}
 
 
 class MomentumMonitor(Monitor):

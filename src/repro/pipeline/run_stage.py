@@ -245,7 +245,6 @@ def _stage_evolve(cfg, workdir):
             errtol=cfg["errtol"],
             p=cfg.get("p_order", 4),
             softening=cfg.get("softening", "dehnen_k1"),
-            max_refine=2,
             workers=int(cfg.get("workers") or 0),
         )
         # the monitor stays out of the config, so a monitored and an

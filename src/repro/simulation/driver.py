@@ -546,6 +546,7 @@ class Simulation:
         init_wall = 0.0
         init_ipp = 0.0
         first_step = len(self.history)
+        capped0 = self.controller.capped_steps
         t_run0 = time.perf_counter()
 
         def totals() -> dict:
@@ -556,6 +557,8 @@ class Simulation:
                 "init_force_wall_s": init_wall,
                 "init_interactions_per_particle": init_ipp,
                 "step_wall_s": float(sum(r.wall for r in new)),
+                # steps taken at the refinement cap that fail its criterion
+                "capped_steps": self.controller.capped_steps - capped0,
                 "interactions_per_particle": init_ipp
                 + float(sum(r.interactions_per_particle for r in new)),
             }
@@ -585,7 +588,7 @@ class Simulation:
             while ps.a < c.a_final * (1 - 1e-12) and steps < max_steps:
                 t0 = time.perf_counter()
                 with tr.stage("step"):
-                    dlna = self.controller.choose(c.cosmology, ps, acc, ps.a)
+                    dlna = self.controller.choose(c.cosmology, ps, acc, ps.a, tracer=tr)
                     a_next = min(ps.a * np.exp(dlna), c.a_final)
                     acc = self.integrator.step_kdk(ps, a_next, acc0=acc)
                     t, w = self._energies(ps, ps.a)

@@ -49,6 +49,10 @@ class StepController:
     * acceleration criterion: dt^2 * max|dp/dt|/a_typ <= ETA_ACC * eps
       (a displacement-per-step limit against the softening length),
     * velocity criterion:     dt * max|v| <= ETA_VEL * box fraction.
+
+    When even ``dlna_max / 2^max_refine`` fails them the cap binds: that
+    step is taken anyway and counted in ``capped_steps`` and in the
+    tracer counter ``simulation.capped_steps``.
     """
 
     ETA_ACC = 0.5
@@ -61,6 +65,8 @@ class StepController:
     #: the whole box to micro-steps (production codes use per-particle
     #: step hierarchies for this; see DESIGN.md)
     max_refine: int = 4
+    #: steps chosen at the cap that still fail a criterion
+    capped_steps: int = field(init=False, default=0)
 
     def choose(
         self,
@@ -68,6 +74,7 @@ class StepController:
         ps: ParticleSet,
         acc: np.ndarray,
         a: float,
+        tracer=None,
     ) -> float:
         dk = _integrals(params)
         vmax = float(np.sqrt((ps.mom**2).sum(axis=1)).max())
@@ -81,6 +88,9 @@ class StepController:
             dx_acc = kick * drift * amax
             if dx_vel <= self.ETA_VEL and dx_acc <= self.ETA_ACC * self.eps:
                 return dlna
+        self.capped_steps += 1
+        if tracer is not None:
+            tracer.count("simulation.capped_steps")
         return self.dlna_max / (1 << self.max_refine)
 
 

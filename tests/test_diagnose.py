@@ -123,6 +123,28 @@ class TestPhysicsMonitors:
         assert any(e.monitor == "momentum" and e.severity == "error" for e in events)
 
 
+class TestStepCap:
+    def test_capped_steps_are_counted_and_warned(self):
+        """A tiny run whose cap binds (no refinement allowed, a step of a
+        quarter e-fold at late times): every step is taken at the cap
+        past its criterion — the tracer counter, the run totals and the
+        health monitor all say so."""
+        cfg = short_config(a_init=0.5, a_final=1.0, dlna_max=0.25, max_refine=0,
+                           track_energy=False)
+        tr = Tracer()
+        with Simulation(cfg, tracer=tr, health=HealthConfig()) as sim:
+            sim.run()
+        steps = sim.run_totals["steps"]
+        assert steps == 3
+        assert sim.run_totals["capped_steps"] == tr.counters["simulation.capped_steps"] == steps
+        health = sim.run_totals["health"]
+        assert health["monitors"]["step_cap"] == {"capped_steps": steps}
+        assert health["events"]["warn"] >= steps
+
+    def test_uncapped_run_counts_none(self, monitored_run):
+        assert monitored_run["summary"]["monitors"]["step_cap"] == {"capped_steps": 0}
+
+
 class TestProbeReference:
     def test_open_boundary_reference_matches_direct(self):
         """Non-periodic reference = direct summation, trivially exact."""
