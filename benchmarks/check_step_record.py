@@ -7,8 +7,7 @@ Exits non-zero when a workload of the report has a non-empty
 when one step of a workload, run here at the report's size, leaves no
 per-family split of the force evaluation in ``Simulation.last_stats``
 (``family_seconds``: cell / pp / m2l / prism, and beside it
-``cell_seconds``: translate / rows, the two parts of the cell family,
-and ``prism_seconds``: coalesce / rows, the two parts of the prism
+``prism_seconds``: coalesce / rows, the two parts of the prism
 family), or when the prism pass did not evaluate fewer rows
 (``prism_interactions``) than there are particle x cube pairs
 (``prism_cubes``), or when a fmm-hybrid step does not count its M2L
@@ -30,7 +29,6 @@ ROOT = Path(__file__).resolve().parent
 sys.path[:0] = [str(ROOT.parent / "src"), str(ROOT / "step")]
 
 FAMILIES = {"cell", "pp", "m2l", "prism"}
-CELL_PARTS = {"translate", "rows"}
 PRISM_PARTS = {"coalesce", "rows"}
 
 
@@ -75,15 +73,12 @@ def main(report_path: str) -> int:
             sim.run(max_steps=1)
             stats = sim.last_stats
         family = stats.get("family_seconds")
-        parts = stats.get("cell_seconds")
         prism = stats.get("prism_seconds")
         rows, cubes = stats.get("prism_interactions"), stats.get("prism_cubes")
         m2l = {k: stats.get(k) for k in ("m2l_pairs", "m2l_classes", "m2l_tile_rows")}
         hybrid = config.traversal == "fmm-hybrid"
         if not family or set(family) != FAMILIES or not family["prism"] > 0:
             failures.append(f"{name}: family_seconds {family}")
-        elif not parts or set(parts) != CELL_PARTS:
-            failures.append(f"{name}: cell_seconds {parts}")
         elif not prism or set(prism) != PRISM_PARTS:
             failures.append(f"{name}: prism_seconds {prism}")
         elif rows is None or cubes is None or rows >= cubes:
@@ -94,7 +89,7 @@ def main(report_path: str) -> int:
         ):
             failures.append(f"{name}: m2l counts {m2l}")
         else:
-            print(name, {k: round(v, 4) for k, v in {**family, **parts}.items()},
+            print(name, {k: round(v, 4) for k, v in family.items()},
                   {f"prism {k}": round(v, 4) for k, v in prism.items()},
                   f"prism rows {rows} of {cubes} cubes",
                   *([m2l] if hybrid else []))

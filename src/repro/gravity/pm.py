@@ -34,6 +34,7 @@ from scipy import special
 from ..observe import get_tracer
 from ..multipoles.radial import ErfcKernel
 from ..tree import build_tree, compute_moments
+from . import native
 from .smoothing import SofteningKernel, make_softening
 from .solver import ForceSpec, _ForceSolver, check_choices
 from .treeforce import ForceResult
@@ -190,8 +191,10 @@ class TreePMGravity(_ForceSolver):
     _label = "treepm"
 
     def __init__(self, config: TreePMConfig | None = None):
-        self.config = config or TreePMConfig()
+        self.config = cfg = config or TreePMConfig()
         self.last_stats: dict = {}
+        # build (or load) the compiled evaluator now, not in the first solve
+        native.evaluator(cfg.p, np.float64)
 
     def compute(
         self, pos: np.ndarray, mass: np.ndarray, box: float = 1.0, tracer=None

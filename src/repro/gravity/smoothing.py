@@ -14,9 +14,9 @@ source at separation r,
 * ``force_factor(r)``: F(r) with acc = -m * dx * F(r)   (F -> 1/r^3),
 * ``potential(r)``:    psi(r) with pot = +m * psi(r)    (psi -> 1/r),
 
-both in float64 — the definitions — and ``force_and_potential(r,
-out)``, the two together in the caller's working precision: Newtonian
-outside the kernel's support radius ``h``, the definitions inside.
+both in float64 — the definitions.  The force evaluator's compiled pp
+loop (:mod:`repro.gravity.native`) applies them inside the kernel's
+support radius ``h`` and forms Newtonian 1/r^3 and 1/r outside it.
 
 The K1 kernel here is derived from its defining property — enclosed
 mass M(x) with zero mean force bias, i.e. ∫ 4π y^3 rho(y) dy = 0 over
@@ -52,40 +52,6 @@ class SofteningKernel:
 
     def potential(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def force_and_potential(self, r, out, want_potential: bool = True):
-        """Write F(r) into ``out[0]`` and psi(r) into ``out[1]``.
-
-        ``out`` is (2, n) scratch of the working precision (``r``'s
-        dtype).  Every row gets the Newtonian 1/r^3 and 1/r computed in
-        that precision; the rows with r < ``h`` are then replaced by
-        :meth:`force_factor` / :meth:`potential` (float64, rounded on
-        store) — all rows when the support is unbounded.  Without
-        ``want_potential`` ``out[1]`` is left as scratch.  A row with
-        r = 0 outside every support comes out infinite (callers mask
-        self-pairs); no floating-point warning leaves this method.
-        """
-        f, psi = out
-        if self.h == np.inf:
-            f[...] = self.force_factor(r)
-            if want_potential:
-                psi[...] = self.potential(r)
-            return
-        with np.errstate(divide="ignore", over="ignore"):
-            np.reciprocal(r, out=psi)
-            np.multiply(psi, psi, out=f)
-            np.multiply(f, psi, out=f)
-        # compared in r's precision, against the smallest value of that
-        # precision at or above h: the same rows as r < h in float64
-        h = r.dtype.type(self.h)
-        if h < self.h:
-            h = np.nextafter(h, r.dtype.type(np.inf))
-        near = np.flatnonzero(r < h)
-        if len(near):
-            r_near = r[near]
-            f[near] = self.force_factor(r_near)
-            if want_potential:
-                psi[near] = self.potential(r_near)
 
 
 class NoSoftening(SofteningKernel):

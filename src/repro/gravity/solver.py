@@ -24,6 +24,7 @@ from ..tree import (
     compute_moments,
     traverse_lists,
 )
+from . import native
 from .periodic import PeriodicLocalExpansion
 from .smoothing import SofteningKernel, make_softening
 from .treeforce import ForceResult, evaluate_forces
@@ -393,6 +394,8 @@ class TreecodeGravity(_ForceSolver):
             dtype=cfg.dtype,
             want_potential=cfg.want_potential,
         )
+        # build (or load) the compiled evaluator now, not in the first solve
+        native.evaluator(cfg.p, cfg.dtype)
         #: lattice sums depend only on geometry/order, not on the
         #: particles — cache the expansion across compute() calls
         self._ple_cache: dict[tuple, PeriodicLocalExpansion] = {}

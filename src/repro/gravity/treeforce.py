@@ -1,30 +1,20 @@
-"""Vectorized force evaluation from interaction lists (paper §3.3).
+"""Force evaluation from interaction lists (paper §3.3).
 
-Consumes the interaction lists produced by the traversal and evaluates
-them in large blocked batches — the Python/NumPy analogue of 2HOT's
-m x n interaction blocking with structure-of-arrays swizzling (§3.2):
-m sink particles meet their n sources (cells, source-leaf particles or
-background boxes) in one dense tile, whatever depends on one side of
-the tile only is computed once per tile, every operand is one
-contiguous row over the block's interactions, and a block is thousands
-of interactions long, so the per-interaction interpreter overhead is
-amortized exactly the way the paper amortizes data-movement cost.  The
-pp and prism families tile per sink leaf (:func:`_leaf_blocks`); the
-cell family tiles per sink *cell*, where the walk recorded the accept.
-
-Three interaction families:
+Consumes the interaction lists produced by the traversal.  Three
+interaction families:
 
 * **cell**  — particle x multipole at the expansion order p of the tree
   moments, evaluated at the sink cell that accepted the source: the
   field is a sum of radial functions times polynomials
-  (:mod:`repro.multipoles.hermite`), the polynomials are re-centred on
-  the sink cell once per accept (an exact identity, generated code) and
-  evaluated for a panel of its particles against all its accepts by
-  one matrix product per order; only the radial chain and ~10 p sums
-  are left per particle x cell row;
+  (:mod:`repro.multipoles.hermite`), and the generated C of
+  :func:`repro.multipoles.codegen.generate_evaluator_source` evaluates
+  each row's polynomials straight-line, in registers, over blocks of
+  the sink cell's entries gathered into structure-of-arrays form — the
+  m x n interaction blocking and swizzling of §3.2;
 * **pp**    — particle x particle within directly-interacting leaf
   pairs, with any softening kernel (the 28-flop monopole inner loop of
-  Table 3);
+  Table 3), the same compiled unit looping over the source particles in
+  place;
 * **prism** — particle x analytic uniform box, the near-field
   background subtraction of §2.2.1: the ghost cells and, in background
   mode, the cube of every directly-interacting real leaf.  The
@@ -33,12 +23,11 @@ Three interaction families:
   leaf's cubes are merged into a few rectangular boxes first (an
   identity — the paper's one "larger cube which approximately
   surrounds the local region" is the special case), and the sink
-  leaf's particles meet those.
+  leaf's particles meet those in numpy blocks (:func:`_leaf_blocks`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,8 +36,6 @@ import numpy as np
 
 from ..observe import get_tracer
 from ..keys import cell_coordinates
-from ..multipoles import multi_index_set
-from ..multipoles.codegen import compiled_shift_function
 from ..multipoles.hermite import field_table
 from ..multipoles.multiindex import n_coeffs
 # benchmarks/step/layers.py resolves both prism names in this module
@@ -59,9 +46,10 @@ from ..tree.moments import TreeMoments
 from ..tree.structure import Tree
 from ..tree.traversal import InteractionLists
 from ..util import expand_ranges, release_scratch, scratch
+from . import native
 from .smoothing import NoSoftening, SofteningKernel
 
-__all__ = ["ForceResult", "evaluate_forces", "autotune_chunks", "segment_sum"]
+__all__ = ["ForceResult", "evaluate_forces", "segment_sum"]
 
 
 def segment_sum(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -91,46 +79,14 @@ class ForceResult:
     stats: dict = field(default_factory=dict)
 
 
-#: interaction rows per evaluation block of the cell, pp and prism
-#: families.  Fixed, not calibrated: a one-shot timing per process picked
-#: differently from run to run and moved step time and peak RSS with it
-#: (benchmarks/step/README.md, baseline findings).  Blocks are aligned
-#: to sink leaves / whole particles, so the values change speed only.
-#: The prism kernel keeps ~26 float64 rows live per block and is fastest
+#: interaction rows per evaluation block of the prism family.  The
+#: prism kernel keeps ~26 float64 rows live per block and is fastest
 #: while they fit the L2 cache: on the merged boxes 8k rows measured
 #: 0.0176 / 0.0537 s against 0.0193 / 0.0610 at 4k, 0.0168 / 0.0568 at
 #: 16k and 0.0175 / 0.0541 at 32k (early_hybrid / clustered_hier, median
-#: of 8 solves); pp is flat from 32k to 128k.  The
-#: cell family's ~80 calls per block carry a fixed cost and its ~60 live
-#: rows leave the 4 MB L2 cache above 16k: 8k / 16k / 32k rows measured
-#: 1.11 / 1 / 1.03 x (early_hier) and 0.99 / 1 / 1.04 x (clustered_hier)
-#: the cell seconds of 16k (seven alternating solves each).
-_CELL_CHUNK = 16384
-_PP_CHUNK = 65536
+#: of 8 solves).  Blocks are aligned to sink leaves, so the value changes
+#: speed only.
 _PRISM_CHUNK = 8192
-
-#: sink particles per matrix-product panel of the cell family.  Part of
-#: the arithmetic, not a tuning knob to change lightly: the bits of a
-#: BLAS product depend on its shape, so results are reproducible across
-#: row budgets and shards because every panel is this many particles
-#: from its cell's first one.  16 / 32 / 64 measured 1.02 / 1 / 0.97 x
-#: and 1.09 / 1 / 1.03 x the cell seconds of 32.
-_CELL_PANEL = 32
-#: accept-level entries translated per call of the shift routine, and
-#: sink particles per batch of monomials; both pace memory (280 B per
-#: entry, 560 B per particle at p = 4) and measured flat from half to
-#: twice these values.
-_CELL_SHIFT_CHUNK = 16384
-_CELL_MONO_CHUNK = 8192
-
-
-def autotune_chunks(p: int, dtype_str: str) -> tuple[int, int]:
-    """The (cell, pp) row budgets :func:`evaluate_forces` uses.
-
-    The same constants for every order and dtype; the step benchmark
-    records this pair with every run.
-    """
-    return _CELL_CHUNK, _PP_CHUNK
 
 
 def _leaf_blocks(leaf_np, indptr, budget):
@@ -258,231 +214,87 @@ def _background_boxes(tree, inter):
     return lo * h, hi * h, indptr
 
 
-def _cell_panels(tree, inter, owned, panel):
-    """Matrix-product panels of the cell family, in evaluation order.
-
-    A panel is ``panel`` consecutive particles of a sink cell, counted
-    from the cell's first particle (the cell's last panel holds the
-    remainder), against *all* of the cell's entries — a pure function of
-    the sink cell, because the bits of a BLAS product depend on its
-    shape.  Returns ``(row, p0, m)`` per panel — the cell's row in
-    ``inter.cell_cells``, first particle and particle count — for the
-    panels that hold a sink particle (``owned`` flags them in
-    key-sorted order), ordered by cell row.
-    """
-    count = tree.cell_count[inter.cell_cells]
-    n_pan = -(-count // panel)
-    n_pan[np.diff(inter.cell_indptr) == 0] = 0
-    row = np.repeat(np.arange(len(count)), n_pan)
-    first = expand_ranges(np.zeros(len(count), dtype=np.int64), n_pan) * panel
-    p0 = tree.cell_start[inter.cell_cells][row] + first
-    m = np.minimum(panel, count[row] - first)
-    cum = np.concatenate(([0], np.cumsum(owned)))
-    keep = cum[p0 + m] > cum[p0]
-    return row[keep], p0[keep], m[keep]
+def _p(a: np.ndarray) -> int:
+    return a.ctypes.data
 
 
-def _runs(weight, breaks, budget):
-    """Cut ``range(len(weight))`` into runs whose weights sum to at most
-    ``budget`` (a single item may exceed it) and that never span one of
-    the positions in ``breaks``; yields ``(a, b)``."""
-    csum = np.cumsum(weight)
-    stops = np.append(breaks, len(weight))
-    a = 0
-    for stop in stops.tolist():
-        while a < stop:
-            base = csum[a - 1] if a else 0
-            b = int(np.searchsorted(csum, base + budget, side="right"))
-            b = min(max(b, a + 1), stop)
-            yield a, b
-            a = b
-
-
-def _scaled_monomials(delta, p, dtype):
-    """``[X; d_x X; d_y X; d_z X]`` for the columns of ``delta`` (3, n).
-
-    ``X[:, c] = delta^gamma_c / gamma_c!`` over the packed multi-indices
-    of order <= p, computed in float64 and rounded once; differentiating
-    a scaled monomial shifts its index, ``d_i X_gamma = X_{gamma - e_i}``
-    (zero where gamma_i = 0), so the three derivative matrices are
-    column gathers of X.  Returns a (4, n, n_coeffs(p)) array.
-    """
-    mis = multi_index_set(p)
-    n = delta.shape[1]
-    # (one spare column of zeros for the gathers below)
-    x = np.zeros((n, len(mis) + 1))
-    np.divide(mis.powers(delta.T), mis.factorial, out=x[:, :-1])
-    out = np.empty((4, n, len(mis)), dtype=dtype)
-    out[0] = x[:, :-1]
-    out[1:] = x[:, _lowered_columns(p)].transpose(1, 0, 2)
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _lowered_columns(p: int) -> np.ndarray:
-    """(3, n_coeffs(p)) packed index of gamma - e_i, or n_coeffs(p) where
-    gamma_i = 0 (the spare zero column of :func:`_scaled_monomials`)."""
-    mis = multi_index_set(p)
-    low = mis.alphas - np.eye(3, dtype=np.int64)[:, None, :]
-    return np.where(mis.alphas.T > 0, mis.packed_index(np.maximum(low, 0)), len(mis))
-
-
-def _evaluate_cells(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
+def _cells_in_c(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
     """Add the cell family's accelerations (and potentials, unless
-    ``pot`` is None) of the sink particles ``pid`` into ``acc`` /
-    ``pot`` (offset ``s0``); returns the seconds spent translating.
+    ``pot`` is None) of the sink particles ``pid`` into ``acc`` / ``pot``
+    (offset ``s0``) through the compiled ``cell_field``.
 
-    Three nested runs, each amortizing one thing (see
-    :func:`evaluate_forces`): sink cells whose entries are translated
-    together, panels that share one batch of sink-side monomials, and
-    panels that share a block of elementwise work.  Blocks never span
-    a tree level, so no particle occurs twice in one.
+    Once per solve, numpy turns the moments into every cell's polynomial
+    coefficients b_{k,gamma} (``field_table(p).matrix @ moments``, the
+    rows that carry one).  Per sink-cell row the C code scales a gathered
+    block of them to the row's length unit and rounds them to ``dtype``;
+    then each owned particle under the cell meets the block.
 
-    *Length unit.*  A level is evaluated in units of u, the power of
-    two at or below its cells' side: positions and centres are divided
-    by u before they are differenced, row (k, gamma) of the coefficient
-    table is multiplied by u^(|gamma| - 2k - 1) in float64 before it is
-    rounded, the radial chain comes from ``kernel.in_units(u)`` — so
-    that sum_k g'_k(r/u) P'_k(x/u) is the same potential — and the
-    reduced gradient is divided by u.  In box units g_{p+1} ~ r^-(2p+3)
-    leaves float32's range for an accept closer than 6e-4 (p = 4); in
-    units of the sink cell r is of order one at any depth.  A power of
-    two moves exponents only: shards, row budgets and the unit itself
-    change no bit of the result.
+    *Length unit.*  A row is evaluated in units of u, the power of two
+    at or below its sink cell's side: positions and centres are divided
+    by u before they are differenced, row (k, gamma) of the coefficients
+    is multiplied by u^(|gamma| - 2k - 1) in float64 before it is
+    rounded, the radial chain is g'_k = u^(2k+1) g_k — so that
+    sum_k g'_k(r/u) P'_k(x/u) is the same potential (1/r is its own
+    chain in any unit; the erfc chain is computed in box units and
+    scaled) — and the summed gradient is divided by u.  In box units g_{p+1} ~ r^-(2p+3) leaves
+    float32's range for an accept closer than 6e-4 (p = 4); in units of
+    the sink cell r is of order one at any depth.
     """
     p = moms.p
     tab = field_table(p)
-    shift = compiled_shift_function(p)
-    orders = [(k, int(tab.offsets[k]), n_coeffs(k)) for k in range(1, p + 1)]
-    cells, indptr = inter.cell_cells, inter.cell_indptr
-    nent = np.diff(indptr)
-    # every cell's b_{k,gamma}, one row per coefficient; rounded once,
-    # in the length unit of the run that reads it
-    coef64 = tab.matrix @ moms.moments[:, : n_coeffs(p)].T
-    owned = np.zeros(tree.n_particles, dtype=bool)
-    owned[pid] = True
-    pan_row, pan_p0, pan_m = _cell_panels(tree, inter, owned, _CELL_PANEL)
-    pan_first = np.searchsorted(pan_row, np.arange(len(cells) + 1))
-    level = tree.cell_level[cells]
-    level_breaks = np.flatnonzero(np.diff(level)) + 1
+    coef = np.ascontiguousarray(
+        (tab.matrix[tab.filled] @ moms.moments[:, : n_coeffs(p)].T).T
+    )
+    owned = np.zeros(tree.n_particles, dtype=np.uint8)
+    owned[pid] = 1
+    cells = inter.cell_cells
     box_exp = math.frexp(tree.box)[1] - 1
-    unit_exp = None
-    n_out = 3 if pot is None else 4
-    translate_s = 0.0
-    for ga, gb in _runs(nent, level_breaks, _CELL_SHIFT_CHUNK):
-        pa, pb = pan_first[ga], pan_first[gb]
-        if pa == pb:
-            continue
-        t0 = time.perf_counter()
-        # -- per tree level: the length unit u = 2^unit_exp, its kernel
-        # and the coefficient table in it
-        if unit_exp != box_exp - level[ga]:
-            unit_exp = box_exp - int(level[ga])
-            inv_u = math.ldexp(1.0, -unit_exp)
-            kernel_u = kernel.in_units(math.ldexp(1.0, unit_exp))
-            coef = coef64 * np.ldexp(1.0, unit_exp * tab.unit_power)[:, None]
-            coef = coef.astype(dtype, copy=False)
-        # -- per run of sink cells: their entries' source centres, and
-        # the source coefficients shifted to the sink-cell centres
-        e0, e1 = indptr[ga], indptr[gb]
-        src = inter.cell_src[e0:e1]
-        src_ctr = (tree.cell_center[src] + inter.offsets[inter.cell_off[e0:e1]]).T
-        src_ctr *= inv_u
-        sink_ctr = tree.cell_center[cells[ga:gb]] * inv_u
-        d = scratch("d", (3, e1 - e0), dtype)
-        d[...] = np.repeat(sink_ctr, nent[ga:gb], axis=0).T - src_ctr
-        Q = scratch("Q", (len(coef), e1 - e0), dtype)
-        for a, b in tab.segments:
-            # (mode="clip": the default "raise" copies through a buffer)
-            np.take(coef[a:b], src, axis=1, mode="clip", out=Q[a:b])
-        if shift.n_ops:
-            shift(d, Q, scratch("Wq", (shift.n_scratch, e1 - e0), dtype))
-        translate_s += time.perf_counter() - t0
-        for xa, xb in _runs(pan_m[pa:pb], (), _CELL_MONO_CHUNK):
-            # -- per batch of panels: the particles' scaled monomials
-            # about their sink-cell centre, and where everything sits
-            batch = slice(pa + xa, pa + xb)
-            m_x, row_x = pan_m[batch], pan_row[batch]
-            n_x, c0_x = nent[row_x], indptr[row_x] - e0
-            part = expand_ranges(pan_p0[batch], m_x)
-            pos = tree.pos[part].T * inv_u
-            XS = _scaled_monomials(
-                pos - np.repeat(sink_ctr[row_x - ga], m_x, axis=0).T, p, dtype
-            )
-            own = owned[part]
-            out_rows = part - s0
-            q_end, r_end = np.cumsum(m_x), np.cumsum(m_x * n_x)
-            seg_len = np.repeat(n_x, m_x)
-            seg0 = np.cumsum(seg_len) - seg_len
-            # per panel: its particles [q0, q1) of the batch, entries
-            # [c0, c1) of the run, rows [r0, r1) of the batch
-            panels = list(
-                zip((q_end - m_x).tolist(), q_end.tolist(), c0_x.tolist(),
-                    (c0_x + n_x).tolist(), (r_end - m_x * n_x).tolist(), r_end.tolist())
-            )
-            for ba, bb in _runs(m_x * n_x, (), _CELL_CHUNK):
-                # -- per block of whole panels: the per-row work
-                qa, qb = panels[ba][0], panels[bb - 1][1]
-                ra, rb = panels[ba][4], panels[bb - 1][5]
-                n_rows = rb - ra
-                x = scratch("x", (3, n_rows), dtype)
-                P0 = scratch("P0", (n_rows,), dtype)
-                PD = scratch("PD", (p, 4, n_rows), dtype)
-                for q0, q1, c0, c1, r0, r1 in panels[ba:bb]:
-                    tile, shape = slice(r0 - ra, r1 - ra), (q1 - q0, c1 - c0)
-                    # a float64 difference, rounded to ``dtype`` on store
-                    np.subtract(
-                        pos[:, q0:q1, None],
-                        src_ctr[:, None, c0:c1],
-                        out=x[:, tile].reshape(3, *shape),
-                    )
-                    P0[tile].reshape(shape)[...] = Q[0, c0:c1]
-                    for k, row0, width in orders:
-                        np.matmul(
-                            XS[:, q0:q1, :width],
-                            Q[row0 : row0 + width, c0:c1],
-                            out=PD[k - 1, :, tile].reshape(4, *shape),
-                        )
-                # r^2 = (x x + y y) + z z, spelled out: an einsum over a
-                # block of one row sums in another order
-                r, t = scratch("r", (2, n_rows), dtype)
-                np.multiply(x[0], x[0], out=r)
-                for axis in (1, 2):
-                    np.multiply(x[axis], x[axis], out=t)
-                    r += t
-                np.sqrt(r, out=r)
-                g = kernel_u.radial_derivs(r, p + 1, out=scratch("g", (p + 2, n_rows), dtype))
-                # rows: a_x, a_y, a_z, [potential]; then S and a spare
-                sums = scratch("sums", (8, n_rows), dtype)
-                T, S, tmp = sums[:3], sums[4], sums[5:]
-                np.multiply(g[1], P0, out=S)
-                for k in range(1, p + 1):
-                    np.multiply(g[k + 1], PD[k - 1, 0], out=tmp[0])
-                    np.add(S, tmp[0], out=S)
-                if pot is not None:
-                    np.multiply(g[0], P0, out=sums[3])
-                    for k in range(1, p + 1):
-                        np.multiply(g[k], PD[k - 1, 0], out=tmp[0])
-                        np.add(sums[3], tmp[0], out=sums[3])
-                # acceleration_i = x_i S + T_i, T_i = sum_k g_k d_i P_k
-                np.multiply(x, S, out=x)
-                if p:
-                    np.multiply(g[1], PD[0, 1:], out=T)
-                    for k in range(2, p + 1):
-                        np.multiply(g[k], PD[k - 1, 1:], out=tmp)
-                        np.add(T, tmp, out=T)
-                    np.add(T, x, out=T)
-                else:
-                    T[...] = x
-                # each particle's entries are one run of rows; the
-                # gradient is per unit length
-                keep = own[qa:qb]
-                rows = out_rows[qa:qb][keep]
-                total = segment_sum(sums[:n_out], seg0[qa:qb] - ra)[:, keep]
-                acc[rows] += total[:3].T * inv_u
-                if pot is not None:
-                    pot[rows] += total[3]
-    return translate_s
+    row_unit = (box_exp - tree.cell_level[cells]).astype(np.int64)
+    kind, alpha, *tables = native.radial_spec(kernel, p + 1)
+    args = [
+        np.ascontiguousarray(tree.pos, dtype=np.float64), owned,
+        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_center, dtype=np.float64),
+        np.ascontiguousarray(cells, dtype=np.int64), row_unit,
+        np.ascontiguousarray(inter.cell_indptr, dtype=np.int64),
+        np.ascontiguousarray(inter.cell_src, dtype=np.int64),
+        np.ascontiguousarray(inter.cell_off, dtype=np.int64),
+        np.ascontiguousarray(inter.offsets, dtype=np.float64), coef, *tables,
+    ]
+    status = native.evaluator(p, dtype).cell_field(
+        *map(_p, args[:5]), len(cells), *map(_p, args[5:12]), kind, alpha,
+        *map(_p, args[12:]), pot is not None, s0, _p(acc), _p(pot) if pot is not None else None,
+    )
+    if status:
+        raise MemoryError("cell_field could not allocate its per-cell sums")
+
+
+def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
+    """Add the pp family of every sink leaf through the compiled ``pp_field``."""
+    kind, h, eps, r_split = native.softening_spec(softening)
+    # compared in dtype, against the smallest value of dtype at or above
+    # h: the same rows as r < h in float64
+    hthr = np.dtype(dtype).type(softening.h)
+    if hthr < softening.h:
+        hthr = np.nextafter(hthr, np.dtype(dtype).type(np.inf))
+    home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
+    args = [
+        np.ascontiguousarray(tree.pos, dtype=np.float64),
+        np.ascontiguousarray(tree.mass, dtype=dtype),
+        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
+        np.ascontiguousarray(inter.sink_leaves, dtype=np.int64),
+        np.ascontiguousarray(inter.leaf_indptr, dtype=np.int64),
+        np.ascontiguousarray(inter.leaf_src, dtype=np.int64),
+        np.ascontiguousarray(inter.leaf_off, dtype=np.int64),
+        np.ascontiguousarray(inter.offsets, dtype=np.float64),
+    ]
+    native.evaluator(p, dtype).pp_field(
+        *map(_p, args[:4]), len(inter.sink_leaves), *map(_p, args[4:]),
+        home_off, kind, float(hthr), h, eps, r_split, pot is not None, s0,
+        _p(acc), _p(pot) if pot is not None else None,
+    )
 
 
 def evaluate_forces(
@@ -514,49 +326,24 @@ def evaluate_forces(
         caller (the shared-memory executor) merges disjoint shard
         slices and unsorts once.
 
-    Rows of the pp and prism families follow ``inter.sink_leaves`` (SFC
-    order), so generating contributions row by row is automatically
-    *sink-particle-major*: each sink particle's contributions form one
-    contiguous run, closed by a single :func:`segment_sum` over the run
-    boundaries, and each particle lands in exactly one block (blocks
-    split only between particles), making the result independent of
-    the block sizes.  Both are m x n-blocked (:func:`_leaf_blocks`); a
-    block gathers what belongs to its entries once, the sink leaf's
-    particles share it through broadcasts into pooled scratch, and
-    every operand is a contiguous row over the block's interactions.
+    Every particle's sums are float64 and run in a fixed order — its
+    cell rows in ``inter.cell_cells`` order, each over the row's entries
+    in list order, then its pp entries, then its prism boxes — so the
+    result depends on neither blocking, shard cut nor worker count.
 
     *cell*: an accept is evaluated at the sink cell S that recorded it
-    (``inter.cell_cells``), for every sink particle under S.  With
+    (``inter.cell_cells``), for every sink particle under S (a shard
+    evaluates only its own particles of a straddling cell).  With
     x = x_p - z_c, the field of a multipole is phi = sum_k g_k(r) P_k(x)
     with polynomials P_k of degree <= k (:mod:`repro.multipoles.hermite`),
     and its gradient ``x_i S + T_i`` with ``S = sum_k g_{k+1} P_k``,
-    ``T_i = sum_k g_k d_i P_k``.  Once per solve one matrix product
-    turns the moments into every cell's polynomial coefficients; once
-    per entry the generated shift routine re-centres them on z_S — an
-    identity, so the one-sided error model of §2.2.2 is untouched — in
-    runs of ``_CELL_SHIFT_CHUNK`` entries; once per sink particle and
-    cell the scaled monomials of delta = x_p - z_S
-    (:func:`_scaled_monomials`); then per *panel* — ``_CELL_PANEL``
-    consecutive particles of S against all of S's entries
-    (:func:`_cell_panels`) — ``np.matmul`` of the stacked monomial
-    matrices ``[X; d_x X; d_y X; d_z X]`` with the order-k block of
-    shifted coefficients yields P_k and d_i P_k for all m x n rows,
-    k = 1..p.  Per row that leaves x, r, the radial chain and the sums
-    above: 10 p + 5 row operations.  All of it runs level by level in
-    units of the sink cells' side (:func:`_evaluate_cells`).  As
-    many whole panels as fit ``_CELL_CHUNK`` rows share one block of
-    that elementwise work; a panel is never cut, so its matrix shapes
-    — and with them its bits — depend on the sink cell alone, whatever
-    the row budget and whichever shard evaluates it (a shard evaluates
-    every panel that holds one of its particles and keeps those rows).
-    Blocks stay within one tree level, so no particle occurs twice in
-    one, and a particle's per-level sums are added in level order.
+    ``T_i = sum_k g_k d_i P_k``: the generated straight-line C of
+    :mod:`repro.multipoles.codegen`, one row per (particle, entry), in
+    the sink level's length unit (:func:`_cells_in_c`).
 
-    *pp*: entries are the source particles of the
-    row's source leaves (a source-particle CSR derived from
-    ``leaf_indptr``) — indices, image-shifted positions and masses
-    gathered once per sink leaf, self-pairs masked on the home image
-    only.
+    *pp*: per sink particle, the source particles of the row's source
+    leaves, read in place; self-pairs masked on the home image only.
+
     *prism*: one pass.  The ghost entries and the direct leaf pairs of
     a row name the cubes whose background has to go; their exact
     integer corners are run-merged along x, then y, then z into
@@ -567,29 +354,25 @@ def evaluate_forces(
     the merged boxes, and the block's rows go through one call of the
     fused 8-corner kernel
     (:func:`repro.multipoles.prism.prism_acceleration`), which returns
-    acceleration and potential from the same corner terms.
+    acceleration and potential from the same corner terms; each
+    particle's run of rows is closed by :func:`segment_sum`.
 
     *Precision.*  Every family differences float64 positions in
-    float64 and rounds the difference to ``dtype`` on store; from
-    there every row of the cell and pp families — r, the radial chain
-    (:meth:`RadialKernel.radial_derivs` with ``out=``), the pair force
-    (:meth:`SofteningKernel.force_and_potential`), the sums — is
-    computed in ``dtype``, in place in pooled scratch (the erf-family
+    float64 and rounds the difference to ``dtype``; from there every
+    row of the cell and pp families — r, the radial chain, the
+    polynomials, the pair force — is computed in ``dtype`` (the erfc
     chain and the pair force inside a softening kernel's support are
     float64 definitions, rounded on store); the prism terms are
-    float64.  A block's contributions are laid out (outputs, rows), and
-    :func:`segment_sum` adds each particle's run of rows into float64.
+    float64.  All sums are float64.
 
     ``stats["family_seconds"]`` holds the seconds spent in the cell,
-    pp, m2l and prism families, ``stats["cell_seconds"]`` the cell
-    family's again as ``translate`` (per entry) and ``rows`` (the rest);
-    ``stats["kernel"]`` rates the first three families against their
-    own interaction and flop counts, derived from the counts here by
-    :func:`~repro.perfmodel.flops.kernel_counters`.
+    pp, m2l and prism families; ``stats["kernel"]`` rates the first
+    three against their own interaction and flop counts, derived from
+    the counts here by :func:`~repro.perfmodel.flops.kernel_counters`.
     ``stats["cell_interactions"]`` counts the rows of this call's own
     sink particles — exact under sharding — and ``stats["cell_entries"]``
-    the accept-level entries it translated (a sink cell that straddles
-    two shards is translated by both).  ``stats["prism_interactions"]``
+    the accept-level entries it gathered (a sink cell that straddles
+    two shards is gathered by both).  ``stats["prism_interactions"]``
     counts the rows that went through the prism kernel (sink particles
     x merged boxes) and ``stats["prism_cubes"]`` the particle x cube
     pairs they stand for; both add up exactly over shards.
@@ -652,102 +435,31 @@ def evaluate_forces(
     # cell + pp + m2l is the denominator of the roofline counters
     family_s = {"cell": 0.0, "pp": 0.0, "m2l": 0.0, "prism": 0.0}
     stats["family_seconds"] = family_s
-    # the cell family's seconds again, split into the per-entry and the
-    # per-row part
-    cell_s = {"translate": 0.0, "rows": 0.0}
-    stats["cell_seconds"] = cell_s
     # and the prism family's: merging the cubes, evaluating the boxes
     prism_s = {"coalesce": 0.0, "rows": 0.0}
     stats["prism_seconds"] = prism_s
 
     # ----- cell (multipole) interactions --------------------------------------
-    cells = inter.cell_cells
     if len(inter.cell_src):
         nent = np.diff(inter.cell_indptr)
         stats["cell_entries"] = len(inter.cell_src)
         # sink particles only: a cell that straddles two shards is
         # split between them, not counted twice
         stats["cell_interactions"] = int(
-            (inter.sink_particles_under(tree, cells) * nent).sum()
+            (inter.sink_particles_under(tree, inter.cell_cells) * nent).sum()
         )
         _tk0 = time.perf_counter()
-        cell_s["translate"] = _evaluate_cells(
-            tree, moms, inter, kernel, dtype, pid, s0, acc, pot
-        )
-        release_scratch()
+        _cells_in_c(tree, moms, inter, kernel, dtype, pid, s0, acc, pot)
         family_s["cell"] += time.perf_counter() - _tk0
-        cell_s["rows"] = family_s["cell"] - cell_s["translate"]
 
     # ----- particle-particle interactions --------------------------------------
     if len(inter.leaf_sink):
-        # source-particle CSR: row -> its entries' particles, flattened
-        ct_ent = tree.cell_count[inter.leaf_src]
-        sp_cum = np.concatenate(([0], np.cumsum(ct_ent)))
-        src_indptr = sp_cum[inter.leaf_indptr]
-        src_per_row = np.diff(src_indptr)
+        # source particles per row
+        sp_cum = np.concatenate(([0], np.cumsum(tree.cell_count[inter.leaf_src])))
+        src_per_row = np.diff(sp_cum[inter.leaf_indptr])
         stats["pp_interactions"] = int((src_per_row * leaf_np).sum())
         _tk0 = time.perf_counter()
-        mass_w = tree.mass.astype(dtype, copy=False)
-        home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
-        m_p = src_per_row[row_of_p]
-        n_out = 4 if want_potential else 3
-        for a, b, s_lo, s_hi, tiles in _leaf_blocks(leaf_np, src_indptr, _PP_CHUNK):
-            lens = m_p[a:b]
-            n_rows = int(lens.sum())
-            if not n_rows:
-                continue
-            # once per block: the source particles of its entries
-            # (sp_cum turns the particle range back into the entry
-            # range), their image-shifted positions and masses.
-            # Positions stay float64 until they are differenced: dx is
-            # computed in double and rounded to ``dtype`` on store (a
-            # float32 position is 6e-8 absolute, 1e-3 of a clump-core
-            # separation)
-            e0, e1 = np.searchsorted(sp_cum, (s_lo, s_hi))
-            reps = ct_ent[e0:e1]
-            src_part = expand_ranges(tree.cell_start[inter.leaf_src[e0:e1]], reps)
-            off = np.repeat(inter.leaf_off[e0:e1], reps)
-            src_pos = (tree.pos[src_part] + inter.offsets[off]).T
-            src_mass = mass_w[src_part]
-            # a particle meets itself only through the home image
-            src_home = np.where(off == home_off, src_part, -1)
-            sink_part = pid[a:b]
-            sink_pos = tree.pos[sink_part].T
-            dx = scratch("dx", (3, n_rows), dtype)
-            mass_row = scratch("mass", (n_rows,), dtype)
-            self_pair = scratch("self", (n_rows,), bool)
-            for r0, p0, n_t, c0, n_e in tiles:
-                tile = slice(r0, r0 + n_t * n_e)
-                np.subtract(
-                    sink_pos[:, p0 : p0 + n_t, None],
-                    src_pos[:, None, c0 : c0 + n_e],
-                    out=dx[:, tile].reshape(3, n_t, n_e),
-                )
-                mass_row[tile].reshape(n_t, n_e)[...] = src_mass[c0 : c0 + n_e]
-                np.equal(
-                    sink_part[p0 : p0 + n_t, None],
-                    src_home[None, c0 : c0 + n_e],
-                    out=self_pair[tile].reshape(n_t, n_e),
-                )
-            r, t = scratch("r", (2, n_rows), dtype)
-            np.multiply(dx[0], dx[0], out=r)
-            for axis in (1, 2):
-                np.multiply(dx[axis], dx[axis], out=t)
-                r += t
-            np.sqrt(r, out=r)
-            f, psi = fpsi = scratch("fpsi", (2, n_rows), dtype)
-            softening.force_and_potential(r, fpsi, want_potential)
-            # a self-pair's row holds F(0) and psi(0), infinite unsoftened
-            np.copyto(f, 0.0, where=self_pair)
-            np.negative(mass_row, out=t)
-            np.multiply(t, f, out=t)
-            contrib = scratch("contrib", (n_out, n_rows), dtype)
-            np.multiply(t, dx, out=contrib[:3])
-            if want_potential:
-                np.copyto(psi, 0.0, where=self_pair)
-                np.multiply(mass_row, psi, out=contrib[3])
-            reduce_into(contrib, a, b, lens)
-        release_scratch()
+        _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot)
         family_s["pp"] += time.perf_counter() - _tk0
 
     # ----- m2l local expansions + L2P (fmm-hybrid far field) -------------------

@@ -24,25 +24,16 @@ gradient is
 
     d_i phi = x_i S + T_i,   S = sum_k g_{k+1} P_k,   T_i = sum_k g_k d_i P_k.
 
-Everything that depends on the direction of x is polynomial, and a
-polynomial can be re-centred *exactly*: with x = delta + d,
-
-    P_k(delta + d) = sum_{|gamma| <= k} X_gamma(delta) Q_{k,gamma}(d),
-    X_gamma = delta^gamma / gamma!,
-    Q_{k,gamma} = d^gamma P_k (d) = sum_{nu >= 0} b_{k,gamma+nu} d^nu / nu!,
-
-where b_{k,beta} = beta! [x^beta] P_k are the Taylor coefficients of P_k
-at the origin.  This is a finite identity, not a truncated series —
-valid for any delta, however large — which is what lets the evaluator
-of :mod:`repro.gravity.treeforce` move the source-side work of an
-interaction to the centre of the sink *cell* that accepted it without
-touching the one-sided error model of paper §2.2.2.
+Everything that depends on the direction of x is polynomial, with the
+Taylor coefficients b_{k,beta} = beta! [x^beta] P_k of P_k at the
+origin: P_k(x) = sum_beta b_{k,beta} X_beta(x) with the scaled
+monomials X_beta = x^beta / beta!, and d_i X_beta = X_{beta - e_i}, so
+the gradient of P_k reads the same coefficients.  The generated C
+evaluator (:func:`repro.multipoles.codegen.generate_evaluator_source`)
+evaluates exactly this at each particle's x, from the unshifted b.
 
 :func:`hermite_table` holds the h_{alpha,k}; :func:`field_table` packs
-them into the matrix that turns a cell's moments into its b_{k,beta},
-laid out the way the shift routine
-(:func:`repro.multipoles.codegen.compiled_shift_function`) and the
-per-order matrix products read them.
+them into the matrix that turns a cell's moments into its b_{k,beta}.
 """
 
 from __future__ import annotations
@@ -55,7 +46,7 @@ import numpy as np
 from .dtensors import recurrence_plan
 from .multiindex import multi_index_set, n_coeffs
 
-__all__ = ["hermite_table", "FieldTable", "field_table", "shift_plan"]
+__all__ = ["hermite_table", "FieldTable", "field_table"]
 
 
 @functools.lru_cache(maxsize=16)
@@ -93,8 +84,7 @@ class FieldTable:
 
     One row per (k, gamma), |gamma| <= k, ordered by k and then in the
     packed multi-index order: the rows of order k are the contiguous
-    block ``[offsets[k], offsets[k + 1])`` of n_coeffs(k) rows, so a
-    block is directly the (K_k, entries) operand of a matrix product.
+    block ``[offsets[k], offsets[k + 1])`` of n_coeffs(k) rows.
     """
 
     p: int
@@ -102,11 +92,8 @@ class FieldTable:
     offsets: np.ndarray
     #: (rows, n_coeffs(p)) ``b = matrix @ M``: raw moments to b_{k,gamma}
     matrix: np.ndarray
-    #: (rows,) which rows carry a coefficient before the shift
-    #: (2k - p <= |gamma| <= k); the others are produced by it
+    #: (rows,) which rows carry a coefficient (2k - p <= |gamma| <= k)
     filled: np.ndarray
-    #: maximal runs [a, b) of filled rows (what a gather has to fetch)
-    segments: tuple
     #: (rows,) |gamma| - 2k - 1: with lengths in units of u the field is
     #: sum_k g'_k(r/u) P'_k(x/u), g'_k = u^(2k+1) g_k, and row (k, gamma)
     #: of P'_k is b_{k,gamma} * u**unit_power
@@ -126,47 +113,9 @@ def field_table(p: int) -> FieldTable:
                 b = mis.index[beta]
                 matrix[offsets[k] + b, j] = c * mis.factorial[b] * weight[j]
     filled = np.any(matrix != 0.0, axis=1)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], filled, [0]))))
-    segments = tuple((int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]))
     unit_power = np.concatenate(
         [mis.order[: n_coeffs(k)] - (2 * k + 1) for k in range(p + 1)]
     )
     return FieldTable(
-        p=p, offsets=offsets, matrix=matrix, filled=filled, segments=segments,
-        unit_power=unit_power,
+        p=p, offsets=offsets, matrix=matrix, filled=filled, unit_power=unit_power,
     )
-
-
-@functools.lru_cache(maxsize=16)
-def shift_plan(p: int) -> tuple:
-    """Steps that turn the rows b_{k,gamma} into Q_{k,gamma}(d), in place.
-
-    The shift exp(d . grad) factors into one pass per axis, and in the
-    gamma!-scaled basis a pass has no binomial factors:
-
-        row(gamma) += sum_{j >= 1} (d_i^j / j!) row(gamma + j e_i).
-
-    Each step ``(dst, src, axis, j, fresh)`` adds ``d_axis^j / j! *
-    row[src]`` to ``row[dst]`` (``fresh``: ``row[dst]`` holds nothing
-    yet, the product is stored).  Within a pass targets ascend along
-    the axis, so every source row is read before it is updated; rows
-    that are still empty contribute no step.
-    """
-    tab = field_table(p)
-    mis = multi_index_set(p)
-    alphas = [tuple(int(x) for x in a) for a in mis.alphas]
-    live = tab.filled.copy()
-    steps = []
-    for axis in range(3):
-        for k in range(p + 1):
-            base = int(tab.offsets[k])
-            # ascending along ``axis``: packed order is not, so sort
-            for gamma in sorted(alphas[: n_coeffs(k)], key=lambda a: a[axis]):
-                dst = base + mis.index[gamma]
-                for j in range(1, k - sum(gamma) + 1):
-                    up = gamma[:axis] + (gamma[axis] + j,) + gamma[axis + 1 :]
-                    src = base + mis.index[up]
-                    if live[src]:
-                        steps.append((dst, src, axis, j, not live[dst]))
-                        live[dst] = True
-    return tuple(steps)

@@ -4,7 +4,6 @@ from .checkpoint import expected_overhead, optimal_interval, simulate_run
 from .io import LUSTRE_ORNL, PANASAS_LANL, FileSystemModel
 from .flops import (
     FLOPS_PER_MONOPOLE_PP,
-    flops_per_cell_entry,
     flops_per_cell_interaction,
     flops_per_particle,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "TABLE1_MACHINES",
     "TABLE3_PROCESSORS",
     "expected_overhead",
-    "flops_per_cell_entry",
     "flops_per_cell_interaction",
     "flops_per_particle",
     "optimal_interval",

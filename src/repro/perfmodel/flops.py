@@ -5,23 +5,22 @@ The paper counts 28 flops per monopole interaction (Table 3) and
 hexadecapole + 1.46e15 quadrupole + 4.68e14 monopole interactions on
 68.7e9 particles (Table 2).  Here the per-order interaction costs are
 *counted from what the kernels themselves execute* — the statements of
-the generated shift and derivative-tensor routines, the widths of the
-matrix products, the M2L contraction tables — plus the radial-chain
-work, keeping the accounting honest as the kernels change.
+the generated C cell row and of the generated derivative-tensor
+routine, the M2L contraction tables — plus the radial-chain work,
+keeping the accounting honest as the kernels change.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..multipoles.codegen import compiled_dtensor_function, compiled_shift_function
+from ..multipoles.codegen import cell_row_ops, compiled_dtensor_function
 from ..multipoles.multiindex import n_coeffs
 from .machines import MachineModel
 
 __all__ = [
     "FLOPS_PER_MONOPOLE_PP",
     "flops_per_cell_interaction",
-    "flops_per_cell_entry",
     "flops_per_m2l",
     "flops_per_m2l_tensor",
     "flops_per_l2p",
@@ -37,41 +36,19 @@ __all__ = [
 FLOPS_PER_MONOPOLE_PP = 28
 
 
-@functools.lru_cache(maxsize=16)
 def flops_per_cell_interaction(p: int, want_potential: bool = True) -> int:
     """Arithmetic operations of one particle x cell row at order p.
 
-    Counts what the evaluator of :mod:`repro.gravity.treeforce` executes
-    per interaction row: its share of the matrix products — P_k and its
-    three derivatives, a multiply-add per column of the order-k block,
-    k = 1..p — the radial-derivative chain, and the combination
-    (phi = sum g_k P_k when the potential is wanted, S = sum g_{k+1}
-    P_k, T_i = sum g_k d_i P_k, a_i = x_i S + T_i: a multiply per term
-    and an add per term after the first).  What is done once per
-    accept-level entry is :func:`flops_per_cell_entry`.
+    The statements of the generated C row
+    (:func:`repro.multipoles.codegen.cell_row_ops`): the difference and
+    r (9), the 1/r radial chain g_0 .. g_{p+1}, the scaled monomials,
+    P_k and d_i P_k, the combination a_i = x_i S + T_i, and phi when the
+    potential is wanted — one per ``+ - * /`` or square root.  TreePM's
+    erfc chain is float64 library calls and counts as the 1/r chain it
+    replaces.  Gathering an entry's coefficients is data movement, not
+    arithmetic, and is not counted.
     """
-    gemm = 2 * 4 * sum(n_coeffs(k) for k in range(1, p + 1))
-    # dx and r^2: 8; the radial chain g_0..g_{p+1} at a nominal 4 per
-    # level, whatever the kernel (1/r executes 1 root, 3 for g_0 and
-    # 1/r^2 and 2 a level after that; Plummer 2 more; the erf family
-    # several times that).  Casts and copies are not arithmetic: moving
-    # the chain from float64 temporaries to ``dtype`` rows changed the
-    # time of these operations, not their number
-    radial_ops = 4 * (p + 2) + 8
-    sums = (2 if want_potential else 1) * (2 * p + 1)
-    combination = sums + (3 * (2 * p - 1) if p else 0) + (6 if p else 3)
-    return gemm + radial_ops + combination
-
-
-@functools.lru_cache(maxsize=16)
-def flops_per_cell_entry(p: int) -> int:
-    """Arithmetic operations per accept-level entry of the cell family.
-
-    The statements of the generated shift routine (read from the
-    routine itself) plus the 3 subtractions of the shift vector; the
-    entry's rows then share the result.
-    """
-    return compiled_shift_function(p).n_ops + 3
+    return cell_row_ops(p, want_potential)
 
 
 @functools.lru_cache(maxsize=16)
@@ -162,8 +139,7 @@ def flops_from_stats(
     ``stats`` is a ``ForceResult.stats`` (serial, or summed over shards
     by :func:`repro.gravity.solver.merge_stats`); missing counts read 0.
     The cell family costs its particle x cell rows at the recorded
-    ``order`` plus the translation of each accept-level entry
-    (``cell_entries``); pp pairs the paper's 28-flop monopole; the m2l
+    ``order``; pp pairs the paper's 28-flop monopole; the m2l
     family its derivative tensors (one per reflection class,
     ``m2l_classes``), the contraction of every translation
     (``m2l_pairs``) and the L2P evaluations (``m2l_interactions`` minus
@@ -177,7 +153,6 @@ def flops_from_stats(
     m2l_pairs = int(stats.get("m2l_pairs", 0))
     flops = (
         int(stats.get("cell_interactions", 0)) * flops_per_cell_interaction(p, want_potential)
-        + int(stats.get("cell_entries", 0)) * flops_per_cell_entry(p)
         + int(stats.get("pp_interactions", 0)) * FLOPS_PER_MONOPOLE_PP
     )
     if m2l_pairs:

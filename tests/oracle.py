@@ -5,11 +5,11 @@ A plain-Python m x n loop over the interaction lists of
 source cell) or (sink particle, source particle) term at a time, the
 derivative-tensor recurrence per cell term, float64 throughout — plus
 the background removed one cube at a time.  It shares no arithmetic
-with :func:`repro.gravity.treeforce.evaluate_forces` (no sink-cell
-re-centring, no matrix products, no tiles, no merged boxes), which is
-what makes the <= 1e-12 agreement tests mean something.  It was the
-body of the compiled backend until that was retired (DESIGN.md,
-"Answered A/Bs"); the loop and its marshalling are kept as they were.
+with :func:`repro.gravity.treeforce.evaluate_forces` (no polynomial
+form of the field, no sink-cell length units, no blocks, no merged
+boxes), which is what makes the <= 1e-12 agreement tests mean
+something.  Only the exact-type marshalling of the kernels is shared
+(:mod:`repro.gravity.native`), so both sides refuse the same types.
 
 Orders of magnitude slower than the evaluator: keep inputs at a few
 hundred particles.
@@ -27,123 +27,29 @@ import math
 
 import numpy as np
 
+from repro.gravity import native
 from repro.gravity.periodic import _self_term
-from repro.gravity.pm import ShortRangeSoftening
-from repro.gravity.smoothing import (
-    DehnenK1Softening,
-    NoSoftening,
-    PlummerSoftening,
-    SplineSoftening,
-)
+from repro.gravity.smoothing import NoSoftening
 from repro.gravity.treeforce import ForceResult
 from repro.multipoles import multi_index_set
 from repro.multipoles.dtensors import derivative_tensors, recurrence_plan
 from repro.multipoles.multiindex import n_coeffs
 from repro.multipoles.prism import prism_acceleration
-from repro.multipoles.radial import (
-    ErfcKernel,
-    ErfKernel,
-    NewtonianKernel,
-    PlummerKernel,
-    _ErfFamilyKernel,
-)
+from repro.multipoles.radial import ErfcKernel, NewtonianKernel
 from repro.util import expand_ranges
-
-#: radial-kernel kinds understood by the kernel body
-_KERN_NEWTONIAN, _KERN_PLUMMER, _KERN_ERFFAMILY = 0, 1, 2
-#: softening kinds understood by the kernel body
-_SOFT_NONE, _SOFT_PLUMMER, _SOFT_SPLINE, _SOFT_DEHNEN = 0, 1, 2, 3
-
-_EMPTY_F8 = np.zeros(0, dtype=np.float64)
-_EMPTY_I8 = np.zeros(1, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# kernel parameter marshalling
-# ---------------------------------------------------------------------------
-
-
-def _softening_spec(softening) -> tuple[int, float, float] | None:
-    """(kind, eps-like scale, r_split) for the kernel body; None if unsupported.
-
-    ``r_split > 0`` applies GADGET-2's short-range TreePM filter on top
-    of the base softening (see :class:`repro.gravity.pm.ShortRangeSoftening`).
-    """
-    t = type(softening)
-    if t is NoSoftening:
-        return _SOFT_NONE, 0.0, 0.0
-    if t is PlummerSoftening:
-        return _SOFT_PLUMMER, softening.eps, 0.0
-    if t is SplineSoftening:
-        return _SOFT_SPLINE, softening.h, 0.0
-    if t is DehnenK1Softening:
-        return _SOFT_DEHNEN, softening.h, 0.0
-    if t is ShortRangeSoftening:
-        base = _softening_spec(softening.base)
-        if base is None or base[2] != 0.0:
-            return None
-        return base[0], base[1], softening.r_split
-    return None
-
-
-def _erf_chain_tables(kernel: _ErfFamilyKernel, mmax: int):
-    """Flatten the symbolic erf/erfc derivative chain into CSR tables.
-
-    Level m of the chain is a small sum of ``c * r^p * F(a r)`` and
-    ``d * r^q * exp(-a^2 r^2)`` terms; the tables hold (power, coeff)
-    runs per level, in the chain's own term order.
-    """
-    kernel._extend(mmax)
-    e_pow, e_coef, e_ptr = [], [], [0]
-    g_pow, g_coef, g_ptr = [], [], [0]
-    for m in range(mmax + 1):
-        e, g = kernel._chains[m]
-        for p, c in e.items():
-            e_pow.append(float(p))
-            e_coef.append(c)
-        for q, c in g.items():
-            g_pow.append(float(q))
-            g_coef.append(c)
-        e_ptr.append(len(e_pow))
-        g_ptr.append(len(g_pow))
-    return (
-        np.array(e_pow, dtype=np.float64),
-        np.array(e_coef, dtype=np.float64),
-        np.array(e_ptr, dtype=np.int64),
-        np.array(g_pow, dtype=np.float64),
-        np.array(g_coef, dtype=np.float64),
-        np.array(g_ptr, dtype=np.int64),
-    )
-
-
-def _radial_spec(kernel, pmax: int):
-    """Kernel-body parameters for a radial Green's function; None if unknown."""
-    t = type(kernel)
-    if t is NewtonianKernel:
-        return (_KERN_NEWTONIAN, 0.0, 0.0, False,
-                _EMPTY_F8, _EMPTY_F8, _EMPTY_I8, _EMPTY_F8, _EMPTY_F8, _EMPTY_I8)
-    if t is PlummerKernel:
-        return (_KERN_PLUMMER, kernel.eps, 0.0, False,
-                _EMPTY_F8, _EMPTY_F8, _EMPTY_I8, _EMPTY_F8, _EMPTY_F8, _EMPTY_I8)
-    if t in (ErfcKernel, ErfKernel):
-        tables = _erf_chain_tables(kernel, pmax)
-        return (_KERN_ERFFAMILY, 0.0, kernel.alpha, t is ErfKernel, *tables)
-    return None
-
 
 def kernel_specs(kernel, softening, p: int):
     """Marshal (radial kernel, softening) into kernel-body parameters.
 
-    Returns ``(radial_spec, soft_spec)`` or ``None`` when either side is
-    a type the kernel body does not implement.  Exact-type checks on purpose:
-    an unknown subclass overriding the math must not be silently
-    evaluated with the base-class formulas.
+    Returns ``(radial_spec, soft_spec)`` through the evaluator's own
+    exact-type marshalling (:func:`repro.gravity.native.radial_spec`,
+    :func:`~repro.gravity.native.softening_spec`), which raises
+    ``TypeError`` for any other type: an unknown subclass overriding the
+    math must not be silently evaluated with the base-class formulas.
     """
-    rs = _radial_spec(kernel, p + 1)
-    ss = _softening_spec(softening)
-    if rs is None or ss is None:
-        return None
-    return rs, ss
+    kind, alpha, *tables = native.radial_spec(kernel, p + 1)
+    soft_kind, h, eps, r_split = native.softening_spec(softening)
+    return (kind, alpha, *tables), (soft_kind, eps if soft_kind == native.SOFT_PLUMMER else h, r_split)
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,8 +103,7 @@ def _csr_force_kernel(
     wm, plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders, acc_cols,
     pmax, ncoef, nhi,
     # radial kernel spec
-    kern_kind, kern_eps, kern_alpha, kern_use_erf,
-    ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
+    kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
     # softening spec
     soft_kind, soft_eps, soft_rsplit,
     # output layout
@@ -239,26 +144,15 @@ def _csr_force_kernel(
                 r2 = dx * dx + dy * dy + dz * dz
                 r = math.sqrt(r2)
                 # radial derivative chain g_0..g_pmax
-                if kern_kind == 0:  # Newtonian 1/r
+                if kern_kind == native.KERN_NEWTON:  # 1/r
                     inv_r2 = 1.0 / r2
                     g = 1.0 / r
                     gch[0] = g
                     for mm in range(1, pmax + 1):
                         g = g * (-(2.0 * mm - 1.0)) * inv_r2
                         gch[mm] = g
-                elif kern_kind == 1:  # Plummer-smoothed
-                    s2 = r2 + kern_eps * kern_eps
-                    inv_s2 = 1.0 / s2
-                    g = math.sqrt(inv_s2)
-                    gch[0] = g
-                    for mm in range(1, pmax + 1):
-                        g = g * (-(2.0 * mm - 1.0)) * inv_s2
-                        gch[mm] = g
-                else:  # erfc/erf over r (Ewald / TreePM split)
-                    if kern_use_erf:
-                        fval = math.erf(kern_alpha * r)
-                    else:
-                        fval = math.erfc(kern_alpha * r)
+                else:  # erfc(alpha r) / r (Ewald / TreePM split)
+                    fval = math.erfc(kern_alpha * r)
                     gauss = math.exp(-(kern_alpha * kern_alpha) * r2)
                     for mm in range(pmax + 1):
                         s = 0.0
@@ -501,14 +395,9 @@ def oracle_forces(
     """
     if inter.m2l_src is not None and len(inter.m2l_src):
         raise ValueError("oracle_forces walks the cell, pp and ghost families only")
-    spec = kernel_specs(kernel or NewtonianKernel(), softening or NoSoftening(), moms.p)
-    if spec is None:
-        raise TypeError(
-            f"no term-by-term form of {type(kernel).__name__}/{type(softening).__name__}"
-        )
-    (kern_kind, kern_eps, kern_alpha, kern_use_erf,
-     ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr), (
-        soft_kind, soft_eps, soft_rsplit) = spec
+    (kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr), (
+        soft_kind, soft_eps, soft_rsplit) = kernel_specs(
+        kernel or NewtonianKernel(), softening or NoSoftening(), moms.p)
     s0, s1 = particle_range if particle_range is not None else (0, tree.n_particles)
     acc = np.zeros((s1 - s0, 3))
     pot = np.zeros(s1 - s0) if want_potential else None
@@ -529,11 +418,10 @@ def oracle_forces(
         _f8(inter.offsets), home_off,
         wm, plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders,
         _acc_cols_arr(p), pmax, ncoef, nhi,
-        kern_kind, kern_eps, kern_alpha, kern_use_erf,
-        ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
+        kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
         soft_kind, soft_eps, soft_rsplit,
         want_potential, s0,
-        acc, pot if want_potential else _EMPTY_F8,
+        acc, pot if want_potential else np.zeros(0),
     )
     # particles of the sink leaf x entries of its row, per family
     leaf_np = tree.cell_count[inter.sink_leaves]

@@ -154,3 +154,37 @@ def test_oracle_refuses_unknown_kernel_types():
             solver.last_tree, solver.last_moments, solver.last_interactions,
             softening=OddSoftening(),
         )
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+@pytest.mark.parametrize("p", [0, 2, 4])
+@pytest.mark.parametrize("softening", ["none", "plummer", "spline", "dehnen_k1"])
+def test_compiled_evaluator_every_production_kernel(softening, p, periodic):
+    """The generated C of every order production compiles against the
+    loop in float64, for each softening under the 1/r cell kernel and
+    under TreePM's erfc kernel with the short-range filter; float32
+    tracks float64 to 1e-6 of the largest acceleration."""
+    from repro.gravity import native
+    from repro.gravity.pm import ShortRangeSoftening
+    from repro.gravity.smoothing import make_softening
+    from repro.gravity.treeforce import evaluate_forces
+    from repro.multipoles.radial import ErfcKernel
+
+    pos, mass = _cloud(64 if p < 4 else 40, seed=p + 3)
+    cfg = TreecodeConfig(
+        p=p, errtol=2e-2, nleaf=8, periodic=periodic, background=periodic,
+        lattice_correction=False, softening=softening, eps=0.03,
+    )
+    solver = TreecodeGravity(cfg)
+    solver.compute(pos, mass, box=1.0)
+    tree, moms, inter = solver.last_tree, solver.last_moments, solver.last_interactions
+    base = make_softening(softening, 0.03)
+    for soft, kernel in ((base, None), (ShortRangeSoftening(base, 0.1), ErfcKernel(2.5))):
+        native.softening_spec(soft)  # a production pair, by construction
+        kw = dict(softening=soft, kernel=kernel)
+        got = evaluate_forces(tree, moms, inter, **kw)
+        ora = oracle_forces(tree, moms, inter, **kw)
+        assert _rel_acc_diff(got, ora) <= REL_TOL
+        assert np.abs(got.pot - ora.pot).max() <= REL_TOL * np.abs(ora.pot).max()
+        f32 = evaluate_forces(tree, moms, inter, dtype=np.float32, **kw)
+        assert np.abs(f32.acc - got.acc).max() <= 1e-6 * np.abs(got.acc).max()

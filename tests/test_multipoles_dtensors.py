@@ -287,41 +287,40 @@ KERNELS = [NewtonianKernel(), PlummerKernel(0.3), ErfcKernel(0.9)]
 
 class TestLevelContraction:
     """Force and potential of a particle-cell interaction from the
-    polynomials P_k of ``repro.multipoles.hermite``, evaluated through
-    the production pieces (moment matrix, generated shift, scaled
-    monomials) about a sink centre that is *not* the source centre:
+    polynomials P_k of ``repro.multipoles.hermite``, as the compiled row
+    evaluates them — the moment matrix's b_{k,gamma} read through the
+    scaled monomials X_gamma = x^gamma / gamma! at x itself, and
+    d_i P_k through X_{gamma - e_i}:
     sum_a wm_a D_{a+e_i} = x_i S + T_i,  S = sum_k g_{k+1} P_k (the
     level-1 chain),  T_i = sum_k g_k d_i P_k,  phi = sum_k g_k P_k."""
 
-    def contract(self, dx, kernel, moments, p, delta=None):
-        from repro.gravity.treeforce import _scaled_monomials
-        from repro.multipoles.codegen import compiled_shift_function
+    def contract(self, dx, kernel, moments, p):
         from repro.multipoles.hermite import field_table
 
         n = len(dx)
         tab = field_table(p)
         mis = multi_index_set(p)
         wm = (moments * ((-1.0) ** mis.order) / mis.factorial).T
-        # x = delta + d: particle about the sink centre, sink centre
-        # about the source centre (an accepted sink cell is small
-        # against its distance: |delta_i| <= |x_i| / 4)
-        if delta is None:
-            delta = 0.25 * dx * np.random.default_rng(p).uniform(-1, 1, dx.shape)
-        d = np.ascontiguousarray((dx - delta).T)
-        Q = tab.matrix @ moments.T
-        Q[~tab.filled] = np.nan  # the shift must write these rows
-        shift = compiled_shift_function(p)
-        shift(d, Q, np.empty((shift.n_scratch, n)))
-        XS = _scaled_monomials(np.ascontiguousarray(delta.T), p, np.float64)
+        b = tab.matrix @ moments.T
+        # X with a spare zero column, and each column's gamma - e_i in it
+        X = np.zeros((n, len(mis) + 1))
+        X[:, :-1] = mis.powers(dx) / mis.factorial
+        lowered = [
+            [mis.index[tuple(g - np.eye(3, dtype=int)[i])] if g[i] else len(mis)
+             for g in mis.alphas]
+            for i in range(3)
+        ]
         g = kernel.radial_derivs(np.linalg.norm(dx, axis=1), p + 1)
         x = np.ascontiguousarray(dx.T)
-        pot, S, T = g[0] * Q[0], g[1] * Q[0], np.zeros((3, n))
+        pot, S, T = g[0] * b[0], g[1] * b[0], np.zeros((3, n))
         for k in range(1, p + 1):
             rows = slice(tab.offsets[k], tab.offsets[k + 1])
-            P = np.einsum("cnk,kn->cn", XS[:, :, : n_coeffs(k)], Q[rows])
-            pot = pot + g[k] * P[0]
-            S = S + g[k + 1] * P[0]
-            T += g[k] * P[1:]
+            cols = slice(0, n_coeffs(k))
+            P = np.einsum("nk,kn->n", X[:, cols], b[rows])
+            dP = [np.einsum("nk,kn->n", X[:, lowered[i][cols]], b[rows]) for i in range(3)]
+            pot = pot + g[k] * P
+            S = S + g[k + 1] * P
+            T += g[k] * np.array(dP)
         return x * S + T, pot, wm
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=["newton", "plummer", "erfc"])
@@ -343,9 +342,9 @@ class TestLevelContraction:
         assert np.abs(pot - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_monopole_has_no_shifted_block(self):
-        """p = 0: acc = x M g_1, pot = M g_0 — one coefficient, nothing
-        to shift, no monomial but the constant."""
-        from repro.multipoles.codegen import compiled_shift_function
+        """p = 0: acc = x M g_1, pot = M g_0 — one coefficient, no
+        monomial but the constant, and no generated monomial at all."""
+        from repro.multipoles.codegen import _field_program
         from repro.multipoles.hermite import field_table
 
         dx = np.array([[1.0, 2.0, -2.0], [0.0, 0.0, 4.0]])
@@ -354,21 +353,20 @@ class TestLevelContraction:
         r = np.array([3.0, 4.0])
         assert np.array_equal(wm, m.T)
         assert field_table(0).matrix.tolist() == [[1.0]]
-        assert compiled_shift_function(0).n_ops == 0
+        assert "real X" not in _field_program(0)[2]
         np.testing.assert_allclose(pot, m[:, 0] / r, rtol=1e-15)
         np.testing.assert_allclose(acc, -dx.T * m[:, 0] / r**3, rtol=1e-15)
 
     def test_dipole_by_hand(self):
         """p = 1: P_0 = wm_0, P_1 = wm_1 . x, so S = wm_0 g_1 +
         (wm_1 . x) g_2 and T_i = wm_{e_i} g_1, with wm_0 = M_0,
-        wm_{e_i} = -M_{e_i} — wherever the sink centre is."""
+        wm_{e_i} = -M_{e_i}."""
         dx = np.array([[1.0, 2.0, -2.0]])
         mom = np.array([[2.0, 0.3, -0.5, 0.7]])
         g0, g1, g2 = 1 / 3.0, -1 / 27.0, 3 / 243.0
-        for delta in (np.zeros((1, 3)), np.array([[0.25, -0.5, 4.0]])):
-            acc, pot, wm = self.contract(dx, NewtonianKernel(), mom, 1, delta=delta)
-            assert np.array_equal(wm[:, 0], [2.0, -0.3, 0.5, -0.7])
-            d = wm[1:, 0]
-            S = 2.0 * g1 + (d @ dx[0]) * g2
-            np.testing.assert_allclose(acc[:, 0], dx[0] * S + d * g1, rtol=1e-14)
-            np.testing.assert_allclose(pot[0], 2.0 * g0 + (d @ dx[0]) * g1, rtol=1e-14)
+        acc, pot, wm = self.contract(dx, NewtonianKernel(), mom, 1)
+        assert np.array_equal(wm[:, 0], [2.0, -0.3, 0.5, -0.7])
+        d = wm[1:, 0]
+        S = 2.0 * g1 + (d @ dx[0]) * g2
+        np.testing.assert_allclose(acc[:, 0], dx[0] * S + d * g1, rtol=1e-14)
+        np.testing.assert_allclose(pot[0], 2.0 * g0 + (d @ dx[0]) * g1, rtol=1e-14)

@@ -1,6 +1,9 @@
 """The multipole field as radial functions times polynomials: the
-Hermite table, the moment matrix built from it, and the generated
-polynomial shift (``repro.multipoles.hermite`` / ``codegen``)."""
+Hermite table, the moment matrix built from it, and the generated C
+row that evaluates the field (``repro.multipoles.hermite`` /
+``codegen``)."""
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from repro.multipoles import (
     multi_index_set,
     n_coeffs,
 )
-from repro.multipoles.codegen import compiled_shift_function, generate_shift_source
-from repro.multipoles.hermite import field_table, hermite_table, shift_plan
+from repro.gravity import native
+from repro.multipoles.codegen import _field_program, cell_row_ops
+from repro.multipoles.hermite import field_table, hermite_table
 
 KERNELS = [NewtonianKernel(), PlummerKernel(0.3), ErfcKernel(0.9)]
 
@@ -82,14 +86,13 @@ class TestHermiteTable:
 
     def test_layout_of_the_moment_matrix(self):
         """p = 4: 1 + 4 + 10 + 20 + 35 = 70 rows, of which 1 + 4 + 10 +
-        16 + 15 = 46 carry a coefficient before the shift (degrees
-        2k - p .. k of P_k), in three runs a gather can fetch."""
+        16 + 15 = 46 carry a coefficient (degrees 2k - p .. k of P_k):
+        the rows the evaluator gathers."""
         tab = field_table(4)
         assert tab.offsets.tolist() == [0, 1, 5, 15, 35, 70]
         assert tab.matrix.shape == (70, 35)
         per_k = [int(tab.filled[a:b].sum()) for a, b in zip(tab.offsets, tab.offsets[1:])]
         assert per_k == [1, 4, 10, 16, 15]
-        assert tab.segments == ((0, 15), (19, 35), (55, 70))
         assert [int(field_table(p).filled.sum()) for p in (0, 1, 2, 3)] == [1, 4, 11, 24]
         # P_0 is the monopole; P_1's linear part is minus the dipole
         mis = multi_index_set(4)
@@ -103,22 +106,62 @@ class TestHermiteTable:
         }
 
 
-def interpreted_shift(d, Q, p):
-    """Walk ``shift_plan(p)`` in the dtype of the operands."""
-    Q = Q.copy()
-    power = {(axis, 1): d[axis] for axis in range(3)}
-    for axis in range(3):
-        for j in range(2, p + 1):
-            power[(axis, j)] = (power[(axis, j - 1)] * d[axis]) * Q.dtype.type(1.0 / j)
-    for dst, src, axis, j, fresh in shift_plan(p):
-        term = power[(axis, j)] * Q[src]
-        Q[dst] = term if fresh else Q[dst] + term
-    return Q
+def interpreted_row(p, dtype, pos, centre, coef):
+    """Walk the generated C of one particle x cell row in numpy.
+
+    The statements of ``_field_program(p)`` — geometry, 1/r chain, field
+    body — executed one by one in ``dtype`` over the rows of ``pos``
+    against one source at ``centre`` with coefficient rows ``coef``:
+    the same operations in the same order, so IEEE arithmetic makes it
+    bit-identical to the compiled row.
+    """
+    geometry, chain, body, *_ = _field_program(p)
+    real = np.dtype(dtype).type
+    out = {n: np.empty(len(pos), dtype=dtype) for n in ("AX", "AY", "AZ", "PH")}
+    env = {
+        "real": real, "R": real, "SQRT": np.sqrt,
+        "px": pos[:, 0], "py": pos[:, 1], "pz": pos[:, 2],
+        "cx": centre[0], "cy": centre[1], "cz": centre[2],
+        "B": [np.full(len(pos), real(c)) for c in coef], **out,
+    }
+    for line in "\n".join([geometry, chain, body]).splitlines():
+        stmt = line.rstrip(";").replace("[j]", "").replace("(real)(", "real(")
+        if stmt.startswith("real "):
+            stmt = stmt[len("real "):]
+        name, expr = stmt.split(" = ", 1)
+        value = eval(expr, {}, env)  # noqa: S307 - the generator's own statements
+        if name in out:
+            out[name][...] = value
+        else:
+            env[name] = value
+    return out
 
 
-class TestShift:
+def compiled_rows(p, dtype, pos, centre, coef):
+    """``cell_field`` on n particles of one sink cell against one source
+    cell, in box units: each particle's sums are its one row."""
+    lib = native.evaluator(p, dtype)
+    n = len(pos)
+    arrays = [
+        np.ascontiguousarray(pos), np.ones(n, dtype=np.uint8),
+        np.array([0, n]), np.array([n, 1]), np.array([[0.5] * 3, centre]),
+        np.array([0]), np.array([0]), np.array([0, 1]), np.array([1]), np.array([0]),
+        np.zeros((1, 3)), np.ascontiguousarray(np.vstack([coef, coef])),
+    ]
+    kind, alpha, *tables = native.radial_spec(NewtonianKernel(), p + 1)
+    acc, pot = np.zeros((n, 3)), np.zeros(n)
+    ptr = [a.ctypes.data for a in arrays + tables]
+    assert lib.cell_field(*ptr[:5], 1, *ptr[5:12], kind, alpha, *ptr[12:], 1, 0,
+                          acc.ctypes.data, pot.ctypes.data) == 0
+    return acc, pot
+
+
+class TestFieldRow:
+    """The generated C row: the field of the polynomial form evaluated
+    directly at x from the unshifted coefficients b_{k,gamma}."""
+
     def direct(self, b, tab, x, k):
-        """P_k(x) = sum_beta b_{k,beta} x^beta / beta! from unshifted rows."""
+        """P_k(x) = sum_beta b_{k,beta} x^beta / beta!."""
         mis = multi_index_set(tab.p)
         rows = slice(tab.offsets[k], tab.offsets[k + 1])
         X = mis.powers(x)[:, : n_coeffs(k)] / mis.factorial[: n_coeffs(k)]
@@ -126,60 +169,53 @@ class TestShift:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 6])
     def test_an_identity_not_a_series(self, p):
-        """P_k(delta + d) read off the shifted rows equals P_k evaluated
-        directly, for shifts shorter *and longer* than delta — nothing
-        is truncated, so nothing converges or diverges."""
+        """P_k from the unshifted b is the Hermite-table polynomial
+        sum_alpha wm_alpha h_{alpha,k} at every distance, near and far:
+        nothing is truncated, so nothing converges or diverges."""
         rng = np.random.default_rng(p)
         n = 64
         tab = field_table(p)
-        b = tab.matrix @ rng.normal(size=(n_coeffs(p), n))
-        delta = rng.normal(size=(n, 3))
-        d = rng.normal(size=(n, 3)) * np.repeat([0.05, 1.0, 20.0, 1.0], n // 4)[:, None]
-        ratio = np.linalg.norm(delta, axis=1) / np.linalg.norm(d, axis=1)
-        assert ratio.min() < 0.1 and ratio.max() > 10
-        Q = b.copy()
-        Q[~tab.filled] = np.nan
-        shift = compiled_shift_function(p)
-        assert shift(np.ascontiguousarray(d.T), Q, np.empty((shift.n_scratch, n))) is Q
-        assert np.all(np.isfinite(Q))
+        mis = multi_index_set(p)
+        moments = rng.normal(size=(n_coeffs(p), n))
+        b = tab.matrix @ moments
+        x = rng.normal(size=(n, 3)) * np.repeat([0.05, 1.0, 20.0, 1.0], n // 4)[:, None]
+        wm = moments * (((-1.0) ** mis.order) / mis.factorial)[:, None]
         for k in range(p + 1):
-            got = self.direct(Q, tab, delta, k)
-            # the scale of the sum: its terms before any cancellation
-            scale = self.direct(np.abs(b), tab, np.abs(delta) + np.abs(d), k)
-            assert np.all(np.abs(got - self.direct(b, tab, delta + d, k)) <= 1e-13 * scale)
-            # d_gamma P_k(d) by name: the constant row is P_k(d) itself
-            assert np.allclose(Q[tab.offsets[k]], self.direct(b, tab, d, k), rtol=1e-12, atol=0)
+            want = sum(
+                wm[j] * eval_poly(by_k[k], x)
+                for j, by_k in enumerate(hermite_table(p)) if k in by_k
+            )
+            scale = sum(
+                np.abs(wm[j]) * eval_poly({b_: abs(c) for b_, c in by_k[k].items()}, np.abs(x))
+                for j, by_k in enumerate(hermite_table(p)) if k in by_k
+            )
+            assert np.all(np.abs(self.direct(b, tab, x, k) - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 6])
     def test_generated_is_the_interpreted_plan_walk(self, p, dtype):
+        """The compiled row is its own statements walked in numpy, bit for
+        bit: IEEE operations, no contraction, no reassociation."""
         rng = np.random.default_rng(p)
         n = 37
         tab = field_table(p)
-        d = rng.normal(size=(3, n)).astype(dtype)
-        Q = (tab.matrix @ rng.normal(size=(n_coeffs(p), n))).astype(dtype)
-        Q[~tab.filled] = 0
-        want = interpreted_shift(d, Q, p)
-        shift = compiled_shift_function(p)
-        W = np.full((shift.n_scratch + 1, n), np.nan, dtype=dtype)
-        got = Q.copy()
-        got[~tab.filled] = np.nan
-        shift(d, got, W)
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
-        assert np.all(np.isnan(W[shift.n_scratch :]))
+        pos = rng.uniform(-3.0, 3.0, size=(n, 3))
+        centre = np.array([0.3, -0.2, 0.1])
+        coef = tab.matrix[tab.filled] @ rng.normal(size=n_coeffs(p))
+        want = interpreted_row(p, dtype, pos, centre, coef)
+        acc, pot = compiled_rows(p, dtype, pos, centre, coef)
+        for i, name in enumerate(("AX", "AY", "AZ")):
+            assert np.array_equal(acc[:, i], want[name].astype(np.float64))
+        assert np.array_equal(pot, want["PH"].astype(np.float64))
 
     def test_statement_counts_pinned(self):
-        """p = 1: the constant of P_1 picks up d . (its three linear
-        coefficients): 3 steps, the first one stores.  p = 4: 152
-        multiply-adds — a direct gamma-by-gamma sum has 193, and 405
-        statements — of which 24 store into an empty row, plus 2
-        statements for each of the 9 rows d_i^j / j!, j = 2..4."""
-        assert [len(shift_plan(p)) for p in range(5)] == [0, 3, 17, 58, 152]
-        assert sum(step[4] for step in shift_plan(4)) == 24 == 70 - 46
-        assert [compiled_shift_function(p).n_ops for p in range(5)] == [0, 5, 36, 117, 298]
-        assert compiled_shift_function(4).n_ops == 2 * 152 - 24 + 2 * 9
-        assert compiled_shift_function(4).n_scratch == 9 + 1
-        src = generate_shift_source(4)
-        assert (src.count("mul("), src.count("add(")) == (152 + 18, 152 - 24)
-        assert shift_plan(1) == ((1, 2, 0, 1, True), (1, 3, 1, 1, False), (1, 4, 2, 1, False))
+        """p = 4: 46 gathered coefficients; every monomial of order 2 to
+        4 (31 multiplies, from 9 scaled axes x_i / j); P_k and d_i P_k
+        one multiply-add per term.  The row's arithmetic, with and
+        without the potential."""
+        _, _, body, geometry_ops, body_ops, pot_ops = _field_program(4)
+        assert int(field_table(4).filled.sum()) == 46
+        assert sum(ln.startswith("real X") for ln in body.splitlines()) == 31
+        assert sum(ln.startswith(("real x", "real y", "real z")) for ln in body.splitlines()) == 9
+        assert (geometry_ops, body_ops, pot_ops) == (21, 286, 9)
+        assert [cell_row_ops(p) for p in range(5)] == [18, 35, 83, 169, 316]

@@ -80,20 +80,6 @@ class TestMultiIndexSet:
             mis.packed_index(np.array([[1, 0], [0, 1]]))
         assert mis.packed_index(np.empty((0, 3), dtype=np.int64)).shape == (0,)
 
-    def test_lowered_columns(self):
-        """``treeforce._lowered_columns``: the slot of gamma - e_i, or the
-        spare zero column where gamma_i = 0."""
-        from repro.gravity.treeforce import _lowered_columns
-
-        mis = multi_index_set(5)
-        cols = _lowered_columns(5)
-        assert cols.shape == (3, len(mis))
-        for c, gamma in enumerate(mis.alphas.tolist()):
-            for i in range(3):
-                low = list(gamma)
-                low[i] -= 1
-                assert cols[i, c] == (mis.index[tuple(low)] if gamma[i] else len(mis))
-
     def test_factorials(self):
         mis = multi_index_set(4)
         i = mis.index[(2, 1, 1)]

@@ -119,14 +119,14 @@ def test_restricted_solves_at_any_leaf_cut_bit_identical(n_cuts):
 
 #: serial stats a sharded solve counts differently by design
 _SHARD_SURPLUS = (
-    # a sink cell that straddles two shards is translated by both
+    # a sink cell that straddles two shards is gathered by both
     "cell_entries", "m2l_classes", "m2l_tile_rows",
     # every shard re-walks the shared upper tree
     "mac_tests", "inherited_accepts", "leaf_accepts", "frontier_peak", "traversal_rounds",
 )
 #: M2L pairs are translations of a sink cell too, and these keys sum them
 _M2L_SUMS = ("m2l_pairs", "m2l_interactions", "traversal_interactions")
-_SECONDS = ("family_seconds", "cell_seconds", "prism_seconds")
+_SECONDS = ("family_seconds", "prism_seconds")
 
 
 @pytest.mark.parametrize("traversal", ["hierarchical", "fmm-hybrid"])

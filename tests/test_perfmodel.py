@@ -11,7 +11,6 @@ from repro.perfmodel import (
     ScalingInputs,
     StrongScalingModel,
     expected_overhead,
-    flops_per_cell_entry,
     flops_per_cell_interaction,
     flops_per_particle,
     optimal_interval,
@@ -29,34 +28,35 @@ class TestFlops:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_cell_counts_pinned(self):
-        """Re-derived by hand, not from a second formula.  Per row: the
-        matrix products (P_k and three derivatives: 4 multiply-adds per
-        column of the order-k block, 4 + 10 + 20 + 35 columns at p = 4)
-        + radial chain + S and phi (p + 1 multiplies, p adds each) +
-        T (3 x (p multiplies, p - 1 adds)) + x_i S + T_i."""
-        assert flops_per_cell_interaction(2) == 8 * (4 + 10) + 24 + 2 * 5 + 3 * 3 + 6
-        assert flops_per_cell_interaction(4) == 8 * 69 + 32 + 2 * 9 + 3 * 7 + 6 == 629
-        assert flops_per_cell_interaction(2, want_potential=False) == 8 * 14 + 24 + 5 + 9 + 6
-        assert flops_per_cell_interaction(4, want_potential=False) == 8 * 69 + 32 + 9 + 21 + 6
-        # p = 0: no product, no T: S, phi and x_i S
-        assert flops_per_cell_interaction(0) == 0 + 16 + 2 + 3
-        assert flops_per_cell_interaction(0, want_potential=False) == 0 + 16 + 1 + 3
-        # per accept-level entry: the shift's statements + the shift vector
-        assert [flops_per_cell_entry(p) for p in (0, 1, 2, 4)] == [3, 8, 39, 301]
+        """p = 0 and 1 re-derived by hand, not from a second formula.
+        Every row: x, y, z (3), r^2 (5), r (1), 1/r^2 and g_0 (2), then
+        g_1 .. g_{p+1} (2 each).  p = 0: P_0 is the monopole
+        coefficient; S = g_1 P_0 (1), a_i = x_i S (3), phi = g_0 P_0 (1).
+        p = 1: P_1 = b_x x + b_y y + b_z z (5), d_i P_1 = b_i (0);
+        S (3), T_i = g_1 d_i P_1 (3), a_i = x_i S + T_i (6), phi (3).
+        Higher orders pinned as the generated row counts them."""
+        assert flops_per_cell_interaction(0) == 9 + 2 + 2 + 1 + 3 + 1 == 18
+        assert flops_per_cell_interaction(0, want_potential=False) == 17
+        assert flops_per_cell_interaction(1) == 9 + 2 + 4 + 5 + 3 + 3 + 6 + 3 == 35
+        assert flops_per_cell_interaction(1, want_potential=False) == 32
+        assert [flops_per_cell_interaction(p) for p in (2, 3, 4)] == [83, 169, 316]
+        assert [flops_per_cell_interaction(p, False) for p in (2, 3, 4)] == [78, 162, 307]
 
     def test_cell_count_matches_generated_routine(self):
-        """Per entry: one flop per ufunc call the generated shift
-        routine makes.  Per row: the matrix products are as wide as the
-        blocks of the table the evaluator multiplies."""
-        from repro.multipoles.codegen import generate_shift_source
-        from repro.multipoles.hermite import field_table
+        """One flop per arithmetic operator or square root in the C the
+        cell loop runs per row, read off the emitted source text; the
+        potential's statements only when it is wanted."""
+        from repro.multipoles.codegen import _field_program, generate_evaluator_source
 
-        for p in (1, 2, 4, 6):
-            src = generate_shift_source(p)
-            assert flops_per_cell_entry(p) == src.count("mul(") + src.count("add(") + 3
-            widths = np.diff(field_table(p).offsets)[1:]
-            rest = 4 * (p + 2) + 8 + 2 * (2 * p + 1) + 3 * (2 * p - 1) + 6
-            assert flops_per_cell_interaction(p) == 2 * 4 * widths.sum() + rest
+        for p in (0, 1, 2, 4, 6):
+            geometry, chain, body, *_ = _field_program(p)
+            lines = "\n".join([geometry, chain, body]).splitlines()
+            source = generate_evaluator_source(p, "float32")
+            assert all(ln in source for ln in lines)
+            ops = [sum(ln.count(op) for op in (" + ", " - ", " * ", " / ", "SQRT(")) for ln in lines]
+            pot = sum(n for n, ln in zip(ops, lines) if "phi" in ln)
+            assert flops_per_cell_interaction(p) == sum(ops)
+            assert flops_per_cell_interaction(p, want_potential=False) == sum(ops) - pot
 
     def test_m2l_counts_the_generated_order_p_plus_2_routine(self):
         from repro.gravity.localexp import m2l_tables
