@@ -231,7 +231,7 @@ RETIRED.append((
     r"autotune_chunks|_CELL_CHUNK|_PP_CHUNK|_CELL_PANEL|_CELL_SHIFT_CHUNK|_CELL_MONO_CHUNK"
     r"|_cell_panels|_scaled_monomials|_lowered_columns|_evaluate_cells|\b_runs\("
     r"|compiled_shift_function|generate_shift_source|shift_plan|cell_seconds"
-    r"|flops_per_cell_entry|CELL_PARTS|interpreted_shift",
+    r"|flops_per_cell_entry|CELL_PARTS|interpreted_shift|force_and_potential",
     # benchmarks/step/run.py still asks for autotune_chunks (and gets None)
     ("src", "tests", "examples", "tools", ".github", "benchmarks/check_step_record.py",
      "README.md"),
