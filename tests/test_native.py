@@ -79,6 +79,10 @@ class TestBuild:
         finally:
             native._load.cache_clear()
 
+    def test_other_precisions_are_refused_at_construction(self):
+        with pytest.raises(ValueError, match="float16"):
+            TreecodeGravity(TreecodeConfig(p=2, dtype=np.float16))
+
     def test_source_names_its_order_and_precision(self):
         from repro.multipoles.codegen import generate_evaluator_source
 
