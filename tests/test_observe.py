@@ -910,7 +910,10 @@ class TestKernelCounters:
         assert k["interactions_per_s"] > 0 and k["gflops"] > 0
         assert 0 < k["tile_occupancy"] <= 1.0
         assert k["m_max"] >= k["m_mean"] > 0
-        assert 0 < k["model_fraction"] < 1.0  # below the roofline
+        # the fraction of the generic machine model's 8 Gflop/s core; the
+        # compiled kernel can pass it (1.07 measured on a 512-particle solve)
+        assert k["model_fraction"] == pytest.approx(k["gflops"] / k["model_gflops"])
+        assert k["model_fraction"] > 0
 
     def test_sharded_merge_preserves_totals(self):
         serial = self._solve().stats["kernel"]
