@@ -5,24 +5,31 @@ Paper §2.2.2 turns its interaction kernels into C by metaprogramming;
 one translation unit per (order p, dtype), and this module compiles it
 with the host's C compiler into a cache and loads it:
 
-* ``cc -O3 -march=native -fno-math-errno -ffp-contract=off -shared
-  -fPIC`` — no ``-ffast-math``: float operations stay IEEE and every sum
-  keeps the order the source writes, so results are reproducible bit
-  for bit wherever the same library runs;
+* ``cc -O3 -march=native -fno-math-errno -ffp-contract=off
+  -fopenmp-simd -shared -fPIC ... -lmvec -lm`` — no ``-ffast-math``:
+  float operations stay IEEE and every sum keeps the order the source
+  writes, so results are reproducible bit for bit wherever the same
+  library runs.  ``-fopenmp-simd`` honours the unit's ``omp simd`` and
+  ``declare simd`` pragmas (nothing else of OpenMP), and ``-lmvec``
+  links glibc's vector math library, whose ``log`` and ``atan`` the
+  prism loop calls four lanes at a time;
 * the cache is ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``),
-  a file named by the sha256 of the source, ``cc --version``, the flags
-  and the host's CPU flags, written to a temporary name and moved into
-  place with ``os.replace``, so concurrent builders never see a torn
-  library.  A cache that cannot be written falls back to a temporary
-  directory of this process;
-* pool workers, forked or spawned, compute the same name and load the
-  parent's file.
+  a file named by the sha256 of the source, ``cc --version``, the flags,
+  the link libraries and the host's CPU flags, written to a temporary
+  name and moved into place with ``os.replace``, so concurrent builders
+  never see a torn library.  A cache that cannot be written falls back
+  to a temporary directory of this process;
+* pool workers load the parent's file: forked ones inherit the loaded
+  unit, spawned ones get its path with their start-up arguments
+  (:func:`library_paths`, :func:`adopt_libraries`), so no worker
+  compiles.
 
-A host without the compiler fails when a solver is constructed, with a
-message naming it.  :func:`softening_spec` and :func:`radial_spec` turn
-the kernel objects into the evaluator's parameters by *exact* type, and
-refuse any other type: a subclass that overrides the math must not be
-evaluated with the formulas of its base.
+A host without the compiler or without libmvec fails when a solver is
+constructed, with a message naming what is missing.
+:func:`softening_spec` and :func:`radial_spec` turn the kernel objects
+into the evaluator's parameters by *exact* type, and refuse any other
+type: a subclass that overrides the math must not be evaluated with the
+formulas of its base.
 """
 
 from __future__ import annotations
@@ -41,11 +48,19 @@ from ..multipoles.codegen import generate_evaluator_source
 from ..multipoles.radial import ErfcKernel, NewtonianKernel
 from .smoothing import DehnenK1Softening, NoSoftening, PlummerSoftening, SplineSoftening
 
-__all__ = ["CC", "FLAGS", "evaluator", "softening_spec", "radial_spec", "cache_dir"]
+__all__ = [
+    "CC", "FLAGS", "LIBS", "evaluator", "softening_spec", "radial_spec", "cache_dir",
+    "library_paths", "adopt_libraries",
+]
 
 #: the C compiler (a name on PATH)
 CC = "cc"
-FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = (
+    "-O3", "-march=native", "-fno-math-errno", "-ffp-contract=off", "-fopenmp-simd",
+    "-shared", "-fPIC",
+)
+#: link libraries: glibc's vector math (libmvec) and libm
+LIBS = ("-lmvec", "-lm")
 
 #: radial kernels and softenings the generated unit implements
 KERN_NEWTON, KERN_ERFC = 0, 1
@@ -137,7 +152,7 @@ def _host_key() -> str:
             cpu = next((ln for ln in fh if ln.startswith("flags")), "")
     except OSError:
         pass
-    return "\n".join([version, " ".join(FLAGS), cpu])
+    return "\n".join([version, " ".join(FLAGS + LIBS), cpu])
 
 
 def _compile(source: str, target: Path) -> None:
@@ -149,8 +164,13 @@ def _compile(source: str, target: Path) -> None:
     try:
         Path(c_file).write_text(source)
         proc = subprocess.run(
-            [CC, *FLAGS, c_file, "-o", tmp, "-lm"], capture_output=True, text=True
+            [CC, *FLAGS, c_file, "-o", tmp, *LIBS], capture_output=True, text=True
         )
+        if proc.returncode and "mvec" in proc.stderr:
+            raise RuntimeError(
+                "the force evaluator links glibc's vector math library libmvec "
+                f"(-lmvec), which {CC} could not find:\n{proc.stderr}"
+            )
         if proc.returncode:
             raise RuntimeError(f"{CC} failed on the generated evaluator:\n{proc.stderr}")
         os.replace(tmp, target)
@@ -183,18 +203,41 @@ def library_path(source: str) -> Path:
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
+#: (p, dtype name) -> the library file this process loaded for it, and
+#: the files a spawned worker was handed by its parent
+_PATHS: dict[tuple[int, str], str] = {}
+_ADOPTED: dict[tuple[int, str], str] = {}
+
 
 def evaluator(p: int, dtype) -> ctypes.CDLL:
     """The loaded evaluator of order ``p`` in ``dtype`` (compiled on first use).
 
-    Exposes ``cell_field`` and ``pp_field``; see the generated source.
+    Exposes ``cell_field``, ``pp_field`` and ``prism_field``; see the
+    generated source.
     """
     return _load(p, np.dtype(dtype).name)
 
 
+def library_paths() -> dict[tuple[int, str], str]:
+    """The files of the units this process has loaded, by (p, dtype name)."""
+    return dict(_PATHS)
+
+
+def adopt_libraries(paths: dict[tuple[int, str], str]) -> None:
+    """Load these files for their (p, dtype name) instead of resolving
+    them: a spawned pool worker adopts its parent's :func:`library_paths`,
+    so a cache it cannot write does not make it compile again."""
+    _ADOPTED.update(paths)
+
+
 @functools.lru_cache(maxsize=32)
 def _load(p: int, dtype_name: str) -> ctypes.CDLL:
-    return _bind(ctypes.CDLL(str(library_path(generate_evaluator_source(p, dtype_name)))))
+    path = _ADOPTED.get((p, dtype_name))
+    if path is None:
+        path = str(library_path(generate_evaluator_source(p, dtype_name)))
+    lib = _bind(ctypes.CDLL(path))
+    _PATHS[p, dtype_name] = path
+    return lib
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -208,5 +251,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.pp_field.argtypes = (
         [_P] * 4 + [_I] + [_P] * 5 + [_I, ctypes.c_int] + [_D] * 4
         + [ctypes.c_int, _I, _P, _P]
+    )
+    lib.prism_field.restype = ctypes.c_int
+    lib.prism_field.argtypes = (
+        [_P] * 3 + [_I] + [_P] * 3 + [_I, _P, _D, ctypes.c_int, _I, _P, _P]
     )
     return lib

@@ -22,8 +22,14 @@ interaction families:
   regions and a run of face-adjacent cubes *is* one box: each sink
   leaf's cubes are merged into a few rectangular boxes first (an
   identity — the paper's one "larger cube which approximately
-  surrounds the local region" is the special case), and the sink
-  leaf's particles meet those in numpy blocks (:func:`_leaf_blocks`).
+  surrounds the local region" is the special case) in numpy, and the
+  same compiled unit meets every particle of the sink leaf with those
+  boxes, eight corners of float64 straight-line code a box, vectorized
+  over a block of boxes with glibc's vector ``log`` and ``atan``.
+
+:func:`segment_sum` and the re-exported ``prism_acceleration`` /
+``prism_potential`` are no longer called by the evaluator; they stay
+importable here because the step benchmark's layer table names them.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ..perfmodel.flops import kernel_counters
 from ..tree.moments import TreeMoments
 from ..tree.structure import Tree
 from ..tree.traversal import InteractionLists
-from ..util import expand_ranges, release_scratch, scratch
+from ..util import expand_ranges
 from . import native
 from .smoothing import NoSoftening, SofteningKernel
 
@@ -58,14 +64,14 @@ def segment_sum(contrib: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
     ``contrib`` is (outputs, rows) in the working precision — one
     contiguous row of interaction terms per output — and the result
-    (outputs, segments) float64: every family's per-particle sums are
-    closed here, the only reduction the evaluator has.  ``starts`` must
-    be strictly increasing (zero-length segments filtered out by the
-    caller) with an implicit final boundary at the last row.
-    ``np.add.reduceat`` touches each contribution once; a ``bincount``
-    over expanded segment ids has to materialize a per-contribution id
-    array first, which lost at every size the evaluator produces
-    (BENCH_force.json's ``segment_sum`` receipt).
+    (outputs, segments) float64.  ``starts`` must be strictly
+    increasing (zero-length segments filtered out by the caller) with
+    an implicit final boundary at the last row.  ``np.add.reduceat``
+    touches each contribution once; a ``bincount`` over expanded
+    segment ids has to materialize a per-contribution id array first,
+    which lost at every size the evaluator produced
+    (BENCH_force.json's ``segment_sum`` receipt).  The evaluator's
+    families now sum in C; the step benchmark still times this name.
     """
     return np.add.reduceat(contrib, starts, axis=1, dtype=np.float64)
 
@@ -77,57 +83,6 @@ class ForceResult:
     acc: np.ndarray
     pot: np.ndarray | None
     stats: dict = field(default_factory=dict)
-
-
-#: interaction rows per evaluation block of the prism family.  The
-#: prism kernel keeps ~26 float64 rows live per block and is fastest
-#: while they fit the L2 cache: on the merged boxes 8k rows measured
-#: 0.0176 / 0.0537 s against 0.0193 / 0.0610 at 4k, 0.0168 / 0.0568 at
-#: 16k and 0.0175 / 0.0541 at 32k (early_hybrid / clustered_hier, median
-#: of 8 solves).  Blocks are aligned to sink leaves, so the value changes
-#: speed only.
-_PRISM_CHUNK = 8192
-
-
-def _leaf_blocks(leaf_np, indptr, budget):
-    """Cut the CSR rows of one family into m x n evaluation blocks.
-
-    Yields ``(a, b, e0, e1, tiles)``: sink particles [a, b) (positions in
-    the row-major particle order) meet CSR entries [e0, e1).  A block is
-    a run of whole rows whose n_L x E interaction rows fit ``budget``; a
-    row that alone exceeds it is split by particles (into equal parts),
-    never by entries.  So a block is a stack of dense tiles, one per
-    row with entries: ``(r0, p0, n_t, c0, n_e)`` says block rows
-    [r0, r0 + n_t * n_e), particle-major, pair block particles
-    [p0, p0 + n_t) with block entries [c0, c0 + n_e).
-    """
-    nent = np.diff(indptr)
-    rows = leaf_np * nent
-    p_start = np.concatenate(([0], np.cumsum(leaf_np)))
-    csum = np.cumsum(rows)
-    la = 0
-    while la < len(leaf_np):
-        base = csum[la - 1] if la else 0
-        lb = int(np.searchsorted(csum, base + budget, side="right"))
-        if lb > la:
-            keep = rows[la:lb] > 0
-            tiles = zip(
-                (csum[la:lb] - rows[la:lb] - base)[keep].tolist(),
-                (p_start[la:lb] - p_start[la])[keep].tolist(),
-                leaf_np[la:lb][keep].tolist(),
-                (indptr[la:lb] - indptr[la])[keep].tolist(),
-                nent[la:lb][keep].tolist(),
-            )
-            yield int(p_start[la]), int(p_start[lb]), indptr[la], indptr[lb], list(tiles)
-            la = lb
-            continue
-        n_l, n_e = int(leaf_np[la]), int(nent[la])
-        parts = -(-n_l // max(1, budget // n_e))
-        step = -(-n_l // parts)
-        for a in range(int(p_start[la]), int(p_start[la + 1]), step):
-            b = min(a + step, int(p_start[la + 1]))
-            yield a, b, indptr[la], indptr[la + 1], [(0, 0, b - a, 0, n_e)]
-        la += 1
 
 
 def _coalesce_boxes(row, lo, hi, n_rows):
@@ -297,6 +252,28 @@ def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
     )
 
 
+def _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot):
+    """Add the field of density ``rho`` over every sink leaf's merged
+    ``boxes`` (:func:`_background_boxes`) through the compiled
+    ``prism_field``, which runs in float64 in the unit of any ``dtype``."""
+    box_lo, box_hi, box_indptr = boxes
+    args = [
+        np.ascontiguousarray(tree.pos, dtype=np.float64),
+        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
+        np.ascontiguousarray(inter.sink_leaves, dtype=np.int64),
+        np.ascontiguousarray(box_lo, dtype=np.float64),
+        np.ascontiguousarray(box_hi, dtype=np.float64),
+        np.ascontiguousarray(box_indptr, dtype=np.int64),
+    ]
+    status = native.evaluator(p, dtype).prism_field(
+        *map(_p, args[:3]), len(inter.sink_leaves), *map(_p, args[3:6]), box_lo.shape[1],
+        _p(args[6]), rho, pot is not None, s0, _p(acc), _p(pot) if pot is not None else None,
+    )
+    if status:
+        raise MemoryError("prism_field could not allocate its per-particle sums")
+
+
 def evaluate_forces(
     tree: Tree,
     moms: TreeMoments,
@@ -350,12 +327,13 @@ def evaluate_forces(
     rectangular boxes (:func:`_background_boxes`,
     :func:`_coalesce_boxes`) — a pure function of the row's own list,
     so the boxes, their order and the bits of the result are the same
-    for every block size and shard.  Entries of the tiles are
-    the merged boxes, and the block's rows go through one call of the
-    fused 8-corner kernel
-    (:func:`repro.multipoles.prism.prism_acceleration`), which returns
-    acceleration and potential from the same corner terms; each
-    particle's run of rows is closed by :func:`segment_sum`.
+    for every block size and shard.  Then every particle of the sink
+    leaf meets the row's boxes in the compiled ``prism_field``
+    (:func:`_prism_in_c`): the arithmetic of
+    :func:`repro.multipoles.prism.prism_acceleration`, acceleration and
+    potential from the same eight corners, vectorized over a block of
+    boxes padded so that every box takes the same vector ``log`` and
+    ``atan``.
 
     *Precision.*  Every family differences float64 positions in
     float64 and rounds the difference to ``dtype``; from there every
@@ -377,7 +355,8 @@ def evaluate_forces(
     x merged boxes) and ``stats["prism_cubes"]`` the particle x cube
     pairs they stand for; both add up exactly over shards.
     ``stats["prism_seconds"]`` splits the prism family's seconds into
-    ``coalesce`` (building and merging the boxes) and ``rows``.  Every
+    ``coalesce`` (building and merging the boxes) and ``rows`` (the
+    compiled pass).  Every
     stat is a count or seconds that adds up over shards, except the
     few :func:`~repro.gravity.solver.merge_stats` names.
     """
@@ -389,9 +368,6 @@ def evaluate_forces(
     n = s1 - s0
     acc = np.zeros((n, 3), dtype=np.float64)
     pot = np.zeros(n, dtype=np.float64) if want_potential else None
-
-    def loc(idx):
-        return idx - s0 if s0 else idx
 
     sinks = inter.sink_leaves
     leaf_np = tree.cell_count[sinks]
@@ -415,22 +391,8 @@ def evaluate_forces(
         "order": p,
     }
 
-    # per sink particle: global key-sorted index and owning CSR row
+    # per sink particle: global key-sorted index
     pid = expand_ranges(tree.cell_start[sinks], leaf_np)
-    row_of_p = np.repeat(np.arange(len(sinks), dtype=np.int64), leaf_np)
-
-    def reduce_into(contrib, a, b, lens):
-        # contrib: (3 or 4, rows), particle a + i owns the next lens[i]
-        starts = np.zeros(len(lens), dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        nz = lens > 0
-        if not np.any(nz):
-            return
-        rows = loc(pid[a:b][nz])
-        total = segment_sum(contrib, starts[nz])
-        acc[rows] += total[:3].T
-        if want_potential:
-            pot[rows] += total[3]
 
     # cell + pp + m2l is the denominator of the roofline counters
     family_s = {"cell": 0.0, "pp": 0.0, "m2l": 0.0, "prism": 0.0}
@@ -477,7 +439,8 @@ def evaluate_forces(
             localexp.l2p_accumulate(
                 tree, inter, loc_all, p,
                 want_potential=want_potential,
-                pid=pid, row_of_p=row_of_p, s0=s0,
+                pid=pid, s0=s0,
+                row_of_p=np.repeat(np.arange(len(sinks), dtype=np.int64), leaf_np),
                 acc=acc, pot=pot,
             )
         family_s["m2l"] += time.perf_counter() - _tk0
@@ -490,37 +453,10 @@ def evaluate_forces(
         # leaf pair
         n_cubes = np.diff(inter.ghost_indptr) + np.diff(inter.leaf_indptr)
         stats["prism_cubes"] = int((leaf_np * n_cubes).sum())
-        box_lo, box_hi, box_indptr = _background_boxes(tree, inter)
+        boxes = _background_boxes(tree, inter)
         prism_s["coalesce"] = time.perf_counter() - _tk0
-        m_p = np.diff(box_indptr)[row_of_p]
-        stats["prism_interactions"] = int(m_p.sum())
-        for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, box_indptr, _PRISM_CHUNK):
-            lens = m_p[a:b]
-            n_rows = int(lens.sum())
-            if not n_rows:
-                continue
-            blk_lo, blk_hi = box_lo[:, e0:e1], box_hi[:, e0:e1]
-            sink_pos = tree.pos[pid[a:b]].T
-            pts, lo, hi = scratch("prism", (3, 3, n_rows), np.float64)
-            for r0, p0, n_t, c0, n_e in tiles:
-                tile = slice(r0, r0 + n_t * n_e)
-                pts[:, tile].reshape(3, n_t, n_e)[...] = sink_pos[
-                    :, p0 : p0 + n_t, None
-                ]
-                lo[:, tile].reshape(3, n_t, n_e)[...] = blk_lo[
-                    :, None, c0 : c0 + n_e
-                ]
-                hi[:, tile].reshape(3, n_t, n_e)[...] = blk_hi[
-                    :, None, c0 : c0 + n_e
-                ]
-            # one call per block: the step benchmark times the
-            # module-global name
-            out = prism_acceleration(
-                pts.T, lo.T, hi.T, rho, want_potential=want_potential
-            )
-            # (rows, 3) [and (rows,)] restacked as (outputs, rows)
-            reduce_into(np.vstack((out[0].T, out[1])) if want_potential else out.T, a, b, lens)
-        release_scratch()
+        stats["prism_interactions"] = int((leaf_np * np.diff(boxes[2])).sum())
+        _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot)
         family_s["prism"] += time.perf_counter() - _tk0
         prism_s["rows"] = family_s["prism"] - prism_s["coalesce"]
 

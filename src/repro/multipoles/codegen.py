@@ -7,14 +7,18 @@ system directly into C code."  Two generators walk the symbolic plans
 of this package:
 
 * :func:`generate_evaluator_source` emits C: the force evaluator's one
-  translation unit per (order p, dtype).  The particle-cell row is the
-  polynomial form of :mod:`repro.multipoles.hermite` — scaled
-  monomials, P_k and d_i P_k from a cell's coefficients, the radial
-  chain, the gradient x_i S + T_i — unrolled into straight-line
-  statements inside a loop over a block of entries that the compiler
-  vectorizes; the pp loop and the softening kernels are written out
-  beside it.  :mod:`repro.gravity.native` compiles and loads the unit,
-  and :func:`cell_row_ops` counts its arithmetic for
+  translation unit per (order p, dtype), with three entry points.  The
+  particle-cell row (``cell_field``) is the polynomial form of
+  :mod:`repro.multipoles.hermite` — scaled monomials, P_k and d_i P_k
+  from a cell's coefficients, the radial chain, the gradient
+  x_i S + T_i — unrolled into straight-line statements inside a loop
+  over a block of entries that the compiler vectorizes; the pp loop
+  (``pp_field``) and the softening kernels are written out beside it;
+  the particle-box row of the background subtraction (``prism_field``)
+  is the eight corners of :mod:`repro.multipoles.prism` unrolled the
+  same way, in float64, its ``log`` and ``atan`` glibc's vector
+  variants.  :mod:`repro.gravity.native` compiles and loads the unit,
+  and :func:`cell_row_ops` counts the cell row's arithmetic for
   :mod:`repro.perfmodel.flops`.
 * :func:`generate_dtensor_source` walks the derivative-tensor
   recurrence and emits fully unrolled NumPy source (one multiply, plus
@@ -194,8 +198,9 @@ def derivative_tensors_generated(dx, kernel, p: int, dtype=np.float64):
 
 # ----- the force evaluator, emitted as C ----------------------------------------
 
-#: entries per gathered block of the cell and pp loops: a ``#define`` of
-#: the generated unit, not a setting; no result depends on it (tested)
+#: entries per gathered block of the cell, pp and prism loops: a
+#: ``#define`` of the generated unit, not a setting; no result depends
+#: on it (tested)
 BLK = 64
 
 
@@ -318,6 +323,61 @@ def _field_program(p: int) -> tuple[str, str, str, int, int, int]:
     )
 
 
+def _prism_program() -> str:
+    """C of one particle x box row of the background subtraction.
+
+    The arithmetic of :func:`repro.multipoles.prism.prism_acceleration`,
+    one corner after another in (i, j, k) order: reads the particle
+    (px, py, pz) and the box LX .. HZ[j], writes the field (GX, GY,
+    GZ)[j] and the potential GU[j] of the density ``rho``, all float64.
+    Per corner r = sqrt((x^2 + y^2) + z^2), the logs ln(c + r) floored at
+    ``PRISM_TINY`` (a comparison: an ``fmax`` call keeps gcc from
+    vectorizing the loop), atan(b c / (a r)) with 0 where a r = 0, the
+    integrands f_a = (b L_c + c L_b) - a A_a and u = (x f_x + y f_y) +
+    z f_z, summed with the corner's parity sign.
+    """
+    lines = []
+    for v, lo, hi in (("x", "LX", "HX"), ("y", "LY", "HY"), ("z", "LZ", "HZ")):
+        lines.append(f"double {v}0 = {lo}[j] - p{v}, {v}1 = {hi}[j] - p{v};")
+        lines.append(f"double {v}{v}0 = {v}0 * {v}0, {v}{v}1 = {v}1 * {v}1;")
+    lines.append("double gx = 0.0, gy = 0.0, gz = 0.0, gu = 0.0;")
+    for i in range(2):
+        for j in range(2):
+            lines.append(f"double s{i}{j} = xx{i} + yy{j};")
+            for k in range(2):
+                c = f"{i}{j}{k}"
+                x, y, z = f"x{i}", f"y{j}", f"z{k}"
+                lines.append(f"double r{c} = sqrt(s{i}{j} + zz{k});")
+                for v, a in (("x", x), ("y", y), ("z", z)):
+                    lines.append(f"double t{v}{c} = {a} + r{c};")
+                    lines.append(
+                        f"double l{v}{c} = log(t{v}{c} > PRISM_TINY ? t{v}{c} : PRISM_TINY);"
+                    )
+                for v, a, b, cc in (("x", x, y, z), ("y", y, z, x), ("z", z, x, y)):
+                    lines.append(f"double d{v}{c} = {a} * r{c};")
+                    lines.append(
+                        f"double a{v}{c} = atan(d{v}{c} != 0.0 ? ({b} * {cc}) / d{v}{c} : 0.0);"
+                    )
+                lines += [
+                    f"double fx{c} = ({y} * lz{c} + {z} * ly{c}) - {x} * ax{c};",
+                    f"double fy{c} = ({z} * lx{c} + {x} * lz{c}) - {y} * ay{c};",
+                    f"double fz{c} = ({x} * ly{c} + {y} * lx{c}) - {z} * az{c};",
+                    f"double u{c} = ({x} * fx{c} + {y} * fy{c}) + {z} * fz{c};",
+                ]
+                # + where an odd number of upper corners is involved
+                sign = "+" if (i + j + k) % 2 else "-"
+                for g in ("x", "y", "z"):
+                    lines.append(f"g{g} = g{g} {sign} f{g}{c};")
+                lines.append(f"gu = gu {sign} u{c};")
+    lines += [
+        "GX[j] = gx * nrho;",
+        "GY[j] = gy * nrho;",
+        "GZ[j] = gz * nrho;",
+        "GU[j] = gu * hrho;",
+    ]
+    return "\n".join(lines)
+
+
 def cell_row_ops(p: int, want_potential: bool = True) -> int:
     """Arithmetic of one particle x cell row in the generated C: the
     difference, r, the 1/r chain and the field body, one per ``+ - * /``
@@ -334,12 +394,26 @@ _EVALUATOR_C = r"""/* Force evaluator of order $p in $real (generated by
 #include <stdlib.h>
 #include <string.h>
 
+/* glibc's libmvec: vector variants of log and atan for the prism loop
+   (-fopenmp-simd, linked with -lmvec); <math.h> declares them only
+   under -ffast-math, which the unit must not use */
+#pragma omp declare simd notinbranch
+double log(double);
+#pragma omp declare simd notinbranch
+double atan(double);
+
 typedef $real real;
 #define R(c) ((real)(c))
 #define SQRT $sqrt
 #ifndef BLK
 #define BLK $blk
 #endif
+/* prism lanes: every block is padded to a multiple of VW boxes, the
+   four float64 lanes of the 256-bit vector log and atan, so that no box
+   falls to a scalar remainder loop */
+#define VW 4
+#define PBLK ((BLK + VW - 1) / VW * VW)
+#define PRISM_TINY 1e-300
 #define NF $nf
 #define NG $ng
 
@@ -596,6 +670,81 @@ void pp_field(const double *pos, const real *mass,
         }
     }
 }
+
+/* The prism family: the background of density rho removed over each
+   sink leaf's merged boxes (lo, hi: (3, n_boxes), a CSR over the rows),
+   in float64 whatever real is.  Per row, blocks of BLK boxes copied and
+   padded to a multiple of VW lanes with the block's first box, so that
+   every box goes through the same vector log and atan; then for every
+   particle of the leaf one vectorized pass over the padded block and
+   one scalar pass adding its real rows into float64 in box order. */
+int prism_field(const double *pos, const int64_t *cell_start,
+                const int64_t *cell_count, int64_t n_rows,
+                const int64_t *sink_leaves, const double *box_lo,
+                const double *box_hi, int64_t n_boxes, const int64_t *indptr,
+                double rho, int want_pot, int64_t s0, double *acc, double *pot)
+{
+    int64_t mmax = 1;
+    for (int64_t row = 0; row < n_rows; row++)
+        if (cell_count[sink_leaves[row]] > mmax)
+            mmax = cell_count[sink_leaves[row]];
+    double *sum = malloc(4 * mmax * sizeof(double));
+    if (!sum)
+        return -1;
+    double nrho = -rho, hrho = 0.5 * rho;
+    double LX[PBLK], LY[PBLK], LZ[PBLK], HX[PBLK], HY[PBLK], HZ[PBLK];
+    double GX[PBLK], GY[PBLK], GZ[PBLK], GU[PBLK];
+    for (int64_t row = 0; row < n_rows; row++) {
+        int64_t e0 = indptr[row], e1 = indptr[row + 1];
+        if (e0 == e1)
+            continue;
+        int64_t leaf = sink_leaves[row], a0 = cell_start[leaf], m = cell_count[leaf];
+        memset(sum, 0, 4 * m * sizeof(double));
+        for (int64_t b0 = e0; b0 < e1; b0 += BLK) {
+            int nb = (int)(e1 - b0 < BLK ? e1 - b0 : BLK);
+            int nv = (nb + VW - 1) / VW;
+            for (int j = 0; j < nv * VW; j++) {
+                int64_t e = b0 + (j < nb ? j : 0);
+                LX[j] = box_lo[e];
+                LY[j] = box_lo[n_boxes + e];
+                LZ[j] = box_lo[2 * n_boxes + e];
+                HX[j] = box_hi[e];
+                HY[j] = box_hi[n_boxes + e];
+                HZ[j] = box_hi[2 * n_boxes + e];
+            }
+            for (int64_t i = 0; i < m; i++) {
+                const double *q = pos + 3 * (a0 + i);
+                double px = q[0], py = q[1], pz = q[2];
+                for (int v = 0; v < nv; v++) {
+#pragma omp simd
+                    for (int l = 0; l < VW; l++) {
+                        int j = v * VW + l;
+$prism
+                    }
+                }
+                double *t = sum + 4 * i;
+                double sx = t[0], sy = t[1], sz = t[2], sp = t[3];
+                for (int j = 0; j < nb; j++) {
+                    sx += GX[j];
+                    sy += GY[j];
+                    sz += GZ[j];
+                    sp += GU[j];
+                }
+                t[0] = sx; t[1] = sy; t[2] = sz; t[3] = sp;
+            }
+        }
+        for (int64_t i = 0; i < m; i++) {
+            double *a = acc + 3 * (a0 + i - s0);
+            a[0] += sum[4 * i];
+            a[1] += sum[4 * i + 1];
+            a[2] += sum[4 * i + 2];
+            if (want_pot)
+                pot[a0 + i - s0] += sum[4 * i + 3];
+        }
+    }
+    free(sum);
+    return 0;
+}
 """
 
 
@@ -608,10 +757,11 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
     """The C translation unit of the force evaluator at order ``p`` in
     ``dtype_name`` ("float32" or "float64").
 
-    Two entry points, ``cell_field`` and ``pp_field``
+    Three entry points, ``cell_field``, ``pp_field`` and ``prism_field``
     (:mod:`repro.gravity.native` loads them): the straight-line field of
-    :func:`_field_program` inlined in the cell loop, and the softened
-    pair loop.  ``BLK`` is overridable with ``-DBLK=n``.
+    :func:`_field_program` inlined in the cell loop, the softened pair
+    loop, and the corners of :func:`_prism_program` in the padded,
+    vectorized box loop.  ``BLK`` is overridable with ``-DBLK=n``.
     """
     import string
 
@@ -627,4 +777,5 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
         unit_power=", ".join(str(int(v)) for v in tab.unit_power[tab.filled]),
         geometry=_indent(geometry, 24), chain=_indent(chain, 24),
         body=_indent(body, 24), load_chain=_indent(load_chain, 24),
+        prism=_indent(_prism_program(), 24),
     )

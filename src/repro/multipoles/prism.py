@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util import scratch
-
 __all__ = ["prism_potential", "prism_acceleration"]
 
 _TINY = 1e-300
@@ -90,9 +88,8 @@ def prism_acceleration(
     evaluation point — the tree near field, where every interaction row
     has its own background cube).  With ``want_potential`` the return
     is ``(acc, pot)``, the potential accumulated from the same corner
-    terms.  Intermediates live in the process-wide scratch pool
-    (:func:`repro.util.scratch`), so concurrent calls from threads of
-    one process are not supported; the returned arrays are fresh.
+    terms.  The force evaluator runs the same arithmetic in its compiled
+    ``prism_field``; this is the reference its tests compare against.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     lo = np.asarray(lo, dtype=np.float64)
@@ -100,16 +97,16 @@ def prism_acceleration(
     n = points.shape[0]
     total = np.zeros((4 if want_potential else 3, n))
     # rows 0-2: lo - P per axis, rows 3-5: hi - P; then their squares
-    c = scratch("prism.c", (6, n))
+    c = np.empty((6, n))
     for axis in range(3):
         np.subtract(lo[..., axis], points[:, axis], out=c[axis])
         np.subtract(hi[..., axis], points[:, axis], out=c[3 + axis])
-    sq = scratch("prism.sq", (6, n))
+    sq = np.empty((6, n))
     np.multiply(c, c, out=sq)
-    sxy, r = scratch("prism.r", (2, n))
-    f = scratch("prism.f", (4, n))
-    w = scratch("prism.w", (8, n))
-    nz = scratch("prism.nz", (n,), bool)
+    sxy, r = np.empty((2, n))
+    f = np.empty((4, n))
+    w = np.empty((8, n))
+    nz = np.empty(n, dtype=bool)
     for i in range(2):
         x = c[3 * i]
         for j in range(2):

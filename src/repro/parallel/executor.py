@@ -238,8 +238,13 @@ def _bad_shards(shards, *outputs) -> dict[int, int]:
     return bad
 
 
-def _worker_main(worker_id: int, tasks, results) -> None:
+def _worker_main(worker_id: int, tasks, results, libraries: dict) -> None:
     """Persistent worker loop: pull shards until the ``None`` sentinel.
+
+    ``libraries`` are the compiled evaluator files the parent loaded
+    (:func:`repro.gravity.native.library_paths`): a spawned worker loads
+    them rather than resolving its own, which would compile again where
+    the cache cannot be written.
 
     An injected :class:`~repro.resilience.faults.FaultPlan` (spec string
     carried in the epoch metadata, so it survives spawn) fires before the
@@ -248,6 +253,9 @@ def _worker_main(worker_id: int, tasks, results) -> None:
     never fire on re-dispatches (``attempt > 0``), so recovery always
     converges.
     """
+    from ..gravity import native
+
+    native.adopt_libraries(libraries)
     state = _WorkerState()
     plan = None
     plan_spec = None
@@ -329,9 +337,11 @@ class ForceExecutor:
         atexit.register(self.close)
 
     def _spawn(self, worker_id: int):
+        from ..gravity import native
+
         p = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, self._tasks, self._results),
+            args=(worker_id, self._tasks, self._results, native.library_paths()),
             daemon=True,
             name=f"repro-force-{worker_id}",
         )

@@ -99,7 +99,8 @@ def flops_per_l2p(p: int, want_potential: bool = True) -> int:
 def flops_per_prism_interaction(want_potential: bool = True) -> int:
     """Arithmetic operations of one particle x analytic-cube interaction.
 
-    Counted from the fused kernel of :mod:`repro.multipoles.prism`, one
+    Counted from the fused kernel of :mod:`repro.multipoles.prism`, whose
+    arithmetic the compiled ``prism_field`` row repeats term for term, one
     per elementwise operation (a sqrt, log, arctangent or divide counts
     once, like an add): 6 corner-relative coordinates and their squares,
     4 partial norms; per corner 1 add + 1 sqrt for r, 3 x (add, floor,

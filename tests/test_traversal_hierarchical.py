@@ -28,10 +28,10 @@ from repro.gravity import native, treeforce
 from repro.gravity.treeforce import (
     _background_boxes,
     _coalesce_boxes,
-    _leaf_blocks,
     evaluate_forces,
 )
 from repro.multipoles.codegen import generate_evaluator_source
+from repro.multipoles.prism import prism_acceleration
 from repro.tree import (
     build_tree,
     compute_moments,
@@ -51,21 +51,16 @@ def unit_with_block(p, dtype_name, blk):
     return native._bind(ctypes.CDLL(str(native.library_path(source))))
 
 
-def evaluate_with_blocks(tree, moms, inter, blk=None, prism_chunk=None, **kw):
+def evaluate_with_blocks(tree, moms, inter, blk=None, **kw):
     """:func:`evaluate_forces` with the compiled unit built at ``BLK`` =
     ``blk`` (cell entries gathered per block, source particles per pp
-    block) and the prism family's row budget ``_PRISM_CHUNK`` =
-    ``prism_chunk``; ``None`` keeps the default."""
+    block, merged boxes per prism block); ``None`` keeps the default."""
     with contextlib.ExitStack() as stack:
         if blk is not None:
             stack.enter_context(mock.patch.object(
                 native, "evaluator",
                 lambda p, dtype: unit_with_block(p, np.dtype(dtype).name, blk),
             ))
-        if prism_chunk is not None:
-            stack.enter_context(
-                mock.patch.dict(treeforce.__dict__, {"_PRISM_CHUNK": prism_chunk})
-            )
         return evaluate_forces(tree, moms, inter, **kw)
 
 
@@ -384,9 +379,9 @@ class TestChunkInvariance:
     def test_csr_evaluator_chunk_sizes(self):
         """Every particle's rows are added into float64 in entry order,
         whichever block holds them, so results are bit-identical at any
-        block size: one entry (one source particle) a block, an odd
-        size, and every row in a single block; and at any prism row
-        budget."""
+        block size: one entry (one source particle, one box) a block,
+        blocks that leave padded prism lanes, an odd size, and every row
+        in a single block."""
         tree, moms = setup(n=900, background=True)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         nent = np.diff(inter.cell_indptr)
@@ -396,10 +391,8 @@ class TestChunkInvariance:
         assert both.any()
         for dtype in (np.float64, np.float32):
             ref = evaluate_forces(tree, moms, inter, dtype=dtype)
-            for blk, prism_chunk in ((1, 1), (7, 1013), (5000, 10**9)):
-                odd = evaluate_with_blocks(
-                    tree, moms, inter, dtype=dtype, blk=blk, prism_chunk=prism_chunk,
-                )
+            for blk in (1, 2, 7, 300, 5000):
+                odd = evaluate_with_blocks(tree, moms, inter, dtype=dtype, blk=blk)
                 assert same_bits(ref, odd), (dtype, blk)
             no_pot = evaluate_forces(
                 tree, moms, inter, dtype=dtype, want_potential=False
@@ -412,26 +405,21 @@ class TestChunkInvariance:
         clustered=st.booleans(),
         periodic=st.booleans(),
         blk=st.sampled_from([1, 2, 7, 300]),
-        prism_chunk=st.integers(min_value=1, max_value=6000),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_any_budget_any_tree(
-        self, n, nleaf, clustered, periodic, blk, prism_chunk, seed
-    ):
-        """Property: no block size of the compiled cell and pp loops and
-        no prism row budget ever changes a bit: one-particle leaves
-        (nleaf=1), every particle in one leaf (nleaf=200), rows without
-        cell entries, ghost cubes and leaves above the budget included."""
+    def test_any_budget_any_tree(self, n, nleaf, clustered, periodic, blk, seed):
+        """Property: no block size of the compiled cell, pp and prism
+        loops ever changes a bit: one-particle leaves (nleaf=1), every
+        particle in one leaf (nleaf=200), rows without cell entries,
+        ghost cubes and rows longer than a block included."""
         tree, moms = setup(
             n=n, seed=seed, background=periodic, clustered=clustered,
             nleaf=nleaf, tol=1e-3,
         )
         inter = traverse_hierarchical(tree, moms, periodic=periodic, ws=1)
         ref = evaluate_forces(tree, moms, inter, dtype=np.float32)
-        got = evaluate_with_blocks(
-            tree, moms, inter, dtype=np.float32, blk=blk, prism_chunk=prism_chunk,
-        )
+        got = evaluate_with_blocks(tree, moms, inter, dtype=np.float32, blk=blk)
         assert same_bits(ref, got)
         assert np.all(np.isfinite(ref.acc))
         # background mode: every direct leaf pair has its cube removed
@@ -453,34 +441,6 @@ class TestBlockedCellEvaluator:
     def lists(self, n=700, **kw):
         tree, moms = setup(n=n, background=True, **kw)
         return tree, moms, traverse_hierarchical(tree, moms, periodic=True, ws=1)
-
-    def test_leaf_blocks_cover_each_interaction_once(self):
-        """Whole rows up to the budget, larger rows split by particles
-        and never by entries; tiles pair every particle of a row with
-        every entry of that row exactly once."""
-        leaf_np = np.array([3, 1, 1, 5, 2, 16, 4])
-        nent = np.array([10, 0, 7, 40, 3, 100, 1])
-        indptr = np.concatenate(([0], np.cumsum(nent)))
-        p_start = np.concatenate(([0], np.cumsum(leaf_np)))
-        for budget in (1, 7, 99, 100, 250, 1600, 10**6):
-            pairs = np.zeros((leaf_np.sum(), nent.sum()), dtype=int)
-            particles = []
-            for a, b, e0, e1, tiles in _leaf_blocks(leaf_np, indptr, budget):
-                particles.extend(range(a, b))
-                r_next = 0
-                for r0, p0, n_t, c0, n_e in tiles:
-                    assert r0 == r_next and n_t * n_e > 0
-                    r_next += n_t * n_e
-                    assert 0 <= p0 and p0 + n_t <= b - a
-                    assert 0 <= c0 and c0 + n_e <= e1 - e0
-                    pairs[a + p0 : a + p0 + n_t, e0 + c0 : e0 + c0 + n_e] += 1
-                # over budget only when one particle's own entry list is
-                assert r_next <= budget or b - a == 1
-            assert particles == list(range(leaf_np.sum()))
-            want = np.zeros_like(pairs)
-            for lf in range(len(leaf_np)):
-                want[p_start[lf] : p_start[lf + 1], indptr[lf] : indptr[lf + 1]] = 1
-            assert np.array_equal(pairs, want)
 
     def test_lone_interaction_is_blocking_independent(self):
         """A (1 particle x 1 cell) row alone in its block sums exactly
@@ -851,8 +811,7 @@ class TestCellWorkerIdentity:
 
 
 class TestBlockedPairEvaluator:
-    """The pp family's compiled loop and the prism family's sink-leaf x
-    box tiles."""
+    """The pp family's compiled loop."""
 
     def two_leaves(self):
         """Leaves of 2 and 3 particles (two of the three coincide);
@@ -881,21 +840,6 @@ class TestBlockedPairEvaluator:
             ghost_indptr=np.zeros(3, dtype=np.int64),
         )
         return tree, moms, inter, pos, mass
-
-    def test_tile_list_by_hand(self):
-        """2 particles x (2 home + 2 image) sources and 3 x (3 + 3)."""
-        leaf_np, src_indptr = np.array([2, 3]), np.array([0, 4, 10])
-        assert list(_leaf_blocks(leaf_np, src_indptr, 26)) == [
-            (0, 5, 0, 10, [(0, 0, 2, 0, 4), (8, 2, 3, 4, 6)])
-        ]
-        # 8 rows hold the first leaf; the second (18 rows) splits by
-        # particles, each part against all six sources
-        assert list(_leaf_blocks(leaf_np, src_indptr, 8)) == [
-            (0, 2, 0, 4, [(0, 0, 2, 0, 4)]),
-            (2, 3, 4, 10, [(0, 0, 1, 0, 6)]),
-            (3, 4, 4, 10, [(0, 0, 1, 0, 6)]),
-            (4, 5, 4, 10, [(0, 0, 1, 0, 6)]),
-        ]
 
     def test_self_pairs_masked_on_the_home_diagonal_only(self):
         """A particle skips itself at home, meets its own image, and
@@ -953,12 +897,9 @@ class TestBlockedPairEvaluator:
         assert got.stats["pp_interactions"] == ref.stats["pp_interactions"] > 0
         assert np.abs(got.acc - ref.acc).max() < 1e-5 * np.abs(ref.acc).max()
         assert np.abs(got.pot - ref.pot).max() < 1e-5 * np.abs(ref.pot).max()
-        for blk, prism_chunk in ((1, 1), (7, 1013)):
+        for blk in (1, 7):
             assert same_bits(
-                got,
-                evaluate_with_blocks(
-                    tree, moms, inter, dtype=np.float32, blk=blk, prism_chunk=prism_chunk
-                ),
+                got, evaluate_with_blocks(tree, moms, inter, dtype=np.float32, blk=blk)
             )
 
     def test_workers_same_bits_clustered_periodic(self):
@@ -1420,3 +1361,99 @@ class TestPrismWorkerIdentity:
         assert np.array_equal(np.diff(pindptr), np.diff(findptr)[rows])
         pick = expand_ranges(findptr[rows], np.diff(findptr)[rows])
         assert np.array_equal(plo, flo[:, pick]) and np.array_equal(phi, fhi[:, pick])
+
+
+def compiled_prism(points, lo, hi, rho, blk=None, want_potential=True):
+    """The compiled ``prism_field`` on one row: every point of ``points``
+    against the boxes ``[lo[i], hi[i]]`` (shape (n_boxes, 3)), summed in
+    box order.  Returns (acc, pot); pot is None without the potential."""
+    lib = native.evaluator(2, np.float64) if blk is None else unit_with_block(2, "float64", blk)
+    pos = np.ascontiguousarray(points, dtype=np.float64)
+    n, n_boxes = len(pos), len(lo)
+    one = np.zeros(1, dtype=np.int64)
+    count, indptr = np.array([n], dtype=np.int64), np.array([0, n_boxes], dtype=np.int64)
+    box_lo = np.ascontiguousarray(np.asarray(lo, dtype=np.float64).T)
+    box_hi = np.ascontiguousarray(np.asarray(hi, dtype=np.float64).T)
+    acc = np.zeros((n, 3))
+    pot = np.zeros(n) if want_potential else None
+    status = lib.prism_field(
+        pos.ctypes.data, one.ctypes.data, count.ctypes.data, 1, one.ctypes.data,
+        box_lo.ctypes.data, box_hi.ctypes.data, n_boxes, indptr.ctypes.data, rho,
+        want_potential, 0, acc.ctypes.data, pot.ctypes.data if want_potential else None,
+    )
+    assert status == 0
+    return acc, pot
+
+
+class TestCompiledPrism:
+    """The generated ``prism_field``: the arithmetic of
+    :func:`prism_acceleration` in float64, every box through the same
+    vector ``log`` and ``atan`` whichever block and lane it lands in."""
+
+    LO, HI = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.45, 0.9])
+
+    def points_on_the_box(self):
+        """Inside, outside, and exactly on faces, edges and corners,
+        where a corner's r, a log's argument or an atan's denominator is
+        0 and the guards decide."""
+        rng = np.random.default_rng(4)
+        lo, hi = self.LO, self.HI
+        inside = lo + (hi - lo) * rng.random((20, 3))
+        outside = lo + (hi - lo) * (3.0 * rng.random((20, 3)) - 1.0)
+        on = []
+        for n_fixed in (1, 2, 3):  # faces, edges, corners
+            for _ in range(12):
+                q = lo + (hi - lo) * rng.random(3)
+                axes = rng.choice(3, n_fixed, replace=False)
+                q[axes] = np.where(rng.random(n_fixed) < 0.5, lo[axes], hi[axes])
+                on.append(q)
+        return np.vstack([inside, outside, np.array(on)])
+
+    def test_one_box_matches_the_numpy_reference(self):
+        pts = self.points_on_the_box()
+        acc, pot = compiled_prism(pts, self.LO[None], self.HI[None], 1.7)
+        ref_acc, ref_pot = prism_acceleration(pts, self.LO, self.HI, 1.7, want_potential=True)
+        assert np.all(np.isfinite(acc)) and np.all(np.isfinite(pot))
+        assert np.abs(acc - ref_acc).max() <= 1e-12 * np.abs(ref_acc).max()
+        assert np.abs(pot - ref_pot).max() <= 1e-12 * np.abs(ref_pot).max()
+        bare, none = compiled_prism(pts, self.LO[None], self.HI[None], 1.7, want_potential=False)
+        assert none is None and np.array_equal(bare, acc)
+
+    def test_any_block_size_same_bits(self):
+        """Eleven boxes: blocks of 1, 2, 7 and 300 leave 3, 2, 1 and 1
+        padded lanes; a box's terms and the order of the sum never
+        change."""
+        rng = np.random.default_rng(5)
+        lo = rng.random((11, 3))
+        hi = lo + 0.05 + 0.3 * rng.random((11, 3))
+        pts = np.vstack([self.points_on_the_box(), lo[:4], hi[4:8]])
+        acc, pot = compiled_prism(pts, lo, hi, -0.9)
+        ref_acc, ref_pot = np.zeros_like(acc), np.zeros_like(pot)
+        for b in range(len(lo)):
+            a, u = prism_acceleration(pts, lo[b], hi[b], -0.9, want_potential=True)
+            ref_acc += a
+            ref_pot += u
+        assert np.abs(acc - ref_acc).max() <= 1e-12 * np.abs(ref_acc).max()
+        assert np.abs(pot - ref_pot).max() <= 1e-12 * np.abs(ref_pot).max()
+        for blk in (1, 2, 7, 300):
+            got_acc, got_pot = compiled_prism(pts, lo, hi, -0.9, blk=blk)
+            assert np.array_equal(got_acc, acc) and np.array_equal(got_pot, pot), blk
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_evaluator_matches_the_per_cube_oracle(self, dtype):
+        """The background term of a solve in either working precision is
+        the float64 per-cube reference: the prism runs in float64 in
+        every unit (compared on the key-sorted float64 sums, before the
+        rounding on store; measured 1.2e-14 of the field, the merged
+        boxes against the cubes they stand for)."""
+        tree, moms = setup(n=700, seed=3, background=True, clustered=True)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        kw = dict(dtype=dtype, particle_range=(0, tree.n_particles))
+        full = evaluate_forces(tree, moms, inter, **kw)
+        bare = evaluate_forces(tree, dataclasses.replace(moms, background=False), inter, **kw)
+        acc, pot, pairs = per_cube_background(tree, moms, inter)
+        assert full.stats["prism_cubes"] == pairs > full.stats["prism_interactions"] > 0
+        for got, base, ref in ((full.acc, bare.acc, acc), (full.pot, bare.pot, pot)):
+            assert np.abs((got - base) - ref).max() <= 1e-12 * np.abs(ref).max()
+        no_pot = evaluate_forces(tree, moms, inter, want_potential=False, **kw)
+        assert no_pot.pot is None and np.array_equal(no_pot.acc, full.acc)

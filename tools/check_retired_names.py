@@ -238,6 +238,18 @@ RETIRED.append((
     "the compiled evaluator: no numpy cell panels, no polynomial shift, no pp block loop",
 ))
 
+RETIRED.append((
+    r"_leaf_blocks|_PRISM_CHUNK|reduce_into|\bprism_chunk\b|release_scratch|_BUF_POOL"
+    r"|util import[^#]*\bscratch\b",
+    (*CALLERS, "README.md"),
+    "the compiled prism: no numpy sink-leaf x box tiles, row budget, reduction or scratch pool",
+))
+RETIRED.append((
+    r"_chain_output|\.in_units\b|def in_units\(self|radial_derivs\([^)]*\bout=",
+    CALLERS,
+    "radial chains in float64 only: the evaluator's C computes its own",
+))
+
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
 ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
 
