@@ -1,9 +1,11 @@
-"""The compiled force evaluator: build once per host, load with ctypes.
+"""The compiled units (force evaluator, upward pass): build once per host, load with ctypes.
 
 Paper §2.2.2 turns its interaction kernels into C by metaprogramming;
 :func:`repro.multipoles.codegen.generate_evaluator_source` emits that C,
-one translation unit per (order p, dtype), and this module compiles it
-with the host's C compiler into a cache and loads it:
+one translation unit per (order p, dtype) (:func:`evaluator`), and
+:data:`~repro.multipoles.codegen.UPWARD_SOURCE` is the one fixed unit of
+the upward pass and the lattice L2P (:func:`upward`).  This module
+compiles each with the host's C compiler into a cache and loads it:
 
 * ``cc -O3 -march=native -fno-math-errno -ffp-contract=off
   -fopenmp-simd -shared -fPIC ... -lmvec -lm`` — no ``-ffast-math``:
@@ -15,7 +17,8 @@ with the host's C compiler into a cache and loads it:
   prism loop calls four lanes at a time;
 * the cache is ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``),
   a file named by the sha256 of the source, ``cc --version``, the flags,
-  the link libraries and the host's CPU flags, written to a temporary
+  the link libraries and the host's CPU flags (``evaluator-*.so``,
+  ``upward-*.so``), written to a temporary
   name and moved into place with ``os.replace``, so concurrent builders
   never see a torn library.  A cache that cannot be written falls back
   to a temporary directory of this process;
@@ -44,12 +47,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..multipoles.codegen import generate_evaluator_source
+from ..multipoles.codegen import UPWARD_SOURCE, generate_evaluator_source
 from ..multipoles.radial import ErfcKernel, NewtonianKernel
 from .smoothing import DehnenK1Softening, NoSoftening, PlummerSoftening, SplineSoftening
 
 __all__ = [
-    "CC", "FLAGS", "LIBS", "evaluator", "softening_spec", "radial_spec", "cache_dir",
+    "CC", "FLAGS", "LIBS", "evaluator", "upward", "softening_spec", "radial_spec", "cache_dir",
     "library_paths", "adopt_libraries",
 ]
 
@@ -172,7 +175,7 @@ def _compile(source: str, target: Path) -> None:
                 f"(-lmvec), which {CC} could not find:\n{proc.stderr}"
             )
         if proc.returncode:
-            raise RuntimeError(f"{CC} failed on the generated evaluator:\n{proc.stderr}")
+            raise RuntimeError(f"{CC} failed on the unit {target.stem}:\n{proc.stderr}")
         os.replace(tmp, target)
     finally:
         for leftover in (tmp, c_file):
@@ -185,10 +188,11 @@ def _private_dir() -> Path:
     return Path(tempfile.mkdtemp(prefix="repro-native-"))
 
 
-def library_path(source: str) -> Path:
-    """The cached library of ``source``, compiled first when it is missing."""
+def library_path(source: str, stem: str = "evaluator") -> Path:
+    """The cached library ``stem-<hash>.so`` of ``source``, compiled first
+    when it is missing."""
     key = hashlib.sha256((_host_key() + "\n" + source).encode()).hexdigest()[:24]
-    name = f"evaluator-{key}.so"
+    name = f"{stem}-{key}.so"
     for where in (cache_dir(), _private_dir()):
         path = where / name
         if path.exists():
@@ -198,15 +202,38 @@ def library_path(source: str) -> Path:
             return path
         except OSError:
             continue  # the cache cannot be written: this process's own directory
-    raise RuntimeError(f"cannot write the compiled evaluator to {cache_dir()} or a temporary directory")
+    raise RuntimeError(f"cannot write the compiled {stem} to {cache_dir()} or a temporary directory")
 
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_INT = ctypes.c_int
 
-#: (p, dtype name) -> the library file this process loaded for it, and
-#: the files a spawned worker was handed by its parent
-_PATHS: dict[tuple[int, str], str] = {}
-_ADOPTED: dict[tuple[int, str], str] = {}
+#: entry points of each unit: name -> (restype, argtypes)
+_SIGNATURES = {
+    "evaluator": {
+        "cell_field": (
+            _INT,
+            [_P] * 5 + [_I] + [_P] * 7 + [_INT, _D] + [_P] * 6 + [_INT, _I, _P, _P],
+        ),
+        "pp_field": (
+            None, [_P] * 4 + [_I] + [_P] * 5 + [_I, _INT] + [_D] * 4 + [_INT, _I, _P, _P]
+        ),
+        "prism_field": (
+            _INT, [_P] * 3 + [_I] + [_P] * 3 + [_I, _P, _D, _INT, _I, _P, _P]
+        ),
+    },
+    "upward": {
+        "p2m_leaves": (_INT, [_I] + [_P] * 6 + [_I, _I, _P, _I, _INT] + [_P] * 3),
+        "m2m_upward": (_INT, [_I] + [_P] * 5 + [_I, _I, _P, _I] + [_P] * 4 + [_I] + [_P] * 3),
+        "l2p_field": (None, [_I, _P, _P, _I, _I] + [_P] * 6),
+    },
+}
+
+#: unit -> the library file this process loaded for it, and the files a
+#: spawned worker was handed by its parent; a unit is ("evaluator", p,
+#: dtype name) or ("upward",)
+_PATHS: dict[tuple, str] = {}
+_ADOPTED: dict[tuple, str] = {}
 
 
 def evaluator(p: int, dtype) -> ctypes.CDLL:
@@ -215,45 +242,46 @@ def evaluator(p: int, dtype) -> ctypes.CDLL:
     Exposes ``cell_field``, ``pp_field`` and ``prism_field``; see the
     generated source.
     """
-    return _load(p, np.dtype(dtype).name)
+    return _load("evaluator", p, np.dtype(dtype).name)
 
 
-def library_paths() -> dict[tuple[int, str], str]:
-    """The files of the units this process has loaded, by (p, dtype name)."""
+def upward() -> ctypes.CDLL:
+    """The loaded upward-pass / lattice unit (compiled on first use).
+
+    Exposes ``p2m_leaves``, ``m2m_upward`` and ``l2p_field`` of
+    :data:`~repro.multipoles.codegen.UPWARD_SOURCE`; one unit serves
+    every order.
+    """
+    return _load("upward")
+
+
+def library_paths() -> dict[tuple, str]:
+    """The files of the units this process has loaded, by unit."""
     return dict(_PATHS)
 
 
-def adopt_libraries(paths: dict[tuple[int, str], str]) -> None:
-    """Load these files for their (p, dtype name) instead of resolving
-    them: a spawned pool worker adopts its parent's :func:`library_paths`,
-    so a cache it cannot write does not make it compile again."""
+def adopt_libraries(paths: dict[tuple, str]) -> None:
+    """Load these files for their units instead of resolving them: a
+    spawned pool worker adopts its parent's :func:`library_paths`, so a
+    cache it cannot write does not make it compile again."""
     _ADOPTED.update(paths)
 
 
 @functools.lru_cache(maxsize=32)
-def _load(p: int, dtype_name: str) -> ctypes.CDLL:
-    path = _ADOPTED.get((p, dtype_name))
+def _load(kind: str, *key) -> ctypes.CDLL:
+    unit = (kind, *key)
+    path = _ADOPTED.get(unit)
     if path is None:
-        path = str(library_path(generate_evaluator_source(p, dtype_name)))
-    lib = _bind(ctypes.CDLL(path))
-    _PATHS[p, dtype_name] = path
+        source = UPWARD_SOURCE if kind == "upward" else generate_evaluator_source(*key)
+        path = str(library_path(source, kind))
+    lib = _bind(ctypes.CDLL(path), kind)
+    _PATHS[unit] = path
     return lib
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+def _bind(lib: ctypes.CDLL, kind: str = "evaluator") -> ctypes.CDLL:
     """Declare the entry points' signatures on a loaded unit."""
-    lib.cell_field.restype = ctypes.c_int
-    lib.cell_field.argtypes = (
-        [_P] * 5 + [_I] + [_P] * 7 + [ctypes.c_int, _D] + [_P] * 6
-        + [ctypes.c_int, _I, _P, _P]
-    )
-    lib.pp_field.restype = None
-    lib.pp_field.argtypes = (
-        [_P] * 4 + [_I] + [_P] * 5 + [_I, ctypes.c_int] + [_D] * 4
-        + [ctypes.c_int, _I, _P, _P]
-    )
-    lib.prism_field.restype = ctypes.c_int
-    lib.prism_field.argtypes = (
-        [_P] * 3 + [_I] + [_P] * 3 + [_I, _P, _D, ctypes.c_int, _I, _P, _P]
-    )
+    for name, (restype, argtypes) in _SIGNATURES[kind].items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
     return lib

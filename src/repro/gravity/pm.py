@@ -193,8 +193,9 @@ class TreePMGravity(_ForceSolver):
     def __init__(self, config: TreePMConfig | None = None):
         self.config = cfg = config or TreePMConfig()
         self.last_stats: dict = {}
-        # build (or load) the compiled evaluator now, not in the first solve
+        # build (or load) the compiled units now, not in the first solve
         native.evaluator(cfg.p, np.float64)
+        native.upward()
 
     def compute(
         self, pos: np.ndarray, mass: np.ndarray, box: float = 1.0, tracer=None

@@ -394,8 +394,9 @@ class TreecodeGravity(_ForceSolver):
             dtype=cfg.dtype,
             want_potential=cfg.want_potential,
         )
-        # build (or load) the compiled evaluator now, not in the first solve
+        # build (or load) the compiled units now, not in the first solve
         native.evaluator(cfg.p, cfg.dtype)
+        native.upward()
         #: lattice sums depend only on geometry/order, not on the
         #: particles — cache the expansion across compute() calls
         self._ple_cache: dict[tuple, PeriodicLocalExpansion] = {}

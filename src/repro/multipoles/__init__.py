@@ -18,7 +18,7 @@ from .codegen import (
 )
 from .cube import cube_moments, subtract_background
 from .dtensors import derivative_tensors, recurrence_plan
-from .expansion import eval_coeffs, l2p, m2l, m2m, m2p, p2m
+from .expansion import eval_coeffs, m2l, m2p, p2m
 from .multiindex import MultiIndexSet, multi_index_set, n_coeffs
 from .prism import prism_acceleration, prism_potential
 from .radial import (
@@ -45,9 +45,7 @@ __all__ = [
     "dtensors_soa",
     "eval_coeffs",
     "generate_dtensor_source",
-    "l2p",
     "m2l",
-    "m2m",
     "m2p",
     "multi_index_set",
     "n_coeffs",

@@ -779,3 +779,277 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
         body=_indent(body, 24), load_chain=_indent(load_chain, 24),
         prism=_indent(_prism_program(), 24),
     )
+
+
+#: The upward pass and the lattice L2P: one fixed unit for every order,
+#: driven by :class:`~repro.multipoles.multiindex.MultiIndexSet` tables
+#: (``alphas`` for the powers, ``translation_table``, ``up``).  Every sum
+#: runs in the order numpy took it before this code replaced it, so the
+#: moments, ``bmax`` and the lattice acceleration are numpy's bit for bit
+#: (``tests/oracle.py`` keeps that numpy as the reference).
+UPWARD_SOURCE = r"""/* Upward pass (P2M, M2M, absolute moments, bmax) and lattice L2P
+ * (repro.multipoles.codegen.UPWARD_SOURCE; one unit for every order).
+ * IEEE arithmetic, no contraction, every sum in numpy's order. */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* children of a cell, particles of an L2P block: the vector lanes */
+#define LANES 8
+
+static inline double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
+static inline double np_min(double a, double b) { return (a <= b || a != a) ? a : b; }
+
+/* MultiIndexSet.powers into out[i * stride]: (x^t y^u) z^v, each power
+   by repeated multiplication from 1.0 */
+static void powers(double x, double y, double z, int64_t pmax, int64_t ncoef,
+                   const int64_t *restrict alphas, double *restrict out, int64_t stride)
+{
+    double px[pmax + 1], py[pmax + 1], pz[pmax + 1];
+    px[0] = py[0] = pz[0] = 1.0;
+    for (int64_t k = 1; k <= pmax; k++) {
+        px[k] = px[k - 1] * x;
+        py[k] = py[k - 1] * y;
+        pz[k] = pz[k - 1] * z;
+    }
+    for (int64_t i = 0; i < ncoef; i++)
+        out[i * stride] = px[alphas[3 * i]] * py[alphas[3 * i + 1]] * pz[alphas[3 * i + 2]];
+}
+
+/* numpy's pairwise_sum of the n values a[i * stride]: a plain loop from
+   -0.0 below 8 values, eight interleaved accumulators up to 128, and
+   above that the two halves split at a multiple of 8 (not inlined: its
+   recursion, unrolled into the callers, would triple the build time) */
+__attribute__((noinline)) static double pairwise(const double *a, int64_t n, int64_t stride)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int64_t k = 0; k < 8; k++)
+            r[k] = a[k * stride];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int64_t k = 0; k < 8; k++)
+                r[k] += a[(i + k) * stride];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2, stride) + pairwise(a + n2 * stride, n - n2, stride);
+}
+
+/* np.add.reduceat over one segment of n >= 1 rows of width w: per
+   column, the first row plus the pairwise sum of the rest */
+static void segment_sum(const double *a, int64_t n, int64_t w, double *out)
+{
+    for (int64_t c = 0; c < w; c++)
+        out[c] = n == 1 ? a[c] : a[c] + pairwise(a + w + c, n - 1, w);
+}
+
+/* P2M of every listed leaf about its center: moments (ncoef per cell, of
+   (x^t y^u z^v) m), the absolute moments babs (nb per cell, r^k m) and
+   bmax, the largest particle radius.  The radius sums x^2 + z^2 first
+   when xz_first is set, as numpy's einsum does on some hosts.  Returns
+   -1 when the scratch rows cannot be allocated. */
+int p2m_leaves(int64_t n_leaves, const int64_t *leaves, const int64_t *cell_start,
+               const int64_t *cell_count, const double *cell_center,
+               const double *pos, const double *mass, int64_t pmax, int64_t ncoef,
+               const int64_t *alphas, int64_t nb, int xz_first,
+               double *moments, double *babs, double *bmax)
+{
+    int64_t nmax = 1;
+    for (int64_t l = 0; l < n_leaves; l++)
+        if (cell_count[leaves[l]] > nmax)
+            nmax = cell_count[leaves[l]];
+    double *mono = malloc(nmax * (ncoef + nb) * sizeof(double));
+    if (!mono)
+        return -1;
+    double *rp = mono + nmax * ncoef;
+    for (int64_t l = 0; l < n_leaves; l++) {
+        int64_t c = leaves[l], s = cell_start[c], n = cell_count[c];
+        if (n == 0)
+            continue;
+        const double *ctr = cell_center + 3 * c;
+        double rmax = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            const double *x = pos + 3 * (s + j);
+            double dx = x[0] - ctr[0], dy = x[1] - ctr[1], dz = x[2] - ctr[2];
+            double m = mass[s + j];
+            double *row = mono + j * ncoef;
+            powers(dx, dy, dz, pmax, ncoef, alphas, row, 1);
+            for (int64_t i = 0; i < ncoef; i++)
+                row[i] *= m;
+            double r = sqrt(xz_first ? (dx * dx + dz * dz) + dy * dy
+                                     : (dx * dx + dy * dy) + dz * dz);
+            double rk = 1.0;
+            for (int64_t k = 0; k < nb; k++) {
+                rp[j * nb + k] = rk * m;
+                rk *= r;
+            }
+            rmax = j ? np_max(rmax, r) : r;
+        }
+        segment_sum(mono, n, ncoef, moments + c * ncoef);
+        segment_sum(rp, n, nb, babs + c * nb);
+        bmax[c] = rmax;
+    }
+    free(mono);
+    return 0;
+}
+
+/* M2M, babs and bmax of every split cell, deepest level first.  Per
+   child (LANES at a time) a zeroed row takes (binom M[src]) d^shift in
+   table order; the parent then adds its children's rows in child order.
+   B_n(parent) += sum_k C(n,k) |d|^(n-k) B_k(child); bmax is the largest
+   |d| + bmax(child), at most the corner distance.  Returns -1 when the
+   scratch cannot be allocated. */
+int m2m_upward(int64_t n_cells, const int64_t *cell_level, const int64_t *first_child,
+               const int64_t *nchildren, const double *cell_center,
+               const double *cell_side, int64_t pmax, int64_t ncoef,
+               const int64_t *alphas, int64_t n_terms, const int64_t *tgt,
+               const int64_t *src, const int64_t *shift, const double *binom,
+               int64_t nb, double *moments, double *babs, double *bmax)
+{
+    int64_t lmax = 0;
+    for (int64_t c = 0; c < n_cells; c++)
+        if (first_child[c] >= 0 && cell_level[c] > lmax)
+            lmax = cell_level[c];
+    int64_t *order = malloc(n_cells * sizeof(int64_t));
+    int64_t *at = calloc(lmax + 2, sizeof(int64_t));
+    double *scratch = malloc(3 * ncoef * LANES * sizeof(double));
+    if (!order || !at || !scratch) {
+        free(order);
+        free(at);
+        free(scratch);
+        return -1;
+    }
+    double *mt = scratch, *dt = mt + ncoef * LANES, *tr = dt + ncoef * LANES;
+    /* split cells by level, deepest first */
+    for (int64_t c = 0; c < n_cells; c++)
+        if (first_child[c] >= 0)
+            at[lmax - cell_level[c] + 1]++;
+    for (int64_t L = 1; L <= lmax + 1; L++)
+        at[L] += at[L - 1];
+    for (int64_t c = 0; c < n_cells; c++)
+        if (first_child[c] >= 0)
+            order[at[lmax - cell_level[c]]++] = c;
+    int64_t n_split = at[lmax];
+
+    double choose[nb][nb];
+    for (int64_t n = 0; n < nb; n++) {
+        choose[n][0] = choose[n][n] = 1.0;
+        for (int64_t k = 1; k < n; k++)
+            choose[n][k] = choose[n - 1][k - 1] + choose[n - 1][k];
+    }
+    double dpow[nb], bup[nb];
+
+    for (int64_t o = 0; o < n_split; o++) {
+        int64_t par = order[o];
+        const double *pc = cell_center + 3 * par;
+        double *pm = moments + par * ncoef;
+        for (int64_t k0 = first_child[par], k1 = k0 + nchildren[par]; k0 < k1; k0 += LANES) {
+            int64_t nk = k1 - k0 < LANES ? k1 - k0 : LANES;
+            for (int64_t i = 0; i < ncoef * LANES; i++)
+                mt[i] = dt[i] = tr[i] = 0.0;
+            for (int64_t k = 0; k < nk; k++) {
+                const double *kc = cell_center + 3 * (k0 + k);
+                powers(kc[0] - pc[0], kc[1] - pc[1], kc[2] - pc[2], pmax, ncoef, alphas,
+                       dt + k, LANES);
+                for (int64_t i = 0; i < ncoef; i++)
+                    mt[i * LANES + k] = moments[(k0 + k) * ncoef + i];
+            }
+            for (int64_t e = 0; e < n_terms; e++) {
+                const double b = binom[e];
+                const double *restrict ms = mt + src[e] * LANES;
+                const double *restrict dd = dt + shift[e] * LANES;
+                double *restrict out = tr + tgt[e] * LANES;
+                for (int64_t k = 0; k < LANES; k++)
+                    out[k] += (b * ms[k]) * dd[k];
+            }
+            for (int64_t k = 0; k < nk; k++)
+                for (int64_t i = 0; i < ncoef; i++)
+                    pm[i] += tr[i * LANES + k];
+        }
+        double reach = bmax[par];
+        for (int64_t kid = first_child[par]; kid < first_child[par] + nchildren[par]; kid++) {
+            const double *kc = cell_center + 3 * kid;
+            double dx = kc[0] - pc[0], dy = kc[1] - pc[1], dz = kc[2] - pc[2];
+            double dn = sqrt((dx * dx + dy * dy) + dz * dz);
+            dpow[0] = 1.0;
+            for (int64_t n = 1; n < nb; n++)
+                dpow[n] = dpow[n - 1] * dn;
+            for (int64_t n = 0; n < nb; n++) {
+                bup[n] = 0.0;
+                for (int64_t k = 0; k <= n; k++)
+                    bup[n] += choose[n][k] * dpow[n - k] * babs[kid * nb + k];
+            }
+            for (int64_t n = 0; n < nb; n++)
+                babs[par * nb + n] += bup[n];
+            reach = np_max(reach, dn + bmax[kid]);
+        }
+        bmax[par] = np_min(reach, cell_side[par] * sqrt(3.0) / 2.0);
+    }
+    free(order);
+    free(at);
+    free(scratch);
+    return 0;
+}
+
+/* L2P of the local expansion `local` (order pmax, about `center`) at n
+   positions, LANES particles at a time: pot = sum_b s^b (L_b / b!) and
+   acc_i = sum_b (s^b (1 / b!)) L_{b + e_i}, both in table order, where
+   up[i * ncoef + b] is the packed index of b + e_i (-1 past the order) */
+void l2p_field(int64_t n, const double *pos, const double *center, int64_t pmax,
+               int64_t ncoef, const int64_t *alphas, const double *inv_fact,
+               const double *local, const int64_t *up, double *pot, double *acc)
+{
+    double mono[ncoef * LANES], lw[ncoef];
+    for (int64_t i = 0; i < ncoef; i++)
+        lw[i] = local[i] * inv_fact[i];
+    for (int64_t j0 = 0; j0 < n; j0 += LANES) {
+        int64_t m = n - j0 < LANES ? n - j0 : LANES;
+        for (int64_t k = 0; k < LANES; k++) {
+            const double *x = pos + 3 * (j0 + (k < m ? k : 0));
+            powers(x[0] - center[0], x[1] - center[1], x[2] - center[2], pmax, ncoef, alphas,
+                   mono + k, LANES);
+        }
+        double ph[LANES], ax[LANES], ay[LANES], az[LANES];
+        for (int64_t k = 0; k < LANES; k++)
+            ph[k] = ax[k] = ay[k] = az[k] = 0.0;
+        for (int64_t i = 0; i < ncoef; i++) {
+            const double *mi = mono + i * LANES;
+            const double f = inv_fact[i], w = lw[i];
+            for (int64_t k = 0; k < LANES; k++)
+                ph[k] += mi[k] * w;
+            if (up[i] >= 0) {
+                const double l = local[up[i]];
+                for (int64_t k = 0; k < LANES; k++)
+                    ax[k] += mi[k] * f * l;
+            }
+            if (up[ncoef + i] >= 0) {
+                const double l = local[up[ncoef + i]];
+                for (int64_t k = 0; k < LANES; k++)
+                    ay[k] += mi[k] * f * l;
+            }
+            if (up[2 * ncoef + i] >= 0) {
+                const double l = local[up[2 * ncoef + i]];
+                for (int64_t k = 0; k < LANES; k++)
+                    az[k] += mi[k] * f * l;
+            }
+        }
+        for (int64_t k = 0; k < m; k++) {
+            pot[j0 + k] = ph[k];
+            acc[3 * (j0 + k)] = ax[k];
+            acc[3 * (j0 + k) + 1] = ay[k];
+            acc[3 * (j0 + k) + 2] = az[k];
+        }
+    }
+}
+"""

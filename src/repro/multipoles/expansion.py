@@ -1,5 +1,9 @@
 """Cartesian multipole and local expansions (paper eqs. 4-6).
 
+The upward pass (M2M) and the lattice L2P run compiled
+(:func:`repro.gravity.native.upward`); their numpy forms are the test
+references in ``tests/oracle.py``.
+
 Conventions (packed multi-index layout from
 :mod:`repro.multipoles.multiindex`):
 
@@ -23,15 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dtensors import derivative_tensors
-from .multiindex import MultiIndexSet, multi_index_set, n_coeffs
+from .multiindex import MultiIndexSet, multi_index_set
 from .radial import NewtonianKernel, RadialKernel
 
 __all__ = [
     "p2m",
-    "m2m",
     "m2p",
     "m2l",
-    "l2p",
     "eval_coeffs",
 ]
 
@@ -60,25 +62,6 @@ def p2m(
     d = np.asarray(positions, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     mono = mis.powers(d)  # (N, ncoef)
     return np.asarray(masses, dtype=np.float64) @ mono
-
-
-def m2m(moments: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
-    """Translate moments from center z to z' where ``d = z - z'``.
-
-    Exact (no truncation error): moments of order n about the new
-    center depend only on moments of order <= n about the old one.
-    Vectorized over leading dimensions of ``moments`` and ``d``.
-    """
-    mis = multi_index_set(p)
-    moments = np.asarray(moments, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    tgt, src, shift, binom = mis.translation_table
-    mono = mis.powers(d)  # (..., ncoef)
-    out = np.zeros_like(moments)
-    contrib = binom * moments[..., src] * mono[..., shift]
-    # scatter-add into targets
-    np.add.at(out.reshape(-1, out.shape[-1]).T, tgt, contrib.reshape(-1, contrib.shape[-1]).T)
-    return out
 
 
 def m2p(
@@ -160,33 +143,3 @@ def m2l(
         )
         out[bi] = np.dot(w * m, dtens[cols])
     return out
-
-
-def l2p(
-    local: np.ndarray,
-    center: np.ndarray,
-    targets: np.ndarray,
-    p: int,
-    dtype=np.float64,
-):
-    """Local-to-particle: evaluate a local expansion at points.
-
-    Returns (potential, acceleration).  The acceleration uses the
-    coefficients L_{beta+e_i}, so its effective order is p-1.
-    """
-    mis = multi_index_set(p)
-    targets = np.asarray(targets, dtype=np.float64)
-    s = (targets - np.asarray(center, dtype=np.float64)).astype(dtype)
-    mono = mis.powers(s).astype(dtype)
-    w = (1.0 / mis.factorial).astype(dtype)
-    lw = np.asarray(local, dtype=np.float64).astype(dtype) * w
-    pot = mono @ lw
-    acc = np.zeros((targets.shape[0], 3), dtype=dtype)
-    for i in range(3):
-        for bi, b in enumerate(mis.alphas):
-            up = (int(b[0]) + (i == 0), int(b[1]) + (i == 1), int(b[2]) + (i == 2))
-            j = mis.index.get(up)
-            if j is None:
-                continue
-            acc[:, i] += mono[:, bi] * (1.0 / mis.factorial[bi]) * local[j]
-    return pot, acc

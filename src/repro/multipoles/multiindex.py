@@ -126,6 +126,15 @@ class MultiIndexSet:
             np.asarray(binoms, dtype=np.float64),
         )
 
+    @functools.cached_property
+    def up(self) -> np.ndarray:
+        """(3, ncoef) int64: ``up[i, b]`` is the packed index of b + e_i,
+        or -1 where |b| = p — the L2P acceleration's table."""
+        out = np.full((3, len(self)), -1, dtype=np.int64)
+        inside = self.order < self.p
+        out[:, inside] = self.packed_index(self.alphas[inside] + np.eye(3, dtype=np.int64)[:, None])
+        return out
+
     def powers(self, d: np.ndarray) -> np.ndarray:
         """Packed monomials d^alpha for displacement vectors.
 

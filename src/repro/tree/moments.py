@@ -14,6 +14,12 @@ particle moments minus the mean-density cube; ghost leaves: minus the
 cube alone); because the eight child cubes tile the parent cube
 exactly, the ordinary M2M upward pass then produces
 background-subtracted moments at *every* level automatically.
+
+The leaf P2M and the M2M pass (with the absolute moments and b_max) are
+two calls into the compiled upward unit (:func:`repro.gravity.native.upward`),
+which sums in numpy's order so that its moments, b_max and r_crit are
+those of the numpy pass it replaced, bit for bit; the background cube
+between the two calls, the norms and r_crit stay numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..multipoles import critical_radius, cube_moments, m2m, multi_index_set
+from ..multipoles import critical_radius, cube_moments, multi_index_set
 from ..multipoles.bounds import critical_radius_moment
 from ..multipoles.multiindex import n_coeffs
-from ..util import expand_ranges
 from .structure import Tree
 
 __all__ = ["TreeMoments", "compute_moments", "unit_cube_abs_moment"]
@@ -116,6 +121,8 @@ def compute_moments(
                 "background subtraction requires a tree built with_ghosts=True "
                 "(every split cell must have all 8 octants materialized)"
             )
+    from ..gravity import native  # (repro.gravity imports this module)
+
     p_store = p + 2
     mis = multi_index_set(p_store)
     ncoef = len(mis)
@@ -123,21 +130,27 @@ def compute_moments(
     moments = np.zeros((n_cells, ncoef), dtype=np.float64)
     babs = np.zeros((n_cells, p + 2), dtype=np.float64)
     bmax = np.zeros(n_cells, dtype=np.float64)
+    lib = native.upward()
+    # C reads raw pointers: every array it is handed is held in a list
+    # until the call returns
+    center = np.ascontiguousarray(tree.cell_center, dtype=np.float64)
+    alphas = np.ascontiguousarray(mis.alphas, dtype=np.int64)
 
-    # ----- leaves: particle moments ------------------------------------------
-    leaves = tree.leaf_indices
-    lorder = np.argsort(tree.cell_start[leaves])
-    leaves = leaves[lorder]
-    starts = tree.cell_start[leaves]
-    counts = tree.cell_count[leaves]
-    centers = np.repeat(tree.cell_center[leaves], counts, axis=0)
-    dd = tree.pos - centers
-    mono = mis.powers(dd) * tree.mass[:, None]
-    moments[leaves] = np.add.reduceat(mono, starts, axis=0)
-    r = np.sqrt(np.einsum("ij,ij->i", dd, dd))
-    rp = r[None, :] ** np.arange(p + 2)[:, None] * tree.mass[None, :]
-    babs[leaves] = np.add.reduceat(rp, starts, axis=1).T
-    bmax[leaves] = np.maximum.reduceat(r, starts)
+    # ----- leaves: particle moments (compiled P2M) -----------------------------
+    args = [
+        np.ascontiguousarray(tree.leaf_indices, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
+        center,
+        np.ascontiguousarray(tree.pos, dtype=np.float64),
+        np.ascontiguousarray(tree.mass, dtype=np.float64),
+    ]
+    status = lib.p2m_leaves(
+        len(args[0]), *map(_ptr, args), p_store, ncoef, _ptr(alphas), p + 2,
+        _einsum_xz_first(), _ptr(moments), _ptr(babs), _ptr(bmax),
+    )
+    if status:
+        raise MemoryError("p2m_leaves could not allocate its scratch rows")
 
     # ----- background at the leaf level ---------------------------------------
     if background:
@@ -151,37 +164,23 @@ def compute_moments(
         # distance (which also bounds any particle radius inside the cube)
         bmax[all_leaf] = side * np.sqrt(3.0) / 2.0
 
-    # ----- upward M2M by level --------------------------------------------------
-    binom = np.array(
-        [[_comb(nn, kk) for kk in range(p + 2)] for nn in range(p + 2)],
-        dtype=np.float64,
+    # ----- upward M2M, absolute moments and bmax (compiled) --------------------
+    tgt, src, shift, binom = mis.translation_table
+    args = [
+        np.ascontiguousarray(tree.cell_level, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_first_child, dtype=np.int64),
+        np.ascontiguousarray(tree.cell_nchildren, dtype=np.int64),
+        center,
+        np.ascontiguousarray(tree.cell_side, dtype=np.float64),
+    ]
+    table = [np.ascontiguousarray(a, dtype=np.int64) for a in (tgt, src, shift)]
+    table.append(np.ascontiguousarray(binom, dtype=np.float64))
+    status = lib.m2m_upward(
+        n_cells, *map(_ptr, args), p_store, ncoef, _ptr(alphas), len(tgt),
+        *map(_ptr, table), p + 2, _ptr(moments), _ptr(babs), _ptr(bmax),
     )
-    for level in range(tree.max_level - 1, -1, -1):
-        cells = tree.cells_at_level(level)
-        internal = cells[tree.cell_first_child[cells] >= 0]
-        if len(internal) == 0:
-            continue
-        kids = expand_ranges(
-            tree.cell_first_child[internal], tree.cell_nchildren[internal]
-        )
-        kid_parent = np.repeat(internal, tree.cell_nchildren[internal])
-        d = tree.cell_center[kids] - tree.cell_center[kid_parent]
-        translated = m2m(moments[kids], d, p_store)
-        np.add.at(moments, kid_parent, translated)
-        # absolute moments: B_n(parent) <= sum_child sum_k C(n,k) |d|^{n-k} B_k
-        dn = np.linalg.norm(d, axis=1)
-        dpow = dn[:, None] ** np.arange(p + 2)[None, :]
-        bk = babs[kids]
-        bup = np.zeros_like(bk)
-        for nn in range(p + 2):
-            # sum_k C(nn,k) dpow[:, nn-k] * bk[:, k]
-            ks = np.arange(nn + 1)
-            bup[:, nn] = (binom[nn, ks] * dpow[:, nn - ks] * bk[:, ks]).sum(axis=1)
-        np.add.at(babs, kid_parent, bup)
-        reach = dn + bmax[kids]
-        np.maximum.at(bmax, kid_parent, reach)
-        corner = tree.cell_side[internal] * np.sqrt(3.0) / 2.0
-        bmax[internal] = np.minimum(bmax[internal], corner)
+    if status:
+        raise MemoryError("m2m_upward could not allocate its scratch rows")
 
     # Frobenius norms (with multinomial weights) of the two top blocks
     sl1 = mis.slice_of_order(p + 1)
@@ -211,7 +210,26 @@ def compute_moments(
     )
 
 
-def _comb(n: int, k: int) -> float:
-    import math
+def _ptr(a: np.ndarray) -> int:
+    return a.ctypes.data
 
-    return float(math.comb(n, k)) if 0 <= k <= n else 0.0
+
+@functools.lru_cache(maxsize=1)
+def _einsum_xz_first() -> bool:
+    """Whether numpy's ``einsum("ij,ij->i")`` sums a 3-vector's squares
+    as (x^2 + z^2) + y^2 rather than (x^2 + y^2) + z^2.
+
+    Its SIMD dot product folds the lanes of one vector, and the order
+    follows the vector width of the host's numpy build (2 or 8 lanes:
+    x^2 + z^2 first; 4 lanes: x^2 + y^2 first).  The leaf radius ``r``
+    behind ``bmax`` has always been that einsum's, so the compiled P2M
+    asks which order this host's einsum takes.
+    """
+    d = np.random.default_rng(0).standard_normal((256, 3))
+    sq = d * d
+    e = np.einsum("ij,ij->i", d, d)
+    if np.array_equal(e, (sq[:, 0] + sq[:, 2]) + sq[:, 1]):
+        return True
+    if np.array_equal(e, (sq[:, 0] + sq[:, 1]) + sq[:, 2]):
+        return False
+    raise RuntimeError("numpy's einsum sums three squares in an order the P2M does not know")

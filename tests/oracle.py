@@ -17,7 +17,10 @@ hundred particles.
 At the end of the file, :func:`oracle_lattice_pieces` keeps the three
 full-cube sums of the periodic lattice coefficients as
 ``repro.gravity.periodic`` computed them before it summed over the
-cubic group's fundamental wedge.
+cubic group's fundamental wedge, and :func:`oracle_moments`,
+:func:`m2m` and :func:`l2p` keep the numpy upward pass and lattice L2P
+that the compiled unit (``repro.multipoles.codegen.UPWARD_SOURCE``)
+reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ from repro.multipoles import multi_index_set
 from repro.multipoles.dtensors import derivative_tensors, recurrence_plan
 from repro.multipoles.multiindex import n_coeffs
 from repro.multipoles.prism import prism_acceleration
+from repro.multipoles.bounds import critical_radius, critical_radius_moment
+from repro.multipoles.cube import cube_moments
 from repro.multipoles.radial import ErfcKernel, NewtonianKernel
+from repro.tree.moments import TreeMoments, unit_cube_abs_moment
 from repro.util import expand_ranges
 
 def kernel_specs(kernel, softening, p: int):
@@ -515,3 +521,133 @@ def oracle_lattice_sums(order: int, ws: int = 2, box: float = 1.0,
     total[0] -= math.pi / (alpha * alpha * box**3)
     total -= pieces["near"][0]
     return total
+
+
+# ---------------------------------------------------------------------------
+# the numpy upward pass and lattice L2P
+# ---------------------------------------------------------------------------
+
+
+def m2m(moments: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
+    """Translate moments from center z to z' where ``d = z - z'``.
+
+    Exact (no truncation error): moments of order n about the new
+    center depend only on moments of order <= n about the old one.
+    Vectorized over leading dimensions of ``moments`` and ``d``.
+    """
+    mis = multi_index_set(p)
+    moments = np.asarray(moments, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    tgt, src, shift, binom = mis.translation_table
+    mono = mis.powers(d)  # (..., ncoef)
+    out = np.zeros_like(moments)
+    contrib = binom * moments[..., src] * mono[..., shift]
+    # scatter-add into targets
+    np.add.at(out.reshape(-1, out.shape[-1]).T, tgt, contrib.reshape(-1, contrib.shape[-1]).T)
+    return out
+
+
+def l2p(local: np.ndarray, center: np.ndarray, targets: np.ndarray, p: int, dtype=np.float64):
+    """Local-to-particle: evaluate a local expansion at points.
+
+    Returns (potential, acceleration).  The acceleration uses the
+    coefficients L_{beta+e_i}, so its effective order is p-1.
+    """
+    mis = multi_index_set(p)
+    targets = np.asarray(targets, dtype=np.float64)
+    s = (targets - np.asarray(center, dtype=np.float64)).astype(dtype)
+    mono = mis.powers(s).astype(dtype)
+    w = (1.0 / mis.factorial).astype(dtype)
+    lw = np.asarray(local, dtype=np.float64).astype(dtype) * w
+    pot = mono @ lw
+    acc = np.zeros((targets.shape[0], 3), dtype=dtype)
+    for i in range(3):
+        for bi, b in enumerate(mis.alphas):
+            up = (int(b[0]) + (i == 0), int(b[1]) + (i == 1), int(b[2]) + (i == 2))
+            j = mis.index.get(up)
+            if j is None:
+                continue
+            acc[:, i] += mono[:, bi] * (1.0 / mis.factorial[bi]) * local[j]
+    return pot, acc
+
+
+def oracle_moments(tree, p: int, tol: float, background: bool = False,
+                   mean_density: float | None = None, mac: str = "moment") -> TreeMoments:
+    """``compute_moments`` as numpy ran it: reduceat P2M, M2M through
+    ``np.add.at`` level by level, absolute moments and bmax alongside."""
+    p_store = p + 2
+    mis = multi_index_set(p_store)
+    ncoef = len(mis)
+    n_cells = tree.n_cells
+    moments = np.zeros((n_cells, ncoef), dtype=np.float64)
+    babs = np.zeros((n_cells, p + 2), dtype=np.float64)
+    bmax = np.zeros(n_cells, dtype=np.float64)
+
+    leaves = tree.leaf_indices
+    lorder = np.argsort(tree.cell_start[leaves])
+    leaves = leaves[lorder]
+    starts = tree.cell_start[leaves]
+    counts = tree.cell_count[leaves]
+    centers = np.repeat(tree.cell_center[leaves], counts, axis=0)
+    dd = tree.pos - centers
+    mono = mis.powers(dd) * tree.mass[:, None]
+    moments[leaves] = np.add.reduceat(mono, starts, axis=0)
+    r = np.sqrt(np.einsum("ij,ij->i", dd, dd))
+    rp = r[None, :] ** np.arange(p + 2)[:, None] * tree.mass[None, :]
+    babs[leaves] = np.add.reduceat(rp, starts, axis=1).T
+    bmax[leaves] = np.maximum.reduceat(r, starts)
+
+    if background:
+        rho = float(mean_density)
+        all_leaf = np.flatnonzero(tree.is_leaf)
+        side = tree.cell_side[all_leaf]
+        moments[all_leaf] -= cube_moments(p_store, side, rho)
+        icoef = np.array([unit_cube_abs_moment(k) for k in range(p + 2)])
+        babs[all_leaf] += rho * side[:, None] ** (3 + np.arange(p + 2))[None, :] * icoef
+        bmax[all_leaf] = side * np.sqrt(3.0) / 2.0
+
+    binom = np.array(
+        [[float(math.comb(nn, kk)) for kk in range(p + 2)] for nn in range(p + 2)]
+    )
+    for level in range(tree.max_level - 1, -1, -1):
+        cells = tree.cells_at_level(level)
+        internal = cells[tree.cell_first_child[cells] >= 0]
+        if len(internal) == 0:
+            continue
+        kids = expand_ranges(tree.cell_first_child[internal], tree.cell_nchildren[internal])
+        kid_parent = np.repeat(internal, tree.cell_nchildren[internal])
+        d = tree.cell_center[kids] - tree.cell_center[kid_parent]
+        np.add.at(moments, kid_parent, m2m(moments[kids], d, p_store))
+        # B_n(parent) <= sum_child sum_k C(n,k) |d|^{n-k} B_k
+        dn = np.linalg.norm(d, axis=1)
+        dpow = dn[:, None] ** np.arange(p + 2)[None, :]
+        bk = babs[kids]
+        bup = np.zeros_like(bk)
+        for nn in range(p + 2):
+            ks = np.arange(nn + 1)
+            bup[:, nn] = (binom[nn, ks] * dpow[:, nn - ks] * bk[:, ks]).sum(axis=1)
+        np.add.at(babs, kid_parent, bup)
+        np.maximum.at(bmax, kid_parent, dn + bmax[kids])
+        corner = tree.cell_side[internal] * np.sqrt(3.0) / 2.0
+        bmax[internal] = np.minimum(bmax[internal], corner)
+
+    sl1 = mis.slice_of_order(p + 1)
+    sl2 = mis.slice_of_order(p + 2)
+    mnorm = np.sqrt((mis.multinomial[sl1][None, :] * moments[:, sl1] ** 2).sum(axis=1))
+    mnorm2 = np.sqrt((mis.multinomial[sl2][None, :] * moments[:, sl2] ** 2).sum(axis=1))
+    if mac == "moment":
+        r_crit = critical_radius_moment(p, bmax, mnorm, tol, mnorm_p2=mnorm2)
+    else:
+        r_crit = critical_radius(p, bmax, babs[:, p + 1], tol)
+    return TreeMoments(
+        p=p, tol=tol, background=background, mean_density=float(mean_density or 0.0),
+        mac=mac, moments=moments, babs=babs, bmax=bmax, mnorm=mnorm, mnorm2=mnorm2,
+        r_crit=r_crit,
+    )
+
+
+def oracle_lattice_field(ple, box_moments: np.ndarray, pos: np.ndarray):
+    """``PeriodicLocalExpansion.field`` through the numpy :func:`l2p`."""
+    loc = ple.local_coefficients(box_moments)
+    center = np.full(3, ple.box / 2.0)
+    return l2p(loc, center, np.asarray(pos, dtype=np.float64), ple.p_local + 1)

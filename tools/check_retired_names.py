@@ -249,6 +249,12 @@ RETIRED.append((
     CALLERS,
     "radial chains in float64 only: the evaluator's C computes its own",
 ))
+RETIRED.append((
+    r"\b(m2m|l2p)\(|import[^#]*\b(m2m|l2p)\b|\bexpansion\.(m2m|l2p)\b|np\.add\.at\(moments\b"
+    r"|\b_comb\(",
+    ("src", "benchmarks", "tools", "examples"),
+    "the compiled upward pass and lattice L2P: numpy's m2m, l2p and M2M loop are test references",
+))
 
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
 ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
