@@ -9,12 +9,23 @@ the catalog model that regenerates the published rows for the historic
 hardware.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from _simlib import print_table
 from repro.gravity import direct_accelerations, make_softening
 from repro.perfmodel import FLOPS_PER_MONOPOLE_PP, TABLE3_PROCESSORS
+
+
+def timed(benchmark, kernel):
+    """``(result, mean seconds a call)`` of ``kernel`` under
+    ``benchmark``; with ``--benchmark-disable`` it runs once, timed here."""
+    t0 = time.perf_counter()
+    result = benchmark(kernel)
+    elapsed = time.perf_counter() - t0
+    return result, benchmark.stats["mean"] if benchmark.stats else elapsed
 
 
 def test_table3_catalog_rows(benchmark):
@@ -58,9 +69,9 @@ def test_table3_measured_host_kernel(benchmark, dtype):
             want_potential=False,
         )
 
-    benchmark(kernel)
+    _, seconds = timed(benchmark, kernel)
     n_inter = n_src * n_tgt
-    gflops = FLOPS_PER_MONOPOLE_PP * n_inter / benchmark.stats["mean"] / 1e9
+    gflops = FLOPS_PER_MONOPOLE_PP * n_inter / seconds / 1e9
     print(
         f"\nHost monopole kernel ({np.dtype(dtype).name}): "
         f"{n_inter} interactions, {gflops:.2f} Gflop/s at 28 flops/interaction"
@@ -94,14 +105,14 @@ def test_table3_measured_compiled_pp_kernel(benchmark, dtype):
 
     def kernel():
         acc[...] = 0.0
-        lib.pp_field(pos.ctypes.data, mass.ctypes.data, lists[0].ctypes.data,
-                     lists[1].ctypes.data, 1, *(a.ctypes.data for a in lists[2:]),
-                     0, kind, float(hthr), h, eps, r_split, 0, 0, acc.ctypes.data, None)
-        return acc
+        return lib.pp_field(pos.ctypes.data, mass.ctypes.data, lists[0].ctypes.data,
+                            lists[1].ctypes.data, 1, *(a.ctypes.data for a in lists[2:]),
+                            0, kind, float(hthr), h, eps, r_split, 0, 0, acc.ctypes.data, None)
 
-    benchmark(kernel)
+    status, seconds = timed(benchmark, kernel)
+    assert status == 0
     n_inter = n_src * n_tgt
-    gflops = FLOPS_PER_MONOPOLE_PP * n_inter / benchmark.stats["mean"] / 1e9
+    gflops = FLOPS_PER_MONOPOLE_PP * n_inter / seconds / 1e9
     print(
         f"\nCompiled pp kernel ({np.dtype(dtype).name}): "
         f"{n_inter} interactions, {gflops:.2f} Gflop/s at 28 flops/interaction"
@@ -112,6 +123,80 @@ def test_table3_measured_compiled_pp_kernel(benchmark, dtype):
     assert gflops > 0.05
 
 
+def pp_rows_case(n_sinks=400, n_sources=2000, row_len=150, seed=0):
+    """The workloads' leaf shape: ``n_sinks`` sink leaves of 3-7
+    particles, each against a row of ``row_len`` distinct source leaves
+    of 4-8 particles (means 5 and 6), the leaves small cubes scattered
+    over the unit box.  Returns ``(pos, lists, interactions)``, where
+    ``lists`` are ``pp_field``'s cell start and count, sink leaves, row
+    indptr, sources, offset indices and the one (home) image offset;
+    cells ``0 .. n_sinks - 1`` are the sink leaves, and no row lists its
+    own leaf."""
+    rng = np.random.default_rng(seed)
+    count = np.concatenate([rng.integers(3, 8, n_sinks), rng.integers(4, 9, n_sources)])
+    start = np.concatenate([[0], np.cumsum(count)[:-1]])
+    corner = np.repeat(0.98 * rng.random((len(count), 3)), count, axis=0)
+    pos = np.ascontiguousarray(corner + 0.02 * rng.random((count.sum(), 3)))
+    src = np.concatenate([
+        n_sinks + rng.choice(n_sources, row_len, replace=False) for _ in range(n_sinks)
+    ])
+    indptr = np.arange(0, n_sinks * row_len + 1, row_len)
+    run = count[src].reshape(n_sinks, row_len).sum(axis=1)
+    lists = [start, count, np.arange(n_sinks), indptr, src,
+             np.zeros(len(src), dtype=np.int64), np.zeros((1, 3))]
+    return pos, lists, int((count[:n_sinks] * run).sum())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_table3_measured_compiled_pp_rows(benchmark, dtype):
+    """The pp loop at the workloads' shape (:func:`pp_rows_case`: sink
+    leaves of ~5 particles, rows of 150 source leaves of ~6), where a
+    source leaf is shorter than one vector of lanes and the loop's cost
+    is set by how it walks a row rather than by its arithmetic; Dehnen K1
+    softening, forces and potential, against float64 direct sums per
+    row."""
+    from repro.gravity import native
+
+    pos, lists, n_inter = pp_rows_case()
+    mass = np.random.default_rng(1).random(len(pos)).astype(dtype)
+    soft = make_softening("dehnen_k1", 1e-3)
+    kind, h, eps, r_split = native.softening_spec(soft)
+    hthr = np.nextafter(np.dtype(dtype).type(h), np.dtype(dtype).type(np.inf))
+    start, count, n_rows = lists[0], lists[1], len(lists[2])
+    n_tgt = int(count[:n_rows].sum())
+    acc, pot = np.zeros((n_tgt, 3)), np.zeros(n_tgt)
+    lib = native.evaluator(0, dtype)
+
+    def kernel():
+        acc[...] = 0.0
+        pot[...] = 0.0
+        return lib.pp_field(pos.ctypes.data, mass.ctypes.data, start.ctypes.data,
+                            count.ctypes.data, n_rows, *(a.ctypes.data for a in lists[2:]),
+                            0, kind, float(hthr), h, eps, r_split, 1, 0, acc.ctypes.data,
+                            pot.ctypes.data)
+
+    status, seconds = timed(benchmark, kernel)
+    assert status == 0
+    gflops = FLOPS_PER_MONOPOLE_PP * n_inter / seconds / 1e9
+    print(
+        f"\nCompiled pp rows ({np.dtype(dtype).name}): {n_rows} sink leaves, "
+        f"{n_inter} interactions, {gflops:.2f} Gflop/s at 28 flops/interaction"
+    )
+    indptr, src = lists[3], lists[4]
+    for row in range(n_rows):
+        cells = src[indptr[row]: indptr[row + 1]]
+        idx = np.concatenate([np.arange(start[c], start[c] + count[c]) for c in cells])
+        sink = slice(start[row], start[row] + count[row])
+        ref_acc, ref_pot = direct_accelerations(
+            pos[idx], mass[idx].astype(np.float64), softening=soft, targets=pos[sink],
+            want_potential=True,
+        )
+        scale = np.abs(ref_acc).max()
+        assert np.abs(acc[sink] - ref_acc).max() <= 1e-4 * scale
+        assert np.abs(pot[sink] - ref_pot).max() <= 1e-4 * np.abs(ref_pot).max()
+    assert gflops > 0.05
+
+
 def test_table3_measured_compiled_prism_row(benchmark):
     """The background subtraction's particle x box row (paper §2.2.1)
     through the force evaluator's ``prism_field``: one sink leaf of 512
@@ -119,8 +204,6 @@ def test_table3_measured_compiled_prism_row(benchmark):
     potential, reported in ns per interaction row beside the numpy
     reference kernel (:func:`repro.multipoles.prism.prism_acceleration`)
     on the same rows."""
-    import time
-
     from repro.gravity import native
     from repro.multipoles.prism import prism_acceleration
 
@@ -138,14 +221,15 @@ def test_table3_measured_compiled_prism_row(benchmark):
     def kernel():
         acc[...] = 0.0
         pot[...] = 0.0
-        lib.prism_field(pos.ctypes.data, one.ctypes.data, count.ctypes.data, 1,
-                        one.ctypes.data, box_lo.ctypes.data, box_hi.ctypes.data, n_boxes,
-                        indptr.ctypes.data, 1.0, 1, 0, acc.ctypes.data, pot.ctypes.data)
-        return acc
+        return lib.prism_field(pos.ctypes.data, one.ctypes.data, count.ctypes.data, 1,
+                               one.ctypes.data, box_lo.ctypes.data, box_hi.ctypes.data,
+                               n_boxes, indptr.ctypes.data, 1.0, 1, 0, acc.ctypes.data,
+                               pot.ctypes.data)
 
-    benchmark(kernel)
+    status, seconds = timed(benchmark, kernel)
+    assert status == 0
     rows = n * n_boxes
-    ns_c = benchmark.stats["mean"] / rows * 1e9
+    ns_c = seconds / rows * 1e9
     pts, blo, bhi = np.repeat(pos, n_boxes, axis=0), np.tile(lo, (n, 1)), np.tile(hi, (n, 1))
     best = np.inf
     for _ in range(3):

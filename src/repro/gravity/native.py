@@ -7,14 +7,17 @@ one translation unit per (order p, dtype) (:func:`evaluator`), and
 the upward pass and the lattice L2P (:func:`upward`).  This module
 compiles each with the host's C compiler into a cache and loads it:
 
-* ``cc -O3 -march=native -fno-math-errno -ffp-contract=off
-  -fopenmp-simd -shared -fPIC ... -lmvec -lm`` — no ``-ffast-math``:
-  float operations stay IEEE and every sum keeps the order the source
-  writes, so results are reproducible bit for bit wherever the same
-  library runs.  ``-fopenmp-simd`` honours the unit's ``omp simd`` and
-  ``declare simd`` pragmas (nothing else of OpenMP), and ``-lmvec``
-  links glibc's vector math library, whose ``log`` and ``atan`` the
-  prism loop calls four lanes at a time;
+* ``cc -O3 -march=native -mprefer-vector-width=512 -fno-math-errno
+  -ffp-contract=off -fopenmp-simd -shared -fPIC ... -lmvec -lm`` — no
+  ``-ffast-math``: float operations stay IEEE and every sum keeps the
+  order the source writes, so results are reproducible bit for bit
+  wherever the same library runs.  The vector width (the host's full
+  width, 512 bits where it has AVX-512) only sets how many independent
+  rows one instruction computes: no reduction is vectorized, so the
+  bits do not depend on it.  ``-fopenmp-simd`` honours the unit's
+  ``omp simd`` and ``declare simd`` pragmas (nothing else of OpenMP),
+  and ``-lmvec`` links glibc's vector math library, whose ``log`` and
+  ``atan`` the prism loop calls four lanes at a time at any width;
 * the cache is ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``),
   a file named by the sha256 of the source, ``cc --version``, the flags,
   the link libraries and the host's CPU flags (``evaluator-*.so``,
@@ -59,8 +62,8 @@ __all__ = [
 #: the C compiler (a name on PATH)
 CC = "cc"
 FLAGS = (
-    "-O3", "-march=native", "-fno-math-errno", "-ffp-contract=off", "-fopenmp-simd",
-    "-shared", "-fPIC",
+    "-O3", "-march=native", "-mprefer-vector-width=512", "-fno-math-errno",
+    "-ffp-contract=off", "-fopenmp-simd", "-shared", "-fPIC",
 )
 #: link libraries: glibc's vector math (libmvec) and libm
 LIBS = ("-lmvec", "-lm")
@@ -216,7 +219,7 @@ _SIGNATURES = {
             [_P] * 5 + [_I] + [_P] * 7 + [_INT, _D] + [_P] * 6 + [_INT, _I, _P, _P],
         ),
         "pp_field": (
-            None, [_P] * 4 + [_I] + [_P] * 5 + [_I, _INT] + [_D] * 4 + [_INT, _I, _P, _P]
+            _INT, [_P] * 4 + [_I] + [_P] * 5 + [_I, _INT] + [_D] * 4 + [_INT, _I, _P, _P]
         ),
         "prism_field": (
             _INT, [_P] * 3 + [_I] + [_P] * 3 + [_I, _P, _D, _INT, _I, _P, _P]

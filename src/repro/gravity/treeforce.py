@@ -101,7 +101,9 @@ def _coalesce_boxes(row, lo, hi, n_rows):
 
     The sort key is the six fields packed, most significant first, into
     as few int64 words as hold them — one for a tree a few levels deep,
-    three at the key depth of 21 — ordered by one ``np.lexsort``.
+    three at the key depth of 21 — ordered by one ``np.argsort`` when it
+    is one word and by ``np.lexsort`` otherwise.  A row's boxes are
+    disjoint, so every key is unique and both give the one permutation.
     """
     if len(row):
         base = lo.min()
@@ -117,7 +119,7 @@ def _coalesce_boxes(row, lo, hi, n_rows):
                 else:
                     words[-1] = (words[-1] << width) | fld
                     used += width
-            order = np.lexsort(words[::-1])
+            order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
             # box i continues box i - 1 of the sorted order where its key
             # is that box's key with hi in place of lo (the last field)
             words = [w[order] for w in words]
@@ -245,11 +247,13 @@ def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
         np.ascontiguousarray(inter.leaf_off, dtype=np.int64),
         np.ascontiguousarray(inter.offsets, dtype=np.float64),
     ]
-    native.evaluator(p, dtype).pp_field(
+    status = native.evaluator(p, dtype).pp_field(
         *map(_p, args[:4]), len(inter.sink_leaves), *map(_p, args[4:]),
         home_off, kind, float(hthr), h, eps, r_split, pot is not None, s0,
         _p(acc), _p(pot) if pot is not None else None,
     )
+    if status:
+        raise MemoryError("pp_field could not allocate its gathered source runs")
 
 
 def _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot):

@@ -13,7 +13,9 @@ of this package:
   from a cell's coefficients, the radial chain, the gradient
   x_i S + T_i — unrolled into straight-line statements inside a loop
   over a block of entries that the compiler vectorizes; the pp loop
-  (``pp_field``) and the softening kernels are written out beside it;
+  (``pp_field``: each sink leaf's source particles gathered once into
+  one run, the paper's m x n tile) and the softening kernels are
+  written out beside it;
   the particle-box row of the background subtraction (``prism_field``)
   is the eight corners of :mod:`repro.multipoles.prism` unrolled the
   same way, in float64, its ``log`` and ``atan`` glibc's vector
@@ -601,64 +603,93 @@ static void soften(int kind, double r, double h, double eps, double r_split,
     }
 }
 
-/* The pp family: for every particle of every sink leaf, its row's source
-   particles in place, a block at a time: the difference in float64
-   rounded to real, r, 1/r^3 and 1/r in real, the softening's float64
-   definitions where r < hthr, the self-pair (home image only) masked,
-   then -m F dx and m psi added into float64 in entry order. */
-void pp_field(const double *pos, const real *mass,
-              const int64_t *cell_start, const int64_t *cell_count,
-              int64_t n_rows, const int64_t *sink_leaves, const int64_t *indptr,
-              const int64_t *src, const int64_t *off, const double *offsets,
-              int64_t home_off, int soft, double hthr_in, double soft_h,
-              double soft_eps, double r_split, int want_pot, int64_t s0,
-              double *acc, double *pot)
+/* The pp family, as an m x n tile: per sink-leaf row the row's source
+   particles are gathered once into one structure-of-arrays run (position
+   plus image offset in float64, mass in real, and the particle's index
+   where the image is home, -1 elsewhere); then every particle of the
+   sink leaf makes one blocked pass over the run: the difference in
+   float64 rounded to real, r, 1/r^3 and 1/r in real, the softening's
+   float64 definitions where r < hthr, the home self-pair masked, then
+   -m F dx and m psi added into float64 in run order (entry order, then
+   particle order). */
+int pp_field(const double *pos, const real *mass,
+             const int64_t *cell_start, const int64_t *cell_count,
+             int64_t n_rows, const int64_t *sink_leaves, const int64_t *indptr,
+             const int64_t *src, const int64_t *off, const double *offsets,
+             int64_t home_off, int soft, double hthr_in, double soft_h,
+             double soft_eps, double r_split, int want_pot, int64_t s0,
+             double *acc, double *pot)
 {
+    int64_t nmax = 1;
+    for (int64_t row = 0; row < n_rows; row++) {
+        int64_t n = 0;
+        for (int64_t e = indptr[row]; e < indptr[row + 1]; e++)
+            n += cell_count[src[e]];
+        if (n > nmax)
+            nmax = n;
+    }
+    double *QX = malloc(nmax * (3 * sizeof(double) + sizeof(int64_t) + sizeof(real)));
+    if (!QX)
+        return -1;
+    double *QY = QX + nmax, *QZ = QY + nmax;
+    int64_t *ID = (int64_t *)(QZ + nmax);
+    real *MQ = (real *)(ID + nmax);
     real hthr = (real)hthr_in;
     real DX[BLK], DY[BLK], DZ[BLK], RR[BLK], F[BLK], PSI[BLK];
     for (int64_t row = 0; row < n_rows; row++) {
+        int64_t n = 0;
+        for (int64_t e = indptr[row]; e < indptr[row + 1]; e++) {
+            int64_t s = src[e], o = off[e];
+            double ox = offsets[3 * o], oy = offsets[3 * o + 1], oz = offsets[3 * o + 2];
+            int64_t b0 = cell_start[s], ns = cell_count[s];
+            for (int64_t j = 0; j < ns; j++, n++) {
+                const double *q = pos + 3 * (b0 + j);
+                QX[n] = q[0] + ox;
+                QY[n] = q[1] + oy;
+                QZ[n] = q[2] + oz;
+                MQ[n] = mass[b0 + j];
+                ID[n] = o == home_off ? b0 + j : -1;
+            }
+        }
         int64_t leaf = sink_leaves[row], a0 = cell_start[leaf], m = cell_count[leaf];
         for (int64_t i = 0; i < m; i++) {
             int64_t gi = a0 + i;
             double px = pos[3 * gi], py = pos[3 * gi + 1], pz = pos[3 * gi + 2];
             double sx = 0.0, sy = 0.0, sz = 0.0, sp = 0.0;
-            for (int64_t e = indptr[row]; e < indptr[row + 1]; e++) {
-                int64_t s = src[e], o = off[e];
-                double ox = offsets[3 * o], oy = offsets[3 * o + 1], oz = offsets[3 * o + 2];
-                int64_t b0 = cell_start[s], ns = cell_count[s];
-                for (int64_t jb = 0; jb < ns; jb += BLK) {
-                    int nb = (int)(ns - jb < BLK ? ns - jb : BLK);
-                    const double *q = pos + 3 * (b0 + jb);
-                    const real *mq = mass + b0 + jb;
-                    for (int j = 0; j < nb; j++) {
-                        real dx = (real)(px - (q[3 * j] + ox));
-                        real dy = (real)(py - (q[3 * j + 1] + oy));
-                        real dz = (real)(pz - (q[3 * j + 2] + oz));
-                        real r = SQRT((dx * dx + dy * dy) + dz * dz);
-                        real psi = R(1.0) / r;
-                        DX[j] = dx; DY[j] = dy; DZ[j] = dz; RR[j] = r;
-                        F[j] = (psi * psi) * psi;
-                        PSI[j] = psi;
+            for (int64_t jb = 0; jb < n; jb += BLK) {
+                int nb = (int)(n - jb < BLK ? n - jb : BLK);
+                const double *qx = QX + jb, *qy = QY + jb, *qz = QZ + jb;
+                const real *mq = MQ + jb;
+                const int64_t *id = ID + jb;
+                for (int j = 0; j < nb; j++) {
+                    real dx = (real)(px - qx[j]);
+                    real dy = (real)(py - qy[j]);
+                    real dz = (real)(pz - qz[j]);
+                    real r = SQRT((dx * dx + dy * dy) + dz * dz);
+                    real psi = R(1.0) / r;
+                    DX[j] = dx; DY[j] = dy; DZ[j] = dz; RR[j] = r;
+                    F[j] = (psi * psi) * psi;
+                    PSI[j] = psi;
+                }
+                if (hthr > 0)
+                    for (int j = 0; j < nb; j++)
+                        if (RR[j] < hthr) {
+                            double f, psi;
+                            soften(soft, (double)RR[j], soft_h, soft_eps, r_split, &f, &psi);
+                            F[j] = (real)f;
+                            PSI[j] = (real)psi;
+                        }
+                for (int j = 0; j < nb; j++)
+                    if (id[j] == gi) {
+                        F[j] = 0;
+                        PSI[j] = 0;
                     }
-                    if (hthr > 0)
-                        for (int j = 0; j < nb; j++)
-                            if (RR[j] < hthr) {
-                                double f, psi;
-                                soften(soft, (double)RR[j], soft_h, soft_eps, r_split, &f, &psi);
-                                F[j] = (real)f;
-                                PSI[j] = (real)psi;
-                            }
-                    if (o == home_off && gi >= b0 + jb && gi < b0 + jb + nb) {
-                        F[gi - b0 - jb] = 0;
-                        PSI[gi - b0 - jb] = 0;
-                    }
-                    for (int j = 0; j < nb; j++) {
-                        real t = -mq[j] * F[j];
-                        sx += t * DX[j];
-                        sy += t * DY[j];
-                        sz += t * DZ[j];
-                        sp += mq[j] * PSI[j];
-                    }
+                for (int j = 0; j < nb; j++) {
+                    real t = -mq[j] * F[j];
+                    sx += t * DX[j];
+                    sy += t * DY[j];
+                    sz += t * DZ[j];
+                    sp += mq[j] * PSI[j];
                 }
             }
             double *a = acc + 3 * (gi - s0);
@@ -669,6 +700,8 @@ void pp_field(const double *pos, const real *mass,
                 pot[gi - s0] += sp;
         }
     }
+    free(QX);
+    return 0;
 }
 
 /* The prism family: the background of density rho removed over each

@@ -6,21 +6,24 @@ or glibc's libmvec fails when a solver is constructed, and a kernel type
 the C does not implement is refused.
 """
 
+import ctypes
 import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.gravity import TreecodeConfig, TreecodeGravity, native
 from repro.gravity.pm import TreePMConfig, TreePMGravity
-from repro.gravity.smoothing import NoSoftening
+from repro.gravity.smoothing import DehnenK1Softening, NoSoftening
 from repro.gravity.treeforce import evaluate_forces
 from repro.multipoles import PlummerKernel
+from repro.multipoles.codegen import generate_evaluator_source
 from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -50,6 +53,14 @@ def cc_wrapper(where: Path, body: str) -> Path:
     path.write_text(f"#!/bin/sh\nREAL={shutil.which(native.CC)}\n{body}\n")
     path.chmod(0o755)
     return path
+
+
+def undefined_symbols(path) -> set[str]:
+    """The dynamic symbols the library ``path`` imports, unversioned."""
+    nm = subprocess.run(
+        ["nm", "-D", "--undefined-only", str(path)], capture_output=True, text=True, check=True
+    ).stdout
+    return {line.split()[-1].split("@")[0] for line in nm.splitlines() if line.strip()}
 
 
 class TestBuild:
@@ -107,14 +118,46 @@ class TestBuild:
     def test_unit_calls_the_vector_log_and_atan(self):
         """The prism loop is vectorized with libmvec's variants, and no
         scalar log or atan is left for a remainder loop to call."""
-        lib = native.evaluator(2, np.float64)
-        nm = subprocess.run(
-            ["nm", "-D", "--undefined-only", lib._name], capture_output=True, text=True, check=True
-        ).stdout
-        names = {line.split()[-1].split("@")[0] for line in nm.splitlines() if line.strip()}
+        names = undefined_symbols(native.evaluator(2, np.float64)._name)
         for fn in ("log", "atan"):
             assert any(re.fullmatch(rf"_ZGV\w+_{fn}", n) for n in names), (fn, names)
             assert fn not in names
+
+    def test_vector_width_flag_keeps_the_bits(self, fresh_cache):
+        """The units built with ``FLAGS`` as shipped and without
+        ``-mprefer-vector-width=512``: a periodic, clustered, softened
+        solve (cell, pp and prism families) gives the same bits, and
+        both import the same libmvec variants — the width changes how
+        many independent rows one instruction computes, never a sum's
+        order, and the prism keeps its four-lane ``log`` and ``atan``."""
+        wide = "-mprefer-vector-width=512"
+        assert wide in native.FLAGS
+        narrow = tuple(f for f in native.FLAGS if f != wide)
+        rng = np.random.default_rng(3)
+        centres = rng.random((5, 3))
+        pos = (centres[rng.integers(0, 5, 1500)] + 0.04 * rng.standard_normal((1500, 3))) % 1.0
+        tree = build_tree(pos, np.full(1500, 1 / 1500), nleaf=8, with_ghosts=True)
+        soft = DehnenK1Softening(0.01)
+        for p, dtype in ((2, np.float64), (4, np.float32)):
+            moms = compute_moments(tree, p=p, tol=1e-3, background=True, mean_density=1.0)
+            inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+            source = generate_evaluator_source(p, np.dtype(dtype).name)
+            paths, results, vector_math = [], [], []
+            for flags in (native.FLAGS, narrow):
+                with mock.patch.object(native, "FLAGS", flags):
+                    native._host_key.cache_clear()
+                    paths.append(native.library_path(source))
+                native._host_key.cache_clear()
+                lib = native._bind(ctypes.CDLL(str(paths[-1])))
+                with mock.patch.object(native, "evaluator", lambda *key: lib):
+                    results.append(evaluate_forces(tree, moms, inter, softening=soft, dtype=dtype))
+                imports = undefined_symbols(paths[-1])
+                vector_math.append({n for n in imports if n.startswith("_ZGV")})
+            assert paths[0] != paths[1] and paths[0].parent == fresh_cache
+            a, b = results
+            assert a.stats["pp_interactions"] and a.stats["prism_interactions"]
+            assert np.array_equal(a.acc, b.acc) and np.array_equal(a.pot, b.pot), (p, dtype)
+            assert vector_math[0] == vector_math[1] and vector_math[0], vector_math
 
     def test_spawned_workers_load_the_parents_library(self, tmp_path):
         """A cache that cannot be written (``XDG_CACHE_HOME`` is a file):

@@ -874,6 +874,54 @@ class TestBlockedPairEvaluator:
                 ),
             )
 
+    def test_gathered_run_spans_blocks(self):
+        """Leaves of 3, 4 and 3 particles; each row lists the other two
+        leaves at home, then its own leaf through the +x image, then at
+        home — a run of 10 + m source particles for a leaf of m, whose
+        home self-pairs are its last m, after the first block at ``BLK``
+        = 1, 2 and 7.  Pairs inside
+        one leaf fall inside the K1 support, pairs across leaves outside
+        it."""
+        from repro.gravity.smoothing import DehnenK1Softening
+
+        rng = np.random.default_rng(5)
+        pos = np.concatenate([
+            c + 0.02 * rng.random((k, 3))
+            for c, k in (([0.1, 0.1, 0.1], 3), ([0.7, 0.6, 0.7], 4), ([0.4, 0.9, 0.3], 3))
+        ])
+        mass = rng.random(10) + 0.5
+        tree = build_tree(pos, mass, nleaf=4)
+        moms = compute_moments(tree, p=2, tol=1e-3)
+        walk = traverse_hierarchical(tree, moms)
+        sinks = walk.sink_leaves
+        assert sorted(tree.cell_count[sinks].tolist()) == [3, 3, 4]
+        src = np.concatenate(
+            [np.r_[np.delete(sinks, k), leaf, leaf] for k, leaf in enumerate(sinks)]
+        )
+        none = np.zeros(0, dtype=np.int64)
+        inter = dataclasses.replace(
+            walk,
+            offsets=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            cell_cells=none, cell_src=none, cell_off=none,
+            cell_indptr=np.zeros(1, dtype=np.int64),
+            leaf_sink=np.repeat(sinks, 4), leaf_src=src,
+            leaf_off=np.tile([0, 0, 1, 0], 3), leaf_indptr=np.arange(0, 13, 4),
+            ghost_sink=none, ghost_src=none, ghost_off=none,
+            ghost_indptr=np.zeros(4, dtype=np.int64),
+        )
+        soft = DehnenK1Softening(0.05)
+        sep = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+        same = np.repeat(np.arange(3), [3, 4, 3])
+        inside = same[:, None] == same[None]
+        assert sep[inside].max() < soft.h < sep[~inside].min()
+        res = evaluate_forces(tree, moms, inter, softening=soft)
+        assert res.stats["pp_interactions"] == 3 * 13 + 4 * 14 + 3 * 13
+        ref = oracle_forces(tree, moms, inter, softening=soft)
+        assert np.abs(res.acc - ref.acc).max() <= 1e-14 * np.abs(ref.acc).max()
+        assert np.abs(res.pot - ref.pot).max() <= 1e-14 * np.abs(ref.pot).max()
+        for blk in (1, 2, 7):
+            assert same_bits(res, evaluate_with_blocks(tree, moms, inter, softening=soft, blk=blk))
+
     @pytest.mark.parametrize("case", ["one_leaf", "box_faces"])
     def test_float32_pp_matches_interpreted_kernel(self, case):
         """float32 pairwise arithmetic against the term-by-term
@@ -1292,6 +1340,33 @@ class TestCoalesceInvariants:
         res = evaluate_forces(tree, moms, inter)
         assert res.stats["prism_interactions"] == res.stats["prism_cubes"] == 0
         assert res.stats["prism_seconds"] == {"coalesce": 0.0, "rows": 0.0}
+
+    @pytest.mark.parametrize("n, seed, nleaf", [(700, 4, 2), (400, 2, 1)])
+    def test_same_boxes_whatever_the_key_words(self, n, seed, nleaf):
+        """One int64 word of key (``argsort``) or two (``lexsort``): a
+        larger ``n_rows`` widens the row field past 63 bits on the same
+        boxes, and the merged boxes and their order do not change."""
+        tree, moms = setup(n=n, seed=seed, background=True, clustered=True, nleaf=nleaf)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        row, lo, hi, _ = integer_cubes(tree, inter)
+        n_rows = len(inter.sink_leaves)
+        width = int((hi - lo.min()).max()).bit_length()
+        # the row field, then five corner fields of ``width`` bits
+        assert n_rows.bit_length() + 5 * width <= 63
+        wide = 1 << (63 - 5 * width)
+        assert n_rows < wide <= 1 << 20
+        runs = []
+        for rows in (n_rows, wide):
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort, \
+                    mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+                runs.append(_coalesce_boxes(row, lo, hi, rows))
+            calls = (argsort.call_count, lexsort.call_count)
+            assert calls == ((3, 0) if rows == n_rows else (0, 3))
+        (blo, bhi, indptr), (wlo, whi, windptr) = runs
+        self.assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr)
+        assert np.array_equal(blo, wlo) and np.array_equal(bhi, whi)
+        assert np.array_equal(windptr[: n_rows + 1], indptr)
+        assert np.all(windptr[n_rows:] == indptr[-1])
 
     def test_depth_21_tree(self):
         """Two particles 1e-6 apart split down to the key depth: cubes
