@@ -95,22 +95,19 @@ def test_table3_measured_compiled_pp_kernel(benchmark, dtype):
     soft = make_softening("dehnen_k1", 1e-3)
     kind, h, eps, r_split = native.softening_spec(soft)
     hthr = np.nextafter(np.dtype(dtype).type(h), np.dtype(dtype).type(np.inf))
-    lists = [
-        np.array([0, n_tgt]), np.array([n_tgt, n_src]),  # cell start, count
-        np.array([0]), np.array([0, 1]), np.array([1]), np.array([0]),
-        np.zeros((1, 3)),
-    ]
+    lists = dict(
+        cell_start=[0, n_tgt], cell_count=[n_tgt, n_src], n_rows=1, sink_leaves=[0],
+        indptr=[0, 1], src=[1], off=[0], offsets=np.zeros((1, 3)),
+    )
     acc = np.zeros((n_tgt, 3))
     lib = native.evaluator(0, dtype)
 
     def kernel():
         acc[...] = 0.0
-        return lib.pp_field(pos.ctypes.data, mass.ctypes.data, lists[0].ctypes.data,
-                            lists[1].ctypes.data, 1, *(a.ctypes.data for a in lists[2:]),
-                            0, kind, float(hthr), h, eps, r_split, 0, 0, acc.ctypes.data, None)
+        lib.pp_field(pos=pos, mass=mass, **lists, home_off=0, soft=kind, hthr_in=hthr, soft_h=h,
+                     soft_eps=eps, r_split=r_split, want_pot=0, s0=0, acc=acc, pot=None)
 
-    status, seconds = timed(benchmark, kernel)
-    assert status == 0
+    _, seconds = timed(benchmark, kernel)
     n_inter = n_src * n_tgt
     gflops = FLOPS_PER_MONOPOLE_PP * n_inter / seconds / 1e9
     print(
@@ -128,10 +125,10 @@ def pp_rows_case(n_sinks=400, n_sources=2000, row_len=150, seed=0):
     particles, each against a row of ``row_len`` distinct source leaves
     of 4-8 particles (means 5 and 6), the leaves small cubes scattered
     over the unit box.  Returns ``(pos, lists, interactions)``, where
-    ``lists`` are ``pp_field``'s cell start and count, sink leaves, row
-    indptr, sources, offset indices and the one (home) image offset;
-    cells ``0 .. n_sinks - 1`` are the sink leaves, and no row lists its
-    own leaf."""
+    ``lists`` are ``pp_field``'s keywords for the cell start and count,
+    the sink leaves and their number, row indptr, sources, offset
+    indices and the one (home) image offset; cells ``0 .. n_sinks - 1``
+    are the sink leaves, and no row lists its own leaf."""
     rng = np.random.default_rng(seed)
     count = np.concatenate([rng.integers(3, 8, n_sinks), rng.integers(4, 9, n_sources)])
     start = np.concatenate([[0], np.cumsum(count)[:-1]])
@@ -142,8 +139,9 @@ def pp_rows_case(n_sinks=400, n_sources=2000, row_len=150, seed=0):
     ])
     indptr = np.arange(0, n_sinks * row_len + 1, row_len)
     run = count[src].reshape(n_sinks, row_len).sum(axis=1)
-    lists = [start, count, np.arange(n_sinks), indptr, src,
-             np.zeros(len(src), dtype=np.int64), np.zeros((1, 3))]
+    lists = dict(cell_start=start, cell_count=count, n_rows=n_sinks, sink_leaves=np.arange(n_sinks),
+                 indptr=indptr, src=src, off=np.zeros(len(src), dtype=np.int64),
+                 offsets=np.zeros((1, 3)))
     return pos, lists, int((count[:n_sinks] * run).sum())
 
 
@@ -162,7 +160,7 @@ def test_table3_measured_compiled_pp_rows(benchmark, dtype):
     soft = make_softening("dehnen_k1", 1e-3)
     kind, h, eps, r_split = native.softening_spec(soft)
     hthr = np.nextafter(np.dtype(dtype).type(h), np.dtype(dtype).type(np.inf))
-    start, count, n_rows = lists[0], lists[1], len(lists[2])
+    start, count, n_rows = lists["cell_start"], lists["cell_count"], lists["n_rows"]
     n_tgt = int(count[:n_rows].sum())
     acc, pot = np.zeros((n_tgt, 3)), np.zeros(n_tgt)
     lib = native.evaluator(0, dtype)
@@ -170,19 +168,16 @@ def test_table3_measured_compiled_pp_rows(benchmark, dtype):
     def kernel():
         acc[...] = 0.0
         pot[...] = 0.0
-        return lib.pp_field(pos.ctypes.data, mass.ctypes.data, start.ctypes.data,
-                            count.ctypes.data, n_rows, *(a.ctypes.data for a in lists[2:]),
-                            0, kind, float(hthr), h, eps, r_split, 1, 0, acc.ctypes.data,
-                            pot.ctypes.data)
+        lib.pp_field(pos=pos, mass=mass, **lists, home_off=0, soft=kind, hthr_in=hthr, soft_h=h,
+                     soft_eps=eps, r_split=r_split, want_pot=1, s0=0, acc=acc, pot=pot)
 
-    status, seconds = timed(benchmark, kernel)
-    assert status == 0
+    _, seconds = timed(benchmark, kernel)
     gflops = FLOPS_PER_MONOPOLE_PP * n_inter / seconds / 1e9
     print(
         f"\nCompiled pp rows ({np.dtype(dtype).name}): {n_rows} sink leaves, "
         f"{n_inter} interactions, {gflops:.2f} Gflop/s at 28 flops/interaction"
     )
-    indptr, src = lists[3], lists[4]
+    indptr, src = lists["indptr"], lists["src"]
     for row in range(n_rows):
         cells = src[indptr[row]: indptr[row + 1]]
         idx = np.concatenate([np.arange(start[c], start[c] + count[c]) for c in cells])
@@ -212,22 +207,17 @@ def test_table3_measured_compiled_prism_row(benchmark):
     pos = np.ascontiguousarray(0.4 + 0.2 * rng.random((n, 3)))
     lo = rng.random((n_boxes, 3))
     hi = lo + 0.05 + 0.2 * rng.random((n_boxes, 3))
-    box_lo, box_hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-    one, count = np.zeros(1, dtype=np.int64), np.array([n])
-    indptr = np.array([0, n_boxes])
     acc, pot = np.zeros((n, 3)), np.zeros(n)
     lib = native.evaluator(0, np.float64)
 
     def kernel():
         acc[...] = 0.0
         pot[...] = 0.0
-        return lib.prism_field(pos.ctypes.data, one.ctypes.data, count.ctypes.data, 1,
-                               one.ctypes.data, box_lo.ctypes.data, box_hi.ctypes.data,
-                               n_boxes, indptr.ctypes.data, 1.0, 1, 0, acc.ctypes.data,
-                               pot.ctypes.data)
+        lib.prism_field(pos=pos, cell_start=[0], cell_count=[n], n_rows=1, sink_leaves=[0],
+                        box_lo=lo.T, box_hi=hi.T, n_boxes=n_boxes, indptr=[0, n_boxes], rho=1.0,
+                        want_pot=1, s0=0, acc=acc, pot=pot)
 
-    status, seconds = timed(benchmark, kernel)
-    assert status == 0
+    _, seconds = timed(benchmark, kernel)
     rows = n * n_boxes
     ns_c = seconds / rows * 1e9
     pts, blo, bhi = np.repeat(pos, n_boxes, axis=0), np.tile(lo, (n, 1)), np.tile(hi, (n, 1))

@@ -29,6 +29,14 @@ compiles each with the host's C compiler into a cache and loads it:
   unit, spawned ones get its path with their start-up arguments
   (:func:`library_paths`, :func:`adopt_libraries`), so no worker
   compiles.
+* an entry point's signature is written once, in the C text:
+  :data:`ENTRY_POINTS` reads the six prototypes from
+  :data:`~repro.multipoles.codegen.EVALUATOR_TEMPLATE` and
+  :data:`~repro.multipoles.codegen.UPWARD_SOURCE`, and a :class:`Unit`
+  exposes each as a keyword-only callable named as in the C: inputs are
+  converted, outputs refused unless they are what the C writes, the
+  keywords checked, all before any C runs, and a failed allocation is a
+  ``MemoryError``.  No other module handles a raw pointer.
 
 A host without the compiler or without libmvec fails when a solver is
 constructed, with a message naming what is missing.
@@ -44,19 +52,20 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from ..multipoles.codegen import UPWARD_SOURCE, generate_evaluator_source
+from ..multipoles.codegen import EVALUATOR_TEMPLATE, UPWARD_SOURCE, generate_evaluator_source
 from ..multipoles.radial import ErfcKernel, NewtonianKernel
 from .smoothing import DehnenK1Softening, NoSoftening, PlummerSoftening, SplineSoftening
 
 __all__ = [
-    "CC", "FLAGS", "LIBS", "evaluator", "upward", "softening_spec", "radial_spec", "cache_dir",
-    "library_paths", "adopt_libraries",
+    "CC", "FLAGS", "LIBS", "ENTRY_POINTS", "Unit", "evaluator", "upward", "softening_spec",
+    "radial_spec", "cache_dir", "library_paths", "adopt_libraries",
 ]
 
 #: the C compiler (a name on PATH)
@@ -208,29 +217,90 @@ def library_path(source: str, stem: str = "evaluator") -> Path:
     raise RuntimeError(f"cannot write the compiled {stem} to {cache_dir()} or a temporary directory")
 
 
-_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-_INT = ctypes.c_int
+#: C types of the entry points' pointer parameters -> numpy dtypes (and
+#: ``real``, the unit's dtype); of their scalars -> (ctypes type, coercion)
+_ARRAY_TYPES = {"double": np.float64, "int64_t": np.int64, "int": np.intc, "uint8_t": np.uint8}
+_SCALAR_TYPES = {"double": (ctypes.c_double, float), "int64_t": (ctypes.c_int64, int),
+                 "int": (ctypes.c_int, int)}
+_PROTOTYPE = re.compile(r"^(int|void) (\w+)\(([^)]*)\)\s*\{", re.M)
+_PARAMETER = re.compile(r"(const )?(\w+) (\*?)(\w+)")
 
-#: entry points of each unit: name -> (restype, argtypes)
-_SIGNATURES = {
-    "evaluator": {
-        "cell_field": (
-            _INT,
-            [_P] * 5 + [_I] + [_P] * 7 + [_INT, _D] + [_P] * 6 + [_INT, _I, _P, _P],
-        ),
-        "pp_field": (
-            _INT, [_P] * 4 + [_I] + [_P] * 5 + [_I, _INT] + [_D] * 4 + [_INT, _I, _P, _P]
-        ),
-        "prism_field": (
-            _INT, [_P] * 3 + [_I] + [_P] * 3 + [_I, _P, _D, _INT, _I, _P, _P]
-        ),
-    },
-    "upward": {
-        "p2m_leaves": (_INT, [_I] + [_P] * 6 + [_I, _I, _P, _I, _INT] + [_P] * 3),
-        "m2m_upward": (_INT, [_I] + [_P] * 5 + [_I, _I, _P, _I] + [_P] * 4 + [_I] + [_P] * 3),
-        "l2p_field": (None, [_I, _P, _P, _I, _I] + [_P] * 6),
-    },
-}
+
+def _prototypes(source: str) -> dict:
+    """``{name: (return type, [(parameter, C type, role)])}`` of the
+    entry points in a C text; the role is ``"in"`` for a ``const T *``,
+    ``"out"`` for another pointer and ``"scalar"`` for the rest."""
+    table = {}
+    for ret, name, params in _PROTOTYPE.findall(source):
+        parsed = (_PARAMETER.fullmatch(text.strip()).groups() for text in params.split(","))
+        table[name] = ret, [(param, ctype, "scalar" if not star else "in" if const else "out")
+                            for const, ctype, star, param in parsed]
+    return table
+
+
+#: unit kind -> its entry points, read once from the two C texts
+ENTRY_POINTS = {"evaluator": _prototypes(EVALUATOR_TEMPLATE), "upward": _prototypes(UPWARD_SOURCE)}
+
+
+def _entry_point(fn, name: str, ret: str, params: list, real):
+    """The C function ``fn`` as a keyword-only callable.
+
+    Each ``const T *`` argument is converted to a contiguous array of T;
+    an output pointer must already be a writeable C-contiguous array of
+    T, or None (a null pointer); scalars are coerced.  Every check runs
+    before the C does, and a non-zero ``int`` status is a MemoryError.
+    """
+    if real is None and any(ctype == "real" for _, ctype, _ in params):
+        raise TypeError(f"{name} reads real: the unit needs its dtype")
+    types = {**_ARRAY_TYPES, "real": real}
+    fn.argtypes = [_SCALAR_TYPES[c][0] if role == "scalar" else ctypes.c_void_p
+                   for _, c, role in params]
+    fn.restype = ctypes.c_int if ret == "int" else None
+    spec = [(param, role, _SCALAR_TYPES[c][1] if role == "scalar" else np.dtype(types[c]))
+            for param, c, role in params]
+    names = {param for param, _, _ in params}
+
+    def call(**kwargs):
+        if kwargs.keys() != names:
+            raise TypeError(f"{name}() missing {sorted(names - kwargs.keys())}, "
+                            f"unknown {sorted(kwargs.keys() - names)}")
+        args, held = [], []  # held: the converted inputs, alive until the C returns
+        for param, role, kind in spec:
+            value = kwargs[param]
+            if role == "scalar":
+                args.append(kind(value))
+            elif role == "in" and value is not None:
+                held.append(np.ascontiguousarray(value, dtype=kind))
+                args.append(held[-1].ctypes.data)
+            elif role == "out" and value is None:
+                args.append(None)
+            elif (role == "out" and isinstance(value, np.ndarray) and value.dtype == kind
+                  and value.flags.c_contiguous and value.flags.writeable):
+                args.append(value.ctypes.data)
+            else:
+                wanted = "an array of" if role == "in" else "None or a writeable C-contiguous"
+                raise TypeError(f"{name}(): {param} must be {wanted} {kind}, not "
+                                f"{type(value).__name__} {getattr(value, 'dtype', '')}".rstrip())
+        if fn(*args):
+            raise MemoryError(f"{name} could not allocate its scratch memory")
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+class Unit:
+    """A loaded compiled unit of ``kind`` (a key of ``ENTRY_POINTS``):
+    each entry point an attribute called with keywords named as in the
+    C, ``real`` taken as ``dtype``.  Any file of that kind loads this
+    way — the cached units of :func:`evaluator` and :func:`upward`, or a
+    variant build of their source (``-DBLK=n``, other flags)."""
+
+    def __init__(self, path, kind: str, dtype=None):
+        self.path = str(path)
+        self._lib = ctypes.CDLL(self.path)
+        for name, (ret, params) in ENTRY_POINTS[kind].items():
+            setattr(self, name, _entry_point(getattr(self._lib, name), name, ret, params, dtype))
+
 
 #: unit -> the library file this process loaded for it, and the files a
 #: spawned worker was handed by its parent; a unit is ("evaluator", p,
@@ -239,7 +309,7 @@ _PATHS: dict[tuple, str] = {}
 _ADOPTED: dict[tuple, str] = {}
 
 
-def evaluator(p: int, dtype) -> ctypes.CDLL:
+def evaluator(p: int, dtype) -> Unit:
     """The loaded evaluator of order ``p`` in ``dtype`` (compiled on first use).
 
     Exposes ``cell_field``, ``pp_field`` and ``prism_field``; see the
@@ -248,7 +318,7 @@ def evaluator(p: int, dtype) -> ctypes.CDLL:
     return _load("evaluator", p, np.dtype(dtype).name)
 
 
-def upward() -> ctypes.CDLL:
+def upward() -> Unit:
     """The loaded upward-pass / lattice unit (compiled on first use).
 
     Exposes ``p2m_leaves``, ``m2m_upward`` and ``l2p_field`` of
@@ -271,20 +341,12 @@ def adopt_libraries(paths: dict[tuple, str]) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _load(kind: str, *key) -> ctypes.CDLL:
+def _load(kind: str, *key) -> Unit:
     unit = (kind, *key)
     path = _ADOPTED.get(unit)
     if path is None:
         source = UPWARD_SOURCE if kind == "upward" else generate_evaluator_source(*key)
         path = str(library_path(source, kind))
-    lib = _bind(ctypes.CDLL(path), kind)
+    lib = Unit(path, kind, *key[1:])
     _PATHS[unit] = path
-    return lib
-
-
-def _bind(lib: ctypes.CDLL, kind: str = "evaluator") -> ctypes.CDLL:
-    """Declare the entry points' signatures on a loaded unit."""
-    for name, (restype, argtypes) in _SIGNATURES[kind].items():
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -219,10 +219,7 @@ class PeriodicLocalExpansion:
             self._mis_loc.alphas[:, None, :] + self._mis_src.alphas[None, :, :]
         )
         self._w = ((-1.0) ** self._mis_src.order) / self._mis_src.factorial
-        # the compiled L2P's tables (C reads them by pointer)
-        self._alphas = np.ascontiguousarray(self._mis_loc.alphas, dtype=np.int64)
         self._inv_fact = 1.0 / self._mis_loc.factorial
-        self._up = np.ascontiguousarray(self._mis_loc.up)
 
     def local_coefficients(self, box_moments: np.ndarray) -> np.ndarray:
         """L_beta (packed, order p_local + 1) from packed box moments.
@@ -244,14 +241,12 @@ class PeriodicLocalExpansion:
         the numpy order it replaced, bit for bit; the potential in table
         order, within 1e-14 of the former BLAS sum.
         """
-        loc = np.ascontiguousarray(self.local_coefficients(box_moments))
-        pos = np.ascontiguousarray(pos, dtype=np.float64)
-        center = np.full(3, self.box / 2.0)
+        loc = self.local_coefficients(box_moments)
         pot = np.empty(len(pos))
         acc = np.empty((len(pos), 3))
         native.upward().l2p_field(
-            len(pos), pos.ctypes.data, center.ctypes.data, self.p_local + 1, len(loc),
-            self._alphas.ctypes.data, self._inv_fact.ctypes.data, loc.ctypes.data,
-            self._up.ctypes.data, pot.ctypes.data, acc.ctypes.data,
+            n=len(pos), pos=pos, center=np.full(3, self.box / 2.0), pmax=self.p_local + 1,
+            ncoef=len(loc), alphas=self._mis_loc.alphas, inv_fact=self._inv_fact, local=loc,
+            up=self._mis_loc.up, pot=pot, acc=acc,
         )
         return pot, acc

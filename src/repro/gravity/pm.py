@@ -214,7 +214,6 @@ class TreePMGravity(_ForceSolver):
             # the split scale follows the box, so the spec is per call
             spec = ForceSpec(
                 periodic=True,
-                ws=1,
                 softening=ShortRangeSoftening(
                     make_softening(cfg.softening, cfg.eps), r_split
                 ),

@@ -171,10 +171,6 @@ def _background_boxes(tree, inter):
     return lo * h, hi * h, indptr
 
 
-def _p(a: np.ndarray) -> int:
-    return a.ctypes.data
-
-
 def _cells_in_c(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
     """Add the cell family's accelerations (and potentials, unless
     ``pot`` is None) of the sink particles ``pid`` into ``acc`` / ``pot``
@@ -199,32 +195,20 @@ def _cells_in_c(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
     """
     p = moms.p
     tab = field_table(p)
-    coef = np.ascontiguousarray(
-        (tab.matrix[tab.filled] @ moms.moments[:, : n_coeffs(p)].T).T
-    )
+    coef = (tab.matrix[tab.filled] @ moms.moments[:, : n_coeffs(p)].T).T
     owned = np.zeros(tree.n_particles, dtype=np.uint8)
     owned[pid] = 1
     cells = inter.cell_cells
     box_exp = math.frexp(tree.box)[1] - 1
-    row_unit = (box_exp - tree.cell_level[cells]).astype(np.int64)
-    kind, alpha, *tables = native.radial_spec(kernel, p + 1)
-    args = [
-        np.ascontiguousarray(tree.pos, dtype=np.float64), owned,
-        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_center, dtype=np.float64),
-        np.ascontiguousarray(cells, dtype=np.int64), row_unit,
-        np.ascontiguousarray(inter.cell_indptr, dtype=np.int64),
-        np.ascontiguousarray(inter.cell_src, dtype=np.int64),
-        np.ascontiguousarray(inter.cell_off, dtype=np.int64),
-        np.ascontiguousarray(inter.offsets, dtype=np.float64), coef, *tables,
-    ]
-    status = native.evaluator(p, dtype).cell_field(
-        *map(_p, args[:5]), len(cells), *map(_p, args[5:12]), kind, alpha,
-        *map(_p, args[12:]), pot is not None, s0, _p(acc), _p(pot) if pot is not None else None,
+    row_unit = box_exp - tree.cell_level[cells]
+    kind, alpha, e_pow, e_coef, e_ptr, g_pow, g_coef, g_ptr = native.radial_spec(kernel, p + 1)
+    native.evaluator(p, dtype).cell_field(
+        pos=tree.pos, owned=owned, cell_start=tree.cell_start, cell_count=tree.cell_count,
+        cell_center=tree.cell_center, n_rows=len(cells), row_cell=cells, row_unit=row_unit,
+        indptr=inter.cell_indptr, src=inter.cell_src, off=inter.cell_off, offsets=inter.offsets,
+        coef=coef, kern=kind, alpha=alpha, e_pow=e_pow, e_coef=e_coef, e_ptr=e_ptr,
+        g_pow=g_pow, g_coef=g_coef, g_ptr=g_ptr, want_pot=pot is not None, s0=s0, acc=acc, pot=pot,
     )
-    if status:
-        raise MemoryError("cell_field could not allocate its per-cell sums")
 
 
 def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
@@ -236,24 +220,13 @@ def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
     if hthr < softening.h:
         hthr = np.nextafter(hthr, np.dtype(dtype).type(np.inf))
     home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
-    args = [
-        np.ascontiguousarray(tree.pos, dtype=np.float64),
-        np.ascontiguousarray(tree.mass, dtype=dtype),
-        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
-        np.ascontiguousarray(inter.sink_leaves, dtype=np.int64),
-        np.ascontiguousarray(inter.leaf_indptr, dtype=np.int64),
-        np.ascontiguousarray(inter.leaf_src, dtype=np.int64),
-        np.ascontiguousarray(inter.leaf_off, dtype=np.int64),
-        np.ascontiguousarray(inter.offsets, dtype=np.float64),
-    ]
-    status = native.evaluator(p, dtype).pp_field(
-        *map(_p, args[:4]), len(inter.sink_leaves), *map(_p, args[4:]),
-        home_off, kind, float(hthr), h, eps, r_split, pot is not None, s0,
-        _p(acc), _p(pot) if pot is not None else None,
+    native.evaluator(p, dtype).pp_field(
+        pos=tree.pos, mass=tree.mass, cell_start=tree.cell_start, cell_count=tree.cell_count,
+        n_rows=len(inter.sink_leaves), sink_leaves=inter.sink_leaves, indptr=inter.leaf_indptr,
+        src=inter.leaf_src, off=inter.leaf_off, offsets=inter.offsets, home_off=home_off,
+        soft=kind, hthr_in=hthr, soft_h=h, soft_eps=eps, r_split=r_split,
+        want_pot=pot is not None, s0=s0, acc=acc, pot=pot,
     )
-    if status:
-        raise MemoryError("pp_field could not allocate its gathered source runs")
 
 
 def _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot):
@@ -261,21 +234,12 @@ def _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot):
     ``boxes`` (:func:`_background_boxes`) through the compiled
     ``prism_field``, which runs in float64 in the unit of any ``dtype``."""
     box_lo, box_hi, box_indptr = boxes
-    args = [
-        np.ascontiguousarray(tree.pos, dtype=np.float64),
-        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
-        np.ascontiguousarray(inter.sink_leaves, dtype=np.int64),
-        np.ascontiguousarray(box_lo, dtype=np.float64),
-        np.ascontiguousarray(box_hi, dtype=np.float64),
-        np.ascontiguousarray(box_indptr, dtype=np.int64),
-    ]
-    status = native.evaluator(p, dtype).prism_field(
-        *map(_p, args[:3]), len(inter.sink_leaves), *map(_p, args[3:6]), box_lo.shape[1],
-        _p(args[6]), rho, pot is not None, s0, _p(acc), _p(pot) if pot is not None else None,
+    native.evaluator(p, dtype).prism_field(
+        pos=tree.pos, cell_start=tree.cell_start, cell_count=tree.cell_count,
+        n_rows=len(inter.sink_leaves), sink_leaves=inter.sink_leaves, box_lo=box_lo,
+        box_hi=box_hi, n_boxes=box_lo.shape[1], indptr=box_indptr, rho=rho,
+        want_pot=pot is not None, s0=s0, acc=acc, pot=pot,
     )
-    if status:
-        raise MemoryError("prism_field could not allocate its per-particle sums")
 
 
 def evaluate_forces(

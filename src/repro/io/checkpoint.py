@@ -53,7 +53,7 @@ _SIMCFG_SKIP = frozenset({"cosmology"})
 
 #: retired SimulationConfig fields whose every other value changed the
 #: physics -> the value the code now behaves as
-_RETIRED_SIMCFG = {"adaptive": True, "dt_divider": 1, "pm_grid": 0}
+_RETIRED_SIMCFG = {"adaptive": True, "dt_divider": 1, "pm_grid": 0, "ws": 1}
 
 
 def _cosmology_key(field_name: str) -> str:

@@ -12,7 +12,6 @@ from .bounds import (
 )
 from .codegen import (
     compiled_dtensor_function,
-    derivative_tensors_generated,
     dtensors_soa,
     generate_dtensor_source,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "critical_radius",
     "cube_moments",
     "derivative_tensors",
-    "derivative_tensors_generated",
     "dtensors_soa",
     "eval_coeffs",
     "generate_dtensor_source",

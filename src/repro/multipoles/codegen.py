@@ -184,20 +184,6 @@ def dtensors_soa(x, y, z, g, p: int) -> np.ndarray:
     return fn(x, y, z, g, out, np.empty((fn.n_scratch, n), dtype=g.dtype))
 
 
-def derivative_tensors_generated(dx, kernel, p: int, dtype=np.float64):
-    """Drop-in replacement for :func:`repro.multipoles.dtensors.derivative_tensors`
-    backed by the generated unrolled kernel."""
-    dx = np.asarray(dx, dtype=np.float64)
-    r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-    g = kernel.radial_derivs(r, p)
-    out = dtensors_soa(dx[:, 0], dx[:, 1], dx[:, 2], g, p).T
-    if dtype is not np.float64:
-        out = out.astype(dtype)
-    return out
-
-
-
-
 # ----- the force evaluator, emitted as C ----------------------------------------
 
 #: entries per gathered block of the cell, pp and prism loops: a
@@ -388,7 +374,10 @@ def cell_row_ops(p: int, want_potential: bool = True) -> int:
     return geometry + body + (pot if want_potential else 0)
 
 
-_EVALUATOR_C = r"""/* Force evaluator of order $p in $real (generated by
+#: The evaluator's C text, its ``$`` fields filled per (order, dtype) by
+#: :func:`generate_evaluator_source`; its entry points' prototypes hold
+#: none, so :mod:`repro.gravity.native` reads their signatures from it.
+EVALUATOR_TEMPLATE = r"""/* Force evaluator of order $p in $real (generated by
  * repro.multipoles.codegen; do not edit).  Built with IEEE arithmetic:
  * no -ffast-math, no contraction, every sum in the order written. */
 #include <math.h>
@@ -804,7 +793,7 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
     geometry, chain, body, *_ = _field_program(p)
     tab = field_table(p)
     load_chain = "\n".join(f"real g{m} = G[{m}][j];" for m in range(p + 2))
-    return string.Template(_EVALUATOR_C).substitute(
+    return string.Template(EVALUATOR_TEMPLATE).substitute(
         p=p, real=real, sqrt="sqrtf" if real == "float" else "sqrt", blk=BLK,
         nf=int(tab.filled.sum()), ng=p + 2,
         unit_power=", ".join(str(int(v)) for v in tab.unit_power[tab.filled]),

@@ -137,7 +137,6 @@ class SimulationConfig:
     traversal: str = "hierarchical"
     #: softening length as a fraction of the mean interparticle spacing
     eps_frac: float = 0.05
-    ws: int = 1
     #: worker processes for the force traverse+evaluate stages
     #: (0 = serial; see :class:`repro.parallel.executor.ForceExecutor`)
     workers: int = 0
@@ -263,7 +262,6 @@ class Simulation:
                     nleaf=c.nleaf,
                     background=True,
                     periodic=True,
-                    ws=c.ws,
                     softening=c.softening,
                     traversal=c.traversal,
                     eps=c.eps,

@@ -131,26 +131,14 @@ def compute_moments(
     babs = np.zeros((n_cells, p + 2), dtype=np.float64)
     bmax = np.zeros(n_cells, dtype=np.float64)
     lib = native.upward()
-    # C reads raw pointers: every array it is handed is held in a list
-    # until the call returns
-    center = np.ascontiguousarray(tree.cell_center, dtype=np.float64)
-    alphas = np.ascontiguousarray(mis.alphas, dtype=np.int64)
 
     # ----- leaves: particle moments (compiled P2M) -----------------------------
-    args = [
-        np.ascontiguousarray(tree.leaf_indices, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_start, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_count, dtype=np.int64),
-        center,
-        np.ascontiguousarray(tree.pos, dtype=np.float64),
-        np.ascontiguousarray(tree.mass, dtype=np.float64),
-    ]
-    status = lib.p2m_leaves(
-        len(args[0]), *map(_ptr, args), p_store, ncoef, _ptr(alphas), p + 2,
-        _einsum_xz_first(), _ptr(moments), _ptr(babs), _ptr(bmax),
+    lib.p2m_leaves(
+        n_leaves=len(tree.leaf_indices), leaves=tree.leaf_indices, cell_start=tree.cell_start,
+        cell_count=tree.cell_count, cell_center=tree.cell_center, pos=tree.pos, mass=tree.mass,
+        pmax=p_store, ncoef=ncoef, alphas=mis.alphas, nb=p + 2, xz_first=_einsum_xz_first(),
+        moments=moments, babs=babs, bmax=bmax,
     )
-    if status:
-        raise MemoryError("p2m_leaves could not allocate its scratch rows")
 
     # ----- background at the leaf level ---------------------------------------
     if background:
@@ -166,21 +154,12 @@ def compute_moments(
 
     # ----- upward M2M, absolute moments and bmax (compiled) --------------------
     tgt, src, shift, binom = mis.translation_table
-    args = [
-        np.ascontiguousarray(tree.cell_level, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_first_child, dtype=np.int64),
-        np.ascontiguousarray(tree.cell_nchildren, dtype=np.int64),
-        center,
-        np.ascontiguousarray(tree.cell_side, dtype=np.float64),
-    ]
-    table = [np.ascontiguousarray(a, dtype=np.int64) for a in (tgt, src, shift)]
-    table.append(np.ascontiguousarray(binom, dtype=np.float64))
-    status = lib.m2m_upward(
-        n_cells, *map(_ptr, args), p_store, ncoef, _ptr(alphas), len(tgt),
-        *map(_ptr, table), p + 2, _ptr(moments), _ptr(babs), _ptr(bmax),
+    lib.m2m_upward(
+        n_cells=n_cells, cell_level=tree.cell_level, first_child=tree.cell_first_child,
+        nchildren=tree.cell_nchildren, cell_center=tree.cell_center, cell_side=tree.cell_side,
+        pmax=p_store, ncoef=ncoef, alphas=mis.alphas, n_terms=len(tgt), tgt=tgt, src=src,
+        shift=shift, binom=binom, nb=p + 2, moments=moments, babs=babs, bmax=bmax,
     )
-    if status:
-        raise MemoryError("m2m_upward could not allocate its scratch rows")
 
     # Frobenius norms (with multinomial weights) of the two top blocks
     sl1 = mis.slice_of_order(p + 1)
@@ -208,10 +187,6 @@ def compute_moments(
         mnorm2=mnorm2,
         r_crit=r_crit,
     )
-
-
-def _ptr(a: np.ndarray) -> int:
-    return a.ctypes.data
 
 
 @functools.lru_cache(maxsize=1)

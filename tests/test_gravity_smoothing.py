@@ -42,13 +42,12 @@ def evaluated(softening, r, want_potential=True):
     hthr = dtype.type(softening.h)
     if hthr < softening.h:
         hthr = np.nextafter(hthr, dtype.type(np.inf))
-    arrays = [pos, np.ones(2 * n, dtype=dtype), start, count, np.arange(n),
-              np.arange(n + 1), src, np.zeros(n, dtype=np.int64), np.zeros((1, 3))]
     acc, pot = np.zeros((n, 3)), np.zeros(n)
-    ptr = [a.ctypes.data for a in arrays]
     native.evaluator(0, dtype).pp_field(
-        *ptr[:4], n, *ptr[4:], 0, kind, float(hthr), h, eps, r_split,
-        int(want_potential), 0, acc.ctypes.data, pot.ctypes.data,
+        pos=pos, mass=np.ones(2 * n, dtype=dtype), cell_start=start, cell_count=count, n_rows=n,
+        sink_leaves=np.arange(n), indptr=np.arange(n + 1), src=src, off=np.zeros(n, np.int64),
+        offsets=np.zeros((1, 3)), home_off=0, soft=kind, hthr_in=hthr, soft_h=h, soft_eps=eps,
+        r_split=r_split, want_pot=want_potential, s0=0, acc=acc, pot=pot,
     )
     return acc[:, 0], pot
 

@@ -3,8 +3,6 @@ Hermite table, the moment matrix built from it, and the generated C
 row that evaluates the field (``repro.multipoles.hermite`` /
 ``codegen``)."""
 
-import ctypes
-
 import numpy as np
 import pytest
 
@@ -140,19 +138,18 @@ def interpreted_row(p, dtype, pos, centre, coef):
 def compiled_rows(p, dtype, pos, centre, coef):
     """``cell_field`` on n particles of one sink cell against one source
     cell, in box units: each particle's sums are its one row."""
-    lib = native.evaluator(p, dtype)
     n = len(pos)
-    arrays = [
-        np.ascontiguousarray(pos), np.ones(n, dtype=np.uint8),
-        np.array([0, n]), np.array([n, 1]), np.array([[0.5] * 3, centre]),
-        np.array([0]), np.array([0]), np.array([0, 1]), np.array([1]), np.array([0]),
-        np.zeros((1, 3)), np.ascontiguousarray(np.vstack([coef, coef])),
-    ]
-    kind, alpha, *tables = native.radial_spec(NewtonianKernel(), p + 1)
+    kind, alpha, e_pow, e_coef, e_ptr, g_pow, g_coef, g_ptr = native.radial_spec(
+        NewtonianKernel(), p + 1
+    )
     acc, pot = np.zeros((n, 3)), np.zeros(n)
-    ptr = [a.ctypes.data for a in arrays + tables]
-    assert lib.cell_field(*ptr[:5], 1, *ptr[5:12], kind, alpha, *ptr[12:], 1, 0,
-                          acc.ctypes.data, pot.ctypes.data) == 0
+    native.evaluator(p, dtype).cell_field(
+        pos=pos, owned=np.ones(n, dtype=np.uint8), cell_start=[0, n], cell_count=[n, 1],
+        cell_center=[[0.5] * 3, centre], n_rows=1, row_cell=[0], row_unit=[0], indptr=[0, 1],
+        src=[1], off=[0], offsets=np.zeros((1, 3)), coef=np.vstack([coef, coef]), kern=kind,
+        alpha=alpha, e_pow=e_pow, e_coef=e_coef, e_ptr=e_ptr, g_pow=g_pow, g_coef=g_coef,
+        g_ptr=g_ptr, want_pot=1, s0=0, acc=acc, pot=pot,
+    )
     return acc, pot
 
 

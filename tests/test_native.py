@@ -6,7 +6,6 @@ or glibc's libmvec fails when a solver is constructed, and a kernel type
 the C does not implement is refused.
 """
 
-import ctypes
 import os
 import re
 import shutil
@@ -27,6 +26,7 @@ from repro.multipoles.codegen import generate_evaluator_source
 from repro.tree import build_tree, compute_moments, traverse_hierarchical
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+MISSING = object()
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ class TestBuild:
             "def refuse(*a): raise AssertionError('compiled again')\n"
             "native._compile = refuse\n"
             "lib = native.evaluator(1, 'float32')\n"
-            "print(lib._name)",
+            "print(lib.path)",
             tmp_path,
         )
         assert second.returncode == 0, second.stderr
@@ -99,7 +99,7 @@ class TestBuild:
         native._load.cache_clear()
         try:
             lib = native.evaluator(1, np.float64)
-            assert Path(lib._name).parent == native._private_dir()
+            assert Path(lib.path).parent == native._private_dir()
         finally:
             native._load.cache_clear()
 
@@ -118,7 +118,7 @@ class TestBuild:
     def test_unit_calls_the_vector_log_and_atan(self):
         """The prism loop is vectorized with libmvec's variants, and no
         scalar log or atan is left for a remainder loop to call."""
-        names = undefined_symbols(native.evaluator(2, np.float64)._name)
+        names = undefined_symbols(native.evaluator(2, np.float64).path)
         for fn in ("log", "atan"):
             assert any(re.fullmatch(rf"_ZGV\w+_{fn}", n) for n in names), (fn, names)
             assert fn not in names
@@ -148,7 +148,7 @@ class TestBuild:
                     native._host_key.cache_clear()
                     paths.append(native.library_path(source))
                 native._host_key.cache_clear()
-                lib = native._bind(ctypes.CDLL(str(paths[-1])))
+                lib = native.Unit(paths[-1], "evaluator", dtype)
                 with mock.patch.object(native, "evaluator", lambda *key: lib):
                     results.append(evaluate_forces(tree, moms, inter, softening=soft, dtype=dtype))
                 imports = undefined_symbols(paths[-1])
@@ -218,6 +218,78 @@ class TestBuild:
             assert f"typedef {real} real;" in src and f"order {p} in {real}" in src
             assert "#ifndef BLK" in src
 
+
+
+class TestBoundary:
+    """The one declared boundary of the compiled units: signatures read
+    from the C text, keyword calls, inputs converted, outputs refused
+    unless they are what the C writes, and every check before the C."""
+
+    def pp_keywords(self, dtype=np.float32, n=40):
+        """``pp_field``'s keywords, correctly typed for the unit of
+        ``dtype``: a sink leaf of ``n`` particles against itself and a
+        second leaf of ``n``, unsoftened, with the potential."""
+        rng = np.random.default_rng(4)
+        kind, h, eps, r_split = native.softening_spec(NoSoftening())
+        return dict(
+            pos=rng.random((2 * n, 3)), mass=rng.random(2 * n).astype(dtype),
+            cell_start=np.array([0, n]), cell_count=np.array([n, n]), n_rows=1,
+            sink_leaves=np.array([0]), indptr=np.array([0, 2]), src=np.array([0, 1]),
+            off=np.array([0, 0]), offsets=np.zeros((1, 3)), home_off=0, soft=kind, hthr_in=h,
+            soft_h=h, soft_eps=eps, r_split=r_split, want_pot=1, s0=0,
+            acc=np.zeros((n, 3)), pot=np.zeros(n),
+        )
+
+    def test_table_is_the_six_entry_points_of_the_c(self):
+        arity = {kind: {name: len(params) for name, (_, params) in table.items()}
+                 for kind, table in native.ENTRY_POINTS.items()}
+        assert arity == {
+            "evaluator": {"cell_field": 25, "pp_field": 20, "prism_field": 14},
+            "upward": {"p2m_leaves": 15, "m2m_upward": 18, "l2p_field": 11},
+        }
+        for kind, lib in (("evaluator", native.evaluator(0, np.float32)),
+                          ("upward", native.upward())):
+            for name in native.ENTRY_POINTS[kind]:
+                assert getattr(lib, name).__name__ == name
+
+    @pytest.mark.parametrize("bad", [
+        {"acc": np.zeros((40, 3), dtype=np.float32)},
+        {"acc": np.zeros((40, 6))[:, ::2]},
+        {"acc": [[0.0] * 3] * 40},
+        {"pos": None},
+        {"spare": 1},
+        {"s0": MISSING},
+    ], ids=["wrong-dtype-output", "strided-output", "list-output", "null-input", "unknown",
+            "missing"])
+    def test_bad_call_raises_before_the_c_runs(self, bad):
+        kw = {k: v for k, v in {**self.pp_keywords(), **bad}.items() if v is not MISSING}
+        with pytest.raises(TypeError, match="pp_field"):
+            native.evaluator(0, np.float32).pp_field(**kw)
+        assert not kw["pot"].any()  # the C would have written every sink's potential
+
+    def test_inputs_are_converted_to_the_units_types(self):
+        """An int32 ``cell_start`` and a float64 ``mass`` handed to the
+        float32 unit: the same bits as the correctly typed call."""
+        lib = native.evaluator(0, np.float32)
+        want = self.pp_keywords()
+        lib.pp_field(**want)
+        got = self.pp_keywords()
+        got.update(cell_start=got["cell_start"].astype(np.int32),
+                   mass=got["mass"].astype(np.float64))
+        lib.pp_field(**got)
+        assert want["pot"].any() and want["acc"].any()
+        assert np.array_equal(got["acc"], want["acc"]) and np.array_equal(got["pot"], want["pot"])
+
+    def test_failed_allocation_is_a_memory_error_naming_the_entry_point(self):
+        """A sink leaf of 2^55 particles: ``prism_field`` cannot allocate
+        its per-particle sums and returns before reading a position."""
+        acc = np.zeros((1, 3))
+        with pytest.raises(MemoryError, match="prism_field"):
+            native.evaluator(0, np.float64).prism_field(
+                pos=np.zeros((1, 3)), cell_start=[0], cell_count=[2**55], n_rows=1,
+                sink_leaves=[0], box_lo=np.zeros((3, 1)), box_hi=np.ones((3, 1)), n_boxes=1,
+                indptr=[0, 1], rho=1.0, want_pot=0, s0=0, acc=acc, pot=None,
+            )
 
 class TestKernelTypes:
     def lists(self):

@@ -154,7 +154,7 @@ class TestConfigRecord:
         )
         return sim, old
 
-    @pytest.mark.parametrize("name, value", [("dt_divider", 2), ("adaptive", False)])
+    @pytest.mark.parametrize("name, value", [("dt_divider", 2), ("adaptive", False), ("ws", 2)])
     def test_retired_setting_at_another_value_refuses_to_resume(
         self, tmp_path, name, value
     ):
@@ -168,7 +168,7 @@ class TestConfigRecord:
 
     def test_retired_settings_at_their_values_resume_bit_identically(self, tmp_path):
         sim, old = self._with_retired(
-            tmp_path, {"adaptive": True, "dt_divider": 1, "pm_grid": 0}
+            tmp_path, {"adaptive": True, "dt_divider": 1, "pm_grid": 0, "ws": 1}
         )
         resumed = Simulation.resume(old)
         assert resumed.config == sim.config

@@ -23,3 +23,14 @@ def test_guard_reports_a_hit_and_spares_the_one_allowed_line(tmp_path):
     hits = guard.find_retired(tmp_path)
     assert len(hits) == 1 and hits[0].startswith("src/repro/__init__.py:2: ")
     assert "PR 23" in hits[0]
+
+
+def test_a_row_spares_the_one_file_it_names(tmp_path):
+    """Raw pointers are the binding's own business: ``native.py`` may
+    take them, any other file may not."""
+    gravity = tmp_path / "src" / "repro" / "gravity"
+    gravity.mkdir(parents=True)
+    for name in ("native.py", "treeforce.py"):
+        (gravity / name).write_text("address = array.ctypes" + ".data\n")  # (not a hit here)
+    hits = guard.find_retired(tmp_path)
+    assert [hit.split(":")[0] for hit in hits] == ["src/repro/gravity/treeforce.py"]

@@ -10,7 +10,6 @@ per-leaf view (``tests.oracle.cell_leaf_csr``).
 """
 
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -48,7 +47,7 @@ from .oracle import cell_leaf_csr, oracle_forces, per_cube_background
 def unit_with_block(p, dtype_name, blk):
     """The compiled evaluator of order ``p`` built with ``BLK`` = ``blk``."""
     source = f"#define BLK {blk}\n" + generate_evaluator_source(p, dtype_name)
-    return native._bind(ctypes.CDLL(str(native.library_path(source))))
+    return native.Unit(native.library_path(source), "evaluator", dtype_name)
 
 
 def evaluate_with_blocks(tree, moms, inter, blk=None, **kw):
@@ -1443,20 +1442,14 @@ def compiled_prism(points, lo, hi, rho, blk=None, want_potential=True):
     against the boxes ``[lo[i], hi[i]]`` (shape (n_boxes, 3)), summed in
     box order.  Returns (acc, pot); pot is None without the potential."""
     lib = native.evaluator(2, np.float64) if blk is None else unit_with_block(2, "float64", blk)
-    pos = np.ascontiguousarray(points, dtype=np.float64)
-    n, n_boxes = len(pos), len(lo)
-    one = np.zeros(1, dtype=np.int64)
-    count, indptr = np.array([n], dtype=np.int64), np.array([0, n_boxes], dtype=np.int64)
-    box_lo = np.ascontiguousarray(np.asarray(lo, dtype=np.float64).T)
-    box_hi = np.ascontiguousarray(np.asarray(hi, dtype=np.float64).T)
+    n, n_boxes = len(points), len(lo)
     acc = np.zeros((n, 3))
     pot = np.zeros(n) if want_potential else None
-    status = lib.prism_field(
-        pos.ctypes.data, one.ctypes.data, count.ctypes.data, 1, one.ctypes.data,
-        box_lo.ctypes.data, box_hi.ctypes.data, n_boxes, indptr.ctypes.data, rho,
-        want_potential, 0, acc.ctypes.data, pot.ctypes.data if want_potential else None,
+    lib.prism_field(
+        pos=points, cell_start=[0], cell_count=[n], n_rows=1, sink_leaves=[0],
+        box_lo=np.transpose(lo), box_hi=np.transpose(hi), n_boxes=n_boxes, indptr=[0, n_boxes],
+        rho=rho, want_pot=want_potential, s0=0, acc=acc, pot=pot,
     )
-    assert status == 0
     return acc, pot
 
 

@@ -2,7 +2,7 @@
 """A/B the whole-step benchmark between a revision and the working tree::
 
     python tools/ab_step.py REV [--workloads clustered_hier_w2,clustered_hier]
-        [--pairs 10] [--seeds 1,13] [--traced 1] [--out receipt.json] [--scratch DIR]
+        [--pairs 10] [--seeds 1,13] [--traced 5] [--out receipt.json] [--scratch DIR]
 
 Copies REV (``git archive``) and the working tree (its tracked and
 untracked, not ignored, files) into two fresh directories and runs
@@ -11,8 +11,8 @@ alternating pairs: pair i runs REV first when i is even and the working
 tree first when it is odd, so a slow spell of the host costs both sides
 alike.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so neither side
 reads bytecode the other did not compile.  ``--traced`` more pairs a
-workload and seed run with ``--trace 1`` and give both sides' per-layer
-medians.
+workload and seed (default 5: one traced run is one sample, not a
+median) run with ``--trace 1`` and give both sides' per-layer medians.
 
 For every workload and seed it prints each end-to-end metric's median
 and quartiles on both sides and the working tree's wins, and says
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="clustered_hier_w2")
     ap.add_argument("--pairs", type=int, default=10, help="untraced pairs a workload and seed")
     ap.add_argument("--seeds", default="1,13")
-    ap.add_argument("--traced", type=int, default=1, help="traced pairs a workload and seed")
+    ap.add_argument("--traced", type=int, default=5, help="traced pairs a workload and seed")
     ap.add_argument("--out", help="write the JSON receipt here")
     ap.add_argument("--scratch", help="make the two trees under this directory (default: temp)")
     args = ap.parse_args(argv)

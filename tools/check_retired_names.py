@@ -4,7 +4,8 @@
 Every answered A/B (DESIGN.md) deleted code; this guard fails when a
 name from one of them comes back.  One table: a regular expression, the
 files or directories (relative to the repository root) it must not
-occur in, and which removal it protects.  Run by the CI lint job and by
+occur in — a root written ``!path`` is a file the row spares — and
+which removal it protects.  Run by the CI lint job and by
 ``tests/test_retired_names.py``::
 
     python tools/check_retired_names.py
@@ -256,6 +257,22 @@ RETIRED.append((
     "the compiled upward pass and lattice L2P: numpy's m2m, l2p and M2M loop are test references",
 ))
 
+RETIRED.append((
+    r"\.ctypes\.data|_SIGNATURES|native\._bind",
+    ("src", "tests", "benchmarks", "examples", "tools", "!src/repro/gravity/native.py"),
+    "one declared boundary: the compiled units are called by keyword through native.Unit",
+))
+RETIRED.append((
+    r"SimulationConfig\([^)]*\bws=",
+    (*CALLERS, "README.md"),
+    "a setting earns a caller: a simulation traverses the near images |n| <= 1",
+))
+RETIRED.append((
+    r"\bws[:=]|\.ws\b",
+    ("src/repro/simulation", "src/repro/pipeline"),
+    "a setting earns a caller: a simulation traverses the near images |n| <= 1",
+))
+
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
 ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
 
@@ -284,8 +301,11 @@ def find_retired(repo: Path = REPO) -> list[str]:
     hits = []
     for pattern, roots, what in RETIRED:
         rx = re.compile(pattern)
+        spared = {repo / root[1:] for root in roots if root.startswith("!")}
         for root in roots:
-            for path in files(root):
+            for path in files(root) if not root.startswith("!") else []:
+                if path in spared:
+                    continue
                 for n, line in enumerate(lines(path), 1):
                     if rx.search(line) and not ALLOWED.match(line):
                         hits.append(f"{path.relative_to(repo)}:{n}: {line.strip()}  [{what}]")
