@@ -29,15 +29,13 @@ def test_fig1_skymap_contrast(benchmark):
     def run():
         out = run_cached(CFG)
         sphere = EqualAreaSphere(6)  # coarse pixels: >> 1 particle each
-        obs = [0.5, 0.5, 0.5]
-        sky_final = project_to_sky(
-            out["pos"], out["mass"], obs, sphere, r_min=0.1, r_max=0.45
-        )
+        # the observer sits at the box centre
+        sky_final = project_to_sky(out["pos"], out["mass"], sphere, r_min=0.1, r_max=0.45)
         ic = generate_ic(
             PLANCK2013,
             ICConfig(n_per_dim=12, box_mpc_h=72.0, a_init=0.02, seed=42),
         )
-        sky_init = project_to_sky(ic.pos, ic.mass, obs, sphere, r_min=0.1, r_max=0.45)
+        sky_init = project_to_sky(ic.pos, ic.mass, sphere, r_min=0.1, r_max=0.45)
         # particles per pixel sets the shot-noise floor to subtract
         n_shell = ((np.linalg.norm((out["pos"] - 0.5 + 0.5) % 1.0 - 0.5, axis=1)
                     <= 0.45)).sum()

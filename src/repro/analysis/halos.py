@@ -56,10 +56,9 @@ def fof_halos(
     pos: np.ndarray,
     mass: np.ndarray,
     linking_length: float = 0.2,
-    box: float = 1.0,
     min_members: int = 20,
 ) -> FOFResult:
-    """Periodic friends-of-friends groups.
+    """Periodic friends-of-friends groups of positions in the unit box.
 
     Parameters
     ----------
@@ -69,10 +68,10 @@ def fof_halos(
     min_members:
         Groups below this size get label -1 (field particles).
     """
-    pos = np.asarray(pos, dtype=np.float64) % box
+    pos = np.asarray(pos, dtype=np.float64) % 1.0
     n = len(pos)
-    ll = linking_length * box / n ** (1.0 / 3.0)
-    tree = cKDTree(pos, boxsize=box)
+    ll = linking_length / n ** (1.0 / 3.0)
+    tree = cKDTree(pos, boxsize=1.0)
     pairs = tree.query_pairs(ll, output_type="ndarray")
     graph = sparse.coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
@@ -97,7 +96,7 @@ def fof_halos(
         )
         # periodic-aware center of mass: average unit-circle phases
         for ax in range(3):
-            theta = pos[:, ax] / box * 2 * np.pi
+            theta = pos[:, ax] * 2 * np.pi
             grouped = labels >= 0
             c = np.bincount(
                 labels[grouped], weights=(m * np.cos(theta))[grouped], minlength=n_groups
@@ -105,7 +104,7 @@ def fof_halos(
             s = np.bincount(
                 labels[grouped], weights=(m * np.sin(theta))[grouped], minlength=n_groups
             )
-            centers[:, ax] = (np.arctan2(s, c) % (2 * np.pi)) / (2 * np.pi) * box
+            centers[:, ax] = (np.arctan2(s, c) % (2 * np.pi)) / (2 * np.pi)
     return FOFResult(
         labels=labels, n_groups=n_groups, sizes=sizes, centers=centers, masses=masses
     )
@@ -116,10 +115,8 @@ def so_masses(
     mass: np.ndarray,
     seeds: np.ndarray,
     delta: float = 200.0,
-    box: float = 1.0,
-    rho_mean: float | None = None,
 ) -> HaloCatalog:
-    """Spherical-overdensity masses about seed centers.
+    """Spherical-overdensity masses about seed centers in the unit box.
 
     For each seed, particles are sorted by (periodic) radius and the
     enclosed density profile rho(<r) = M(<r) / (4/3 pi r^3) is scanned
@@ -130,26 +127,25 @@ def so_masses(
     dropped.  The center is refined once by recentering on the
     center of mass of the inner third of the initial sphere (a cheap
     stand-in for ROCKSTAR's density maximum).  The profile is scanned
-    out to a quarter of the box.
+    out to a quarter of the box.  In the unit box rho_mean is the
+    total mass.
     """
-    pos = np.asarray(pos, dtype=np.float64) % box
+    pos = np.asarray(pos, dtype=np.float64) % 1.0
     m = np.asarray(mass, dtype=np.float64)
-    if rho_mean is None:
-        rho_mean = m.sum() / box**3
-    tree = cKDTree(pos, boxsize=box)
-    thresh = delta * rho_mean
+    tree = cKDTree(pos, boxsize=1.0)
+    thresh = delta * m.sum()
 
     centers, m_out, r_out, n_out = [], [], [], []
-    r_max = 0.25 * box
+    r_max = 0.25
     for seed in np.atleast_2d(seeds):
-        center = np.asarray(seed, dtype=np.float64) % box
+        center = np.asarray(seed, dtype=np.float64) % 1.0
         for _pass in range(2):
             idx = tree.query_ball_point(center, r_max)
             if not idx:
                 break
             idx = np.asarray(idx)
             d = pos[idx] - center
-            d -= np.round(d / box) * box
+            d -= np.round(d)
             r = np.sqrt(np.einsum("ij,ij->i", d, d))
             order = np.argsort(r)
             r_sorted = r[order]
@@ -158,7 +154,7 @@ def so_masses(
                 # recenter on the inner particles
                 inner = order[: max(8, len(order) // 10)]
                 w = m[idx][inner]
-                center = (center + (d[inner] * w[:, None]).sum(0) / w.sum()) % box
+                center = (center + (d[inner] * w[:, None]).sum(0) / w.sum()) % 1.0
         else:
             pass
         if not len(idx):

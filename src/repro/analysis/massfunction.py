@@ -75,9 +75,8 @@ class WarrenMassFunction:
         s = np.asarray(sigma, dtype=np.float64)
         return 0.7234 * (s**-1.625 + 0.2538) * np.exp(-1.1982 / s**2)
 
-    def dn_dlnm(self, params: CosmologyParams, m_msun_h, a: float = 1.0,
-                power: LinearPower | None = None):
-        return _dn_dlnm(self, params, m_msun_h, a, power)
+    def dn_dlnm(self, params: CosmologyParams, m_msun_h, power: LinearPower | None = None):
+        return _dn_dlnm(self, params, m_msun_h, power)
 
 
 # Tinker et al. 2008, Table 2 parameter rows (Delta_mean, A, a, b, c)
@@ -126,20 +125,18 @@ class TinkerMassFunction:
         s = np.asarray(sigma, dtype=np.float64)
         return big_a * ((s / b) ** -small_a + 1.0) * np.exp(-c / s**2)
 
-    def dn_dlnm(self, params: CosmologyParams, m_msun_h, a: float = 1.0,
-                power: LinearPower | None = None):
-        return _dn_dlnm(self, params, m_msun_h, a, power)
+    def dn_dlnm(self, params: CosmologyParams, m_msun_h, power: LinearPower | None = None):
+        return _dn_dlnm(self, params, m_msun_h, power)
 
 
-def _dn_dlnm(fit, params: CosmologyParams, m_msun_h, a: float, power):
-    """dn/dlnM = f(sigma) (rho_m / M) |dln sigma / dln M|."""
+def _dn_dlnm(fit, params: CosmologyParams, m_msun_h, power):
+    """dn/dlnM = f(sigma) (rho_m / M) |dln sigma / dln M| at z = 0."""
     lp = power or LinearPower(params)
     m = np.atleast_1d(np.asarray(m_msun_h, dtype=np.float64))
-    sigma = lp.sigma_m(m, a=a)
+    sigma = lp.sigma_m(m)
     dls = lp.dlnsigma_dlnm(m)
-    z = 1.0 / a - 1.0
     try:
-        f = fit.f(sigma, z)
+        f = fit.f(sigma, 0.0)
     except TypeError:
         f = fit.f(sigma)
     rho = params.rho_mean0

@@ -39,11 +39,9 @@ def measure_power(
     pos: np.ndarray,
     box_mpc_h: float,
     ngrid: int = 128,
-    n_bins: int | None = None,
     subtract_shot_noise: bool = True,
-    mass: np.ndarray | None = None,
 ) -> PowerSpectrumResult:
-    """Estimate P(k) of a particle distribution.
+    """Estimate P(k) of equal-mass particles.
 
     Parameters
     ----------
@@ -51,16 +49,13 @@ def measure_power(
         (N, 3) positions in [0, 1)^3 (unit box; ``box_mpc_h`` supplies
         the physical scale).
     ngrid:
-        FFT mesh size (Nyquist k = pi ngrid / box).
-    n_bins:
-        Linear k bins up to Nyquist (default ngrid // 2).
+        FFT mesh size (Nyquist k = pi ngrid / box), binned in
+        ``ngrid // 2`` linear k bins up to Nyquist.
     """
     pos = np.asarray(pos, dtype=np.float64)
     n_part = len(pos)
-    if mass is None:
-        mass = np.ones(n_part)
     pm = ParticleMesh(ngrid, 1.0)
-    grid = pm.deposit(pos % 1.0, mass / np.sum(mass))  # normalized mass
+    grid = pm.deposit(pos % 1.0, np.full(n_part, 1.0 / n_part))  # normalized mass
     mean = grid.mean()
     delta = grid / mean - 1.0
     dk = np.fft.rfftn(delta)
@@ -90,7 +85,7 @@ def measure_power(
         weight[:, :, -1] = 1.0
 
     knyq = np.pi * n / box_mpc_h
-    nb = n_bins or (n // 2)
+    nb = n // 2
     edges = np.linspace(0.0, knyq, nb + 1)
     flat_k = kmag.ravel()
     flat_p = pk3d.ravel()

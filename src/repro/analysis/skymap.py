@@ -8,8 +8,8 @@ HEALPix library this module provides the same two ingredients:
   longitude counts proportional to cos(latitude) — not HEALPix's
   scheme, but equal-area and sufficient for density statistics),
 * projection of a particle snapshot onto the sphere around an
-  observer, weighting each particle into its pixel, plus Mollweide
-  (x, y) coordinates for plotting.
+  observer at the centre of the unit box, weighting each particle into
+  its pixel, plus Mollweide (x, y) coordinates for plotting.
 
 The quantitative check mirrors the paper's caption: "the statistical
 measurements of the smaller details match" — tests compare the
@@ -76,20 +76,19 @@ class EqualAreaSphere:
 def project_to_sky(
     pos: np.ndarray,
     mass: np.ndarray,
-    observer: np.ndarray,
     sphere: EqualAreaSphere,
-    box: float = 1.0,
     r_min: float = 0.05,
     r_max: float = 0.5,
 ) -> np.ndarray:
     """Project particles in a radial shell onto sky pixels.
 
-    Returns the density-contrast map (mass per pixel / mean - 1).
-    Periodic minimum-image geometry around the observer.
+    Returns the density-contrast map (mass per pixel / mean - 1).  The
+    observer sits at the centre (0.5, 0.5, 0.5) of the unit box, and
+    each particle is seen at its periodic minimum image.
     """
     pos = np.asarray(pos, dtype=np.float64)
-    d = pos - np.asarray(observer, dtype=np.float64)
-    d -= np.round(d / box) * box
+    d = pos - 0.5
+    d -= np.round(d)
     r = np.linalg.norm(d, axis=1)
     sel = (r >= r_min) & (r <= r_max)
     if not np.any(sel):
@@ -102,10 +101,10 @@ def project_to_sky(
     return sky / mean - 1.0
 
 
-def mollweide_xy(unit_vec: np.ndarray, iterations: int = 20) -> np.ndarray:
+def mollweide_xy(unit_vec: np.ndarray) -> np.ndarray:
     """Mollweide projection coordinates of unit vectors (for plotting).
 
-    Solves 2 theta + sin(2 theta) = pi sin(lat) by Newton iteration;
+    Solves 2 theta + sin(2 theta) = pi sin(lat) by 20 Newton steps;
     returns (N, 2) with x in [-2 sqrt2, 2 sqrt2], y in [-sqrt2, sqrt2].
     """
     v = np.asarray(unit_vec, dtype=np.float64)
@@ -113,7 +112,7 @@ def mollweide_xy(unit_vec: np.ndarray, iterations: int = 20) -> np.ndarray:
     lon = np.arctan2(v[:, 1], v[:, 0])
     theta = lat.copy()
     target = np.pi * np.sin(lat)
-    for _ in range(iterations):
+    for _ in range(20):
         f = 2 * theta + np.sin(2 * theta) - target
         fp = 2 + 2 * np.cos(2 * theta)
         step = np.where(np.abs(fp) > 1e-12, f / np.maximum(fp, 1e-12), 0.0)

@@ -119,8 +119,8 @@ class GrowthCalculator:
         return float(f[0]) if scalar else f
 
     # ----- analytic (Heath) growth ----------------------------------------------
-    def growth_heath(self, a, normalize: bool = True):
-        """Heath (1977) integral growth factor.
+    def growth_heath(self, a):
+        """Heath (1977) integral growth factor, normalized to D(1) = 1.
 
         D(a) ∝ H(a) ∫_0^a da' / (a' H(a'))^3.  Exact for cosmologies with
         matter, curvature and a cosmological constant but **no radiation**;
@@ -143,9 +143,7 @@ class GrowthCalculator:
 
         a = np.asarray(a, dtype=float)
         scalar = a.ndim == 0
-        d = np.array([one(av) for av in np.atleast_1d(a)])
-        if normalize:
-            d = d / one(1.0)
+        d = np.array([one(av) for av in np.atleast_1d(a)]) / one(1.0)
         return float(d[0]) if scalar else d
 
     # ----- 2LPT ------------------------------------------------------------------

@@ -128,11 +128,11 @@ class CosmologyParams:
 
 
 def _flat(omega_m: float, omega_b: float, h: float, sigma8: float, n_s: float,
-          name: str, include_radiation: bool = True, **kw) -> CosmologyParams:
+          name: str) -> CosmologyParams:
     """Build a spatially flat cosmology (omega_de from closure)."""
     probe = CosmologyParams(
         omega_m=omega_m, omega_b=omega_b, omega_de=0.0, h=h,
-        sigma8=sigma8, n_s=n_s, include_radiation=include_radiation, name=name, **kw
+        sigma8=sigma8, n_s=n_s, name=name,
     )
     return probe.with_(omega_de=1.0 - omega_m - probe.omega_r)
 

@@ -200,15 +200,15 @@ class LinearPower:
         t = self.transfer(k)
         return self._norm * k**self.params.n_s * t * t * d * d
 
-    def delta2(self, k, a: float = 1.0):
-        """Dimensionless power Δ²(k) = k³ P(k) / (2π²) (paper eq. 3 uses
-        δ_k² with the dk/k measure, i.e. this quantity)."""
+    def delta2(self, k):
+        """Dimensionless power Δ²(k) = k³ P(k) / (2π²) at z = 0 (paper eq. 3
+        uses δ_k² with the dk/k measure, i.e. this quantity)."""
         k = np.asarray(k, dtype=float)
-        return k**3 * self.power(k, a) / (2.0 * np.pi**2)
+        return k**3 * self.power(k) / (2.0 * np.pi**2)
 
     # ----- variances -----------------------------------------------------------------
-    def sigma_r(self, r_mpc_h: float, a: float = 1.0) -> float:
-        """RMS linear fluctuation in top-hat spheres of radius r [Mpc/h].
+    def sigma_r(self, r_mpc_h: float) -> float:
+        """RMS linear fluctuation at z = 0 in top-hat spheres of radius r [Mpc/h].
 
         sigma^2(r) = ∫ (dk/k) Δ²(k) W(kr)^2 — the integral of paper
         eq. (3).  For r = 100 Mpc/h in the standard model the paper
@@ -218,7 +218,7 @@ class LinearPower:
 
         def integrand(lnk):
             k = math.exp(lnk)
-            return float(self.delta2(k, a) * tophat_window(k * r_mpc_h) ** 2)
+            return float(self.delta2(k) * tophat_window(k * r_mpc_h) ** 2)
 
         lo = max(1e-5, self.kmin)
         hi = min(1e3 / r_mpc_h * 50.0, self.kmax)
@@ -231,13 +231,13 @@ class LinearPower:
         )
         return math.sqrt(val)
 
-    def sigma_m(self, m_msun_h, a: float = 1.0):
-        """sigma(M): RMS fluctuation in spheres enclosing mean mass M [Msun/h]."""
+    def sigma_m(self, m_msun_h):
+        """sigma(M) at z = 0: RMS fluctuation in spheres enclosing mean mass M [Msun/h]."""
         m = np.asarray(m_msun_h, dtype=float)
         rho = self.params.rho_mean0
         r = (3.0 * m / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
         scalar = r.ndim == 0
-        out = np.array([self.sigma_r(float(rv), a) for rv in np.atleast_1d(r)])
+        out = np.array([self.sigma_r(float(rv)) for rv in np.atleast_1d(r)])
         return float(out[0]) if scalar else out
 
     def dlnsigma_dlnm(self, m_msun_h):

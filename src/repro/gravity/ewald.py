@@ -113,21 +113,17 @@ class EwaldSummation:
         )
 
     # ----- N-body fields ------------------------------------------------------------
-    def accelerations(
-        self, pos: np.ndarray, mass: np.ndarray, targets: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Exact periodic accelerations (O(N^2 * images), use small N)."""
+    def accelerations(self, pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """Exact periodic accelerations of the particles (O(N^2 * images),
+        use small N)."""
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        self_field = targets is None
-        tgt = pos if self_field else np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        out = np.zeros((len(tgt), 3), dtype=np.float64)
-        for i in range(len(tgt)):
-            dx = tgt[i][None, :] - pos
+        out = np.zeros((len(pos), 3), dtype=np.float64)
+        for i in range(len(pos)):
+            dx = pos[i][None, :] - pos
             keep = np.ones(len(pos), dtype=bool)
-            if self_field:
-                # its own periodic images are antisymmetric: zero net force
-                keep[i] = False
+            # its own periodic images are antisymmetric: zero net force
+            keep[i] = False
             acc = self.acceleration_pair(dx[keep]) * mass[keep][:, None]
             out[i] = acc.sum(axis=0)
         return out

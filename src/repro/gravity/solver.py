@@ -416,13 +416,12 @@ class TreecodeGravity(_ForceSolver):
         pos: np.ndarray,
         mass: np.ndarray,
         box: float = 1.0,
-        mean_density: float | None = None,
         tracer=None,
     ) -> ForceResult:
         """Build the tree and evaluate accelerations (and potentials).
 
-        ``mean_density`` defaults to total mass / box^3, which is the
-        right background for a periodic cosmological volume.  With a
+        The background density is total mass / box^3, the right one for
+        a periodic cosmological volume.  With a
         real tracer (passed here or installed via ``set_tracer``) the
         per-stage wall times — build / moments / traverse / evaluate /
         lattice, Table 2's rows — land in ``result.stats`` under
@@ -431,8 +430,7 @@ class TreecodeGravity(_ForceSolver):
         """
         cfg = self.config
         tr = tracer if tracer is not None else get_tracer()
-        if mean_density is None:
-            mean_density = float(np.sum(mass)) / box**3
+        mean_density = float(np.sum(mass)) / box**3
         with tr.span("force") as sp_force:
             with tr.span("build") as sp_build:
                 tree = build_tree(

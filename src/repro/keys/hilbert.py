@@ -69,12 +69,10 @@ def hilbert_from_coords(coords: np.ndarray, bits: int = KEY_BITS) -> np.ndarray:
     return (ix << np.uint64(2)) | (iy << np.uint64(1)) | iz
 
 
-def hilbert_keys_from_positions(
-    pos: np.ndarray, box: float = 1.0, bits: int = KEY_BITS
-) -> np.ndarray:
-    """Hilbert keys for positions in [0, box)^3 (for domain decomposition)."""
+def hilbert_keys_from_positions(pos: np.ndarray, bits: int = KEY_BITS) -> np.ndarray:
+    """Hilbert keys for positions in the unit box [0, 1)^3 (for domain decomposition)."""
     pos = np.asarray(pos, dtype=np.float64)
-    scale = (1 << bits) / box
+    scale = float(1 << bits)
     q = np.floor(pos * scale).astype(np.int64)
     np.clip(q, 0, (1 << bits) - 1, out=q)
     return hilbert_from_coords(q.astype(np.uint64), bits)

@@ -89,14 +89,14 @@ def keys_from_positions(pos: np.ndarray, box: float = 1.0) -> np.ndarray:
     return key | (np.uint64(1) << np.uint64(3 * KEY_BITS))
 
 
-def positions_from_keys(keys: np.ndarray, box: float = 1.0) -> np.ndarray:
-    """Centers of the full-depth cells addressed by ``keys``."""
+def positions_from_keys(keys: np.ndarray) -> np.ndarray:
+    """Centers of the full-depth cells addressed by ``keys``, in the unit box."""
     keys = np.asarray(keys, dtype=np.uint64)
     body = keys & ~(np.uint64(1) << np.uint64(3 * KEY_BITS))
     ix = compact_bits(body)
     iy = compact_bits(body >> np.uint64(1))
     iz = compact_bits(body >> np.uint64(2))
-    cell = box / (1 << KEY_BITS)
+    cell = 1.0 / (1 << KEY_BITS)
     out = np.empty(keys.shape + (3,), dtype=np.float64)
     out[..., 0] = (ix.astype(np.float64) + 0.5) * cell
     out[..., 1] = (iy.astype(np.float64) + 0.5) * cell

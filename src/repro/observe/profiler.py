@@ -12,8 +12,8 @@ from __future__ import annotations
 __all__ = ["top_functions"]
 
 
-def top_functions(prof, n: int = 15) -> list[dict]:
-    """Top-N hot functions of a ``cProfile.Profile`` by self time.
+def top_functions(prof) -> list[dict]:
+    """The 15 hottest functions of a ``cProfile.Profile`` by self time.
 
     Each entry carries function, trimmed file:line, call count, self
     seconds and cumulative seconds — the attribution the registry keeps
@@ -32,7 +32,7 @@ def top_functions(prof, n: int = 15) -> list[dict]:
             "cum_s": round(ct, 6),
         })
     rows.sort(key=lambda r: r["self_s"], reverse=True)
-    return rows[:n]
+    return rows[:15]
 
 
 def _trim_path(path: str) -> str:

@@ -38,10 +38,10 @@ KIND_STAGE = "pipeline_stage"
 KIND_BENCH = "bench"
 
 
-def registry_dir(explicit=None, default=DEFAULT_DIR):
+def registry_dir(explicit=None):
     """The registry root: ``explicit`` (``--dir``), else ``REPRO_OBS_DIR``,
-    else ``default``."""
-    return explicit or os.environ.get("REPRO_OBS_DIR", "").strip() or default
+    else :data:`DEFAULT_DIR`."""
+    return explicit or os.environ.get("REPRO_OBS_DIR", "").strip() or DEFAULT_DIR
 
 
 def metric_value(record: dict, metric: str):
@@ -138,8 +138,7 @@ class RunRegistry:
             raise LookupError(f"record index {idx} out of range (1..{len(recs)})")
         return recs[pos]
 
-    def series(self, metric: str, kind: str | None = None,
-               key: str | None = None, limit: int | None = None):
+    def series(self, metric: str, kind: str | None = None, key: str | None = None):
         """``(record, value)`` pairs, oldest-first, for records where
         ``metric`` resolves to a number."""
         out = []
@@ -147,7 +146,5 @@ class RunRegistry:
             v = metric_value(rec, metric)
             if v is not None:
                 out.append((rec, v))
-        if limit is not None:
-            out = out[len(out) - min(limit, len(out)):]
         return out
 

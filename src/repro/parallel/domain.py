@@ -66,9 +66,9 @@ def decompose(
     n_ranks: int,
     weights: np.ndarray | None = None,
     curve: str = "morton",
-    box: float = 1.0,
 ) -> Decomposition:
-    """Split particles into ``n_ranks`` SFC-contiguous, work-balanced domains.
+    """Split particles in the unit box into ``n_ranks`` SFC-contiguous,
+    work-balanced domains.
 
     ``weights`` are per-particle work estimates (interaction counts
     from the previous step in HOT); :func:`sfc_cut` equalizes their
@@ -79,7 +79,7 @@ def decompose(
     if not 1 <= n_ranks <= len(pos):
         raise ValueError(f"n_ranks must be in [1, {len(pos)}], got {n_ranks}")
     pos = np.asarray(pos, dtype=np.float64)
-    keys = _ENCODE[curve](pos % box, box)
+    keys = _ENCODE[curve](pos % 1.0)
     order = np.argsort(keys, kind="stable")
     w = np.ones(len(pos)) if weights is None else np.asarray(weights, dtype=np.float64)
     # each rank's first key splits it from the rank before
@@ -92,8 +92,7 @@ _SURFACE_PROBES = 4000
 
 
 def domain_surface_stats(
-    pos: np.ndarray, decomp: Decomposition, probe: float = 0.02, box: float = 1.0,
-    rng: np.random.Generator | None = None,
+    pos: np.ndarray, decomp: Decomposition, probe: float = 0.02
 ) -> dict:
     """Compactness diagnostics of a decomposition (Fig. 4's point).
 
@@ -101,17 +100,17 @@ def domain_surface_stats(
     boundary (a proxy for the communication surface) by sampling
     particle pairs at separation ~probe and counting cross-domain
     pairs, plus the mean spatial extent of each domain.  At most
-    :data:`_SURFACE_PROBES` particles are sampled.
+    :data:`_SURFACE_PROBES` particles are sampled, with a fixed seed.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     pos = np.asarray(pos, dtype=np.float64)
     n = len(pos)
     take = min(_SURFACE_PROBES, n)
     idx = rng.choice(n, take, replace=False)
     u = rng.standard_normal((take, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
-    partner = (pos[idx] + probe * u) % box
-    pk = _ENCODE[decomp.curve](partner, box)
+    partner = (pos[idx] + probe * u) % 1.0
+    pk = _ENCODE[decomp.curve](partner)
     partner_rank = np.searchsorted(decomp.splitters, pk, side="right")
     cross = partner_rank != decomp.rank_of[idx]
     # domain extents

@@ -114,10 +114,9 @@ def flops_per_prism_interaction(want_potential: bool = True) -> int:
     return 12 + 4 + 8 * per_corner + (4 if want_potential else 3)
 
 
-def flops_per_particle(
-    interaction_mix: dict, want_potential: bool = True
-) -> float:
-    """Total flops per particle for a mix {order_or_'pp': count_per_particle}.
+def flops_per_particle(interaction_mix: dict) -> float:
+    """Total flops per particle for a mix {order_or_'pp': count_per_particle},
+    potentials included.
 
     Example reproducing the paper's Table 2 arithmetic::
 
@@ -128,7 +127,7 @@ def flops_per_particle(
         if key == "pp":
             total += FLOPS_PER_MONOPOLE_PP * count
         else:
-            total += flops_per_cell_interaction(int(key), want_potential) * count
+            total += flops_per_cell_interaction(int(key)) * count
     return total
 
 

@@ -138,10 +138,9 @@ class FaultPlan:
         return cls(parse_fault_spec(spec), spec=spec)
 
     @classmethod
-    def from_env(cls, environ=None) -> "FaultPlan":
-        """The plan in ``environ`` (default: the process environment)."""
-        environ = os.environ if environ is None else environ
-        return cls.parse(environ.get(FAULTS_ENV))
+    def from_env(cls) -> "FaultPlan":
+        """The plan in the process environment's ``REPRO_FAULTS``."""
+        return cls.parse(os.environ.get(FAULTS_ENV))
 
     # ----- worker-side hooks ----------------------------------------------------
     def apply_worker(self, worker: int, shard: int, epoch: int, attempt: int = 0):

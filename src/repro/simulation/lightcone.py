@@ -8,7 +8,8 @@ epoch.  This module implements that as a step callback: between
 consecutive steps the cone shrinks from chi(a_prev) to chi(a), and
 every particle in that comoving shell is appended to the cone with its
 epoch — replicating the box periodically to fill the cone out to a
-chosen depth.
+chosen depth.  The observer sits at the centre (0.5, 0.5, 0.5) of the
+unit box.
 
 The accumulated cone feeds :mod:`repro.analysis.skymap` for the
 Mollweide density maps the figure shows.
@@ -33,8 +34,6 @@ class LightConeRecorder:
     ----------
     params, box_mpc_h:
         Cosmology and physical box size (to convert chi(a) to box units).
-    observer:
-        Observer position in box units.
     depth_boxes:
         Record out to this many box lengths (periodic replication).
 
@@ -44,7 +43,6 @@ class LightConeRecorder:
 
     params: CosmologyParams
     box_mpc_h: float
-    observer: np.ndarray = field(default_factory=lambda: np.full(3, 0.5))
     depth_boxes: float = 1.0
     # accumulated cone
     chunks: list = field(init=False, default_factory=list)
@@ -54,7 +52,6 @@ class LightConeRecorder:
 
     def __post_init__(self):
         self.bg = Background(self.params)
-        self.observer = np.asarray(self.observer, dtype=np.float64)
         r = int(np.ceil(self.depth_boxes))
         g = np.arange(-r, r + 1)
         gx, gy, gz = np.meshgrid(g, g, g, indexing="ij")
@@ -78,7 +75,7 @@ class LightConeRecorder:
             return
         pos = sim.particles.pos
         for rep in self._reps:
-            d = pos + rep - self.observer
+            d = pos + rep - 0.5
             r = np.sqrt(np.einsum("ij,ij->i", d, d))
             sel = (r > chi_lo) & (r <= chi_hi)
             if not np.any(sel):
@@ -109,17 +106,12 @@ class LightConeRecorder:
     def n_recorded(self) -> int:
         return sum(len(c) for c in self.chunks)
 
-    def sky_map(self, sphere, r_min: float = 0.0, r_max: float | None = None):
-        """Project the accumulated cone onto sky pixels (contrast map)."""
-        from ..analysis.skymap import project_to_sky
-
+    def sky_map(self, sphere):
+        """Project the whole accumulated cone onto sky pixels (contrast map)."""
         pos = self.positions
         if len(pos) == 0:
             return np.zeros(sphere.n_pixels)
-        r = self.distances
-        r_max = r_max or float(r.max())
-        sel = (r >= r_min) & (r <= r_max)
-        d = pos[sel] - self.observer
+        d = pos - 0.5
         u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-12)[:, None]
         pix = sphere.pixel_of(u)
         sky = np.bincount(pix, minlength=sphere.n_pixels).astype(float)

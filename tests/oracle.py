@@ -1,18 +1,22 @@
-"""The term-by-term force loop the tests compare the evaluator against.
+"""The term-by-term force kernel the tests compare the evaluator against.
 
-A plain-Python m x n loop over the interaction lists of
-:func:`repro.tree.traversal.traverse_hierarchical` — one (sink particle,
-source cell) or (sink particle, source particle) term at a time, the
-derivative-tensor recurrence per cell term, float64 throughout — plus
-the background removed one cube at a time.  It shares no arithmetic
-with :func:`repro.gravity.treeforce.evaluate_forces` (no polynomial
-form of the field, no sink-cell length units, no blocks, no merged
-boxes), which is what makes the <= 1e-12 agreement tests mean
-something.  Only the exact-type marshalling of the kernels is shared
+Every (sink particle, source cell) and (sink particle, source particle)
+term of the interaction lists of
+:func:`repro.tree.traversal.traverse_hierarchical` is computed on its
+own — the radial chain and the derivative-tensor recurrence per cell
+term, the softening branches as masks per pair term, float64
+throughout — with numpy arrays over bounded chunks of terms, then
+scatter-added per sink particle; the background is removed one cube at
+a time.  It shares no arithmetic with
+:func:`repro.gravity.treeforce.evaluate_forces` (no polynomial form of
+the field, no sink-cell length units, no blocks, no merged boxes),
+which is what makes the <= 1e-12 agreement tests mean something.  Only
+the exact-type marshalling of the kernels is shared
 (:mod:`repro.gravity.native`), so both sides refuse the same types.
 
-Orders of magnitude slower than the evaluator: keep inputs at a few
-hundred particles.
+Each chunk holds at most ``_PAIRS`` terms, so memory stays bounded;
+the time grows with the number of terms, about a microsecond each at
+order 2: inputs of a few thousand particles take well under a second.
 
 At the end of the file, :func:`oracle_lattice_pieces` keeps the three
 full-cube sums of the periodic lattice coefficients as
@@ -29,6 +33,7 @@ import functools
 import math
 
 import numpy as np
+from scipy import special
 
 from repro.gravity import native
 from repro.gravity.periodic import _self_term
@@ -59,16 +64,15 @@ def kernel_specs(kernel, softening, p: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _plan_arrays(pmax: int):
-    """Derivative-tensor recurrence plan as flat arrays (kernel input)."""
+def _plan_steps(pmax: int) -> tuple:
+    """The recurrence plan of :func:`recurrence_plan` as ``(target, axis,
+    idx1, idx2, factor, top)`` steps; ``top = pmax - |target|`` is the
+    highest chain level the step fills."""
     mis_hi, plan = recurrence_plan(pmax)
-    tgt = np.array([s[0] for s in plan], dtype=np.int64)
-    axis = np.array([s[1] for s in plan], dtype=np.int64)
-    idx1 = np.array([s[2] for s in plan], dtype=np.int64)
-    idx2 = np.array([s[3] for s in plan], dtype=np.int64)
-    fac = np.array([s[4] for s in plan], dtype=np.float64)
-    orders = mis_hi.order.astype(np.int64)
-    return tgt, axis, idx1, idx2, fac, orders
+    return tuple(
+        (tgt, axis, i1, i2, fac, pmax - int(mis_hi.order[tgt]))
+        for tgt, axis, i1, i2, fac in plan
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -91,239 +95,182 @@ def _moment_weights(p: int) -> np.ndarray:
     return ((-1.0) ** mis.order) / mis.factorial
 
 
+#: (sink particle, source) terms evaluated per numpy pass
+_PAIRS = 1 << 13
+
 
 # ---------------------------------------------------------------------------
 # the kernel body
 # ---------------------------------------------------------------------------
 
 
-def _csr_force_kernel(
-    # particle / cell arrays (key-sorted SoA)
-    pos, mass, cell_start, cell_count, cell_center,
-    # CSR interaction lists (rows follow sink_leaves)
-    sink_leaves, cell_indptr, cell_src, cell_off,
-    leaf_indptr, leaf_src, leaf_off,
-    # periodic images
-    offsets, home_off,
-    # multipole data: premultiplied moments and the recurrence plan
-    wm, plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders, acc_cols,
-    pmax, ncoef, nhi,
-    # radial kernel spec
-    kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
-    # softening spec
-    soft_kind, soft_eps, soft_rsplit,
-    # output layout
-    want_potential, s0,
-    acc, pot,
-):
-    nrows = len(sink_leaves)
-    for row in range(nrows):
-        leaf = sink_leaves[row]
-        a0 = cell_start[leaf]
-        m = cell_count[leaf]
-        # ---- the m-sink block: local coordinates and accumulators ----
-        sx = np.empty(m, dtype=np.float64)
-        sy = np.empty(m, dtype=np.float64)
-        sz = np.empty(m, dtype=np.float64)
-        axl = np.zeros(m, dtype=np.float64)
-        ayl = np.zeros(m, dtype=np.float64)
-        azl = np.zeros(m, dtype=np.float64)
-        phl = np.zeros(m, dtype=np.float64)
-        for i in range(m):
-            sx[i] = pos[a0 + i, 0]
-            sy[i] = pos[a0 + i, 1]
-            sz[i] = pos[a0 + i, 2]
-        gch = np.empty(pmax + 1, dtype=np.float64)
-        rm = np.empty((pmax + 1, nhi), dtype=np.float64)
-
-        # ---- cell (multipole) tiles ----------------------------------
-        for e in range(cell_indptr[row], cell_indptr[row + 1]):
-            src = cell_src[e]
-            off = cell_off[e]
-            cx = cell_center[src, 0] + offsets[off, 0]
-            cy = cell_center[src, 1] + offsets[off, 1]
-            cz = cell_center[src, 2] + offsets[off, 2]
-            for i in range(m):
-                dx = sx[i] - cx
-                dy = sy[i] - cy
-                dz = sz[i] - cz
-                r2 = dx * dx + dy * dy + dz * dz
-                r = math.sqrt(r2)
-                # radial derivative chain g_0..g_pmax
-                if kern_kind == native.KERN_NEWTON:  # 1/r
-                    inv_r2 = 1.0 / r2
-                    g = 1.0 / r
-                    gch[0] = g
-                    for mm in range(1, pmax + 1):
-                        g = g * (-(2.0 * mm - 1.0)) * inv_r2
-                        gch[mm] = g
-                else:  # erfc(alpha r) / r (Ewald / TreePM split)
-                    fval = math.erfc(kern_alpha * r)
-                    gauss = math.exp(-(kern_alpha * kern_alpha) * r2)
-                    for mm in range(pmax + 1):
-                        s = 0.0
-                        for t in range(ke_ptr[mm], ke_ptr[mm + 1]):
-                            s += ke_coef[t] * r ** ke_pow[t] * fval
-                        for t in range(kg_ptr[mm], kg_ptr[mm + 1]):
-                            s += kg_coef[t] * r ** kg_pow[t] * gauss
-                        gch[mm] = s
-                # derivative-tensor recurrence (plan-driven, any order)
-                for mm in range(pmax + 1):
-                    rm[mm, 0] = gch[mm]
-                for t in range(len(plan_tgt)):
-                    tgt = plan_tgt[t]
-                    o = orders[tgt]
-                    i1 = plan_idx1[t]
-                    i2 = plan_idx2[t]
-                    fac = plan_fac[t]
-                    axn = plan_axis[t]
-                    if axn == 0:
-                        xv = dx
-                    elif axn == 1:
-                        xv = dy
-                    else:
-                        xv = dz
-                    for mm in range(pmax - o, -1, -1):
-                        v = xv * rm[mm + 1, i1]
-                        if i2 >= 0 and fac != 0.0:
-                            v = v + fac * rm[mm + 1, i2]
-                        rm[mm, tgt] = v
-                # contract with the source cell's weighted moments
-                aix = 0.0
-                aiy = 0.0
-                aiz = 0.0
-                ph = 0.0
-                for j in range(ncoef):
-                    wj = wm[src, j]
-                    aix += rm[0, acc_cols[0, j]] * wj
-                    aiy += rm[0, acc_cols[1, j]] * wj
-                    aiz += rm[0, acc_cols[2, j]] * wj
-                    if want_potential:
-                        ph += rm[0, j] * wj
-                axl[i] += aix
-                ayl[i] += aiy
-                azl[i] += aiz
-                if want_potential:
-                    phl[i] += ph
-
-        # ---- leaf (particle-particle) tiles --------------------------
-        for e in range(leaf_indptr[row], leaf_indptr[row + 1]):
-            srcc = leaf_src[e]
-            off = leaf_off[e]
-            ox = offsets[off, 0]
-            oy = offsets[off, 1]
-            oz = offsets[off, 2]
-            is_home = off == home_off
-            b0 = cell_start[srcc]
-            nsrc = cell_count[srcc]
-            for j in range(nsrc):
-                px = pos[b0 + j, 0] + ox
-                py = pos[b0 + j, 1] + oy
-                pz = pos[b0 + j, 2] + oz
-                pmass = mass[b0 + j]
-                for i in range(m):
-                    if is_home and a0 + i == b0 + j:
-                        continue  # self interaction
-                    dx = sx[i] - px
-                    dy = sy[i] - py
-                    dz = sz[i] - pz
-                    r = math.sqrt(dx * dx + dy * dy + dz * dz)
-                    # softened force factor F and potential psi
-                    psi = 0.0
-                    if soft_kind == 0:  # none
-                        f = 1.0 / (r * r * r)
-                        if want_potential:
-                            psi = 1.0 / r
-                    elif soft_kind == 1:  # plummer
-                        q2 = r * r + soft_eps * soft_eps
-                        f = q2 ** -1.5
-                        if want_potential:
-                            psi = q2 ** -0.5
-                    elif soft_kind == 2:  # cubic spline (h = 2.8 eps)
-                        h = soft_eps
-                        u = r / h
-                        if u >= 1.0:
-                            rs = max(r, 1e-300)
-                            f = 1.0 / rs ** 3
-                            if want_potential:
-                                psi = 1.0 / rs
-                        elif u < 0.5:
-                            f = (10.666666666667 + u * u * (32.0 * u - 38.4)) / h ** 3
-                            if want_potential:
-                                psi = -1.0 / h * (
-                                    -2.8
-                                    + u ** 2 * (5.333333333333 + u ** 2 * (6.4 * u - 9.6))
-                                )
-                        else:
-                            f = (
-                                21.333333333333
-                                - 48.0 * u
-                                + 38.4 * u * u
-                                - 10.666666666667 * u ** 3
-                                - 0.066666666667 / u ** 3
-                            ) / h ** 3
-                            if want_potential:
-                                psi = -1.0 / h * (
-                                    -3.2
-                                    + 0.066666666667 / u
-                                    + u ** 2
-                                    * (10.666666666667
-                                       + u * (-16.0 + u * (9.6 - 2.133333333333 * u)))
-                                )
-                    else:  # Dehnen K1 (h = eps)
-                        h = soft_eps
-                        u = r / h
-                        if u >= 1.0:
-                            rs = max(r, 1e-300)
-                            f = 1.0 / rs ** 3
-                            if want_potential:
-                                psi = 1.0 / rs
-                        else:
-                            ui = min(u, 1.0)
-                            f = (17.5 - 31.5 * ui ** 2 + 15.0 * ui ** 4) / h ** 3
-                            if want_potential:
-                                psi = (
-                                    4.375 - 8.75 * ui ** 2 + 7.875 * ui ** 4
-                                    - 2.5 * ui ** 6
-                                ) / h
-                    if soft_rsplit > 0.0:
-                        # GADGET-2 short-range TreePM filter (same
-                        # expression order as ShortRangeSoftening)
-                        u = r / (2.0 * soft_rsplit)
-                        ec = math.erfc(u)
-                        f = f * (
-                            ec + 2.0 * u / math.sqrt(math.pi) * math.exp(-u * u)
-                        )
-                        if want_potential:
-                            psi = psi * ec
-                    fm = pmass * f
-                    axl[i] -= fm * dx
-                    ayl[i] -= fm * dy
-                    azl[i] -= fm * dz
-                    if want_potential:
-                        phl[i] += pmass * psi
-
-        # ---- write the block back (rows own disjoint particle ranges)
-        for i in range(m):
-            out = a0 + i - s0
-            acc[out, 0] += axl[i]
-            acc[out, 1] += ayl[i]
-            acc[out, 2] += azl[i]
-            if want_potential:
-                pot[out] += phl[i]
+def _pair_chunks(counts: np.ndarray):
+    """``(lo, hi)`` runs of consecutive entries holding <= ``_PAIRS``
+    terms each (an entry with more terms is a run of its own)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _PAIRS, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
 
 
+def _radial_chain(r, r2, pmax, kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr,
+                  kg_pow, kg_coef, kg_ptr) -> list:
+    """g_0 .. g_pmax of the radial kernel at the separations ``r``."""
+    if kern_kind == native.KERN_NEWTON:  # 1/r
+        inv_r2 = 1.0 / r2
+        chain = [1.0 / r]
+        for mm in range(1, pmax + 1):
+            chain.append(chain[-1] * (-(2.0 * mm - 1.0)) * inv_r2)
+        return chain
+    # erfc(alpha r) / r (Ewald / TreePM split)
+    fval = special.erfc(kern_alpha * r)
+    gauss = np.exp(-(kern_alpha * kern_alpha) * r2)
+    chain = []
+    for mm in range(pmax + 1):
+        s = np.zeros_like(r)
+        for t in range(ke_ptr[mm], ke_ptr[mm + 1]):
+            s += ke_coef[t] * r ** ke_pow[t] * fval
+        for t in range(kg_ptr[mm], kg_ptr[mm + 1]):
+            s += kg_coef[t] * r ** kg_pow[t] * gauss
+        chain.append(s)
+    return chain
 
-def _i8(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
+
+def _softened(r, soft_kind, soft_eps, soft_rsplit):
+    """Force factor F and potential psi of a unit-mass source at ``r``:
+    the four softening branches as masks, then the r_split filter."""
+    if soft_kind == native.SOFT_NONE:
+        f, psi = 1.0 / (r * r * r), 1.0 / r
+    elif soft_kind == native.SOFT_PLUMMER:
+        q2 = r * r + soft_eps * soft_eps
+        f, psi = q2 ** -1.5, q2 ** -0.5
+    else:  # cubic spline (h = 2.8 eps) or Dehnen K1 (h = eps); Newtonian past h
+        h = soft_eps
+        u = r / h
+        f, psi = np.empty_like(r), np.empty_like(r)
+        far = u >= 1.0
+        rs = np.maximum(r[far], 1e-300)
+        f[far] = 1.0 / rs ** 3
+        psi[far] = 1.0 / rs
+        if soft_kind == native.SOFT_SPLINE:
+            near = u < 0.5
+            un = u[near]
+            f[near] = (10.666666666667 + un * un * (32.0 * un - 38.4)) / h ** 3
+            psi[near] = -1.0 / h * (
+                -2.8 + un ** 2 * (5.333333333333 + un ** 2 * (6.4 * un - 9.6))
+            )
+            mid = ~far & ~near
+            um = u[mid]
+            f[mid] = (
+                21.333333333333
+                - 48.0 * um
+                + 38.4 * um * um
+                - 10.666666666667 * um ** 3
+                - 0.066666666667 / um ** 3
+            ) / h ** 3
+            psi[mid] = -1.0 / h * (
+                -3.2
+                + 0.066666666667 / um
+                + um ** 2 * (10.666666666667 + um * (-16.0 + um * (9.6 - 2.133333333333 * um)))
+            )
+        else:
+            ui = np.minimum(u[~far], 1.0)
+            f[~far] = (17.5 - 31.5 * ui ** 2 + 15.0 * ui ** 4) / h ** 3
+            psi[~far] = (4.375 - 8.75 * ui ** 2 + 7.875 * ui ** 4 - 2.5 * ui ** 6) / h
+    if soft_rsplit > 0.0:
+        # GADGET-2 short-range TreePM filter (same expression order as
+        # ShortRangeSoftening)
+        u = r / (2.0 * soft_rsplit)
+        ec = special.erfc(u)
+        f = f * (ec + 2.0 * u / math.sqrt(math.pi) * np.exp(-u * u))
+        psi = psi * ec
+    return f, psi
 
 
-def _f8(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
+def _csr_force_kernel(tree, inter, cell_csr, wm, p, radial, soft, want_potential, s0,
+                      acc, pot) -> tuple[int, int]:
+    """Add every (sink particle, source cell) and (sink particle, source
+    particle) term of the per-leaf lists into ``acc`` / ``pot`` (rows
+    from particle ``s0``); returns the (cell, pp) term counts walked.
+
+    Each term is computed on its own, ``_PAIRS`` at a time, and the
+    terms are scatter-added per sink particle.
+    """
+    pos, mass, offsets = tree.pos, tree.mass, inter.offsets
+    home_off = int(np.flatnonzero(np.all(offsets == 0.0, axis=1))[0])
+    leaf_np = tree.cell_count[inter.sink_leaves]
+    leaf_a0 = tree.cell_start[inter.sink_leaves]
+    n_out = len(acc)
+    pmax = p + 1
+    steps = _plan_steps(pmax)
+    acc_cols = _acc_cols_arr(p)
+    ncoef = wm.shape[1]
+    nhi = n_coeffs(pmax)
+
+    def scatter(sink, ax, ay, az, ph):
+        for k, part in enumerate((ax, ay, az)):
+            acc[:, k] += np.bincount(sink, weights=part, minlength=n_out)
+        if want_potential:
+            pot[:] += np.bincount(sink, weights=ph, minlength=n_out)
+
+    # ---- cell (multipole) terms: one per (entry, sink particle) -------
+    cell_src, cell_off, cell_indptr = cell_csr
+    row = np.repeat(np.arange(len(leaf_np)), np.diff(cell_indptr))
+    counts = leaf_np[row]
+    n_cell = int(counts.sum())
+    for lo, hi in _pair_chunks(counts):
+        ent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        sink = expand_ranges(leaf_a0[row[lo:hi]], counts[lo:hi])
+        src = cell_src[ent]
+        ctr = tree.cell_center[src] + offsets[cell_off[ent]]
+        d = [pos[sink, k] - ctr[:, k] for k in range(3)]
+        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        chain = _radial_chain(np.sqrt(r2), r2, pmax, *radial)
+        # derivative-tensor recurrence (plan-driven, any order)
+        rm = np.empty((pmax + 1, nhi, len(sink)))
+        rm[:, 0] = chain
+        for tgt, axis, i1, i2, fac, top in steps:
+            v = d[axis] * rm[1 : top + 2, i1]
+            if i2 >= 0:
+                v = v + fac * rm[1 : top + 2, i2]
+            rm[: top + 1, tgt] = v
+        # contract with the source cell's weighted moments
+        w = wm[src]
+        a = [rm[0, acc_cols[k, 0]] * w[:, 0] for k in range(3)]
+        ph = rm[0, 0] * w[:, 0]
+        for j in range(1, ncoef):
+            for k in range(3):
+                a[k] += rm[0, acc_cols[k, j]] * w[:, j]
+            ph += rm[0, j] * w[:, j]
+        scatter(sink - s0, *a, ph)
+
+    # ---- pp terms: one per (entry, source particle, sink particle) ----
+    row = np.repeat(np.arange(len(leaf_np)), np.diff(inter.leaf_indptr))
+    m = leaf_np[row]
+    nsrc = tree.cell_count[inter.leaf_src]
+    counts = m * nsrc
+    for lo, hi in _pair_chunks(counts):
+        ent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        k = expand_ranges(np.zeros(hi - lo, dtype=np.int64), counts[lo:hi])
+        sink = leaf_a0[row[ent]] + k % m[ent]
+        source = tree.cell_start[inter.leaf_src[ent]] + k // m[ent]
+        off = inter.leaf_off[ent]
+        keep = (off != home_off) | (sink != source)  # no self interaction
+        sink, source, off = sink[keep], source[keep], off[keep]
+        d = [pos[sink, c] - (pos[source, c] + offsets[off, c]) for c in range(3)]
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        f, psi = _softened(r, *soft)
+        fm = mass[source] * f
+        scatter(sink - s0, *(-(fm * dc) for dc in d), mass[source] * psi)
+
+    return n_cell, int(counts.sum())
 
 
 # ---------------------------------------------------------------------------
-# the lists as the loop walks them, and the entry point
+# the lists as the kernel walks them, and the entry point
 # ---------------------------------------------------------------------------
 
 
@@ -395,47 +342,23 @@ def oracle_forces(
 
     The cell and pp families go through :func:`_csr_force_kernel` on the
     per-leaf view, the background through :func:`per_cube_background`.
-    ``stats`` counts the terms the loop walked.  Lists with an m2l
+    ``stats`` counts the terms the kernel walked.  Lists with an m2l
     family are refused: the far field of the hybrid walk has its own
     references (interpreted tensors, the L2L identity, direct sums).
     """
     if inter.m2l_src is not None and len(inter.m2l_src):
         raise ValueError("oracle_forces walks the cell, pp and ghost families only")
-    (kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr), (
-        soft_kind, soft_eps, soft_rsplit) = kernel_specs(
-        kernel or NewtonianKernel(), softening or NoSoftening(), moms.p)
+    radial, soft = kernel_specs(kernel or NewtonianKernel(), softening or NoSoftening(), moms.p)
     s0, s1 = particle_range if particle_range is not None else (0, tree.n_particles)
     acc = np.zeros((s1 - s0, 3))
     pot = np.zeros(s1 - s0) if want_potential else None
     p = moms.p
-    pmax = p + 1
-    ncoef = n_coeffs(p)
-    nhi = n_coeffs(pmax)
-    plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders = _plan_arrays(pmax)
-    wm = np.ascontiguousarray(moms.moments[:, :ncoef]) * _moment_weights(p)
-    home_off = int(np.flatnonzero(np.all(inter.offsets == 0.0, axis=1))[0])
-    cell_src, cell_off, cell_indptr = cell_leaf_csr(tree, inter)
-    _csr_force_kernel(
-        _f8(tree.pos), _f8(tree.mass),
-        _i8(tree.cell_start), _i8(tree.cell_count), _f8(tree.cell_center),
-        _i8(inter.sink_leaves), _i8(cell_indptr),
-        _i8(cell_src), _i8(cell_off),
-        _i8(inter.leaf_indptr), _i8(inter.leaf_src), _i8(inter.leaf_off),
-        _f8(inter.offsets), home_off,
-        wm, plan_tgt, plan_axis, plan_idx1, plan_idx2, plan_fac, orders,
-        _acc_cols_arr(p), pmax, ncoef, nhi,
-        kern_kind, kern_alpha, ke_pow, ke_coef, ke_ptr, kg_pow, kg_coef, kg_ptr,
-        soft_kind, soft_eps, soft_rsplit,
-        want_potential, s0,
-        acc, pot if want_potential else np.zeros(0),
+    wm = moms.moments[:, : n_coeffs(p)] * _moment_weights(p)
+    n_cell, n_pp = _csr_force_kernel(
+        tree, inter, cell_leaf_csr(tree, inter), wm, p, radial, soft, want_potential, s0,
+        acc, pot,
     )
-    # particles of the sink leaf x entries of its row, per family
-    leaf_np = tree.cell_count[inter.sink_leaves]
-    pp_row = np.repeat(np.arange(len(leaf_np)), np.diff(inter.leaf_indptr))
-    stats = {
-        "cell_interactions": int((leaf_np * np.diff(cell_indptr)).sum()),
-        "pp_interactions": int((leaf_np[pp_row] * tree.cell_count[inter.leaf_src]).sum()),
-    }
+    stats = {"cell_interactions": n_cell, "pp_interactions": n_pp}
     if moms.background:
         bg_acc, bg_pot, _ = per_cube_background(tree, moms, inter)
         acc += bg_acc[s0:s1]

@@ -46,7 +46,7 @@ class TestProjection:
         pos = rng.random((100000, 3))
         mass = np.ones(len(pos))
         sphere = EqualAreaSphere(12)
-        sky = project_to_sky(pos, mass, [0.5, 0.5, 0.5], sphere, r_min=0.1, r_max=0.45)
+        sky = project_to_sky(pos, mass, sphere, r_min=0.1, r_max=0.45)
         assert abs(sky.mean()) < 1e-10  # contrast map
         assert sky.std() < 0.3  # shot noise only
 
@@ -57,7 +57,7 @@ class TestProjection:
         pos = np.concatenate([pos, blob]) % 1.0
         mass = np.ones(len(pos))
         sphere = EqualAreaSphere(12)
-        sky = project_to_sky(pos, mass, [0.5, 0.5, 0.5], sphere, r_min=0.1, r_max=0.45)
+        sky = project_to_sky(pos, mass, sphere, r_min=0.1, r_max=0.45)
         u = (np.array([0.3, 0.3, 0.3]) - 0.5)
         u /= np.linalg.norm(u)
         hot = sphere.pixel_of(u[None, :])[0]
@@ -66,8 +66,7 @@ class TestProjection:
     def test_empty_shell(self):
         sphere = EqualAreaSphere(8)
         sky = project_to_sky(
-            np.array([[0.5, 0.5, 0.5]]), np.array([1.0]), [0.5, 0.5, 0.5],
-            sphere, r_min=0.2, r_max=0.4,
+            np.array([[0.5, 0.5, 0.5]]), np.array([1.0]), sphere, r_min=0.2, r_max=0.4,
         )
         assert np.all(sky == 0)
 

@@ -1,4 +1,4 @@
-"""The blocked evaluator against the term-by-term loop of ``tests/oracle.py``.
+"""The blocked evaluator against the term-by-term kernel of ``tests/oracle.py``.
 
 Every case solves through the public solver, then hands the tree,
 moments and lists of that solve to :func:`tests.oracle.oracle_forces`,
@@ -15,7 +15,7 @@ from repro.gravity.solver import solve_forces
 
 from .oracle import oracle_forces
 
-# agreement gate: the loop repeats the evaluator's physics per sink in
+# agreement gate: the kernel repeats the evaluator's physics per term in
 # float64, so only the order of the sums differs (ISSUE 7 contract:
 # <= 1e-12 relative on acc)
 REL_TOL = 1e-12
@@ -119,7 +119,7 @@ def test_ghost_images():
 
 
 def test_float32_dtype():
-    """float32 config: the float64 loop bounds the float32 rows."""
+    """float32 config: the float64 kernel bounds the float32 rows."""
     ref, ora = _solve(n=80, dtype=np.float32)
     assert ref.acc.dtype == np.float32
     scale = np.abs(ref.acc).max()
@@ -161,7 +161,7 @@ def test_oracle_refuses_unknown_kernel_types():
 @pytest.mark.parametrize("softening", ["none", "plummer", "spline", "dehnen_k1"])
 def test_compiled_evaluator_every_production_kernel(softening, p, periodic):
     """The generated C of every order production compiles against the
-    loop in float64, for each softening under the 1/r cell kernel and
+    kernel in float64, for each softening under the 1/r cell kernel and
     under TreePM's erfc kernel with the short-range filter; float32
     tracks float64 to 1e-6 of the largest acceleration."""
     from repro.gravity import native

@@ -405,9 +405,13 @@ class TestFaultPlan:
             FaultPlan.parse("kill:frobnicate=1")
 
     def test_empty_environ_is_not_the_process_environment(self, monkeypatch):
+        """The plan is read from the process environment at each call:
+        set, it parses; unset, the plan is empty."""
         monkeypatch.setenv("REPRO_FAULTS", "kill:worker=0")
-        assert not FaultPlan.from_env({})
-        assert FaultPlan.from_env()  # None still means os.environ
+        plan = FaultPlan.from_env()
+        assert plan and plan.clauses[0].action == "kill"
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert not FaultPlan.from_env()
 
     def test_one_grammar_types_keys_by_clause_field(self):
         cl = FaultPlan.parse("delay:shard=0x2,seconds=1.5").clauses[0]

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations
+from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations, make_softening
 from repro.gravity import native, treeforce
 from repro.gravity.treeforce import (
     _background_boxes,
@@ -96,17 +96,20 @@ def coverage_counts(tree, inter):
     n = tree.n_particles
     sinks = inter.sink_leaves
     n_off = len(inter.offsets)
-    leaf_pos = {int(s): i for i, s in enumerate(sinks)}
-    cov = np.zeros((len(sinks), n_off, n), dtype=np.int64)
+    leaf_pos = np.full(tree.n_cells, -1)
+    leaf_pos[sinks] = np.arange(len(sinks))
+    # +1 at each source range's first particle, -1 past its last: the
+    # running sum along the particles counts the ranges covering each
+    steps = np.zeros((len(sinks), n_off, n + 1), dtype=np.int64)
     cell_src, cell_off, cell_indptr = cell_leaf_csr(tree, inter)
     for fam_sink, fam_src, fam_off in (
         (np.repeat(sinks, np.diff(cell_indptr)), cell_src, cell_off),
         (inter.leaf_sink, inter.leaf_src, inter.leaf_off),
     ):
-        for s, c, o in zip(fam_sink, fam_src, fam_off):
-            a = tree.cell_start[c]
-            cov[leaf_pos[int(s)], o, a : a + tree.cell_count[c]] += 1
-    return cov
+        rows, a = leaf_pos[fam_sink], tree.cell_start[fam_src]
+        np.add.at(steps, (rows, fam_off, a), 1)
+        np.add.at(steps, (rows, fam_off, a + tree.cell_count[fam_src]), -1)
+    return np.cumsum(steps, axis=2)[:, :, :n]
 
 
 class TestCompleteness:
@@ -144,15 +147,18 @@ class TestCompleteness:
             np.add.at(vol, (row, fam_off), cell_vol[fam_src])
         if kind == "fmm-hybrid":
             assert len(inter.cell_src) == 0 and len(inter.m2l_src) > 0
-            # a mutual accept at a sink cell covers every leaf under it
+            # a mutual accept at a sink cell covers every leaf under it:
+            # the rows whose first particle lies in the cell's range
             start = tree.cell_start[sinks]
-            for j, c in enumerate(inter.m2l_cells):
-                a, b = inter.m2l_indptr[j], inter.m2l_indptr[j + 1]
-                under = (start >= tree.cell_start[c]) & (
-                    start < tree.cell_start[c] + tree.cell_count[c]
-                )
-                for src, off in zip(inter.m2l_src[a:b], inter.m2l_off[a:b]):
-                    vol[under, off] += cell_vol[src]
+            assert np.all(np.diff(start) > 0)
+            cell = np.repeat(inter.m2l_cells, np.diff(inter.m2l_indptr))
+            lo = np.searchsorted(start, tree.cell_start[cell])
+            hi = np.searchsorted(start, tree.cell_start[cell] + tree.cell_count[cell])
+            np.add.at(
+                vol,
+                (expand_ranges(lo, hi - lo), np.repeat(inter.m2l_off, hi - lo)),
+                np.repeat(cell_vol[inter.m2l_src], hi - lo),
+            )
         assert np.allclose(vol, 1.0)
 
 
@@ -256,10 +262,12 @@ class TestCSRStructure:
                     tree, moms, periodic=True, ws=1, sink_leaves=sinks
                 )
                 src, off, indptr = cell_leaf_csr(tree, inter)
+                # each row's (src, off) pairs in sorted order, as int64 pairs
+                rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+                pairs = np.stack([src, off], axis=1).astype(np.int64)[np.lexsort((off, src, rows))]
                 h = hashlib.sha256()
                 for a, b in zip(indptr[:-1], indptr[1:]):
-                    row = sorted(zip(src[a:b].tolist(), off[a:b].tolist()))
-                    h.update(np.array(row, dtype=np.int64).tobytes() + b"|")
+                    h.update(pairs[a:b].tobytes() + b"|")
                 assert h.hexdigest()[:16] == pinned[(clustered, tag)], (clustered, tag)
                 # by hand: the segments recorded along the leaf's chain
                 # of ancestors, root first, then the leaf's own
@@ -548,10 +556,10 @@ class TestBlockedCellEvaluator:
         return dataclasses.replace(inter, **cut), (int(tree.cell_start[first]), int(s1))
 
     def assert_matches_flat(self, tree, moms, inter, rows=None, **kw):
-        """The blocked result against the loop of ``tests/oracle.py``:
-        an independent implementation that walks the lists one (sink,
-        source) term at a time — on the sink-leaf ``rows`` (lo, hi)
-        only, if given, as a shard evaluates them (the loop is slow)."""
+        """The blocked result against the kernel of ``tests/oracle.py``:
+        an independent implementation that computes the lists one
+        (sink, source) term at a time — on the sink-leaf ``rows``
+        (lo, hi) only, if given, as a shard evaluates them."""
         if rows is not None:
             inter, kw["particle_range"] = self.leaf_rows(tree, inter, *rows)
         csr = evaluate_forces(tree, moms, inter, **kw)
@@ -624,10 +632,10 @@ class TestCellFamilyByHand:
     an open box, each a leaf that accepts the other as one multipole."""
 
     @staticmethod
-    def two_clumps(n_a, n_b, nleaf, p=2, at_centre=False, seed=0):
+    def two_clumps(n_a, n_b, nleaf, p=2, at_centre=False, seed=0, width_b=0.05):
         rng = np.random.default_rng(seed)
         a = 0.25 + 0.05 * (rng.random((n_a, 3)) - 0.5)
-        b = 0.75 + 0.05 * (rng.random((n_b, 3)) - 0.5)
+        b = 0.75 + width_b * (rng.random((n_b, 3)) - 0.5)
         if at_centre:
             b[:] = 0.75
         pos = np.concatenate([a, b])
@@ -660,11 +668,12 @@ class TestCellFamilyByHand:
             assert same_bits(res, evaluate_with_blocks(tree, moms, inter, blk=blk))
 
     def test_oracle_eight_and_eight(self):
-        """The reference loop itself on the same countable input (nothing
-        else checks it): per row one inherited-or-own cell entry and
-        one leaf entry, 8 x 1 + 8 x 1 cell terms, 8 x 8 + 8 x 8 pair
-        terms; the direct sum to (clump size / distance)^3, and with
-        the cell family emptied each clump's own direct sum exactly."""
+        """The reference kernel itself on the same countable input
+        (nothing else checks it): per row one inherited-or-own cell
+        entry and one leaf entry, 8 x 1 + 8 x 1 cell terms, 8 x 8 + 8 x 8
+        pair terms; the direct sum to (clump size / distance)^3, and
+        with the cell family emptied each clump's own direct sum
+        exactly."""
         tree, moms, inter = self.two_clumps(8, 8, nleaf=8)
         src, off, indptr = cell_leaf_csr(tree, inter)
         assert indptr.tolist() == [0, 1, 2] and off.tolist() == [0, 0]
@@ -680,6 +689,40 @@ class TestCellFamilyByHand:
         for clump in (slice(0, 8), slice(8, 16)):
             own = direct_accelerations(pos[clump], mass[clump])
             assert np.abs(pairs.acc[clump] - own).max() < 1e-13 * np.abs(own).max()
+
+    @pytest.mark.parametrize("kind", ["none", "plummer", "spline", "dehnen_k1"])
+    def test_oracle_eight_and_eight_softened(self, kind):
+        """The reference kernel itself on the same countable input
+        (nothing else checks it): per row one inherited-or-own cell
+        entry and one leaf entry, 8 x 1 + 8 x 1 cell terms, 8 x 8 + 8 x 8
+        pair terms; the direct sum to (clump size / distance)^3, and
+        with the cell family emptied each clump's own direct sum
+        exactly, under each softening.  With eps = 0.03 the second
+        clump (0.015 wide) lies inside every kernel's softening length,
+        and the first (0.05 wide) straddles it."""
+        kern = make_softening(kind, 0.03)
+        tree, moms, inter = self.two_clumps(8, 8, nleaf=8, width_b=0.015)
+        src, off, indptr = cell_leaf_csr(tree, inter)
+        assert indptr.tolist() == [0, 1, 2] and off.tolist() == [0, 0]
+        assert src.tolist() == inter.sink_leaves[::-1].tolist()
+        ora = oracle_forces(tree, moms, inter, softening=kern)
+        assert ora.stats == {"cell_interactions": 16, "pp_interactions": 2 * 64}
+        unsort = tree.order.argsort()
+        pos, mass = tree.pos[unsort], tree.mass[unsort]
+        direct = direct_accelerations(pos, mass, softening=kern)
+        assert np.abs(ora.acc - direct).max() < 2e-3 * np.abs(direct).max()
+        pairs = oracle_forces(
+            tree, moms, drop_cell_rows(inter, np.ones(2, dtype=bool)), softening=kern
+        )
+        assert pairs.stats == {"cell_interactions": 0, "pp_interactions": 2 * 64}
+        for clump in (slice(0, 8), slice(8, 16)):
+            own, own_pot = direct_accelerations(
+                pos[clump], mass[clump], softening=kern, want_potential=True
+            )
+            assert np.abs(pairs.acc[clump] - own).max() < 1e-13 * np.abs(own).max()
+            assert np.abs(pairs.pot[clump] - own_pot).max() < 1e-13 * np.abs(own_pot).max()
+        # every pair of the second clump is closer than eps <= h
+        assert np.linalg.norm(pos[8:, None] - pos[None, 8:], axis=-1).max() < 0.03
 
     def test_one_leaf_holds_everything(self, monkeypatch):
         """No accept anywhere: the cell family is never entered (no
@@ -1283,14 +1326,18 @@ class TestCoalesceInvariants:
         bvol = np.zeros(n_rows, dtype=np.int64)
         np.add.at(bvol, brow, np.prod(bhi - blo, axis=0))
         assert np.array_equal(vol, bvol)
+        # the cubes grouped by row, in their order within a row
+        order = np.argsort(row, kind="stable")
+        cube_ptr = np.searchsorted(row[order], np.arange(n_rows + 1))
         for r in range(n_rows):
-            a, b = blo[:, brow == r], bhi[:, brow == r]
+            a, b = blo[:, indptr[r] : indptr[r + 1]], bhi[:, indptr[r] : indptr[r + 1]]
             overlap = np.all(
                 (a[:, :, None] < b[:, None, :]) & (a[:, None, :] < b[:, :, None]), axis=0
             )
             assert np.array_equal(overlap, np.eye(a.shape[1], dtype=bool))
             # every cube lies in exactly one box of its row
-            c, d = lo[:, row == r], hi[:, row == r]
+            mine = order[cube_ptr[r] : cube_ptr[r + 1]]
+            c, d = lo[:, mine], hi[:, mine]
             inside = np.all(
                 (a[:, :, None] <= c[:, None, :]) & (d[:, None, :] <= b[:, :, None]), axis=0
             )

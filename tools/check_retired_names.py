@@ -273,6 +273,82 @@ RETIRED.append((
     "a setting earns a caller: a simulation traverses the near images |n| <= 1",
 ))
 
+SKYMAP, LIGHTCONE = "src/repro/analysis/skymap.py", "src/repro/simulation/lightcone.py"
+Z0 = ("src/repro/cosmology/growth.py", "src/repro/cosmology/power.py",
+      "src/repro/cosmology/params.py", "src/repro/analysis/massfunction.py")
+ONE_VALUE = ("src/repro/gravity/solver.py", "src/repro/observe/registry.py",
+             "src/repro/observe/profiler.py", "src/repro/perfmodel/flops.py",
+             "src/repro/gravity/ewald.py")
+
+# the second settings sweep, one setting (or a family of them) a row:
+# its definition in its module, or a call that set it
+RETIRED += [
+    (
+        r"from_env\((?!cls\)|\))",
+        ("src/repro/resilience", "tests", "benchmarks", "examples", "tools"),
+        "a setting earns a caller: the fault plan is read from the process environment",
+    ),
+    (
+        r"\bn_bins\b|\bmass: np\.ndarray \| None",
+        ("src/repro/analysis/power.py",),
+        "a setting earns a caller: P(k) of equal masses in ngrid // 2 bins",
+    ),
+    (
+        r"\b(box|rho_mean)\s*[:=]|[/%*] box\b",
+        ("src/repro/analysis/halos.py", SKYMAP),
+        "a setting earns a caller: halos are found, and the sky seen, in the unit box",
+    ),
+    (
+        r"\b(observer|iterations)\s*[:=]|\.observer\b",
+        (SKYMAP, LIGHTCONE),
+        "a setting earns a caller: the observer sits at the box centre; the cone is projected whole",
+    ),
+    (
+        r"\br_(min|max)\b",
+        (LIGHTCONE,),
+        "a setting earns a caller: the observer sits at the box centre; the cone is projected whole",
+    ),
+    (
+        r"project_to_sky\([^)]*(\[0\.5, 0\.5, 0\.5\]|\bobs\b)|mollweide_xy\([^)]*\biterations="
+        r"|LightConeRecorder\([^)]*\bobserver=|\.sky_map\([^)]*,",
+        CALLERS,
+        "a setting earns a caller: the observer sits at the box centre; the cone is projected whole",
+    ),
+    (
+        r"growth_heath\([^)]*normalize|def (sigma_m|sigma_r|delta2|dn_dlnm)\([^)]*\ba:"
+        r"|include_radiation=include_radiation|\*\*kw\) -> CosmologyParams",
+        Z0,
+        "a setting earns a caller: D(a) normalized to 1 today; sigma and dn/dlnM at z = 0",
+    ),
+    (
+        r"growth_heath\([^)]*normalize=|(sigma_m|sigma_r|delta2|dn_dlnm)\([^)]*\ba=",
+        CALLERS,
+        "a setting earns a caller: D(a) normalized to 1 today; sigma and dn/dlnM at z = 0",
+    ),
+    (
+        r"def positions_from_keys\([^)]*box|cell = box /|box: float = 1\.0, bits|\(1 << bits\) / box"
+        r"|% box\b|partner, box\)|\bbox: float = 1\.0,$|\brng: np\.random|rng or\b",
+        ("src/repro/keys/morton.py", "src/repro/keys/hilbert.py", "src/repro/parallel/domain.py"),
+        "a setting earns a caller: keys and domains of the unit box, one probe seed",
+    ),
+    (
+        r"mean_density: float \| None|if mean_density is None|key: str \| None = None, limit: int"
+        r"|default=DEFAULT_DIR|n: int = 15|rows\[:n\]|interaction_mix: dict, want_potential"
+        r"|targets: np\.ndarray \| None = None|self_field",
+        ONE_VALUE,
+        "a setting earns a caller: one background density, registry window, profile depth,"
+        " flop count and Ewald target set",
+    ),
+    (
+        r"\.compute\([^)]*mean_density=|\.series\([^)]*limit=|registry_dir\([^)]*default="
+        r"|top_functions\([^)]*\bn=|flops_per_particle\([^)]*want_potential"
+        r"|\.accelerations\([^)]*targets=",
+        CALLERS,
+        "a setting earns a caller: one background density, registry window, profile depth,"
+        " flop count and Ewald target set",
+    ),
+]
+
 #: the one line PR 23 leaves for benchmarks/step/run.py's env stamp
 ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
 
