@@ -34,3 +34,14 @@ def test_a_row_spares_the_one_file_it_names(tmp_path):
         (gravity / name).write_text("address = array.ctypes" + ".data\n")  # (not a hit here)
     hits = guard.find_retired(tmp_path)
     assert [hit.split(":")[0] for hit in hits] == ["src/repro/gravity/treeforce.py"]
+
+
+def test_a_retired_setting_in_the_docs_fires(tmp_path):
+    """DESIGN.md and README.md are callers too: a retired setting written
+    in either is reported like one in code."""
+    ws, iterations = "ws", "iterations"  # (not hits in this file)
+    (tmp_path / "DESIGN.md").write_text(f"The default walk:\n`SimulationConfig(n_per_dim=8, {ws}=2)`\n")
+    (tmp_path / "README.md").write_text(f"`mollweide_xy(lon, lat, {iterations}=40)`\n")
+    hits = guard.find_retired(tmp_path)
+    assert [hit.split(": ")[0] for hit in hits] == ["DESIGN.md:2", "README.md:1"]
+    assert "near images" in hits[0] and "the cone is projected whole" in hits[1]

@@ -20,8 +20,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 EVERYWHERE = ("src", "tests", "benchmarks", "examples")
-#: every tree a caller can live in; this file itself is skipped
-CALLERS = (*EVERYWHERE, "tools", ".github")
+#: every tree a caller can live in, the two documents that show calls included;
+#: this file itself is skipped
+CALLERS = (*EVERYWHERE, "tools", ".github", "README.md", "DESIGN.md")
 TREEFORCE = ("src/repro/gravity/treeforce.py",)
 
 #: (pattern, roots, what was retired)
@@ -223,7 +224,7 @@ RETIRED = [
     (
         r"force_stage_table|FORCE_STAGE_LABELS|\b(extra_rows|sub_rows)\b"
         r"|stage_breakdown_table\([^)]*\b(total|labels)=",
-        (*CALLERS, "README.md"),
+        CALLERS,
         "a public name earns a caller: the force-stats table only tests rendered",
     ),
 ]
@@ -242,7 +243,7 @@ RETIRED.append((
 RETIRED.append((
     r"_leaf_blocks|_PRISM_CHUNK|reduce_into|\bprism_chunk\b|release_scratch|_BUF_POOL"
     r"|util import[^#]*\bscratch\b",
-    (*CALLERS, "README.md"),
+    CALLERS,
     "the compiled prism: no numpy sink-leaf x box tiles, row budget, reduction or scratch pool",
 ))
 RETIRED.append((
@@ -264,7 +265,7 @@ RETIRED.append((
 ))
 RETIRED.append((
     r"SimulationConfig\([^)]*\bws=",
-    (*CALLERS, "README.md"),
+    CALLERS,
     "a setting earns a caller: a simulation traverses the near images |n| <= 1",
 ))
 RETIRED.append((
