@@ -29,6 +29,20 @@ CACHE_DIR = Path(__file__).parent / "_cache"
 BENCH_N = int(os.environ.get("REPRO_BENCH_N", "12"))
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
+#: the run of Figs. 1, 7, 8 and ``bench_evolve_gate.py``: 12^3 in 72 Mpc/h, errtol 1e-4,
+#: steps of dlna <= 0.125 refined at most twice; each script sets what it varies
+BASE = SimulationConfig(n_per_dim=12, box_mpc_h=72.0, errtol=1e-4, nleaf=24, max_refine=2,
+                        track_energy=False, seed=42)
+
+
+def k_bands(cfg: SimulationConfig) -> dict:
+    """Fig. 7's k-bands ``{name: (lo, hi)}`` in h/Mpc: large scales from 1.2
+    k_fundamental to 0.45 k_Nyquist, small scales on to 0.95 k_Nyquist."""
+    knyq = np.pi * cfg.n_per_dim / cfg.box_mpc_h
+    return {"large": (1.2 * 2 * np.pi / cfg.box_mpc_h, 0.45 * knyq),
+            "small": (0.45 * knyq, 0.95 * knyq)}
+
+
 #: version of the shared receipt envelope written by :func:`emit_bench`
 BENCH_SCHEMA_VERSION = 1
 

@@ -14,15 +14,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _simlib import once, print_table, run_cached
+from _simlib import BASE as CFG, once, print_table, run_cached
 from repro.analysis import EqualAreaSphere, mollweide_xy, project_to_sky
-from repro.simulation import ICConfig, SimulationConfig, generate_ic
+from repro.simulation import ICConfig, generate_ic
 from repro.cosmology import PLANCK2013
-
-CFG = SimulationConfig(
-    n_per_dim=12, box_mpc_h=72.0, a_init=0.02, a_final=1.0,
-    errtol=1e-4, p=4, nleaf=24, max_refine=2, track_energy=False, seed=42,
-)
 
 
 def test_fig1_skymap_contrast(benchmark):

@@ -23,27 +23,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _simlib import BENCH_N, FULL, once, print_table, run_cached
+from _simlib import BASE, BENCH_N, FULL, k_bands, once, print_table, run_cached
 from repro.analysis.power import measure_power
-from repro.simulation import SimulationConfig
 
 N = max(BENCH_N, 12) if not FULL else max(BENCH_N, 16)
 BOX = 72.0 * N / 12  # keeps the k range fixed as N grows
-
-BASE = SimulationConfig(
-    n_per_dim=N,
-    box_mpc_h=BOX,
-    a_init=0.02,
-    a_final=1.0,
-    errtol=1e-4,
-    p=4,
-    nleaf=24,
-    dlna_max=0.125,
-    max_refine=2,
-    track_energy=False,
-    softening="dehnen_k1",
-    seed=42,
-)
+BASE = dataclasses.replace(BASE, n_per_dim=N, box_mpc_h=BOX)
+BANDS = k_bands(BASE)
 
 VARIANTS = {
     "reference (errtol/4, dt/2)": dataclasses.replace(
@@ -66,40 +52,26 @@ VARIANTS = {
 
 
 def _power_of(cfg):
-    out = run_cached(cfg)
-    return measure_power(
-        out["pos"], cfg.box_mpc_h, ngrid=2 * cfg.n_per_dim,
-        subtract_shot_noise=False,
-    )
+    return measure_power(run_cached(cfg)["pos"], cfg.box_mpc_h, ngrid=2 * cfg.n_per_dim,
+                         subtract_shot_noise=False)
 
 
 @pytest.fixture(scope="module")
 def fig7_ratios():
     ref = _power_of(VARIANTS["reference (errtol/4, dt/2)"])
-    out = {}
-    for name, cfg in VARIANTS.items():
-        res = _power_of(cfg)
-        out[name] = res.ratio_to(ref)
-    return ref.k, out
+    return ref.k, {name: _power_of(cfg).ratio_to(ref) for name, cfg in VARIANTS.items()}
 
 
-def _band(k, lo, hi):
-    return (k >= lo) & (k <= hi)
+def _mean(k, ratio, band):
+    lo, hi = BANDS[band]
+    return float(np.mean(ratio[(k >= lo) & (k <= hi)]))
 
 
 def test_fig7_ratio_table(benchmark, fig7_ratios):
     k, ratios = once(benchmark, lambda: fig7_ratios)
-    knyq = np.pi * N / BOX
-    bands = [
-        ("large scales", 1.2 * 2 * np.pi / BOX, 0.45 * knyq),
-        ("small scales", 0.45 * knyq, 0.95 * knyq),
-    ]
     rows = []
     for name, r in ratios.items():
-        vals = []
-        for _label, lo, hi in bands:
-            sel = _band(k, lo, hi)
-            vals.append(float(np.mean(r[sel])))
+        vals = [_mean(k, r, band) for band in BANDS]
         rows.append((name, round(vals[0], 4), round(vals[1], 4)))
     print_table(
         "Fig. 7: P(k)/P_ref at z=0 (band means)",
@@ -121,11 +93,8 @@ def test_fig7_no2lpt_power_deficit(benchmark, fig7_ratios):
     k, ratios = fig7_ratios
 
     def run():
-        knyq = np.pi * N / BOX
-        sel = _band(k, 0.45 * knyq, 0.95 * knyq)
-        return float(np.mean(ratios["no 2LPT"][sel])), float(
-            np.mean(ratios["standard (errtol 1e-4)"][sel])
-        )
+        return (_mean(k, ratios["no 2LPT"], "small"),
+                _mean(k, ratios["standard (errtol 1e-4)"], "small"))
 
     za, std = once(benchmark, run)
     print(f"\nno-2LPT / reference small-scale power: {za:.4f} (standard: {std:.4f})")
@@ -139,15 +108,10 @@ def test_fig7_smoothing_effects(benchmark, fig7_ratios):
     k, ratios = fig7_ratios
 
     def run():
-        knyq = np.pi * N / BOX
-        sel = _band(k, 0.45 * knyq, 0.95 * knyq)
-        lo = _band(k, 1.2 * 2 * np.pi / BOX, 0.45 * knyq)
-        return (
-            float(np.mean(ratios["6x smoothing"][sel])),
-            float(np.mean(ratios["Plummer smoothing"][sel])),
-            float(np.mean(ratios["standard (errtol 1e-4)"][sel])),
-            float(np.mean(ratios["Plummer smoothing"][lo])),
-        )
+        return (_mean(k, ratios["6x smoothing"], "small"),
+                _mean(k, ratios["Plummer smoothing"], "small"),
+                _mean(k, ratios["standard (errtol 1e-4)"], "small"),
+                _mean(k, ratios["Plummer smoothing"], "large"))
 
     smooth6, plummer, std, plummer_lo = once(benchmark, run)
     print(
@@ -171,13 +135,8 @@ def test_fig7_ic_switches(benchmark, fig7_ratios):
     k, ratios = fig7_ratios
 
     def run():
-        knyq = np.pi * N / BOX
-        sel = _band(k, 0.45 * knyq, 0.95 * knyq)
-        lo = _band(k, 1.2 * 2 * np.pi / BOX, 0.45 * knyq)
-        return {
-            name: (float(np.mean(ratios[name][lo])), float(np.mean(ratios[name][sel])))
-            for name in ("DEC", "SphereMode", "z_i = 99", "standard (errtol 1e-4)")
-        }
+        return {name: (_mean(k, ratios[name], "large"), _mean(k, ratios[name], "small"))
+                for name in ("DEC", "SphereMode", "z_i = 99", "standard (errtol 1e-4)")}
 
     vals = once(benchmark, run)
     for name, (lo, hi) in vals.items():
@@ -198,11 +157,8 @@ def test_fig7_treepm_transition(benchmark, fig7_ratios):
     k, ratios = fig7_ratios
 
     def run():
-        r = ratios["TreePM (GADGET2-like)"]
-        s = ratios["standard (errtol 1e-4)"]
-        dev_tp = float(np.max(np.abs(r - 1.0)))
-        dev_std = float(np.max(np.abs(s - 1.0)))
-        return dev_tp, dev_std
+        return tuple(float(np.max(np.abs(ratios[name] - 1.0)))
+                     for name in ("TreePM (GADGET2-like)", "standard (errtol 1e-4)"))
 
     dev_tp, dev_std = once(benchmark, run)
     print(f"\nmax |P/P_ref - 1|: TreePM {dev_tp:.4f} vs pure tree {dev_std:.4f}")

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _simlib import BENCH_N, FULL, once, print_table, run_cached
+from _simlib import BASE, BENCH_N, FULL, once, print_table, run_cached
 from repro.analysis import (
     TinkerMassFunction,
     WarrenMassFunction,
@@ -34,27 +34,15 @@ from repro.analysis import (
     so_masses,
 )
 from repro.cosmology import PLANCK2013, WMAP1, LinearPower
-from repro.simulation import SimulationConfig
 
 N = max(BENCH_N, 18) if FULL else max(BENCH_N, 16)
 BOXES = [30.0 * N / 16, 60.0 * N / 16] + ([120.0 * N / 16] if FULL else [])
 MIN_MEMBERS = 16
 
-BASE = SimulationConfig(
-    n_per_dim=N,
-    a_init=0.02,
-    a_final=1.0,
-    errtol=1e-4,
-    p=4,
-    nleaf=24,
-    dlna_max=0.125,
-    max_refine=2,
-    track_energy=False,
-    seed=1234,
-)
+BASE = dataclasses.replace(BASE, n_per_dim=N, seed=1234)
 
 
-def _fof_masses(cfg: SimulationConfig):
+def _fof_masses(cfg):
     """Run (cached); FOF(0.2) masses in Msun/h plus the particle mass."""
     out = run_cached(cfg)
     pos, mass = out["pos"], out["mass"]

@@ -2,6 +2,7 @@
 comparison, driven by a fake runner in place of ``benchmarks/step/run.py``."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -132,10 +133,24 @@ def test_layer_medians_skip_equal_and_unmeasured_rows():
 
 
 def test_trees_are_rev_and_working_tree_without_bytecode(tmp_path):
-    trees = ab_step.make_trees("HEAD", tmp_path)
-    for side in ("base", "head"):
-        assert (trees[side] / "benchmarks" / "step" / "run.py").is_file()
-        assert not list(trees[side].rglob("__pycache__"))
-    assert (trees["head"] / "tools" / "ab_step.py").is_file()
-    assert ab_step.same_state_as(trees["head"])["clustered_hier_w2"] == "clustered_hier"
+    """On a throwaway repository: ``base`` is the commit, ``head`` the
+    working tree with its untracked file, neither an ignored file."""
+    repo, run = tmp_path / "repo", Path("benchmarks", "step", "run.py")
+    (repo / run).parent.mkdir(parents=True)
+    (repo / run).write_text("committed")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    git = ("git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo))
+    for args in (("init", "-q"), ("add", "-A"), ("commit", "-q", "-m", "base")):
+        subprocess.run((*git, *args), check=True)
+    (repo / run).write_text("edited")
+    (repo / "new.py").write_text("untracked")
+    (repo / run.parent / "__pycache__").mkdir()
+    (repo / run.parent / "__pycache__" / "run.pyc").write_bytes(b"")
+    trees = ab_step.make_trees("HEAD", tmp_path / "trees", repo=repo)
+    assert [(trees[side] / run).read_text() for side in ("base", "head")] == ["committed", "edited"]
+    assert [(trees[side] / "new.py").exists() for side in ("base", "head")] == [False, True]
+    assert not list(tmp_path.joinpath("trees").rglob("__pycache__"))
 
+
+def test_same_state_as_is_read_from_the_tree_s_workloads():
+    assert ab_step.same_state_as(ab_step.REPO)["clustered_hier_w2"] == "clustered_hier"

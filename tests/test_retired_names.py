@@ -1,6 +1,7 @@
 """The dead-name guard of ``tools/check_retired_names.py`` as a tier-1 test."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_retired_names.py"
@@ -45,3 +46,20 @@ def test_a_retired_setting_in_the_docs_fires(tmp_path):
     hits = guard.find_retired(tmp_path)
     assert [hit.split(": ")[0] for hit in hits] == ["DESIGN.md:2", "README.md:1"]
     assert "near images" in hits[0] and "the cone is projected whole" in hits[1]
+
+
+def test_the_literal_sift_misses_no_line_a_full_scan_hits(tmp_path):
+    """On a planted tree the guard reports what searching every line reports."""
+    keys = tmp_path / "src" / "repro" / "keys"
+    keys.mkdir(parents=True)
+    numba, ws = "numba", "ws"  # (not hits in this file)
+    (keys / "morton.py").write_text(f"def f(box: float = 1.0,\r\n  x = SimulationConfig(a=1,\n"
+                                    f"  {ws}=2)\nimport {numba}\x0c{numba} = 1\n")
+    (tmp_path / "README.md").write_text(f"SimulationConfig(n=8, {ws}=2)\n")
+    full = [f"{path.relative_to(tmp_path)}:{n}: {line.strip()}  [{what}]"
+            for pattern, roots, what in guard.RETIRED
+            for root in (tmp_path / r for r in roots if not r.startswith("!"))
+            for path in ([root] if root.is_file() else sorted(root.rglob("*")))
+            for n, line in enumerate(path.read_text().splitlines() if path.is_file() else [], 1)
+            if re.search(pattern, line)]
+    assert guard.find_retired(tmp_path) == full and len(full) == 4

@@ -49,23 +49,24 @@ METRICS = (("step_wall_s", "lower"), ("setup_s", "lower"), ("force_ok_frac", "hi
 CLAIM_SHARE = 0.9
 
 
-def git(*args: str) -> str:
-    return subprocess.run(("git", *args), cwd=REPO, check=True, capture_output=True,
+def git(*args: str, repo: Path = REPO) -> str:
+    return subprocess.run(("git", *args), cwd=repo, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def extract(rev: str, dest: Path) -> None:
+def extract(rev: str, dest: Path, repo: Path = REPO) -> None:
     dest.mkdir(parents=True)
-    archive = subprocess.run(("git", "archive", rev), cwd=REPO, check=True, capture_output=True)
+    archive = subprocess.run(("git", "archive", rev), cwd=repo, check=True, capture_output=True)
     subprocess.run(("tar", "-x", "-C", str(dest)), input=archive.stdout, check=True)
 
 
-def make_trees(rev: str, root: Path) -> dict:
-    """``root/base`` from ``rev``; ``root/head`` from the working tree."""
+def make_trees(rev: str, root: Path, repo: Path = REPO) -> dict:
+    """``root/base`` from ``rev`` of ``repo``; ``root/head`` from its working tree."""
     base, head = root / "base", root / "head"
-    extract(rev, base)
-    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
-        src = REPO / name
+    extract(rev, base, repo)
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                    repo=repo).split("\0"):
+        src = repo / name
         if name and src.is_file():
             (head / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, head / name)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
+from re import _constants as sre, _parser as sre_parse
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -274,6 +275,14 @@ RETIRED.append((
     "a setting earns a caller: a simulation traverses the near images |n| <= 1",
 ))
 
+RETIRED.append((
+    r"bench_force_e2e|bench_force_gate|BENCH_force_gate|bench_parallel_speedup|BENCH_parallel\b"
+    r"|REPRO_BENCH_PAR_|REPRO_BENCH_FORCE_ERRTOL|REPRO_BENCH_WORKERS",
+    # the historical receipt names the script that wrote it
+    (*CALLERS, "!benchmarks/BENCH_force.json"),
+    "one evolved-run gate: the answered force A/B and a workers=1 'speedup' curve went",
+))
+
 SKYMAP, LIGHTCONE = "src/repro/analysis/skymap.py", "src/repro/simulation/lightcone.py"
 Z0 = ("src/repro/cosmology/growth.py", "src/repro/cosmology/power.py",
       "src/repro/cosmology/params.py", "src/repro/analysis/massfunction.py")
@@ -354,6 +363,44 @@ RETIRED += [
 ALLOWED = re.compile(r"^NUMBA_AVAILABLE = False\b")
 
 
+def needed_literals(items) -> set[str] | None:
+    """Strings one of which every match of the parsed pattern ``items``
+    contains, or ``None`` when no such set is known."""
+    choices, run = [], ""
+    for op, arg in items:
+        if op is sre.LITERAL:
+            run += chr(arg)
+            continue
+        choices.append({run})
+        run, sub = "", None
+        if op is sre.SUBPATTERN:
+            sub = needed_literals(arg[-1])
+        elif op is sre.BRANCH:
+            alternatives = [needed_literals(alt) for alt in arg[1]]
+            sub = set().union(*alternatives) if all(alternatives) else None
+        elif op in (sre.MAX_REPEAT, sre.MIN_REPEAT) and arg[0] >= 1:
+            sub = needed_literals(arg[2])
+        choices.append(sub)
+    choices = [c for c in (*choices, {run}) if c and "" not in c]
+    # the choice whose shortest string is longest is the rarest
+    return max(choices, key=lambda c: min(map(len, c)), default=None)
+
+
+def candidate_lines(lines: list[str], text: str, needed: set[str] | None):
+    """``(number, line)`` of the ``lines`` (``text``: joined by newlines) holding
+    one of ``needed``, or all: ``str.find`` skips the rest faster than a regex."""
+    if needed is None:
+        return enumerate(lines, 1)
+    found = set()
+    for s in needed:
+        at = text.find(s)
+        while at != -1:
+            found.add(text.count("\n", 0, at))
+            at = text.find("\n", at)
+            at = -1 if at == -1 else text.find(s, at)
+    return ((n + 1, lines[n]) for n in sorted(found))
+
+
 def find_retired(repo: Path = REPO) -> list[str]:
     """``path:line: text  [what]`` for every retired name found under ``repo``."""
     this = repo / "tools" / Path(__file__).name
@@ -367,23 +414,27 @@ def find_retired(repo: Path = REPO) -> list[str]:
                               and f != this]
         return files_of[root]
 
-    def lines(path: Path) -> list[str]:
+    def lines(path: Path) -> tuple[list[str], str]:
         if path not in lines_of:
             try:
-                lines_of[path] = path.read_text(encoding="utf-8").splitlines()
+                split = path.read_text(encoding="utf-8").splitlines()
             except UnicodeDecodeError:
-                lines_of[path] = []  # binary: grep -I
+                split = []  # binary: grep -I
+            lines_of[path] = split, "\n".join(split)
         return lines_of[path]
 
     hits = []
     for pattern, roots, what in RETIRED:
         rx = re.compile(pattern)
+        # a line that matches holds one of these: only such lines are searched
+        parsed = sre_parse.parse(pattern)
+        needed = None if parsed.state.flags & re.IGNORECASE else needed_literals(parsed)
         spared = {repo / root[1:] for root in roots if root.startswith("!")}
         for root in roots:
             for path in files(root) if not root.startswith("!") else []:
                 if path in spared:
                     continue
-                for n, line in enumerate(lines(path), 1):
+                for n, line in candidate_lines(*lines(path), needed):
                     if rx.search(line) and not ALLOWED.match(line):
                         hits.append(f"{path.relative_to(repo)}:{n}: {line.strip()}  [{what}]")
     return hits
