@@ -124,7 +124,6 @@ def solve_forces(
     sink_leaves: np.ndarray | None = None,
     particle_range: tuple[int, int] | None = None,
     tracer=None,
-    previous: InteractionLists | None = None,
 ) -> tuple[ForceResult, InteractionLists, float, float]:
     """Traverse, prune and evaluate ``sink_leaves`` (default: all) under ``spec``.
 
@@ -133,10 +132,7 @@ def solve_forces(
     solvers and every executor shard run through here.  Returns
     ``(result, lists, traverse seconds, evaluate seconds)`` with the
     traversal counters merged into ``result.stats``.
-    ``particle_range`` is :func:`evaluate_forces`'s shard mode;
-    ``previous`` is the last solve's lists, whose walk the traversal
-    replays when the tree's topology is unchanged (the returned lists
-    carry this walk's record, taken before the TreePM pruning).
+    ``particle_range`` is :func:`evaluate_forces`'s shard mode.
     """
     tr = tracer if tracer is not None else get_tracer()
     t0 = time.perf_counter()
@@ -149,7 +145,6 @@ def solve_forces(
             ws=spec.ws,
             cc_xmax=spec.cc_xmax,
             sink_leaves=sink_leaves,
-            previous=previous,
         )
         if spec.rcut is not None:
             from .pm import _prune_far
@@ -297,7 +292,6 @@ class _ForceSolver:
     _executor = None
     last_tree: Tree | None = None
     last_moments: TreeMoments | None = None
-    last_interactions: InteractionLists | None = None
 
     def close(self) -> None:
         """Shut down the worker pool (no-op for serial configurations)."""
@@ -318,9 +312,7 @@ class _ForceSolver:
         Adds the stage rows to ``stage`` — ``traverse`` and ``evaluate``
         in process, ``execute`` (the pool's wall-clock; the summed
         per-worker seconds live in ``stats["executor"]``) sharded — and
-        the same stats and tracer counters either way.  In process, the
-        walk replays the last solve's (``last_interactions``) when the
-        tree's topology allows; the lists are a fresh walk's either way.
+        the same stats and tracer counters either way.
         """
         workers = self.config.workers
         if workers:
@@ -330,12 +322,11 @@ class _ForceSolver:
             with tr.span("execute") as sp_execute:
                 result = self._executor.compute(tree, moms, spec, tracer=tr)
             stage["execute"] = sp_execute.seconds
-            inter = None
         else:
-            result, inter, stage["traverse"], stage["evaluate"] = solve_forces(
-                tree, moms, spec, tracer=tr, previous=self.last_interactions
+            result, _, stage["traverse"], stage["evaluate"] = solve_forces(
+                tree, moms, spec, tracer=tr
             )
-        self.last_tree, self.last_moments, self.last_interactions = tree, moms, inter
+        self.last_tree, self.last_moments = tree, moms
         stats = result.stats
         # the traversal-level count, in process or summed over the shards
         stats["interactions_per_particle"] = stats["traversal_interactions"] / max(

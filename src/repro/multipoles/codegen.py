@@ -803,15 +803,17 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
     )
 
 
-#: The upward pass and the lattice L2P: one fixed unit for every order,
-#: driven by :class:`~repro.multipoles.multiindex.MultiIndexSet` tables
-#: (``alphas`` for the powers, ``translation_table``, ``up``).  Every sum
-#: runs in the order numpy took it before this code replaced it, so the
-#: moments, ``bmax`` and the lattice acceleration are numpy's bit for bit
+#: The upward pass, the lattice L2P and the dual walk: one fixed unit for
+#: every order, driven by :class:`~repro.multipoles.multiindex.MultiIndexSet`
+#: tables (``alphas`` for the powers, ``translation_table``, ``up``) and the
+#: tree's cell arrays.  Every sum runs in the order numpy took it before
+#: this code replaced it, so the moments, ``bmax``, the lattice acceleration
+#: and every MAC decision of the walk are numpy's bit for bit
 #: (``tests/oracle.py`` keeps that numpy as the reference).
-UPWARD_SOURCE = r"""/* Upward pass (P2M, M2M, absolute moments, bmax) and lattice L2P
- * (repro.multipoles.codegen.UPWARD_SOURCE; one unit for every order).
- * IEEE arithmetic, no contraction, every sum in numpy's order. */
+UPWARD_SOURCE = r"""/* Upward pass (P2M, M2M, absolute moments, bmax), lattice L2P and
+ * the dual walk (repro.multipoles.codegen.UPWARD_SOURCE; one unit for
+ * every order).  IEEE arithmetic, no contraction, every sum in numpy's
+ * order. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -1073,5 +1075,229 @@ void l2p_field(int64_t n, const double *pos, const double *center, int64_t pmax,
             acc[3 * (j0 + k) + 2] = az[k];
         }
     }
+}
+
+/* the dual walk's frontier, one array per field: cells a and b, image off
+   of b, and the live directions fl (1: a sinks b, 2: b sinks a) */
+typedef struct {
+    int32_t *a, *b, *off, *fl;
+    int64_t n, cap;
+} walk_frontier;
+
+/* room for n pairs in f; 0, or -1 when it cannot be allocated */
+static int frontier_room(walk_frontier *f, int64_t n)
+{
+    if (n <= f->cap)
+        return 0;
+    int64_t cap = f->cap > 1024 ? f->cap : 1024;
+    while (cap < n)
+        cap *= 2;
+    int32_t **fields[4] = {&f->a, &f->b, &f->off, &f->fl};
+    for (int k = 0; k < 4; k++) {
+        int32_t *p = realloc(*fields[k], cap * sizeof(int32_t));
+        if (!p)
+            return -1;
+        *fields[k] = p;
+    }
+    f->cap = cap;
+    return 0;
+}
+
+/* the two frontiers and the MAC codes, kept from walk to walk (one set
+   per thread) and grown to the largest round: pages a walk faults in
+   fresh cost more than its arithmetic */
+static _Thread_local walk_frontier kept_cur, kept_next;
+static _Thread_local int32_t *kept_ok;
+static _Thread_local int64_t kept_ok_cap;
+
+/* key i of a family's buffer, which holds int64 keys when wide, else int32 */
+static inline void put_key(uint8_t *keys, int64_t i, int64_t key, int64_t wide)
+{
+    if (wide)
+        ((int64_t *)keys)[i] = key;
+    else
+        ((int32_t *)keys)[i] = (int32_t)key;
+}
+
+/* np.maximum without a branch, so that the MAC loop vectorizes */
+static inline double walk_max(double a, double b) { return (a >= b) | (a != a) ? a : b; }
+
+/* the MAC of each frontier pair (a, b, image off): bit 1 when a may take
+   b as a multipole, bit 2 when b may take a.  dist = |c_a - (c_b +
+   image)|, squares x, y, z in order; a sink's effective distance is the
+   larger of dist - bmax(sink) and the distance from the source's center
+   to the sink's cube, and the source passes when it exceeds the source's
+   r_crit and bmax(source) < xmax times it.  With m2l both directions pass
+   together, when both do (a ghost side waived) and bmax(a) + bmax(b) <
+   cc_xmax dist. */
+static void mac(const walk_frontier *f, const double *restrict images,
+                const double *restrict cell_center, const double *restrict half,
+                const double *restrict bmax, const double *restrict r_crit,
+                const int *restrict is_ghost, double xmax, double cc_xmax, int m2l,
+                int32_t *restrict ok)
+{
+    const int32_t *restrict fa = f->a, *restrict fb = f->b, *restrict fo = f->off;
+    const int64_t n = f->n;
+#pragma omp simd
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t a = fa[i], b = fb[i], o = fo[i];
+        double d[3], ga[3], gb[3];
+        for (int k = 0; k < 3; k++) {
+            d[k] = cell_center[3 * a + k] - (cell_center[3 * b + k] + images[3 * o + k]);
+            ga[k] = walk_max(fabs(d[k]) - half[a], 0.0);
+            gb[k] = walk_max(fabs(d[k]) - half[b], 0.0);
+        }
+        const double dist = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+        const double gap_a = sqrt((ga[0] * ga[0] + ga[1] * ga[1]) + ga[2] * ga[2]);
+        const double gap_b = sqrt((gb[0] * gb[0] + gb[1] * gb[1]) + gb[2] * gb[2]);
+        const double eff_a = walk_max(dist - bmax[a], gap_a);
+        const double eff_b = walk_max(dist - bmax[b], gap_b);
+        const int32_t ok1 = (eff_a > r_crit[b]) & (bmax[b] < eff_a * xmax);
+        const int32_t ok2 = (eff_b > r_crit[a]) & (bmax[a] < eff_b * xmax);
+        const int32_t mutual = (bmax[a] + bmax[b] < cc_xmax * dist) & (ok1 | is_ghost[a])
+                               & (ok2 | is_ghost[b]);
+        ok[i] = ((ok1 | ok2 << 1) & (m2l - 1)) | (mutual * 3 & -m2l);
+    }
+}
+
+/* The dual walk of repro.tree.traversal, breadth first from one pair per
+   unordered (root, root image) pair.  Each round decides every frontier
+   pair's live directions (mac): a direction that passes retires as an
+   accept; a live direction of two leaves that does not is direct (ghost,
+   when its source is a ghost).  An undecided pair splits into the next
+   round: the home self-pair into the triangle of its children's pairs,
+   any other pair on its larger (internal) side; a sink direction survives
+   only into children marked `relevant`.  Entries are keys (row << (b_src
+   + b_off)) | (source << b_off) | image, the row a cell for accepts and
+   row_of[leaf] for the others; direction b <- a reads image mirror[off].
+   The buffers hold int64 keys when wide, else int32 ones, and capacities
+   count keys.  A round writes its keys only where its family has room for
+   two per pair.  counts holds each family's length (accept, direct,
+   ghost), the capacity each family needed for that, then mac_tests, rounds and
+   frontier_peak; the keys are complete when no family needed more than
+   it had.  Returns -1 when the frontier cannot be grown. */
+int dual_walk(int64_t root, int64_t n_off, const double *images, const int64_t *mirror,
+              const double *cell_center, const double *half, const double *bmax,
+              const double *r_crit, const int *is_leaf, const int *is_ghost,
+              const int64_t *first_child, const int64_t *nchildren, const int *relevant,
+              const int64_t *row_of, double xmax, double cc_xmax, int m2l, int64_t b_src,
+              int64_t b_off, int64_t wide, int64_t cap_accept, int64_t cap_direct,
+              int64_t cap_ghost, uint8_t *accept, uint8_t *direct, uint8_t *ghost,
+              int64_t *counts)
+{
+    walk_frontier cur = kept_cur, next = kept_next;
+    int32_t *ok = kept_ok;
+    int64_t cap_ok = kept_ok_cap, status = -1;
+    uint8_t *outs[3] = {accept, direct, ghost};
+    int64_t caps[3] = {cap_accept, cap_direct, cap_ghost};
+    int64_t n_keys[3] = {0, 0, 0}, needed[3] = {0, 0, 0}, spill[3];
+    int64_t tests = 0, rounds = 0, peak = 0;
+    const int64_t row_shift = b_src + b_off;
+    cur.n = 0;
+    if (frontier_room(&cur, n_off))
+        goto out;
+    for (int64_t o = 0; o < n_off; o++)
+        if (o <= mirror[o]) {  /* the home self-pair carries one direction */
+            cur.a[cur.n] = cur.b[cur.n] = root;
+            cur.off[cur.n] = o;
+            cur.fl[cur.n++] = mirror[o] == o ? 1 : 3;
+        }
+    while (cur.n) {
+        tests += cur.n;
+        rounds++;
+        peak = cur.n > peak ? cur.n : peak;
+        if (cur.n > cap_ok) {
+            int32_t *p = realloc(ok, cur.n * sizeof(int32_t));
+            if (!p)
+                goto out;
+            ok = p;
+            cap_ok = cur.n;
+        }
+        mac(&cur, images, cell_center, half, bmax, r_crit, is_ghost, xmax, cc_xmax, m2l, ok);
+        /* a family without room for this round writes to a spill slot */
+        uint8_t *dst[3];
+        int64_t mask[3];
+        for (int k = 0; k < 3; k++) {
+            const int64_t want = n_keys[k] + 2 * cur.n;
+            needed[k] = want > needed[k] ? want : needed[k];
+            const int fits = needed[k] <= caps[k];
+            dst[k] = fits ? outs[k] : (uint8_t *)&spill[k];
+            mask[k] = fits ? -1 : 0;
+        }
+        int64_t n_acc = n_keys[0], n_dir = n_keys[1], n_gh = n_keys[2];
+        next.n = 0;
+        for (int64_t i = 0; i < cur.n; i++) {
+            const int64_t a = cur.a[i], b = cur.b[i], off = cur.off[i], fl = cur.fl[i];
+            const int64_t both_leaf = is_leaf[a] & is_leaf[b];
+            const int64_t ret = fl & ok[i], rest = fl & ~ret;
+            const int64_t direct_fl = rest & -both_leaf, live = rest & (both_leaf - 1);
+            /* every candidate key is written; a family keeps the ones it counts */
+            const int64_t src_b = b << b_off | off, src_a = a << b_off | mirror[off];
+            put_key(dst[0], n_acc & mask[0], a << row_shift | src_b, wide);
+            n_acc += ret & 1;
+            put_key(dst[0], n_acc & mask[0], b << row_shift | src_a, wide);
+            n_acc += ret >> 1;
+            /* a direct entry of a ghost source is a ghost entry */
+            const int64_t g1 = is_ghost[b], g2 = is_ghost[a], d1 = direct_fl & 1, d2 = direct_fl >> 1;
+            int64_t *n_fam = g1 ? &n_gh : &n_dir;
+            put_key(dst[1 + g1], *n_fam & mask[1 + g1], row_of[a] << row_shift | src_b, wide);
+            *n_fam += d1;
+            n_fam = g2 ? &n_gh : &n_dir;
+            put_key(dst[1 + g2], *n_fam & mask[1 + g2], row_of[b] << row_shift | src_a, wide);
+            *n_fam += d2;
+            if (!live)
+                continue;
+            if (a == b && off == 0) {
+                /* unordered children pairs {k_i, k_j}, i <= j: diagonals are
+                   single-direction self-pairs, the rest carry both */
+                const int64_t k0 = first_child[a], n = nchildren[a];
+                if (frontier_room(&next, next.n + n * (n + 1) / 2))
+                    goto out;
+                for (int64_t ki = k0; ki < k0 + n; ki++)
+                    for (int64_t kj = ki; kj < k0 + n; kj++) {
+                        next.a[next.n] = ki;
+                        next.b[next.n] = kj;
+                        next.off[next.n] = 0;
+                        next.fl[next.n] = relevant[ki] | (relevant[kj] & (kj != ki)) << 1;
+                        next.n += next.fl[next.n] != 0;
+                    }
+                continue;
+            }
+            /* the larger side splits: b when a is a leaf or b is the wider
+               internal cell; bit is the split side's sink direction */
+            const int64_t split_b = is_leaf[a] | ((is_leaf[b] ^ 1) & (bmax[b] >= bmax[a]));
+            const int64_t side = split_b ? b : a, other = split_b ? a : b, bit = split_b ? 2 : 1;
+            const int64_t k0 = first_child[side], n = nchildren[side];
+            if (frontier_room(&next, next.n + n))
+                goto out;
+            for (int64_t k = k0; k < k0 + n; k++) {
+                next.a[next.n] = split_b ? other : k;
+                next.b[next.n] = split_b ? k : other;
+                next.off[next.n] = off;
+                next.fl[next.n] = (live & ~bit) | (live & bit & -(int64_t)relevant[k]);
+                next.n += next.fl[next.n] != 0;
+            }
+        }
+        n_keys[0] = n_acc;
+        n_keys[1] = n_dir;
+        n_keys[2] = n_gh;
+        walk_frontier t = cur;
+        cur = next;
+        next = t;
+    }
+    for (int k = 0; k < 3; k++) {
+        counts[k] = n_keys[k];
+        counts[3 + k] = needed[k];
+    }
+    counts[6] = tests;
+    counts[7] = rounds;
+    counts[8] = peak;
+    status = 0;
+out:
+    kept_cur = cur;
+    kept_next = next;
+    kept_ok = ok;
+    kept_ok_cap = cap_ok;
+    return status;
 }
 """

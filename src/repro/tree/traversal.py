@@ -59,23 +59,25 @@ shard boundary shows up, with its whole segment, in both shards'
 lists.  That is what keeps the executor's disjoint-slice merge
 bit-identical at any worker count.
 
-A walk keeps its record (:class:`WalkRecord`): every pair it tested,
-with the geometric terms of the test and the decision.  Given the last
-walk's lists as ``previous``, a walk over a tree of the same topology
-and geometry *replays* that record instead of starting at the root: a
-decision is a pure function of the topology and the moments' ``bmax``
-and ``r_crit``, so it re-decides every recorded pair in one vectorised
-pass and walks again only below the pairs whose decision changed.  The
-decision set — and so every list — is a fresh walk's.
+The round loop is C: ``dual_walk`` of the upward unit
+(:data:`repro.multipoles.codegen.UPWARD_SOURCE`, loaded by
+:func:`repro.gravity.native.upward`).  It takes the same decisions with
+the same float64 arithmetic, in the same order, as the numpy reference
+walk (``oracle_walk`` of ``tests/oracle.py``), breadth first, and emits each
+family's entries as packed (row, source, image) keys, which numpy sorts
+into the CSR lists.  The keys of a walk are unique and the lists depend
+only on their sorted order, so the lists, the counters and every force
+bit are the numpy walk's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..util import expand_ranges
 from .moments import TreeMoments
 from .structure import Tree
 
@@ -85,62 +87,6 @@ __all__ = [
     "traverse_lists",
     "filter_csr_indptr",
 ]
-
-
-#: per-pair arrays of a :class:`WalkRecord` and how they are stored
-_PAIR_DTYPES = {
-    "a": np.int32,
-    "b": np.int32,
-    "off": np.int16,
-    "fl": np.int8,
-    "parent": np.int32,
-    "dist": np.float64,
-    "gap_a": np.float64,
-    "gap_b": np.float64,
-    "code": np.uint8,
-}
-_PAIR_FIELDS = tuple(_PAIR_DTYPES)
-
-
-@dataclass
-class WalkRecord:
-    """Every pair one walk tested, round by round, and what it decided.
-
-    Rows ``round_ptr[r]:round_ptr[r + 1]`` are the pairs of round r:
-    cells ``a`` and ``b`` and image ``off``, the live direction bits
-    ``fl`` they entered with, the row of the round-(r-1) pair that split
-    into them (``parent``; -1 for the root pairs), the geometric terms
-    of their test (``dist`` and the cube gaps of ``a`` and ``b``) and
-    their decision ``code`` (:func:`_decide`, which also carries the
-    pair's topology bits).  A replay keeps the rows whose decision held
-    and adds the ones it walked, so its record holds the pairs a fresh
-    walk tests, round by round.  ``topology`` (cell keys, levels,
-    children, ghost flags and the sink leaves) and ``geometry`` (box,
-    images, ``xmax``, ``cc_xmax``, walk mode) are what the record holds
-    for: a later walk with the same ones replays it.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    off: np.ndarray
-    fl: np.ndarray
-    parent: np.ndarray
-    dist: np.ndarray
-    gap_a: np.ndarray
-    gap_b: np.ndarray
-    code: np.ndarray
-    round_ptr: np.ndarray
-    topology: tuple
-    geometry: tuple
-    #: pairs of the previous record this walk re-decided (0: a fresh walk)
-    redecided: int = 0
-    #: pairs this walk's round loop tested (every pair on a fresh walk)
-    walked: int = 0
-
-    def valid_for(self, topology: tuple, geometry: tuple) -> bool:
-        return self.geometry == geometry and all(
-            x is y or np.array_equal(x, y) for x, y in zip(self.topology, topology)
-        )
 
 
 @dataclass
@@ -153,8 +99,6 @@ class InteractionLists:
     each accept (see ``cell_cells``).  Every segment of every family is
     sorted by (source cell, image offset), so the lists are a function
     of the walk's decisions and not of the order it made them in.
-    ``walk`` is the record of the walk that produced them, before any
-    pruning; it is what a later walk replays.
     """
 
     sink_leaves: np.ndarray  # all sink leaf cell indices traversed
@@ -192,7 +136,6 @@ class InteractionLists:
     inherited_accepts: int = 0  # accepts recorded at interior sink cells
     leaf_accepts: int = 0  # accepts recorded at sink leaves
     m2l_accepts: int = 0  # mutual cell-cell accepts (per direction)
-    walk: WalkRecord | None = field(default=None, repr=False, compare=False)
 
     def _leaf_rows_under(self, tree: Tree, cells: np.ndarray):
         """Rows ``[lo, hi)`` of ``sink_leaves`` inside each of ``cells``.
@@ -291,130 +234,18 @@ def filter_csr_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def _sink_relevance(tree: Tree, sinks: np.ndarray | None) -> np.ndarray:
     """Boolean mask over cells: subtree contains >= 1 selected sink leaf.
 
-    With no restriction every real (particle-bearing) cell qualifies;
-    ghost cells never do (they are empty and only ever sources).
+    With no restriction every real (particle-bearing) cell qualifies.
+    Otherwise a cell qualifies when the first particle of a selected
+    leaf (``sinks``, in SFC order) falls in its particle range, which
+    holds exactly for the leaf's ancestors and itself; ghost cells,
+    with an empty range, never do (they are empty and only ever
+    sources).
     """
     if sinks is None:
         return tree.cell_count > 0
-    relevant = np.zeros(tree.n_cells, dtype=bool)
-    relevant[sinks] = True
-    for level in range(tree.max_level - 1, -1, -1):
-        cells = tree.cells_at_level(level)
-        internal = cells[tree.cell_first_child[cells] >= 0]
-        if len(internal) == 0:
-            continue
-        nch = tree.cell_nchildren[internal]
-        kids = expand_ranges(tree.cell_first_child[internal], nch)
-        kid_parent = np.repeat(internal, nch)
-        np.logical_or.at(relevant, kid_parent, relevant[kids])
-    return relevant
-
-
-#: bits of a pair's decision code: a<-b retires, b<-a retires, an
-#: undecided pair splits its b side; then the pair's topology: a is a
-#: leaf, b is a leaf, it is the home self-pair of a cell
-RET1, RET2, SPLIT_B, LEAF_A, LEAF_B, SELF = 1, 2, 4, 8, 16, 32
-_TOPOLOGY_BITS = LEAF_A | LEAF_B | SELF
-#: pairs per block of the per-pair passes: a block's temporaries stay in cache
-_BLOCK = 1 << 14
-
-
-def _pair_topology(a, b, off, is_leaf, home) -> np.ndarray:
-    """The ``LEAF_A | LEAF_B | SELF`` bits of each pair's code."""
-    return (
-        is_leaf[a].view(np.uint8) * np.uint8(LEAF_A)
-        | is_leaf[b].view(np.uint8) * np.uint8(LEAF_B)
-        | ((a == b) & (off == home)).view(np.uint8) * np.uint8(SELF)
-    )
-
-
-def _pair_geometry(a, b, off, center, images, half):
-    """``dist`` and the cube gaps of a and b of each pair (a, b, image).
-
-    ``dist`` = |x_a - (x_b + image)|; a cube gap is the distance from
-    the other cell's center to the cube of half-side ``half`` around a
-    cell's center — a lower bound on the distance from any particle in
-    that cube.  ``center`` / ``images`` are per axis (3, n).  Blocks of
-    pairs, one axis at a time, so every temporary stays in cache; the
-    squares add up x, y, z in order.
-    """
-    n = len(a)
-    dist, gap_a, gap_b = np.empty(n), np.empty(n), np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        ba, bb, bo = a[blk], b[blk], off[blk]
-        d = [center[ax][ba] - (center[ax][bb] + images[ax][bo]) for ax in range(3)]
-        dist[blk] = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        absd = [np.abs(x) for x in d]
-        for h, gap in ((half[ba], gap_a), (half[bb], gap_b)):
-            g = [np.maximum(x - h, 0.0) for x in absd]
-            gap[blk] = np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    return dist, gap_a, gap_b
-
-
-def _decide(a, b, fl, dist, gap_a, gap_b, topo, ctx) -> np.ndarray:
-    """Decision code of each tested pair (a, b, image offset).
-
-    ``topo`` holds the pair's topology bits (:func:`_pair_topology`);
-    the code adds ``RET1`` / ``RET2`` for each direction that is live
-    in ``fl`` and retires (accepted), and ``SPLIT_B`` for an undecided
-    pair that splits its b side (an undecided pair that is not ``SELF``
-    and leaves it clear splits its a side).  Direct is topology: a live
-    direction of two leaves that does not retire.  A code is a pure
-    function of the pair's cells, its live bits, the geometric terms
-    ``dist`` / cube gaps and the moments' ``bmax`` / ``r_crit``, so a
-    replay re-decides recorded pairs with exactly the arithmetic of a
-    fresh walk.
-    """
-    bmax, r_crit, is_ghost, xmax, cc_xmax, m2l = ctx
-    code = np.empty(len(a), dtype=np.uint8)
-    for lo in range(0, len(a), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        ba = a[blk].astype(np.intp, copy=False)
-        bb = b[blk].astype(np.intp, copy=False)
-        bmax_a = bmax[ba]
-        bmax_b = bmax[bb]
-        # direction a<-b: d_eff lower-bounds the distance from any
-        # particle under sink a to source b's expansion center
-        d_eff = dist[blk] - bmax_a
-        np.maximum(d_eff, gap_a[blk], out=d_eff)
-        ok1 = d_eff > r_crit[bb]
-        d_eff *= xmax
-        ok1 &= bmax_b < d_eff
-        # direction b<-a: same separation, mirrored image offset
-        d_eff = np.subtract(dist[blk], bmax_b, out=d_eff)
-        np.maximum(d_eff, gap_b[blk], out=d_eff)
-        ok2 = d_eff > r_crit[ba]
-        d_eff *= xmax
-        ok2 &= bmax_a < d_eff
-        if m2l:
-            # mutual cell-cell accept: both directions retire into
-            # local expansions at once; one-sided accepts are disabled
-            # so the far field stays exactly momentum-symmetric.  The
-            # waiver for ghost sides is on sink quality only — ghosts
-            # are empty and never sink, but still pass their r_crit as
-            # sources.
-            sep = bmax_a + bmax_b < cc_xmax * dist[blk]
-            ok1 = ok2 = sep & (ok1 | is_ghost[ba]) & (ok2 | is_ghost[bb])
-        t = topo[blk]
-        leaf_a = (t & LEAF_A).astype(bool)
-        leaf_b = (t & LEAF_B).astype(bool)
-        bit1 = (fl[blk] & 1).astype(bool)
-        bit2 = (fl[blk] & 2).astype(bool)
-        ret1 = bit1 & ok1
-        ret2 = bit2 & ok2
-        undecided = ((bit1 & ~ret1) | (bit2 & ~ret2)) & ~(leaf_a & leaf_b)
-        # the home self-pair splits into the unordered triangle of its
-        # children; every other pair splits its larger (internal) side
-        split_b = undecided & ~(t & SELF).astype(bool)
-        split_b &= leaf_a | (~leaf_b & (bmax_b >= bmax_a))
-        code[blk] = (
-            t
-            | ret1.view(np.uint8)
-            | (ret2.view(np.uint8) << 1)
-            | (split_b.view(np.uint8) << 2)
-        )
-    return code
+    starts = tree.cell_start[sinks]
+    lo = np.searchsorted(starts, tree.cell_start, side="left")
+    return np.searchsorted(starts, tree.cell_start + tree.cell_count, side="left") > lo
 
 
 class _KeyPacker:
@@ -428,70 +259,82 @@ class _KeyPacker:
         # (row n_rows, one past the last, is a key too: see csr)
         self.dtype = np.int32 if b_row + self.b_src + self.b_off <= 30 else np.int64
 
-    def pack(self, rows, src, off) -> np.ndarray:
-        key = rows.astype(self.dtype)
-        key <<= self.b_src + self.b_off
-        src = src.astype(self.dtype)
-        src <<= self.b_off
-        key |= src
-        key |= off
-        return key
-
     def csr(self, keys, src_dtype, off_dtype):
         """Sorted ``keys`` as CSR: (source, image) of each entry and the
         row pointer over all ``n_rows`` rows."""
         bounds = np.arange(self.n_rows + 1, dtype=self.dtype) << (self.b_src + self.b_off)
         indptr = np.searchsorted(keys, bounds).astype(np.int64)
-        src = ((keys >> self.b_off) & ((1 << self.b_src) - 1)).astype(src_dtype)
-        return src, (keys & ((1 << self.b_off) - 1)).astype(off_dtype), indptr
+        # each field written once, in its own dtype (a narrowing cast keeps
+        # the low bits, which hold the masked field)
+        src = np.right_shift(keys, self.b_off, out=np.empty(len(keys), src_dtype),
+                             casting="unsafe")
+        src &= (1 << self.b_src) - 1
+        off = np.bitwise_and(keys, (1 << self.b_off) - 1, out=np.empty(len(keys), off_dtype),
+                             casting="unsafe")
+        return src, off, indptr
 
 
-def _entry_keys(a, b, off, fl, code, mirror, by_cell, by_row, row_of, is_ghost):
-    """Keys of the list entries pairs (a, b, image ``off``) emit.
-
-    A live direction that retired is an accept (a mutual one in the
-    hybrid walk), keyed (sink cell, source, image); a live direction of
-    two leaves that did not is direct, keyed (sink-leaf row, source,
-    image), ghost sources apart.  Returns (accept, direct, ghost) keys,
-    unsorted.  Direction b<-a reads the mirror image of ``off``.
-    """
-    both_leaf = (code & (LEAF_A | LEAF_B)) == LEAF_A | LEAF_B
-    accepts, direct = [], []
-    for sink, src, img, live, ret in (
-        (a, b, off, 1, RET1),
-        (b, a, mirror.astype(np.int16)[off.astype(np.intp)], 2, RET2),
-    ):
-        acc = (code & ret).astype(bool)
-        accepts.append(by_cell.pack(sink, src, img)[acc])
-        d = np.flatnonzero((fl & live).astype(bool) & ~acc & both_leaf)
-        direct.append((row_of[sink[d]], src[d], img[d]))
-    sink, src, img = (np.concatenate(x) for x in zip(*direct))
-    ghost = is_ghost[src]
-    return (
-        np.concatenate(accepts),
-        by_row.pack(sink[~ghost], src[~ghost], img[~ghost]),
-        by_row.pack(sink[ghost], src[ghost], img[ghost]),
+def _walk_frame(tree: Tree, periodic: bool, ws: int, sink_leaves):
+    """A walk's sink leaves in SFC (particle) order, its image offsets
+    (home first) and the index of each offset's mirror image."""
+    sinks = tree.leaf_indices if sink_leaves is None else np.asarray(sink_leaves, dtype=np.int64)
+    # row universe in SFC (particle) order: evaluation output slices are
+    # then contiguous and ascending for SFC-contiguous shards
+    sinks = sinks[np.argsort(tree.cell_start[sinks], kind="stable")]
+    offsets = (
+        _image_offsets(tree.box, ws) if periodic else np.zeros((1, 3), dtype=np.float64)
     )
+    # index of each offset's mirror image (-off); home maps to itself
+    ints = np.rint(offsets / tree.box)
+    mirror = np.argmax((ints[None, :, :] == -ints[:, None, :]).all(axis=2), axis=1)
+    return sinks, offsets, mirror
 
 
-def _replay_plan(old: WalkRecord, code: np.ndarray):
-    """(dropped, seeds) masks over ``old``'s pairs, given their new codes.
+#: the compiled walk's key buffers (accept, direct, ghost), kept from walk
+#: to walk (one set per thread) and grown to the most a walk has needed:
+#: pages a walk faults in fresh cost more than its arithmetic
+_KEY_BUFFERS = threading.local()
+#: keys per sink particle of each family's first buffer
+_FIRST_ROOM = 160
 
-    A pair whose code changed is a seed: the walk tests it again and
-    walks its new subtree.  It is dropped from the record, and so is
-    everything recorded below it; every other pair is kept with its
-    decision.
-    """
-    changed = code != old.code
-    below = np.zeros(len(code), dtype=bool)
-    dropped = changed.copy()
-    rp = old.round_ptr
-    # a round's parents sit in the round before it, already settled
-    for r in range(1, len(rp) - 1):
-        s = slice(rp[r], rp[r + 1])
-        below[s] = dropped[old.parent[s]]
-        dropped[s] |= below[s]
-    return dropped, changed & ~below
+
+def _walk_keys(tree, moms, frame, relevant, xmax, m2l, cc_xmax, packer):
+    """The compiled walk's (accept, direct, ghost) entry keys in
+    ``packer``'s dtype, unsorted, as views of buffers the thread's next
+    walk overwrites, and its ``(mac_tests, rounds, frontier_peak)``."""
+    from ..gravity import native  # (repro.gravity imports this module)
+
+    sinks, offsets, mirror = frame
+    row_of = np.zeros(tree.n_cells, dtype=np.int64)
+    row_of[sinks] = np.arange(len(sinks))
+    width = np.dtype(packer.dtype).itemsize
+    buffers = getattr(_KEY_BUFFERS, "bytes", None)
+    if buffers is None:
+        room = _FIRST_ROOM * max(int(tree.cell_count[sinks].sum()), 1) * 8
+        buffers = [np.empty(room, dtype=np.uint8) for _ in range(3)]
+    counts = np.zeros(9, dtype=np.int64)
+    walk = functools.partial(
+        native.upward().dual_walk,
+        root=int(np.flatnonzero(tree.cell_level == 0)[0]), n_off=len(offsets),
+        images=offsets, mirror=mirror, cell_center=tree.cell_center,
+        half=tree.box / np.exp2(tree.cell_level + 1), bmax=moms.bmax, r_crit=moms.r_crit,
+        is_leaf=tree.is_leaf, is_ghost=tree.cell_is_ghost, first_child=tree.cell_first_child,
+        nchildren=tree.cell_nchildren, relevant=relevant, row_of=row_of, xmax=xmax,
+        cc_xmax=cc_xmax, m2l=int(m2l), b_src=packer.b_src, b_off=packer.b_off,
+        wide=int(width == 8),
+    )
+    while True:
+        walk(cap_accept=len(buffers[0]) // width, cap_direct=len(buffers[1]) // width,
+             cap_ghost=len(buffers[2]) // width, accept=buffers[0], direct=buffers[1],
+             ghost=buffers[2], counts=counts)
+        short = [int(n) * width > len(b) for n, b in zip(counts[3:6], buffers)]
+        if not any(short):
+            break
+        buffers = [np.empty(int(n) * 8, dtype=np.uint8) if s else b
+                   for n, s, b in zip(counts[3:6], short, buffers)]
+    _KEY_BUFFERS.bytes = buffers
+    keys = tuple(b[: n * width].view(packer.dtype) for b, n in zip(buffers, counts[:3]))
+    return keys, counts[6:].tolist()
 
 
 def traverse_hierarchical(
@@ -503,7 +346,6 @@ def traverse_hierarchical(
     xmax: float = 0.6,
     m2l: bool = False,
     cc_xmax: float = 0.5,
-    previous: InteractionLists | None = None,
 ) -> InteractionLists:
     """Sink-hierarchical mutual dual traversal emitting CSR lists.
 
@@ -541,16 +383,7 @@ def traverse_hierarchical(
     far-field pair is applied symmetrically (exact momentum
     conservation, astro-ph/0003209).  The decision remains a pure
     function of (a, b, offset), never of which directions are live, so
-    restricted shard walks replay identical accepts.
-
-    ``previous`` is the last walk's lists.  When its record
-    (:class:`WalkRecord`) was taken on the same topology, sink set and
-    geometry, the walk *replays* it: every recorded pair is re-decided
-    against these moments in one pass (:func:`_decide`), the subtree of
-    each pair whose decision changed is dropped, and the round loop
-    walks only those pairs, each in its own round.  The lists and
-    counters are those of a fresh walk bit for bit; otherwise
-    ``previous`` is ignored.
+    restricted shard walks repeat identical accepts.
 
     The returned leaf and ghost lists are sorted by sink leaf
     (``sink_leaves`` comes back in SFC/particle order) with
@@ -560,220 +393,22 @@ def traverse_hierarchical(
     delimiting each cell's segment).  Every segment is sorted by
     (source cell, image offset).
     """
-    restricted = sink_leaves is not None
-    if restricted:
-        sinks = np.asarray(sink_leaves, dtype=np.int64)
-    else:
-        sinks = tree.leaf_indices
-    # row universe in SFC (particle) order: evaluation output slices are
-    # then contiguous and ascending for SFC-contiguous shards
-    sinks = sinks[np.argsort(tree.cell_start[sinks], kind="stable")]
-    offsets = (
-        _image_offsets(tree.box, ws) if periodic else np.zeros((1, 3), dtype=np.float64)
-    )
-    n_off = len(offsets)
-    # index of each offset's mirror image (-off); home maps to itself
-    if n_off > 1:
-        key = {tuple(o): i for i, o in enumerate(np.round(offsets, 9).tolist())}
-        mirror = np.array(
-            [key[tuple(o)] for o in np.round(-offsets, 9).tolist()], dtype=np.int64
-        )
-    else:
-        mirror = np.zeros(1, dtype=np.int64)
-    home = 0  # _image_offsets puts the home image first
-    relevant = _sink_relevance(tree, sinks if restricted else None)
-
-    center = np.ascontiguousarray(tree.cell_center.T)
-    images = np.ascontiguousarray(offsets.T)
-    is_leaf = tree.is_leaf
-    is_ghost = tree.cell_is_ghost
-    first_child = tree.cell_first_child
-    nchildren = tree.cell_nchildren
-    half = tree.box / np.exp2(tree.cell_level + 1)  # cell half-side
-    ctx = (moms.bmax, moms.r_crit, is_ghost, xmax, cc_xmax, m2l)
-    topology = (
-        tree.cell_key, tree.cell_level, first_child, nchildren, is_ghost, sinks
-    )
-    geometry = (tree.box, periodic, ws, xmax, cc_xmax, m2l)
-
-    old = previous.walk if previous is not None else None
-    if old is not None and not old.valid_for(topology, geometry):
-        old = None
-    n_old_rounds = 0
-    if old is not None:
-        recoded = _decide(
-            old.a, old.b, old.fl, old.dist, old.gap_a, old.gap_b,
-            old.code & _TOPOLOGY_BITS, ctx,
-        )
-        dropped, seeded = _replay_plan(old, recoded)
-        kept = ~dropped
-        # kept pairs before each row of the old record
-        n_before = np.concatenate(([0], np.cumsum(kept)))
-        n_old_rounds = len(old.round_ptr) - 1
-
-    empty = np.empty(0, dtype=np.int64)
-    # next round's walked children: cells, image, live bits, parent row
-    c_a, c_b, c_off, c_fl, c_par = empty, empty, empty, empty.astype(np.int8), empty
-    if old is None:
-        # seed one canonical entry per unordered (root, root image) pair:
-        # the home self-pair carries a single direction, each +/- image
-        # pair carries both
-        root = int(np.flatnonzero(tree.cell_level == 0)[0])
-        canon = np.flatnonzero(np.arange(n_off) <= mirror)
-        c_a = np.full(len(canon), root, dtype=np.int64)
-        c_b = c_a.copy()
-        c_off = canon.astype(np.int64)
-        c_fl = np.where(mirror[canon] == canon, 1, 3).astype(np.int8)
-        c_par = np.full(len(canon), -1, dtype=np.int64)
-
-    rec = {f: [] for f in _PAIR_FIELDS}
-    round_ptr = [0]
-    walked = 0
-    r = 0
-    while True:
-        # round r records the kept pairs of the previous walk's round r
-        # (a replay), then its walked pairs: the seeds re-tested in round
-        # r followed by the children of round r-1's undecided walked pairs
-        n_prev = 0
-        f_a, f_b, f_off, f_fl, f_par = c_a, c_b, c_off, c_fl, c_par
-        if r < n_old_rounds:
-            s = slice(int(old.round_ptr[r]), int(old.round_ptr[r + 1]))
-            n_prev = int(n_before[s.stop] - n_before[s.start])
-            par = old.parent[s]
-            if r:
-                # round r-1's kept pairs lead its new round, in order
-                prev = int(old.round_ptr[r - 1])
-                par = n_before[par] + (round_ptr[r - 1] - n_before[prev])
-            # (a view of the old rows when the round kept them all)
-            keep = slice(None) if n_prev == s.stop - s.start else kept[s]
-            for name in _PAIR_FIELDS:
-                col = par if name == "parent" else getattr(old, name)[s]
-                rec[name].append(col[keep].astype(_PAIR_DTYPES[name], copy=False))
-            seeds = np.flatnonzero(seeded[s])
-            f_a = np.concatenate((old.a[s][seeds], c_a))
-            f_b = np.concatenate((old.b[s][seeds], c_b))
-            f_off = np.concatenate((old.off[s][seeds], c_off))
-            f_fl = np.concatenate((old.fl[s][seeds], c_fl))
-            f_par = np.concatenate((par[seeds], c_par))
-        if not n_prev and not len(f_a):
-            break
-        base = round_ptr[-1] + n_prev
-        round_ptr.append(base + len(f_a))
-        r += 1
-        walked += len(f_a)
-        dist, gap_a, gap_b = _pair_geometry(f_a, f_b, f_off, center, images, half)
-        topo = _pair_topology(f_a, f_b, f_off, is_leaf, home)
-        code = _decide(f_a, f_b, f_fl, dist, gap_a, gap_b, topo, ctx)
-        for name, col in zip(
-            _PAIR_FIELDS, (f_a, f_b, f_off, f_fl, f_par, dist, gap_a, gap_b, code)
-        ):
-            rec[name].append(col.astype(_PAIR_DTYPES[name], copy=False))
-
-        both_leaf = (code & (LEAF_A | LEAF_B)) == LEAF_A | LEAF_B
-        live1 = (f_fl & 1).astype(bool) & ~(code & RET1).astype(bool) & ~both_leaf
-        live2 = (f_fl & 2).astype(bool) & ~(code & RET2).astype(bool) & ~both_leaf
-        undecided = live1 | live2
-        fl_live = (live1.astype(np.int8) + 2 * live2.astype(np.int8))[undecided]
-        rows = base + np.flatnonzero(undecided)
-        ua = f_a[undecided]
-        ub = f_b[undecided]
-        uo = f_off[undecided]
-        selfp = (code[undecided] & SELF).astype(bool)
-        split_b = (code[undecided] & SPLIT_B).astype(bool)
-        split_a = ~selfp & ~split_b
-        parts_a, parts_b, parts_o, parts_f, parts_p = [], [], [], [], []
-        if np.any(split_b):
-            pb = ub[split_b]
-            nch = nchildren[pb]
-            kids = expand_ranges(first_child[pb], nch)
-            ka = np.repeat(ua[split_b], nch)
-            ko = np.repeat(uo[split_b], nch)
-            kf = np.repeat(fl_live[split_b], nch)
-            kp = np.repeat(rows[split_b], nch)
-            # the split side's sink direction survives only into kids
-            # holding selected sink leaves
-            kf = (kf & 1) | np.where(relevant[kids], kf & 2, 0).astype(np.int8)
-            keep = kf != 0
-            parts_a.append(ka[keep])
-            parts_b.append(kids[keep])
-            parts_o.append(ko[keep])
-            parts_f.append(kf[keep])
-            parts_p.append(kp[keep])
-        if np.any(split_a):
-            pa = ua[split_a]
-            nch = nchildren[pa]
-            kids = expand_ranges(first_child[pa], nch)
-            kb = np.repeat(ub[split_a], nch)
-            ko = np.repeat(uo[split_a], nch)
-            kf = np.repeat(fl_live[split_a], nch)
-            kp = np.repeat(rows[split_a], nch)
-            kf = np.where(relevant[kids], kf & 1, 0).astype(np.int8) | (kf & 2)
-            keep = kf != 0
-            parts_a.append(kids[keep])
-            parts_b.append(kb[keep])
-            parts_o.append(ko[keep])
-            parts_f.append(kf[keep])
-            parts_p.append(kp[keep])
-        if np.any(selfp):
-            # unordered children pairs {k_i, k_j}, i <= j, of each
-            # self-pair cell; diagonals are new single-direction
-            # self-pairs, off-diagonals carry both directions
-            sa = ua[selfp]
-            srow = rows[selfp]
-            nch_s = nchildren[sa]
-            for n in np.unique(nch_s):
-                grp = nch_s == n
-                iu, ju = np.triu_indices(int(n))
-                first = first_child[sa[grp]]
-                ka = (first[:, None] + iu[None, :]).ravel()
-                kb = (first[:, None] + ju[None, :]).ravel()
-                kp = np.repeat(srow[grp], len(iu))
-                kf = (
-                    np.where(relevant[ka], 1, 0) | np.where(relevant[kb], 2, 0)
-                ).astype(np.int8)
-                kf = np.where(ka == kb, kf & 1, kf).astype(np.int8)
-                keep = kf != 0
-                parts_a.append(ka[keep])
-                parts_b.append(kb[keep])
-                parts_o.append(np.full(int(keep.sum()), home, dtype=np.int64))
-                parts_f.append(kf[keep])
-                parts_p.append(kp[keep])
-        c_a, c_b, c_off, c_fl, c_par = (
-            (np.concatenate(p) if p else e)
-            for p, e in (
-                (parts_a, empty), (parts_b, empty), (parts_o, empty),
-                (parts_f, empty.astype(np.int8)), (parts_p, empty),
-            )
-        )
-
-    # (one field at a time, so the record is never held twice)
-    rec = {name: np.concatenate(rec.pop(name)) for name in _PAIR_FIELDS}
-    walk = WalkRecord(
-        **rec,
-        round_ptr=np.asarray(round_ptr, dtype=np.int64),
-        topology=topology,
-        geometry=geometry,
-        redecided=0 if old is None else len(old.a),
-        walked=walked,
-    )
-    # the record's entries, sorted: the same for a fresh walk and a replay
-    n_cells, n_rows = tree.n_cells, len(sinks)
-    by_cell = _KeyPacker(n_cells, n_cells, n_off)
-    by_row = _KeyPacker(n_rows, n_cells, n_off)
-    row_of = np.zeros(n_cells, dtype=np.int64)
-    row_of[sinks] = np.arange(n_rows)
-    keys = _entry_keys(
-        rec["a"], rec["b"], rec["off"], rec["fl"], rec["code"],
-        mirror, by_cell, by_row, row_of, is_ghost,
-    )
-    keys = tuple(np.sort(k) for k in keys)
-    return _lists_from_walk(tree, walk, keys, sinks, offsets, m2l, by_cell, by_row)
+    frame = _walk_frame(tree, periodic, ws, sink_leaves)
+    sinks, offsets, _ = frame
+    relevant = _sink_relevance(tree, None if sink_leaves is None else sinks)
+    by_cell = _KeyPacker(tree.n_cells, tree.n_cells, len(offsets))
+    by_row = _KeyPacker(len(sinks), tree.n_cells, len(offsets))
+    keys, counters = _walk_keys(tree, moms, frame, relevant, xmax, m2l, cc_xmax, by_cell)
+    for k in keys:
+        k.sort()
+    return _lists_from_walk(tree, keys, counters, sinks, offsets, m2l, by_cell, by_row)
 
 
-def _lists_from_walk(tree, walk, keys, sinks, offsets, m2l: bool, by_cell, by_row):
-    """The CSR lists and counters of a walk, from its sorted entry keys."""
+def _lists_from_walk(tree, keys, counters, sinks, offsets, m2l: bool, by_cell, by_row):
+    """The CSR lists of a walk, from its sorted entry keys, and its
+    ``(mac_tests, rounds, frontier_peak)`` counters."""
     accepts, direct, ghost = keys
-    sizes = np.diff(walk.round_ptr)  # pairs tested per round
+    mac_tests, rounds, frontier_peak = counters
 
     def by_sink_cell(keys, src_dtype, off_dtype):
         """CSR keyed by sink cell, rows ascending by cell index."""
@@ -819,15 +454,14 @@ def _lists_from_walk(tree, walk, keys, sinks, offsets, m2l: bool, by_cell, by_ro
         ghost_sink=gs,
         ghost_src=gc,
         ghost_off=go,
-        rounds=len(sizes),
+        rounds=rounds,
         cell_indptr=c_indptr,
         leaf_indptr=l_indptr,
         ghost_indptr=g_indptr,
-        mac_tests=int(walk.round_ptr[-1]),
-        frontier_peak=int(sizes.max()),
+        mac_tests=mac_tests,
+        frontier_peak=frontier_peak,
         **counts,
         **m2l_fields,
-        walk=walk,
     )
 
 
@@ -842,8 +476,6 @@ def traverse_lists(
     ``"hierarchical"`` — sink-hierarchical mutual dual walk (default);
     ``"fmm-hybrid"`` — the same walk with mutual cell-cell accepts into
     sink-side local expansions (``cc_xmax`` tunes the dual MAC).
-    ``previous=`` (the last walk's lists) replays that walk where it
-    can (:func:`traverse_hierarchical`).
     """
     if traversal == "hierarchical":
         kwargs.pop("cc_xmax", None)

@@ -22,9 +22,9 @@ At the end of the file, :func:`oracle_lattice_pieces` keeps the three
 full-cube sums of the periodic lattice coefficients as
 ``repro.gravity.periodic`` computed them before it summed over the
 cubic group's fundamental wedge, and :func:`oracle_moments`,
-:func:`m2m` and :func:`l2p` keep the numpy upward pass and lattice L2P
-that the compiled unit (``repro.multipoles.codegen.UPWARD_SOURCE``)
-reproduces bit for bit.
+:func:`m2m` and :func:`l2p` keep the numpy upward pass and lattice L2P,
+and :func:`oracle_walk` the numpy dual walk, that the compiled unit
+(``repro.multipoles.codegen.UPWARD_SOURCE``) reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.multipoles.prism import prism_acceleration
 from repro.multipoles.bounds import critical_radius, critical_radius_moment
 from repro.multipoles.cube import cube_moments
 from repro.multipoles.radial import ErfcKernel, NewtonianKernel
+from repro.tree import traversal
 from repro.tree.moments import TreeMoments, unit_cube_abs_moment
 from repro.util import expand_ranges
 
@@ -574,3 +575,201 @@ def oracle_lattice_field(ple, box_moments: np.ndarray, pos: np.ndarray):
     loc = ple.local_coefficients(box_moments)
     center = np.full(3, ple.box / 2.0)
     return l2p(loc, center, np.asarray(pos, dtype=np.float64), ple.p_local + 1)
+
+
+# ---------------------------------------------------------------------------
+# the numpy dual walk
+# ---------------------------------------------------------------------------
+
+#: bits of a pair's decision code: a<-b retires, b<-a retires, an
+#: undecided pair splits its b side; then the pair's topology: a is a
+#: leaf, b is a leaf, it is the home self-pair of a cell
+RET1, RET2, SPLIT_B, LEAF_A, LEAF_B, SELF = 1, 2, 4, 8, 16, 32
+
+
+def oracle_sink_relevance(tree, sinks):
+    """Cells whose subtree holds a selected sink leaf, level by level:
+    each interior cell ORs its children's flags, deepest level first."""
+    if sinks is None:
+        return tree.cell_count > 0
+    relevant = np.zeros(tree.n_cells, dtype=bool)
+    relevant[sinks] = True
+    for level in range(tree.max_level - 1, -1, -1):
+        cells = tree.cells_at_level(level)
+        internal = cells[tree.cell_first_child[cells] >= 0]
+        if len(internal) == 0:
+            continue
+        nch = tree.cell_nchildren[internal]
+        kids = expand_ranges(tree.cell_first_child[internal], nch)
+        np.logical_or.at(relevant, np.repeat(internal, nch), relevant[kids])
+    return relevant
+
+
+def oracle_pair_geometry(a, b, off, center, images, half):
+    """``dist`` = |x_a - (x_b + image)| and the cube gaps of a and b (the
+    distance from the other cell's center to the cube of half-side
+    ``half`` around a cell's center); the squares add up x, y, z in order."""
+    d = [center[ax][a] - (center[ax][b] + images[ax][off]) for ax in range(3)]
+    dist = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    absd = [np.abs(x) for x in d]
+    gaps = []
+    for h in (half[a], half[b]):
+        g = [np.maximum(x - h, 0.0) for x in absd]
+        gaps.append(np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]))
+    return dist, *gaps
+
+
+def _decide(a, b, fl, dist, gap_a, gap_b, topo, ctx):
+    """Decision code of each tested pair: the topology bits ``topo``, plus
+    ``RET1`` / ``RET2`` for each live direction that retires and
+    ``SPLIT_B`` for an undecided pair that splits its b side."""
+    bmax, r_crit, is_ghost, xmax, cc_xmax, m2l = ctx
+    bmax_a, bmax_b = bmax[a], bmax[b]
+    # direction a<-b: d_eff lower-bounds the distance from any particle
+    # under sink a to source b's expansion center
+    d_eff = np.maximum(dist - bmax_a, gap_a)
+    ok1 = (d_eff > r_crit[b]) & (bmax_b < d_eff * xmax)
+    # direction b<-a: same separation, mirrored image offset
+    d_eff = np.maximum(dist - bmax_b, gap_b)
+    ok2 = (d_eff > r_crit[a]) & (bmax_a < d_eff * xmax)
+    if m2l:
+        # mutual accept: both directions at once, a ghost side waived
+        sep = bmax_a + bmax_b < cc_xmax * dist
+        ok1 = ok2 = sep & (ok1 | is_ghost[a]) & (ok2 | is_ghost[b])
+    leaf_a = (topo & LEAF_A).astype(bool)
+    leaf_b = (topo & LEAF_B).astype(bool)
+    ret1 = (fl & 1).astype(bool) & ok1
+    ret2 = (fl & 2).astype(bool) & ok2
+    undecided = (((fl & 1).astype(bool) & ~ret1) | ((fl & 2).astype(bool) & ~ret2)) & ~(
+        leaf_a & leaf_b
+    )
+    # the home self-pair splits into the triangle of its children; every
+    # other pair splits its larger (internal) side
+    split_b = undecided & ~(topo & SELF).astype(bool) & (leaf_a | (~leaf_b & (bmax_b >= bmax_a)))
+    return (
+        topo | ret1.view(np.uint8) | (ret2.view(np.uint8) << 1) | (split_b.view(np.uint8) << 2)
+    )
+
+
+def _pack(packer, rows, src, off):
+    """(row, source, image) triples as ``packer``'s sortable keys."""
+    key = rows.astype(packer.dtype) << (packer.b_src + packer.b_off)
+    return key | (src.astype(packer.dtype) << packer.b_off) | off
+
+
+def _entry_keys(a, b, off, fl, code, mirror, by_cell, by_row, row_of, is_ghost):
+    """(accept, direct, ghost) keys of the entries of tested pairs, unsorted:
+    a live direction that retired is an accept keyed (sink cell, source,
+    image); a live direction of two leaves that did not is direct, keyed
+    (sink-leaf row, source, image), ghost sources apart.  Direction b<-a
+    reads the mirror image of ``off``."""
+    both_leaf = (code & (LEAF_A | LEAF_B)) == LEAF_A | LEAF_B
+    accepts, direct = [], []
+    for sink, src, img, live, ret in ((a, b, off, 1, RET1), (b, a, mirror[off], 2, RET2)):
+        acc = (code & ret).astype(bool)
+        accepts.append(_pack(by_cell, sink, src, img)[acc])
+        d = np.flatnonzero((fl & live).astype(bool) & ~acc & both_leaf)
+        direct.append((row_of[sink[d]], src[d], img[d]))
+    sink, src, img = (np.concatenate(x) for x in zip(*direct))
+    ghost = is_ghost[src]
+    return (
+        np.concatenate(accepts),
+        _pack(by_row, sink[~ghost], src[~ghost], img[~ghost]),
+        _pack(by_row, sink[ghost], src[ghost], img[ghost]),
+    )
+
+
+def oracle_walk_keys(tree, moms, periodic=False, ws=1, sink_leaves=None, xmax=0.6,
+                     m2l=False, cc_xmax=0.5):
+    """The numpy dual walk, round by round: its (accept, direct, ghost)
+    entry keys, each sorted, its ``(mac_tests, rounds, frontier_peak)``
+    and what :func:`repro.tree.traversal._lists_from_walk` needs besides."""
+    sinks, offsets, mirror = traversal._walk_frame(tree, periodic, ws, sink_leaves)
+    relevant = oracle_sink_relevance(tree, None if sink_leaves is None else sinks)
+    n_cells, n_off, home = tree.n_cells, len(offsets), 0
+    by_cell = traversal._KeyPacker(n_cells, n_cells, n_off)
+    by_row = traversal._KeyPacker(len(sinks), n_cells, n_off)
+    row_of = np.zeros(n_cells, dtype=np.int64)
+    row_of[sinks] = np.arange(len(sinks))
+    center, images = tree.cell_center.T, offsets.T
+    is_leaf, is_ghost = tree.is_leaf, tree.cell_is_ghost
+    first_child, nchildren = tree.cell_first_child, tree.cell_nchildren
+    half = tree.box / np.exp2(tree.cell_level + 1)
+    ctx = (moms.bmax, moms.r_crit, is_ghost, xmax, cc_xmax, m2l)
+
+    # one canonical entry per unordered (root, root image) pair: the home
+    # self-pair carries a single direction, each +/- image pair both
+    root = int(np.flatnonzero(tree.cell_level == 0)[0])
+    canon = np.flatnonzero(np.arange(n_off) <= mirror)
+    f_a = np.full(len(canon), root, dtype=np.int64)
+    f_b, f_off = f_a.copy(), canon.astype(np.int64)
+    f_fl = np.where(mirror[canon] == canon, 1, 3).astype(np.int8)
+    keys, sizes = [], []
+    while len(f_a):
+        sizes.append(len(f_a))
+        dist, gap_a, gap_b = oracle_pair_geometry(f_a, f_b, f_off, center, images, half)
+        topo = (is_leaf[f_a].view(np.uint8) * np.uint8(LEAF_A)
+                | is_leaf[f_b].view(np.uint8) * np.uint8(LEAF_B)
+                | ((f_a == f_b) & (f_off == home)).view(np.uint8) * np.uint8(SELF))
+        code = _decide(f_a, f_b, f_fl, dist, gap_a, gap_b, topo, ctx)
+        keys.append(_entry_keys(f_a, f_b, f_off, f_fl, code, mirror, by_cell, by_row,
+                                row_of, is_ghost))
+
+        both_leaf = (code & (LEAF_A | LEAF_B)) == LEAF_A | LEAF_B
+        live1 = (f_fl & 1).astype(bool) & ~(code & RET1).astype(bool) & ~both_leaf
+        live2 = (f_fl & 2).astype(bool) & ~(code & RET2).astype(bool) & ~both_leaf
+        undecided = live1 | live2
+        fl_live = (live1.astype(np.int8) + 2 * live2.astype(np.int8))[undecided]
+        ua, ub, uo = f_a[undecided], f_b[undecided], f_off[undecided]
+        selfp = (code[undecided] & SELF).astype(bool)
+        split_b = (code[undecided] & SPLIT_B).astype(bool)
+        split_a = ~selfp & ~split_b
+        parts = []
+        # (split side, other side, the split side's direction bit)
+        for split, side, other, bit in ((split_b, ub, ua, 2), (split_a, ua, ub, 1)):
+            nch = nchildren[side[split]]
+            kids = expand_ranges(first_child[side[split]], nch)
+            ko = np.repeat(uo[split], nch)
+            kf = np.repeat(fl_live[split], nch)
+            # the split side's sink direction survives only into kids
+            # holding selected sink leaves
+            kf = (kf & (3 - bit)) | np.where(relevant[kids], kf & bit, 0).astype(np.int8)
+            kept = np.repeat(other[split], nch)
+            pa, pb = (kept, kids) if bit == 2 else (kids, kept)
+            keep = kf != 0
+            parts.append((pa[keep], pb[keep], ko[keep], kf[keep]))
+        # unordered children pairs {k_i, k_j}, i <= j, of each self-pair
+        # cell; diagonals are single-direction self-pairs
+        sa = ua[selfp]
+        for n in np.unique(nchildren[sa]):
+            iu, ju = np.triu_indices(int(n))
+            first = first_child[sa[nchildren[sa] == n]]
+            ka = (first[:, None] + iu[None, :]).ravel()
+            kb = (first[:, None] + ju[None, :]).ravel()
+            kf = (np.where(relevant[ka], 1, 0) | np.where(relevant[kb], 2, 0)).astype(np.int8)
+            kf = np.where(ka == kb, kf & 1, kf).astype(np.int8)
+            keep = kf != 0
+            parts.append((ka[keep], kb[keep], np.full(int(keep.sum()), home), kf[keep]))
+        f_a, f_b, f_off, f_fl = (np.concatenate(x) for x in zip(*parts))
+        f_fl = f_fl.astype(np.int8)
+    keys = tuple(np.sort(np.concatenate(k)) for k in zip(*keys))
+    counters = (int(sum(sizes)), len(sizes), int(max(sizes)))
+    return keys, counters, (sinks, offsets, by_cell, by_row)
+
+
+def oracle_walk(tree, moms, m2l=False, **kw):
+    """:func:`repro.tree.traversal.traverse_hierarchical` by the numpy walk."""
+    keys, counters, (sinks, offsets, by_cell, by_row) = oracle_walk_keys(
+        tree, moms, m2l=m2l, **kw
+    )
+    return traversal._lists_from_walk(tree, keys, counters, sinks, offsets, m2l, by_cell, by_row)
+
+
+def last_lists(solver):
+    """The interaction lists of ``solver``'s last solve: its tree and
+    moments walked again (a walk is a pure function of the two)."""
+    spec = solver.spec
+    return traversal.traverse_lists(
+        solver.last_tree, solver.last_moments, traversal=spec.traversal,
+        periodic=spec.periodic, ws=spec.ws, cc_xmax=spec.cc_xmax,
+    )

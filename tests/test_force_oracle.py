@@ -13,7 +13,7 @@ from repro.gravity import TreecodeConfig, TreecodeGravity
 from repro.gravity.smoothing import NoSoftening
 from repro.gravity.solver import solve_forces
 
-from .oracle import oracle_forces
+from .oracle import last_lists, oracle_forces
 
 # agreement gate: the kernel repeats the evaluator's physics per term in
 # float64, so only the order of the sums differs (ISSUE 7 contract:
@@ -45,7 +45,7 @@ def _solve(*, periodic=False, background=False, softening="dehnen_k1",
 def _oracle_of(solver):
     spec = solver.spec
     return oracle_forces(
-        solver.last_tree, solver.last_moments, solver.last_interactions,
+        solver.last_tree, solver.last_moments, last_lists(solver),
         softening=spec.softening, want_potential=spec.want_potential,
     )
 
@@ -151,7 +151,7 @@ def test_oracle_refuses_unknown_kernel_types():
     solver.compute(pos, mass, box=1.0)
     with pytest.raises(TypeError, match="OddSoftening"):
         oracle_forces(
-            solver.last_tree, solver.last_moments, solver.last_interactions,
+            solver.last_tree, solver.last_moments, last_lists(solver),
             softening=OddSoftening(),
         )
 
@@ -177,7 +177,7 @@ def test_compiled_evaluator_every_production_kernel(softening, p, periodic):
     )
     solver = TreecodeGravity(cfg)
     solver.compute(pos, mass, box=1.0)
-    tree, moms, inter = solver.last_tree, solver.last_moments, solver.last_interactions
+    tree, moms, inter = solver.last_tree, solver.last_moments, last_lists(solver)
     base = make_softening(softening, 0.03)
     for soft, kernel in ((base, None), (ShortRangeSoftening(base, 0.1), ErfcKernel(2.5))):
         native.softening_spec(soft)  # a production pair, by construction

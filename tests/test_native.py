@@ -240,12 +240,12 @@ class TestBoundary:
             acc=np.zeros((n, 3)), pot=np.zeros(n),
         )
 
-    def test_table_is_the_six_entry_points_of_the_c(self):
+    def test_table_is_every_entry_point_of_the_c(self):
         arity = {kind: {name: len(params) for name, (_, params) in table.items()}
                  for kind, table in native.ENTRY_POINTS.items()}
         assert arity == {
             "evaluator": {"cell_field": 25, "pp_field": 20, "prism_field": 14},
-            "upward": {"p2m_leaves": 15, "m2m_upward": 18, "l2p_field": 11},
+            "upward": {"p2m_leaves": 15, "m2m_upward": 18, "l2p_field": 11, "dual_walk": 27},
         }
         for kind, lib in (("evaluator", native.evaluator(0, np.float32)),
                           ("upward", native.upward())):

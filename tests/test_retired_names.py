@@ -37,6 +37,24 @@ def test_a_row_spares_the_one_file_it_names(tmp_path):
     assert [hit.split(":")[0] for hit in hits] == ["src/repro/gravity/treeforce.py"]
 
 
+def test_the_numpy_walk_and_the_walk_replay_stay_retired(tmp_path):
+    """The numpy walk's geometry and decision live on only in
+    ``tests/oracle.py``; the replay's record, plan, solver field and
+    keyword are gone everywhere."""
+    names = ("_pair_" + "geometry", "_de" + "cide", "Walk" + "Record", "_replay" + "_plan",
+             "last_" + "interactions")  # (not hits in this file)
+    traversal = tmp_path / "src" / "repro" / "tree" / "traversal.py"
+    traversal.parent.mkdir(parents=True)
+    traversal.write_text("".join(f"x = {name}(a)\n" for name in names)
+                         + "solve_forces(tree, moms, spec, prev" + "ious=lists)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracle.py").write_text(f"def {names[0]}(a):\n    return {names[1]}(a)\n")
+    hits = guard.find_retired(tmp_path)
+    assert [hit.split(": ")[0] for hit in hits] == [
+        f"src/repro/tree/traversal.py:{n}" for n in range(1, 7)]
+    assert "test reference" in hits[0] and "replaying" in hits[-1]
+
+
 def test_a_retired_setting_in_the_docs_fires(tmp_path):
     """DESIGN.md and README.md are callers too: a retired setting written
     in either is reported like one in code."""

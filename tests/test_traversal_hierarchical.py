@@ -3,7 +3,8 @@
 Covers the completeness invariant (every sink particle sees every
 source mass exactly once per periodic image), agreement with direct
 and Ewald sums, CSR structural validity, restricted-walk identity (the property that
-makes sharded execution bit-identical), and block-size invariance of
+makes sharded execution bit-identical), the compiled walk's equality
+with the numpy one (``TestCompiledWalk``), and block-size invariance of
 the evaluator.  The cell family is keyed by the sink cell that recorded
 each accept; the exactly-once references read it through the derived
 per-leaf view (``tests.oracle.cell_leaf_csr``).
@@ -14,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import threading
 import warnings
 from unittest import mock
 
@@ -31,16 +33,26 @@ from repro.gravity.treeforce import (
 )
 from repro.multipoles.codegen import generate_evaluator_source
 from repro.multipoles.prism import prism_acceleration
+from repro.parallel.domain import sfc_cut
 from repro.tree import (
     build_tree,
     compute_moments,
     traverse_hierarchical,
     traverse_lists,
 )
+from repro.tree import traversal
 from repro.tree.traversal import filter_csr_indptr
 from repro.util import expand_ranges
 
-from .oracle import cell_leaf_csr, oracle_forces, per_cube_background
+from .oracle import (
+    cell_leaf_csr,
+    last_lists,
+    oracle_forces,
+    oracle_pair_geometry,
+    oracle_sink_relevance,
+    oracle_walk,
+    per_cube_background,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,6 +376,175 @@ class TestRestrictedWalkIdentity:
             else:
                 assert np.array_equal(ref.acc, res.acc)
                 assert np.array_equal(ref.pot, res.pot)
+
+
+#: every array field of InteractionLists, and its counters
+LIST_FIELDS = (
+    "sink_leaves", "offsets",
+    "cell_cells", "cell_src", "cell_off", "cell_indptr",
+    "leaf_sink", "leaf_src", "leaf_off", "leaf_indptr",
+    "ghost_sink", "ghost_src", "ghost_off", "ghost_indptr",
+    "m2l_cells", "m2l_src", "m2l_off", "m2l_indptr",
+)
+COUNTERS = (
+    "rounds", "mac_tests", "frontier_peak",
+    "inherited_accepts", "leaf_accepts", "m2l_accepts",
+)
+
+
+def assert_same_lists(got, want):
+    """Every array field equal in dtype and values, and every counter."""
+    for name in LIST_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in COUNTERS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def sfc_shards(tree, n):
+    """The sink leaves of each piece of an ``n``-way SFC cut, as the pool cuts them."""
+    leaves = tree.leaf_indices
+    lsfc = leaves[np.argsort(tree.cell_start[leaves], kind="stable")]
+    bounds = sfc_cut(tree.cell_count[lsfc], n)
+    return [lsfc[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])]
+
+
+def walk_keys(tree, moms, sink_leaves=None, periodic=False, ws=1, m2l=False):
+    """The compiled walk's (accept, direct, ghost) keys, as traverse_hierarchical takes them."""
+    frame = traversal._walk_frame(tree, periodic, ws, sink_leaves)
+    relevant = traversal._sink_relevance(tree, None if sink_leaves is None else frame[0])
+    packer = traversal._KeyPacker(tree.n_cells, tree.n_cells, len(frame[1]))
+    keys, _ = traversal._walk_keys(tree, moms, frame, relevant, 0.6, m2l, 0.5, packer)
+    return [k.copy() for k in keys]
+
+
+class TestCompiledWalk:
+    """The compiled walk (``dual_walk`` of the upward unit) against the
+    numpy walk it replaced (``tests/oracle.py``'s ``oracle_walk``): every
+    list array, dtype and values, and every counter, on each kind of
+    tree the walk tells apart; its packed entry keys are unique, so the
+    sorted keys, and the lists, do not depend on the order they were
+    emitted in."""
+
+    @staticmethod
+    def check(tree, moms, **kw):
+        got = traverse_hierarchical(tree, moms, **kw)
+        assert_same_lists(got, oracle_walk(tree, moms, **kw))
+        keys = walk_keys(tree, moms, **kw)
+        assert all(len(np.unique(k)) == len(k) for k in keys), kw
+        assert [len(k) for k in keys] == [
+            len(got.m2l_src if kw.get("m2l") else got.cell_src),
+            len(got.leaf_src), len(got.ghost_src),
+        ]
+        return got
+
+    @pytest.mark.parametrize("periodic,ws", [(False, 1), (True, 1), (True, 2)])
+    def test_open_and_periodic_boxes(self, periodic, ws):
+        tree, moms = setup(n=900, clustered=True, tol=1e-3)
+        got = self.check(tree, moms, periodic=periodic, ws=ws)
+        assert len(got.offsets) == (2 * ws + 1) ** 3 if periodic else 1
+        assert got.inherited_accepts and got.leaf_accepts
+
+    def test_background_ghosts(self):
+        tree, moms = setup(n=900, clustered=True, background=True, tol=1e-3)
+        got = self.check(tree, moms, periodic=True, ws=1)
+        assert len(got.ghost_src) and tree.cell_is_ghost[got.ghost_src].all()
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_every_shard_of_an_sfc_cut(self, n_shards):
+        tree, moms = setup(n=900, clustered=True, background=True, tol=1e-3)
+        for sinks in sfc_shards(tree, n_shards):
+            self.check(tree, moms, periodic=True, ws=1, sink_leaves=sinks)
+
+    def test_mutual_accepts(self):
+        tree, moms = setup(n=900, clustered=True, background=True, tol=1e-3)
+        got = self.check(tree, moms, periodic=True, ws=1, m2l=True)
+        assert got.m2l_accepts and not len(got.cell_src)
+        for sinks in sfc_shards(tree, 2):
+            self.check(tree, moms, periodic=True, ws=1, m2l=True, sink_leaves=sinks)
+
+    def test_lone_root_leaf(self):
+        tree, moms = setup(n=6, nleaf=8, tol=1e-3)
+        assert tree.n_cells == 1
+        got = self.check(tree, moms)
+        assert got.mac_tests == got.rounds == 1 and got.leaf_src.tolist() == [0]
+        self.check(tree, moms, periodic=True, ws=1)
+
+    def test_particles_on_box_faces(self):
+        n = 96
+        rng = np.random.default_rng(7)
+        pos = rng.random((n, 3))
+        pos[np.arange(n), rng.integers(0, 3, n)] = 0.0
+        tree = build_tree(pos, np.full(n, 1.0 / n), nleaf=4, with_ghosts=True)
+        moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
+        self.check(tree, moms, periodic=True, ws=1)
+        self.check(tree, moms, periodic=True, ws=2)
+
+    def test_float32_inputs(self):
+        pos, mass = cloud(700, seed=3, clustered=True)
+        tree = build_tree(pos.astype(np.float32), mass.astype(np.float32), nleaf=8,
+                          with_ghosts=True)
+        moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
+        self.check(tree, moms, periodic=True, ws=1)
+
+    def test_a_tie_at_r_crit_is_not_an_accept(self):
+        """Two clumps in opposite octants: A, one leaf, and B, an interior
+        cell.  With B's r_crit set to exactly A's effective distance to B,
+        A does not take B as a multipole (the MAC is strict); one ulp less
+        and it does."""
+        rng = np.random.default_rng(0)
+        pos = np.concatenate([0.25 + 0.05 * (rng.random((8, 3)) - 0.5),
+                              0.75 + 0.05 * (rng.random((16, 3)) - 0.5)])
+        tree = build_tree(pos, rng.random(24) + 0.5, nleaf=8)
+        moms = compute_moments(tree, p=2, tol=1e-2)
+        A, B = 1, 2
+        assert tree.is_leaf[A] and not tree.is_leaf[B]
+        half = tree.box / np.exp2(tree.cell_level + 1)
+        dist, gap_a, _ = oracle_pair_geometry(
+            np.array([A]), np.array([B]), np.array([0]), tree.cell_center.T, np.zeros((3, 1)),
+            half,
+        )
+        eff = np.maximum(dist - moms.bmax[A], gap_a)[0]
+        for r_crit, accepted in ((eff, False), (np.nextafter(eff, 0.0), True)):
+            tied = moms.r_crit.copy()
+            tied[B] = r_crit
+            got = self.check(tree, dataclasses.replace(moms, r_crit=tied))
+            row = np.flatnonzero(got.cell_cells == A)
+            srcs = got.cell_src[got.cell_indptr[row[0]]:got.cell_indptr[row[0] + 1]] if len(row) else []
+            assert (B in srcs) == accepted
+
+    def test_short_key_buffers_walk_again(self, monkeypatch):
+        """A family whose buffer is too short makes the walk run again
+        with the lengths it reported; the lists are the same."""
+        tree, moms = setup(n=900, clustered=True, background=True, tol=1e-3)
+        want = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        monkeypatch.setattr(traversal, "_KEY_BUFFERS", threading.local())
+        monkeypatch.setattr(traversal, "_FIRST_ROOM", 0)
+        unit = native.upward()
+        real, caps = unit.dual_walk, []
+
+        def counted(**kw):
+            caps.append((kw["cap_accept"], kw["cap_direct"], kw["cap_ghost"]))
+            real(**kw)
+
+        monkeypatch.setattr(unit, "dual_walk", counted)
+        assert_same_lists(traverse_hierarchical(tree, moms, periodic=True, ws=1), want)
+        assert len(caps) == 2 and caps[0] == (0, 0, 0) and min(caps[1]) > 0
+
+    def test_sink_relevance_in_one_pass(self):
+        """The searchsorted mask equals the per-level OR of the children's
+        flags on every shard of a cut, ghosts included."""
+        tree, moms = setup(n=900, clustered=True, background=True)
+        assert tree.cell_is_ghost.any()
+        for n_shards in (1, 2, 3, 7):
+            for sinks in sfc_shards(tree, n_shards):
+                assert np.array_equal(traversal._sink_relevance(tree, sinks),
+                                      oracle_sink_relevance(tree, sinks))
+        assert np.array_equal(traversal._sink_relevance(tree, None),
+                              oracle_sink_relevance(tree, None))
 
 
 def same_bits(a, b):
@@ -830,7 +1011,7 @@ class TestCellWorkerIdentity:
         cfg = dict(periodic=True, errtol=1e-2, p=2, dtype=np.float32)
         with TreecodeGravity(TreecodeConfig(**cfg)) as solver:
             serial = solver.compute(pos, mass)
-            tree, inter = solver.last_tree, solver.last_interactions
+            tree, inter = solver.last_tree, last_lists(solver)
         start, count = tree.cell_start[inter.cell_cells], tree.cell_count[inter.cell_cells]
         assert serial.stats["cell_entries"] == len(inter.cell_src)
         for workers in (1, 2, 3):
@@ -1448,7 +1629,7 @@ class TestPrismWorkerIdentity:
         cfg = dict(periodic=True, errtol=1e-3, p=2)
         with TreecodeGravity(TreecodeConfig(**cfg)) as solver:
             serial = solver.compute(pos, mass)
-            inter = solver.last_interactions
+            inter = last_lists(solver)
         assert len(inter.ghost_src) and len(inter.leaf_src)
         assert 0 < serial.stats["prism_interactions"] < serial.stats["prism_cubes"]
         for workers in (1, 2, 3):

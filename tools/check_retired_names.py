@@ -283,6 +283,17 @@ RETIRED.append((
     "one evolved-run gate: the answered force A/B and a workers=1 'speedup' curve went",
 ))
 
+RETIRED.append((
+    r"\b(_pair_geometry|_decide)\b",
+    ("src",),
+    "the compiled walk: numpy's pair geometry and MAC decision are a test reference",
+))
+RETIRED.append((
+    r"\b(WalkRecord|_replay_plan|last_interactions)\b|solve_forces\([^)]*\bprevious=",
+    (*CALLERS,),
+    "the compiled walk: a fresh walk costs less than replaying the last one",
+))
+
 SKYMAP, LIGHTCONE = "src/repro/analysis/skymap.py", "src/repro/simulation/lightcone.py"
 Z0 = ("src/repro/cosmology/growth.py", "src/repro/cosmology/power.py",
       "src/repro/cosmology/params.py", "src/repro/analysis/massfunction.py")
