@@ -1,10 +1,11 @@
-"""The compiled units (force evaluator; upward pass and walk): build once per host, load with ctypes.
+"""The compiled units (force evaluator; upward pass, walk and box merge): build once per host, load with ctypes.
 
 Paper §2.2.2 turns its interaction kernels into C by metaprogramming;
 :func:`repro.multipoles.codegen.generate_evaluator_source` emits that C,
 one translation unit per (order p, dtype) (:func:`evaluator`), and
 :data:`~repro.multipoles.codegen.UPWARD_SOURCE` is the one fixed unit of
-the upward pass, the lattice L2P and the dual walk (:func:`upward`).  This module
+the upward pass, the lattice L2P, the dual walk and the background's box
+merge (:func:`upward`).  This module
 compiles each with the host's C compiler into a cache and loads it:
 
 * ``cc -O3 -march=native -mprefer-vector-width=512 -fno-math-errno
@@ -30,7 +31,7 @@ compiles each with the host's C compiler into a cache and loads it:
   (:func:`library_paths`, :func:`adopt_libraries`), so no worker
   compiles.
 * an entry point's signature is written once, in the C text:
-  :data:`ENTRY_POINTS` reads the seven prototypes from
+  :data:`ENTRY_POINTS` reads the eight prototypes from
   :data:`~repro.multipoles.codegen.EVALUATOR_TEMPLATE` and
   :data:`~repro.multipoles.codegen.UPWARD_SOURCE`, and a :class:`Unit`
   exposes each as a keyword-only callable named as in the C: inputs are
@@ -319,11 +320,12 @@ def evaluator(p: int, dtype) -> Unit:
 
 
 def upward() -> Unit:
-    """The loaded upward-pass / lattice / walk unit (compiled on first use).
+    """The loaded upward-pass / lattice / walk / box-merge unit (compiled
+    on first use).
 
-    Exposes ``p2m_leaves``, ``m2m_upward``, ``l2p_field`` and
-    ``dual_walk`` of :data:`~repro.multipoles.codegen.UPWARD_SOURCE`; one
-    unit serves every order.
+    Exposes ``p2m_leaves``, ``m2m_upward``, ``l2p_field``, ``dual_walk``
+    and ``merge_boxes`` of :data:`~repro.multipoles.codegen.UPWARD_SOURCE`;
+    one unit serves every order.
     """
     return _load("upward")
 

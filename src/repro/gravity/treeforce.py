@@ -22,10 +22,11 @@ interaction families:
   regions and a run of face-adjacent cubes *is* one box: each sink
   leaf's cubes are merged into a few rectangular boxes first (an
   identity — the paper's one "larger cube which approximately
-  surrounds the local region" is the special case) in numpy, and the
-  same compiled unit meets every particle of the sink leaf with those
-  boxes, eight corners of float64 straight-line code a box, vectorized
-  over a block of boxes with glibc's vector ``log`` and ``atan``.
+  surrounds the local region" is the special case) row by row in C,
+  by ``merge_boxes`` of the upward unit, and the evaluator meets every
+  particle of the sink leaf with those boxes, eight corners of float64
+  straight-line code a box, vectorized over a block of boxes with
+  glibc's vector ``log`` and ``atan``.
 
 :func:`segment_sum` and the re-exported ``prism_acceleration`` /
 ``prism_potential`` are no longer called by the evaluator; they stay
@@ -85,90 +86,36 @@ class ForceResult:
     stats: dict = field(default_factory=dict)
 
 
-def _coalesce_boxes(row, lo, hi, n_rows):
-    """Merge the face-adjacent boxes of each row into larger boxes.
-
-    Box i is ``[lo[:, i], hi[:, i])`` — integer corners, shape (3, n) —
-    and belongs to row ``row[i]`` of ``n_rows``; the boxes of one row
-    are pairwise disjoint.  One sweep per axis, x then y then z: the
-    boxes are sorted by (row, extents across the axis, ``lo`` along
-    it), and a box whose ``lo`` is the previous box's ``hi`` on the same
-    row and cross-section is fused with it.  A run of cubes becomes a
-    bar, a stack of equal bars a slab, a stack of equal slabs a block;
-    the union of a row's boxes does not change.  Returns ``(box_lo,
-    box_hi, box_indptr)``: the merged corners as a CSR over the rows,
-    each row's boxes in an order set by its own boxes alone.
-
-    The sort key is the six fields packed, most significant first, into
-    as few int64 words as hold them — one for a tree a few levels deep,
-    three at the key depth of 21 — ordered by one ``np.argsort`` when it
-    is one word and by ``np.lexsort`` otherwise.  A row's boxes are
-    disjoint, so every key is unique and both give the one permutation.
-    """
-    if len(row):
-        base = lo.min()
-        lo, hi = lo - base, hi - base
-        widths = [n_rows.bit_length()] + [int(hi.max()).bit_length()] * 5
-        for axis in range(3):
-            b, c = (axis + 1) % 3, (axis + 2) % 3
-            words, used = [], 63
-            for fld, width in zip((row, lo[b], hi[b], lo[c], hi[c], lo[axis]), widths):
-                if used + width > 63:
-                    words.append(fld)
-                    used = width
-                else:
-                    words[-1] = (words[-1] << width) | fld
-                    used += width
-            order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
-            # box i continues box i - 1 of the sorted order where its key
-            # is that box's key with hi in place of lo (the last field)
-            words = [w[order] for w in words]
-            end = words[-1] + (hi[axis] - lo[axis])[order]
-            first = np.ones(len(row), dtype=bool)
-            np.not_equal(words[-1][1:], end[:-1], out=first[1:])
-            for w in words[:-1]:
-                first[1:] |= w[1:] != w[:-1]
-            first = np.flatnonzero(first)
-            top = hi[axis][order[np.append(first[1:], len(row)) - 1]]
-            keep = order[first]
-            row, lo, hi = row[keep], lo.take(keep, axis=1), hi.take(keep, axis=1)
-            hi[axis] = top
-        lo += base
-        hi += base
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-    return lo, hi, indptr
-
-
-def _background_boxes(tree, inter):
+def _merged_boxes(tree, inter):
     """The analytic background of every sink leaf's near field, as boxes.
 
     The ghost cubes and the source cubes of the direct leaf pairs of one
-    row are taken together, placed on the integer grid of the finest
-    level among them (cell coordinates from the Morton keys, image
-    offsets in whole boxes: no rounding) and merged by
-    :func:`_coalesce_boxes`.  Returns float64 ``(box_lo, box_hi)`` of
-    shape (3, n_boxes) and ``box_indptr`` over ``inter.sink_leaves``.
+    row are taken together, placed on the integer grid of the tree's
+    finest level (cell coordinates from the Morton keys, image offsets in
+    whole boxes: no rounding) and run-merged along x, then y, then z by
+    the compiled ``merge_boxes``, row by row.  Returns float64
+    ``(box_lo, box_hi)`` of shape (3, cubes) — the merged boxes fill the
+    first ``box_indptr[-1]`` columns — and ``box_indptr`` over
+    ``inter.sink_leaves``.
     """
     n_rows = len(inter.sink_leaves)
-    rows = np.arange(n_rows)
-    row = np.concatenate(
-        [np.repeat(rows, np.diff(ip)) for ip in (inter.ghost_indptr, inter.leaf_indptr)]
-    )
-    src = np.concatenate((inter.ghost_src, inter.leaf_src))
-    off = np.concatenate((inter.ghost_off, inter.leaf_off))
+    n_cubes = len(inter.ghost_src) + len(inter.leaf_src)
     idx, level = cell_coordinates(tree.cell_key)
-    unit = int(level[src].max()) if len(src) else 0
-    # (cells finer than the unit are in no list)
-    shift = np.maximum(unit - level, 0)
-    image = np.rint(inter.offsets / tree.box).astype(np.int64)
-    # (3, n) rows, contiguous per axis
-    lo = np.take(np.ascontiguousarray(idx.T) << shift, src, axis=1)
-    lo += np.take(np.ascontiguousarray(image.T) << unit, off, axis=1)
-    hi = lo + (1 << shift)[src]
-    lo, hi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
-    h = tree.box / (1 << unit)
-    return lo * h, hi * h, indptr
+    # the finest level of the tree: a finer grid than the lists need only
+    # scales every corner by a power of two, which no bit of lo * h sees
+    unit = int(level.max(initial=0))
+    shift = (unit - level)[:, None]
+    cell_lo = idx << shift
+    box_lo, box_hi = np.empty((3, n_cubes)), np.empty((3, n_cubes))
+    indptr = np.empty(n_rows + 1, dtype=np.int64)
+    native.upward().merge_boxes(
+        n_rows=n_rows, ghost_indptr=inter.ghost_indptr, ghost_src=inter.ghost_src,
+        ghost_off=inter.ghost_off, leaf_indptr=inter.leaf_indptr, leaf_src=inter.leaf_src,
+        leaf_off=inter.leaf_off, cell_lo=cell_lo, cell_hi=cell_lo + (1 << shift),
+        image=np.rint(inter.offsets / tree.box).astype(np.int64) << unit,
+        h=tree.box / (1 << unit), stride=n_cubes, box_lo=box_lo, box_hi=box_hi, indptr=indptr,
+    )
+    return box_lo, box_hi, indptr
 
 
 def _cells_in_c(tree, moms, inter, kernel, dtype, pid, s0, acc, pot):
@@ -231,7 +178,7 @@ def _pp_in_c(tree, inter, softening, dtype, p, s0, acc, pot):
 
 def _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot):
     """Add the field of density ``rho`` over every sink leaf's merged
-    ``boxes`` (:func:`_background_boxes`) through the compiled
+    ``boxes`` (:func:`_merged_boxes`) through the compiled
     ``prism_field``, which runs in float64 in the unit of any ``dtype``."""
     box_lo, box_hi, box_indptr = boxes
     native.evaluator(p, dtype).prism_field(
@@ -292,8 +239,8 @@ def evaluate_forces(
     *prism*: one pass.  The ghost entries and the direct leaf pairs of
     a row name the cubes whose background has to go; their exact
     integer corners are run-merged along x, then y, then z into
-    rectangular boxes (:func:`_background_boxes`,
-    :func:`_coalesce_boxes`) — a pure function of the row's own list,
+    rectangular boxes, row by row in the compiled ``merge_boxes``
+    (:func:`_merged_boxes`) — a pure function of the row's own list,
     so the boxes, their order and the bits of the result are the same
     for every block size and shard.  Then every particle of the sink
     leaf meets the row's boxes in the compiled ``prism_field``
@@ -421,7 +368,7 @@ def evaluate_forces(
         # leaf pair
         n_cubes = np.diff(inter.ghost_indptr) + np.diff(inter.leaf_indptr)
         stats["prism_cubes"] = int((leaf_np * n_cubes).sum())
-        boxes = _background_boxes(tree, inter)
+        boxes = _merged_boxes(tree, inter)
         prism_s["coalesce"] = time.perf_counter() - _tk0
         stats["prism_interactions"] = int((leaf_np * np.diff(boxes[2])).sum())
         _prism_in_c(tree, inter, boxes, rho, dtype, p, s0, acc, pot)

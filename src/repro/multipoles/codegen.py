@@ -803,20 +803,22 @@ def generate_evaluator_source(p: int, dtype_name: str) -> str:
     )
 
 
-#: The upward pass, the lattice L2P and the dual walk: one fixed unit for
-#: every order, driven by :class:`~repro.multipoles.multiindex.MultiIndexSet`
-#: tables (``alphas`` for the powers, ``translation_table``, ``up``) and the
-#: tree's cell arrays.  Every sum runs in the order numpy took it before
-#: this code replaced it, so the moments, ``bmax``, the lattice acceleration
-#: and every MAC decision of the walk are numpy's bit for bit
-#: (``tests/oracle.py`` keeps that numpy as the reference).
-UPWARD_SOURCE = r"""/* Upward pass (P2M, M2M, absolute moments, bmax), lattice L2P and
- * the dual walk (repro.multipoles.codegen.UPWARD_SOURCE; one unit for
- * every order).  IEEE arithmetic, no contraction, every sum in numpy's
- * order. */
+#: The upward pass, the lattice L2P, the dual walk and the background's box
+#: merge: one fixed unit for every order, driven by
+#: :class:`~repro.multipoles.multiindex.MultiIndexSet` tables (``alphas`` for
+#: the powers, ``translation_table``, ``up``) and the tree's cell arrays.
+#: Every sum runs in the order numpy took it before this code replaced it, so
+#: the moments, ``bmax``, the lattice acceleration, every MAC decision of the
+#: walk and every merged box are numpy's bit for bit (``tests/oracle.py``
+#: keeps that numpy as the reference).
+UPWARD_SOURCE = r"""/* Upward pass (P2M, M2M, absolute moments, bmax), lattice L2P, the
+ * dual walk and the box merge (repro.multipoles.codegen.UPWARD_SOURCE; one
+ * unit for every order).  IEEE arithmetic, no contraction, every sum in
+ * numpy's order. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* children of a cell, particles of an L2P block: the vector lanes */
 #define LANES 8
@@ -1299,5 +1301,213 @@ out:
     kept_ok = ok;
     kept_ok_cap = cap_ok;
     return status;
+}
+
+/* the box merge's scratch, kept from call to call (one set per thread) and
+   grown to the largest row: two sets of boxes, six corners each (lo x, y,
+   z, then hi x, y, z), and two key buffers */
+static _Thread_local int64_t (*kept_boxes)[6];
+static _Thread_local uint64_t *kept_keys;
+static _Thread_local int64_t kept_boxes_cap;
+
+static inline int bit_length(uint64_t x) { return x ? 64 - __builtin_clzll(x) : 0; }
+
+/* key[0, n) sorted in place by bits [lo_bit, top_bit), which are unique
+   across the keys (the bits below never decide), tmp as scratch: least
+   significant digit first, in as few passes of at most 8 bits as cover
+   the bits */
+static void sort_keys(uint64_t *restrict key, uint64_t *restrict tmp, int64_t n, int lo_bit,
+                      int top_bit)
+{
+    if (n < 2)
+        return;
+    const int passes = (top_bit - lo_bit + 7) / 8;
+    const int digit = (top_bit - lo_bit + passes - 1) / passes;
+    const uint64_t mask = ((uint64_t)1 << digit) - 1;
+    int64_t count[8][256];
+    for (int p = 0; p < passes; p++)
+        memset(count[p], 0, (mask + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++)
+        for (int p = 0; p < passes; p++)
+            count[p][(key[i] >> (lo_bit + p * digit)) & mask]++;
+    uint64_t *src = key, *dst = tmp;
+    for (int p = 0; p < passes; p++) {
+        const int s = lo_bit + p * digit;
+        int64_t *at = count[p];
+        for (int64_t d = 0, sum = 0; d <= (int64_t)mask; d++) {
+            const int64_t c = at[d];
+            at[d] = sum;
+            sum += c;
+        }
+        for (int64_t i = 0; i < n; i++)
+            dst[at[(src[i] >> s) & mask]++] = src[i];
+        uint64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != key)
+        memcpy(key, src, n * sizeof(uint64_t));
+}
+
+/* box i before box j by the corners fld (most significant first) */
+static inline int box_before(const int64_t (*box)[6], const int *fld, uint64_t i, uint64_t j)
+{
+    for (int k = 0; k < 5; k++)
+        if (box[i][fld[k]] != box[j][fld[k]])
+            return box[i][fld[k]] < box[j][fld[k]];
+    return 0;
+}
+
+/* the indices order[0, n) sorted by the corners fld, merging runs bottom
+   up, tmp as scratch: the rows whose corners do not pack into one 64-bit
+   key */
+static void sort_wide(const int64_t (*box)[6], const int *fld, uint64_t *order, uint64_t *tmp,
+                      int64_t n)
+{
+    uint64_t *src = order, *dst = tmp;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                dst[k++] = box_before(box, fld, src[j], src[i]) ? src[j++] : src[i++];
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        uint64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != order)
+        memcpy(order, src, n * sizeof(uint64_t));
+}
+
+/* One run-merge sweep along axis a over the n > 0 boxes of one row in cur,
+   written to nxt: the boxes in the order of (lo_b, hi_b, lo_c, hi_c, lo_a),
+   b and c the next two axes, and a box whose lo_a is the previous box's
+   hi_a on the same cross-section extends it.  The corners are >= 0 and
+   below 2^w[k] on axis k; where the five fit, they are packed above the
+   box's index into one 64-bit key.  Returns the merged count. */
+static int64_t merge_sweep(const int64_t (*cur)[6], int64_t (*nxt)[6], int64_t n, int a,
+                           const int *w, uint64_t *key, uint64_t *tmp)
+{
+    const int b = (a + 1) % 3, c = (a + 2) % 3;
+    const int fld[5] = {b, 3 + b, c, 3 + c, a};
+    const int ib = bit_length((uint64_t)(n - 1)), bits = 2 * w[b] + 2 * w[c] + w[a];
+    if (bits + ib <= 64) {
+        for (int64_t i = 0; i < n; i++) {
+            uint64_t k = 0;
+            for (int m = 0; m < 5; m++)
+                k = k << w[fld[m] % 3] | (uint64_t)cur[i][fld[m]];
+            key[i] = k << ib | (uint64_t)i;
+        }
+        sort_keys(key, tmp, n, ib, bits + ib);
+        const uint64_t low = ((uint64_t)1 << ib) - 1;
+        for (int64_t i = 0; i < n; i++)
+            key[i] &= low;
+    } else {
+        for (int64_t i = 0; i < n; i++)
+            key[i] = (uint64_t)i;
+        sort_wide(cur, fld, key, tmp, n);
+    }
+    /* box j of the order continues box j - 1; a run keeps its first lo_a */
+    const int64_t *prev = cur[key[0]];
+    int64_t m = 0, run_lo = prev[a];
+    memcpy(nxt[0], prev, sizeof nxt[0]);
+    for (int64_t j = 1; j < n; j++) {
+        const int64_t *box = cur[key[j]];
+        const int64_t more = (box[b] == prev[b]) & (box[3 + b] == prev[3 + b])
+                             & (box[c] == prev[c]) & (box[3 + c] == prev[3 + c])
+                             & (box[a] == prev[3 + a]);
+        m += 1 - more;
+        run_lo = more ? run_lo : box[a];
+        memcpy(nxt[m], box, sizeof nxt[0]);
+        nxt[m][a] = run_lo;
+        prev = box;
+    }
+    return m + 1;
+}
+
+/* The background's boxes (repro.gravity.treeforce): per sink row, its
+   ghost entries, then its direct-pair entries, each (source cell s, image
+   o) the cube [cell_lo[s] + image[o], cell_hi[s] + image[o]) on one
+   integer grid; a row's cubes are disjoint.  Three run-merge sweeps, x
+   then y then z, turn them into a few boxes whose union is the same, in
+   the order of the last sweep.  The sweeps run on the corners less the
+   row's smallest on each axis (merging moves neither end of the union).
+   Writes the corners times h to box_lo / box_hi (3 rows of stride
+   entries) and the rows' CSR to indptr.  Returns -1 when the scratch
+   cannot be grown. */
+int merge_boxes(int64_t n_rows, const int64_t *ghost_indptr, const int64_t *ghost_src,
+                const int64_t *ghost_off, const int64_t *leaf_indptr, const int64_t *leaf_src,
+                const int64_t *leaf_off, const int64_t *cell_lo, const int64_t *cell_hi,
+                const int64_t *image, double h, int64_t stride, double *box_lo,
+                double *box_hi, int64_t *indptr)
+{
+    int64_t cap = 1;
+    for (int64_t row = 0; row < n_rows; row++) {
+        const int64_t n = ghost_indptr[row + 1] - ghost_indptr[row] + leaf_indptr[row + 1]
+                          - leaf_indptr[row];
+        cap = n > cap ? n : cap;
+    }
+    if (cap > kept_boxes_cap) {
+        int64_t (*boxes)[6] = realloc(kept_boxes, 2 * cap * sizeof boxes[0]);
+        if (boxes)
+            kept_boxes = boxes;
+        uint64_t *keys = realloc(kept_keys, 2 * cap * sizeof(uint64_t));
+        if (keys)
+            kept_keys = keys;
+        if (!boxes || !keys)
+            return -1;
+        kept_boxes_cap = cap;
+    }
+    const int64_t *const ptrs[2] = {ghost_indptr, leaf_indptr};
+    const int64_t *const srcs[2] = {ghost_src, leaf_src}, *const offs[2] = {ghost_off, leaf_off};
+    int64_t out = 0;
+    indptr[0] = 0;
+    for (int64_t row = 0; row < n_rows; row++) {
+        int64_t (*cur)[6] = kept_boxes, (*nxt)[6] = kept_boxes + cap, n = 0;
+        for (int fam = 0; fam < 2; fam++)
+            for (int64_t e = ptrs[fam][row]; e < ptrs[fam][row + 1]; e++, n++) {
+                const int64_t *lo = cell_lo + 3 * srcs[fam][e], *hi = cell_hi + 3 * srcs[fam][e];
+                const int64_t *im = image + 3 * offs[fam][e];
+                for (int k = 0; k < 3; k++) {
+                    cur[n][k] = lo[k] + im[k];
+                    cur[n][3 + k] = hi[k] + im[k];
+                }
+            }
+        int64_t base[3];
+        int w[3];
+        for (int k = 0; k < 3 && n; k++) {
+            int64_t lo = cur[0][k], hi = cur[0][3 + k];
+            for (int64_t i = 1; i < n; i++) {
+                lo = cur[i][k] < lo ? cur[i][k] : lo;
+                hi = cur[i][3 + k] > hi ? cur[i][3 + k] : hi;
+            }
+            base[k] = lo;
+            w[k] = bit_length((uint64_t)(hi - lo));
+            for (int64_t i = 0; i < n; i++) {
+                cur[i][k] -= lo;
+                cur[i][3 + k] -= lo;
+            }
+        }
+        for (int a = 0; a < 3 && n; a++) {
+            n = merge_sweep((const int64_t (*)[6])cur, nxt, n, a, w, kept_keys, kept_keys + cap);
+            int64_t (*t)[6] = cur;
+            cur = nxt;
+            nxt = t;
+        }
+        for (int k = 0; k < 3; k++)
+            for (int64_t i = 0; i < n; i++) {
+                box_lo[k * stride + out + i] = (double)(cur[i][k] + base[k]) * h;
+                box_hi[k * stride + out + i] = (double)(cur[i][3 + k] + base[k]) * h;
+            }
+        out += n;
+        indptr[row + 1] = out;
+    }
+    return 0;
 }
 """

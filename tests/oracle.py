@@ -24,7 +24,10 @@ full-cube sums of the periodic lattice coefficients as
 cubic group's fundamental wedge, and :func:`oracle_moments`,
 :func:`m2m` and :func:`l2p` keep the numpy upward pass and lattice L2P,
 and :func:`oracle_walk` the numpy dual walk, that the compiled unit
-(``repro.multipoles.codegen.UPWARD_SOURCE``) reproduces bit for bit.
+(``repro.multipoles.codegen.UPWARD_SOURCE``) reproduces bit for bit;
+:func:`oracle_background_boxes` / :func:`oracle_coalesce_boxes`, next to
+the per-cube background, keep the numpy box merge whose boxes and order
+its ``merge_boxes`` reproduces.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.gravity import native
 from repro.gravity.periodic import _self_term
 from repro.gravity.smoothing import NoSoftening
 from repro.gravity.treeforce import ForceResult
+from repro.keys import cell_coordinates
 from repro.multipoles import multi_index_set
 from repro.multipoles.dtensors import derivative_tensors, recurrence_plan
 from repro.multipoles.multiindex import n_coeffs
@@ -328,6 +332,93 @@ def per_cube_background(tree, moms, inter):
             pot[own] += u.reshape(m, n).sum(axis=1)
             pairs += m * n
     return acc, pot, pairs
+
+
+def oracle_coalesce_boxes(row, lo, hi, n_rows):
+    """Merge the face-adjacent boxes of each row into larger boxes.
+
+    Box i is ``[lo[:, i], hi[:, i])`` — integer corners, shape (3, n) —
+    and belongs to row ``row[i]`` of ``n_rows``; the boxes of one row
+    are pairwise disjoint.  One sweep per axis, x then y then z: the
+    boxes are sorted by (row, extents across the axis, ``lo`` along
+    it), and a box whose ``lo`` is the previous box's ``hi`` on the same
+    row and cross-section is fused with it.  A run of cubes becomes a
+    bar, a stack of equal bars a slab, a stack of equal slabs a block;
+    the union of a row's boxes does not change.  Returns ``(box_lo,
+    box_hi, box_indptr)``: the merged corners as a CSR over the rows,
+    each row's boxes in an order set by its own boxes alone.
+
+    The sort key is the six fields packed, most significant first, into
+    as few int64 words as hold them — one for a tree a few levels deep,
+    three at the key depth of 21 — ordered by one ``np.argsort`` when it
+    is one word and by ``np.lexsort`` otherwise.  A row's boxes are
+    disjoint, so every key is unique and both give the one permutation.
+    """
+    if len(row):
+        base = lo.min()
+        lo, hi = lo - base, hi - base
+        widths = [n_rows.bit_length()] + [int(hi.max()).bit_length()] * 5
+        for axis in range(3):
+            b, c = (axis + 1) % 3, (axis + 2) % 3
+            words, used = [], 63
+            for fld, width in zip((row, lo[b], hi[b], lo[c], hi[c], lo[axis]), widths):
+                if used + width > 63:
+                    words.append(fld)
+                    used = width
+                else:
+                    words[-1] = (words[-1] << width) | fld
+                    used += width
+            order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+            # box i continues box i - 1 of the sorted order where its key
+            # is that box's key with hi in place of lo (the last field)
+            words = [w[order] for w in words]
+            end = words[-1] + (hi[axis] - lo[axis])[order]
+            first = np.ones(len(row), dtype=bool)
+            np.not_equal(words[-1][1:], end[:-1], out=first[1:])
+            for w in words[:-1]:
+                first[1:] |= w[1:] != w[:-1]
+            first = np.flatnonzero(first)
+            top = hi[axis][order[np.append(first[1:], len(row)) - 1]]
+            keep = order[first]
+            row, lo, hi = row[keep], lo.take(keep, axis=1), hi.take(keep, axis=1)
+            hi[axis] = top
+        lo += base
+        hi += base
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return lo, hi, indptr
+
+
+def oracle_background_boxes(tree, inter):
+    """The boxes of :func:`repro.gravity.treeforce._merged_boxes`, by
+    the numpy merge the compiled ``merge_boxes`` replaced.
+
+    The ghost cubes and the source cubes of the direct leaf pairs of one
+    row are taken together, placed on the integer grid of the finest
+    level among them (cell coordinates from the Morton keys, image
+    offsets in whole boxes: no rounding) and merged by
+    :func:`oracle_coalesce_boxes`.  Returns float64 ``(box_lo, box_hi)`` of
+    shape (3, n_boxes) and ``box_indptr`` over ``inter.sink_leaves``.
+    """
+    n_rows = len(inter.sink_leaves)
+    rows = np.arange(n_rows)
+    row = np.concatenate(
+        [np.repeat(rows, np.diff(ip)) for ip in (inter.ghost_indptr, inter.leaf_indptr)]
+    )
+    src = np.concatenate((inter.ghost_src, inter.leaf_src))
+    off = np.concatenate((inter.ghost_off, inter.leaf_off))
+    idx, level = cell_coordinates(tree.cell_key)
+    unit = int(level[src].max()) if len(src) else 0
+    # (cells finer than the unit are in no list)
+    shift = np.maximum(unit - level, 0)
+    image = np.rint(inter.offsets / tree.box).astype(np.int64)
+    # (3, n) rows, contiguous per axis
+    lo = np.take(np.ascontiguousarray(idx.T) << shift, src, axis=1)
+    lo += np.take(np.ascontiguousarray(image.T) << unit, off, axis=1)
+    hi = lo + (1 << shift)[src]
+    lo, hi, indptr = oracle_coalesce_boxes(row, lo, hi, n_rows)
+    h = tree.box / (1 << unit)
+    return lo * h, hi * h, indptr
 
 
 def oracle_forces(

@@ -245,8 +245,18 @@ class TestBoundary:
                  for kind, table in native.ENTRY_POINTS.items()}
         assert arity == {
             "evaluator": {"cell_field": 25, "pp_field": 20, "prism_field": 14},
-            "upward": {"p2m_leaves": 15, "m2m_upward": 18, "l2p_field": 11, "dual_walk": 27},
+            "upward": {"p2m_leaves": 15, "m2m_upward": 18, "l2p_field": 11, "dual_walk": 27,
+                       "merge_boxes": 15},
         }
+        ret, params = native.ENTRY_POINTS["upward"]["merge_boxes"]
+        assert ret == "int" and params == [
+            ("n_rows", "int64_t", "scalar"),
+            *[(f"{fam}_{field}", "int64_t", "in") for fam in ("ghost", "leaf")
+              for field in ("indptr", "src", "off")],
+            ("cell_lo", "int64_t", "in"), ("cell_hi", "int64_t", "in"), ("image", "int64_t", "in"),
+            ("h", "double", "scalar"), ("stride", "int64_t", "scalar"),
+            ("box_lo", "double", "out"), ("box_hi", "double", "out"), ("indptr", "int64_t", "out"),
+        ]
         for kind, lib in (("evaluator", native.evaluator(0, np.float32)),
                           ("upward", native.upward())):
             for name in native.ENTRY_POINTS[kind]:

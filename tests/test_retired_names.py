@@ -55,6 +55,23 @@ def test_the_numpy_walk_and_the_walk_replay_stay_retired(tmp_path):
     assert "test reference" in hits[0] and "replaying" in hits[-1]
 
 
+def test_the_numpy_box_merge_stays_retired(tmp_path):
+    """The numpy merge of the background's cubes lives on only in
+    ``tests/oracle.py``: either name in ``src/`` fires, its oracle
+    namesakes there do not."""
+    names = ("_coalesce" + "_boxes", "_background" + "_boxes")  # (not hits in this file)
+    treeforce = tmp_path / "src" / "repro" / "gravity" / "treeforce.py"
+    treeforce.parent.mkdir(parents=True)
+    treeforce.write_text(f"boxes = {names[1]}(tree, inter)\ndef {names[0]}(row, lo, hi, n):\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracle.py").write_text(
+        f"def oracle{names[0]}(row, lo, hi, n):\n    return {names[0]}(row, lo, hi, n)\n")
+    hits = guard.find_retired(tmp_path)
+    assert [hit.split(": ")[0] for hit in hits] == [
+        "src/repro/gravity/treeforce.py:1", "src/repro/gravity/treeforce.py:2"]
+    assert "compiled box merge" in hits[0]
+
+
 def test_a_retired_setting_in_the_docs_fires(tmp_path):
     """DESIGN.md and README.md are callers too: a retired setting written
     in either is reported like one in code."""

@@ -26,11 +26,7 @@ from hypothesis import strategies as st
 
 from repro.gravity import TreecodeConfig, TreecodeGravity, direct_accelerations, make_softening
 from repro.gravity import native, treeforce
-from repro.gravity.treeforce import (
-    _background_boxes,
-    _coalesce_boxes,
-    evaluate_forces,
-)
+from repro.gravity.treeforce import _merged_boxes, evaluate_forces
 from repro.multipoles.codegen import generate_evaluator_source
 from repro.multipoles.prism import prism_acceleration
 from repro.parallel.domain import sfc_cut
@@ -47,6 +43,8 @@ from repro.util import expand_ranges
 from .oracle import (
     cell_leaf_csr,
     last_lists,
+    oracle_background_boxes,
+    oracle_coalesce_boxes,
     oracle_forces,
     oracle_pair_geometry,
     oracle_sink_relevance,
@@ -1347,11 +1345,51 @@ def cubes(side, *origins):
     return boxes(*[(o, tuple(c + side for c in o)) for o in origins])
 
 
+def compiled_coalesce(row, lo, hi, n_rows, image=(0, 0, 0)):
+    """The compiled ``merge_boxes`` on integer boxes: box i is cell i,
+    placed at ``[lo[:, i], hi[:, i])`` through the one periodic image
+    ``image`` (the cell's own corners are the box's less the image), in
+    row ``row[i]``; a row's first, third, ... box is a ghost entry, the
+    others direct-pair entries.  Returns the integer ``(box_lo, box_hi,
+    box_indptr)`` of the merged boxes, as :func:`oracle_coalesce_boxes`."""
+    row = np.asarray(row, dtype=np.int64)
+    order = np.argsort(row, kind="stable")
+    rank = np.arange(len(row)) - np.searchsorted(row[order], row[order])
+    ghost = rank % 2 == 0
+    families = {}
+    for name, pick in (("ghost", order[ghost]), ("leaf", order[~ghost])):
+        ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[pick], minlength=n_rows), out=ptr[1:])
+        families.update({f"{name}_indptr": ptr, f"{name}_src": pick,
+                         f"{name}_off": np.zeros(len(pick), dtype=np.int64)})
+    image = np.array([image], dtype=np.int64)
+    n = len(row)
+    box_lo, box_hi = np.empty((3, n)), np.empty((3, n))
+    box_indptr = np.empty(n_rows + 1, dtype=np.int64)
+    native.upward().merge_boxes(
+        n_rows=n_rows, **families, cell_lo=lo.T - image, cell_hi=hi.T - image, image=image,
+        h=1.0, stride=n, box_lo=box_lo, box_hi=box_hi, indptr=box_indptr,
+    )
+    m = box_indptr[-1]
+    return box_lo[:, :m].astype(np.int64), box_hi[:, :m].astype(np.int64), box_indptr
+
+
+def both_merges(row, lo, hi, n_rows):
+    """The oracle's merge, after checking that the compiled one, seen
+    through two images, returns the same boxes in the same order."""
+    want = oracle_coalesce_boxes(row, lo, hi, n_rows)
+    for image in ((0, 0, 0), (-8, 16, 3)):
+        got = compiled_coalesce(row, lo, hi, n_rows, image)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), image
+    return want
+
+
 def merged(row, lo, hi, n_rows=None):
     """Run the merge; returns a sorted list of (row, lo, hi) tuples and the indptr."""
     row = np.asarray(row, dtype=np.int64)
     n_rows = n_rows if n_rows is not None else int(row.max()) + 1
-    blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+    blo, bhi, indptr = both_merges(row, lo, hi, n_rows)
     assert blo.shape == bhi.shape and blo.shape[0] == 3
     assert len(indptr) == n_rows + 1 and indptr[0] == 0 and indptr[-1] == blo.shape[1]
     out = []
@@ -1362,7 +1400,8 @@ def merged(row, lo, hi, n_rows=None):
 
 
 class TestCoalesceByHand:
-    """The merge on its own, integer boxes small enough to count."""
+    """The merge on its own, integer boxes small enough to count; every
+    case runs through the oracle's merge and the compiled one."""
 
     def test_block_of_27_is_one_box(self):
         lo, hi = cubes(1, *[(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
@@ -1427,7 +1466,7 @@ class TestCoalesceByHand:
         assert got == [(1, (0, 0, 0), (2, 1, 1))]
         assert indptr.tolist() == [0, 0, 1, 1, 1]
         none = np.zeros((3, 0), dtype=np.int64)
-        blo, bhi, indptr = _coalesce_boxes(np.zeros(0, dtype=np.int64), none, none, 3)
+        blo, bhi, indptr = both_merges(np.zeros(0, dtype=np.int64), none, none, 3)
         assert blo.shape == bhi.shape == (3, 0) and indptr.tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("scale_bits, n_rows", [(0, 2), (12, 1024), (22, 1024)])
@@ -1443,7 +1482,7 @@ class TestCoalesceByHand:
         want, _ = merged(row, lo, hi, n_rows=2)
         assert len(want) < len(origins)
         top = n_rows - 2
-        blo, bhi, indptr = _coalesce_boxes(row + top, lo << scale_bits, hi << scale_bits, n_rows)
+        blo, bhi, indptr = both_merges(row + top, lo << scale_bits, hi << scale_bits, n_rows)
         assert indptr[top] == 0 and indptr[-1] == len(want)
         got = sorted(
             (int(e >= indptr[top + 1]), tuple((blo[:, e] >> scale_bits).tolist()),
@@ -1452,6 +1491,14 @@ class TestCoalesceByHand:
         )
         assert got == want
         assert np.all(blo % (1 << scale_bits) == 0)
+
+
+def evaluator_boxes(tree, inter):
+    """The evaluator's merged boxes (:func:`_merged_boxes`), cut to the
+    columns the compiled merge wrote."""
+    lo, hi, indptr = _merged_boxes(tree, inter)
+    assert lo.shape == hi.shape == (3, len(inter.ghost_src) + len(inter.leaf_src))
+    return lo[:, : indptr[-1]], hi[:, : indptr[-1]], indptr
 
 
 def integer_cubes(tree, inter):
@@ -1538,10 +1585,10 @@ class TestCoalesceInvariants:
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         row, lo, hi, unit = integer_cubes(tree, inter)
         n_rows = len(inter.sink_leaves)
-        blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+        blo, bhi, indptr = oracle_coalesce_boxes(row, lo, hi, n_rows)
         self.assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr)
         # the evaluator's boxes are these, in box units
-        flo, fhi, findptr = _background_boxes(tree, inter)
+        flo, fhi, findptr = evaluator_boxes(tree, inter)
         assert np.array_equal(findptr, indptr)
         assert np.array_equal(flo, blo * 0.5**unit) and np.array_equal(fhi, bhi * 0.5**unit)
         full = assert_merged_matches_per_cube(tree, moms, inter)
@@ -1558,7 +1605,7 @@ class TestCoalesceInvariants:
         assert len(inter.ghost_src) and np.ptp(tree.cell_level[inter.leaf_src]) >= 2
         full = assert_merged_matches_per_cube(tree, moms, inter)
         assert 2 * full.stats["prism_interactions"] < full.stats["prism_cubes"]
-        flo, fhi, _ = _background_boxes(tree, inter)
+        flo, fhi, _ = evaluator_boxes(tree, inter)
         assert np.any((flo < 0.0) & (fhi > 0.0)) and np.any((flo < 1.0) & (fhi > 1.0))
 
     def test_open_box_has_no_background(self):
@@ -1570,9 +1617,10 @@ class TestCoalesceInvariants:
 
     @pytest.mark.parametrize("n, seed, nleaf", [(700, 4, 2), (400, 2, 1)])
     def test_same_boxes_whatever_the_key_words(self, n, seed, nleaf):
-        """One int64 word of key (``argsort``) or two (``lexsort``): a
-        larger ``n_rows`` widens the row field past 63 bits on the same
-        boxes, and the merged boxes and their order do not change."""
+        """The oracle's merge packs its key into one int64 word
+        (``argsort``) or two (``lexsort``): a larger ``n_rows`` widens the
+        row field past 63 bits on the same boxes, and the merged boxes and
+        their order do not change."""
         tree, moms = setup(n=n, seed=seed, background=True, clustered=True, nleaf=nleaf)
         inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
         row, lo, hi, _ = integer_cubes(tree, inter)
@@ -1586,7 +1634,7 @@ class TestCoalesceInvariants:
         for rows in (n_rows, wide):
             with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort, \
                     mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
-                runs.append(_coalesce_boxes(row, lo, hi, rows))
+                runs.append(oracle_coalesce_boxes(row, lo, hi, rows))
             calls = (argsort.call_count, lexsort.call_count)
             assert calls == ((3, 0) if rows == n_rows else (0, 3))
         (blo, bhi, indptr), (wlo, whi, windptr) = runs
@@ -1608,10 +1656,10 @@ class TestCoalesceInvariants:
         row, lo, hi, unit = integer_cubes(tree, inter)
         assert unit == tree.max_level and hi.max() - lo.min() > 2**21
         n_rows = len(inter.sink_leaves)
-        blo, bhi, indptr = _coalesce_boxes(row, lo, hi, n_rows)
+        blo, bhi, indptr = oracle_coalesce_boxes(row, lo, hi, n_rows)
         self.assert_same_region(row, lo, hi, n_rows, blo, bhi, indptr)
         assert blo.shape[1] < len(row)
-        flo, fhi, _ = _background_boxes(tree, inter)
+        flo, fhi, _ = evaluator_boxes(tree, inter)
         assert np.array_equal(flo, blo * 0.5**unit) and np.array_equal(fhi, bhi * 0.5**unit)
         # (softened: the bare pair force at 1e-6 is 3e11 and would hide
         # the background term)
@@ -1654,15 +1702,113 @@ class TestPrismWorkerIdentity:
         the full walk: corners, order and count."""
         tree, moms = setup(n=900, seed=2, background=True, clustered=True)
         full = traverse_hierarchical(tree, moms, periodic=True, ws=1)
-        flo, fhi, findptr = _background_boxes(tree, full)
+        flo, fhi, findptr = evaluator_boxes(tree, full)
         rows = np.arange(len(full.sink_leaves))[5::3]
         part = traverse_hierarchical(
             tree, moms, periodic=True, ws=1, sink_leaves=full.sink_leaves[rows]
         )
-        plo, phi, pindptr = _background_boxes(tree, part)
+        plo, phi, pindptr = evaluator_boxes(tree, part)
         assert np.array_equal(np.diff(pindptr), np.diff(findptr)[rows])
         pick = expand_ranges(findptr[rows], np.diff(findptr)[rows])
         assert np.array_equal(plo, flo[:, pick]) and np.array_equal(phi, fhi[:, pick])
+
+
+class TestCompiledMerge:
+    """The compiled ``merge_boxes`` (:func:`_merged_boxes`) against the
+    numpy merge of ``tests/oracle.py``: on every tree
+    ``TestCoalesceInvariants`` and ``TestPrismWorkerIdentity`` build, the
+    evaluator's boxes, their order and ``box_indptr`` are the oracle's,
+    bit for bit (``TestCoalesceByHand`` runs its cases through both)."""
+
+    @staticmethod
+    def check(tree, inter):
+        got = evaluator_boxes(tree, inter)
+        want = oracle_background_boxes(tree, inter)
+        for g, w, name in zip(got, want, ("box_lo", "box_hi", "box_indptr")):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        return got
+
+    @given(
+        n=st.integers(min_value=9, max_value=120),
+        nleaf=st.sampled_from([1, 2, 8, 200]),
+        clustered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_hypothesis_trees(self, n, nleaf, clustered, seed):
+        tree, moms = setup(
+            n=n, seed=seed, background=True, clustered=clustered, nleaf=nleaf, tol=1e-3
+        )
+        self.check(tree, traverse_hierarchical(tree, moms, periodic=True, ws=1))
+
+    @pytest.mark.parametrize("n, seed, nleaf", [(700, 4, 8), (700, 4, 2), (400, 2, 1)])
+    def test_periodic_clustered_inputs(self, n, seed, nleaf):
+        tree, moms = setup(n=n, seed=seed, background=True, clustered=True, nleaf=nleaf)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        assert len(inter.ghost_src)
+        _, _, indptr = self.check(tree, inter)
+        assert indptr[-1] < len(inter.ghost_src) + len(inter.leaf_src)
+
+    def test_shard_restricted_lists(self):
+        """The rows of a restricted walk, every third row and each piece
+        of a 3-way SFC cut."""
+        tree, moms = setup(n=900, seed=2, background=True, clustered=True)
+        full = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        self.check(tree, full)
+        pieces = [full.sink_leaves[5::3], *sfc_shards(tree, 3)]
+        for sinks in pieces:
+            self.check(tree, traverse_hierarchical(tree, moms, periodic=True, ws=1,
+                                                   sink_leaves=sinks))
+
+    def test_solver_lists(self):
+        pos, mass = cloud(1200, seed=9, clustered=True)
+        with TreecodeGravity(TreecodeConfig(periodic=True, errtol=1e-3, p=2)) as solver:
+            solver.compute(pos, mass)
+            tree, inter = solver.last_tree, last_lists(solver)
+        assert len(inter.ghost_src) and len(inter.leaf_src)
+        self.check(tree, inter)
+
+    def test_depth_21_tree_needs_the_wide_key(self):
+        """Cubes from level 1 to level 20 in one row: five corners of 22
+        bits do not pack into a 64-bit key, and the general sort gives
+        the same boxes in the same order."""
+        pos = np.array([[0.3, 0.3, 0.3], [0.3 + 1e-6, 0.3, 0.3], [0.8, 0.1, 0.6]])
+        tree = build_tree(pos, np.full(3, 1.0 / 3), nleaf=1, with_ghosts=True)
+        moms = compute_moments(tree, p=2, tol=1e-3, background=True, mean_density=1.0)
+        inter = traverse_hierarchical(tree, moms, periodic=True, ws=1)
+        row, lo, hi, _ = integer_cubes(tree, inter)
+        widest = max(
+            5 * int((hi[:, row == r].max(axis=1) - lo[:, row == r].min(axis=1)).max()).bit_length()
+            + int((row == r).sum() - 1).bit_length()
+            for r in np.unique(row)
+        )
+        assert widest > 64
+        self.check(tree, inter)
+
+    def test_scratch_kept_across_calls_and_threads(self):
+        """The per-thread scratch grows to a large row, serves a small one
+        after it, and three threads merging at once do not share it."""
+        small = setup(n=120, seed=1, background=True, clustered=True, nleaf=2)
+        large = setup(n=900, seed=2, background=True, clustered=True)
+        lists = [(tree, traverse_hierarchical(tree, moms, periodic=True, ws=1))
+                 for tree, moms in (large, small, large)]
+        for tree, inter in lists:
+            self.check(tree, inter)
+        errors = []
+
+        def merge_all():
+            try:
+                for tree, inter in lists * 3:
+                    self.check(tree, inter)
+            except AssertionError as exc:  # (re-raised below)
+                errors.append(exc)
+
+        threads = [threading.Thread(target=merge_all) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and not errors
 
 
 def compiled_prism(points, lo, hi, rho, blk=None, want_potential=True):

@@ -293,6 +293,11 @@ RETIRED.append((
     (*CALLERS,),
     "the compiled walk: a fresh walk costs less than replaying the last one",
 ))
+RETIRED.append((
+    r"\b(_coalesce_boxes|_background_boxes)\b",
+    ("src",),
+    "the compiled box merge: numpy's run-merge of the background's cubes is a test reference",
+))
 
 SKYMAP, LIGHTCONE = "src/repro/analysis/skymap.py", "src/repro/simulation/lightcone.py"
 Z0 = ("src/repro/cosmology/growth.py", "src/repro/cosmology/power.py",
